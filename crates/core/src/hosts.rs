@@ -202,7 +202,7 @@ impl Node<Packet> for TrafficHost {
                 let pkt = self
                     .stack
                     .dns(self.port_of_flow[flow], self.resolver, ports::DNS, q);
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "E_S {} resolves {} (flow {})",
                     self.stack.addr, qname, flow
                 ));
@@ -229,7 +229,7 @@ impl Node<Packet> for TrafficHost {
                 }
                 self.records[flow].t_answer = Some(ctx.now());
                 self.records[flow].dest = msg.first_answer_a();
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "step8: E_S {} got DNS answer {:?} for flow {}",
                     self.stack.addr, self.records[flow].dest, flow
                 ));
@@ -243,7 +243,7 @@ impl Node<Packet> for TrafficHost {
                         let syn = m.connect(ctx.now());
                         self.tcp.insert(flow, m);
                         let pkt = self.stack.tcp(dest, &syn, vec![]);
-                        ctx.trace(format!(
+                        ctx.trace(format_args!(
                             "E_S {} SYN to {} (flow {})",
                             self.stack.addr, dest, flow
                         ));
@@ -268,7 +268,7 @@ impl Node<Packet> for TrafficHost {
                 match m.on_segment(ctx.now(), &seg, payload.len()) {
                     TcpEvent::SendAndEstablish(ack) => {
                         self.records[flow].t_established = Some(ctx.now());
-                        ctx.trace(format!(
+                        ctx.trace(format_args!(
                             "E_S {} established flow {} ({} -> {})",
                             self.stack.addr, flow, self.stack.addr, src
                         ));
@@ -408,7 +408,7 @@ impl Node<Packet> for ServerHost {
                     }
                     TcpEvent::Established => {
                         self.established.push((src, ctx.now()));
-                        ctx.trace(format!("E_D {dst} established with {src}"));
+                        ctx.trace(format_args!("E_D {dst} established with {src}"));
                     }
                     TcpEvent::SendAndEstablish(out) => {
                         self.established.push((src, ctx.now()));

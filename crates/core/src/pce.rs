@@ -230,7 +230,7 @@ impl Pce {
             .irc
             .admit_flow((reply_dst, answer_eid), self.cfg.flow_rate_estimate);
         let mapping = self.mapping_for(answer_eid);
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "step6: PCE_D {} encapsulates DNS reply for {} with mapping (best rloc {})",
             self.cfg.addr,
             answer_eid,
@@ -270,7 +270,7 @@ impl Pce {
         self.stats.p_decaps += 1;
         // 7a: forward the original DNS answer to the server, unmodified
         // (the typed reply packet is lifted out of the encapsulation).
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "step7a: PCE_S {} forwards DNS answer to local server",
             self.cfg.addr
         ));
@@ -310,7 +310,7 @@ impl Pce {
         self.mirror_flow(ctx, flow);
         self.push_flow(ctx, flow, PceKind::MappingPush);
         self.push_times.push(ctx.now());
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "step7b: PCE_S {} pushed ({} -> {}) via (RLOC_S {}, RLOC_D {}) to {} ITRs",
             self.cfg.addr,
             source_eid,
@@ -412,7 +412,7 @@ impl Pce {
             .filter(|f| f.rloc_s == dead)
             .copied()
             .collect();
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "PCE {} provider {} (RLOC {}) down: re-pathing {} flows",
             self.cfg.addr,
             provider,
@@ -508,7 +508,7 @@ impl Node<Packet> for Pce {
                 } = pkt
                 {
                     self.stats.ipc_notices += 1;
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "step1: PCE {} learns E_S {} for query {}",
                         self.cfg.addr, notice.client, notice.qname
                     ));
@@ -529,7 +529,7 @@ impl Node<Packet> for Pce {
                         self.stats.reverse_syncs_received += 1;
                         self.db
                             .insert((msg.mapping.source_eid, msg.mapping.dest_eid), msg.mapping);
-                        ctx.trace(format!(
+                        ctx.trace(format_args!(
                             "PCE {} database updated by reverse sync ({} -> {})",
                             self.cfg.addr, msg.mapping.source_eid, msg.mapping.dest_eid
                         ));
@@ -586,7 +586,7 @@ impl Node<Packet> for Pce {
             // Standby promotion: re-install every mirrored flow at the
             // local ITRs so state lost with the primary is re-pushed.
             let flows: Vec<FlowMapping> = self.db.values().copied().collect();
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "PCE {} takes over: re-pushing {} flows",
                 self.cfg.addr,
                 flows.len()

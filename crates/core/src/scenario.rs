@@ -150,7 +150,7 @@ impl Node<Packet> for FlowRouter {
         if let Some(&(prefix, port)) = self.scheduled_routes.get(token) {
             self.routes.insert(prefix, port);
             self.route_updates_applied += 1;
-            ctx.trace(format!("igp reroute: {prefix} now via port {port}"));
+            ctx.trace(format_args!("igp reroute: {prefix} now via port {port}"));
         }
     }
 

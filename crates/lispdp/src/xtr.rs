@@ -459,13 +459,12 @@ impl Xtr {
         }
         // Prefix map-cache.
         let now = ctx.now();
-        let looked = self.cache.lookup(dst_eid, now).cloned();
-        if let Some(record) = looked {
-            if let Some(loc) = record.best_locator() {
-                let rloc = loc.rloc;
-                self.send_encap(ctx, pkt, self.cfg.rloc, rloc);
-                return;
-            }
+        // Only the RLOC leaves the borrow: a hit copies four bytes, not
+        // the record and its locator `Vec`.
+        let hit = self.cache.lookup(dst_eid, now);
+        if let Some(rloc) = hit.and_then(|r| r.best_locator()).map(|l| l.rloc) {
+            self.send_encap(ctx, pkt, self.cfg.rloc, rloc);
+            return;
         }
         // Miss.
         self.stats.miss_events += 1;
@@ -493,7 +492,7 @@ impl Xtr {
             MissPolicy::Drop => {
                 self.stats.miss_drops += 1;
                 self.ctr_miss_drops.add(ctx, "xtr.miss_drops", 1);
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ITR {} dropped packet to {} (no mapping)",
                     self.cfg.rloc, dst_eid
                 ));
@@ -627,7 +626,10 @@ impl Xtr {
         };
         self.in_flight.insert(dst_eid, inf);
         self.stats.map_requests_sent += 1;
-        ctx.trace(format!("ITR {} map-request for {}", self.cfg.rloc, dst_eid));
+        ctx.trace(format_args!(
+            "ITR {} map-request for {}",
+            self.cfg.rloc, dst_eid
+        ));
         self.send_map_request(ctx, dst_eid, inf);
     }
 
@@ -715,7 +717,7 @@ impl Xtr {
     fn install_flow(&mut self, ctx: &mut Ctx<'_, Packet>, flow: FlowMapping) {
         self.flows.insert((flow.source_eid, flow.dest_eid), flow);
         self.stats.flow_installs += 1;
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "xTR {} installed flow {}->{} via ({} -> {})",
             self.cfg.rloc, flow.source_eid, flow.dest_eid, flow.rloc_s, flow.rloc_d
         ));
@@ -741,7 +743,7 @@ impl Xtr {
         let inner_src = inner.src();
         let inner_dst = inner.dst();
         self.stats.decap += 1;
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "ETR {} decap {} -> {} (outer {} -> {})",
             self.cfg.rloc, inner_src, inner_dst, outer_src, outer_dst
         ));
@@ -799,7 +801,7 @@ impl Xtr {
                         ctx.send(port, pkt);
                         self.stats.reverse_syncs_sent += 1;
                     }
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "ETR {} reverse-sync for flow {} -> {}",
                         self.cfg.rloc, inner_dst, inner_src
                     ));
@@ -859,7 +861,7 @@ impl Xtr {
                     records: vec![record],
                 };
                 self.stats.map_requests_answered += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ETR {} map-reply for {} to {}",
                     self.cfg.rloc, req.target_eid, req.itr_rloc
                 ));
@@ -873,7 +875,7 @@ impl Xtr {
             }
             CtlMsg::Reply(reply) => {
                 self.stats.map_replies_received += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ITR {} map-reply received from {}",
                     self.cfg.rloc, src
                 ));
@@ -985,7 +987,7 @@ impl Xtr {
                 self.flows.remove(key);
             }
             self.stats.invalidated_flows += dead_flows.len() as u64;
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "xTR {} declares RLOC {} unreachable ({} cache entries, {} flows invalidated)",
                 self.cfg.rloc,
                 rloc,
@@ -1173,7 +1175,7 @@ impl Node<Packet> for Xtr {
                 };
                 self.in_flight.insert(eid, fresh);
                 self.stats.map_requests_sent += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ITR {} cool-down expired, re-requesting {}",
                     self.cfg.rloc, eid
                 ));
@@ -1198,7 +1200,7 @@ impl Node<Packet> for Xtr {
                     };
                     self.in_flight.insert(eid, moved);
                     self.stats.map_request_retries += 1;
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "ITR {} fails over to resolver #{} for {}",
                         self.cfg.rloc, next_idx, eid
                     ));

@@ -42,7 +42,9 @@ pub struct Ipv4Header {
     /// Time to live (decremented by routers; see `inet::stack::forward_hop`).
     pub ttl: u8,
     /// Link corruption marker: `(octet index, bit)` of the wire image.
-    pub corrupt: Option<(usize, u8)>,
+    /// The index is 16 bits because an IPv4 datagram's total length is;
+    /// see [`Packet`]'s `Payload::corrupt` for longer simulated images.
+    pub corrupt: Option<(u16, u8)>,
 }
 
 impl Ipv4Header {
@@ -353,8 +355,9 @@ pub enum Packet {
         ip: Ipv4Header,
         /// UDP ports (port 53 on the server side).
         ports: UdpPorts,
-        /// The DNS message.
-        msg: Message,
+        /// The DNS message — boxed: at 104 bytes inline it alone set
+        /// the size of every queued packet (DESIGN.md §9).
+        msg: Box<Message>,
     },
 }
 
@@ -394,7 +397,7 @@ impl Packet {
         Packet::Dns {
             ip: Ipv4Header::new(src, dst),
             ports: UdpPorts::new(src_port, dst_port),
-            msg,
+            msg: Box::new(msg),
         }
     }
 
@@ -500,7 +503,7 @@ impl Packet {
     /// octets) — the region a transit router's header checksum covers,
     /// so routers drop such packets as malformed.
     pub fn header_corrupt(&self) -> bool {
-        matches!(self.ip().corrupt, Some((idx, _)) if idx < crate::ipv4::HEADER_LEN)
+        matches!(self.ip().corrupt, Some((idx, _)) if usize::from(idx) < crate::ipv4::HEADER_LEN)
     }
 
     /// Exact number of bytes this packet occupies on the wire — equal
@@ -551,7 +554,7 @@ impl Packet {
             Packet::Dns { ports, msg, .. } => emit_udp_ip(&ip, *ports, &msg.to_bytes()),
         };
         if let Some((idx, bit)) = ip.corrupt {
-            if let Some(b) = bytes.get_mut(idx) {
+            if let Some(b) = bytes.get_mut(usize::from(idx)) {
                 *b ^= 1 << (bit & 7);
             }
         }
@@ -615,7 +618,7 @@ impl Packet {
                     Ok(Packet::Dns {
                         ip,
                         ports,
-                        msg: Message::from_bytes(body)?,
+                        msg: Box::new(Message::from_bytes(body)?),
                     })
                 } else {
                     Ok(Packet::Udp {
@@ -665,9 +668,19 @@ impl netsim::payload::Payload for Packet {
     // flips are not recorded — the receiver drops a marked packet either
     // way, so only the lazily encoded wire image of a multiply-corrupted
     // packet differs from the byte path (DESIGN.md §9).
+    //
+    // The marker's index is 16 bits. A wire image longer than 65,535
+    // octets is not a valid IPv4 datagram but can be simulated (nothing
+    // bounds a payload `Vec`), so an index past the marker's range
+    // *clamps* to octet 65,535 rather than truncating: the packet stays
+    // marked as payload-corrupt — a wrapped index could land in the
+    // header region and turn an endpoint drop into a router drop — and
+    // only the lazily encoded image flips octet 65,535 instead of the
+    // drawn one.
     fn corrupt(&mut self, idx: usize, bit: u8) {
         let header = self.ip_mut();
         if header.corrupt.is_none() {
+            let idx = u16::try_from(idx).unwrap_or(u16::MAX);
             header.corrupt = Some((idx, bit & 7));
         }
     }
@@ -786,6 +799,41 @@ mod tests {
         let mut q = Packet::udp(a(1, 1, 1, 1), 1, a(2, 2, 2, 2), 2, vec![0; 8]);
         Payload::corrupt(&mut q, 12, 0);
         assert!(q.header_corrupt());
+    }
+
+    #[test]
+    fn corruption_index_clamps_past_the_marker_range() {
+        const IP_UDP: usize = 28;
+        let sized = |wire_len: usize| {
+            Packet::udp(
+                a(1, 1, 1, 1),
+                1,
+                a(2, 2, 2, 2),
+                2,
+                vec![0; wire_len - IP_UDP],
+            )
+        };
+        // 65,535 is the last index the marker holds exactly.
+        let mut p = sized(65_536);
+        let clean = p.encode();
+        Payload::corrupt(&mut p, 65_535, 1);
+        assert_eq!(p.ip().corrupt, Some((u16::MAX, 1)));
+        let dirty = p.encode();
+        assert_eq!(clean[65_535] ^ 2, dirty[65_535]);
+        assert_eq!(clean[..65_535], dirty[..65_535]);
+        // 65,536 must clamp, not wrap to octet 0 (the header region).
+        let mut q = sized(65_537);
+        Payload::corrupt(&mut q, 65_536, 0);
+        assert_eq!(q.ip().corrupt, Some((u16::MAX, 0)));
+        assert!(q.is_corrupt());
+        assert!(!q.header_corrupt());
+    }
+
+    #[test]
+    fn packet_fits_the_queue_slot_budget() {
+        // The event slab moves a whole `Packet` several times per hop;
+        // at 152 bytes that was 30 % of `dataplane_steady` (DESIGN.md §9).
+        assert!(std::mem::size_of::<Packet>() <= 72);
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl Node<Packet> for AltRouter {
         }
         if let Some(guard) = &mut self.guard {
             if !guard.admit(req.source_eid, ctx.now()) {
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "alt {} rate-limits {}",
                     self.stack.addr, req.source_eid
                 ));
@@ -154,7 +154,7 @@ impl Node<Packet> for AltRouter {
         // Deliver if an attached site covers the target.
         if let Some(&etr) = self.delivery.lookup_value(req.target_eid) {
             self.delivered += 1;
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "alt {} delivers request for {} to etr {}",
                 self.stack.addr, req.target_eid, etr
             ));
@@ -178,7 +178,7 @@ impl Node<Packet> for AltRouter {
             Some(&next) => {
                 req.hop_count -= 1;
                 self.overlay_hops += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "alt {} forwards request for {} to {}",
                     self.stack.addr, req.target_eid, next
                 ));
@@ -206,7 +206,7 @@ impl Node<Packet> for AltRouter {
         } else if let Some(&(prefix, etr)) = self.scheduled_updates.get(token) {
             self.delivery.insert(prefix, etr);
             self.updates_applied += 1;
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "alt {} re-registers delivery {prefix} -> {etr}",
                 self.stack.addr
             ));

@@ -135,7 +135,7 @@ impl ConsNode {
             self.pending
                 .insert(rewritten.nonce, (msg.orig_itr, msg.via.clone()));
             self.delivered += 1;
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "cons {} delivers request for {} to etr {}",
                 self.stack.addr, req.target_eid, etr
             ));
@@ -158,7 +158,7 @@ impl ConsNode {
             Some(next) => {
                 msg.via.push(self.stack.addr);
                 self.overlay_hops += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "cons {} relays request for {} to {}",
                     self.stack.addr, req.target_eid, next
                 ));
@@ -179,7 +179,7 @@ impl ConsNode {
         match msg.via.pop() {
             Some(prev) => {
                 self.replies_relayed += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "cons {} relays reply toward {}",
                     self.stack.addr, prev
                 ));
@@ -191,7 +191,7 @@ impl ConsNode {
             None => {
                 // We are the requester's CAR: deliver natively to the ITR.
                 self.replies_relayed += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "cons {} delivers reply to itr {}",
                     self.stack.addr, msg.orig_itr
                 ));
@@ -244,7 +244,7 @@ impl Node<Packet> for ConsNode {
             (ports::LISP_CONTROL, CtlMsg::Request(req)) => {
                 if let Some(guard) = &mut self.guard {
                     if !guard.admit(req.source_eid, ctx.now()) {
-                        ctx.trace(format!(
+                        ctx.trace(format_args!(
                             "cons {} rate-limits {}",
                             self.stack.addr, req.source_eid
                         ));
@@ -292,7 +292,7 @@ impl Node<Packet> for ConsNode {
         } else if let Some(&(prefix, etr)) = self.scheduled_updates.get(token) {
             self.serving.insert(prefix, etr);
             self.updates_applied += 1;
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "cons {} re-registers site {prefix} -> {etr}",
                 self.stack.addr
             ));

@@ -129,11 +129,11 @@ impl Node<Packet> for MapResolver {
         }
         if let Some(guard) = &mut self.guard {
             if !guard.admit(req.source_eid, ctx.now()) {
-                ctx.trace(format!("map-resolver rate-limits {}", req.source_eid));
+                ctx.trace(format_args!("map-resolver rate-limits {}", req.source_eid));
                 return;
             }
             if guard.known_unresolvable(req.target_eid, ctx.now()) {
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "map-resolver negative-cache drop for {}",
                     req.target_eid
                 ));
@@ -143,7 +143,7 @@ impl Node<Packet> for MapResolver {
         match self.table.lookup_value(req.target_eid) {
             Some(&etr) => {
                 self.forwarded += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "map-resolver forwards request for {} to {}",
                     req.target_eid, etr
                 ));
@@ -158,7 +158,10 @@ impl Node<Packet> for MapResolver {
             }
             None => {
                 self.unresolved += 1;
-                ctx.trace(format!("map-resolver has no entry for {}", req.target_eid));
+                ctx.trace(format_args!(
+                    "map-resolver has no entry for {}",
+                    req.target_eid
+                ));
                 if let Some(guard) = &mut self.guard {
                     guard.note_unresolvable(req.target_eid, ctx.now());
                 }
@@ -173,7 +176,7 @@ impl Node<Packet> for MapResolver {
             }
         } else if let Some(&(prefix, etr)) = self.scheduled_updates.get(token) {
             self.update_site(prefix, etr);
-            ctx.trace(format!("map-resolver re-registers {prefix} -> {etr}"));
+            ctx.trace(format_args!("map-resolver re-registers {prefix} -> {etr}"));
         }
     }
 

@@ -116,19 +116,16 @@ impl NerdAuthority {
 
     /// Execute one full push round immediately.
     pub fn push_all(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        let chunks: Vec<Vec<MapRecord>> = self
-            .records
-            .chunks(self.chunk_records)
-            .map(|c| c.to_vec())
-            .collect();
-        let total = chunks.len().max(1) as u16;
-        for sub in self.subscribers.clone() {
-            for (i, chunk) in chunks.iter().enumerate() {
+        // One record clone per (subscriber, chunk) packet and nothing
+        // else: the fields below are borrowed disjointly.
+        let total = self.records.chunks(self.chunk_records).len().max(1) as u16;
+        for &sub in &self.subscribers {
+            for (i, chunk) in self.records.chunks(self.chunk_records).enumerate() {
                 let push = DbPush {
                     version: self.version,
                     chunk: i as u16,
                     total_chunks: total,
-                    records: chunk.clone(),
+                    records: chunk.to_vec(),
                 };
                 // Computed, not materialized — identical to the legacy
                 // to_bytes().len() (pinned by the codec wire_len pairs).
@@ -144,7 +141,7 @@ impl NerdAuthority {
             }
         }
         self.push_rounds += 1;
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "nerd v{} pushed {} records to {} subscribers",
             self.version,
             self.records.len(),

@@ -2,8 +2,8 @@
 //!
 //! The engine used to keep counters in a `BTreeMap<String, u64>`, which
 //! cost one `String` allocation plus an ordered-map walk on **every**
-//! `Ctx::count` call — on the hot path of every drop, miss, and
-//! delivery statistic in the workspace. Counters are now a dense
+//! increment — on the hot path of every drop, miss, and delivery
+//! statistic in the workspace. Counters are now a dense
 //! `Vec<u64>` indexed by interned [`CounterId`]s: string handling
 //! happens only at registration and reporting time, and the hottest
 //! call sites hold a `CounterId` and pay a single bounds-checked add.
@@ -22,12 +22,10 @@ pub struct CounterId(pub(crate) u32);
 
 /// The engine's counter table: dense values plus a name interner.
 ///
-/// Two access paths:
-/// * by [`CounterId`] (from [`Counters::register`]) — a plain array add,
-///   for call sites hot enough to pre-register;
-/// * by name — one hash lookup, **no allocation** on the hit path, and
-///   automatic registration on first use, so ad-hoc
-///   `ctx.count("x", 1)` call sites keep working unchanged.
+/// Nodes count by [`CounterId`] (from [`Counters::register`]) — a plain
+/// array add; [`LazyCounter`] interns on first use for call sites that
+/// cannot pre-register. The by-name [`Counters::add_named`] is the
+/// parallel engine's barrier merge, not a node-facing path.
 #[derive(Debug, Default, Clone)]
 pub struct Counters {
     values: Vec<u64>,

@@ -11,6 +11,7 @@ use crate::trace::Trace;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::any::Any;
+use std::fmt;
 
 /// Identifies a node within a simulation.
 pub type NodeId = usize;
@@ -81,9 +82,13 @@ pub trait Node<P: Payload = Vec<u8>>: Send {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PortBinding {
     pub peer_node: NodeId,
-    pub peer_port: PortId,
+    pub peer_port: EventPort,
     pub tx_index: usize,
 }
+
+/// A [`PortId`] as queued events carry it: 32 bits, so a packet event's
+/// slab slot is its payload plus 16 bytes (checked once, at `connect`).
+pub(crate) type EventPort = u32;
 
 /// The handle through which a node interacts with the simulation while
 /// handling an event.
@@ -188,24 +193,20 @@ impl<'a, P: Payload> Ctx<'a, P> {
         self.push_event(at, self.node, EventKind::Timer { token });
     }
 
-    /// Record a trace message (no-op unless tracing is enabled).
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        if self.trace.is_enabled() {
-            self.trace
-                .push(self.now, self.node, self.node_name, msg.into());
-        }
+    /// Record a trace message. **Lazy**: `msg` is an unformatted
+    /// [`format_args!`] value, rendered to a `String` only when the
+    /// event will be retained — tracing enabled *and* the trace not yet
+    /// full. With tracing off (every timed run) a call costs one test
+    /// and formats nothing, so handlers may trace on their per-packet
+    /// path. An eagerly built `String` is not accepted: write
+    /// `ctx.trace(format_args!("…"))`, never `format!`.
+    #[inline]
+    pub fn trace(&mut self, msg: fmt::Arguments<'_>) {
+        self.trace.push(self.now, self.node, self.node_name, msg);
     }
 
-    /// Increment a global counter by `n` (interned by name: one hash
-    /// lookup, no allocation after the first use of `name`). Hot call
-    /// sites should pre-register via [`Ctx::counter_id`] /
-    /// [`crate::Sim::register_counter`] and use [`Ctx::count_id`].
-    pub fn count(&mut self, name: &str, n: u64) {
-        self.counters.add_named(name, n);
-    }
-
-    /// Increment the counter behind a pre-registered id by `n` — the
-    /// zero-lookup hot path.
+    /// Increment the counter behind an id from [`Ctx::counter_id`] /
+    /// [`crate::Sim::register_counter`] by `n` — a plain array add.
     #[inline]
     pub fn count_id(&mut self, id: CounterId, n: u64) {
         self.counters.add(id, n);

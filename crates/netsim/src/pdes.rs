@@ -48,7 +48,7 @@
 
 use crate::counters::Counters;
 use crate::link::{Transmitter, TxOutcome};
-use crate::node::{Ctx, Node, NodeId, PortBinding, PortId};
+use crate::node::{Ctx, EventPort, Node, NodeId, PortBinding, PortId};
 use crate::payload::Payload;
 use crate::sim::{EventKind, EventQueue, Sim};
 use crate::time::Ns;
@@ -120,7 +120,7 @@ pub struct Partition {
     /// Ports with `tx_index` remapped to domain-local indices.
     ports_of: DomainPorts,
     /// Snapshot of `Sim::tx_targets` (stall-flush delivery targets).
-    tx_targets: Vec<(NodeId, PortId)>,
+    tx_targets: Vec<(NodeId, EventPort)>,
     /// Minimum cross-domain per-direction delay, ns (`u64::MAX` when no
     /// link crosses domains — fully independent components).
     lookahead: u64,
@@ -429,18 +429,21 @@ impl<P: Payload> DomainState<P> {
             EventKind::Packet { port, payload } => {
                 if self.trace.packet_log_enabled() {
                     let bytes = payload.encode();
-                    let msg = format!(
-                        "pkt rx port={} len={} fnv64={:016x}",
-                        port,
-                        bytes.len(),
-                        fnv64(&bytes)
-                    );
                     let local = part.node_local[node] as usize;
-                    let name = self.names[local].clone();
-                    self.trace.push(self.now, node, &name, msg);
+                    self.trace.push(
+                        self.now,
+                        node,
+                        &self.names[local],
+                        format_args!(
+                            "pkt rx port={} len={} fnv64={:016x}",
+                            port,
+                            bytes.len(),
+                            fnv64(&bytes)
+                        ),
+                    );
                 }
                 self.with_ctx(part, horizon, node, move |n, ctx| {
-                    n.on_packet(ctx, port, payload);
+                    n.on_packet(ctx, port as PortId, payload);
                 });
             }
             EventKind::Timer { token } => {
@@ -957,8 +960,9 @@ mod tests {
     struct Hub;
     impl Node for Hub {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: usize, bytes: Vec<u8>) {
-            ctx.count("hub.rx", 1);
-            ctx.trace(format!("hub rx port={port} len={}", bytes.len()));
+            let rx = ctx.counter_id("hub.rx");
+            ctx.count_id(rx, 1);
+            ctx.trace(format_args!("hub rx port={port} len={}", bytes.len()));
             ctx.send(port, bytes);
         }
         fn as_any(&mut self) -> &mut dyn std::any::Any {
@@ -983,7 +987,7 @@ mod tests {
             }
             self.remaining -= 1;
             ctx.send(0, vec![token as u8; 64]);
-            ctx.trace(format!("leaf tx #{token}"));
+            ctx.trace(format_args!("leaf tx #{token}"));
             ctx.set_timer(self.interval, token + 1);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: usize, _bytes: Vec<u8>) {

@@ -7,9 +7,10 @@
 //! order and ordering is one integer compare. Event *bodies* (as large
 //! as the payload type) live in a free-listed slab; only the compact
 //! `(key, slot)` pairs enter the priority structure, which since PR 8
-//! is a [calendar queue](crate::calq) (fixed-width time buckets plus an
-//! overflow rung) rather than a `BinaryHeap`, cutting the per-event
-//! sift cost on wide worlds. Nodes schedule through [`Ctx`], which
+//! is a [calendar queue](crate::calq) (fixed-width time buckets, a rung
+//! of per-year piles, an overflow heap) rather than a `BinaryHeap`,
+//! cutting the per-event sift cost on wide worlds. Nodes schedule
+//! through [`Ctx`], which
 //! holds split borrows of the queue and pushes directly into it. The
 //! engine is generic over [`Payload`]: packets are *typed values* whose
 //! wire length is computed, not materialized, so the steady-state event
@@ -23,7 +24,7 @@
 use crate::calq::CalendarQueue;
 use crate::counters::{CounterId, Counters};
 use crate::link::{LinkCfg, LinkStats, Transmitter, TxOutcome};
-use crate::node::{Ctx, Node, NodeId, PortBinding, PortId};
+use crate::node::{Ctx, EventPort, Node, NodeId, PortBinding, PortId};
 use crate::payload::Payload;
 use crate::pdes;
 use crate::time::Ns;
@@ -50,7 +51,7 @@ pub fn process_events() -> u64 {
 #[derive(Debug)]
 pub(crate) enum EventKind<P> {
     Packet {
-        port: PortId,
+        port: EventPort,
         payload: P,
     },
     Timer {
@@ -99,7 +100,7 @@ pub(crate) struct TimedEvent<P> {
 /// in the low half — so ordering is a single integer compare; `seq`
 /// both breaks time ties deterministically and yields FIFO order among
 /// same-time events. Keeping the ordered entries small matters: event
-/// bodies are as large as the payload type (a typed `Packet` is >100
+/// bodies are as large as the payload type (a typed `Packet` is 72
 /// bytes), so bodies live in a free-listed slab (slots indexed by the
 /// entry's `u32`) and only the compact keys enter the calendar queue.
 /// Events at [`Ns::MAX`] mean "never" (saturated timers) and are not
@@ -293,7 +294,7 @@ pub struct Sim<P: Payload = Vec<u8>> {
     pub(crate) transmitters: Vec<Transmitter<P>>,
     /// Delivery target of each transmitter (peer node, peer port), in
     /// transmitter order — used to flush stalled packets on link-up.
-    pub(crate) tx_targets: Vec<(NodeId, PortId)>,
+    pub(crate) tx_targets: Vec<(NodeId, EventPort)>,
     /// Administrative per-node state: `false` while a node is crashed.
     /// All-up worlds pay one bool test per delivered event and nothing
     /// else, so runs without node dynamics stay byte-identical.
@@ -383,16 +384,19 @@ impl<P: Payload> Sim<P> {
         self.transmitters.push(Transmitter::new(cfg_ba));
         let port_a = self.ports[a].len();
         let port_b = self.ports[b].len();
-        self.tx_targets.push((b, port_b)); // tx_ab delivers to b
-        self.tx_targets.push((a, port_a)); // tx_ba delivers to a
+        let event_port =
+            |port: PortId| EventPort::try_from(port).expect("too many ports on one node");
+        let (peer_a, peer_b) = (event_port(port_a), event_port(port_b));
+        self.tx_targets.push((b, peer_b)); // tx_ab delivers to b
+        self.tx_targets.push((a, peer_a)); // tx_ba delivers to a
         self.ports[a].push(PortBinding {
             peer_node: b,
-            peer_port: port_b,
+            peer_port: peer_b,
             tx_index: tx_ab,
         });
         self.ports[b].push(PortBinding {
             peer_node: a,
-            peer_port: port_a,
+            peer_port: peer_a,
             tx_index: tx_ba,
         });
         (port_a, port_b)
@@ -421,7 +425,7 @@ impl<P: Payload> Sim<P> {
         self.push_event(at, node, EventKind::Timer { token });
     }
 
-    /// Global counter value (see [`Ctx::count`]).
+    /// Global counter value (see [`Ctx::count_id`]).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name)
     }
@@ -675,16 +679,21 @@ impl<P: Payload> Sim<P> {
                 // trace was explicitly asked to record packet digests.
                 if self.trace.packet_log_enabled() {
                     let bytes = payload.encode();
-                    let msg = format!(
-                        "pkt rx port={} len={} fnv64={:016x}",
-                        port,
-                        bytes.len(),
-                        fnv64(&bytes)
+                    self.trace.push(
+                        self.now,
+                        ev.node,
+                        &self.names[ev.node],
+                        format_args!(
+                            "pkt rx port={} len={} fnv64={:016x}",
+                            port,
+                            bytes.len(),
+                            fnv64(&bytes)
+                        ),
                     );
-                    self.trace
-                        .push(self.now, ev.node, &self.names[ev.node], msg);
                 }
-                self.with_node_ctx(ev.node, move |node, ctx| node.on_packet(ctx, port, payload));
+                self.with_node_ctx(ev.node, move |node, ctx| {
+                    node.on_packet(ctx, port as PortId, payload);
+                });
             }
             EventKind::Timer { token } => {
                 self.with_node_ctx(ev.node, move |node, ctx| node.on_timer(ctx, token));
@@ -837,12 +846,13 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
             self.sent_at = ctx.now();
             ctx.send(0, vec![0u8; self.payload]);
-            ctx.trace("ping sent");
+            ctx.trace(format_args!("ping sent"));
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, _bytes: Vec<u8>) {
             self.rtt = Some(ctx.now() - self.sent_at);
-            ctx.trace("pong received");
-            ctx.count("pongs", 1);
+            ctx.trace(format_args!("pong received"));
+            let pongs = ctx.counter_id("pongs");
+            ctx.count_id(pongs, 1);
         }
         fn as_any(&mut self) -> &mut dyn std::any::Any {
             self
@@ -928,6 +938,61 @@ mod tests {
         assert!(!without.contains("pkt rx"));
         assert!(with.contains("pkt rx port=0 len=64"));
         assert!(with.contains("fnv64="));
+    }
+
+    #[test]
+    fn trace_message_is_built_only_when_it_will_be_kept() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// Counts how often it is formatted.
+        struct Counted(Arc<AtomicU64>);
+        impl std::fmt::Display for Counted {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                f.write_str("built")
+            }
+        }
+        struct Chatty(Counted);
+        impl Node for Chatty {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+                ctx.trace(format_args!("tick {}", self.0));
+            }
+            fn as_any(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+            fn as_any_ref(&self) -> &dyn std::any::Any {
+                self
+            }
+        }
+        let run = |enabled: bool, cap: usize| {
+            let built = Arc::new(AtomicU64::new(0));
+            let mut sim: Sim = Sim::new(1);
+            let n = sim.add_node("chatty", Box::new(Chatty(Counted(built.clone()))));
+            if enabled {
+                sim.trace.enable();
+            }
+            sim.trace.set_capacity(cap);
+            for i in 0..5 {
+                sim.schedule_timer(n, Ns::from_ms(i), i);
+            }
+            sim.run();
+            (built.load(Ordering::Relaxed), sim.trace.len())
+        };
+        assert_eq!(run(false, 1 << 20), (0, 0), "disabled: nothing formatted");
+        assert_eq!(run(true, 2), (2, 2), "full: formatting stops at the cap");
+        assert_eq!(run(true, 1 << 20), (5, 5));
+    }
+
+    #[test]
+    fn slab_slot_adds_at_most_16_bytes_to_its_payload() {
+        // A 72-byte stand-in for `lispwire::Packet` with no niche to
+        // hide a tag in: node id, port and both enum tags must fit in
+        // 16 bytes, or every queued packet grows by a word again.
+        type P = [u64; 9];
+        assert!(
+            std::mem::size_of::<Option<(NodeId, EventKind<P>)>>() <= std::mem::size_of::<P>() + 16
+        );
     }
 
     #[test]
@@ -1141,7 +1206,9 @@ mod tests {
                 if token == 0 {
                     ctx.count_id(self.id.unwrap(), 2);
                 } else {
-                    ctx.count("events.seen", 3);
+                    // Re-interning mid-run resolves to the same counter.
+                    let id = ctx.counter_id("events.seen");
+                    ctx.count_id(id, 3);
                 }
             }
             fn as_any(&mut self) -> &mut dyn std::any::Any {

@@ -5,7 +5,7 @@
 
 use crate::node::NodeId;
 use crate::time::Ns;
-use core::fmt;
+use std::fmt;
 
 /// One trace entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,12 +53,18 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// the engine (see [`crate::payload::Payload`]), so the digest is the
 /// one place the engine *lazily* encodes a payload — normal dispatch
 /// never materializes bytes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     enabled: bool,
     packet_log: bool,
     events: Vec<TraceEvent>,
     cap: usize,
+}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Trace {
@@ -105,14 +111,17 @@ impl Trace {
         self.cap = cap;
     }
 
-    /// Record an event (no-op when disabled or full).
-    pub fn push(&mut self, t: Ns, node: NodeId, node_name: &str, msg: String) {
+    /// Record an event (no-op when disabled or full). The message is
+    /// taken unformatted and rendered only once the event is known to be
+    /// retained, so a disabled or full trace costs callers one test.
+    #[inline]
+    pub fn push(&mut self, t: Ns, node: NodeId, node_name: &str, msg: fmt::Arguments<'_>) {
         if self.enabled && self.events.len() < self.cap {
             self.events.push(TraceEvent {
                 t,
                 node,
                 node_name: node_name.to_string(),
-                msg,
+                msg: fmt::format(msg),
             });
         }
     }
@@ -215,17 +224,32 @@ mod tests {
     fn mk() -> Trace {
         let mut t = Trace::new();
         t.enable();
-        t.push(Ns::from_ms(1), 0, "a", "step1: hello".into());
-        t.push(Ns::from_ms(2), 1, "b", "noise".into());
-        t.push(Ns::from_ms(3), 0, "a", "step2: world".into());
+        t.push(Ns::from_ms(1), 0, "a", format_args!("step1: hello"));
+        t.push(Ns::from_ms(2), 1, "b", format_args!("noise"));
+        t.push(Ns::from_ms(3), 0, "a", format_args!("step2: world"));
         t
     }
 
     #[test]
     fn disabled_records_nothing() {
         let mut t = Trace::new();
-        t.push(Ns::ZERO, 0, "a", "x".into());
+        t.push(Ns::ZERO, 0, "a", format_args!("x"));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn default_is_new() {
+        // Regression: a derived `Default` set `cap: 0`, so `default()`
+        // followed by `enable()` silently dropped every event.
+        let (d, n) = (Trace::default(), Trace::new());
+        assert_eq!(
+            (d.enabled, d.packet_log, d.cap),
+            (n.enabled, n.packet_log, n.cap)
+        );
+        let mut t = Trace::default();
+        t.enable();
+        t.push(Ns::ZERO, 0, "a", format_args!("kept"));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -273,7 +297,7 @@ mod tests {
         t.enable();
         t.set_capacity(2);
         for i in 0..5 {
-            t.push(Ns(i), 0, "a", format!("e{i}"));
+            t.push(Ns(i), 0, "a", format_args!("e{i}"));
         }
         assert_eq!(t.len(), 2);
     }

@@ -147,7 +147,7 @@ struct MixEmitter {
 impl Node for MixEmitter {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.fired.push((ctx.now(), token));
-        ctx.trace(format!("timer {token}"));
+        ctx.trace(format_args!("timer {token}"));
         ctx.send(0, vec![0u8; self.payload]);
     }
     fn as_any(&mut self) -> &mut dyn std::any::Any {
@@ -165,7 +165,7 @@ struct TracingSink {
 impl Node for TracingSink {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _p: usize, bytes: Vec<u8>) {
         self.arrivals.push((ctx.now(), bytes.len()));
-        ctx.trace(format!("rx {}", bytes.len()));
+        ctx.trace(format_args!("rx {}", bytes.len()));
     }
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self

@@ -109,7 +109,7 @@ impl Node<Packet> for AuthServer {
         let resp = self.answer(&query);
         self.queries_answered += 1;
         if let Some(q) = query.question() {
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "auth {} answers {} -> {:?}",
                 self.stack.addr, q.name, resp.rcode
             ));
@@ -215,7 +215,7 @@ mod tests {
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
                 if let Packet::Dns { msg, .. } = pkt {
-                    self.got = Some(msg);
+                    self.got = Some(*msg);
                 }
             }
             fn as_any(&mut self) -> &mut dyn Any {

@@ -78,7 +78,7 @@ impl Node<Packet> for DnsClient {
         self.asked[i] = Some(ctx.now());
         let q = Message::query_a(i as u16, name.clone(), true);
         let pkt = self.stack.dns(40000, self.resolver, ports::DNS, q);
-        ctx.trace(format!("client queries {name}"));
+        ctx.trace(format_args!("client queries {name}"));
         ctx.send(0, pkt);
     }
 
@@ -107,7 +107,7 @@ impl Node<Packet> for DnsClient {
             .flatten()
             .unwrap_or(Ns::ZERO);
         let addr = msg.first_answer_a();
-        ctx.trace(format!("client answer for {qname} -> {addr:?}"));
+        ctx.trace(format_args!("client answer for {qname} -> {addr:?}"));
         self.answers.push(DnsAnswer {
             qid,
             qname,

@@ -194,7 +194,7 @@ impl Resolver {
         let q = Message::query_a(qid, fl.qname.clone(), false);
         let pkt = self.stack.dns(UPSTREAM_PORT, fl.server, ports::DNS, q);
         self.upstream_queries += 1;
-        ctx.trace(format!("resolver asks {} for {}", fl.server, fl.qname));
+        ctx.trace(format_args!("resolver asks {} for {}", fl.server, fl.qname));
         ctx.send(self.uplink, pkt);
         let token = timer_token(qid, fl.generation);
         ctx.set_timer(self.cfg.retransmit, token);
@@ -238,7 +238,7 @@ impl Resolver {
             return;
         };
         self.client_queries += 1;
-        ctx.trace(format!("resolver got client query for {}", q.name));
+        ctx.trace(format_args!("resolver got client query for {}", q.name));
         // Step 1 of the paper: the PCE obtains E_S by IPC with the DNS.
         if let Some(pce) = self.cfg.ipc_notify {
             let notice = lispwire::pcewire::IpcQueryNotice {
@@ -248,7 +248,7 @@ impl Resolver {
             let pkt = self
                 .stack
                 .pce(ports::PCE_IPC, pce, ports::PCE_IPC, PceMsg::Ipc(notice));
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "resolver IPC notice to PCE: {} asked for {}",
                 src, q.name
             ));
@@ -276,7 +276,7 @@ impl Resolver {
                         steps: 0,
                         generation: 0,
                     };
-                    ctx.trace(format!("resolver cache hit for {}", q.name));
+                    ctx.trace(format_args!("resolver cache hit for {}", q.name));
                     self.reply_client(ctx, &fl, Rcode::NoError, vec![rec]);
                     return;
                 }
@@ -327,7 +327,7 @@ impl Resolver {
                 self.resolved += 1;
                 let latency = now - fl.started;
                 self.resolution_times.push((fl.qname.clone(), latency));
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "resolver resolved {} -> {} in {}",
                     fl.qname, addr, latency
                 ));
@@ -379,7 +379,7 @@ impl Resolver {
                 }
                 fl.server = servers[0];
                 fl.tries = 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "resolver follows referral for {} to zone {} @ {}",
                     fl.qname, zone, fl.server
                 ));
@@ -423,9 +423,9 @@ impl Node<Packet> for Resolver {
             return;
         }
         if p.dst == ports::DNS && !msg.is_response {
-            self.handle_client_query(ctx, ip.src, p.src, msg);
+            self.handle_client_query(ctx, ip.src, p.src, *msg);
         } else if p.dst == UPSTREAM_PORT && msg.is_response && p.src == ports::DNS {
-            self.handle_upstream_response(ctx, msg);
+            self.handle_upstream_response(ctx, *msg);
         }
     }
 
@@ -436,7 +436,7 @@ impl Node<Packet> for Resolver {
                 if self.cfg.ipc_notify.is_some() {
                     self.cfg.ipc_notify = Some(pce);
                 }
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "resolver {} fails over to standby uplink port {port}",
                     self.stack.addr
                 ));
@@ -460,11 +460,11 @@ impl Node<Packet> for Resolver {
         if give_up {
             let fl = self.in_flight.remove(&qid).expect("checked above");
             self.failed += 1;
-            ctx.trace(format!("resolver gives up on {}", fl.qname));
+            ctx.trace(format_args!("resolver gives up on {}", fl.qname));
             self.reply_client(ctx, &fl, Rcode::ServFail, vec![]);
         } else {
             self.retries += 1;
-            ctx.trace(format!("resolver retransmits qid {qid}"));
+            ctx.trace(format_args!("resolver retransmits qid {qid}"));
             self.send_upstream(ctx, qid);
         }
     }

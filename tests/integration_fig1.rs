@@ -28,3 +28,16 @@ fn reverse_mapping_completes_two_way_resolution() {
     assert!(r.db_entries >= 4);
     assert!(r.t_db_update >= r.t_first_decap);
 }
+
+#[test]
+fn fig1_trace_strings_are_pinned() {
+    // `Ctx::trace` formats lazily (netsim::Ctx::trace); the strings it
+    // records when tracing is on must stay byte-identical — E1's step
+    // table is read out of them. Pinned at the eager-`format!` parent.
+    let r = run_fig1_trace(0);
+    assert_eq!(r.trace.lines().count(), 36);
+    assert_eq!(
+        netsim::trace::fnv64(r.trace.as_bytes()),
+        0xde97_c6da_2e28_04ac
+    );
+}
