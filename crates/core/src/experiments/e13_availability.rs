@@ -4,7 +4,8 @@
 //! E10 killed a *locator* — the data path — and measured how fast each
 //! control plane re-routed around it. This experiment kills the
 //! *mapping infrastructure itself*: at [`T_FAIL`] the mapping node
-//! serving the client site crashes ([`DynEventKind::NodeDown`] →
+//! serving the client site crashes
+//! ([`DynEventKind::NodeDown`](crate::spec::DynEventKind::NodeDown) →
 //! `Node::on_crash`, volatile state lost, deliveries dropped) and
 //! restarts at [`T_RESTORE`]. The data path stays healthy throughout —
 //! what breaks is the ability to *resolve new destinations*.
@@ -149,7 +150,12 @@ pub fn retry_spec() -> RetrySpec {
 }
 
 /// Run one (cp, n_sites, replicas) cell.
-pub fn run_availability_cell(cp: CpKind, n_sites: usize, replicas: u32, seed: u64) -> AvailabilityRow {
+pub fn run_availability_cell(
+    cp: CpKind,
+    n_sites: usize,
+    replicas: u32,
+    seed: u64,
+) -> AvailabilityRow {
     let mut spec = ScenarioSpec::multi_site(cp, n_sites, 2);
     // Flow B targets a *different* site than flow A: with site-prefix
     // mapping granularity a same-site destination would be covered by

@@ -44,6 +44,7 @@ use mapsys::{AltRouter, ConsNode, GuardCfg, MapResolver, NerdAuthority, RequestG
 use netsim::{DownPolicy, LinkCfg, NodeId, Ns, PortId, Sim};
 use simdns::zone::{Zone, ZoneStore};
 use simdns::{AuthServer, Resolver, ResolverConfig};
+use std::sync::Arc;
 
 /// What a site does in the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1407,7 +1408,7 @@ impl ScenarioSpec {
         };
 
         // ---- Border: xTRs or plain routing ------------------------------------
-        let eid_space = self.derived_eid_space();
+        let eid_space: Arc<[Prefix]> = self.derived_eid_space().into();
         let mut site_xtrs: Vec<Vec<NodeId>> = vec![Vec::new(); topo.sites.len()];
         let mut site_links: Vec<Vec<usize>> = vec![Vec::new(); topo.sites.len()];
         let mut site_egress: Vec<Vec<PortId>> = vec![Vec::new(); topo.sites.len()];
@@ -1508,7 +1509,7 @@ impl ScenarioSpec {
                         .map(|(_, q)| q.rloc)
                         .collect();
                     let mut cfg =
-                        XtrConfig::new(p.rloc, s.eid_prefix, eid_space.clone(), mode_of(i));
+                        XtrConfig::new(p.rloc, s.eid_prefix, Arc::clone(&eid_space), mode_of(i));
                     cfg.miss_policy = miss;
                     cfg.internal_plain_prefixes = internal.clone();
                     cfg.reverse_sync_peers = peers;
@@ -1715,7 +1716,7 @@ impl ScenarioSpec {
                     // routes as alt-0 under its own address, so the
                     // rest of the chain serves either ingress.
                     let mut gw = AltRouter::new(addrs::ALT_GATEWAY_2);
-                    for s in topo.sites.iter() {
+                    for s in &topo.sites {
                         if chain_addrs.len() > 1 {
                             gw.add_overlay_route(s.eid_prefix, chain_addrs[1]);
                         } else {
@@ -2166,12 +2167,11 @@ impl ScenarioSpec {
                                         );
                                     }
                                     if let Some(sp) = pce_standby_ports[i] {
-                                        sim.node_mut::<FlowRouter>(site_routers[i])
-                                            .schedule_route(
-                                                detect_at,
-                                                Prefix::host(topo.sites[i].dns_addr()),
-                                                sp,
-                                            );
+                                        sim.node_mut::<FlowRouter>(site_routers[i]).schedule_route(
+                                            detect_at,
+                                            Prefix::host(topo.sites[i].dns_addr()),
+                                            sp,
+                                        );
                                     }
                                     if let Some(standby) = pce_standby_nodes[i] {
                                         sim.schedule_timer(
@@ -2632,5 +2632,25 @@ mod tests {
         assert_eq!(w.site("D").dest_eids.len(), 8);
         assert_eq!(w.site("S").xtr_rlocs[0], addrs::XTR_A);
         assert_eq!(w.provider_bytes("D").len(), 2);
+    }
+
+    #[test]
+    fn xtrs_share_one_eid_space() {
+        let eid_space = |w: &World, x: NodeId| Arc::clone(&w.sim.node_ref::<Xtr>(x).cfg.eid_space);
+        // Derived from the sites: one allocation, however many xTRs.
+        let w = ScenarioSpec::multi_site(CpKind::Pce, 64, 2).build(1);
+        let xtrs = w.all_xtrs();
+        assert_eq!(xtrs.len(), 2 * w.sites.len());
+        let first = eid_space(&w, xtrs[0]);
+        assert_eq!(first.len(), w.sites.len());
+        assert!(xtrs.iter().all(|&x| Arc::ptr_eq(&first, &eid_space(&w, x))));
+        // Given by the spec: Fig. 1's 100.0.0.0/7 reaches every xTR.
+        for cp in CpKind::all() {
+            let w = ScenarioSpec::fig1(cp).build(1);
+            let want = [Prefix::new(Ipv4Address::new(100, 0, 0, 0), 7)];
+            for x in w.all_xtrs() {
+                assert_eq!(*eid_space(&w, x), want, "{}", cp.label());
+            }
+        }
     }
 }

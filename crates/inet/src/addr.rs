@@ -39,11 +39,8 @@ impl Prefix {
 
     /// The network mask for a length.
     pub fn mask(len: u8) -> u32 {
-        if len == 0 {
-            0
-        } else {
-            u32::MAX << (32 - u32::from(len))
-        }
+        // Shifted in 64 bits so that /0 needs no branch.
+        (u64::from(u32::MAX) << (32 - u32::from(len))) as u32
     }
 
     /// The canonical network address.

@@ -3,8 +3,9 @@
 //! Provides what the LISP and DNS layers stand on:
 //!
 //! * [`addr`] — IPv4 prefixes with containment tests.
-//! * [`lpm`] — a longest-prefix-match binary trie used by router
-//!   forwarding tables (and by the LISP map-cache).
+//! * [`lpm`] — a longest-prefix-match table (a path-compressed binary
+//!   trie in one arena) used by every forwarding and mapping table and
+//!   by the LISP map-cache.
 //! * [`stack`] — the typed-packet factory ([`IpStack`]) every endpoint
 //!   node uses to construct `lispwire::Packet` values, plus the per-hop
 //!   forwarding helper.

@@ -1,44 +1,90 @@
-//! A longest-prefix-match binary trie.
+//! A longest-prefix-match table: a path-compressed binary trie in one
+//! arena.
 //!
-//! Keys are [`Prefix`]es; values are generic. Lookup walks the trie bit by
-//! bit and remembers the deepest node holding a value — classic unibit
-//! trie, simple and verifiable (per the smoltcp philosophy, no compressed
-//! path tricks; route tables in these experiments are small).
+//! Keys are [`Prefix`]es; values are generic. Every node carries its own
+//! `(bits, len)`, so a run of single-child bits costs no nodes: a table
+//! holding one /24 is two slots, the permanent /0 root and the leaf.
+//! Nodes live in one `Vec` and name their children by `u32` index, so a
+//! table is one allocation however many routes it holds, and dropping it
+//! is one `free`. DESIGN.md §5 "LPM tables" has the layout and its costs.
 
 use crate::addr::Prefix;
 use lispwire::Ipv4Address;
 
+/// "No child". Slot 0 is the root, which is nobody's child.
+const NONE: u32 = 0;
+
 #[derive(Debug, Clone)]
-struct TrieNode<V> {
+struct Node<V> {
+    /// Network bits, host bits zero.
+    bits: u32,
+    /// Child slots, chosen by the address bit at position `len`.
+    kids: [u32; 2],
+    len: u8,
     value: Option<V>,
-    children: [Option<Box<TrieNode<V>>>; 2],
 }
 
-impl<V> Default for TrieNode<V> {
-    fn default() -> Self {
+impl<V> Node<V> {
+    fn new(bits: u32, len: u8, value: Option<V>) -> Self {
         Self {
-            value: None,
-            children: [None, None],
+            bits,
+            kids: [NONE; 2],
+            len,
+            value,
         }
+    }
+
+    fn prefix(&self) -> Prefix {
+        Prefix::new(Ipv4Address::from_u32(self.bits), self.len)
+    }
+
+    fn contains(&self, addr: u32) -> bool {
+        (addr ^ self.bits) & Prefix::mask(self.len) == 0
+    }
+
+    /// The child slot on `addr`'s side ([`NONE`] below a /32).
+    fn kid(&self, addr: u32) -> u32 {
+        self.kids[bit(addr, self.len)]
     }
 }
 
+/// Bit `depth` of `addr`, most significant first; 0 at `depth == 32`.
+fn bit(addr: u32, depth: u8) -> usize {
+    ((u64::from(addr) << depth >> 31) & 1) as usize
+}
+
+/// The arena slot of a matched entry, from [`LpmTrie::lookup_slot`]: read
+/// it back through [`LpmTrie::at`] or [`LpmTrie::at_mut`] without a
+/// second walk. Any `insert` or `remove` invalidates it: the slot may
+/// then be free, or hold another entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
 /// A longest-prefix-match table from [`Prefix`] to `V`.
-#[derive(Debug, Clone, Default)]
+///
+/// Slot 0, created by the first insert, is the /0 root and stays; every
+/// other live node either holds a value or has two children. So the live
+/// slots number at most 2·`len` + 1 after any insert/remove sequence.
+#[derive(Debug, Clone)]
 pub struct LpmTrie<V> {
-    root: TrieNode<V>,
+    nodes: Vec<Node<V>>,
+    /// Slots `remove` unlinked, reused by later inserts.
+    free: Vec<u32>,
     len: usize,
 }
 
-fn bit(addr: u32, depth: u8) -> usize {
-    ((addr >> (31 - depth)) & 1) as usize
+impl<V> Default for LpmTrie<V> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<V> LpmTrie<V> {
-    /// An empty table.
+    /// An empty table. Allocates nothing until the first insert.
     pub fn new() -> Self {
         Self {
-            root: TrieNode::default(),
+            nodes: Vec::new(),
+            free: Vec::new(),
             len: 0,
         }
     }
@@ -53,131 +99,232 @@ impl<V> LpmTrie<V> {
         self.len == 0
     }
 
+    /// Live arena slots: the root, the entries and the value-less branch
+    /// nodes between them. For the tests that pin `slots ≤ 2·len + 1`.
+    #[doc(hidden)]
+    pub fn slots(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    fn alloc(&mut self, node: Node<V>) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.nodes[slot as usize] = node;
+            return slot;
+        }
+        let slot = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
+        self.nodes.push(node);
+        slot
+    }
+
     /// Insert (or replace) the value for `prefix`. Returns the previous
     /// value if the prefix was already present.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
-        let addr = prefix.addr().to_u32();
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let b = bit(addr, depth);
-            node = node.children[b].get_or_insert_with(Box::default);
+        let (addr, len) = (prefix.addr().to_u32(), prefix.len());
+        if self.nodes.is_empty() {
+            self.nodes.push(Node::new(0, 0, None));
         }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
+        // Descend while the child on `addr`'s side still covers `prefix`.
+        let mut at = 0;
+        let (side, kid) = loop {
+            let node = &mut self.nodes[at];
+            if node.len == len {
+                let old = node.value.replace(value);
+                self.len += usize::from(old.is_none());
+                return old;
+            }
+            let side = bit(addr, node.len);
+            let kid = node.kids[side];
+            if kid == NONE {
+                break (side, kid);
+            }
+            let below = &self.nodes[kid as usize];
+            if below.len > len || !below.contains(addr) {
+                break (side, kid);
+            }
+            at = kid as usize;
+        };
+        let fresh = if kid == NONE {
+            self.alloc(Node::new(addr, len, Some(value)))
+        } else {
+            // `prefix` leaves the path above `kid`: either it covers `kid`
+            // and takes its place, or the two hang off a value-less
+            // branch node at their longest common prefix.
+            let below = &self.nodes[kid as usize];
+            let (kid_bits, kid_len) = (below.bits, below.len);
+            let common = ((addr ^ kid_bits).leading_zeros() as u8)
+                .min(len)
+                .min(kid_len);
+            let mut above = Node::new(addr & Prefix::mask(common), common, None);
+            above.kids[bit(kid_bits, common)] = kid;
+            if common == len {
+                above.value = Some(value);
+            } else {
+                above.kids[bit(addr, common)] = self.alloc(Node::new(addr, len, Some(value)));
+            }
+            self.alloc(above)
+        };
+        self.nodes[at].kids[side] = fresh;
+        self.len += 1;
+        None
+    }
+
+    /// The slot of the node that is exactly `prefix`, valued or not.
+    fn find(&self, prefix: &Prefix) -> Option<usize> {
+        let (addr, len) = (prefix.addr().to_u32(), prefix.len());
+        let mut at = 0;
+        loop {
+            // Bit tests alone steer the walk; only its end is compared.
+            let node = self.nodes.get(at)?;
+            if node.len >= len {
+                return (node.len == len && node.bits == addr).then_some(at);
+            }
+            let kid = node.kid(addr);
+            if kid == NONE {
+                return None;
+            }
+            at = kid as usize;
         }
-        old
     }
 
     /// Exact-match lookup of a prefix.
     pub fn get(&self, prefix: &Prefix) -> Option<&V> {
-        let addr = prefix.addr().to_u32();
-        let mut node = &self.root;
-        for depth in 0..prefix.len() {
-            let b = bit(addr, depth);
-            node = node.children[b].as_deref()?;
-        }
-        node.value.as_ref()
+        self.nodes[self.find(prefix)?].value.as_ref()
     }
 
     /// Exact-match mutable lookup of a prefix.
     pub fn get_mut(&mut self, prefix: &Prefix) -> Option<&mut V> {
-        let addr = prefix.addr().to_u32();
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let b = bit(addr, depth);
-            node = node.children[b].as_deref_mut()?;
-        }
-        node.value.as_mut()
+        let at = self.find(prefix)?;
+        self.nodes[at].value.as_mut()
     }
 
-    /// Remove a prefix, returning its value. (Empty branches are left in
-    /// place; tables in this workspace are built once and queried often.)
+    /// Remove a prefix, returning its value. The emptied leaf is unlinked
+    /// and a value-less parent left with one child is spliced out, so a
+    /// churning table holds no more slots than its live entries need.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<V> {
-        let addr = prefix.addr().to_u32();
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let b = bit(addr, depth);
-            node = node.children[b].as_deref_mut()?;
+        let (addr, len) = (prefix.addr().to_u32(), prefix.len());
+        let (mut grand, mut parent, mut at) = (0, 0, 0);
+        loop {
+            let node = self.nodes.get(at)?;
+            if node.len >= len {
+                break;
+            }
+            let kid = node.kid(addr);
+            if kid == NONE {
+                return None;
+            }
+            (grand, parent, at) = (parent, at, kid as usize);
         }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
+        let node = &mut self.nodes[at];
+        if node.len != len || node.bits != addr {
+            return None;
         }
-        old
+        let old = node.value.take()?;
+        self.len -= 1;
+        // Unlinking a leaf can leave its parent, until now a two-child
+        // branch, with one child; the grandparent keeps its child count.
+        if at != 0 && self.splice(parent, at) && parent != 0 {
+            self.splice(grand, parent);
+        }
+        Some(old)
+    }
+
+    /// If `at` holds no value and has fewer than two children, hand its
+    /// only child (or none) to `above` in its place and free the slot.
+    fn splice(&mut self, above: usize, at: usize) -> bool {
+        let node = &self.nodes[at];
+        let [left, right] = node.kids;
+        if node.value.is_some() || (left != NONE && right != NONE) {
+            return false;
+        }
+        let side = bit(node.bits, self.nodes[above].len);
+        self.nodes[above].kids[side] = left | right;
+        self.free.push(at as u32);
+        true
+    }
+
+    /// Longest-prefix-match lookup returning the arena slot of the most
+    /// specific installed prefix containing `addr`.
+    pub fn lookup_slot(&self, addr: Ipv4Address) -> Option<Slot> {
+        let addr = addr.to_u32();
+        let mut best = None;
+        let mut at = 0;
+        while let Some(node) = self.nodes.get(at as usize) {
+            if !node.contains(addr) {
+                break;
+            }
+            if node.value.is_some() {
+                best = Some(Slot(at));
+            }
+            at = node.kid(addr);
+            if at == NONE {
+                break;
+            }
+        }
+        best
+    }
+
+    /// The entry in a slot [`LpmTrie::lookup_slot`] returned.
+    ///
+    /// # Panics
+    /// Panics if the slot no longer holds an entry.
+    pub fn at(&self, slot: Slot) -> (Prefix, &V) {
+        let node = &self.nodes[slot.0 as usize];
+        (node.prefix(), node.value.as_ref().expect("stale slot"))
+    }
+
+    /// The entry in a slot [`LpmTrie::lookup_slot`] returned, mutably.
+    ///
+    /// # Panics
+    /// Panics if the slot no longer holds an entry.
+    pub fn at_mut(&mut self, slot: Slot) -> (Prefix, &mut V) {
+        let node = &mut self.nodes[slot.0 as usize];
+        (node.prefix(), node.value.as_mut().expect("stale slot"))
     }
 
     /// Longest-prefix-match lookup: the value of the most specific
     /// installed prefix containing `addr`, with its prefix.
     pub fn lookup(&self, addr: Ipv4Address) -> Option<(Prefix, &V)> {
-        let a = addr.to_u32();
-        let mut node = &self.root;
-        let mut best: Option<(u8, &V)> = node.value.as_ref().map(|v| (0, v));
-        for depth in 0..32u8 {
-            let b = bit(a, depth);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((depth + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, v)| (Prefix::new(addr, len), v))
+        self.lookup_slot(addr).map(|slot| self.at(slot))
     }
 
     /// Shorthand: just the matched value.
     pub fn lookup_value(&self, addr: Ipv4Address) -> Option<&V> {
-        self.lookup(addr).map(|(_, v)| v)
+        let slot = self.lookup_slot(addr)?;
+        self.nodes[slot.0 as usize].value.as_ref()
     }
 
-    /// Visit every `(prefix, value)` pair in lexicographic bit order.
-    pub fn for_each(&self, mut f: impl FnMut(Prefix, &V)) {
-        fn walk<V>(node: &TrieNode<V>, addr: u32, depth: u8, f: &mut impl FnMut(Prefix, &V)) {
-            if let Some(v) = &node.value {
-                f(Prefix::new(Ipv4Address::from_u32(addr), depth), v);
+    /// Every `(prefix, value)` pair in pre-order, which is ascending
+    /// `(addr, len)`: a prefix before the prefixes it covers, the 0 side
+    /// before the 1 side. Borrows the table; allocates nothing.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> + '_ {
+        // A node with children is a /31 at most and its level is no more
+        // than its length. Under one at level k wait at most k siblings,
+        // of it and its ancestors below the root, and its two children.
+        let mut stack = [NONE; 33];
+        let mut depth = usize::from(!self.nodes.is_empty());
+        std::iter::from_fn(move || {
+            while depth > 0 {
+                depth -= 1;
+                let node = &self.nodes[stack[depth] as usize];
+                for kid in [node.kids[1], node.kids[0]] {
+                    if kid != NONE {
+                        stack[depth] = kid;
+                        depth += 1;
+                    }
+                }
+                if let Some(value) = &node.value {
+                    return Some((node.prefix(), value));
+                }
             }
-            if depth == 32 {
-                return;
-            }
-            if let Some(child) = node.children[0].as_deref() {
-                walk(child, addr, depth + 1, f);
-            }
-            if let Some(child) = node.children[1].as_deref() {
-                walk(child, addr | (1 << (31 - depth)), depth + 1, f);
-            }
-        }
-        walk(&self.root, 0, 0, &mut f);
+            None
+        })
     }
 
-    /// Collect all entries (mainly for tests and reports).
+    /// Collect all entries, in [`LpmTrie::iter`] order.
     pub fn entries(&self) -> Vec<(Prefix, &V)> {
         let mut out = Vec::with_capacity(self.len);
-        self.collect_entries(&self.root, 0, 0, &mut out);
+        out.extend(self.iter());
         out
-    }
-
-    fn collect_entries<'a>(
-        &'a self,
-        node: &'a TrieNode<V>,
-        addr: u32,
-        depth: u8,
-        out: &mut Vec<(Prefix, &'a V)>,
-    ) {
-        if let Some(v) = &node.value {
-            out.push((Prefix::new(Ipv4Address::from_u32(addr), depth), v));
-        }
-        if depth == 32 {
-            return;
-        }
-        if let Some(child) = node.children[0].as_deref() {
-            self.collect_entries(child, addr, depth + 1, out);
-        }
-        if let Some(child) = node.children[1].as_deref() {
-            self.collect_entries(child, addr | (1 << (31 - depth)), depth + 1, out);
-        }
     }
 }
 
@@ -262,5 +409,51 @@ mod tests {
         t.insert(Prefix::DEFAULT, 9u8);
         assert_eq!(t.lookup_value(a([255, 255, 255, 255])), Some(&9));
         assert_eq!(t.lookup_value(a([0, 0, 0, 0])), Some(&9));
+    }
+
+    #[test]
+    fn small_tables_are_small() {
+        let mut t = LpmTrie::new();
+        assert_eq!((t.nodes.capacity(), t.free.capacity()), (0, 0));
+        assert_eq!(t.slots(), 0);
+        assert_eq!(t.lookup_value(a([10, 0, 0, 1])), None);
+        assert_eq!(t.remove(&Prefix::DEFAULT), None);
+        assert_eq!(t.iter().count(), 0);
+        t.insert(Prefix::DEFAULT, 0u32);
+        assert_eq!(t.slots(), 1, "a default route is the root itself");
+        let mut t = LpmTrie::new();
+        t.insert(p([10, 1, 2, 0], 24), 0u32);
+        assert_eq!(t.slots(), 2, "one /24 is the root and a leaf");
+    }
+
+    #[test]
+    fn churn_reuses_freed_slots() {
+        let mut t = LpmTrie::new();
+        for i in 0..8u8 {
+            t.insert(p([10, i, 0, 0], 16), i);
+        }
+        let arena = t.nodes.len();
+        for round in 1..=100u8 {
+            for i in 0..8u8 {
+                assert!(t
+                    .remove(&p([10, i, round - 1, 0], 16 + (round - 1) % 9))
+                    .is_some());
+                t.insert(p([10, i, round, 0], 16 + round % 9), i);
+            }
+            assert!(t.nodes.len() <= arena, "the arena grew under churn");
+        }
+        assert_eq!(t.len(), 8);
+    }
+
+    #[test]
+    fn slot_reads_back_the_match() {
+        let mut t = LpmTrie::new();
+        t.insert(p([10, 0, 0, 0], 8), 1u32);
+        t.insert(p([10, 1, 0, 0], 16), 2);
+        let slot = t.lookup_slot(a([10, 1, 2, 3])).unwrap();
+        assert_eq!(t.at(slot), (p([10, 1, 0, 0], 16), &2));
+        *t.at_mut(slot).1 += 40;
+        assert_eq!(t.get(&p([10, 1, 0, 0], 16)), Some(&42));
+        assert_eq!(t.lookup_slot(a([11, 0, 0, 0])), None);
     }
 }

@@ -196,9 +196,9 @@ impl MapCache {
         let prefix = Prefix::new(record.eid_prefix, record.prefix_len);
         let ttl = Ns::from_secs(u64::from(record.ttl_minutes) * 60);
         // Lifetime frequency survives a refresh of the same prefix.
-        let freq = self.trie.get(&prefix).map_or(0, |e| e.freq);
+        let refreshed = self.trie.get(&prefix).map(|e| e.freq);
         if self.spec.policy != EvictionPolicy::Unbounded
-            && self.trie.get(&prefix).is_none()
+            && refreshed.is_none()
             && self.trie.len() >= self.spec.capacity
         {
             self.evict_one();
@@ -216,31 +216,24 @@ impl MapCache {
                 expires,
                 last_used: now,
                 hits: 0,
-                freq,
+                freq: refreshed.unwrap_or(0),
             },
         );
     }
 
     /// Remove one victim per the configured policy. Ties always break on
-    /// the prefix so eviction order is deterministic.
+    /// the prefix so eviction order is deterministic. A scan of the live
+    /// entries, no victim index: the trie holds at most 2·capacity + 1
+    /// slots however long the cache has churned (DESIGN.md §10).
     fn evict_one(&mut self) {
-        let entries = self.trie.entries();
+        let entries = self.trie.iter();
         let victim = match self.spec.policy {
-            EvictionPolicy::Unbounded => None,
-            EvictionPolicy::Lru => entries
-                .into_iter()
-                .min_by_key(|(p, e)| (e.last_used, *p))
-                .map(|(p, _)| p),
-            EvictionPolicy::Lfu => entries
-                .into_iter()
-                .min_by_key(|(p, e)| (e.freq, e.last_used, *p))
-                .map(|(p, _)| p),
-            EvictionPolicy::Ttl => entries
-                .into_iter()
-                .min_by_key(|(p, e)| (e.expires, *p))
-                .map(|(p, _)| p),
+            EvictionPolicy::Unbounded => return,
+            EvictionPolicy::Lru => entries.min_by_key(|(p, e)| (e.last_used, *p)),
+            EvictionPolicy::Lfu => entries.min_by_key(|(p, e)| (e.freq, e.last_used, *p)),
+            EvictionPolicy::Ttl => entries.min_by_key(|(p, e)| (e.expires, *p)),
         };
-        if let Some(p) = victim {
+        if let Some(p) = victim.map(|(p, _)| p) {
             self.trie.remove(&p);
             self.evictions += 1;
         }
@@ -259,26 +252,22 @@ impl MapCache {
                 }
             }
         }
-        let matched = self.trie.lookup(eid).map(|(p, _)| p);
-        let Some(prefix) = matched else {
+        let Some(slot) = self.trie.lookup_slot(eid) else {
             self.miss_count += 1;
             return None;
         };
-        // Two-phase to satisfy the borrow checker: find, then mutate.
-        let expired = {
-            let entry = self.trie.get(&prefix).expect("entry just matched");
-            entry.expires <= now
-        };
-        if expired {
+        // One walk: the expiry test and the touch both go through the
+        // matched slot. (Tested on a shared borrow first, because the
+        // borrow that is returned lasts to the end of the function.)
+        let (prefix, entry) = self.trie.at(slot);
+        if entry.expires <= now {
             self.trie.remove(&prefix);
             self.expirations += 1;
             self.miss_count += 1;
             return None;
         }
         self.hit_count += 1;
-        // Update recency in place and return through the same borrow —
-        // one trie walk, not two.
-        let entry = self.trie.get_mut(&prefix).expect("entry just matched");
+        let (_, entry) = self.trie.at_mut(slot);
         entry.last_used = now;
         entry.hits += 1;
         entry.freq += 1;
@@ -290,8 +279,7 @@ impl MapCache {
     pub fn purge_expired(&mut self, now: Ns) {
         let expired: Vec<Prefix> = self
             .trie
-            .entries()
-            .into_iter()
+            .iter()
             .filter(|(_, e)| e.expires <= now)
             .map(|(p, _)| p)
             .collect();
@@ -299,12 +287,7 @@ impl MapCache {
             self.trie.remove(&p);
             self.expirations += 1;
         }
-        self.earliest_expiry = self
-            .trie
-            .entries()
-            .into_iter()
-            .map(|(_, e)| e.expires)
-            .min();
+        self.earliest_expiry = self.trie.iter().map(|(_, e)| e.expires).min();
     }
 
     /// Remove a specific prefix.
@@ -320,8 +303,7 @@ impl MapCache {
     pub fn invalidate_rloc(&mut self, rloc: Ipv4Address) -> usize {
         let touched: Vec<Prefix> = self
             .trie
-            .entries()
-            .into_iter()
+            .iter()
             .filter(|(_, e)| e.record.locators.iter().any(|l| l.rloc == rloc))
             .map(|(p, _)| p)
             .collect();
@@ -352,9 +334,9 @@ impl MapCache {
         }
     }
 
-    /// All live entries (for state-size accounting in E8).
-    pub fn entries(&self) -> Vec<(Prefix, &CacheEntry)> {
-        self.trie.entries()
+    /// All live entries, in ascending prefix order.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &CacheEntry)> + '_ {
+        self.trie.iter()
     }
 }
 
@@ -435,7 +417,7 @@ mod tests {
         assert!(c.lookup(a([101, 1, 1, 1]), Ns::from_secs(1)).is_some());
         // Refresh resets per-incarnation hits but not lifetime freq.
         c.insert(record([101, 0, 0, 0], 8, 60), Ns::from_secs(2));
-        let (_, e) = c.entries().into_iter().next().unwrap();
+        let (_, e) = c.iter().next().unwrap();
         assert_eq!(e.hits, 0);
         assert_eq!(e.freq, 1);
         // 102 (freq 0) is the LFU victim even though inserted later.
@@ -519,6 +501,34 @@ mod tests {
         }
         assert_eq!(c.len(), 64);
         assert_eq!(c.evictions, 0);
+    }
+
+    // Regression: `LpmTrie::remove` used to leave the emptied branch in
+    // place, so a churning bounded cache kept a dead branch for every
+    // prefix it had ever held and each eviction scanned all of them.
+    #[test]
+    fn churn_leaves_no_dead_branches() {
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Lfu,
+            EvictionPolicy::Ttl,
+        ] {
+            let mut c = MapCache::from_spec(CacheSpec::bounded(32, policy));
+            let prefix = |i: u32| (0x6400_0000 + (i << 8)).to_be_bytes();
+            for i in 0..10_000 {
+                c.insert(record(prefix(i), 24, 60), Ns::from_secs(u64::from(i)));
+            }
+            assert_eq!(c.len(), 32);
+            assert_eq!(c.evictions, 9_968);
+            assert!(c.trie.slots() <= 65, "{} live slots", c.trie.slots());
+            // Never looked up, so under every policy the oldest goes first
+            // and the survivors are the last 32 inserted.
+            let survivors: Vec<Prefix> = c.iter().map(|(p, _)| p).collect();
+            let newest: Vec<Prefix> = (9_968..10_000)
+                .map(|i| Prefix::new(a(prefix(i)), 24))
+                .collect();
+            assert_eq!(survivors, newest);
+        }
     }
 
     #[test]

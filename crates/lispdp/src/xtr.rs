@@ -38,6 +38,7 @@ use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Which control plane feeds this xTR's mapping state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,8 +114,10 @@ pub struct XtrConfig {
     /// EID prefixes of the local site (decap targets, glean sources).
     pub site_prefixes: Vec<Prefix>,
     /// The global EID space: destinations inside it need mappings,
-    /// destinations outside it are plain-forwarded (RLOC space).
-    pub eid_space: Vec<Prefix>,
+    /// destinations outside it are plain-forwarded (RLOC space). One
+    /// allocation shared by every xTR of a world: a copy each was
+    /// O(sites²) bytes.
+    pub eid_space: Arc<[Prefix]>,
     /// Control-plane mode.
     pub mode: CpMode,
     /// Policy for cache-missing data packets.
@@ -186,13 +189,13 @@ impl XtrConfig {
     pub fn new(
         rloc: Ipv4Address,
         site_prefix: Prefix,
-        eid_space: Vec<Prefix>,
+        eid_space: impl Into<Arc<[Prefix]>>,
         mode: CpMode,
     ) -> Self {
         Self {
             rloc,
             site_prefixes: vec![site_prefix],
-            eid_space,
+            eid_space: eid_space.into(),
             mode,
             miss_policy: MissPolicy::Drop,
             cache: CacheSpec::default(),
@@ -546,8 +549,10 @@ impl Xtr {
         }
         let mut delay = base;
         for _ in 1..transmission {
-            delay = Ns(delay.0.saturating_mul(u64::from(self.cfg.request_backoff_multiplier)))
-                .min(self.cfg.request_backoff_cap);
+            delay = Ns(delay
+                .0
+                .saturating_mul(u64::from(self.cfg.request_backoff_multiplier)))
+            .min(self.cfg.request_backoff_cap);
         }
         delay
     }
@@ -925,7 +930,7 @@ impl Xtr {
     /// deterministic probe order.
     fn referenced_rlocs(&self) -> Vec<Ipv4Address> {
         let mut set: BTreeSet<Ipv4Address> = BTreeSet::new();
-        for (_, entry) in self.cache.entries() {
+        for (_, entry) in self.cache.iter() {
             for l in &entry.record.locators {
                 set.insert(l.rloc);
             }
@@ -1792,7 +1797,10 @@ mod tests {
             MissPolicy::Queue { max_packets: 8 },
             Ns::from_us(100),
         );
-        w.sim.node_mut::<Xtr>(w.xtr_s).cfg.request_backoff_multiplier = 2;
+        w.sim
+            .node_mut::<Xtr>(w.xtr_s)
+            .cfg
+            .request_backoff_multiplier = 2;
         let pkt = data_packet(a([100, 0, 0, 5]), a([101, 0, 0, 7]), 1);
         w.sim.node_mut::<SiteHost>(w.host_s).outbox = vec![pkt];
         w.sim.schedule_timer(w.host_s, Ns::ZERO, 0);
@@ -1824,10 +1832,7 @@ mod tests {
             MissPolicy::Queue { max_packets: 8 },
             Ns::from_us(100),
         );
-        w.sim
-            .node_mut::<Xtr>(w.xtr_s)
-            .cfg
-            .map_resolver_replicas = vec![a([8, 0, 0, 10])];
+        w.sim.node_mut::<Xtr>(w.xtr_s).cfg.map_resolver_replicas = vec![a([8, 0, 0, 10])];
         let pkt = data_packet(a([100, 0, 0, 5]), a([101, 0, 0, 7]), 1);
         w.sim.node_mut::<SiteHost>(w.host_s).outbox = vec![pkt];
         w.sim.schedule_timer(w.host_s, Ns::ZERO, 0);

@@ -664,14 +664,16 @@ impl<P: Payload> Sim<P> {
         // nor timers (its pending timers are part of the volatile state
         // lost in the crash). One bool test on the hot path, before the
         // packet log, so all-up runs are byte-identical to the
-        // pre-node-dynamics engine.
-        if !self.node_up[ev.node] && !matches!(ev.kind, EventKind::NodeAdmin { .. }) {
-            if !matches!(ev.kind, EventKind::LinkAdmin { .. }) {
-                self.node_down_drops += 1;
-                return;
-            }
-            // LinkAdmin is engine state, not node state: it applies even
-            // while the owning endpoint is down.
+        // pre-node-dynamics engine. LinkAdmin is engine state, not node
+        // state: it applies even while the owning endpoint is down.
+        if !self.node_up[ev.node]
+            && !matches!(
+                ev.kind,
+                EventKind::NodeAdmin { .. } | EventKind::LinkAdmin { .. }
+            )
+        {
+            self.node_down_drops += 1;
+            return;
         }
         match ev.kind {
             EventKind::Packet { port, payload } => {
