@@ -11,9 +11,7 @@
 //! Usage: `cargo run --release --bin bench_engine_json [out_path]`
 //! (default output: `BENCH_engine.json` in the current directory).
 
-use pcelisp_bench::workloads::{
-    run_ping_pong, run_star, run_star_parallel, run_world_parallel, STAR_LEAVES, STAR_ROUNDS,
-};
+use pcelisp_bench::workloads::{run_ping_pong, run_star, run_star_wan, STAR_LEAVES, STAR_ROUNDS};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Repetitions per cell (override with `BENCH_JSON_REPS`).
@@ -73,23 +71,11 @@ fn main() {
     let results = [
         measure("ping_pong_20k", reps, || run_ping_pong(10_000)),
         measure("star64_1m", reps, || run_star(STAR_LEAVES, STAR_ROUNDS)),
-        // Domain-parallel single-run cells (DESIGN.md §12): the same
-        // star over 200 µs WAN links, split into 64 domains, at three
-        // lane counts — lanes=1 is the serial reference on the WAN
-        // topology, lanes={2,8} run the windowed engine. Event counts
-        // are asserted identical across reps (and across lane cells the
-        // committed JSON shows them equal).
-        measure("star64_wan_lanes1", reps, || {
-            run_star_parallel(STAR_LEAVES, STAR_ROUNDS / 4, 1)
+        // The same star over 200 µs WAN links, so pushes reach the
+        // calendar queue's rung.
+        measure("star64_wan", reps, || {
+            run_star_wan(STAR_LEAVES, STAR_ROUNDS / 4)
         }),
-        measure("star64_wan_lanes2", reps, || {
-            run_star_parallel(STAR_LEAVES, STAR_ROUNDS / 4, 2)
-        }),
-        measure("star64_wan_lanes8", reps, || {
-            run_star_parallel(STAR_LEAVES, STAR_ROUNDS / 4, 8)
-        }),
-        // A real product world (E11 topology family) on 8 lanes.
-        measure("world_ms8_lanes8", reps, || run_world_parallel(8, 8)),
     ];
 
     let timestamp = SystemTime::now()

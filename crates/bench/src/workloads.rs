@@ -122,11 +122,22 @@ impl Node<Frame> for Leaf {
 /// `rounds` round-trips (≈ `2 * leaves * rounds` events). Returns the
 /// number of events the engine processed.
 pub fn run_star(leaves: usize, rounds: u64) -> u64 {
+    run_star_over(leaves, rounds, LinkCfg::lan())
+}
+
+/// The star cell over 200 µs WAN links: pushes land 200 µs ahead, not
+/// a few µs, so many cross the ~1 ms bucket year into the calendar
+/// queue's rung — the one `Frame` cell that does (DESIGN.md §12).
+pub fn run_star_wan(leaves: usize, rounds: u64) -> u64 {
+    run_star_over(leaves, rounds, LinkCfg::wan(Ns::from_us(200)))
+}
+
+fn run_star_over(leaves: usize, rounds: u64, link: LinkCfg) -> u64 {
     let mut sim: Sim<Frame> = Sim::new(1);
     let hub = sim.add_node("hub", Box::new(Hub));
     for i in 0..leaves {
         let leaf = sim.add_node(&format!("leaf{i}"), Box::new(Leaf { rounds }));
-        sim.connect(leaf, hub, LinkCfg::lan());
+        sim.connect(leaf, hub, link);
         sim.schedule_timer(leaf, Ns::ZERO, 0);
     }
     sim.run();
@@ -188,71 +199,6 @@ pub const STAR_LEAVES: usize = 63;
 
 /// Rounds per leaf in the standard star cell (>1M events total).
 pub const STAR_ROUNDS: u64 = 8_000;
-
-/// Run the star cell on the domain-parallel engine (DESIGN.md §12):
-/// same shape as [`run_star`] but over 200 µs WAN links — above the
-/// 100 µs partition threshold, so every leaf⇄hub pair is latency-
-/// separated and the world splits into `leaves + 1` domains. A fresh
-/// sim at `lanes == 1` takes the serial path, so that cell is the
-/// like-for-like serial reference on the identical WAN topology;
-/// `lanes > 1` runs windows + barrier merges. Returns the number of
-/// events processed — identical at any lane count, which the JSON
-/// emitter asserts.
-pub fn run_star_parallel(leaves: usize, rounds: u64, lanes: usize) -> u64 {
-    let mut sim: Sim<Frame> = Sim::new(1);
-    let hub = sim.add_node("hub", Box::new(Hub));
-    for i in 0..leaves {
-        let leaf = sim.add_node(&format!("leaf{i}"), Box::new(Leaf { rounds }));
-        sim.connect(leaf, hub, LinkCfg::wan(Ns::from_us(200)));
-        sim.schedule_timer(leaf, Ns::ZERO, 0);
-    }
-    assert_eq!(sim.enable_partition(Ns::from_us(100)), leaves + 1);
-    sim.run_until_with_lanes(Ns::MAX, lanes);
-    sim.events_processed()
-}
-
-/// Run a product multi-site world (the E11 topology family) end to end
-/// for 4 s of virtual time on `lanes` lanes: full control plane, Zipf
-/// workload, typed packets. The spec build enables the 100 µs domain
-/// partition, so this cell times the parallel engine under the real
-/// LISP stack rather than the synthetic star.
-pub fn run_world_parallel(dest_sites: usize, lanes: usize) -> u64 {
-    use pcelisp::hosts::{FlowMode, FlowSpec};
-    use pcelisp::scenario::CpKind;
-    use pcelisp::spec::ScenarioSpec;
-    let mut spec = ScenarioSpec::multi_site(CpKind::Pce, dest_sites, 4);
-    // A steady UDP flow to every host of every dest site: enough
-    // cross-domain traffic that every barrier window carries packets.
-    let mut qnames = Vec::new();
-    for site in 0..dest_sites {
-        let site_ref = &spec.topology.sites[1 + site];
-        for host in 0..4 {
-            qnames.push(spec.topology.host_name(site_ref, host));
-        }
-    }
-    let flows: Vec<FlowSpec> = qnames
-        .iter()
-        .enumerate()
-        .map(|(i, qname)| FlowSpec {
-            start: Ns::from_ms(i as u64),
-            qname: lispwire::dnswire::Name::parse_str(qname).expect("valid host name"),
-            mode: FlowMode::Udp {
-                packets: 400,
-                interval: Ns::from_ms(5),
-                size: 256,
-            },
-        })
-        .collect();
-    spec.set_flows(flows);
-    let mut world = spec.build(1);
-    assert!(
-        world.sim.partition_domains() > 1,
-        "world failed to partition"
-    );
-    world.schedule_all_flows();
-    world.sim.run_until_with_lanes(Ns::from_secs(4), lanes);
-    world.sim.events_processed()
-}
 
 #[cfg(test)]
 mod tests {

@@ -2195,15 +2195,6 @@ impl ScenarioSpec {
             }
         }
 
-        // Carve the world into latency-separated domains for the
-        // conservative parallel engine (netsim::pdes). 100 µs is below
-        // every WAN one-way delay the topology emits, so site-internal
-        // LAN/IPC links merge while inter-site links stay cross-domain.
-        // Worlds with lossy links (or a sub-threshold cut) refuse the
-        // partition and run serially; either way the trace is
-        // byte-identical — `PCELISP_LANES` only picks the lane count.
-        sim.enable_partition(Ns::from_us(100));
-
         let sites: Vec<SiteWorld> = topo
             .sites
             .iter()

@@ -46,7 +46,7 @@ use std::collections::BinaryHeap;
 const DEFAULT_WIDTH_SHIFT: u32 = 10;
 
 /// Default bucket count: 2¹⁰ buckets ⇒ a ~1 ms year with the default
-/// width, comfortably wider than one parallel lookahead window.
+/// width.
 /// (A 4× wider year was measured and bought nothing: sparse workloads
 /// are bound by per-event constants, not year rollovers.)
 const DEFAULT_BUCKET_SHIFT: u32 = 10;

@@ -24,8 +24,7 @@ pub struct CounterId(pub(crate) u32);
 ///
 /// Nodes count by [`CounterId`] (from [`Counters::register`]) — a plain
 /// array add; [`LazyCounter`] interns on first use for call sites that
-/// cannot pre-register. The by-name [`Counters::add_named`] is the
-/// parallel engine's barrier merge, not a node-facing path.
+/// cannot pre-register.
 #[derive(Debug, Default, Clone)]
 pub struct Counters {
     values: Vec<u64>,
@@ -110,36 +109,6 @@ impl Counters {
         let mut out: Vec<(&str, u64)> = self.iter().collect();
         out.sort_unstable_by_key(|&(name, _)| name);
         out
-    }
-
-    /// A domain shard of this table for the parallel engine: same names
-    /// and ids (so pre-registered [`CounterId`]s stay valid inside a
-    /// domain), all values zero. Shard deltas are merged back by *name*
-    /// at each barrier.
-    pub(crate) fn fork_registry(&self) -> Counters {
-        Counters {
-            values: vec![0; self.values.len()],
-            names: self.names.clone(),
-            index: self.index.clone(),
-        }
-    }
-
-    /// Adopt any names `main` has that this shard lacks (ids are
-    /// assigned in `main`'s registration order, so every shard that
-    /// syncs from the same main agrees with it on ids).
-    pub(crate) fn sync_names(&mut self, main: &Counters) {
-        for name in &main.names[self.names.len()..] {
-            let id = CounterId(u32::try_from(self.values.len()).expect("too many counters"));
-            self.values.push(0);
-            self.names.push(name.clone());
-            self.index.insert(name.clone(), id);
-        }
-    }
-
-    /// Zero every value, keeping the registry (shard reset between
-    /// parallel runs).
-    pub(crate) fn reset_values(&mut self) {
-        self.values.fill(0);
     }
 }
 

@@ -62,7 +62,6 @@ pub mod link;
 pub mod node;
 pub mod par;
 pub mod payload;
-pub mod pdes;
 pub mod sim;
 pub mod time;
 pub mod trace;

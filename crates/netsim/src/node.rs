@@ -4,7 +4,6 @@
 use crate::counters::{CounterId, Counters};
 use crate::link::{Transmitter, TxOutcome};
 use crate::payload::Payload;
-use crate::pdes::ParHooks;
 use crate::sim::{EventKind, EventQueue};
 use crate::time::Ns;
 use crate::trace::Trace;
@@ -32,11 +31,11 @@ pub type PortId = usize;
 /// fn as_any_ref(&self) -> &dyn std::any::Any { self }
 /// ```
 ///
-/// Nodes must be [`Send`]: the conservative parallel engine
-/// ([`crate::pdes`]) moves each domain's nodes onto a worker thread for
-/// the duration of a window. Node state is still only ever touched by
-/// one thread at a time, so this costs implementations nothing beyond
-/// not holding `Rc`/`RefCell`-style thread-bound handles.
+/// Nodes must be [`Send`], so a [`crate::Sim`] — and the world that
+/// owns it — stays movable into a [`crate::par::par_map`] worker. Node
+/// state is only ever touched by one thread at a time, so this costs
+/// implementations nothing beyond not holding `Rc`/`RefCell`-style
+/// thread-bound handles.
 pub trait Node<P: Payload = Vec<u8>>: Send {
     /// Called once when the simulation starts (before any event).
     fn on_start(&mut self, _ctx: &mut Ctx<'_, P>) {}
@@ -103,24 +102,15 @@ pub struct Ctx<'a, P: Payload = Vec<u8>> {
     pub(crate) counters: &'a mut Counters,
     pub(crate) queue: &'a mut EventQueue<P>,
     pub(crate) stopped: &'a mut bool,
-    /// Present only while this dispatch runs inside a parallel window:
-    /// pushes are then routed (provisional-keyed local insert or
-    /// cross-domain buffer) instead of stamped directly. `None` on the
-    /// serial path, which therefore pays nothing for the hook.
-    pub(crate) par: Option<ParHooks<'a, P>>,
 }
 
 impl<'a, P: Payload> Ctx<'a, P> {
     /// Push an event straight into the engine's queue (the shared
     /// scheduling routine, so engine- and node-scheduled events follow
-    /// one `(time, seq)` total order) — or, inside a parallel window,
-    /// through the domain's routing hooks.
+    /// one `(time, seq)` total order).
     #[inline]
     fn push_event(&mut self, at: Ns, node: NodeId, kind: EventKind<P>) {
-        match self.par.as_mut() {
-            None => self.queue.push(at, node, kind),
-            Some(par) => par.route(at, node, kind, self.queue),
-        }
+        self.queue.push(at, node, kind);
     }
 
     /// The current virtual time.
@@ -219,16 +209,7 @@ impl<'a, P: Payload> Ctx<'a, P> {
     }
 
     /// The simulation RNG (seeded; deterministic).
-    ///
-    /// Not available inside a parallel window: the global RNG stream is
-    /// consumed in serial event order, which a partitioned run cannot
-    /// reproduce — [`crate::Sim::enable_partition`] already refuses
-    /// worlds whose links inject faults, and any *node* that reaches for
-    /// the RNG under the parallel engine trips a barrier-time panic.
     pub fn rng(&mut self) -> &mut SmallRng {
-        if let Some(par) = self.par.as_mut() {
-            *par.rng_touched = true;
-        }
         self.rng
     }
 

@@ -16,9 +16,9 @@
 
 /// A packet payload carried by the simulation engine.
 ///
-/// `Send` because the conservative parallel engine ([`crate::pdes`])
-/// carries in-flight payloads across domain worker threads; payloads
-/// are plain data, so this is free in practice.
+/// `Send` so a [`crate::Sim`] with packets in flight stays movable into
+/// a [`crate::par::par_map`] worker; payloads are plain data, so this is
+/// free in practice.
 pub trait Payload: std::fmt::Debug + Send + 'static {
     /// Exact number of bytes this payload occupies on the wire. Link
     /// serialisation timing and byte counters use this value, so it

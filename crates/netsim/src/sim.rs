@@ -15,18 +15,12 @@
 //! engine is generic over [`Payload`]: packets are *typed values* whose
 //! wire length is computed, not materialized, so the steady-state event
 //! loop moves no byte buffers and performs no allocations.
-//!
-//! A `Sim` can additionally carry a domain [partition](crate::pdes),
-//! enabling the conservative parallel engine: `run_until` then consults
-//! the `PCELISP_LANES` knob and produces byte-identical traces at any
-//! lane count.
 
 use crate::calq::CalendarQueue;
 use crate::counters::{CounterId, Counters};
 use crate::link::{LinkCfg, LinkStats, Transmitter, TxOutcome};
 use crate::node::{Ctx, EventPort, Node, NodeId, PortBinding, PortId};
 use crate::payload::Payload;
-use crate::pdes;
 use crate::time::Ns;
 use crate::trace::{fnv64, Trace};
 use rand::rngs::SmallRng;
@@ -61,17 +55,14 @@ pub(crate) enum EventKind<P> {
     /// (no node dispatch): transmitter `tx` (one *direction* of a link;
     /// `link * 2 + dir`) goes up/down. `Sim::schedule_link_admin`
     /// schedules one such event per direction with consecutive sequence
-    /// numbers, so under the parallel engine each event has exactly one
-    /// owning domain (the direction's sender side) while the serial
-    /// dispatch order is unchanged.
+    /// numbers, addressed to the direction's sender node.
     LinkAdmin {
         tx: usize,
         up: bool,
     },
     /// Administrative *node* state change: the event's target node
     /// crashes (`up == false`) or restarts (`up == true`). The event is
-    /// addressed to the affected node itself, so under the parallel
-    /// engine it has exactly one owning domain. On a down-transition the
+    /// addressed to the affected node itself. On a down-transition the
     /// node's [`Node::on_crash`] hook runs (volatile state is lost); on
     /// an up-transition [`Node::on_restart`] runs. While a node is down,
     /// packets and timers addressed to it are dropped and counted in
@@ -85,8 +76,7 @@ pub(crate) enum EventKind<P> {
 #[derive(Debug)]
 pub(crate) struct TimedEvent<P> {
     pub(crate) at: Ns,
-    /// Low half of the popped key: the schedule sequence number (may be
-    /// a provisional id under the parallel engine; see [`pdes`]).
+    /// Low half of the popped key: the schedule sequence number.
     pub(crate) seq: u64,
     pub(crate) node: NodeId,
     pub(crate) kind: EventKind<P>,
@@ -154,44 +144,20 @@ impl<P> EventQueue<P> {
         self.cal.push(key, slot);
     }
 
-    /// Enqueue an event under an explicit, caller-stamped key. The
-    /// parallel engine uses this to move events between the global
-    /// queue and per-domain queues with their serial `(at, seq)` keys
-    /// intact (and to enqueue provisional-keyed window pushes); the
-    /// internal sequence counter is left alone.
-    #[inline]
-    pub(crate) fn push_with_key(&mut self, key: u128, node: NodeId, kind: EventKind<P>) {
-        let slot = self.insert_body(node, kind);
-        self.cal.push(key, slot);
-    }
-
-    /// Key of the earliest pending event.
-    #[inline]
-    pub(crate) fn peek_key(&mut self) -> Option<u128> {
-        self.cal.peek()
-    }
-
     /// Virtual time of the earliest pending event.
     #[inline]
     pub(crate) fn peek_at(&mut self) -> Option<Ns> {
         self.cal.peek().map(|key| Ns((key >> 64) as u64))
     }
 
-    /// Remove and return the earliest pending event with its full key.
+    /// Remove and return the earliest pending event.
     #[inline]
-    pub(crate) fn pop_entry(&mut self) -> Option<(u128, NodeId, EventKind<P>)> {
+    pub(crate) fn pop(&mut self) -> Option<TimedEvent<P>> {
         let (key, slot) = self.cal.pop()?;
         let (node, kind) = self.slab[slot as usize]
             .take()
             .expect("queue entry without slab body");
         self.free.push(slot);
-        Some((key, node, kind))
-    }
-
-    /// Remove and return the earliest pending event.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<TimedEvent<P>> {
-        let (key, node, kind) = self.pop_entry()?;
         Some(TimedEvent {
             at: Ns((key >> 64) as u64),
             seq: key as u64,
@@ -203,18 +169,6 @@ impl<P> EventQueue<P> {
     /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
         self.cal.len()
-    }
-
-    /// The schedule counter (total sequence numbers stamped so far).
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Overwrite the schedule counter — used by the parallel engine to
-    /// resynchronise the global counter after a barrier walk assigned
-    /// sequence numbers on its behalf.
-    pub(crate) fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
     }
 }
 
@@ -288,41 +242,34 @@ pub mod queue_testing {
 /// `Sim<lispwire::Packet>` (typed packets, computed wire lengths);
 /// engine tests and benches use the default `Sim<Vec<u8>>`.
 pub struct Sim<P: Payload = Vec<u8>> {
-    pub(crate) nodes: Vec<Option<Box<dyn Node<P>>>>,
-    pub(crate) names: Vec<String>,
-    pub(crate) ports: Vec<Vec<PortBinding>>,
-    pub(crate) transmitters: Vec<Transmitter<P>>,
+    nodes: Vec<Option<Box<dyn Node<P>>>>,
+    names: Vec<String>,
+    ports: Vec<Vec<PortBinding>>,
+    transmitters: Vec<Transmitter<P>>,
     /// Delivery target of each transmitter (peer node, peer port), in
     /// transmitter order — used to flush stalled packets on link-up.
-    pub(crate) tx_targets: Vec<(NodeId, EventPort)>,
+    tx_targets: Vec<(NodeId, EventPort)>,
     /// Administrative per-node state: `false` while a node is crashed.
     /// All-up worlds pay one bool test per delivered event and nothing
     /// else, so runs without node dynamics stay byte-identical.
-    pub(crate) node_up: Vec<bool>,
+    node_up: Vec<bool>,
     /// Packets and timers dropped because their target node was down.
-    pub(crate) node_down_drops: u64,
-    pub(crate) queue: EventQueue<P>,
-    pub(crate) now: Ns,
-    pub(crate) rng: SmallRng,
+    node_down_drops: u64,
+    queue: EventQueue<P>,
+    now: Ns,
+    rng: SmallRng,
     /// The trace log (enable before running to record).
     pub trace: Trace,
-    pub(crate) counters: Counters,
-    pub(crate) stopped: bool,
+    counters: Counters,
+    stopped: bool,
     started: bool,
-    pub(crate) events_processed: u64,
+    events_processed: u64,
     /// Portion of `events_processed` already flushed to [`PROCESS_EVENTS`].
     events_flushed: u64,
-    pub(crate) event_limit: u64,
+    event_limit: u64,
     /// Scratch deque reused by [`Sim::set_link_up`] so flushing a stalled
     /// link allocates nothing in steady state.
     stall_scratch: VecDeque<P>,
-    /// Domain partition for the conservative parallel engine, if enabled
-    /// (see [`Sim::enable_partition`] and [`pdes`]).
-    pub(crate) partition: Option<pdes::Partition>,
-    /// Set after the first parallel run. Once counter shards exist,
-    /// every later eligible run must take the parallel path (even at
-    /// lanes=1) so shard-interned [`CounterId`]s stay valid.
-    pub(crate) par_ran: bool,
 }
 
 impl<P: Payload> Sim<P> {
@@ -347,8 +294,6 @@ impl<P: Payload> Sim<P> {
             events_flushed: 0,
             event_limit: u64::MAX,
             stall_scratch: VecDeque::new(),
-            partition: None,
-            par_ran: false,
         }
     }
 
@@ -483,11 +428,9 @@ impl<P: Payload> Sim<P> {
     pub fn schedule_link_admin(&mut self, delay: Ns, link: usize, up: bool) {
         assert!(link < self.link_count(), "unknown link {link}");
         let at = self.now.saturating_add(delay);
-        // One event per direction, with consecutive sequence numbers.
-        // Serial dispatch order is unchanged (no event can be stamped
-        // between two back-to-back pushes at the same instant), and under
-        // the parallel engine each direction is owned by the domain of
-        // its *sender* node — whose dispatch also owns the transmitter.
+        // One event per direction, with consecutive sequence numbers
+        // (no event can be stamped between two back-to-back pushes at
+        // the same instant), each addressed to the direction's sender.
         for dir in 0..2 {
             let tx = link * 2 + dir;
             let sender = self.tx_targets[tx ^ 1].0;
@@ -553,7 +496,7 @@ impl<P: Payload> Sim<P> {
     /// Apply an administrative state change to one *direction* of a link
     /// (transmitter index `idx`) — the unit the engine's `LinkAdmin`
     /// events operate on.
-    pub(crate) fn set_link_dir_up(&mut self, idx: usize, up: bool) {
+    fn set_link_dir_up(&mut self, idx: usize, up: bool) {
         let was_up = self.transmitters[idx].up;
         self.transmitters[idx].up = up;
         if up && !was_up {
@@ -653,7 +596,6 @@ impl<P: Payload> Sim<P> {
             counters: &mut self.counters,
             queue: &mut self.queue,
             stopped: &mut self.stopped,
-            par: None,
         };
         f(node, &mut ctx);
     }
@@ -705,7 +647,7 @@ impl<P: Payload> Sim<P> {
         }
     }
 
-    pub(crate) fn start_all(&mut self) {
+    fn start_all(&mut self) {
         if self.started {
             return;
         }
@@ -713,26 +655,6 @@ impl<P: Payload> Sim<P> {
         for node_id in 0..self.nodes.len() {
             self.with_node_ctx(node_id, |node, ctx| node.on_start(ctx));
         }
-    }
-
-    /// Partition the world into link-latency-separated domains for the
-    /// conservative parallel engine ([`pdes`], DESIGN.md §12): endpoints
-    /// of any link whose one-way delay (either direction) is below
-    /// `min_lookahead` — or that injects faults, which would consume the
-    /// global RNG — are merged into one domain. Returns the number of
-    /// domains (1 means the world stayed serial: either everything
-    /// merged, or partitioning was refused). Call after the last
-    /// `connect`; topology changes after this invalidate the partition
-    /// and runs silently fall back to the serial path.
-    pub fn enable_partition(&mut self, min_lookahead: Ns) -> usize {
-        self.partition = pdes::build_partition(self, min_lookahead);
-        self.partition_domains()
-    }
-
-    /// Number of domains in the enabled partition (1 when no partition
-    /// is enabled — i.e. every run takes the serial path).
-    pub fn partition_domains(&self) -> usize {
-        self.partition.as_ref().map_or(1, |p| p.n_domains())
     }
 
     /// Run until the event queue is empty, a node calls [`Ctx::stop`], or
@@ -743,49 +665,7 @@ impl<P: Payload> Sim<P> {
 
     /// Run until virtual time `deadline` (events at exactly `deadline` are
     /// processed), the queue drains, or a stop is requested.
-    ///
-    /// If a domain partition is enabled (see [`Sim::enable_partition`])
-    /// the lane count comes from the `PCELISP_LANES` environment knob
-    /// (default 1 = serial); the emitted trace and counters are
-    /// byte-identical at any lane count.
     pub fn run_until(&mut self, deadline: Ns) {
-        self.run_until_with_lanes(deadline, pdes::default_lanes());
-    }
-
-    /// [`Sim::run_until`] with an explicit lane count (tests and benches;
-    /// overrides the `PCELISP_LANES` knob).
-    pub fn run_until_with_lanes(&mut self, deadline: Ns, lanes: usize) {
-        let lanes = lanes.max(1);
-        let eligible = self.event_limit == u64::MAX
-            && !self.stopped
-            && (lanes > 1 || self.par_ran)
-            && self
-                .partition
-                .as_ref()
-                .is_some_and(|p| p.matches(self.nodes.len(), self.transmitters.len()));
-        if eligible {
-            pdes::run_parallel(self, deadline, lanes);
-        } else {
-            // Once counter-shard id layouts have diverged from the main
-            // table, shard-interned `CounterId`s cached inside nodes
-            // would silently misresolve on the serial path — refuse.
-            assert!(
-                !(self.par_ran
-                    && self
-                        .partition
-                        .as_ref()
-                        .is_some_and(pdes::Partition::divergent)),
-                "serial run after divergent parallel counter registration; \
-                 keep the run eligible for the parallel path"
-            );
-            self.run_serial(deadline);
-        }
-        self.flush_process_events();
-    }
-
-    /// The serial event loop (also the reference semantics the parallel
-    /// engine must reproduce byte-for-byte).
-    pub(crate) fn run_serial(&mut self, deadline: Ns) {
         self.start_all();
         while !self.stopped && self.events_processed < self.event_limit {
             let Some(head_at) = self.queue.peek_at() else {
@@ -803,11 +683,12 @@ impl<P: Payload> Sim<P> {
         if self.now < deadline && deadline != Ns::MAX {
             self.now = deadline;
         }
+        self.flush_process_events();
     }
 
     /// Flush this run's event delta to the process-wide tally once,
     /// outside the hot loop.
-    pub(crate) fn flush_process_events(&mut self) {
+    fn flush_process_events(&mut self) {
         PROCESS_EVENTS.fetch_add(
             self.events_processed - self.events_flushed,
             std::sync::atomic::Ordering::Relaxed,

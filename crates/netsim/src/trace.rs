@@ -181,31 +181,6 @@ impl Trace {
         out
     }
 
-    /// A domain-local trace for one parallel window: same enable flags,
-    /// unbounded capacity (the *merged* trace enforces the cap, so the
-    /// cut-off point is identical to the serial run's).
-    pub(crate) fn fork_config(&self) -> Trace {
-        Trace {
-            enabled: self.enabled,
-            packet_log: self.packet_log,
-            events: Vec::new(),
-            cap: usize::MAX,
-        }
-    }
-
-    /// Drain the recorded events (parallel barrier merge).
-    pub(crate) fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Append an already-built event, honouring the enable flag and cap
-    /// exactly like [`Trace::push`].
-    pub(crate) fn append_event(&mut self, ev: TraceEvent) {
-        if self.enabled && self.events.len() < self.cap {
-            self.events.push(ev);
-        }
-    }
-
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()

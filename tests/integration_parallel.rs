@@ -80,156 +80,3 @@ fn e11_identical_serial_vs_parallel() {
 fn auto_jobs_identical_to_serial() {
     assert_identical_across_jobs("e2", 9, &[0]);
 }
-
-// ---------------------------------------------------------------------------
-// Single-run parallelism (netsim::pdes): one world, many lanes, one trace.
-//
-// The sweep tests above parallelise across *cells*; these parallelise
-// *inside* a single simulation run and assert the §2 determinism
-// contract survives: trace, counters, event count, and clock are
-// byte-identical at every lane count.
-// ---------------------------------------------------------------------------
-
-use netsim::Ns;
-use pcelisp::hosts::{FlowMode, FlowSpec};
-use pcelisp::scenario::CpKind;
-use pcelisp::spec::{DynEventKind, DynamicsSpec, ScenarioSpec};
-
-/// Everything a run emits that the determinism contract covers.
-type Fingerprint = (String, Vec<(String, u64)>, u64, Ns);
-
-/// Build `spec` at `seed`, run it to 8 s with `lanes` lanes, and return
-/// the observable output. Also asserts the world actually partitioned
-/// (> 1 domain) so the lanes > 1 comparisons are not vacuously serial.
-fn run_spec(spec: &ScenarioSpec, seed: u64, lanes: usize) -> Fingerprint {
-    let mut world = spec.build(seed);
-    assert!(
-        world.sim.partition_domains() > 1,
-        "world failed to partition; parallel path untested"
-    );
-    world.sim.trace.enable();
-    world.schedule_all_flows();
-    world.sim.run_until_with_lanes(Ns::from_secs(8), lanes);
-    (
-        world.sim.trace.render(),
-        world
-            .sim
-            .counters()
-            .sorted()
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect(),
-        world.sim.events_processed(),
-        world.sim.now(),
-    )
-}
-
-/// Assert `spec` at `seed` is lane-count-invariant (serial vs 2 and 8).
-fn assert_lane_invariant(spec: &ScenarioSpec, seed: u64) {
-    let serial = run_spec(spec, seed, 1);
-    assert!(!serial.0.is_empty(), "workload produced no trace");
-    for lanes in [2usize, 8] {
-        let par = run_spec(spec, seed, lanes);
-        assert_eq!(
-            serial, par,
-            "seed {seed} drifted between lanes=1 and lanes={lanes}"
-        );
-    }
-}
-
-/// A multi-site world with explicit UDP flows to both dest sites.
-fn flowing_multi_site(cp: CpKind) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::multi_site(cp, 2, 2);
-    let flows: Vec<FlowSpec> = (0..2)
-        .map(|site| FlowSpec {
-            start: Ns::from_ms(10 * (site + 1) as u64),
-            qname: lispwire::dnswire::Name::parse_str(
-                &spec.topology.host_name(&spec.topology.sites[1 + site], 0),
-            )
-            .expect("valid"),
-            mode: FlowMode::Udp {
-                packets: 40,
-                interval: Ns::from_ms(25),
-                size: 256,
-            },
-        })
-        .collect();
-    spec.set_flows(flows);
-    spec
-}
-
-/// The failure-heavy world from `integration_dynamics`: RLOC failure
-/// plus link churn, i.e. `LinkAdmin` events and stall-buffer flushes
-/// crossing domain boundaries mid-run.
-fn churning_spec(cp: CpKind) -> ScenarioSpec {
-    let mut spec = flowing_multi_site(cp);
-    spec.dynamics = Some(
-        DynamicsSpec::rloc_failure("D0", "D0a", Ns::from_ms(1500))
-            .with_event(
-                Ns::from_ms(800),
-                DynEventKind::LinkDown {
-                    site: "S".into(),
-                    provider: "Sb".into(),
-                },
-            )
-            .with_event(
-                Ns::from_ms(2200),
-                DynEventKind::LinkUp {
-                    site: "S".into(),
-                    provider: "Sb".into(),
-                },
-            ),
-    );
-    spec
-}
-
-/// The Fig. 1 world (one client, one dest, full control plane).
-#[test]
-fn fig1_single_run_byte_identical_across_lanes() {
-    for cp in [CpKind::Pce, CpKind::LispQueue] {
-        let spec = ScenarioSpec::fig1(cp);
-        assert_lane_invariant(&spec, 1);
-    }
-}
-
-/// Multi-site with dynamics (link churn + RLOC failure) — the stress
-/// case for cross-domain `LinkAdmin` and stall-flush ordering.
-#[test]
-fn dynamics_single_run_byte_identical_across_lanes() {
-    for cp in [CpKind::Pce, CpKind::LispQueue] {
-        let spec = churning_spec(cp);
-        assert_lane_invariant(&spec, 3);
-    }
-}
-
-proptest! {
-    /// Any seed: the multi-site world replays byte-identically at
-    /// lanes ∈ {1, 2, 8}.
-    #[test]
-    fn multi_site_single_run_byte_identical_any_seed(seed in 1u64..1_000_000) {
-        assert_lane_invariant(&flowing_multi_site(CpKind::Pce), seed);
-    }
-}
-
-/// A mapping-node crash/restart cycle (E13's outage) with the warm
-/// standbys armed — `NodeAdmin` events, down-drops, takeover timers and
-/// failover re-routes must all survive the lane scheduler unchanged.
-#[test]
-fn node_crash_single_run_byte_identical_across_lanes() {
-    for cp in [CpKind::Pce, CpKind::LispQueue] {
-        let mut spec = flowing_multi_site(cp);
-        spec.dynamics = Some(pcelisp::spec::DynamicsSpec::mapsys_outage(
-            "S",
-            Ns::from_ms(1500),
-            Ns::from_ms(4000),
-        ));
-        spec.replicas = Some(pcelisp::spec::ReplicaSpec::default());
-        spec.retry = Some(pcelisp::spec::RetrySpec {
-            retransmit: Some(Ns::from_ms(500)),
-            max_tries: Some(2),
-            cooldown: Some(Ns::from_secs(1)),
-            ..pcelisp::spec::RetrySpec::default()
-        });
-        assert_lane_invariant(&spec, 7);
-    }
-}
