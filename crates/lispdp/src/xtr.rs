@@ -895,8 +895,10 @@ impl Xtr {
             CtlMsg::DbPush(push) => {
                 let now = ctx.now();
                 self.stats.db_records_installed += push.records.len() as u64;
-                for record in push.records {
-                    self.install_record(ctx, record, now);
+                // The records are shared with every other subscriber's
+                // copy of this chunk: clone each one as it is installed.
+                for record in push.records.iter() {
+                    self.install_record(ctx, record.clone(), now);
                 }
             }
             CtlMsg::Probe(probe) if !probe.ack => {
@@ -1639,12 +1641,12 @@ mod tests {
             version: 1,
             chunk: 0,
             total_chunks: 1,
-            records: vec![MapRecord {
+            records: Arc::from([MapRecord {
                 eid_prefix: a([101, 0, 0, 0]),
                 prefix_len: 8,
                 ttl_minutes: 1440,
                 locators: vec![Locator::new(a([12, 0, 0, 1]), 1, 100)],
-            }],
+            }]),
         };
         let pkt = IpStack::new(a([8, 0, 0, 10])).ctl(
             ports::LISP_CONTROL,

@@ -27,6 +27,7 @@
 
 use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
+use std::sync::Arc;
 
 /// Message type code for Map-Request.
 pub const TYPE_MAP_REQUEST: u8 = 1;
@@ -279,8 +280,9 @@ pub struct DbPush {
     pub chunk: u16,
     /// Total number of chunks in this version.
     pub total_chunks: u16,
-    /// Records in this chunk.
-    pub records: Vec<MapRecord>,
+    /// Records in this chunk. Shared: a push round builds each chunk
+    /// once and every subscriber's packet holds the same records.
+    pub records: Arc<[MapRecord]>,
 }
 
 impl DbPush {
@@ -298,7 +300,7 @@ impl DbPush {
         out.extend_from_slice(&self.version.to_be_bytes());
         out.extend_from_slice(&self.chunk.to_be_bytes());
         out.extend_from_slice(&self.total_chunks.to_be_bytes());
-        for r in &self.records {
+        for r in self.records.iter() {
             r.emit(&mut out);
         }
         out
@@ -327,7 +329,7 @@ impl DbPush {
             version,
             chunk,
             total_chunks,
-            records,
+            records: records.into(),
         })
     }
 }
@@ -489,9 +491,10 @@ mod tests {
             version: 42,
             chunk: 1,
             total_chunks: 3,
-            records: vec![MapRecord::host(addr(101, 2, 2, 2), addr(12, 0, 0, 1), 1440)],
+            records: Arc::from([MapRecord::host(addr(101, 2, 2, 2), addr(12, 0, 0, 1), 1440)]),
         };
         let bytes = push.to_bytes();
+        assert_eq!(bytes.len(), push.wire_len());
         assert_eq!(DbPush::from_bytes(&bytes).unwrap(), push);
     }
 

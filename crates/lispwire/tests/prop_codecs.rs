@@ -135,7 +135,7 @@ proptest! {
     #[test]
     fn db_push_roundtrip(version in any::<u32>(), chunk in any::<u16>(), total in any::<u16>(),
                          records in prop::collection::vec(arb_map_record(), 0..4)) {
-        let push = DbPush { version, chunk, total_chunks: total, records };
+        let push = DbPush { version, chunk, total_chunks: total, records: records.into() };
         prop_assert_eq!(DbPush::from_bytes(&push.to_bytes()).unwrap(), push.clone());
     }
 

@@ -118,7 +118,7 @@ fn arb_ctl() -> impl Strategy<Value = CtlMsg> {
                 version,
                 chunk,
                 total_chunks,
-                records,
+                records: records.into(),
             })
         })
         .boxed();

@@ -5,6 +5,7 @@
 use inet::Prefix;
 use lispwire::lispctl::{Locator, MapRecord};
 use lispwire::Ipv4Address;
+use std::collections::BTreeSet;
 
 /// One registered LISP site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +47,8 @@ impl SiteEntry {
 #[derive(Debug, Clone, Default)]
 pub struct MappingDb {
     sites: Vec<SiteEntry>,
+    /// Every registered prefix, so a duplicate is found in O(log n).
+    prefixes: BTreeSet<Prefix>,
 }
 
 impl MappingDb {
@@ -65,7 +68,12 @@ impl MappingDb {
     /// (more-/less-specific) registrations remain legal; longest-prefix
     /// match disambiguates them.
     pub fn register(&mut self, site: SiteEntry) -> &mut Self {
-        if let Some(existing) = self.sites.iter().find(|s| s.prefix == site.prefix) {
+        if !self.prefixes.insert(site.prefix) {
+            let existing = self
+                .sites
+                .iter()
+                .find(|s| s.prefix == site.prefix)
+                .expect("every indexed prefix has its site");
             panic!(
                 "duplicate EID-prefix registration {} (already registered with ETR {}, \
                  new ETR {}): lookups would be ambiguous",

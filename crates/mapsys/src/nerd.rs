@@ -13,6 +13,7 @@ use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, ScheduledUpdates};
 use std::any::Any;
+use std::sync::Arc;
 
 /// The central NERD authority node.
 pub struct NerdAuthority {
@@ -116,16 +117,21 @@ impl NerdAuthority {
 
     /// Execute one full push round immediately.
     pub fn push_all(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        // One record clone per (subscriber, chunk) packet and nothing
-        // else: the fields below are borrowed disjointly.
-        let total = self.records.chunks(self.chunk_records).len().max(1) as u16;
+        // Each chunk is copied once per round; every subscriber's packet
+        // shares it.
+        let chunks: Vec<Arc<[MapRecord]>> = self
+            .records
+            .chunks(self.chunk_records)
+            .map(Arc::from)
+            .collect();
+        let total = chunks.len().max(1) as u16;
         for &sub in &self.subscribers {
-            for (i, chunk) in self.records.chunks(self.chunk_records).enumerate() {
+            for (i, chunk) in chunks.iter().enumerate() {
                 let push = DbPush {
                     version: self.version,
                     chunk: i as u16,
                     total_chunks: total,
-                    records: chunk.to_vec(),
+                    records: Arc::clone(chunk),
                 };
                 // Computed, not materialized — identical to the legacy
                 // to_bytes().len() (pinned by the codec wire_len pairs).
@@ -211,13 +217,36 @@ mod tests {
     use inet::{Prefix, Router};
     use lispdp::{CpMode, Xtr, XtrConfig};
     use lispwire::lispctl::Locator;
-    use netsim::{LinkCfg, Sim};
+    use netsim::{LinkCfg, NodeId, PortId, Sim};
 
     fn a(o: [u8; 4]) -> Ipv4Address {
         Ipv4Address(o)
     }
 
-    fn build() -> (Sim<Packet>, netsim::NodeId, netsim::NodeId) {
+    /// Passes packets between its two ports and keeps a copy of each
+    /// one that enters on port 0.
+    struct Tap {
+        seen: Vec<Packet>,
+    }
+    impl Node<Packet> for Tap {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, pkt: Packet) {
+            if port == 0 {
+                self.seen.push(pkt.clone());
+            }
+            ctx.send(port ^ 1, pkt);
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A NERD authority holding two /8 records, one per chunk, pushing
+    /// through a [`Tap`] and a core router to `subscribers` xTRs at
+    /// 10.0.0.1, 10.0.0.2, …. Returns `(sim, xtrs, authority, tap)`.
+    fn world(subscribers: u8) -> (Sim<Packet>, Vec<NodeId>, NodeId, NodeId) {
         let mut sim: Sim<Packet> = Sim::new(6);
         sim.trace.enable();
         let eid_space = vec![Prefix::new(a([100, 0, 0, 0]), 6)];
@@ -233,22 +262,14 @@ mod tests {
             1440,
         ));
 
-        let cfg = XtrConfig::new(
-            a([10, 0, 0, 1]),
-            Prefix::new(a([100, 0, 0, 0]), 8),
-            eid_space,
-            CpMode::PushDb,
-        );
-        let xtr = sim.add_node("xtr", Box::new(Xtr::new(cfg)));
+        let rlocs: Vec<Ipv4Address> = (1..=subscribers).map(|i| a([10, 0, 0, i])).collect();
         let auth = sim.add_node(
             "nerd",
-            Box::new(
-                NerdAuthority::new(a([8, 0, 0, 2]), &db, vec![a([10, 0, 0, 1])])
-                    .with_chunk_records(1),
-            ),
+            Box::new(NerdAuthority::new(a([8, 0, 0, 2]), &db, rlocs.clone()).with_chunk_records(1)),
         );
+        let tap = sim.add_node("tap", Box::new(Tap { seen: Vec::new() }));
         let core = sim.add_node("core", Box::new(Router::new()));
-        // xTR site port placeholder (unused), then WAN to core.
+        // xTR site ports' placeholder (unused).
         struct Idle;
         impl Node<Packet> for Idle {
             fn as_any(&mut self) -> &mut dyn Any {
@@ -259,15 +280,31 @@ mod tests {
             }
         }
         let idle = sim.add_node("site", Box::new(Idle));
-        sim.connect(idle, xtr, LinkCfg::lan());
-        let (_, px) = sim.connect(xtr, core, LinkCfg::wan(Ns::from_ms(20)));
-        let (_, pa) = sim.connect(auth, core, LinkCfg::wan(Ns::from_ms(20)));
-        {
-            let r = sim.node_mut::<Router>(core);
-            r.add_route(Prefix::new(a([10, 0, 0, 0]), 8), px);
-            r.add_route(Prefix::new(a([8, 0, 0, 0]), 8), pa);
+        sim.connect(auth, tap, LinkCfg::lan());
+        let (_, pa) = sim.connect(tap, core, LinkCfg::wan(Ns::from_ms(20)));
+        sim.node_mut::<Router>(core)
+            .add_route(Prefix::new(a([8, 0, 0, 0]), 8), pa);
+        let mut xtrs = Vec::new();
+        for rloc in rlocs {
+            let cfg = XtrConfig::new(
+                rloc,
+                Prefix::new(a([100, 0, 0, 0]), 8),
+                eid_space.clone(),
+                CpMode::PushDb,
+            );
+            let xtr = sim.add_node(&format!("xtr-{rloc}"), Box::new(Xtr::new(cfg)));
+            sim.connect(idle, xtr, LinkCfg::lan()); // xTR port 0: site
+            let (_, px) = sim.connect(xtr, core, LinkCfg::wan(Ns::from_ms(20)));
+            sim.node_mut::<Router>(core)
+                .add_route(Prefix::new(rloc, 32), px);
+            xtrs.push(xtr);
         }
-        (sim, xtr, auth)
+        (sim, xtrs, auth, tap)
+    }
+
+    fn build() -> (Sim<Packet>, NodeId, NodeId) {
+        let (sim, xtrs, auth, _) = world(1);
+        (sim, xtrs[0], auth)
     }
 
     #[test]
@@ -281,6 +318,43 @@ mod tests {
         assert_eq!(n.push_rounds, 1);
         assert_eq!(n.chunks_sent, 2); // 2 records, chunk size 1, 1 subscriber
         assert!(n.bytes_pushed > 0);
+    }
+
+    #[test]
+    fn push_round_shares_each_chunk() {
+        let (mut sim, xtrs, auth, tap) = world(3);
+        sim.run();
+        let n = sim.node_ref::<NerdAuthority>(auth);
+        assert_eq!(n.push_rounds, 1);
+        // 2 chunks × 3 subscribers, each 12 header + 16 record bytes.
+        assert_eq!((n.chunks_sent, n.bytes_pushed), (6, 6 * 28));
+        for &x in &xtrs {
+            assert_eq!(sim.node_ref::<Xtr>(x).stats.db_records_installed, 2);
+        }
+        let pushes: Vec<&DbPush> = sim
+            .node_ref::<Tap>(tap)
+            .seen
+            .iter()
+            .map(|pkt| match pkt {
+                Packet::LispCtl {
+                    msg: CtlMsg::DbPush(push),
+                    ..
+                } => push,
+                other => panic!("not a database push: {other:?}"),
+            })
+            .collect();
+        let wire: usize = pushes.iter().map(|p| p.to_bytes().len()).sum();
+        assert_eq!(wire as u64, n.bytes_pushed);
+        let chunk =
+            |i: u16| -> Vec<&DbPush> { pushes.iter().copied().filter(|p| p.chunk == i).collect() };
+        let (first, second) = (chunk(0), chunk(1));
+        assert_eq!((first.len(), second.len()), (3, 3));
+        for same in [&first, &second] {
+            assert!(same
+                .iter()
+                .all(|p| Arc::ptr_eq(&p.records, &same[0].records)));
+        }
+        assert!(!Arc::ptr_eq(&first[0].records, &second[0].records));
     }
 
     #[test]

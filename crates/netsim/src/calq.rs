@@ -11,17 +11,26 @@
 //! one of two further tiers, chosen by how many years ahead they land:
 //!
 //! * the **rung** — [`RUNG_SLOTS`] unsorted piles, one per upcoming
-//!   year, for entries fewer than `RUNG_SLOTS` years ahead. Push is one
-//!   `Vec::push`; when the cursor rolls into a year its pile is dealt
-//!   into the buckets, one entry at a time, O(1) each. Product worlds
-//!   schedule bimodally — LAN hops a few µs ahead, WAN hops and CBR
-//!   timers 16–34 ms ahead — and the second mode lives here;
+//!   year, for entries fewer than `RUNG_SLOTS` years ahead. Push is O(1);
+//!   when the cursor rolls into a year its pile is relinked into the
+//!   buckets, one entry at a time, O(1) each. Product worlds schedule
+//!   bimodally — LAN hops a few µs ahead, WAN hops and CBR timers
+//!   16–34 ms ahead — and the second mode lives here;
 //! * the **overflow heap** — a min-heap for everything farther out
 //!   (retry and refresh timers, ≥ ~134 ms at the default geometry),
 //!   migrated straight into the buckets when its year comes up.
 //!
 //! For the steady-state workloads the engine runs, push and pop are
 //! O(1) amortized; only the far timer tail pays O(log n).
+//!
+//! Storage is O(entries pending), not O(buckets): every bucket pile and
+//! rung pile is a singly linked list threaded through one arena of
+//! `(key, slot, next)` links with a free chain, so a pile is a `u32`
+//! head and moving an entry between piles copies nothing. Only the
+//! cursor bucket leaves its list: it is unlinked into one reused `Vec`
+//! and sorted there. Most worlds run a few thousand events, so a `Vec`
+//! per bucket — 1,152 of them, each grown on first use — cost more
+//! allocations than the events themselves (DESIGN.md §12).
 //!
 //! Determinism: pop order is *exactly* ascending key order, the same
 //! total order the binary heap produced. Within a bucket entries are
@@ -57,15 +66,35 @@ const DEFAULT_BUCKET_SHIFT: u32 = 10;
 /// and finding the next non-empty year is a rotate and a bit scan.
 pub const RUNG_SLOTS: usize = 128;
 
+/// End of a list in the arena: no link.
+const NIL: u32 = u32::MAX;
+
+/// One pending entry in a bucket or rung pile.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    key: u128,
+    slot: u32,
+    /// The next link of the same pile (or of the free chain), or [`NIL`].
+    next: u32,
+}
+
 /// A calendar queue of `(key, slot)` entries popped in ascending `key`
 /// order. `key` packs `(time ‖ sequence)`; `slot` indexes the caller's
 /// event slab and rides along untouched.
 #[derive(Debug)]
 pub struct CalendarQueue {
-    /// `1 << bucket_shift` buckets, each an *unsorted* pile until the
-    /// cursor reaches it (sorted descending on first drain so entries
-    /// pop from the back in ascending order).
-    buckets: Vec<Vec<(u128, u32)>>,
+    /// Every entry filed in a bucket or rung pile; unused links chain
+    /// from `free`.
+    links: Vec<Link>,
+    /// First link of the free chain, or [`NIL`].
+    free: u32,
+    /// `1 << bucket_shift` buckets, each the head of an *unsorted* pile
+    /// in `links` until the cursor reaches it.
+    heads: Vec<u32>,
+    /// The cursor bucket, unlinked from its pile and sorted descending so
+    /// entries pop from the back in ascending order. Holds entries only
+    /// while `cursor_sorted`.
+    drain: Vec<(u128, u32)>,
     /// One bit per bucket: does it hold any entries this year?
     occupied: Vec<u64>,
     /// log2 of the bucket width in nanoseconds.
@@ -77,13 +106,14 @@ pub struct CalendarQueue {
     year: u64,
     /// Bucket index the pop cursor is parked on.
     cursor: usize,
-    /// Whether the cursor bucket has been sorted (descending) already.
+    /// Whether the cursor bucket has been moved into `drain` already.
     cursor_sorted: bool,
-    /// Entries currently held in `buckets` (this year).
+    /// Entries of this year: in bucket piles plus in `drain`.
     in_year: usize,
     /// Year `y` in `year + 1 .. year + RUNG_SLOTS` piles, unsorted, in
-    /// slot `y % RUNG_SLOTS` (distinct for every year in that range).
-    rung: Vec<Vec<(u128, u32)>>,
+    /// slot `y % RUNG_SLOTS` (distinct for every year in that range):
+    /// the head of its pile in `links`.
+    rung: [u32; RUNG_SLOTS],
     /// One bit per rung slot: does it hold any entries?
     rung_occupied: u128,
     /// Entries currently held in `rung`.
@@ -117,7 +147,10 @@ impl CalendarQueue {
         );
         let nb = 1usize << bucket_shift;
         Self {
-            buckets: (0..nb).map(|_| Vec::new()).collect(),
+            links: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; nb],
+            drain: Vec::new(),
             occupied: vec![0; nb / 64],
             width_shift,
             bucket_shift,
@@ -125,7 +158,7 @@ impl CalendarQueue {
             cursor: 0,
             cursor_sorted: false,
             in_year: 0,
-            rung: (0..RUNG_SLOTS).map(|_| Vec::new()).collect(),
+            rung: [NIL; RUNG_SLOTS],
             rung_occupied: 0,
             in_rung: 0,
             overflow: BinaryHeap::new(),
@@ -148,6 +181,26 @@ impl CalendarQueue {
     #[doc(hidden)]
     pub fn heap_pushes(&self) -> u64 {
         self.heap_pushes
+    }
+
+    /// Where the pending entries are held: `(live arena links, cursor
+    /// bucket entries, overflow-heap entries)`, the first counted as the
+    /// arena's size less its free chain (walked, not a counter). The
+    /// three always sum to [`CalendarQueue::len`]. Test probe: not part
+    /// of the API.
+    #[doc(hidden)]
+    pub fn arena_slots(&self) -> (usize, usize, usize) {
+        let mut free = 0;
+        let mut at = self.free;
+        while at != NIL {
+            free += 1;
+            at = self.links[at as usize].next;
+        }
+        (
+            self.links.len() - free,
+            self.drain.len(),
+            self.overflow.len(),
+        )
     }
 
     /// Nanosecond time in a key's high half.
@@ -188,7 +241,7 @@ impl CalendarQueue {
         if year > self.year {
             if year - self.year < RUNG_SLOTS as u64 {
                 let s = year as usize % RUNG_SLOTS;
-                self.rung[s].push((key, slot));
+                self.rung[s] = self.link(key, slot, self.rung[s]);
                 self.rung_occupied |= 1 << s;
                 self.in_rung += 1;
             } else {
@@ -216,12 +269,31 @@ impl CalendarQueue {
         self.in_year += 1;
         self.mark(idx);
         if idx == self.cursor && self.cursor_sorted {
-            let b = &mut self.buckets[idx];
             // Descending order: find the first entry smaller than `key`.
-            let pos = b.partition_point(|&(k, _)| k > key);
-            b.insert(pos, (key, slot));
+            let pos = self.drain.partition_point(|&(k, _)| k > key);
+            self.drain.insert(pos, (key, slot));
         } else {
-            self.buckets[idx].push((key, slot));
+            self.heads[idx] = self.link(key, slot, self.heads[idx]);
+        }
+    }
+
+    /// Store `(key, slot)` in a link ahead of `next` — a free one if
+    /// any, else a new one — and return its index.
+    #[inline]
+    fn link(&mut self, key: u128, slot: u32, next: u32) -> u32 {
+        let link = Link { key, slot, next };
+        if self.free == NIL {
+            let at = u32::try_from(self.links.len())
+                .ok()
+                .filter(|&at| at != NIL)
+                .expect("too many pending entries");
+            self.links.push(link);
+            at
+        } else {
+            let at = self.free;
+            self.free = self.links[at as usize].next;
+            self.links[at as usize] = link;
+            at
         }
     }
 
@@ -256,15 +328,25 @@ impl CalendarQueue {
             self.cursor_sorted = false;
         }
         if !self.cursor_sorted {
-            self.buckets[self.cursor].sort_unstable_by_key(|&(k, _)| Reverse(k));
+            // `drain` is empty: the cursor only moves once it has run dry.
+            let mut at = self.heads[self.cursor];
+            self.heads[self.cursor] = NIL;
+            while at != NIL {
+                let Link { key, slot, next } = self.links[at as usize];
+                self.drain.push((key, slot));
+                self.links[at as usize].next = self.free;
+                self.free = at;
+                at = next;
+            }
+            self.drain.sort_unstable_by_key(|&(k, _)| Reverse(k));
             self.cursor_sorted = true;
         }
         true
     }
 
     /// The current year is exhausted: jump straight to the earliest
-    /// year holding anything (skipping empty years in O(1)) and deal
-    /// its rung pile and its overflow entries into the buckets. Every
+    /// year holding anything (skipping empty years in O(1)), relink its
+    /// rung pile into the buckets and file its overflow entries. Every
     /// other pending entry is of a later year, so the rung keeps its
     /// one-slot-per-year invariant and the heap its "later than the
     /// current year" one. Returns `false` when nothing is pending.
@@ -286,14 +368,19 @@ impl CalendarQueue {
         self.cursor_sorted = false;
         if rung_year == Some(next) {
             let s = next as usize % RUNG_SLOTS;
-            // Swap the pile out and back so the slot keeps its capacity.
-            let mut pile = std::mem::take(&mut self.rung[s]);
             self.rung_occupied &= !(1 << s);
-            self.in_rung -= pile.len();
-            for (key, slot) in pile.drain(..) {
-                self.file(self.bucket_index(Self::key_at(key)), key, slot);
+            let mut at = self.rung[s];
+            self.rung[s] = NIL;
+            while at != NIL {
+                let Link { key, next, .. } = self.links[at as usize];
+                let idx = self.bucket_index(Self::key_at(key));
+                self.links[at as usize].next = self.heads[idx];
+                self.heads[idx] = at;
+                self.mark(idx);
+                self.in_rung -= 1;
+                self.in_year += 1;
+                at = next;
             }
-            self.rung[s] = pile;
         }
         while let Some(&Reverse((key, slot))) = self.overflow.peek() {
             if self.year_of(Self::key_at(key)) != next {
@@ -310,17 +397,26 @@ impl CalendarQueue {
         if !self.settle() {
             return None;
         }
-        self.buckets[self.cursor].last().map(|&(k, _)| k)
+        self.drain.last().map(|&(k, _)| k)
     }
 
     /// Remove and return the minimum-key entry.
     pub fn pop(&mut self) -> Option<(u128, u32)> {
+        self.pop_until(u64::MAX)
+    }
+
+    /// Remove and return the minimum-key entry if its time is at most
+    /// `deadline` — a peek and a pop that settle the queue once.
+    #[inline]
+    pub(crate) fn pop_until(&mut self, deadline: u64) -> Option<(u128, u32)> {
         if !self.settle() {
             return None;
         }
-        let entry = self.buckets[self.cursor].pop().expect("settled bucket");
+        let entry = self
+            .drain
+            .pop_if(|&mut (key, _)| Self::key_at(key) <= deadline)?;
         self.in_year -= 1;
-        if self.buckets[self.cursor].is_empty() {
+        if self.drain.is_empty() {
             let cur = self.cursor;
             self.clear(cur);
         }
@@ -466,6 +562,60 @@ mod tests {
         assert_eq!(q.pop(), Some((key(200 * year + 9, 1), 0)));
         assert_eq!(q.pop(), Some((key(200 * year + 9, 4), 3)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn second_burst_reuses_the_arena() {
+        // 10,000 same-instant events fill one bucket pile, then the
+        // cursor Vec. A second burst — filed in a rung pile this time,
+        // relinked into a bucket at the rollover — reuses the freed
+        // links and the same Vec: neither grows.
+        let mut q = CalendarQueue::new();
+        let burst = |q: &mut CalendarQueue, at: u64, first_seq: u64| {
+            for seq in first_seq..first_seq + 10_000 {
+                q.push(key(at, seq), seq as u32);
+            }
+            assert_eq!(q.arena_slots(), (10_000, 0, 0));
+            let mut last = 0u128;
+            while let Some((k, _)) = q.pop() {
+                assert!(k > last);
+                last = k;
+                assert_eq!(q.arena_slots().0, 0, "the cursor bucket left the arena");
+            }
+        };
+        burst(&mut q, 1_000, 1);
+        let (links, drain) = (q.links.len(), q.drain.capacity());
+        assert_eq!(links, 10_000);
+        burst(&mut q, 5 << 20, 10_001);
+        assert_eq!((q.links.len(), q.drain.capacity()), (links, drain));
+    }
+
+    #[test]
+    fn arena_holds_only_what_is_pending() {
+        // Eight entries in flight, each popped and re-pushed eight
+        // buckets later: over 2,048 steps the cursor visits every one
+        // of the 1,024 buckets (twice, across a rollover through the
+        // rung), and the arena never holds more than the eight.
+        let mut q = CalendarQueue::new();
+        let width = 1u64 << DEFAULT_WIDTH_SHIFT;
+        let mut seq = 0u64;
+        for i in 0..8 {
+            seq += 1;
+            q.push(key(i * width, seq), 0);
+        }
+        let mut touched = vec![false; 1 << DEFAULT_BUCKET_SHIFT];
+        for _ in 0..2_048 {
+            let (k, slot) = q.pop().expect("eight pending");
+            let at = (k >> 64) as u64;
+            touched[q.bucket_index(at)] = true;
+            seq += 1;
+            q.push(key(at + 8 * width, seq), slot);
+            let (links, drain, heap) = q.arena_slots();
+            assert!(links <= 8, "{links} live links");
+            assert_eq!(links + drain + heap, 8);
+        }
+        assert!(touched.iter().all(|&t| t), "every bucket was visited");
+        assert!(q.links.len() <= 8, "arena grew to {}", q.links.len());
     }
 
     #[test]

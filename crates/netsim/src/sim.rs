@@ -144,16 +144,11 @@ impl<P> EventQueue<P> {
         self.cal.push(key, slot);
     }
 
-    /// Virtual time of the earliest pending event.
+    /// Remove and return the earliest pending event if it is due at or
+    /// before `deadline`.
     #[inline]
-    pub(crate) fn peek_at(&mut self) -> Option<Ns> {
-        self.cal.peek().map(|key| Ns((key >> 64) as u64))
-    }
-
-    /// Remove and return the earliest pending event.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<TimedEvent<P>> {
-        let (key, slot) = self.cal.pop()?;
+    pub(crate) fn pop_until(&mut self, deadline: Ns) -> Option<TimedEvent<P>> {
+        let (key, slot) = self.cal.pop_until(deadline.0)?;
         let (node, kind) = self.slab[slot as usize]
             .take()
             .expect("queue entry without slab body");
@@ -208,7 +203,7 @@ pub mod queue_testing {
 
         /// Pop the earliest event as `(at, seq, node, token)`.
         pub fn pop(&mut self) -> Option<(u64, u64, usize, u64)> {
-            let ev = self.q.pop()?;
+            let ev = self.q.pop_until(Ns::MAX)?;
             let EventKind::Timer { token } = ev.kind else {
                 unreachable!("probe pushes timers only")
             };
@@ -668,13 +663,9 @@ impl<P: Payload> Sim<P> {
     pub fn run_until(&mut self, deadline: Ns) {
         self.start_all();
         while !self.stopped && self.events_processed < self.event_limit {
-            let Some(head_at) = self.queue.peek_at() else {
+            let Some(ev) = self.queue.pop_until(deadline) else {
                 break;
             };
-            if head_at > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event vanished");
             debug_assert!(ev.at >= self.now, "time went backwards");
             self.now = ev.at;
             self.events_processed += 1;

@@ -17,7 +17,9 @@
 //! reaches all three tiers — bucket, rung, heap — at any geometry.
 //!
 //! The property in both cases: pop order is byte-identical to the
-//! reference, and (for the probe) slab occupancy tracks queue length.
+//! reference, and (for the probe) slab occupancy tracks queue length;
+//! for the raw queue, its arena of pile links, its sorted cursor bucket
+//! and its heap together hold exactly the pending entries.
 
 use netsim::calq::{CalendarQueue, RUNG_SLOTS};
 use netsim::sim::queue_testing::QueueProbe;
@@ -176,11 +178,22 @@ fn check_calendar(mut cal: CalendarQueue, year_shift: u32, ops: &[Op]) {
         }
         assert_eq!(cal.len(), model.len());
         assert_eq!(cal.is_empty(), model.is_empty());
+        assert_arena_holds_exactly_the_pending(&cal);
     }
     while let Some(Reverse(want)) = model.pop() {
         assert_eq!(cal.pop(), Some(want));
+        assert_arena_holds_exactly_the_pending(&cal);
     }
     assert_eq!(cal.pop(), None);
+    assert_eq!(cal.arena_slots(), (0, 0, 0));
+}
+
+/// Every pending entry is in exactly one place — a live arena link, the
+/// sorted cursor bucket or the overflow heap — and no link leaks: the
+/// arena less its free chain is exactly the linked entries.
+fn assert_arena_holds_exactly_the_pending(cal: &CalendarQueue) {
+    let (links, cursor, heap) = cal.arena_slots();
+    assert_eq!(links + cursor + heap, cal.len());
 }
 
 /// The scripted corner cases the random scripts only reach by luck, at
