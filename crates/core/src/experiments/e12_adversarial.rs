@@ -18,6 +18,7 @@
 use crate::experiments::e8_overhead::control_plane_tally;
 use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::hosts::FlowMode;
+use crate::plane::MapSystem;
 use crate::scenario::CpKind;
 use crate::spec::{AttackerSpec, DefenseSpec, ScenarioSpec};
 use inet::Prefix;
@@ -309,19 +310,26 @@ pub fn run_attack_cell(
         raw.rejected += xtr.stats.replies_rejected;
         raw.rate_limited += xtr.stats.rate_limited_requests + xtr.stats.neg_cache_drops;
     }
-    if let Some(mr) = world.mr_node {
-        if let Some(g) = &world.sim.node_ref::<MapResolver>(mr).guard {
-            raw.rate_limited += g.rate_limited + g.negative_hits;
+    match &world.mapsys {
+        MapSystem::None | MapSystem::Nerd { .. } => {}
+        MapSystem::Resolver { primary, .. } => {
+            if let Some(g) = &world.sim.node_ref::<MapResolver>(*primary).guard {
+                raw.rate_limited += g.rate_limited + g.negative_hits;
+            }
         }
-    }
-    for &id in &world.alt_nodes {
-        if let Some(g) = &world.sim.node_ref::<AltRouter>(id).guard {
-            raw.rate_limited += g.rate_limited;
+        MapSystem::Alt { chain, .. } => {
+            for &id in chain {
+                if let Some(g) = &world.sim.node_ref::<AltRouter>(id).guard {
+                    raw.rate_limited += g.rate_limited;
+                }
+            }
         }
-    }
-    for &id in &world.cons_nodes {
-        if let Some(g) = &world.sim.node_ref::<ConsNode>(id).guard {
-            raw.rate_limited += g.rate_limited;
+        MapSystem::Cons { cars, cdrs, .. } => {
+            for &id in cars.iter().chain(cdrs) {
+                if let Some(g) = &world.sim.node_ref::<ConsNode>(id).guard {
+                    raw.rate_limited += g.rate_limited;
+                }
+            }
         }
     }
     raw

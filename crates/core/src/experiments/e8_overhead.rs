@@ -10,6 +10,7 @@
 use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::hosts::FlowMode;
 use crate::pce::Pce;
+use crate::plane::MapSystem;
 use crate::scenario::{flow_script, CpKind};
 use crate::spec::{ScenarioSpec, World};
 use lispdp::Xtr;
@@ -105,26 +106,33 @@ pub fn control_plane_tally(world: &World) -> CpTally {
             + xtr.stats.db_records_installed;
         t.itr_state_entries += xtr.cache.len() as u64 + xtr.flows.len() as u64;
     }
-    if let Some(mr) = world.mr_node {
-        let node = world.sim.node_ref::<MapResolver>(mr);
-        t.control_msgs += node.forwarded;
-        t.cp_state_entries += site_count; // registered site prefixes in the MR table
-    }
-    if let Some(nerd) = world.nerd_node {
-        let node = world.sim.node_ref::<NerdAuthority>(nerd);
-        t.control_msgs += node.chunks_sent;
-        t.push_bytes = node.bytes_pushed;
-        t.cp_state_entries += node.db_len() as u64;
-    }
-    for &id in &world.alt_nodes {
-        let node = world.sim.node_ref::<AltRouter>(id);
-        t.control_msgs += node.overlay_hops + node.delivered;
-        t.cp_state_entries += site_count; // overlay routing entries per router
-    }
-    for &id in &world.cons_nodes {
-        let node = world.sim.node_ref::<ConsNode>(id);
-        t.control_msgs += node.overlay_hops + node.delivered + node.replies_relayed;
-        t.cp_state_entries += site_count;
+    match &world.mapsys {
+        MapSystem::None => {}
+        MapSystem::Resolver { primary, .. } => {
+            let node = world.sim.node_ref::<MapResolver>(*primary);
+            t.control_msgs += node.forwarded;
+            t.cp_state_entries += site_count; // registered site prefixes in the MR table
+        }
+        MapSystem::Nerd { primary, .. } => {
+            let node = world.sim.node_ref::<NerdAuthority>(*primary);
+            t.control_msgs += node.chunks_sent;
+            t.push_bytes = node.bytes_pushed;
+            t.cp_state_entries += node.db_len() as u64;
+        }
+        MapSystem::Alt { chain, .. } => {
+            for &id in chain {
+                let node = world.sim.node_ref::<AltRouter>(id);
+                t.control_msgs += node.overlay_hops + node.delivered;
+                t.cp_state_entries += site_count; // overlay routing entries per router
+            }
+        }
+        MapSystem::Cons { cars, cdrs, .. } => {
+            for &id in cars.iter().chain(cdrs) {
+                let node = world.sim.node_ref::<ConsNode>(id);
+                t.control_msgs += node.overlay_hops + node.delivered + node.replies_relayed;
+                t.cp_state_entries += site_count;
+            }
+        }
     }
     for site in &world.sites {
         if let Some(pce) = site.pce {

@@ -377,7 +377,9 @@ impl Node<Packet> for ServerHost {
                 let (src, dst) = (ip.src, ip.dst);
                 *self.udp_received.entry(src).or_insert(0) += 1;
                 self.first_udp_at.entry(src).or_insert_with(|| ctx.now());
-                self.first_udp_at_dst.entry(dst).or_insert_with(|| ctx.now());
+                self.first_udp_at_dst
+                    .entry(dst)
+                    .or_insert_with(|| ctx.now());
                 *self.udp_received_by_dst.entry(dst).or_insert(0) += 1;
                 self.udp_arrivals.push(ctx.now());
                 self.ctr_udp.add(ctx, "server.udp_received", 1);

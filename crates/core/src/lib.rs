@@ -59,6 +59,7 @@ pub mod adversary;
 pub mod experiments;
 pub mod hosts;
 pub mod pce;
+pub mod plane;
 pub mod scenario;
 pub mod spec;
 pub mod workload;
@@ -69,6 +70,7 @@ pub mod prelude {
     pub use crate::experiments::{self, ExpReport, Experiment};
     pub use crate::hosts::{FlowMode, FlowSpec, ServerHost, TrafficHost};
     pub use crate::pce::{Pce, PceConfig};
+    pub use crate::plane::MapSystem;
     pub use crate::scenario::{CpKind, FlowRouter};
     pub use crate::spec::{
         AttackerSpec, DefenseSpec, DynEvent, DynEventKind, DynamicsSpec, ProviderSpec,
@@ -80,5 +82,5 @@ pub mod prelude {
     pub use lispdp::{CacheSpec, CpMode, DefenseCfg, EvictionPolicy, MissPolicy, Xtr};
     pub use lispwire::Ipv4Address;
     pub use netsim::{LinkCfg, Ns, Sim};
-    pub use simstats::{Histogram, Summary, Table};
+    pub use simstats::Table;
 }

@@ -27,6 +27,7 @@
 use crate::adversary::{AttackNode, ScanRng};
 use crate::hosts::{FlowMode, FlowSpec, ServerHost, TrafficHost};
 use crate::pce::{Pce, PceConfig};
+use crate::plane::{attach_to_core, MapSystem};
 use crate::scenario::{addrs, CpKind, FlowRouter};
 use crate::workload::{PoissonArrivals, ZipfPicker};
 use inet::stack::IpStack;
@@ -38,12 +39,12 @@ use lispwire::dnswire::Name;
 use lispwire::lispctl::{Locator, MapRecord, MapReply};
 use lispwire::packet::CtlMsg;
 use lispwire::{ports, Ipv4Address, Packet};
-use mapsys::alt::linear_chain;
 use mapsys::api::{MappingDb, SiteEntry};
-use mapsys::{AltRouter, ConsNode, GuardCfg, MapResolver, NerdAuthority, RequestGuard};
+use mapsys::GuardCfg;
 use netsim::{DownPolicy, LinkCfg, NodeId, Ns, PortId, Sim};
 use simdns::zone::{Zone, ZoneStore};
 use simdns::{AuthServer, Resolver, ResolverConfig};
+use std::iter::once;
 use std::sync::Arc;
 
 /// What a site does in the scenario.
@@ -966,22 +967,8 @@ pub struct World {
     pub sites: Vec<SiteWorld>,
     /// DNS-infrastructure servers, root first.
     pub infra_dns: Vec<NodeId>,
-    /// Map-resolver node (pull variants).
-    pub mr_node: Option<NodeId>,
-    /// NERD authority node.
-    pub nerd_node: Option<NodeId>,
-    /// ALT overlay nodes.
-    pub alt_nodes: Vec<NodeId>,
-    /// CONS overlay nodes (CARs in site order, then CDRs).
-    pub cons_nodes: Vec<NodeId>,
-    /// Standby Map-Resolver twin (replicated worlds only).
-    pub mr_standby: Option<NodeId>,
-    /// Standby NERD authority twin (replicated worlds only).
-    pub nerd_standby: Option<NodeId>,
-    /// Standby ALT entry gateway (replicated worlds only).
-    pub alt_standby: Option<NodeId>,
-    /// Standby CONS CARs, in site order (replicated worlds only).
-    pub cons_standby_nodes: Vec<NodeId>,
+    /// The mapping infrastructure, typed by plane.
+    pub mapsys: MapSystem,
     /// Attacker nodes, in [`ScenarioSpec::attackers`] order (roles that
     /// need no node of their own — overclaiming — contribute none).
     pub attack_nodes: Vec<NodeId>,
@@ -1166,6 +1153,12 @@ impl ScenarioSpec {
             .as_ref()
             .map(|d| d.down_policy)
             .unwrap_or_default();
+        let provider_link = |p: &ProviderSpec| {
+            LinkCfg::wan(p.owd)
+                .with_bandwidth(p.bandwidth_bps)
+                .with_drop_prob(p.drop_prob)
+                .with_down_policy(dyn_down_policy)
+        };
 
         // ---- DNS infrastructure zone data -----------------------------------
         // Chain of delegations: root → [intermediates] → site zones.
@@ -1218,7 +1211,7 @@ impl ScenarioSpec {
         }
 
         // Per-site authoritative zone data (server sites).
-        let site_dest_eids: Vec<Vec<Ipv4Address>> = topo
+        let mut site_dest_eids: Vec<Vec<Ipv4Address>> = topo
             .sites
             .iter()
             .map(|s| match s.role {
@@ -1226,7 +1219,7 @@ impl ScenarioSpec {
                 SiteRole::Client => Vec::new(),
             })
             .collect();
-        let site_stores: Vec<Option<ZoneStore>> = topo
+        let mut site_stores: Vec<Option<ZoneStore>> = topo
             .sites
             .iter()
             .zip(&site_dest_eids)
@@ -1275,7 +1268,6 @@ impl ScenarioSpec {
                 ),
             })
             .collect();
-        let mut site_stores = site_stores;
         let dns_nodes: Vec<NodeId> = topo
             .sites
             .iter()
@@ -1314,14 +1306,8 @@ impl ScenarioSpec {
             .collect();
 
         // ---- Hosts & site wiring ---------------------------------------------
-        let host_ports: Vec<PortId> = topo
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let (_, sp) = sim.connect(hosts[i], site_routers[i], LinkCfg::lan());
-                sp
-            })
+        let host_ports: Vec<PortId> = (0..topo.sites.len())
+            .map(|i| sim.connect(hosts[i], site_routers[i], LinkCfg::lan()).1)
             .collect();
 
         // Warm-standby replication (DESIGN.md §13): `Some` arms one
@@ -1354,8 +1340,8 @@ impl ScenarioSpec {
 
         // DNS attachment: behind the PCE bump when cp == Pce.
         let mut pce_nodes: Vec<Option<NodeId>> = vec![None; topo.sites.len()];
-        let mut pce_standby_nodes: Vec<Option<NodeId>> = vec![None; topo.sites.len()];
-        let mut pce_standby_ports: Vec<Option<PortId>> = vec![None; topo.sites.len()];
+        // Standby PCE bump and the site-router port toward it, per site.
+        let mut pce_standby: Vec<Option<(NodeId, PortId)>> = vec![None; topo.sites.len()];
         let dns_ports: Vec<PortId> = if cp == CpKind::Pce {
             let pces: Vec<NodeId> = topo
                 .sites
@@ -1375,35 +1361,30 @@ impl ScenarioSpec {
             let ports = (0..topo.sites.len())
                 .map(|i| {
                     sim.connect(pces[i], dns_nodes[i], LinkCfg::ipc());
-                    let (_, sp_pce) = sim.connect(pces[i], site_routers[i], LinkCfg::lan());
-                    sp_pce
+                    sim.connect(pces[i], site_routers[i], LinkCfg::lan()).1
                 })
                 .collect();
-            if replicas.is_some() {
-                for (i, s) in topo.sites.iter().enumerate() {
-                    if s.role != SiteRole::Client {
-                        continue;
-                    }
-                    let standby = pce_cfg_of(s, pce_standby_addr(s));
-                    let id = sim.add_node(&format!("PCE2_{}", s.name), Box::new(Pce::new(standby)));
-                    // Resolver port 1 = standby uplink; armed by the
-                    // TOKEN_FAILOVER timer the dynamics block schedules.
-                    sim.connect(id, dns_nodes[i], LinkCfg::ipc());
-                    let (_, sp) = sim.connect(id, site_routers[i], LinkCfg::lan());
-                    sim.node_mut::<Resolver>(dns_nodes[i])
-                        .set_failover(1, pce_standby_addr(s));
-                    pce_standby_nodes[i] = Some(id);
-                    pce_standby_ports[i] = Some(sp);
-                }
+            let clients = topo
+                .sites
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.role == SiteRole::Client);
+            for (i, s) in clients.filter(|_| replicas.is_some()) {
+                let standby = pce_cfg_of(s, pce_standby_addr(s));
+                let id = sim.add_node(&format!("PCE2_{}", s.name), Box::new(Pce::new(standby)));
+                // Resolver port 1 = standby uplink; armed by the
+                // TOKEN_FAILOVER timer the dynamics block schedules.
+                sim.connect(id, dns_nodes[i], LinkCfg::ipc());
+                let (_, sp) = sim.connect(id, site_routers[i], LinkCfg::lan());
+                sim.node_mut::<Resolver>(dns_nodes[i])
+                    .set_failover(1, pce_standby_addr(s));
+                pce_standby[i] = Some((id, sp));
             }
             pce_nodes = pces.into_iter().map(Some).collect();
             ports
         } else {
             (0..topo.sites.len())
-                .map(|i| {
-                    let (_, sp_dns) = sim.connect(dns_nodes[i], site_routers[i], LinkCfg::lan());
-                    sp_dns
-                })
+                .map(|i| sim.connect(dns_nodes[i], site_routers[i], LinkCfg::lan()).1)
                 .collect()
         };
 
@@ -1412,89 +1393,26 @@ impl ScenarioSpec {
         let mut site_xtrs: Vec<Vec<NodeId>> = vec![Vec::new(); topo.sites.len()];
         let mut site_links: Vec<Vec<usize>> = vec![Vec::new(); topo.sites.len()];
         let mut site_egress: Vec<Vec<PortId>> = vec![Vec::new(); topo.sites.len()];
-        let mut mr_node = None;
-        let mut nerd_node = None;
-        let mut alt_nodes = Vec::new();
-        let mut cons_nodes = Vec::new();
-        let mut mr_standby = None;
-        let mut nerd_standby = None;
-        let mut alt_standby = None;
-        let mut cons_standby_nodes: Vec<NodeId> = Vec::new();
-
-        // Mapping-system overlay addresses are deterministic, so xTR
-        // resolver targets can be computed before the overlay exists.
-        let alt_chain_addrs: Vec<Ipv4Address> = match cp {
-            CpKind::Alt { hops } => (0..hops.max(1))
-                .map(|i| Ipv4Address::new(9, 1, 0, (i + 1) as u8))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let car_addr_of = |site_idx: usize| Ipv4Address::new(9, 2, 0, (site_idx + 1) as u8);
-        let standby_car_addr_of = |site_idx: usize| Ipv4Address::new(9, 2, 2, (site_idx + 1) as u8);
 
         if cp == CpKind::NoLisp {
             // Sites connect straight to the core; EIDs globally routable.
-            let mut uplinks: Vec<(usize, PortId, PortId)> = Vec::new();
             for (i, s) in topo.sites.iter().enumerate() {
-                let p0 = &s.providers[0];
-                let link = sim.link_count();
-                let (sp_up, cp_port) = sim.connect(
-                    site_routers[i],
-                    core,
-                    LinkCfg::wan(p0.owd)
-                        .with_bandwidth(p0.bandwidth_bps)
-                        .with_drop_prob(p0.drop_prob)
-                        .with_down_policy(dyn_down_policy),
-                );
-                uplinks.push((link, sp_up, cp_port));
-                site_links[i] = vec![link; s.providers.len()];
-            }
-            {
+                site_links[i] = vec![sim.link_count(); s.providers.len()];
+                let (uplink, core_port) =
+                    sim.connect(site_routers[i], core, provider_link(&s.providers[0]));
                 let r = sim.node_mut::<Router>(core);
-                for (i, s) in topo.sites.iter().enumerate() {
-                    r.add_route(s.eid_prefix, uplinks[i].2);
-                    r.add_route(s.providers[0].core_route, uplinks[i].2);
-                }
-            }
-            for (i, s) in topo.sites.iter().enumerate() {
+                r.add_route(s.eid_prefix, core_port);
+                r.add_route(s.providers[0].core_route, core_port);
+                let hosts = match s.role {
+                    SiteRole::Client => Prefix::host(s.host_addr()),
+                    SiteRole::Server => s.eid_prefix,
+                };
                 let r = sim.node_mut::<FlowRouter>(site_routers[i]);
-                match s.role {
-                    SiteRole::Client => {
-                        r.add_route(Prefix::host(s.host_addr()), host_ports[i]);
-                    }
-                    SiteRole::Server => {
-                        r.add_route(s.eid_prefix, host_ports[i]);
-                    }
-                }
+                r.add_route(hosts, host_ports[i]);
                 r.add_route(Prefix::host(s.dns_addr()), dns_ports[i]);
-                r.set_default_route(uplinks[i].1);
+                r.set_default_route(uplink);
             }
         } else {
-            // xTR modes per control plane.
-            let miss: MissPolicy = match cp {
-                CpKind::LispQueue => MissPolicy::Queue { max_packets: 64 },
-                CpKind::LispDataCp => MissPolicy::DataOverCp {
-                    extra_latency: Ns::from_ms(40),
-                },
-                _ => MissPolicy::Drop,
-            };
-            let mode_of = |site_idx: usize| -> CpMode {
-                match cp {
-                    CpKind::Pce => CpMode::Pce,
-                    CpKind::Nerd => CpMode::PushDb,
-                    CpKind::Alt { .. } => CpMode::Pull {
-                        map_resolver: Some(alt_chain_addrs[0]),
-                    },
-                    CpKind::Cons { .. } => CpMode::Pull {
-                        map_resolver: Some(car_addr_of(site_idx)),
-                    },
-                    CpKind::LispDrop | CpKind::LispQueue | CpKind::LispDataCp => CpMode::Pull {
-                        map_resolver: Some(addrs::MAP_RESOLVER),
-                    },
-                    CpKind::NoLisp => unreachable!(),
-                }
-            };
-
             // All xTR nodes first (site-major, provider-minor), matching
             // the figure's construction order.
             for (i, s) in topo.sites.iter().enumerate() {
@@ -1508,9 +1426,13 @@ impl ScenarioSpec {
                         .filter(|&(j, _)| j != k)
                         .map(|(_, q)| q.rloc)
                         .collect();
-                    let mut cfg =
-                        XtrConfig::new(p.rloc, s.eid_prefix, Arc::clone(&eid_space), mode_of(i));
-                    cfg.miss_policy = miss;
+                    let mut cfg = XtrConfig::new(
+                        p.rloc,
+                        s.eid_prefix,
+                        Arc::clone(&eid_space),
+                        cp.xtr_mode(i),
+                    );
+                    cfg.miss_policy = cp.miss_policy();
                     cfg.internal_plain_prefixes = internal.clone();
                     cfg.reverse_sync_peers = peers;
                     cfg.pced_addr = pced;
@@ -1520,45 +1442,30 @@ impl ScenarioSpec {
                     cfg.cache = s.cache.unwrap_or(self.cache);
                     cfg.defense = self.defense.xtr;
                     if let Some(r) = self.retry {
-                        if let Some(rt) = r.retransmit {
-                            cfg.request_retransmit = rt;
-                        }
-                        if let Some(mt) = r.max_tries {
-                            cfg.request_max_tries = mt;
-                        }
+                        cfg.request_retransmit = r.retransmit.unwrap_or(cfg.request_retransmit);
+                        cfg.request_max_tries = r.max_tries.unwrap_or(cfg.request_max_tries);
                         cfg.request_backoff_multiplier = r.backoff_multiplier;
                         cfg.request_backoff_cap = r.backoff_cap;
                         cfg.request_cooldown = r.cooldown;
                     }
                     if let Some(rep) = replicas {
                         cfg.resolver_failover_sticky = rep.sticky_failover;
-                        // Ordered failover list: the standby twin of
-                        // whatever resolver this plane points at.
-                        cfg.map_resolver_replicas = match cp {
-                            CpKind::LispDrop | CpKind::LispQueue | CpKind::LispDataCp => {
-                                vec![addrs::MAP_RESOLVER_2]
-                            }
-                            CpKind::Alt { .. } => vec![addrs::ALT_GATEWAY_2],
-                            CpKind::Cons { .. } => vec![standby_car_addr_of(i)],
-                            _ => Vec::new(),
-                        };
+                        cfg.map_resolver_replicas = cp.standby_resolvers(i);
                     }
-                    for atk in &self.attackers {
-                        if let AttackerSpec::Overclaim { site, prefix_len } = atk {
-                            if *site == s.name {
-                                cfg.overclaim = Some(Prefix::new(s.eid_prefix.addr(), *prefix_len));
-                            }
+                    cfg.overclaim = self.attackers.iter().rev().find_map(|atk| match atk {
+                        AttackerSpec::Overclaim { site, prefix_len } if *site == s.name => {
+                            Some(Prefix::new(s.eid_prefix.addr(), *prefix_len))
                         }
-                    }
+                        _ => None,
+                    });
                     let id = sim.add_node(&format!("xTR-{}", p.name), Box::new(Xtr::new(cfg)));
                     site_xtrs[i].push(id);
                 }
             }
 
             // Site ports (xTR port 0 = site).
-            for i in 0..topo.sites.len() {
-                let xtrs = site_xtrs[i].clone();
-                for x in xtrs {
+            for (i, xtrs) in site_xtrs.iter().enumerate() {
+                for &x in xtrs {
                     let (_, sp) = sim.connect(x, site_routers[i], LinkCfg::lan());
                     site_egress[i].push(sp);
                 }
@@ -1568,16 +1475,13 @@ impl ScenarioSpec {
             for (i, s) in topo.sites.iter().enumerate() {
                 for (k, p) in s.providers.iter().enumerate() {
                     site_links[i].push(sim.link_count());
-                    let (_, core_port) = sim.connect(
-                        site_xtrs[i][k],
+                    attach_to_core(
+                        &mut sim,
                         core,
-                        LinkCfg::wan(p.owd)
-                            .with_bandwidth(p.bandwidth_bps)
-                            .with_drop_prob(p.drop_prob)
-                            .with_down_policy(dyn_down_policy),
+                        site_xtrs[i][k],
+                        p.core_route,
+                        provider_link(p),
                     );
-                    sim.node_mut::<Router>(core)
-                        .add_route(p.core_route, core_port);
                 }
             }
 
@@ -1594,7 +1498,7 @@ impl ScenarioSpec {
                 r.add_route(Prefix::host(s.dns_addr()), dns_ports[i]);
                 if cp == CpKind::Pce {
                     r.add_route(Prefix::host(s.pce_addr()), dns_ports[i]);
-                    if let Some(sp) = pce_standby_ports[i] {
+                    if let Some((_, sp)) = pce_standby[i] {
                         r.add_route(Prefix::host(pce_standby_addr(s)), sp);
                     }
                 }
@@ -1603,228 +1507,37 @@ impl ScenarioSpec {
         }
 
         // ---- DNS infrastructure at the core ------------------------------------
+        let infra_link = LinkCfg::wan(topo.infra_owd).with_drop_prob(topo.infra_drop_prob);
         for (level, &node) in infra_dns.iter().enumerate() {
-            let (_, port) = sim.connect(
-                node,
-                core,
-                LinkCfg::wan(topo.infra_owd).with_drop_prob(topo.infra_drop_prob),
-            );
-            sim.node_mut::<Router>(core)
-                .add_route(Prefix::host(infra_addr(level)), port);
+            let route = Prefix::host(infra_addr(level));
+            attach_to_core(&mut sim, core, node, route, infra_link);
         }
 
         // ---- Mapping-system infrastructure --------------------------------------
-        let mut db = MappingDb::new();
-        for (i, s) in topo.sites.iter().enumerate() {
-            let etr = s.providers[0].rloc;
-            if self.fine_grained_mappings {
-                db.register(SiteEntry::single(
-                    Prefix::host(s.host_addr()),
-                    etr,
-                    self.mapping_ttl_minutes,
-                ));
-                for eid in &site_dest_eids[i] {
-                    db.register(SiteEntry::single(
-                        Prefix::host(*eid),
-                        etr,
-                        self.mapping_ttl_minutes,
-                    ));
+        // What each site registers at its first provider's ETR: its EID
+        // prefix, or one host route per EID with fine-grained mappings.
+        let registered: Vec<Vec<Prefix>> = topo
+            .sites
+            .iter()
+            .zip(&site_dest_eids)
+            .map(|(s, eids)| {
+                if self.fine_grained_mappings {
+                    let eids = eids.iter().copied();
+                    once(s.host_addr()).chain(eids).map(Prefix::host).collect()
+                } else {
+                    vec![s.eid_prefix]
                 }
-            } else {
-                db.register(SiteEntry::single(
-                    s.eid_prefix,
-                    etr,
-                    self.mapping_ttl_minutes,
-                ));
+            })
+            .collect();
+        let mut db = MappingDb::new();
+        for (s, prefixes) in topo.sites.iter().zip(&registered) {
+            for &prefix in prefixes {
+                let etr = s.providers[0].rloc;
+                db.register(SiteEntry::single(prefix, etr, self.mapping_ttl_minutes));
             }
         }
 
-        match cp {
-            CpKind::LispDrop | CpKind::LispQueue | CpKind::LispDataCp => {
-                let mut resolver = MapResolver::new(addrs::MAP_RESOLVER, &db);
-                if let Some(g) = self.defense.resolver_guard {
-                    resolver = resolver.with_guard(g);
-                }
-                let mr = sim.add_node("map-resolver", Box::new(resolver));
-                let (_, port) = sim.connect(mr, core, LinkCfg::wan(mapsys_owd));
-                sim.node_mut::<Router>(core)
-                    .add_route(Prefix::host(addrs::MAP_RESOLVER), port);
-                mr_node = Some(mr);
-                if replicas.is_some() {
-                    // Standby twin sharing the registration database
-                    // (registrations go to both; DESIGN.md §13).
-                    let mut twin = MapResolver::new(addrs::MAP_RESOLVER_2, &db);
-                    if let Some(g) = self.defense.resolver_guard {
-                        twin = twin.with_guard(g);
-                    }
-                    let mr2 = sim.add_node("map-resolver-2", Box::new(twin));
-                    let (_, port) = sim.connect(mr2, core, LinkCfg::wan(mapsys_owd));
-                    sim.node_mut::<Router>(core)
-                        .add_route(Prefix::host(addrs::MAP_RESOLVER_2), port);
-                    mr_standby = Some(mr2);
-                }
-            }
-            CpKind::Alt { .. } => {
-                // One shared linear overlay; the entry router is the
-                // resolver address every ITR uses; deliveries at the far
-                // end for every registered site.
-                let chain_addrs = &alt_chain_addrs;
-                // Seed the chain with the first server site (the
-                // figure's domain D), then add every other site.
-                let first_server = topo
-                    .sites
-                    .iter()
-                    .position(|s| s.role == SiteRole::Server)
-                    .expect("ALT needs a server site");
-                let mut routers = linear_chain(
-                    chain_addrs,
-                    topo.sites[first_server].eid_prefix,
-                    topo.sites[first_server].providers[0].rloc,
-                );
-                for (i, s) in topo.sites.iter().enumerate() {
-                    if i == first_server {
-                        continue;
-                    }
-                    let etr = s.providers[0].rloc;
-                    if let Some(last) = routers.last_mut() {
-                        last.add_delivery(s.eid_prefix, etr);
-                    }
-                    if routers.len() > 1 {
-                        routers[0].add_overlay_route(s.eid_prefix, chain_addrs[1]);
-                        for k in 1..routers.len() - 1 {
-                            routers[k].add_overlay_route(s.eid_prefix, chain_addrs[k + 1]);
-                        }
-                    } else {
-                        routers[0].add_delivery(s.eid_prefix, etr);
-                    }
-                }
-                if let Some(g) = self.defense.resolver_guard {
-                    // The entry router is the overlay's ingress; guard it.
-                    if let Some(first) = routers.first_mut() {
-                        first.guard = Some(RequestGuard::new(g));
-                    }
-                }
-                for (i, r) in routers.into_iter().enumerate() {
-                    let node = sim.add_node(&format!("alt-{i}"), Box::new(r));
-                    let (_, port) = sim.connect(node, core, LinkCfg::wan(mapsys_owd));
-                    sim.node_mut::<Router>(core)
-                        .add_route(Prefix::host(chain_addrs[i]), port);
-                    alt_nodes.push(node);
-                }
-                if replicas.is_some() {
-                    // Standby entry gateway: same first-hop overlay
-                    // routes as alt-0 under its own address, so the
-                    // rest of the chain serves either ingress.
-                    let mut gw = AltRouter::new(addrs::ALT_GATEWAY_2);
-                    for s in &topo.sites {
-                        if chain_addrs.len() > 1 {
-                            gw.add_overlay_route(s.eid_prefix, chain_addrs[1]);
-                        } else {
-                            gw.add_delivery(s.eid_prefix, s.providers[0].rloc);
-                        }
-                    }
-                    if let Some(g) = self.defense.resolver_guard {
-                        gw.guard = Some(RequestGuard::new(g));
-                    }
-                    let node = sim.add_node("alt-standby", Box::new(gw));
-                    let (_, port) = sim.connect(node, core, LinkCfg::wan(mapsys_owd));
-                    sim.node_mut::<Router>(core)
-                        .add_route(Prefix::host(addrs::ALT_GATEWAY_2), port);
-                    alt_standby = Some(node);
-                }
-            }
-            CpKind::Cons { cdr_depth } => {
-                let cdr_addrs: Vec<Ipv4Address> = (0..=cdr_depth)
-                    .map(|i| Ipv4Address::new(9, 2, 1, (i + 1) as u8))
-                    .collect();
-                // One CAR per site under cdr[0]; CDRs chain up to the root.
-                let mut cars: Vec<ConsNode> = topo
-                    .sites
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let mut car = ConsNode::new(car_addr_of(i), Some(cdr_addrs[0]));
-                        car.add_site(s.eid_prefix, s.providers[0].rloc);
-                        if let Some(g) = self.defense.resolver_guard {
-                            car.guard = Some(RequestGuard::new(g));
-                        }
-                        car
-                    })
-                    .collect();
-                let mut cdrs: Vec<ConsNode> = Vec::new();
-                for (i, &addr) in cdr_addrs.iter().enumerate() {
-                    let parent = cdr_addrs.get(i + 1).copied();
-                    let mut n = ConsNode::new(addr, parent);
-                    for (j, s) in topo.sites.iter().enumerate() {
-                        if i == 0 {
-                            n.add_child(s.eid_prefix, car_addr_of(j));
-                        } else {
-                            n.add_child(s.eid_prefix, cdr_addrs[i - 1]);
-                        }
-                    }
-                    cdrs.push(n);
-                }
-                for (i, node) in cars.drain(..).enumerate() {
-                    let addr = car_addr_of(i);
-                    let id = sim.add_node(&format!("cons-car-{addr}"), Box::new(node));
-                    let (_, port) = sim.connect(id, core, LinkCfg::wan(mapsys_owd));
-                    sim.node_mut::<Router>(core)
-                        .add_route(Prefix::host(addr), port);
-                    cons_nodes.push(id);
-                }
-                for (i, node) in cdrs.into_iter().enumerate() {
-                    let id = sim.add_node(&format!("cons-cdr-{i}"), Box::new(node));
-                    let (_, port) = sim.connect(id, core, LinkCfg::wan(mapsys_owd));
-                    sim.node_mut::<Router>(core)
-                        .add_route(Prefix::host(cdr_addrs[i]), port);
-                    cons_nodes.push(id);
-                }
-                if replicas.is_some() {
-                    // A standby CAR per site, homed under the same
-                    // first-level CDR so queries it forwards reach the
-                    // destination's (live) primary CAR.
-                    for (i, s) in topo.sites.iter().enumerate() {
-                        let addr = standby_car_addr_of(i);
-                        let mut car = ConsNode::new(addr, Some(cdr_addrs[0]));
-                        car.add_site(s.eid_prefix, s.providers[0].rloc);
-                        if let Some(g) = self.defense.resolver_guard {
-                            car.guard = Some(RequestGuard::new(g));
-                        }
-                        let id = sim.add_node(&format!("cons-car2-{addr}"), Box::new(car));
-                        let (_, port) = sim.connect(id, core, LinkCfg::wan(mapsys_owd));
-                        sim.node_mut::<Router>(core)
-                            .add_route(Prefix::host(addr), port);
-                        cons_standby_nodes.push(id);
-                    }
-                }
-            }
-            CpKind::Nerd => {
-                let subscribers: Vec<Ipv4Address> = topo
-                    .sites
-                    .iter()
-                    .flat_map(|s| s.providers.iter().map(|p| p.rloc))
-                    .collect();
-                let authority = NerdAuthority::new(addrs::NERD, &db, subscribers.clone());
-                let nerd = sim.add_node("nerd", Box::new(authority));
-                let (_, port) = sim.connect(nerd, core, LinkCfg::wan(mapsys_owd));
-                sim.node_mut::<Router>(core)
-                    .add_route(Prefix::host(addrs::NERD), port);
-                nerd_node = Some(nerd);
-                if replicas.is_some() {
-                    // Standby authority: same database and subscriber
-                    // list, but no boot push — its first TOKEN_PUSH
-                    // (scheduled by the dynamics block on failover)
-                    // promotes it and re-pushes the full database.
-                    let twin = NerdAuthority::new(addrs::NERD_2, &db, subscribers).standby();
-                    let id = sim.add_node("nerd-2", Box::new(twin));
-                    let (_, port) = sim.connect(id, core, LinkCfg::wan(mapsys_owd));
-                    sim.node_mut::<Router>(core)
-                        .add_route(Prefix::host(addrs::NERD_2), port);
-                    nerd_standby = Some(id);
-                }
-            }
-            CpKind::NoLisp | CpKind::Pce => {}
-        }
+        let mapsys = MapSystem::build(self, &mut sim, core, &db);
 
         // ---- Adversaries -----------------------------------------------------
         // Attacker nodes come after all legitimate infrastructure so that
@@ -1947,9 +1660,8 @@ impl ScenarioSpec {
                             &format!("attacker-poison-{ai}"),
                             Box::new(AttackNode::new(addr, script)),
                         );
-                        let (_, port) = sim.connect(node, core, LinkCfg::wan(mapsys_owd));
-                        sim.node_mut::<Router>(core)
-                            .add_route(Prefix::new(Ipv4Address::new(66, 0, 0, 0), 8), port);
+                        let route = Prefix::new(Ipv4Address::new(66, 0, 0, 0), 8);
+                        attach_to_core(&mut sim, core, node, route, LinkCfg::wan(mapsys_owd));
                         let period = Ns((1e9 / rate_per_sec).max(1.0) as u64);
                         for r in 0..*rounds as u64 {
                             for j in 0..per_round {
@@ -1969,232 +1681,6 @@ impl ScenarioSpec {
             }
         }
 
-        // ---- Timed dynamics --------------------------------------------------
-        // Every mutation is scheduled *now*, at build time: link changes
-        // as engine LinkAdmin events, node changes as timers against
-        // state pre-loaded into the nodes above — so the whole failure
-        // story replays inside the deterministic (time, seq) event order.
-        if let Some(dynamics) = &self.dynamics {
-            let site_index = |name: &str| -> usize {
-                topo.sites
-                    .iter()
-                    .position(|s| s.name == name)
-                    .unwrap_or_else(|| panic!("dynamics event names unknown site {name:?}"))
-            };
-            let provider_index = |i: usize, name: &str| -> usize {
-                topo.sites[i]
-                    .providers
-                    .iter()
-                    .position(|p| p.name == name)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "dynamics event names unknown provider {name:?} at site {:?}",
-                            topo.sites[i].name
-                        )
-                    })
-            };
-            // The prefixes this site registered with the mapping system
-            // (mirrors the MappingDb registration loop above).
-            let registered_prefixes = |i: usize| -> Vec<Prefix> {
-                if self.fine_grained_mappings {
-                    let mut v = vec![Prefix::host(topo.sites[i].host_addr())];
-                    v.extend(site_dest_eids[i].iter().map(|e| Prefix::host(*e)));
-                    v
-                } else {
-                    vec![topo.sites[i].eid_prefix]
-                }
-            };
-            // Re-register site `i`'s mappings onto `rloc` at time `at`,
-            // whatever the mapping system in this world is.
-            let reregister = |sim: &mut Sim<Packet>, at: Ns, i: usize, rloc: Ipv4Address| match cp {
-                CpKind::LispDrop | CpKind::LispQueue | CpKind::LispDataCp => {
-                    for mr in mr_node.iter().chain(mr_standby.iter()) {
-                        let node = sim.node_mut::<MapResolver>(*mr);
-                        for prefix in registered_prefixes(i) {
-                            node.schedule_update(at, prefix, rloc);
-                        }
-                    }
-                }
-                CpKind::Nerd => {
-                    for nerd in nerd_node.iter().chain(nerd_standby.iter()) {
-                        let node = sim.node_mut::<NerdAuthority>(*nerd);
-                        for prefix in registered_prefixes(i) {
-                            node.schedule_update(
-                                at,
-                                MapRecord {
-                                    eid_prefix: prefix.addr(),
-                                    prefix_len: prefix.len(),
-                                    ttl_minutes: self.mapping_ttl_minutes,
-                                    locators: vec![Locator::new(rloc, 1, 100)],
-                                },
-                            );
-                        }
-                    }
-                }
-                CpKind::Alt { .. } => {
-                    // Delivery entries live on the chain's last router —
-                    // and on the standby gateway when the chain is one
-                    // router long (then the gateway delivers directly).
-                    let mut targets: Vec<NodeId> = Vec::new();
-                    if let Some(&last) = alt_nodes.last() {
-                        targets.push(last);
-                    }
-                    if alt_nodes.len() == 1 {
-                        targets.extend(alt_standby);
-                    }
-                    for node_id in targets {
-                        let node = sim.node_mut::<AltRouter>(node_id);
-                        for prefix in registered_prefixes(i) {
-                            node.schedule_update(at, prefix, rloc);
-                        }
-                    }
-                }
-                CpKind::Cons { .. } => {
-                    // cons_nodes lists the CARs in site order, CDRs after.
-                    let mut targets = vec![cons_nodes[i]];
-                    targets.extend(cons_standby_nodes.get(i).copied());
-                    for node_id in targets {
-                        let node = sim.node_mut::<ConsNode>(node_id);
-                        for prefix in registered_prefixes(i) {
-                            node.schedule_update(at, prefix, rloc);
-                        }
-                    }
-                }
-                CpKind::NoLisp | CpKind::Pce => {}
-            };
-
-            // The mapping-infrastructure node a NodeDown/NodeUp event
-            // addresses, per control plane (shared node for pull/push
-            // planes, the site's own node for CONS and PCE).
-            let mapsys_node_of = |i: usize| -> Option<NodeId> {
-                match cp {
-                    CpKind::LispDrop | CpKind::LispQueue | CpKind::LispDataCp => mr_node,
-                    CpKind::Nerd => nerd_node,
-                    CpKind::Alt { .. } => alt_nodes.first().copied(),
-                    CpKind::Cons { .. } => cons_nodes.get(i).copied(),
-                    CpKind::Pce => pce_nodes[i],
-                    CpKind::NoLisp => None,
-                }
-            };
-
-            for ev in &dynamics.events {
-                match &ev.kind {
-                    DynEventKind::LinkDown { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        sim.schedule_link_admin(ev.at, site_links[i][k], false);
-                    }
-                    DynEventKind::LinkUp { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        sim.schedule_link_admin(ev.at, site_links[i][k], true);
-                    }
-                    DynEventKind::Remap { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        reregister(&mut sim, ev.at, i, topo.sites[i].providers[k].rloc);
-                    }
-                    DynEventKind::RlocFail { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        sim.schedule_link_admin(ev.at, site_links[i][k], false);
-                        let detect_at = ev.at.saturating_add(dynamics.detection_delay);
-                        if let Some(fallback) = (0..topo.sites[i].providers.len()).find(|&j| j != k)
-                        {
-                            // Site IGP: re-home the default egress if the
-                            // failed border was carrying it.
-                            if k == 0 && !site_egress[i].is_empty() {
-                                sim.node_mut::<FlowRouter>(site_routers[i]).schedule_route(
-                                    detect_at,
-                                    Prefix::DEFAULT,
-                                    site_egress[i][fallback],
-                                );
-                            }
-                            let rereg_at = ev.at.saturating_add(dynamics.reregister_delay);
-                            reregister(
-                                &mut sim,
-                                rereg_at,
-                                i,
-                                topo.sites[i].providers[fallback].rloc,
-                            );
-                        }
-                        // The domain PCE hears from the site IGP and
-                        // re-paths its flow database (core::pce) — one
-                        // tick after the IGP itself re-converged, so the
-                        // PCE's cross-domain fix always exits via the
-                        // surviving default egress regardless of
-                        // node-construction order.
-                        if let Some(pce) = pce_nodes[i] {
-                            sim.schedule_timer(
-                                pce,
-                                detect_at.saturating_add(Ns(1)),
-                                Pce::provider_event_token(k, false),
-                            );
-                        }
-                    }
-                    DynEventKind::NodeDown { site } => {
-                        let i = site_index(site);
-                        if let Some(target) = mapsys_node_of(i) {
-                            sim.schedule_node_admin(ev.at, target, false);
-                        }
-                        // Infrastructure-side takeover: pull planes fail
-                        // over client-side (the xTR replica list), but
-                        // push planes need the standby to start pushing.
-                        if let Some(rep) = replicas {
-                            let detect_at = ev.at.saturating_add(rep.detection_delay);
-                            match cp {
-                                CpKind::Nerd => {
-                                    if let Some(standby) = nerd_standby {
-                                        sim.schedule_timer(
-                                            standby,
-                                            detect_at,
-                                            mapsys::nerd::TOKEN_PUSH,
-                                        );
-                                    }
-                                }
-                                CpKind::Pce => {
-                                    // Three synchronized moves: the site
-                                    // resolver re-homes its uplink to the
-                                    // standby bump, the site IGP re-routes
-                                    // the DNS server address through it,
-                                    // and the standby re-pushes its
-                                    // mirrored flow database.
-                                    if pce_standby_nodes[i].is_some() {
-                                        sim.schedule_timer(
-                                            dns_nodes[i],
-                                            detect_at,
-                                            simdns::resolver::TOKEN_FAILOVER,
-                                        );
-                                    }
-                                    if let Some(sp) = pce_standby_ports[i] {
-                                        sim.node_mut::<FlowRouter>(site_routers[i]).schedule_route(
-                                            detect_at,
-                                            Prefix::host(topo.sites[i].dns_addr()),
-                                            sp,
-                                        );
-                                    }
-                                    if let Some(standby) = pce_standby_nodes[i] {
-                                        sim.schedule_timer(
-                                            standby,
-                                            detect_at,
-                                            crate::pce::TOKEN_TAKEOVER,
-                                        );
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    DynEventKind::NodeUp { site } => {
-                        let i = site_index(site);
-                        if let Some(target) = mapsys_node_of(i) {
-                            sim.schedule_node_admin(ev.at, target, true);
-                        }
-                    }
-                }
-            }
-        }
-
         let sites: Vec<SiteWorld> = topo
             .sites
             .iter()
@@ -2209,16 +1695,105 @@ impl ScenarioSpec {
                 dns: dns_nodes[i],
                 dns_addr: s.dns_addr(),
                 pce: pce_nodes[i],
-                pce_standby: pce_standby_nodes[i],
+                pce_standby: pce_standby[i].map(|(id, _)| id),
                 provider_names: s.providers.iter().map(|p| p.name.clone()).collect(),
-                xtrs: site_xtrs[i].clone(),
+                xtrs: std::mem::take(&mut site_xtrs[i]),
                 xtr_rlocs: s.providers.iter().map(|p| p.rloc).collect(),
-                provider_links: site_links[i].clone(),
-                egress_ports: site_egress[i].clone(),
-                dest_eids: site_dest_eids[i].clone(),
+                provider_links: std::mem::take(&mut site_links[i]),
+                egress_ports: std::mem::take(&mut site_egress[i]),
+                dest_eids: std::mem::take(&mut site_dest_eids[i]),
                 zone: (s.role == SiteRole::Server).then(|| topo.site_zone(s)),
             })
             .collect();
+
+        // ---- Timed dynamics --------------------------------------------------
+        // Every mutation is scheduled *now*, at build time: link changes
+        // as engine LinkAdmin events, node changes as timers against
+        // state pre-loaded into the nodes above — so the whole failure
+        // story replays inside the deterministic (time, seq) event order.
+        if let Some(dynamics) = &self.dynamics {
+            let site_index = |name: &str| -> usize {
+                sites
+                    .iter()
+                    .position(|s| s.name == name)
+                    .unwrap_or_else(|| panic!("dynamics event names unknown site {name:?}"))
+            };
+            let provider_index = |i: usize, name: &str| -> usize {
+                sites[i].provider_index(name).unwrap_or_else(|| {
+                    panic!(
+                        "dynamics event names unknown provider {name:?} at site {:?}",
+                        sites[i].name
+                    )
+                })
+            };
+            // Re-register site `i`'s mappings onto provider `k` at `at`.
+            let reregister = |sim: &mut Sim<Packet>, at: Ns, i: usize, k: usize| {
+                let rloc = sites[i].xtr_rlocs[k];
+                mapsys.reregister(sim, at, i, &registered[i], rloc, self.mapping_ttl_minutes);
+            };
+
+            for ev in &dynamics.events {
+                match &ev.kind {
+                    DynEventKind::LinkDown { site, provider }
+                    | DynEventKind::LinkUp { site, provider } => {
+                        let i = site_index(site);
+                        let k = provider_index(i, provider);
+                        let up = matches!(ev.kind, DynEventKind::LinkUp { .. });
+                        sim.schedule_link_admin(ev.at, sites[i].provider_links[k], up);
+                    }
+                    DynEventKind::Remap { site, provider } => {
+                        let i = site_index(site);
+                        let k = provider_index(i, provider);
+                        reregister(&mut sim, ev.at, i, k);
+                    }
+                    DynEventKind::RlocFail { site, provider } => {
+                        let i = site_index(site);
+                        let k = provider_index(i, provider);
+                        let site = &sites[i];
+                        sim.schedule_link_admin(ev.at, site.provider_links[k], false);
+                        let detect_at = ev.at.saturating_add(dynamics.detection_delay);
+                        if let Some(fallback) = (0..site.xtr_rlocs.len()).find(|&j| j != k) {
+                            // Site IGP: re-home the default egress if the
+                            // failed border was carrying it.
+                            if k == 0 && !site.egress_ports.is_empty() {
+                                sim.node_mut::<FlowRouter>(site.router).schedule_route(
+                                    detect_at,
+                                    Prefix::DEFAULT,
+                                    site.egress_ports[fallback],
+                                );
+                            }
+                            let rereg_at = ev.at.saturating_add(dynamics.reregister_delay);
+                            reregister(&mut sim, rereg_at, i, fallback);
+                        }
+                        // The domain PCE hears from the site IGP and
+                        // re-paths its flow database (core::pce) — one
+                        // tick after the IGP itself re-converged, so the
+                        // PCE's cross-domain fix always exits via the
+                        // surviving default egress regardless of
+                        // node-construction order.
+                        if let Some(pce) = site.pce {
+                            sim.schedule_timer(
+                                pce,
+                                detect_at.saturating_add(Ns(1)),
+                                Pce::provider_event_token(k, false),
+                            );
+                        }
+                    }
+                    DynEventKind::NodeDown { site } | DynEventKind::NodeUp { site } => {
+                        let i = site_index(site);
+                        let up = matches!(ev.kind, DynEventKind::NodeUp { .. });
+                        if let Some(target) = mapsys.node_of(&sites[i], i) {
+                            sim.schedule_node_admin(ev.at, target, up);
+                        }
+                        if let Some(rep) = replicas.filter(|_| !up) {
+                            let detect_at = ev.at.saturating_add(rep.detection_delay);
+                            let pce_port = pce_standby[i].map(|(_, port)| port);
+                            mapsys.take_over(&mut sim, detect_at, &sites[i], pce_port);
+                        }
+                    }
+                }
+            }
+        }
 
         World {
             sim,
@@ -2226,14 +1801,7 @@ impl ScenarioSpec {
             core,
             sites,
             infra_dns,
-            mr_node,
-            nerd_node,
-            alt_nodes,
-            cons_nodes,
-            mr_standby,
-            nerd_standby,
-            alt_standby,
-            cons_standby_nodes,
+            mapsys,
             attack_nodes,
         }
     }
@@ -2243,6 +1811,7 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use crate::scenario::flow_script;
+    use mapsys::{MapResolver, NerdAuthority};
 
     fn tcp_mode() -> FlowMode {
         FlowMode::Tcp {
@@ -2493,7 +2062,9 @@ mod tests {
     fn pull_recovers_via_probe_timeout_and_reresolution() {
         let w = recovery_world(CpKind::LispQueue);
         // The map-resolver applied the site's re-registration…
-        let mr = w.mr_node.expect("pull world");
+        let MapSystem::Resolver { primary: mr, .. } = w.mapsys else {
+            panic!("pull world");
+        };
         assert_eq!(w.sim.node_ref::<MapResolver>(mr).updates_applied, 1);
         // …and the probing ITR noticed the dead locator and re-resolved.
         let probe_timeouts: u64 = w
@@ -2514,7 +2085,9 @@ mod tests {
     #[test]
     fn nerd_recovers_via_full_repush() {
         let w = recovery_world(CpKind::Nerd);
-        let nerd = w.nerd_node.expect("nerd world");
+        let MapSystem::Nerd { primary: nerd, .. } = w.mapsys else {
+            panic!("nerd world");
+        };
         let auth = w.sim.node_ref::<NerdAuthority>(nerd);
         assert_eq!(auth.updates_applied, 1);
         assert!(auth.push_rounds >= 2, "boot push + failure re-push");

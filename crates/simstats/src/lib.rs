@@ -1,19 +1,9 @@
-//! `simstats` — statistics collection and reporting for the simulation
-//! experiments: counters, log-bucketed latency histograms with percentile
-//! queries, exact small-sample summaries, link-utilisation gauges, and a
-//! plain-text table renderer used by every experiment binary.
+//! `simstats` — the plain-text table renderer every experiment report
+//! prints through.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod counter;
-pub mod histogram;
-pub mod summary;
 pub mod table;
-pub mod timeseries;
 
-pub use counter::CounterSet;
-pub use histogram::Histogram;
-pub use summary::Summary;
 pub use table::Table;
-pub use timeseries::TimeSeries;

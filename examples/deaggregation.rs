@@ -43,10 +43,12 @@ fn run_cell(cp: CpKind, dest_count: usize, flows: usize) -> (u64, u64) {
         let xtr = world.sim.node_ref::<Xtr>(x);
         itr_state += xtr.cache.len() as u64 + xtr.flows.len() as u64;
     }
-    let push_bytes = world
-        .nerd_node
-        .map(|n| world.sim.node_ref::<NerdAuthority>(n).bytes_pushed)
-        .unwrap_or(0);
+    let push_bytes = match world.mapsys {
+        MapSystem::Nerd { primary, .. } => {
+            world.sim.node_ref::<NerdAuthority>(primary).bytes_pushed
+        }
+        _ => 0,
+    };
     (itr_state, push_bytes)
 }
 
