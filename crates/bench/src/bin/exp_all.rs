@@ -7,9 +7,8 @@
 //! exp_all                      # run the whole registry, print tables
 //! exp_all --only e2,e5         # a subset, in registry order
 //! exp_all --json out.json      # also write the typed JSON report
-//! exp_all --seed 7             # override the seed (or PCELISP_SEED)
-//! exp_all --jobs 4             # worker threads per sweep (0 = auto,
-//!                              # also the PCELISP_JOBS env variable)
+//! exp_all --seed 7             # override the seed (default 1)
+//! exp_all --jobs 4             # worker threads per sweep (0 = auto)
 //! exp_all --list               # list registered experiments and exit
 //! ```
 //!
@@ -24,7 +23,7 @@ use std::process::ExitCode;
 struct Args {
     json: Option<String>,
     only: Option<Vec<String>>,
-    seed: Option<u64>,
+    seed: u64,
     jobs: usize,
     list: bool,
 }
@@ -33,7 +32,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: None,
         only: None,
-        seed: None,
+        seed: 1,
         jobs: 0,
         list: false,
     };
@@ -54,7 +53,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = Some(v.parse().map_err(|_| format!("bad seed {v:?}"))?);
+                args.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a worker count (0 = auto)")?;
@@ -104,7 +103,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let seed = args.seed.unwrap_or_else(pcelisp_bench::seed);
+    let seed = args.seed;
     let selected: Vec<_> = registry
         .into_iter()
         .filter(|e| {

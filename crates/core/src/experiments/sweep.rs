@@ -14,8 +14,7 @@
 //!   environment variable) is on; completion order may interleave under
 //!   parallelism, which is why each line carries its own cell label.
 //!
-//! The `jobs` knob uses `0` to mean *auto* (resolve through the
-//! `PCELISP_JOBS` environment variable, then the machine's available
+//! The `jobs` knob uses `0` to mean *auto* (the machine's available
 //! parallelism); any other value is an explicit worker count. `jobs = 1`
 //! runs inline on the caller thread with no pool at all, so existing
 //! serial entry points pay nothing.
@@ -25,18 +24,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant; // detlint: allow(R2) -- wall-clock feeds only the PCELISP_PROGRESS stderr log, never a report or trace
 
 /// Resolve a `jobs` knob to a concrete worker count: `0` means auto —
-/// the `PCELISP_JOBS` environment variable if set to a positive number,
-/// otherwise [`available_jobs`].
+/// [`available_jobs`].
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs > 0 {
-        return jobs;
-    }
-    match std::env::var("PCELISP_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n,
-        _ => available_jobs(),
+        jobs
+    } else {
+        available_jobs()
     }
 }
 
@@ -108,7 +101,6 @@ mod tests {
 
     #[test]
     fn explicit_jobs_beats_env() {
-        // jobs > 0 never consults the environment.
         assert_eq!(resolve_jobs(3), 3);
         assert_eq!(resolve_jobs(1), 1);
     }

@@ -5,7 +5,7 @@
 //! DNS, xTRs, attackers, dynamics — and asks this module, by
 //! [`CpKind`], what the plane contributes: the xTR's resolution mode,
 //! miss policy and resolver failover list; the overlay address plan;
-//! the mapping nodes at the core ([`MapSystem::build`]); and the plane's
+//! the mapping nodes at the core (`MapSystem::build`); and the plane's
 //! dynamics hooks (re-registration, which node a crash targets, and
 //! push-side takeover). Adding a control plane means a [`CpKind`]
 //! variant in `scenario.rs` and its arms here.

@@ -5,8 +5,9 @@
 //! because the mapping has aged out, or simply because it was never
 //! requested before") is exactly what this structure models; experiment
 //! E6 sweeps its TTL against workload skew, E12 sweeps capacity and
-//! eviction policy under adversarial load (DESIGN.md §10), and the
-//! `mapcache` Criterion group tracks its lookup cost (DESIGN.md §5).
+//! eviction policy under adversarial load (DESIGN.md §10), and the repo
+//! benchmark's `lispdp.mapcache.*` cells track its lookup and
+//! insert/evict cost (DESIGN.md §5).
 
 use inet::{LpmTrie, Prefix};
 use lispwire::lispctl::MapRecord;

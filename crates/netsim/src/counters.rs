@@ -11,8 +11,9 @@
 // Audited non-conversion: `index` is a pure name-to-id lookup (get/insert
 // only, never iterated). Iteration and report order come from the
 // registration-ordered `names`/`values` Vecs, and `sorted()` sorts by name,
-// so map layout cannot reach traces. HashMap keeps `add_named` O(1) on the
-// per-event hot path (BENCH_engine.json pins the throughput).
+// so map layout cannot reach traces. HashMap keeps the by-name calls
+// (`register`, `get`, `id_of`) O(1): nodes register at start and on each
+// `LazyCounter`'s first use, and reports read counters by name.
 // detlint: allow-file(R1) -- name-to-id index: keyed get/insert only, never iterated; report order comes from the registration-ordered Vecs
 use std::collections::HashMap;
 
@@ -54,17 +55,6 @@ impl Counters {
     #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
         self.values[id.0 as usize] += n;
-    }
-
-    /// Add `n` to the counter called `name`, interning it on first use.
-    #[inline]
-    pub fn add_named(&mut self, name: &str, n: u64) {
-        if let Some(&id) = self.index.get(name) {
-            self.values[id.0 as usize] += n;
-        } else {
-            let id = self.register(name);
-            self.values[id.0 as usize] += n;
-        }
     }
 
     /// Value behind `id`.
@@ -170,7 +160,8 @@ mod tests {
         let mut c = Counters::new();
         let id = c.register("drops");
         c.add(id, 2);
-        c.add_named("drops", 3);
+        let again = c.register("drops");
+        c.add(again, 3);
         assert_eq!(c.value(id), 5);
         assert_eq!(c.get("drops"), 5);
         assert_eq!(c.id_of("drops"), Some(id));
@@ -185,19 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn add_named_registers_on_first_use() {
-        let mut c = Counters::new();
-        c.add_named("x", 7);
-        assert_eq!(c.get("x"), 7);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn sorted_is_by_name() {
         let mut c = Counters::new();
-        c.add_named("zeta", 1);
-        c.add_named("alpha", 2);
-        c.add_named("mid", 3);
+        for (name, n) in [("zeta", 1), ("alpha", 2), ("mid", 3)] {
+            let id = c.register(name);
+            c.add(id, n);
+        }
         let s = c.sorted();
         assert_eq!(s, vec![("alpha", 2), ("mid", 3), ("zeta", 1)]);
     }

@@ -34,9 +34,9 @@ use std::sync::atomic::AtomicU64;
 static PROCESS_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total events processed by every [`Sim`] in this process so far —
-/// including simulations that have already been dropped. End-to-end
-/// benchmarks (`bench_experiments`) diff this around a run to report an
-/// aggregate events/s figure without keeping every world alive.
+/// including simulations that have already been dropped. The repo
+/// benchmark diffs this around a run to report an aggregate events/s
+/// figure without keeping every world alive.
 pub fn process_events() -> u64 {
     PROCESS_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -237,7 +237,7 @@ pub mod queue_testing {
 /// `Sim<lispwire::Packet>` (typed packets, computed wire lengths);
 /// engine tests and benches use the default `Sim<Vec<u8>>`.
 pub struct Sim<P: Payload = Vec<u8>> {
-    nodes: Vec<Option<Box<dyn Node<P>>>>,
+    nodes: Vec<Box<dyn Node<P>>>,
     names: Vec<String>,
     ports: Vec<Vec<PortBinding>>,
     transmitters: Vec<Transmitter<P>>,
@@ -295,7 +295,7 @@ impl<P: Payload> Sim<P> {
     /// Register a node; returns its id.
     pub fn add_node(&mut self, name: &str, node: Box<dyn Node<P>>) -> NodeId {
         let id = self.nodes.len();
-        self.nodes.push(Some(node));
+        self.nodes.push(node);
         self.names.push(name.to_string());
         self.ports.push(Vec::new());
         self.node_up.push(true);
@@ -532,11 +532,9 @@ impl<P: Payload> Sim<P> {
     /// Mutable access to a node, downcast to its concrete type.
     ///
     /// # Panics
-    /// Panics if the type does not match or the node is mid-event.
+    /// Panics if the type does not match.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
         self.nodes[id]
-            .as_mut()
-            .expect("node is mid-event")
             .as_any()
             .downcast_mut::<T>()
             .expect("node type mismatch")
@@ -545,11 +543,9 @@ impl<P: Payload> Sim<P> {
     /// Immutable access to a node, downcast to its concrete type.
     ///
     /// # Panics
-    /// Panics if the type does not match or the node is mid-event.
+    /// Panics if the type does not match.
     pub fn node_ref<T: 'static>(&self, id: NodeId) -> &T {
         self.nodes[id]
-            .as_ref()
-            .expect("node is mid-event")
             .as_any_ref()
             .downcast_ref::<T>()
             .expect("node type mismatch")
@@ -575,11 +571,8 @@ impl<P: Payload> Sim<P> {
     ) {
         // Split borrows: the node lives in `self.nodes`, everything the
         // Ctx exposes lives in *other* fields, so the node can be handed
-        // out by `&mut` directly — no take/restore Option dance on the
-        // per-event hot path.
-        let Some(node) = self.nodes[node_id].as_deref_mut() else {
-            return; // node slot vacated (cannot happen single-threaded)
-        };
+        // out by `&mut` directly.
+        let node = &mut *self.nodes[node_id];
         let mut ctx = Ctx {
             now: self.now,
             node: node_id,

@@ -16,7 +16,7 @@ use pcelisp::experiments::e9_scale::run_scale_cell;
 use pcelisp::prelude::*;
 
 fn main() {
-    // The full sweep is `exp_scale` / `exp_all --only e9`; here a
+    // The full sweep is `exp_all --only e9`; here a
     // compact slice: three control planes at N ∈ {2, 8, 32}.
     let mut table = Table::new(
         "Scale slice: N destination sites, Zipf(1.0) cross-site popularity",
