@@ -10,7 +10,7 @@
 use lispwire::dnswire::Message;
 use lispwire::packet::{CtlMsg, Packet, PceMsg};
 use lispwire::tcpseg::TcpRepr;
-use lispwire::{Ipv4Address, Ipv4Repr, WireError, WireResult};
+use lispwire::{Ipv4Address, Ipv4Header, WireError, WireResult};
 
 /// A host-side packet factory bound to a local address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,7 @@ impl IpStack {
     pub fn new(addr: Ipv4Address) -> Self {
         Self {
             addr,
-            ttl: Ipv4Repr::DEFAULT_TTL,
+            ttl: Ipv4Header::DEFAULT_TTL,
         }
     }
 
@@ -92,7 +92,7 @@ mod tests {
         let pkt = stack.udp(1234, B, 53, b"query".to_vec());
         assert_eq!(pkt.src(), A);
         assert_eq!(pkt.dst(), B);
-        assert_eq!(pkt.ip().ttl, Ipv4Repr::DEFAULT_TTL);
+        assert_eq!(pkt.ip().ttl, Ipv4Header::DEFAULT_TTL);
         match &pkt {
             Packet::Udp { ports, payload, .. } => {
                 assert_eq!((ports.src, ports.dst), (1234, 53));
@@ -133,7 +133,7 @@ mod tests {
         let stack = IpStack::new(A);
         let mut pkt = stack.udp(1, B, 2, b"x".to_vec());
         forward_hop(&mut pkt).unwrap();
-        assert_eq!(pkt.ip().ttl, Ipv4Repr::DEFAULT_TTL - 1);
+        assert_eq!(pkt.ip().ttl, Ipv4Header::DEFAULT_TTL - 1);
         // Payload still valid after the hop (encode round-trips).
         assert_eq!(Packet::decode(&pkt.encode()).unwrap(), pkt);
     }

@@ -2,20 +2,22 @@
 //!
 //! Supports everything the simulated DNS hierarchy needs: queries and
 //! responses with A and NS records, iterative-referral responses
-//! (NS in authority section plus glue A records in additional), label
-//! codec with *parsing* of compression pointers (we emit uncompressed,
-//! like many simple servers do).
+//! (NS in authority section plus glue A records in additional). Names
+//! are written uncompressed, like many simple servers do, and nothing
+//! else produces DNS bytes, so the decoder rejects compression pointers
+//! as malformed labels.
 
 use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
+use crate::wire::{Reader, Writer};
 use core::fmt;
 
 /// Maximum length of a DNS name in presentation format we accept.
 pub const MAX_NAME_LEN: usize = 255;
 /// Maximum label length.
 pub const MAX_LABEL_LEN: usize = 63;
-/// Maximum number of compression pointers followed while parsing one name.
-const MAX_POINTER_HOPS: usize = 16;
+/// The class of every question and record here: IN.
+const CLASS_IN: u16 = 1;
 
 /// A fully-qualified domain name, stored lower-case without the trailing dot.
 ///
@@ -99,73 +101,33 @@ impl Name {
         }
     }
 
-    /// Emit uncompressed wire format (length-prefixed labels + zero byte).
-    pub fn emit(&self, out: &mut Vec<u8>) {
+    /// Write uncompressed wire format (length-prefixed labels + zero byte).
+    pub(crate) fn emit(&self, w: &mut Writer) {
         for label in self.labels() {
-            out.push(label.len() as u8);
-            out.extend_from_slice(label.as_bytes());
+            w.u8(label.len() as u8).bytes(label.as_bytes());
         }
-        out.push(0);
+        w.u8(0);
     }
 
-    /// Parse a name starting at `pos` in `msg` (the whole message, so that
-    /// compression pointers can be followed). Returns the name and the
-    /// offset just past the name *at the original position* (pointers do
-    /// not advance the cursor past their own two bytes).
-    pub fn parse(msg: &[u8], pos: usize) -> WireResult<(Name, usize)> {
+    /// Read an uncompressed name.
+    pub(crate) fn parse(r: &mut Reader) -> WireResult<Name> {
         let mut labels: Vec<String> = Vec::new();
-        let mut cursor = pos;
-        let mut end_of_name: Option<usize> = None;
-        let mut hops = 0usize;
         let mut total_len = 0usize;
         loop {
-            let len_byte = *msg.get(cursor).ok_or(WireError::Truncated)?;
-            match len_byte {
-                0 => {
-                    if end_of_name.is_none() {
-                        end_of_name = Some(cursor + 1);
-                    }
-                    break;
-                }
-                l if l & 0xc0 == 0xc0 => {
-                    // Compression pointer.
-                    let second = *msg.get(cursor + 1).ok_or(WireError::Truncated)?;
-                    let target = ((usize::from(l & 0x3f)) << 8) | usize::from(second);
-                    if end_of_name.is_none() {
-                        end_of_name = Some(cursor + 2);
-                    }
-                    // Only allow pointers that point strictly backwards,
-                    // which is what real encoders produce and rules out
-                    // loops in well-formed input; cap hops anyway.
-                    if target >= cursor {
-                        return Err(WireError::BadPointer);
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadPointer);
-                    }
-                    cursor = target;
-                }
-                l if l & 0xc0 != 0 => return Err(WireError::Malformed),
-                l => {
-                    let l = usize::from(l);
-                    let start = cursor + 1;
-                    let end = start + l;
-                    let bytes = msg.get(start..end).ok_or(WireError::Truncated)?;
-                    let label = core::str::from_utf8(bytes)
-                        .map_err(|_| WireError::Malformed)?
-                        .to_ascii_lowercase();
-                    total_len += l + 1;
-                    if total_len > MAX_NAME_LEN {
-                        return Err(WireError::Malformed);
-                    }
-                    labels.push(label);
-                    cursor = end;
-                }
+            let len = usize::from(r.u8()?);
+            if len == 0 {
+                return Ok(Name(labels.join(".")));
             }
+            if len > MAX_LABEL_LEN {
+                return Err(WireError::Malformed);
+            }
+            let label = core::str::from_utf8(r.bytes(len)?).map_err(|_| WireError::Malformed)?;
+            total_len += len + 1;
+            if total_len > MAX_NAME_LEN {
+                return Err(WireError::Malformed);
+            }
+            labels.push(label.to_ascii_lowercase());
         }
-        let name = Name(labels.join("."));
-        Ok((name, end_of_name.expect("end_of_name set before break")))
     }
 }
 
@@ -299,6 +261,20 @@ impl Record {
         }
     }
 
+    fn parse(r: &mut Reader) -> WireResult<Self> {
+        let name = Name::parse(r)?;
+        let (rtype, _class, ttl, rdlength) = (r.u16()?, r.u16()?, r.u32()?, r.u16()?);
+        let rdata = r.bytes(usize::from(rdlength))?;
+        let rdata = match RecordType::from(rtype) {
+            RecordType::A => Rdata::A(Ipv4Address(
+                rdata.try_into().map_err(|_| WireError::BadLength)?,
+            )),
+            RecordType::Ns => Rdata::Ns(Name::parse(&mut Reader::new(rdata))?),
+            RecordType::Other(_) => Rdata::Other(rdata.to_vec()),
+        };
+        Ok(Self { name, ttl, rdata })
+    }
+
     /// The record type implied by the rdata.
     pub fn rtype(&self) -> RecordType {
         match &self.rdata {
@@ -391,12 +367,7 @@ impl Message {
         for q in &self.questions {
             n += q.name.wire_len() + 4;
         }
-        for r in self
-            .answers
-            .iter()
-            .chain(&self.authority)
-            .chain(&self.additional)
-        {
+        for r in self.records() {
             n += r.name.wire_len() + 10;
             n += match &r.rdata {
                 Rdata::A(_) => 4,
@@ -407,125 +378,77 @@ impl Message {
         n
     }
 
-    /// Serialize to owned wire bytes (uncompressed names).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&self.id.to_be_bytes());
-        let mut flags: u16 = 0;
-        if self.is_response {
-            flags |= 0x8000;
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        let flags = u16::from(self.is_response) << 15
+            | u16::from(self.authoritative) << 10
+            | u16::from(self.recursion_desired) << 8
+            | u16::from(self.recursion_available) << 7
+            | u16::from(u8::from(self.rcode));
+        w.u16(self.id).u16(flags);
+        for count in [
+            self.questions.len(),
+            self.answers.len(),
+            self.authority.len(),
+            self.additional.len(),
+        ] {
+            w.u16(count as u16);
         }
-        if self.authoritative {
-            flags |= 0x0400;
-        }
-        if self.recursion_desired {
-            flags |= 0x0100;
-        }
-        if self.recursion_available {
-            flags |= 0x0080;
-        }
-        flags |= u16::from(u8::from(self.rcode));
-        out.extend_from_slice(&flags.to_be_bytes());
-        out.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.authority.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.additional.len() as u16).to_be_bytes());
         for q in &self.questions {
-            q.name.emit(&mut out);
-            out.extend_from_slice(&u16::from(q.qtype).to_be_bytes());
-            out.extend_from_slice(&1u16.to_be_bytes()); // class IN
+            q.name.emit(w);
+            w.u16(q.qtype.into()).u16(CLASS_IN);
         }
-        for r in self
-            .answers
-            .iter()
-            .chain(&self.authority)
-            .chain(&self.additional)
-        {
-            r.name.emit(&mut out);
-            out.extend_from_slice(&u16::from(r.rtype()).to_be_bytes());
-            out.extend_from_slice(&1u16.to_be_bytes());
-            out.extend_from_slice(&r.ttl.to_be_bytes());
+        for r in self.records() {
+            r.name.emit(w);
+            w.u16(r.rtype().into()).u16(CLASS_IN).u32(r.ttl);
             match &r.rdata {
                 Rdata::A(a) => {
-                    out.extend_from_slice(&4u16.to_be_bytes());
-                    out.extend_from_slice(&a.0);
+                    w.u16(4).addr(*a);
                 }
                 Rdata::Ns(n) => {
-                    out.extend_from_slice(&(n.wire_len() as u16).to_be_bytes());
-                    n.emit(&mut out);
+                    w.u16(n.wire_len() as u16);
+                    n.emit(w);
                 }
                 Rdata::Other(bytes) => {
-                    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                    out.extend_from_slice(bytes);
+                    w.u16(bytes.len() as u16).bytes(bytes);
                 }
             }
         }
-        out
+    }
+
+    /// Every resource record, answers then authority then additional.
+    fn records(&self) -> impl Iterator<Item = &Record> {
+        self.answers
+            .iter()
+            .chain(&self.authority)
+            .chain(&self.additional)
+    }
+
+    /// Serialize to owned wire bytes (uncompressed names).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        Writer::collect(|w| self.emit(w))
     }
 
     /// Parse from wire bytes.
     pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < 12 {
-            return Err(WireError::Truncated);
-        }
-        let id = u16::from_be_bytes([buf[0], buf[1]]);
-        let flags = u16::from_be_bytes([buf[2], buf[3]]);
-        let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-        let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
-        let nscount = u16::from_be_bytes([buf[8], buf[9]]) as usize;
-        let arcount = u16::from_be_bytes([buf[10], buf[11]]) as usize;
-        let mut pos = 12;
-
-        let mut questions = Vec::with_capacity(qdcount.min(8));
-        for _ in 0..qdcount {
-            let (name, next) = Name::parse(buf, pos)?;
-            pos = next;
-            let qt = buf.get(pos..pos + 2).ok_or(WireError::Truncated)?;
-            let qtype = RecordType::from(u16::from_be_bytes([qt[0], qt[1]]));
-            pos += 4; // skip qtype + qclass
-            if pos > buf.len() {
-                return Err(WireError::Truncated);
-            }
-            questions.push(Question { name, qtype });
-        }
-
-        let parse_records = |pos: &mut usize, count: usize| -> WireResult<Vec<Record>> {
-            let mut records = Vec::with_capacity(count.min(16));
-            for _ in 0..count {
-                let (name, next) = Name::parse(buf, *pos)?;
-                *pos = next;
-                let hdr = buf.get(*pos..*pos + 10).ok_or(WireError::Truncated)?;
-                let rtype = RecordType::from(u16::from_be_bytes([hdr[0], hdr[1]]));
-                let ttl = u32::from_be_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]);
-                let rdlength = u16::from_be_bytes([hdr[8], hdr[9]]) as usize;
-                *pos += 10;
-                let rdata_start = *pos;
-                let rdata_bytes = buf
-                    .get(rdata_start..rdata_start + rdlength)
-                    .ok_or(WireError::Truncated)?;
-                let rdata = match rtype {
-                    RecordType::A => {
-                        if rdlength != 4 {
-                            return Err(WireError::BadLength);
-                        }
-                        Rdata::A(Ipv4Address(rdata_bytes.try_into().unwrap()))
-                    }
-                    RecordType::Ns => {
-                        let (n, _) = Name::parse(buf, rdata_start)?;
-                        Rdata::Ns(n)
-                    }
-                    RecordType::Other(_) => Rdata::Other(rdata_bytes.to_vec()),
-                };
-                *pos += rdlength;
-                records.push(Record { name, ttl, rdata });
-            }
-            Ok(records)
+        let mut r = Reader::new(buf);
+        let (id, flags) = (r.u16()?, r.u16()?);
+        let [qdcount, ancount, nscount, arcount] = [r.u16()?, r.u16()?, r.u16()?, r.u16()?];
+        let questions = (0..qdcount)
+            .map(|_| {
+                let name = Name::parse(&mut r)?;
+                let (qtype, _class) = (r.u16()?, r.u16()?);
+                Ok(Question {
+                    name,
+                    qtype: qtype.into(),
+                })
+            })
+            .collect::<WireResult<_>>()?;
+        let mut records = |count: u16| -> WireResult<Vec<Record>> {
+            (0..count).map(|_| Record::parse(&mut r)).collect()
         };
-
-        let answers = parse_records(&mut pos, ancount)?;
-        let authority = parse_records(&mut pos, nscount)?;
-        let additional = parse_records(&mut pos, arcount)?;
-
+        let answers = records(ancount)?;
+        let authority = records(nscount)?;
+        let additional = records(arcount)?;
         Ok(Self {
             id,
             is_response: flags & 0x8000 != 0,
@@ -585,41 +508,23 @@ mod tests {
             "a.very.deep.sub.domain.example.org",
         ] {
             let n = name(s);
-            let mut out = Vec::new();
-            n.emit(&mut out);
+            let out = Writer::collect(|w| n.emit(w));
             assert_eq!(out.len(), n.wire_len());
-            let (parsed, next) = Name::parse(&out, 0).unwrap();
-            assert_eq!(parsed, n);
-            assert_eq!(next, out.len());
+            let mut r = Reader::new(&out);
+            assert_eq!(Name::parse(&mut r).unwrap(), n);
+            assert!(r.rest().is_empty());
         }
     }
 
     #[test]
-    fn name_compression_pointer_parsed() {
-        // Build: "example.com" at offset 0, then "www" + pointer to 0.
-        let base = name("example.com");
-        let mut msg = Vec::new();
-        base.emit(&mut msg);
-        let ptr_pos = msg.len();
-        msg.push(3);
-        msg.extend_from_slice(b"www");
-        msg.push(0xc0);
-        msg.push(0x00);
-        let (parsed, next) = Name::parse(&msg, ptr_pos).unwrap();
-        assert_eq!(parsed, name("www.example.com"));
-        assert_eq!(next, ptr_pos + 4 + 2);
-    }
-
-    #[test]
-    fn name_forward_pointer_rejected() {
-        let msg = [0xc0u8, 0x04, 0, 0, 0];
-        assert_eq!(Name::parse(&msg, 0).unwrap_err(), WireError::BadPointer);
-    }
-
-    #[test]
-    fn name_self_pointer_rejected() {
-        let msg = [0xc0u8, 0x00];
-        assert_eq!(Name::parse(&msg, 0).unwrap_err(), WireError::BadPointer);
+    fn name_pointer_is_a_malformed_label() {
+        // Nothing here compresses names, so a compression pointer is
+        // just an over-long label length.
+        let msg = [3, b'w', b'w', b'w', 0xc0, 0x00];
+        assert_eq!(
+            Name::parse(&mut Reader::new(&msg)).unwrap_err(),
+            WireError::Malformed
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Error type shared by all wire-format parsers.
+//! Error type shared by all wire-format decoders.
 
 use core::fmt;
 
-/// Errors that can occur while parsing or emitting a wire format.
+/// Errors that can occur while decoding a wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer is too short to contain the fixed header.
@@ -15,11 +15,6 @@ pub enum WireError {
     BadChecksum,
     /// A field holds a value that is not valid for this protocol.
     Malformed,
-    /// A DNS name used more compression pointers than we allow
-    /// (loop protection), or a pointer points forward.
-    BadPointer,
-    /// The provided output buffer is too small for `emit`.
-    BufferTooSmall,
     /// An unknown / unsupported message type code.
     UnknownType,
 }
@@ -32,8 +27,6 @@ impl fmt::Display for WireError {
             WireError::BadVersion => "unsupported version",
             WireError::BadChecksum => "checksum mismatch",
             WireError::Malformed => "malformed field",
-            WireError::BadPointer => "bad or looping compression pointer",
-            WireError::BufferTooSmall => "output buffer too small",
             WireError::UnknownType => "unknown message type",
         };
         f.write_str(s)

@@ -1,7 +1,10 @@
-//! IPv4 header (RFC 791, options unsupported), smoltcp-style typed view.
+//! IPv4 addresses, and the option-less IPv4 header (RFC 791) every
+//! [`Packet`](crate::Packet) is framed in.
 
 use crate::checksum;
 use crate::error::{WireError, WireResult};
+use crate::packet::Ipv4Header;
+use crate::wire::{Reader, Writer};
 use core::fmt;
 
 /// An IPv4 address.
@@ -11,8 +14,6 @@ pub struct Ipv4Address(pub [u8; 4]);
 impl Ipv4Address {
     /// The unspecified address `0.0.0.0`.
     pub const UNSPECIFIED: Self = Self([0; 4]);
-    /// The limited broadcast address `255.255.255.255`.
-    pub const BROADCAST: Self = Self([255; 4]);
 
     /// Construct from four octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
@@ -27,16 +28,6 @@ impl Ipv4Address {
     /// Convert to a host-order `u32` (useful for prefix arithmetic).
     pub const fn to_u32(self) -> u32 {
         u32::from_be_bytes(self.0)
-    }
-
-    /// True if this is a multicast address (`224.0.0.0/4`).
-    pub const fn is_multicast(self) -> bool {
-        self.0[0] & 0xf0 == 0xe0
-    }
-
-    /// True if this address is unspecified.
-    pub const fn is_unspecified(self) -> bool {
-        self.to_u32() == 0
     }
 }
 
@@ -58,387 +49,114 @@ impl From<[u8; 4]> for Ipv4Address {
     }
 }
 
-/// The protocol field of an IPv4 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IpProtocol {
-    /// ICMP (unused by the simulation but parseable).
-    Icmp,
-    /// TCP.
-    Tcp,
-    /// UDP.
-    Udp,
-    /// Any other protocol number.
-    Unknown(u8),
-}
-
-impl From<u8> for IpProtocol {
-    fn from(v: u8) -> Self {
-        match v {
-            1 => IpProtocol::Icmp,
-            6 => IpProtocol::Tcp,
-            17 => IpProtocol::Udp,
-            other => IpProtocol::Unknown(other),
-        }
-    }
-}
-
-impl From<IpProtocol> for u8 {
-    fn from(v: IpProtocol) -> u8 {
-        match v {
-            IpProtocol::Icmp => 1,
-            IpProtocol::Tcp => 6,
-            IpProtocol::Udp => 17,
-            IpProtocol::Unknown(other) => other,
-        }
-    }
-}
-
-impl fmt::Display for IpProtocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IpProtocol::Icmp => write!(f, "ICMP"),
-            IpProtocol::Tcp => write!(f, "TCP"),
-            IpProtocol::Udp => write!(f, "UDP"),
-            IpProtocol::Unknown(n) => write!(f, "proto-{n}"),
-        }
-    }
-}
-
 /// Length of the (option-less) IPv4 header.
 pub const HEADER_LEN: usize = 20;
 
-mod field {
-    use core::ops::Range;
-    pub const VER_IHL: usize = 0;
-    pub const DSCP: usize = 1;
-    pub const LENGTH: Range<usize> = 2..4;
-    pub const IDENT: Range<usize> = 4..6;
-    pub const FLAGS_FRAG: Range<usize> = 6..8;
-    pub const TTL: usize = 8;
-    pub const PROTOCOL: usize = 9;
-    pub const CHECKSUM: Range<usize> = 10..12;
-    pub const SRC: Range<usize> = 12..16;
-    pub const DST: Range<usize> = 16..20;
+/// The protocol number of TCP.
+pub(crate) const PROTO_TCP: u8 = 6;
+/// The protocol number of UDP.
+pub(crate) const PROTO_UDP: u8 = 17;
+
+/// Write `ip` (version 4, no options, DF set) and then `body`, and fill
+/// in the total length and the header checksum.
+pub(crate) fn emit(w: &mut Writer, ip: &Ipv4Header, protocol: u8, body: impl FnOnce(&mut Writer)) {
+    let start = w.len();
+    w.u16(0x4500).u16(0).u16(0).u16(0x4000);
+    w.u8(ip.ttl).u8(protocol).u16(0).addr(ip.src).addr(ip.dst);
+    body(w);
+    w.patch_len(start + 2, start);
+    let c = checksum::checksum(&w.since(start)[..HEADER_LEN]);
+    w.patch_u16(start + 10, c);
 }
 
-/// A typed view over a byte buffer containing an IPv4 packet.
-#[derive(Debug, Clone)]
-pub struct Ipv4Packet<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> Ipv4Packet<T> {
-    /// Wrap a buffer without validating it.
-    pub fn new_unchecked(buffer: T) -> Self {
-        Self { buffer }
+/// Read an IPv4 datagram, verifying its header checksum: the header,
+/// the protocol number and the payload the total-length field covers.
+pub(crate) fn parse(bytes: &[u8]) -> WireResult<(Ipv4Header, u8, &[u8])> {
+    let mut r = Reader::new(bytes);
+    let (ver_ihl, _dscp, total_len) = (r.u8()?, r.u8()?, r.u16()?);
+    let _ident_frag = r.u32()?;
+    let (ttl, protocol, _checksum) = (r.u8()?, r.u8()?, r.u16()?);
+    let (src, dst) = (r.addr()?, r.addr()?);
+    let header_len = usize::from(ver_ihl & 0x0f) * 4;
+    if header_len < HEADER_LEN {
+        return Err(WireError::Malformed);
     }
-
-    /// Wrap a buffer, validating the fixed header and the length field.
-    pub fn new_checked(buffer: T) -> WireResult<Self> {
-        let packet = Self::new_unchecked(buffer);
-        packet.check_len()?;
-        Ok(packet)
+    let datagram = bytes
+        .get(..usize::from(total_len))
+        .filter(|d| d.len() >= header_len)
+        .ok_or(WireError::BadLength)?;
+    if ver_ihl >> 4 != 4 {
+        return Err(WireError::BadVersion);
     }
-
-    /// Validate that the buffer holds at least a full header and that the
-    /// total-length field is consistent with the buffer.
-    pub fn check_len(&self) -> WireResult<()> {
-        let len = self.buffer.as_ref().len();
-        if len < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if self.header_len() < HEADER_LEN {
-            return Err(WireError::Malformed);
-        }
-        let total = self.total_len() as usize;
-        if total < self.header_len() || total > len {
-            return Err(WireError::BadLength);
-        }
-        Ok(())
+    if !checksum::verify(&datagram[..header_len]) {
+        return Err(WireError::BadChecksum);
     }
-
-    /// Unwrap, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
-    /// The version field (must be 4).
-    pub fn version(&self) -> u8 {
-        self.buffer.as_ref()[field::VER_IHL] >> 4
-    }
-
-    /// Header length in bytes (IHL × 4).
-    pub fn header_len(&self) -> usize {
-        usize::from(self.buffer.as_ref()[field::VER_IHL] & 0x0f) * 4
-    }
-
-    /// The DSCP/ECN byte.
-    pub fn dscp(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP]
-    }
-
-    /// The total length field.
-    pub fn total_len(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::LENGTH].try_into().unwrap())
-    }
-
-    /// The identification field.
-    pub fn ident(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::IDENT].try_into().unwrap())
-    }
-
-    /// The time-to-live field.
-    pub fn ttl(&self) -> u8 {
-        self.buffer.as_ref()[field::TTL]
-    }
-
-    /// The protocol field.
-    pub fn protocol(&self) -> IpProtocol {
-        IpProtocol::from(self.buffer.as_ref()[field::PROTOCOL])
-    }
-
-    /// The header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::CHECKSUM].try_into().unwrap())
-    }
-
-    /// The source address.
-    pub fn src_addr(&self) -> Ipv4Address {
-        Ipv4Address(self.buffer.as_ref()[field::SRC].try_into().unwrap())
-    }
-
-    /// The destination address.
-    pub fn dst_addr(&self) -> Ipv4Address {
-        Ipv4Address(self.buffer.as_ref()[field::DST].try_into().unwrap())
-    }
-
-    /// Verify the header checksum.
-    pub fn verify_checksum(&self) -> bool {
-        checksum::checksum(&self.buffer.as_ref()[..self.header_len()]) == 0
-    }
-
-    /// The payload as a sub-slice (based on the total-length field).
-    pub fn payload(&self) -> &[u8] {
-        let hl = self.header_len();
-        let total = self.total_len() as usize;
-        &self.buffer.as_ref()[hl..total]
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
-    /// Set the version and IHL for an option-less header.
-    pub fn set_version_ihl(&mut self) {
-        self.buffer.as_mut()[field::VER_IHL] = 0x45;
-    }
-
-    /// Set the DSCP/ECN byte.
-    pub fn set_dscp(&mut self, v: u8) {
-        self.buffer.as_mut()[field::DSCP] = v;
-    }
-
-    /// Set the total length field.
-    pub fn set_total_len(&mut self, v: u16) {
-        self.buffer.as_mut()[field::LENGTH].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the identification field.
-    pub fn set_ident(&mut self, v: u16) {
-        self.buffer.as_mut()[field::IDENT].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Zero the flags/fragment-offset field (no fragmentation support).
-    pub fn set_no_frag(&mut self) {
-        self.buffer.as_mut()[field::FLAGS_FRAG].copy_from_slice(&[0x40, 0x00]); // DF set
-    }
-
-    /// Set the TTL.
-    pub fn set_ttl(&mut self, v: u8) {
-        self.buffer.as_mut()[field::TTL] = v;
-    }
-
-    /// Decrement the TTL, returning the new value. The checksum must be
-    /// refreshed afterwards with [`Ipv4Packet::fill_checksum`].
-    pub fn decrement_ttl(&mut self) -> u8 {
-        let t = self.buffer.as_mut()[field::TTL].saturating_sub(1);
-        self.buffer.as_mut()[field::TTL] = t;
-        t
-    }
-
-    /// Set the protocol field.
-    pub fn set_protocol(&mut self, v: IpProtocol) {
-        self.buffer.as_mut()[field::PROTOCOL] = v.into();
-    }
-
-    /// Set the source address.
-    pub fn set_src_addr(&mut self, v: Ipv4Address) {
-        self.buffer.as_mut()[field::SRC].copy_from_slice(&v.0);
-    }
-
-    /// Set the destination address.
-    pub fn set_dst_addr(&mut self, v: Ipv4Address) {
-        self.buffer.as_mut()[field::DST].copy_from_slice(&v.0);
-    }
-
-    /// Compute and store the header checksum.
-    pub fn fill_checksum(&mut self) {
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
-        let hl = self.header_len();
-        let c = checksum::checksum(&self.buffer.as_ref()[..hl]);
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&c.to_be_bytes());
-    }
-
-    /// Mutable access to the payload region.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let hl = self.header_len();
-        let total = self.total_len() as usize;
-        &mut self.buffer.as_mut()[hl..total]
-    }
-}
-
-/// High-level representation of an IPv4 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ipv4Repr {
-    /// Source address.
-    pub src: Ipv4Address,
-    /// Destination address.
-    pub dst: Ipv4Address,
-    /// Upper-layer protocol.
-    pub protocol: IpProtocol,
-    /// Time to live.
-    pub ttl: u8,
-    /// Payload length in bytes.
-    pub payload_len: usize,
-}
-
-impl Ipv4Repr {
-    /// Default TTL used by simulated hosts (matches smoltcp's default).
-    pub const DEFAULT_TTL: u8 = 64;
-
-    /// Parse a representation from a checked packet view.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Ipv4Packet<T>) -> WireResult<Self> {
-        if packet.version() != 4 {
-            return Err(WireError::BadVersion);
-        }
-        if !packet.verify_checksum() {
-            return Err(WireError::BadChecksum);
-        }
-        Ok(Self {
-            src: packet.src_addr(),
-            dst: packet.dst_addr(),
-            protocol: packet.protocol(),
-            ttl: packet.ttl(),
-            payload_len: packet.total_len() as usize - packet.header_len(),
-        })
-    }
-
-    /// Total buffer length this representation needs.
-    pub fn buffer_len(&self) -> usize {
-        HEADER_LEN + self.payload_len
-    }
-
-    /// Emit the header into the view; the caller fills the payload
-    /// afterwards (or before — the checksum only covers the header).
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Ipv4Packet<T>) {
-        packet.set_version_ihl();
-        packet.set_dscp(0);
-        packet.set_total_len((HEADER_LEN + self.payload_len) as u16);
-        packet.set_ident(0);
-        packet.set_no_frag();
-        packet.set_ttl(self.ttl);
-        packet.set_protocol(self.protocol);
-        packet.set_src_addr(self.src);
-        packet.set_dst_addr(self.dst);
-        packet.fill_checksum();
-    }
-}
-
-/// Convenience: build a full IPv4 datagram as an owned byte vector.
-pub fn build_ipv4(repr: &Ipv4Repr, payload: &[u8]) -> Vec<u8> {
-    debug_assert_eq!(repr.payload_len, payload.len());
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    buf[HEADER_LEN..].copy_from_slice(payload);
-    let mut packet = Ipv4Packet::new_unchecked(&mut buf[..]);
-    repr.emit(&mut packet);
-    buf
+    let ip = Ipv4Header {
+        src,
+        dst,
+        ttl,
+        corrupt: None,
+    };
+    Ok((ip, protocol, &datagram[header_len..]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_repr() -> Ipv4Repr {
-        Ipv4Repr {
-            src: Ipv4Address::new(10, 0, 0, 1),
-            dst: Ipv4Address::new(12, 0, 0, 9),
-            protocol: IpProtocol::Udp,
-            ttl: 64,
-            payload_len: 4,
-        }
+    fn sample() -> (Ipv4Header, Vec<u8>) {
+        let ip = Ipv4Header::new(Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(12, 0, 0, 9));
+        let bytes = Writer::collect(|w| {
+            emit(w, &ip, PROTO_UDP, |w| {
+                w.bytes(&[1, 2, 3, 4]);
+            })
+        });
+        (ip, bytes)
     }
 
     #[test]
     fn emit_parse_roundtrip() {
-        let repr = sample_repr();
-        let bytes = build_ipv4(&repr, &[1, 2, 3, 4]);
-        let packet = Ipv4Packet::new_checked(&bytes[..]).unwrap();
-        assert!(packet.verify_checksum());
-        let parsed = Ipv4Repr::parse(&packet).unwrap();
-        assert_eq!(parsed, repr);
-        assert_eq!(packet.payload(), &[1, 2, 3, 4]);
+        let (ip, bytes) = sample();
+        assert_eq!(bytes.len(), HEADER_LEN + 4);
+        assert!(checksum::verify(&bytes[..HEADER_LEN]));
+        assert_eq!(parse(&bytes), Ok((ip, PROTO_UDP, &[1u8, 2, 3, 4][..])));
     }
 
     #[test]
     fn truncated_rejected() {
-        assert_eq!(
-            Ipv4Packet::new_checked(&[0u8; 10][..]).unwrap_err(),
-            WireError::Truncated
-        );
+        assert_eq!(parse(&[0x45; 10]).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
     fn bad_total_length_rejected() {
-        let repr = sample_repr();
-        let mut bytes = build_ipv4(&repr, &[1, 2, 3, 4]);
-        {
-            let mut p = Ipv4Packet::new_unchecked(&mut bytes[..]);
-            p.set_total_len(100); // longer than buffer
-        }
-        assert_eq!(
-            Ipv4Packet::new_checked(&bytes[..]).unwrap_err(),
-            WireError::BadLength
-        );
+        let (_, mut bytes) = sample();
+        bytes[3] = 100; // longer than the buffer
+        assert_eq!(parse(&bytes).unwrap_err(), WireError::BadLength);
+        bytes[3] = 19; // shorter than the header
+        assert_eq!(parse(&bytes).unwrap_err(), WireError::BadLength);
     }
 
     #[test]
     fn corrupted_header_fails_checksum() {
-        let repr = sample_repr();
-        let mut bytes = build_ipv4(&repr, &[1, 2, 3, 4]);
+        let (_, mut bytes) = sample();
         bytes[12] ^= 0xff; // flip a source-address byte
-        let packet = Ipv4Packet::new_checked(&bytes[..]).unwrap();
-        assert_eq!(
-            Ipv4Repr::parse(&packet).unwrap_err(),
-            WireError::BadChecksum
-        );
+        assert_eq!(parse(&bytes).unwrap_err(), WireError::BadChecksum);
     }
 
     #[test]
     fn ttl_decrement_and_refresh() {
-        let repr = sample_repr();
-        let mut bytes = build_ipv4(&repr, &[1, 2, 3, 4]);
-        let mut packet = Ipv4Packet::new_unchecked(&mut bytes[..]);
-        assert_eq!(packet.decrement_ttl(), 63);
-        packet.fill_checksum();
-        assert!(packet.verify_checksum());
-        assert_eq!(packet.ttl(), 63);
-    }
-
-    #[test]
-    fn ttl_saturates_at_zero() {
-        let mut repr = sample_repr();
-        repr.ttl = 0;
-        let mut bytes = build_ipv4(&repr, &[1, 2, 3, 4]);
-        let mut packet = Ipv4Packet::new_unchecked(&mut bytes[..]);
-        assert_eq!(packet.decrement_ttl(), 0);
+        // A forwarding hop's TTL decrement is a fresh emit: the
+        // checksum follows the header it covers.
+        let (ip, bytes) = sample();
+        let hop = ip.with_ttl(ip.ttl - 1);
+        let fwd = Writer::collect(|w| {
+            emit(w, &hop, PROTO_UDP, |w| {
+                w.bytes(&[1, 2, 3, 4]);
+            })
+        });
+        assert_eq!(fwd[8], 63);
+        assert_ne!(fwd[10..12], bytes[10..12]);
+        assert_eq!(parse(&fwd).unwrap().0.ttl, 63);
     }
 
     #[test]
@@ -446,20 +164,18 @@ mod tests {
         let a = Ipv4Address::new(10, 1, 2, 3);
         assert_eq!(a.to_string(), "10.1.2.3");
         assert_eq!(Ipv4Address::from_u32(a.to_u32()), a);
-        assert!(Ipv4Address::new(224, 0, 0, 1).is_multicast());
-        assert!(!a.is_multicast());
-        assert!(Ipv4Address::UNSPECIFIED.is_unspecified());
+        assert_eq!(Ipv4Address::from(a.0), a);
+        assert_eq!(Ipv4Address::UNSPECIFIED.to_u32(), 0);
     }
 
     #[test]
     fn protocol_codes_roundtrip() {
-        for p in [
-            IpProtocol::Icmp,
-            IpProtocol::Tcp,
-            IpProtocol::Udp,
-            IpProtocol::Unknown(99),
-        ] {
-            assert_eq!(IpProtocol::from(u8::from(p)), p);
+        let (_, bytes) = sample();
+        assert_eq!(bytes[9], 17);
+        for proto in [PROTO_TCP, PROTO_UDP, 1, 99] {
+            let ip = Ipv4Header::new(Ipv4Address::new(1, 1, 1, 1), Ipv4Address::new(2, 2, 2, 2));
+            let bytes = Writer::collect(|w| emit(w, &ip, proto, |_| {}));
+            assert_eq!(parse(&bytes).unwrap().1, proto);
         }
     }
 }

@@ -4,17 +4,17 @@
 //! value carried directly through the `netsim` event queue: byte accounting
 //! is computed from paired `wire_len` functions, and the real wire image is
 //! only materialized lazily ([`packet::Packet::encode`]) for traces, golden
-//! hashing and equivalence tests (DESIGN.md §9). The per-format byte codecs
-//! remain, in the style of
-//! [smoltcp](https://github.com/smoltcp-rs/smoltcp): a zero-copy typed view
-//! (`Packet<T: AsRef<[u8]>>`) giving field accessors over the raw buffer,
-//! plus a high-level representation (`Repr`) that can be parsed from and
-//! emitted into such a view — they implement `encode`/`decode` and pin the
-//! typed representation to the legacy byte path.
+//! hashing and equivalence tests (DESIGN.md §9). Encoding is the one
+//! direction the simulation uses: every layer writes into a single buffer
+//! through one private big-endian writer, which back-patches length and
+//! checksum fields once a layer's body is in place. The decoders
+//! ([`packet::Packet::decode`] and the `from_bytes` functions) read
+//! through a matching bounds-checked reader; they exist as the test oracle
+//! of the encoder.
 //!
 //! Formats provided:
 //!
-//! * [`ipv4`] — IPv4 headers (RFC 791 subset: no options).
+//! * [`ipv4`] — IPv4 addresses and the header (RFC 791 subset: no options).
 //! * [`udp`] — UDP datagrams (RFC 768).
 //! * [`tcpseg`] — a minimal TCP segment (handshake flags + seq numbers),
 //!   enough to measure connection-establishment latency.
@@ -22,11 +22,11 @@
 //!   (draft-farinacci-lisp-08 §5).
 //! * [`lispctl`] — LISP control messages: Map-Request and Map-Reply with
 //!   locator records (priority/weight), draft-farinacci-lisp-08 §6.
-//! * [`dnswire`] — DNS messages (RFC 1035 subset: header, QNAME label
-//!   codec with compression-pointer *parsing*, A/NS questions and records).
-//! * [`pcewire`] — the paper's step-6 encapsulation: a UDP payload on the
-//!   special port `P` carrying the original DNS reply plus an EID-to-RLOC
-//!   mapping record (Fig. 1 of the paper).
+//! * [`dnswire`] — DNS messages (RFC 1035 subset: header, uncompressed
+//!   QNAME labels, A/NS questions and records).
+//! * [`pcewire`] — the paper's PCE messages, among them the step-6
+//!   encapsulation: a UDP payload on the special port `P` carrying the
+//!   original DNS reply plus an EID-to-RLOC mapping record (Fig. 1).
 //! * [`packet`] — the typed in-simulator packet ([`Packet`]) implementing
 //!   [`netsim::Payload`]: one variant per protocol stack, structural LISP
 //!   encapsulation, computed wire lengths.
@@ -46,11 +46,11 @@ pub mod packet;
 pub mod pcewire;
 pub mod tcpseg;
 pub mod udp;
+mod wire;
 
 pub use error::{WireError, WireResult};
-pub use ipv4::{IpProtocol, Ipv4Address, Ipv4Packet, Ipv4Repr};
+pub use ipv4::Ipv4Address;
 pub use packet::{ConsMsg, CtlMsg, Ipv4Header, Packet, PceMsg, UdpPorts};
-pub use udp::{UdpPacket, UdpRepr};
 
 /// Well-known simulated port numbers used throughout the reproduction.
 pub mod ports {

@@ -20,94 +20,16 @@
 //! +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+
 //! ```
 
-use crate::error::{WireError, WireResult};
+use crate::error::WireResult;
+use crate::wire::{Reader, Writer};
 
 /// Length of the LISP data header.
 pub const HEADER_LEN: usize = 8;
 
-/// A typed view over a LISP data header followed by the inner packet.
-#[derive(Debug, Clone)]
-pub struct LispPacket<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> LispPacket<T> {
-    /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        Self { buffer }
-    }
-
-    /// Wrap, checking the minimum length.
-    pub fn new_checked(buffer: T) -> WireResult<Self> {
-        let p = Self::new_unchecked(buffer);
-        if p.buffer.as_ref().len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(p)
-    }
-
-    /// N bit: nonce present.
-    pub fn nonce_present(&self) -> bool {
-        self.buffer.as_ref()[0] & 0x80 != 0
-    }
-
-    /// L bit: locator-status-bits field enabled.
-    pub fn lsb_enabled(&self) -> bool {
-        self.buffer.as_ref()[0] & 0x40 != 0
-    }
-
-    /// E bit: echo-nonce request.
-    pub fn echo_nonce(&self) -> bool {
-        self.buffer.as_ref()[0] & 0x20 != 0
-    }
-
-    /// The 24-bit nonce.
-    pub fn nonce(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        u32::from_be_bytes([0, b[1], b[2], b[3]])
-    }
-
-    /// The locator-status-bits / instance-id word.
-    pub fn lsb(&self) -> u32 {
-        u32::from_be_bytes(self.buffer.as_ref()[4..8].try_into().unwrap())
-    }
-
-    /// The encapsulated (inner) packet.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..]
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> LispPacket<T> {
-    /// Set the flag bits (N, L, E as bools; reserved bits zeroed).
-    pub fn set_flags(&mut self, nonce_present: bool, lsb_enabled: bool, echo_nonce: bool) {
-        let mut b = 0u8;
-        if nonce_present {
-            b |= 0x80;
-        }
-        if lsb_enabled {
-            b |= 0x40;
-        }
-        if echo_nonce {
-            b |= 0x20;
-        }
-        self.buffer.as_mut()[0] = b;
-    }
-
-    /// Set the 24-bit nonce (upper byte of the argument is ignored).
-    pub fn set_nonce(&mut self, nonce: u32) {
-        let b = nonce.to_be_bytes();
-        let buf = self.buffer.as_mut();
-        buf[1] = b[1];
-        buf[2] = b[2];
-        buf[3] = b[3];
-    }
-
-    /// Set the locator-status-bits word.
-    pub fn set_lsb(&mut self, lsb: u32) {
-        self.buffer.as_mut()[4..8].copy_from_slice(&lsb.to_be_bytes());
-    }
-}
+/// The N bit: nonce present.
+const N_BIT: u32 = 0x8000_0000;
+/// The L bit: locator-status-bits field enabled.
+const L_BIT: u32 = 0x4000_0000;
 
 /// High-level representation of a LISP data header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,59 +61,61 @@ impl LispRepr {
         }
     }
 
-    /// Parse from a checked view.
-    pub fn parse<T: AsRef<[u8]>>(packet: &LispPacket<T>) -> WireResult<Self> {
+    /// Write the header (the E bit and the reserved flags stay clear;
+    /// only the low 24 bits of `nonce` are sent).
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        let mut first = self.nonce & 0x00ff_ffff;
+        if self.nonce_present {
+            first |= N_BIT;
+        }
+        if self.lsb_enabled {
+            first |= L_BIT;
+        }
+        w.u32(first).u32(self.lsb);
+    }
+
+    /// Read the header.
+    pub(crate) fn parse(r: &mut Reader) -> WireResult<Self> {
+        let first = r.u32()?;
         Ok(Self {
-            nonce: packet.nonce(),
-            nonce_present: packet.nonce_present(),
-            lsb: packet.lsb(),
-            lsb_enabled: packet.lsb_enabled(),
+            nonce: first & 0x00ff_ffff,
+            nonce_present: first & N_BIT != 0,
+            lsb: r.u32()?,
+            lsb_enabled: first & L_BIT != 0,
         })
     }
-
-    /// Buffer length needed for header plus inner packet.
-    pub fn buffer_len(&self, inner_len: usize) -> usize {
-        HEADER_LEN + inner_len
-    }
-
-    /// Emit the header.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut LispPacket<T>) {
-        packet.set_flags(self.nonce_present, self.lsb_enabled, false);
-        packet.set_nonce(self.nonce);
-        packet.set_lsb(self.lsb);
-    }
-}
-
-/// Convenience: encapsulate `inner` behind a LISP data header.
-pub fn encapsulate(repr: &LispRepr, inner: &[u8]) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + inner.len()];
-    buf[HEADER_LEN..].copy_from_slice(inner);
-    let mut packet = LispPacket::new_unchecked(&mut buf[..]);
-    repr.emit(&mut packet);
-    buf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WireError;
+
+    fn roundtrip_of(repr: &LispRepr) -> (Vec<u8>, LispRepr) {
+        let bytes = Writer::collect(|w| repr.emit(w));
+        let parsed = LispRepr::parse(&mut Reader::new(&bytes)).unwrap();
+        (bytes, parsed)
+    }
 
     #[test]
     fn roundtrip() {
         let repr = LispRepr::with_nonce(0x00abcdef, 2);
-        let bytes = encapsulate(&repr, b"inner-packet");
-        let packet = LispPacket::new_checked(&bytes[..]).unwrap();
-        let parsed = LispRepr::parse(&packet).unwrap();
+        let (bytes, parsed) = roundtrip_of(&repr);
+        assert_eq!(bytes, [0xc0, 0xab, 0xcd, 0xef, 0, 0, 0, 3]);
         assert_eq!(parsed, repr);
-        assert_eq!(packet.payload(), b"inner-packet");
     }
 
     #[test]
     fn nonce_is_24_bits() {
         let repr = LispRepr::with_nonce(0xffff_ffff, 1);
         assert_eq!(repr.nonce, 0x00ff_ffff);
-        let bytes = encapsulate(&repr, &[]);
-        let packet = LispPacket::new_checked(&bytes[..]).unwrap();
-        assert_eq!(packet.nonce(), 0x00ff_ffff);
+        let wide = LispRepr {
+            nonce: 0xffff_ffff,
+            ..repr
+        };
+        let (bytes, parsed) = roundtrip_of(&wide);
+        assert_eq!(bytes[0], 0xc0);
+        assert_eq!(parsed, repr);
     }
 
     #[test]
@@ -206,23 +130,21 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert_eq!(
-            LispPacket::new_checked(&[0u8; 7][..]).unwrap_err(),
+            LispRepr::parse(&mut Reader::new(&[0u8; 7])).unwrap_err(),
             WireError::Truncated
         );
     }
 
     #[test]
     fn flags_independent() {
-        let mut buf = [0u8; HEADER_LEN];
-        let mut p = LispPacket::new_unchecked(&mut buf[..]);
-        p.set_flags(true, false, true);
-        p.set_nonce(42);
-        p.set_lsb(7);
-        let p = LispPacket::new_checked(&buf[..]).unwrap();
-        assert!(p.nonce_present());
-        assert!(!p.lsb_enabled());
-        assert!(p.echo_nonce());
-        assert_eq!(p.nonce(), 42);
-        assert_eq!(p.lsb(), 7);
+        for (nonce_present, lsb_enabled) in [(true, false), (false, true), (false, false)] {
+            let repr = LispRepr {
+                nonce: 42,
+                nonce_present,
+                lsb: 7,
+                lsb_enabled,
+            };
+            assert_eq!(roundtrip_of(&repr).1, repr);
+        }
     }
 }

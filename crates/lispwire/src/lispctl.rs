@@ -27,6 +27,7 @@
 
 use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
+use crate::wire::{Reader, Writer};
 use std::sync::Arc;
 
 /// Message type code for Map-Request.
@@ -67,26 +68,20 @@ impl Locator {
         }
     }
 
-    fn emit(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rloc.0);
-        out.push(self.priority);
-        out.push(self.weight);
-        out.push(if self.reachable { 0x01 } else { 0x00 });
-        out.push(0);
+    fn emit(&self, w: &mut Writer) {
+        w.addr(self.rloc).u8(self.priority).u8(self.weight);
+        w.u8(u8::from(self.reachable)).u8(0);
     }
 
-    fn parse(buf: &[u8]) -> WireResult<(Self, &[u8])> {
-        if buf.len() < Self::WIRE_LEN {
-            return Err(WireError::Truncated);
-        }
-        let rloc = Ipv4Address([buf[0], buf[1], buf[2], buf[3]]);
-        let loc = Self {
+    fn parse(r: &mut Reader) -> WireResult<Self> {
+        let rloc = r.addr()?;
+        let [priority, weight, flags, _] = r.array()?;
+        Ok(Self {
             rloc,
-            priority: buf[4],
-            weight: buf[5],
-            reachable: buf[6] & 0x01 != 0,
-        };
-        Ok((loc, &buf[Self::WIRE_LEN..]))
+            priority,
+            weight,
+            reachable: flags & 0x01 != 0,
+        })
     }
 }
 
@@ -119,45 +114,29 @@ impl MapRecord {
         8 + self.locators.len() * Locator::WIRE_LEN
     }
 
-    /// Append wire bytes to `out`.
-    pub fn emit(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.eid_prefix.0);
-        out.push(self.prefix_len);
-        out.push(self.locators.len() as u8);
-        out.extend_from_slice(&self.ttl_minutes.to_be_bytes());
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        w.addr(self.eid_prefix).u8(self.prefix_len);
+        w.u8(self.locators.len() as u8).u16(self.ttl_minutes);
         for l in &self.locators {
-            l.emit(out);
+            l.emit(w);
         }
     }
 
-    /// Parse one record, returning the remaining bytes.
-    pub fn parse(buf: &[u8]) -> WireResult<(Self, &[u8])> {
-        if buf.len() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let eid_prefix = Ipv4Address([buf[0], buf[1], buf[2], buf[3]]);
-        let prefix_len = buf[4];
+    pub(crate) fn parse(r: &mut Reader) -> WireResult<Self> {
+        let eid_prefix = r.addr()?;
+        let [prefix_len, locator_count] = r.array()?;
+        let ttl_minutes = r.u16()?;
         if prefix_len > 32 {
             return Err(WireError::Malformed);
         }
-        let locator_count = buf[5] as usize;
-        let ttl_minutes = u16::from_be_bytes([buf[6], buf[7]]);
-        let mut rest = &buf[8..];
-        let mut locators = Vec::with_capacity(locator_count);
-        for _ in 0..locator_count {
-            let (l, r) = Locator::parse(rest)?;
-            locators.push(l);
-            rest = r;
-        }
-        Ok((
-            Self {
-                eid_prefix,
-                prefix_len,
-                ttl_minutes,
-                locators,
-            },
-            rest,
-        ))
+        Ok(Self {
+            eid_prefix,
+            prefix_len,
+            ttl_minutes,
+            locators: (0..locator_count)
+                .map(|_| Locator::parse(r))
+                .collect::<WireResult<_>>()?,
+        })
     }
 
     /// The best locator: lowest priority among reachable ones, ties broken
@@ -168,6 +147,10 @@ impl MapRecord {
             .filter(|l| l.reachable && l.priority < 255)
             .min_by_key(|l| (l.priority, core::cmp::Reverse(l.weight), l.rloc))
     }
+}
+
+fn parse_records(r: &mut Reader, count: u16) -> WireResult<Vec<MapRecord>> {
+    (0..count).map(|_| MapRecord::parse(r)).collect()
 }
 
 /// A Map-Request control message.
@@ -189,33 +172,25 @@ impl MapRequest {
     /// Wire length of a Map-Request.
     pub const WIRE_LEN: usize = 4 + 8 + 4 + 4 + 4;
 
-    /// Serialize to owned bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
-        out.push(TYPE_MAP_REQUEST);
-        out.push(0);
-        out.extend_from_slice(&self.hop_count.to_be_bytes());
-        out.extend_from_slice(&self.nonce.to_be_bytes());
-        out.extend_from_slice(&self.source_eid.0);
-        out.extend_from_slice(&self.target_eid.0);
-        out.extend_from_slice(&self.itr_rloc.0);
-        out
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        w.u8(TYPE_MAP_REQUEST)
+            .u8(0)
+            .u16(self.hop_count)
+            .u64(self.nonce);
+        w.addr(self.source_eid)
+            .addr(self.target_eid)
+            .addr(self.itr_rloc);
     }
 
-    /// Parse from bytes.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < Self::WIRE_LEN {
-            return Err(WireError::Truncated);
-        }
-        if buf[0] != TYPE_MAP_REQUEST {
-            return Err(WireError::UnknownType);
-        }
+    /// Read the message that follows the type byte.
+    pub(crate) fn parse(r: &mut Reader) -> WireResult<Self> {
+        let _flags = r.u8()?;
         Ok(Self {
-            hop_count: u16::from_be_bytes([buf[2], buf[3]]),
-            nonce: u64::from_be_bytes(buf[4..12].try_into().unwrap()),
-            source_eid: Ipv4Address(buf[12..16].try_into().unwrap()),
-            target_eid: Ipv4Address(buf[16..20].try_into().unwrap()),
-            itr_rloc: Ipv4Address(buf[20..24].try_into().unwrap()),
+            hop_count: r.u16()?,
+            nonce: r.u64()?,
+            source_eid: r.addr()?,
+            target_eid: r.addr()?,
+            itr_rloc: r.addr()?,
         })
     }
 }
@@ -230,42 +205,25 @@ pub struct MapReply {
 }
 
 impl MapReply {
-    /// Exact length of [`MapReply::to_bytes`], computed.
+    /// Exact wire length, computed.
     pub fn wire_len(&self) -> usize {
-        12 + self.records.iter().map(|r| r.wire_len()).sum::<usize>()
+        12 + self.records.iter().map(MapRecord::wire_len).sum::<usize>()
     }
 
-    /// Serialize to owned bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(12 + self.records.iter().map(|r| r.wire_len()).sum::<usize>());
-        out.push(TYPE_MAP_REPLY);
-        out.push(0);
-        out.extend_from_slice(&(self.records.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.nonce.to_be_bytes());
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        w.u8(TYPE_MAP_REPLY)
+            .u8(0)
+            .u16(self.records.len() as u16)
+            .u64(self.nonce);
         for r in &self.records {
-            r.emit(&mut out);
+            r.emit(w);
         }
-        out
     }
 
-    /// Parse from bytes.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < 12 {
-            return Err(WireError::Truncated);
-        }
-        if buf[0] != TYPE_MAP_REPLY {
-            return Err(WireError::UnknownType);
-        }
-        let record_count = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        let nonce = u64::from_be_bytes(buf[4..12].try_into().unwrap());
-        let mut rest = &buf[12..];
-        let mut records = Vec::with_capacity(record_count.min(64));
-        for _ in 0..record_count {
-            let (r, next) = MapRecord::parse(rest)?;
-            records.push(r);
-            rest = next;
-        }
+    /// Read the message that follows the type byte.
+    pub(crate) fn parse(r: &mut Reader) -> WireResult<Self> {
+        let (_flags, count, nonce) = (r.u8()?, r.u16()?, r.u64()?);
+        let records = parse_records(r, count)?;
         Ok(Self { nonce, records })
     }
 }
@@ -286,50 +244,27 @@ pub struct DbPush {
 }
 
 impl DbPush {
-    /// Exact length of [`DbPush::to_bytes`], computed.
+    /// Exact wire length, computed.
     pub fn wire_len(&self) -> usize {
-        12 + self.records.iter().map(|r| r.wire_len()).sum::<usize>()
+        12 + self.records.iter().map(MapRecord::wire_len).sum::<usize>()
     }
 
-    /// Serialize to owned bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(TYPE_DB_PUSH);
-        out.push(0);
-        out.extend_from_slice(&(self.records.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.version.to_be_bytes());
-        out.extend_from_slice(&self.chunk.to_be_bytes());
-        out.extend_from_slice(&self.total_chunks.to_be_bytes());
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        w.u8(TYPE_DB_PUSH).u8(0).u16(self.records.len() as u16);
+        w.u32(self.version).u16(self.chunk).u16(self.total_chunks);
         for r in self.records.iter() {
-            r.emit(&mut out);
+            r.emit(w);
         }
-        out
     }
 
-    /// Parse from bytes.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < 12 {
-            return Err(WireError::Truncated);
-        }
-        if buf[0] != TYPE_DB_PUSH {
-            return Err(WireError::UnknownType);
-        }
-        let record_count = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        let version = u32::from_be_bytes(buf[4..8].try_into().unwrap());
-        let chunk = u16::from_be_bytes([buf[8], buf[9]]);
-        let total_chunks = u16::from_be_bytes([buf[10], buf[11]]);
-        let mut rest = &buf[12..];
-        let mut records = Vec::with_capacity(record_count.min(64));
-        for _ in 0..record_count {
-            let (r, next) = MapRecord::parse(rest)?;
-            records.push(r);
-            rest = next;
-        }
+    /// Read the message that follows the type byte.
+    pub(crate) fn parse(r: &mut Reader) -> WireResult<Self> {
+        let (_flags, count) = (r.u8()?, r.u16()?);
         Ok(Self {
-            version,
-            chunk,
-            total_chunks,
-            records: records.into(),
+            version: r.u32()?,
+            chunk: r.u16()?,
+            total_chunks: r.u16()?,
+            records: parse_records(r, count)?.into(),
         })
     }
 }
@@ -360,50 +295,42 @@ impl RlocProbe {
     /// Wire length of a probe / ack.
     pub const WIRE_LEN: usize = 4 + 8 + 4;
 
-    /// Serialize to owned bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
-        out.push(if self.ack {
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        let ty = if self.ack {
             TYPE_RLOC_PROBE_ACK
         } else {
             TYPE_RLOC_PROBE
-        });
-        out.push(0);
-        out.extend_from_slice(&[0, 0]);
-        out.extend_from_slice(&self.nonce.to_be_bytes());
-        out.extend_from_slice(&self.origin.0);
-        out
+        };
+        w.u8(ty).u8(0).u16(0).u64(self.nonce).addr(self.origin);
     }
 
-    /// Parse from bytes.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < Self::WIRE_LEN {
-            return Err(WireError::Truncated);
-        }
-        let ack = match buf[0] {
-            TYPE_RLOC_PROBE => false,
-            TYPE_RLOC_PROBE_ACK => true,
-            _ => return Err(WireError::UnknownType),
-        };
+    /// Read the message that follows the type byte (`ack` tells which
+    /// of the two it was).
+    pub(crate) fn parse(r: &mut Reader, ack: bool) -> WireResult<Self> {
+        let _flags_mbz = r.array::<3>()?;
         Ok(Self {
-            nonce: u64::from_be_bytes(buf[4..12].try_into().unwrap()),
-            origin: Ipv4Address(buf[12..16].try_into().unwrap()),
+            nonce: r.u64()?,
+            origin: r.addr()?,
             ack,
         })
     }
 }
 
-/// Peek the control-message type code of a buffer.
-pub fn message_type(buf: &[u8]) -> WireResult<u8> {
-    buf.first().copied().ok_or(WireError::Truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::CtlMsg;
 
     fn addr(a: u8, b: u8, c: u8, d: u8) -> Ipv4Address {
         Ipv4Address::new(a, b, c, d)
+    }
+
+    /// Encode `msg`, check its computed length, and decode it back.
+    fn roundtrip(msg: CtlMsg) -> (Vec<u8>, CtlMsg) {
+        let bytes = msg.to_bytes();
+        assert_eq!(bytes.len(), msg.wire_len());
+        let back = CtlMsg::from_bytes(&bytes).unwrap();
+        (bytes, back)
     }
 
     #[test]
@@ -415,10 +342,10 @@ mod tests {
             itr_rloc: addr(10, 0, 0, 1),
             hop_count: 16,
         };
-        let bytes = req.to_bytes();
+        let (bytes, back) = roundtrip(CtlMsg::Request(req));
         assert_eq!(bytes.len(), MapRequest::WIRE_LEN);
-        assert_eq!(MapRequest::from_bytes(&bytes).unwrap(), req);
-        assert_eq!(message_type(&bytes).unwrap(), TYPE_MAP_REQUEST);
+        assert_eq!(back, CtlMsg::Request(req));
+        assert_eq!(bytes[0], TYPE_MAP_REQUEST);
     }
 
     #[test]
@@ -438,8 +365,9 @@ mod tests {
                 MapRecord::host(addr(101, 2, 2, 2), addr(12, 0, 0, 1), 5),
             ],
         };
-        let bytes = reply.to_bytes();
-        assert_eq!(MapReply::from_bytes(&bytes).unwrap(), reply);
+        let (bytes, back) = roundtrip(CtlMsg::Reply(reply.clone()));
+        assert_eq!(bytes[0], TYPE_MAP_REPLY);
+        assert_eq!(back, CtlMsg::Reply(reply));
     }
 
     #[test]
@@ -493,9 +421,9 @@ mod tests {
             total_chunks: 3,
             records: Arc::from([MapRecord::host(addr(101, 2, 2, 2), addr(12, 0, 0, 1), 1440)]),
         };
-        let bytes = push.to_bytes();
-        assert_eq!(bytes.len(), push.wire_len());
-        assert_eq!(DbPush::from_bytes(&bytes).unwrap(), push);
+        let (bytes, back) = roundtrip(CtlMsg::DbPush(push.clone()));
+        assert_eq!(bytes[0], TYPE_DB_PUSH);
+        assert_eq!(back, CtlMsg::DbPush(push));
     }
 
     #[test]
@@ -506,11 +434,11 @@ mod tests {
                 origin: addr(10, 0, 0, 1),
                 ack,
             };
-            let bytes = p.to_bytes();
+            let (bytes, back) = roundtrip(CtlMsg::Probe(p));
             assert_eq!(bytes.len(), RlocProbe::WIRE_LEN);
-            assert_eq!(RlocProbe::from_bytes(&bytes).unwrap(), p);
+            assert_eq!(back, CtlMsg::Probe(p));
             assert_eq!(
-                message_type(&bytes).unwrap(),
+                bytes[0],
                 if ack {
                     TYPE_RLOC_PROBE_ACK
                 } else {
@@ -519,11 +447,7 @@ mod tests {
             );
         }
         assert_eq!(
-            RlocProbe::from_bytes(&[9u8; 16]).unwrap_err(),
-            WireError::UnknownType
-        );
-        assert_eq!(
-            RlocProbe::from_bytes(&[TYPE_RLOC_PROBE, 0, 0]).unwrap_err(),
+            CtlMsg::from_bytes(&[TYPE_RLOC_PROBE, 0, 0]).unwrap_err(),
             WireError::Truncated
         );
     }
@@ -537,28 +461,36 @@ mod tests {
             itr_rloc: addr(3, 3, 3, 3),
             hop_count: 1,
         };
-        let bytes = req.to_bytes();
-        assert_eq!(
-            MapReply::from_bytes(&bytes).unwrap_err(),
-            WireError::UnknownType
-        );
+        let mut bytes = CtlMsg::Request(req).to_bytes();
+        for ty in [0, 6, 9, 0xff] {
+            bytes[0] = ty;
+            assert_eq!(
+                CtlMsg::from_bytes(&bytes).unwrap_err(),
+                WireError::UnknownType
+            );
+        }
     }
 
     #[test]
     fn truncated_record_rejected() {
         let rec = MapRecord::host(addr(1, 1, 1, 1), addr(2, 2, 2, 2), 10);
-        let mut out = Vec::new();
-        rec.emit(&mut out);
-        out.truncate(out.len() - 1);
-        assert_eq!(MapRecord::parse(&out).unwrap_err(), WireError::Truncated);
+        let out = Writer::collect(|w| rec.emit(w));
+        assert_eq!(out.len(), rec.wire_len());
+        let short = &out[..out.len() - 1];
+        assert_eq!(
+            MapRecord::parse(&mut Reader::new(short)).unwrap_err(),
+            WireError::Truncated
+        );
     }
 
     #[test]
     fn bad_prefix_len_rejected() {
         let rec = MapRecord::host(addr(1, 1, 1, 1), addr(2, 2, 2, 2), 10);
-        let mut out = Vec::new();
-        rec.emit(&mut out);
+        let mut out = Writer::collect(|w| rec.emit(w));
         out[4] = 33;
-        assert_eq!(MapRecord::parse(&out).unwrap_err(), WireError::Malformed);
+        assert_eq!(
+            MapRecord::parse(&mut Reader::new(&out)).unwrap_err(),
+            WireError::Malformed
+        );
     }
 }

@@ -11,20 +11,24 @@
 //! ([`Packet::encode`]) for traces, golden hashing and the equivalence
 //! property tests — never on the simulation hot path.
 //!
-//! [`Packet::decode`] is the legacy byte decoder: it reconstructs a
-//! typed packet from real wire bytes using the checked/checksum-verified
-//! parsers (`Ipv4Packet`, `UdpRepr::parse`, …), pinning the typed
-//! representation to the pre-refactor byte path.
+//! `encode` writes every layer into one buffer: each header is written
+//! with placeholder length and checksum fields, its body follows, and
+//! the fields are back-patched. [`Packet::decode`] is `encode`'s test
+//! oracle and nothing else: it reads real wire bytes back into a typed
+//! packet, verifying every checksum on the way.
 
 use crate::dnswire::Message;
 use crate::error::{WireError, WireResult};
-use crate::ipv4::{build_ipv4, IpProtocol, Ipv4Address, Ipv4Packet, Ipv4Repr};
-use crate::lisp::{encapsulate, LispPacket, LispRepr};
-use crate::lispctl::{self, DbPush, MapRecord, MapReply, MapRequest, RlocProbe};
-use crate::pcewire::{self, IpcQueryNotice, PceDnsMapping, PceFlowMsg, PceKind};
+use crate::ipv4::{self, Ipv4Address, PROTO_TCP, PROTO_UDP};
+use crate::lisp::LispRepr;
+use crate::lispctl::{DbPush, MapRecord, MapReply, MapRequest, RlocProbe};
+use crate::lispctl::{TYPE_DB_PUSH, TYPE_MAP_REPLY, TYPE_MAP_REQUEST};
+use crate::lispctl::{TYPE_RLOC_PROBE, TYPE_RLOC_PROBE_ACK};
+use crate::pcewire::{IpcQueryNotice, PceFlowMsg};
 use crate::ports;
-use crate::tcpseg::{build_tcp, TcpPacket, TcpRepr};
-use crate::udp::{build_udp, UdpPacket, UdpRepr};
+use crate::tcpseg::TcpRepr;
+use crate::udp;
+use crate::wire::{Reader, Writer};
 
 /// The typed outer IPv4 header of a [`Packet`].
 ///
@@ -48,12 +52,15 @@ pub struct Ipv4Header {
 }
 
 impl Ipv4Header {
+    /// Default TTL used by simulated hosts (matches smoltcp's default).
+    pub const DEFAULT_TTL: u8 = 64;
+
     /// A header with the default TTL and no corruption.
     pub fn new(src: Ipv4Address, dst: Ipv4Address) -> Self {
         Self {
             src,
             dst,
-            ttl: Ipv4Repr::DEFAULT_TTL,
+            ttl: Self::DEFAULT_TTL,
             corrupt: None,
         }
     }
@@ -117,29 +124,33 @@ impl CtlMsg {
         }
     }
 
-    /// Serialize with the legacy codecs.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self, w: &mut Writer) {
         match self {
-            CtlMsg::Request(r) => r.to_bytes(),
-            CtlMsg::Reply(r) => r.to_bytes(),
-            CtlMsg::DbPush(p) => p.to_bytes(),
-            CtlMsg::Probe(p) => p.to_bytes(),
-            CtlMsg::Cons(c) => c.to_bytes(),
+            CtlMsg::Request(r) => r.emit(w),
+            CtlMsg::Reply(r) => r.emit(w),
+            CtlMsg::DbPush(p) => p.emit(w),
+            CtlMsg::Probe(p) => p.emit(w),
+            CtlMsg::Cons(c) => c.emit(w),
         }
     }
 
-    /// Parse with the legacy codecs, classifying by the type byte.
+    /// Serialize to owned bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        Writer::collect(|w| self.emit(w))
+    }
+
+    /// Parse, classifying by the type byte.
     pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        match lispctl::message_type(buf)? {
-            lispctl::TYPE_MAP_REQUEST => Ok(CtlMsg::Request(MapRequest::from_bytes(buf)?)),
-            lispctl::TYPE_MAP_REPLY => Ok(CtlMsg::Reply(MapReply::from_bytes(buf)?)),
-            lispctl::TYPE_DB_PUSH => Ok(CtlMsg::DbPush(DbPush::from_bytes(buf)?)),
-            lispctl::TYPE_RLOC_PROBE | lispctl::TYPE_RLOC_PROBE_ACK => {
-                Ok(CtlMsg::Probe(RlocProbe::from_bytes(buf)?))
-            }
-            CONS_MAGIC => Ok(CtlMsg::Cons(ConsMsg::from_bytes(buf)?)),
-            _ => Err(WireError::UnknownType),
-        }
+        let mut r = Reader::new(buf);
+        Ok(match r.u8()? {
+            TYPE_MAP_REQUEST => CtlMsg::Request(MapRequest::parse(&mut r)?),
+            TYPE_MAP_REPLY => CtlMsg::Reply(MapReply::parse(&mut r)?),
+            TYPE_DB_PUSH => CtlMsg::DbPush(DbPush::parse(&mut r)?),
+            TYPE_RLOC_PROBE => CtlMsg::Probe(RlocProbe::parse(&mut r, false)?),
+            TYPE_RLOC_PROBE_ACK => CtlMsg::Probe(RlocProbe::parse(&mut r, true)?),
+            CONS_MAGIC => CtlMsg::Cons(ConsMsg::parse(&mut r)?),
+            _ => return Err(WireError::UnknownType),
+        })
     }
 }
 
@@ -165,50 +176,28 @@ pub struct ConsMsg {
 }
 
 impl ConsMsg {
-    /// Exact length of [`ConsMsg::to_bytes`], computed.
+    /// Exact wire length, computed.
     pub fn wire_len(&self) -> usize {
         9 + self.via.len() * 4 + self.inner.wire_len()
     }
 
-    /// Serialize.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let inner = self.inner.to_bytes();
-        let mut out = Vec::with_capacity(9 + self.via.len() * 4 + inner.len());
-        out.push(CONS_MAGIC);
-        out.push(u8::from(self.is_reply));
-        out.extend_from_slice(&self.orig_itr.0);
-        out.push(self.via.len() as u8);
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        w.u8(CONS_MAGIC)
+            .u8(u8::from(self.is_reply))
+            .addr(self.orig_itr);
+        w.u8(self.via.len() as u8);
         for v in &self.via {
-            out.extend_from_slice(&v.0);
+            w.addr(*v);
         }
-        out.extend_from_slice(&(inner.len() as u16).to_be_bytes());
-        out.extend_from_slice(&inner);
-        out
+        w.len_prefixed(|w| self.inner.emit(w));
     }
 
-    /// Parse.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < 9 {
-            return Err(WireError::Truncated);
-        }
-        if buf[0] != CONS_MAGIC {
-            return Err(WireError::UnknownType);
-        }
-        let is_reply = buf[1] != 0;
-        let orig_itr = Ipv4Address(buf[2..6].try_into().unwrap());
-        let n = buf[6] as usize;
-        let mut pos = 7;
-        let mut via = Vec::with_capacity(n);
-        for _ in 0..n {
-            let b = buf.get(pos..pos + 4).ok_or(WireError::Truncated)?;
-            via.push(Ipv4Address(b.try_into().unwrap()));
-            pos += 4;
-        }
-        let lb = buf.get(pos..pos + 2).ok_or(WireError::Truncated)?;
-        let len = u16::from_be_bytes([lb[0], lb[1]]) as usize;
-        pos += 2;
-        let inner_bytes = buf.get(pos..pos + len).ok_or(WireError::Truncated)?;
-        let inner = Box::new(CtlMsg::from_bytes(inner_bytes)?);
+    /// Read the wrapper that follows the magic byte.
+    fn parse(r: &mut Reader) -> WireResult<Self> {
+        let (is_reply, orig_itr) = (r.u8()? != 0, r.addr()?);
+        let via = (0..r.u8()?).map(|_| r.addr()).collect::<WireResult<_>>()?;
+        let inner_len = r.u16()?;
+        let inner = Box::new(CtlMsg::from_bytes(r.bytes(usize::from(inner_len))?)?);
         Ok(Self {
             is_reply,
             orig_itr,
@@ -239,65 +228,11 @@ pub enum PceMsg {
     Ipc(IpcQueryNotice),
 }
 
-impl PceMsg {
-    /// Exact length of [`PceMsg::to_bytes`], computed.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            PceMsg::DnsMapping {
-                mapping, dns_reply, ..
-            } => PceDnsMapping::wire_len_with(mapping, dns_reply.wire_len()),
-            PceMsg::Flow(_) => PceFlowMsg::WIRE_LEN,
-            PceMsg::Ipc(n) => n.wire_len(),
-        }
-    }
-
-    /// Serialize with the legacy codecs (the DNS reply is encoded to
-    /// its full wire image first).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            PceMsg::DnsMapping {
-                pce_d,
-                mapping,
-                dns_reply,
-            } => PceDnsMapping {
-                pce_d: *pce_d,
-                mapping: mapping.clone(),
-                dns_reply: dns_reply.encode(),
-            }
-            .to_bytes(),
-            PceMsg::Flow(f) => f.to_bytes(),
-            PceMsg::Ipc(n) => n.to_bytes(),
-        }
-    }
-
-    /// Parse with the legacy codecs, classifying by the header tag.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        if buf[3] == pcewire::IPC_TAG {
-            return Ok(PceMsg::Ipc(IpcQueryNotice::from_bytes(buf)?));
-        }
-        match pcewire::peek_kind(buf)? {
-            PceKind::DnsMapping => {
-                let m = PceDnsMapping::from_bytes(buf)?;
-                let inner = Packet::decode(&m.dns_reply)?;
-                Ok(PceMsg::DnsMapping {
-                    pce_d: m.pce_d,
-                    mapping: m.mapping,
-                    dns_reply: Box::new(inner),
-                })
-            }
-            _ => Ok(PceMsg::Flow(PceFlowMsg::from_bytes(buf)?)),
-        }
-    }
-}
-
 /// A typed simulated packet: IPv4 header plus one protocol stack.
 ///
 /// Variants mirror what the reproduction actually puts on the wire;
-/// `wire_len` is exact byte accounting against the legacy builders,
-/// pinned by the `prop_packet` equivalence tests.
+/// `wire_len` is exact byte accounting against `encode`, pinned by the
+/// `prop_packet` equivalence tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Packet {
     /// An opaque-payload UDP datagram (application data).
@@ -523,136 +458,89 @@ impl Packet {
         }
     }
 
-    /// Materialize the exact wire image this packet would have had on
-    /// the legacy byte path: real headers, real checksums, uncompressed
-    /// names — with any corruption marker applied literally. Lazy: used
-    /// by traces, golden hashing, and equivalence tests only.
+    /// Materialize the exact wire image: real headers, real checksums,
+    /// uncompressed names — with any corruption marker applied
+    /// literally. Lazy: used by traces, golden hashing, and equivalence
+    /// tests only.
     pub fn encode(&self) -> Vec<u8> {
-        let ip = *self.ip();
-        let mut bytes = match self {
-            Packet::Udp { ports, payload, .. } => emit_udp_ip(&ip, *ports, payload),
+        let mut w = Writer::with_capacity(self.wire_len());
+        self.emit(&mut w);
+        w.into_vec()
+    }
+
+    /// Append the wire image. An inner packet's corruption marker flips
+    /// a bit of the inner image before the outer checksums cover it.
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        let start = w.len();
+        let ip = self.ip();
+        match self {
+            Packet::Udp { ports, payload, .. } => emit_udp_ip(w, ip, *ports, |w| {
+                w.bytes(payload);
+            }),
             Packet::Tcp { seg, payload, .. } => {
-                let tcp_bytes = build_tcp(seg, ip.src, ip.dst, payload);
-                let repr = Ipv4Repr {
-                    src: ip.src,
-                    dst: ip.dst,
-                    protocol: IpProtocol::Tcp,
-                    ttl: ip.ttl,
-                    payload_len: tcp_bytes.len(),
-                };
-                build_ipv4(&repr, &tcp_bytes)
+                ipv4::emit(w, ip, PROTO_TCP, |w| seg.emit(w, ip, payload));
             }
             Packet::LispData {
                 ports, lisp, inner, ..
-            } => {
-                let inner_bytes = inner.encode();
-                let lisp_payload = encapsulate(lisp, &inner_bytes);
-                emit_udp_ip(&ip, *ports, &lisp_payload)
-            }
-            Packet::LispCtl { ports, msg, .. } => emit_udp_ip(&ip, *ports, &msg.to_bytes()),
-            Packet::Pce { ports, msg, .. } => emit_udp_ip(&ip, *ports, &msg.to_bytes()),
-            Packet::Dns { ports, msg, .. } => emit_udp_ip(&ip, *ports, &msg.to_bytes()),
-        };
-        if let Some((idx, bit)) = ip.corrupt {
-            if let Some(b) = bytes.get_mut(usize::from(idx)) {
-                *b ^= 1 << (bit & 7);
-            }
+            } => emit_udp_ip(w, ip, *ports, |w| {
+                lisp.emit(w);
+                inner.emit(w);
+            }),
+            Packet::LispCtl { ports, msg, .. } => emit_udp_ip(w, ip, *ports, |w| msg.emit(w)),
+            Packet::Pce { ports, msg, .. } => emit_udp_ip(w, ip, *ports, |w| msg.emit(w)),
+            Packet::Dns { ports, msg, .. } => emit_udp_ip(w, ip, *ports, |w| msg.emit(w)),
         }
-        bytes
+        if let Some((idx, bit)) = ip.corrupt {
+            w.flip(start + usize::from(idx), bit);
+        }
     }
 
-    /// Decode a typed packet from real wire bytes with the **legacy**
-    /// checked parsers (checksums verified at every layer), classifying
-    /// UDP payloads by the well-known ports exactly as the
-    /// pre-refactor nodes did. Inverse of [`Packet::encode`] for
-    /// uncorrupted packets.
+    /// Decode a typed packet from real wire bytes, verifying the
+    /// checksum of every layer and classifying UDP payloads by the
+    /// well-known ports. Inverse of [`Packet::encode`] for uncorrupted
+    /// packets; `encode`'s test oracle, never called by the simulation.
     pub fn decode(bytes: &[u8]) -> WireResult<Packet> {
-        let ipp = Ipv4Packet::new_checked(bytes)?;
-        let repr = Ipv4Repr::parse(&ipp)?;
-        let ip = Ipv4Header {
-            src: repr.src,
-            dst: repr.dst,
-            ttl: repr.ttl,
-            corrupt: None,
-        };
-        let payload = ipp.payload();
-        match repr.protocol {
-            IpProtocol::Tcp => {
-                let tcp = TcpPacket::new_checked(payload)?;
-                let seg = TcpRepr::parse(&tcp, repr.src, repr.dst)?;
-                Ok(Packet::Tcp {
-                    ip,
-                    seg,
-                    payload: tcp.payload().to_vec(),
-                })
+        let (ip, protocol, body) = ipv4::parse(bytes)?;
+        match protocol {
+            PROTO_TCP => {
+                let (seg, payload) = TcpRepr::parse(body, &ip)?;
+                let payload = payload.to_vec();
+                return Ok(Packet::Tcp { ip, seg, payload });
             }
-            IpProtocol::Udp => {
-                let up = UdpPacket::new_checked(payload)?;
-                let urepr = UdpRepr::parse(&up, repr.src, repr.dst)?;
-                let ports = UdpPorts::new(urepr.src_port, urepr.dst_port);
-                let body = up.payload();
-                let is = |p: u16| ports.src == p || ports.dst == p;
-                if is(ports::LISP_DATA) {
-                    let lp = LispPacket::new_checked(body)?;
-                    let lisp = LispRepr::parse(&lp)?;
-                    let inner = Packet::decode(lp.payload())?;
-                    Ok(Packet::LispData {
-                        ip,
-                        ports,
-                        lisp,
-                        inner: Box::new(inner),
-                    })
-                } else if is(ports::LISP_CONTROL) || is(ports::CONS) {
-                    Ok(Packet::LispCtl {
-                        ip,
-                        ports,
-                        msg: CtlMsg::from_bytes(body)?,
-                    })
-                } else if is(ports::PCE_MAP) || is(ports::ETR_SYNC) || is(ports::PCE_IPC) {
-                    Ok(Packet::Pce {
-                        ip,
-                        ports,
-                        msg: PceMsg::from_bytes(body)?,
-                    })
-                } else if is(ports::DNS) {
-                    Ok(Packet::Dns {
-                        ip,
-                        ports,
-                        msg: Box::new(Message::from_bytes(body)?),
-                    })
-                } else {
-                    Ok(Packet::Udp {
-                        ip,
-                        ports,
-                        payload: body.to_vec(),
-                    })
-                }
-            }
-            _ => Err(WireError::UnknownType),
+            PROTO_UDP => {}
+            _ => return Err(WireError::UnknownType),
         }
+        let (ports, body) = udp::parse(body, &ip)?;
+        let is = |p: u16| ports.src == p || ports.dst == p;
+        Ok(if is(ports::LISP_DATA) {
+            let mut r = Reader::new(body);
+            let lisp = LispRepr::parse(&mut r)?;
+            let inner = Box::new(Packet::decode(r.rest())?);
+            Packet::LispData {
+                ip,
+                ports,
+                lisp,
+                inner,
+            }
+        } else if is(ports::LISP_CONTROL) || is(ports::CONS) {
+            let msg = CtlMsg::from_bytes(body)?;
+            Packet::LispCtl { ip, ports, msg }
+        } else if is(ports::PCE_MAP) || is(ports::ETR_SYNC) || is(ports::PCE_IPC) {
+            let msg = PceMsg::from_bytes(body)?;
+            Packet::Pce { ip, ports, msg }
+        } else if is(ports::DNS) {
+            let msg = Box::new(Message::from_bytes(body)?);
+            Packet::Dns { ip, ports, msg }
+        } else {
+            let payload = body.to_vec();
+            Packet::Udp { ip, ports, payload }
+        })
     }
 }
 
-/// Build the full `IPv4(UDP(body))` wire image for a header/ports pair
-/// (bit-identical to the legacy `build_udp_ip` helper).
-fn emit_udp_ip(ip: &Ipv4Header, ports: UdpPorts, body: &[u8]) -> Vec<u8> {
-    let udp_bytes = build_udp(
-        &UdpRepr {
-            src_port: ports.src,
-            dst_port: ports.dst,
-        },
-        ip.src,
-        ip.dst,
-        body,
-    );
-    let repr = Ipv4Repr {
-        src: ip.src,
-        dst: ip.dst,
-        protocol: IpProtocol::Udp,
-        ttl: ip.ttl,
-        payload_len: udp_bytes.len(),
-    };
-    build_ipv4(&repr, &udp_bytes)
+/// Write `IPv4(UDP(body))` for a header/ports pair.
+fn emit_udp_ip(w: &mut Writer, ip: &Ipv4Header, ports: UdpPorts, body: impl FnOnce(&mut Writer)) {
+    ipv4::emit(w, ip, PROTO_UDP, |w| udp::emit(w, ip, ports, body));
 }
 
 impl netsim::payload::Payload for Packet {

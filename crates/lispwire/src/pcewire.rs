@@ -1,30 +1,34 @@
-//! The PCE control-plane encapsulation of the paper (Fig. 1, step 6).
+//! The PCE control-plane messages of the paper (Fig. 1), carried as
+//! [`PceMsg`] on ports `PCE_MAP`, `ETR_SYNC` and `PCE_IPC`.
 //!
 //! When the destination-domain PCE (`PCE_D`) observes the authoritative DNS
 //! reply carrying the resolved EID `E_D`, it wraps the reply in a new UDP
 //! message addressed to `DNS_S` on the special port `P`
-//! ([`crate::ports::PCE_MAP`]). The payload of that outer message is this
-//! structure: the precomputed EID-to-RLOC mapping for `E_D`, followed by
-//! the original DNS reply bytes so that `PCE_S` can forward the answer to
-//! `DNS_S` unmodified (step 7a) while installing the mapping at the ITRs
-//! (step 7b).
+//! ([`crate::ports::PCE_MAP`]): [`PceMsg::DnsMapping`], the precomputed
+//! EID-to-RLOC mapping for `E_D` followed by the original DNS reply
+//! packet, so that `PCE_S` can forward the answer to `DNS_S` unmodified
+//! (step 7a) while installing the mapping at the ITRs (step 7b).
 //!
 //! Layout (big-endian):
 //!
 //! ```text
 //! u16 magic (0x5043 "PC") | u8 version (1) | u8 kind
-//! u32 pce_d_addr            (so PCE_S learns PCE_D's address)
-//! MapRecord                 (lispctl wire format; the mapping for E_D)
-//! u16 dns_len | dns_len bytes of the original DNS reply
+//! DnsMapping:    u32 pce_d_addr   (so PCE_S learns PCE_D's address)
+//!                MapRecord        (lispctl wire format; the mapping for E_D)
+//!                u16 dns_len | dns_len bytes of the original DNS reply packet
+//! flow messages: FlowMapping      (see below)
 //! ```
 //!
-//! `kind` distinguishes the DNS-reply encapsulation from the reverse-mapping
-//! sync messages multicast among ETRs after the first data packet arrives
-//! (paper §2, after step 8).
+//! `kind` distinguishes the DNS-reply encapsulation from the ITR pushes
+//! and withdrawals and from the reverse-mapping sync messages multicast
+//! among ETRs after the first data packet arrives (paper §2, after
+//! step 8); the kind byte [`IPC_TAG`] marks an [`IpcQueryNotice`].
 
 use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
 use crate::lispctl::MapRecord;
+use crate::packet::{Packet, PceMsg};
+use crate::wire::{Reader, Writer};
 
 /// Magic bytes identifying a PCE control message.
 pub const MAGIC: u16 = 0x5043;
@@ -68,58 +72,73 @@ impl TryFrom<u8> for PceKind {
     }
 }
 
-/// The step-6 encapsulation: DNS reply plus the forward mapping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PceDnsMapping {
-    /// Address of the originating `PCE_D` (learned by `PCE_S` in step 7).
-    pub pce_d: Ipv4Address,
-    /// The precomputed mapping for the destination EID.
-    pub mapping: MapRecord,
-    /// The original DNS reply bytes, forwarded verbatim in step 7a.
-    pub dns_reply: Vec<u8>,
+/// Write the common header with kind byte `tag`.
+fn emit_header(w: &mut Writer, tag: u8) {
+    w.u16(MAGIC).u8(VERSION).u8(tag);
 }
 
-impl PceDnsMapping {
-    /// Exact length of [`PceDnsMapping::to_bytes`] given the DNS-reply
-    /// byte count, computed (typed packets carry the reply as a packet
-    /// value and account its length without materializing it).
-    pub fn wire_len_with(mapping: &MapRecord, dns_reply_len: usize) -> usize {
-        8 + mapping.wire_len() + 2 + dns_reply_len
+/// Read the common header, returning its kind byte.
+fn parse_header(r: &mut Reader) -> WireResult<u8> {
+    let (magic, version, tag) = (r.u16()?, r.u8()?, r.u8()?);
+    if magic != MAGIC {
+        return Err(WireError::Malformed);
+    }
+    if version != VERSION {
+        return Err(WireError::BadVersion);
+    }
+    Ok(tag)
+}
+
+impl PceMsg {
+    /// Exact length of [`PceMsg::to_bytes`], computed.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            PceMsg::DnsMapping {
+                mapping, dns_reply, ..
+            } => 8 + mapping.wire_len() + 2 + dns_reply.wire_len(),
+            PceMsg::Flow(_) => PceFlowMsg::WIRE_LEN,
+            PceMsg::Ipc(n) => n.wire_len(),
+        }
     }
 
-    /// Serialize to owned bytes.
+    pub(crate) fn emit(&self, w: &mut Writer) {
+        match self {
+            PceMsg::DnsMapping {
+                pce_d,
+                mapping,
+                dns_reply,
+            } => {
+                emit_header(w, PceKind::DnsMapping.into());
+                w.addr(*pce_d);
+                mapping.emit(w);
+                w.len_prefixed(|w| dns_reply.emit(w));
+            }
+            PceMsg::Flow(f) => f.emit(w),
+            PceMsg::Ipc(n) => n.emit(w),
+        }
+    }
+
+    /// Serialize (the DNS reply is written as its full wire image).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.mapping.wire_len() + 2 + self.dns_reply.len());
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION);
-        out.push(PceKind::DnsMapping.into());
-        out.extend_from_slice(&self.pce_d.0);
-        self.mapping.emit(&mut out);
-        out.extend_from_slice(&(self.dns_reply.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.dns_reply);
-        out
+        Writer::collect(|w| self.emit(w))
     }
 
-    /// Parse from bytes.
+    /// Parse, classifying by the header's kind byte.
     pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        let (kind, rest) = parse_header(buf)?;
+        let mut r = Reader::new(buf);
+        let tag = parse_header(&mut r)?;
+        if tag == IPC_TAG {
+            return IpcQueryNotice::parse(&mut r).map(PceMsg::Ipc);
+        }
+        let kind = PceKind::try_from(tag)?;
         if kind != PceKind::DnsMapping {
-            return Err(WireError::UnknownType);
+            return PceFlowMsg::parse(&mut r, kind).map(PceMsg::Flow);
         }
-        if rest.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let pce_d = Ipv4Address(rest[..4].try_into().unwrap());
-        let (mapping, rest) = MapRecord::parse(&rest[4..])?;
-        if rest.len() < 2 {
-            return Err(WireError::Truncated);
-        }
-        let dns_len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-        let dns_reply = rest
-            .get(2..2 + dns_len)
-            .ok_or(WireError::Truncated)?
-            .to_vec();
-        Ok(Self {
+        let pce_d = r.addr()?;
+        let mapping = MapRecord::parse(&mut r)?;
+        let dns_len = r.u16()?;
+        let dns_reply = Box::new(Packet::decode(r.bytes(usize::from(dns_len))?)?);
+        Ok(PceMsg::DnsMapping {
             pce_d,
             mapping,
             dns_reply,
@@ -149,27 +168,6 @@ pub struct FlowMapping {
 impl FlowMapping {
     /// Wire length of a flow-mapping body.
     pub const WIRE_LEN: usize = 4 * 4 + 2;
-
-    fn emit_body(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.source_eid.0);
-        out.extend_from_slice(&self.dest_eid.0);
-        out.extend_from_slice(&self.rloc_s.0);
-        out.extend_from_slice(&self.rloc_d.0);
-        out.extend_from_slice(&self.ttl_minutes.to_be_bytes());
-    }
-
-    fn parse_body(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < Self::WIRE_LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(Self {
-            source_eid: Ipv4Address(buf[0..4].try_into().unwrap()),
-            dest_eid: Ipv4Address(buf[4..8].try_into().unwrap()),
-            rloc_s: Ipv4Address(buf[8..12].try_into().unwrap()),
-            rloc_d: Ipv4Address(buf[12..16].try_into().unwrap()),
-            ttl_minutes: u16::from_be_bytes([buf[16], buf[17]]),
-        })
-    }
 }
 
 /// A push (install) or withdraw message from the PCE to an ITR, or a
@@ -186,33 +184,27 @@ impl PceFlowMsg {
     /// Wire length of any flow message (fixed-size body).
     pub const WIRE_LEN: usize = 4 + FlowMapping::WIRE_LEN;
 
-    /// Serialize to owned bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + FlowMapping::WIRE_LEN);
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION);
-        out.push(self.kind.into());
-        self.mapping.emit_body(&mut out);
-        out
+    fn emit(&self, w: &mut Writer) {
+        let m = &self.mapping;
+        emit_header(w, self.kind.into());
+        w.addr(m.source_eid)
+            .addr(m.dest_eid)
+            .addr(m.rloc_s)
+            .addr(m.rloc_d);
+        w.u16(m.ttl_minutes);
     }
 
-    /// Parse from bytes; accepts `MappingPush`, `MappingWithdraw`, and
-    /// `ReverseSync` kinds.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        let (kind, rest) = parse_header(buf)?;
-        match kind {
-            PceKind::MappingPush | PceKind::MappingWithdraw | PceKind::ReverseSync => Ok(Self {
-                kind,
-                mapping: FlowMapping::parse_body(rest)?,
-            }),
-            PceKind::DnsMapping => Err(WireError::UnknownType),
-        }
+    /// Read the flow mapping that follows a header of kind `kind`.
+    fn parse(r: &mut Reader, kind: PceKind) -> WireResult<Self> {
+        let mapping = FlowMapping {
+            source_eid: r.addr()?,
+            dest_eid: r.addr()?,
+            rloc_s: r.addr()?,
+            rloc_d: r.addr()?,
+            ttl_minutes: r.u16()?,
+        };
+        Ok(Self { kind, mapping })
     }
-}
-
-/// Peek at the kind of any PCE message.
-pub fn peek_kind(buf: &[u8]) -> WireResult<PceKind> {
-    parse_header(buf).map(|(k, _)| k)
 }
 
 /// The DNS→PCE IPC notice (the dashed line of Fig. 1, step 1): "end-host
@@ -234,66 +226,35 @@ pub struct IpcQueryNotice {
 pub const IPC_TAG: u8 = 0xF0;
 
 impl IpcQueryNotice {
-    /// Exact length of [`IpcQueryNotice::to_bytes`], computed.
+    /// Exact wire length, computed: names
+    /// longer than 255 bytes are cut to 255.
     pub fn wire_len(&self) -> usize {
         9 + self.qname.len().min(255)
     }
 
-    /// Serialize.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let name = self.qname.as_bytes();
-        let mut out = Vec::with_capacity(9 + name.len());
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION);
-        out.push(IPC_TAG);
-        out.extend_from_slice(&self.client.0);
-        out.push(name.len().min(255) as u8);
-        out.extend_from_slice(&name[..name.len().min(255)]);
-        out
+    fn emit(&self, w: &mut Writer) {
+        let name = &self.qname.as_bytes()[..self.qname.len().min(255)];
+        emit_header(w, IPC_TAG);
+        w.addr(self.client).u8(name.len() as u8).bytes(name);
     }
 
-    /// Parse.
-    pub fn from_bytes(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < 9 {
-            return Err(WireError::Truncated);
-        }
-        if u16::from_be_bytes([buf[0], buf[1]]) != MAGIC {
-            return Err(WireError::Malformed);
-        }
-        if buf[2] != VERSION {
-            return Err(WireError::BadVersion);
-        }
-        if buf[3] != IPC_TAG {
-            return Err(WireError::UnknownType);
-        }
-        let client = Ipv4Address(buf[4..8].try_into().unwrap());
-        let len = buf[8] as usize;
-        let name = buf.get(9..9 + len).ok_or(WireError::Truncated)?;
-        let qname = core::str::from_utf8(name)
+    /// Read the notice that follows its header.
+    fn parse(r: &mut Reader) -> WireResult<Self> {
+        let client = r.addr()?;
+        let len = r.u8()?;
+        let qname = core::str::from_utf8(r.bytes(usize::from(len))?)
             .map_err(|_| WireError::Malformed)?
             .to_string();
         Ok(Self { client, qname })
     }
 }
 
-fn parse_header(buf: &[u8]) -> WireResult<(PceKind, &[u8])> {
-    if buf.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    if u16::from_be_bytes([buf[0], buf[1]]) != MAGIC {
-        return Err(WireError::Malformed);
-    }
-    if buf[2] != VERSION {
-        return Err(WireError::BadVersion);
-    }
-    let kind = PceKind::try_from(buf[3])?;
-    Ok((kind, &buf[4..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dnswire::{Message, Name};
     use crate::lispctl::Locator;
+    use crate::ports;
 
     fn addr(a: u8, b: u8, c: u8, d: u8) -> Ipv4Address {
         Ipv4Address::new(a, b, c, d)
@@ -311,16 +272,28 @@ mod tests {
         }
     }
 
+    fn dns_mapping(pce_d: Ipv4Address) -> PceMsg {
+        let query = Message::query_a(7, Name::parse_str("host.d.example").unwrap(), false);
+        PceMsg::DnsMapping {
+            pce_d,
+            mapping: sample_mapping(),
+            dns_reply: Box::new(Packet::dns(
+                addr(12, 0, 0, 53),
+                ports::DNS,
+                addr(10, 0, 0, 53),
+                32853,
+                Message::response_to(&query),
+            )),
+        }
+    }
+
     #[test]
     fn dns_mapping_roundtrip() {
-        let msg = PceDnsMapping {
-            pce_d: addr(12, 0, 0, 200),
-            mapping: sample_mapping(),
-            dns_reply: vec![0xab; 37],
-        };
+        let msg = dns_mapping(addr(12, 0, 0, 200));
         let bytes = msg.to_bytes();
-        assert_eq!(PceDnsMapping::from_bytes(&bytes).unwrap(), msg);
-        assert_eq!(peek_kind(&bytes).unwrap(), PceKind::DnsMapping);
+        assert_eq!(bytes.len(), msg.wire_len());
+        assert_eq!(bytes[3], u8::from(PceKind::DnsMapping));
+        assert_eq!(PceMsg::from_bytes(&bytes).unwrap(), msg);
     }
 
     #[test]
@@ -337,10 +310,11 @@ mod tests {
             PceKind::MappingWithdraw,
             PceKind::ReverseSync,
         ] {
-            let msg = PceFlowMsg { kind, mapping };
+            let msg = PceMsg::Flow(PceFlowMsg { kind, mapping });
             let bytes = msg.to_bytes();
-            assert_eq!(PceFlowMsg::from_bytes(&bytes).unwrap(), msg);
-            assert_eq!(peek_kind(&bytes).unwrap(), kind);
+            assert_eq!(bytes.len(), PceFlowMsg::WIRE_LEN);
+            assert_eq!(bytes[3], u8::from(kind));
+            assert_eq!(PceMsg::from_bytes(&bytes).unwrap(), msg);
         }
     }
 
@@ -355,33 +329,29 @@ mod tests {
             rloc_d: addr(13, 0, 0, 1), // egress toward provider Y
             ttl_minutes: 30,
         };
-        let msg = PceFlowMsg {
+        let msg = PceMsg::Flow(PceFlowMsg {
             kind: PceKind::MappingPush,
             mapping,
+        });
+        let PceMsg::Flow(parsed) = PceMsg::from_bytes(&msg.to_bytes()).unwrap() else {
+            panic!("not a flow message");
         };
-        let parsed = PceFlowMsg::from_bytes(&msg.to_bytes()).unwrap();
         assert_ne!(parsed.mapping.rloc_s, parsed.mapping.rloc_d);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mapping = sample_mapping();
-        let msg = PceDnsMapping {
-            pce_d: addr(1, 1, 1, 1),
-            mapping,
-            dns_reply: vec![],
-        };
-        let mut bytes = msg.to_bytes();
+        let mut bytes = dns_mapping(addr(1, 1, 1, 1)).to_bytes();
         bytes[0] = 0;
         assert_eq!(
-            PceDnsMapping::from_bytes(&bytes).unwrap_err(),
+            PceMsg::from_bytes(&bytes).unwrap_err(),
             WireError::Malformed
         );
     }
 
     #[test]
     fn bad_version_rejected() {
-        let msg = PceFlowMsg {
+        let msg = PceMsg::Flow(PceFlowMsg {
             kind: PceKind::ReverseSync,
             mapping: FlowMapping {
                 source_eid: addr(1, 1, 1, 1),
@@ -390,68 +360,60 @@ mod tests {
                 rloc_d: addr(4, 4, 4, 4),
                 ttl_minutes: 1,
             },
-        };
+        });
         let mut bytes = msg.to_bytes();
         bytes[2] = 99;
         assert_eq!(
-            PceFlowMsg::from_bytes(&bytes).unwrap_err(),
+            PceMsg::from_bytes(&bytes).unwrap_err(),
             WireError::BadVersion
         );
     }
 
     #[test]
     fn kind_mismatch_rejected() {
-        let msg = PceDnsMapping {
-            pce_d: addr(1, 1, 1, 1),
-            mapping: sample_mapping(),
-            dns_reply: vec![1, 2, 3],
-        };
-        assert_eq!(
-            PceFlowMsg::from_bytes(&msg.to_bytes()).unwrap_err(),
-            WireError::UnknownType
-        );
+        // A kind byte that is neither a `PceKind` nor the IPC tag.
+        let mut bytes = dns_mapping(addr(1, 1, 1, 1)).to_bytes();
+        for kind in [0, 5, 0xef, 0xf1] {
+            bytes[3] = kind;
+            assert_eq!(
+                PceMsg::from_bytes(&bytes).unwrap_err(),
+                WireError::UnknownType
+            );
+        }
     }
 
     #[test]
     fn ipc_notice_roundtrip() {
-        let n = IpcQueryNotice {
-            client: addr(100, 0, 0, 5),
-            qname: "host.d.example".into(),
-        };
-        assert_eq!(IpcQueryNotice::from_bytes(&n.to_bytes()).unwrap(), n);
-        let empty = IpcQueryNotice {
-            client: addr(1, 2, 3, 4),
-            qname: String::new(),
-        };
-        assert_eq!(
-            IpcQueryNotice::from_bytes(&empty.to_bytes()).unwrap(),
-            empty
-        );
+        for qname in ["host.d.example", ""] {
+            let n = PceMsg::Ipc(IpcQueryNotice {
+                client: addr(100, 0, 0, 5),
+                qname: qname.into(),
+            });
+            let bytes = n.to_bytes();
+            assert_eq!(bytes.len(), n.wire_len());
+            assert_eq!(bytes[3], IPC_TAG);
+            assert_eq!(PceMsg::from_bytes(&bytes).unwrap(), n);
+        }
     }
 
     #[test]
     fn ipc_notice_truncation_rejected() {
-        let n = IpcQueryNotice {
+        let n = PceMsg::Ipc(IpcQueryNotice {
             client: addr(100, 0, 0, 5),
             qname: "host.d.example".into(),
-        };
+        });
         let b = n.to_bytes();
         assert_eq!(
-            IpcQueryNotice::from_bytes(&b[..b.len() - 3]).unwrap_err(),
+            PceMsg::from_bytes(&b[..b.len() - 3]).unwrap_err(),
             WireError::Truncated
         );
     }
 
     #[test]
     fn truncated_dns_reply_rejected() {
-        let msg = PceDnsMapping {
-            pce_d: addr(1, 1, 1, 1),
-            mapping: sample_mapping(),
-            dns_reply: vec![9; 10],
-        };
-        let bytes = msg.to_bytes();
+        let bytes = dns_mapping(addr(1, 1, 1, 1)).to_bytes();
         assert_eq!(
-            PceDnsMapping::from_bytes(&bytes[..bytes.len() - 4]).unwrap_err(),
+            PceMsg::from_bytes(&bytes[..bytes.len() - 4]).unwrap_err(),
             WireError::Truncated
         );
     }

@@ -7,214 +7,46 @@
 //! retransmission machinery are out of scope; the segment format is still
 //! real wire bytes with a verified checksum.
 
-use crate::checksum;
+use crate::checksum::Accumulator;
 use crate::error::{WireError, WireResult};
-use crate::ipv4::Ipv4Address;
+use crate::ipv4::PROTO_TCP;
+use crate::packet::Ipv4Header;
+use crate::wire::{Reader, Writer};
 
 /// Length of the (option-less) TCP header.
 pub const HEADER_LEN: usize = 20;
 
-mod field {
-    use core::ops::Range;
-    pub const SRC_PORT: Range<usize> = 0..2;
-    pub const DST_PORT: Range<usize> = 2..4;
-    pub const SEQ: Range<usize> = 4..8;
-    pub const ACK: Range<usize> = 8..12;
-    pub const OFF_FLAGS: Range<usize> = 12..14;
-    pub const WINDOW: Range<usize> = 14..16;
-    pub const CHECKSUM: Range<usize> = 16..18;
-    pub const URGENT: Range<usize> = 18..20;
-}
+/// TCP control flags (subset).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TcpFlags(pub u8);
 
-/// A tiny local stand-in for the `bitflags` crate (kept dependency-free).
-macro_rules! bitflags_lite {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident: $ty:ty {
-            $(
-                $(#[$fmeta:meta])*
-                const $flag:ident = $value:expr;
-            )*
-        }
-    ) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-        pub struct $name(pub $ty);
+impl TcpFlags {
+    /// FIN: no more data from sender.
+    pub const FIN: Self = Self(0x01);
+    /// SYN: synchronize sequence numbers.
+    pub const SYN: Self = Self(0x02);
+    /// RST: reset the connection.
+    pub const RST: Self = Self(0x04);
+    /// PSH: push function.
+    pub const PSH: Self = Self(0x08);
+    /// ACK: acknowledgment field significant.
+    pub const ACK: Self = Self(0x10);
 
-        impl $name {
-            $(
-                $(#[$fmeta])*
-                pub const $flag: $name = $name($value);
-            )*
+    /// The empty flag set.
+    pub const fn empty() -> Self {
+        Self(0)
+    }
 
-            /// The empty flag set.
-            pub const fn empty() -> Self { Self(0) }
-            /// True if `other`'s bits are all set in `self`.
-            pub const fn contains(self, other: Self) -> bool {
-                self.0 & other.0 == other.0
-            }
-            /// Bitwise union.
-            pub const fn union(self, other: Self) -> Self {
-                Self(self.0 | other.0)
-            }
-        }
-
-        impl core::ops::BitOr for $name {
-            type Output = Self;
-            fn bitor(self, rhs: Self) -> Self { Self(self.0 | rhs.0) }
-        }
-    };
-}
-
-bitflags_lite! {
-    /// TCP control flags (subset).
-    pub struct TcpFlags: u8 {
-        /// FIN: no more data from sender.
-        const FIN = 0x01;
-        /// SYN: synchronize sequence numbers.
-        const SYN = 0x02;
-        /// RST: reset the connection.
-        const RST = 0x04;
-        /// PSH: push function.
-        const PSH = 0x08;
-        /// ACK: acknowledgment field significant.
-        const ACK = 0x10;
+    /// True if `other`'s bits are all set in `self`.
+    pub const fn contains(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
     }
 }
 
-/// A typed view over a byte buffer containing a TCP segment.
-#[derive(Debug, Clone)]
-pub struct TcpPacket<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> TcpPacket<T> {
-    /// Wrap a buffer without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        Self { buffer }
-    }
-
-    /// Wrap and validate the header length.
-    pub fn new_checked(buffer: T) -> WireResult<Self> {
-        let packet = Self::new_unchecked(buffer);
-        packet.check_len()?;
-        Ok(packet)
-    }
-
-    /// Validate that a full header is present.
-    pub fn check_len(&self) -> WireResult<()> {
-        let len = self.buffer.as_ref().len();
-        if len < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if self.header_len() < HEADER_LEN || self.header_len() > len {
-            return Err(WireError::Malformed);
-        }
-        Ok(())
-    }
-
-    /// Source port.
-    pub fn src_port(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::SRC_PORT].try_into().unwrap())
-    }
-
-    /// Destination port.
-    pub fn dst_port(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::DST_PORT].try_into().unwrap())
-    }
-
-    /// Sequence number.
-    pub fn seq(&self) -> u32 {
-        u32::from_be_bytes(self.buffer.as_ref()[field::SEQ].try_into().unwrap())
-    }
-
-    /// Acknowledgment number.
-    pub fn ack(&self) -> u32 {
-        u32::from_be_bytes(self.buffer.as_ref()[field::ACK].try_into().unwrap())
-    }
-
-    /// Header length in bytes (data offset × 4).
-    pub fn header_len(&self) -> usize {
-        usize::from(self.buffer.as_ref()[field::OFF_FLAGS.start] >> 4) * 4
-    }
-
-    /// Control flags.
-    pub fn flags(&self) -> TcpFlags {
-        TcpFlags(self.buffer.as_ref()[field::OFF_FLAGS.start + 1] & 0x3f)
-    }
-
-    /// Advertised window.
-    pub fn window(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::WINDOW].try_into().unwrap())
-    }
-
-    /// Verify the checksum over pseudo-header + segment.
-    pub fn verify_checksum(&self, src: Ipv4Address, dst: Ipv4Address) -> bool {
-        let data = self.buffer.as_ref();
-        let mut acc = checksum::Accumulator::new();
-        acc.add_bytes(&src.0);
-        acc.add_bytes(&dst.0);
-        acc.add_u16(6); // protocol TCP
-        acc.add_u16(data.len() as u16);
-        acc.add_bytes(data);
-        acc.finish() == 0
-    }
-
-    /// Payload (everything after the header).
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.header_len()..]
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpPacket<T> {
-    /// Set the source port.
-    pub fn set_src_port(&mut self, v: u16) {
-        self.buffer.as_mut()[field::SRC_PORT].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the destination port.
-    pub fn set_dst_port(&mut self, v: u16) {
-        self.buffer.as_mut()[field::DST_PORT].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the sequence number.
-    pub fn set_seq(&mut self, v: u32) {
-        self.buffer.as_mut()[field::SEQ].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the acknowledgment number.
-    pub fn set_ack(&mut self, v: u32) {
-        self.buffer.as_mut()[field::ACK].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set data offset (5, option-less) and flags.
-    pub fn set_offset_flags(&mut self, flags: TcpFlags) {
-        self.buffer.as_mut()[field::OFF_FLAGS.start] = 5 << 4;
-        self.buffer.as_mut()[field::OFF_FLAGS.start + 1] = flags.0;
-    }
-
-    /// Set the advertised window.
-    pub fn set_window(&mut self, v: u16) {
-        self.buffer.as_mut()[field::WINDOW].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Zero the urgent pointer.
-    pub fn clear_urgent(&mut self) {
-        self.buffer.as_mut()[field::URGENT].copy_from_slice(&[0, 0]);
-    }
-
-    /// Compute and store the checksum.
-    pub fn fill_checksum(&mut self, src: Ipv4Address, dst: Ipv4Address) {
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
-        let data = self.buffer.as_ref();
-        let mut acc = checksum::Accumulator::new();
-        acc.add_bytes(&src.0);
-        acc.add_bytes(&dst.0);
-        acc.add_u16(6);
-        acc.add_u16(data.len() as u16);
-        acc.add_bytes(data);
-        let c = acc.finish();
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&c.to_be_bytes());
+impl core::ops::BitOr for TcpFlags {
+    type Output = Self;
+    fn bitor(self, rhs: Self) -> Self {
+        Self(self.0 | rhs.0)
     }
 }
 
@@ -234,60 +66,63 @@ pub struct TcpRepr {
 }
 
 impl TcpRepr {
-    /// Parse and verify a segment.
-    pub fn parse<T: AsRef<[u8]>>(
-        packet: &TcpPacket<T>,
-        src: Ipv4Address,
-        dst: Ipv4Address,
-    ) -> WireResult<Self> {
-        if !packet.verify_checksum(src, dst) {
+    /// Write the option-less segment (window 65535) carrying `payload`
+    /// and fill in its checksum over the IPv4 pseudo-header of `ip`.
+    pub(crate) fn emit(&self, w: &mut Writer, ip: &Ipv4Header, payload: &[u8]) {
+        let start = w.len();
+        w.u16(self.src_port)
+            .u16(self.dst_port)
+            .u32(self.seq)
+            .u32(self.ack);
+        w.u8(5 << 4).u8(self.flags.0).u16(65535).u16(0).u16(0);
+        w.bytes(payload);
+        let c = segment_sum(ip, w.since(start));
+        w.patch_u16(start + 16, c);
+    }
+
+    /// Read a segment carried in `ip`, verifying its checksum: the
+    /// header and the payload.
+    pub(crate) fn parse<'a>(bytes: &'a [u8], ip: &Ipv4Header) -> WireResult<(Self, &'a [u8])> {
+        let mut r = Reader::new(bytes);
+        let (src_port, dst_port, seq, ack) = (r.u16()?, r.u16()?, r.u32()?, r.u32()?);
+        let [offset, flags] = r.array()?;
+        let _window_checksum_urgent = r.bytes(6)?;
+        let header_len = usize::from(offset >> 4) * 4;
+        let payload = bytes
+            .get(header_len..)
+            .filter(|_| header_len >= HEADER_LEN)
+            .ok_or(WireError::Malformed)?;
+        if segment_sum(ip, bytes) != 0 {
             return Err(WireError::BadChecksum);
         }
-        Ok(Self {
-            src_port: packet.src_port(),
-            dst_port: packet.dst_port(),
-            seq: packet.seq(),
-            ack: packet.ack(),
-            flags: packet.flags(),
-        })
-    }
-
-    /// Buffer length needed (header + payload).
-    pub fn buffer_len(&self, payload_len: usize) -> usize {
-        HEADER_LEN + payload_len
-    }
-
-    /// Emit into a buffer that already contains the payload after the
-    /// header region.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(
-        &self,
-        packet: &mut TcpPacket<T>,
-        src: Ipv4Address,
-        dst: Ipv4Address,
-    ) {
-        packet.set_src_port(self.src_port);
-        packet.set_dst_port(self.dst_port);
-        packet.set_seq(self.seq);
-        packet.set_ack(self.ack);
-        packet.set_offset_flags(self.flags);
-        packet.set_window(65535);
-        packet.clear_urgent();
-        packet.fill_checksum(src, dst);
+        let flags = TcpFlags(flags & 0x3f);
+        let repr = Self {
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            flags,
+        };
+        Ok((repr, payload))
     }
 }
 
-/// Convenience: build an owned TCP segment.
-pub fn build_tcp(repr: &TcpRepr, src: Ipv4Address, dst: Ipv4Address, payload: &[u8]) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    buf[HEADER_LEN..].copy_from_slice(payload);
-    let mut packet = TcpPacket::new_unchecked(&mut buf[..]);
-    repr.emit(&mut packet, src, dst);
-    buf
+/// The Internet checksum of `segment` under the IPv4 pseudo-header of
+/// `ip`: the checksum to write, or zero over a segment that verifies.
+fn segment_sum(ip: &Ipv4Header, segment: &[u8]) -> u16 {
+    let mut acc = Accumulator::new();
+    acc.add_bytes(&ip.src.0);
+    acc.add_bytes(&ip.dst.0);
+    acc.add_u16(u16::from(PROTO_TCP));
+    acc.add_u16(segment.len() as u16);
+    acc.add_bytes(segment);
+    acc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ipv4::Ipv4Address;
 
     const SRC: Ipv4Address = Ipv4Address::new(100, 0, 0, 1);
     const DST: Ipv4Address = Ipv4Address::new(101, 0, 0, 1);
@@ -302,12 +137,18 @@ mod tests {
         }
     }
 
+    fn segment(repr: &TcpRepr, ip: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
+        Writer::collect(|w| repr.emit(w, ip, payload))
+    }
+
     #[test]
     fn roundtrip_syn() {
-        let bytes = build_tcp(&syn(), SRC, DST, &[]);
-        let packet = TcpPacket::new_checked(&bytes[..]).unwrap();
-        let parsed = TcpRepr::parse(&packet, SRC, DST).unwrap();
+        let ip = Ipv4Header::new(SRC, DST);
+        let bytes = segment(&syn(), &ip, &[]);
+        assert_eq!(bytes.len(), HEADER_LEN);
+        let (parsed, payload) = TcpRepr::parse(&bytes, &ip).unwrap();
         assert_eq!(parsed, syn());
+        assert!(payload.is_empty());
         assert!(parsed.flags.contains(TcpFlags::SYN));
         assert!(!parsed.flags.contains(TcpFlags::ACK));
     }
@@ -319,9 +160,8 @@ mod tests {
             ack: 1001,
             ..syn()
         };
-        let bytes = build_tcp(&repr, DST, SRC, &[]);
-        let packet = TcpPacket::new_checked(&bytes[..]).unwrap();
-        let parsed = TcpRepr::parse(&packet, DST, SRC).unwrap();
+        let ip = Ipv4Header::new(DST, SRC);
+        let (parsed, _) = TcpRepr::parse(&segment(&repr, &ip, &[]), &ip).unwrap();
         assert!(parsed.flags.contains(TcpFlags::SYN));
         assert!(parsed.flags.contains(TcpFlags::ACK));
         assert_eq!(parsed.ack, 1001);
@@ -333,21 +173,21 @@ mod tests {
             flags: TcpFlags::ACK | TcpFlags::PSH,
             ..syn()
         };
-        let mut bytes = build_tcp(&repr, SRC, DST, b"data!");
-        {
-            let packet = TcpPacket::new_checked(&bytes[..]).unwrap();
-            assert_eq!(packet.payload(), b"data!");
-            assert!(packet.verify_checksum(SRC, DST));
-        }
+        let ip = Ipv4Header::new(SRC, DST);
+        let mut bytes = segment(&repr, &ip, b"data!");
+        assert_eq!(TcpRepr::parse(&bytes, &ip).unwrap(), (repr, &b"data!"[..]));
         bytes[HEADER_LEN + 2] ^= 1;
-        let packet = TcpPacket::new_checked(&bytes[..]).unwrap();
-        assert!(!packet.verify_checksum(SRC, DST));
+        assert_eq!(
+            TcpRepr::parse(&bytes, &ip).unwrap_err(),
+            WireError::BadChecksum
+        );
     }
 
     #[test]
     fn truncated_rejected() {
+        let ip = Ipv4Header::new(SRC, DST);
         assert_eq!(
-            TcpPacket::new_checked(&[0u8; 8][..]).unwrap_err(),
+            TcpRepr::parse(&[0u8; 8], &ip).unwrap_err(),
             WireError::Truncated
         );
     }

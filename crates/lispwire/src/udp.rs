@@ -1,269 +1,113 @@
-//! UDP datagram (RFC 768), smoltcp-style typed view.
+//! The UDP header (RFC 768) of every UDP-based
+//! [`Packet`](crate::Packet) variant.
 
 use crate::checksum;
 use crate::error::{WireError, WireResult};
-use crate::ipv4::Ipv4Address;
+use crate::packet::{Ipv4Header, UdpPorts};
+use crate::wire::{Reader, Writer};
 
 /// Length of the UDP header.
 pub const HEADER_LEN: usize = 8;
 
-mod field {
-    use core::ops::Range;
-    pub const SRC_PORT: Range<usize> = 0..2;
-    pub const DST_PORT: Range<usize> = 2..4;
-    pub const LENGTH: Range<usize> = 4..6;
-    pub const CHECKSUM: Range<usize> = 6..8;
+/// Write the UDP header and then `body`, and fill in the length and
+/// the checksum over the IPv4 pseudo-header of `ip`.
+pub(crate) fn emit(
+    w: &mut Writer,
+    ip: &Ipv4Header,
+    ports: UdpPorts,
+    body: impl FnOnce(&mut Writer),
+) {
+    let start = w.len();
+    w.u16(ports.src).u16(ports.dst).u16(0).u16(0);
+    body(w);
+    w.patch_len(start + 4, start);
+    // The checksum covers what the length field claims: for a datagram
+    // past 65,535 octets, only the octets below the wrapped length.
+    let datagram = w.since(start);
+    let claimed = &datagram[..usize::from(datagram.len() as u16)];
+    let c = checksum::udp_ipv4(ip.src.0, ip.dst.0, claimed);
+    w.patch_u16(start + 6, c);
 }
 
-/// A typed view over a byte buffer containing a UDP datagram.
-#[derive(Debug, Clone)]
-pub struct UdpPacket<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> UdpPacket<T> {
-    /// Wrap a buffer without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        Self { buffer }
+/// Read a UDP datagram carried in `ip`, verifying its checksum (a zero
+/// checksum field means "not computed"): the ports and the payload the
+/// length field covers.
+pub(crate) fn parse<'a>(bytes: &'a [u8], ip: &Ipv4Header) -> WireResult<(UdpPorts, &'a [u8])> {
+    let mut r = Reader::new(bytes);
+    let ports = UdpPorts::new(r.u16()?, r.u16()?);
+    let (len, check) = (usize::from(r.u16()?), r.u16()?);
+    let datagram = bytes
+        .get(..len)
+        .filter(|d| d.len() >= HEADER_LEN)
+        .ok_or(WireError::BadLength)?;
+    // Over a correct datagram the ones-complement sum is 0xffff;
+    // `udp_ipv4` complements that to 0 and, by RFC 768's rule for a
+    // zero checksum, reports it as 0xffff.
+    if check != 0 && checksum::udp_ipv4(ip.src.0, ip.dst.0, datagram) != 0xffff {
+        return Err(WireError::BadChecksum);
     }
-
-    /// Wrap and validate header and length field.
-    pub fn new_checked(buffer: T) -> WireResult<Self> {
-        let packet = Self::new_unchecked(buffer);
-        packet.check_len()?;
-        Ok(packet)
-    }
-
-    /// Validate the buffer against the length field.
-    pub fn check_len(&self) -> WireResult<()> {
-        let len = self.buffer.as_ref().len();
-        if len < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let l = self.len() as usize;
-        if l < HEADER_LEN || l > len {
-            return Err(WireError::BadLength);
-        }
-        Ok(())
-    }
-
-    /// Unwrap the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
-    /// Source port.
-    pub fn src_port(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::SRC_PORT].try_into().unwrap())
-    }
-
-    /// Destination port.
-    pub fn dst_port(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::DST_PORT].try_into().unwrap())
-    }
-
-    /// The length field (header + payload).
-    pub fn len(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::LENGTH].try_into().unwrap())
-    }
-
-    /// True if the datagram carries no payload.
-    pub fn is_empty(&self) -> bool {
-        self.len() as usize == HEADER_LEN
-    }
-
-    /// The checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::CHECKSUM].try_into().unwrap())
-    }
-
-    /// Verify the checksum given the IPv4 pseudo-header addresses.
-    /// A zero checksum field means "not computed" and verifies trivially.
-    pub fn verify_checksum(&self, src: Ipv4Address, dst: Ipv4Address) -> bool {
-        if self.checksum_field() == 0 {
-            return true;
-        }
-        let l = self.len() as usize;
-        checksum::udp_ipv4(src.0, dst.0, &self.buffer.as_ref()[..l]) == 0
-            // An in-place correct checksum makes the full sum fold to 0,
-            // which `udp_ipv4` maps to 0xffff.
-            || checksum::udp_ipv4(src.0, dst.0, &self.buffer.as_ref()[..l]) == 0xffff
-    }
-
-    /// The payload sub-slice.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..self.len() as usize]
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
-    /// Set the source port.
-    pub fn set_src_port(&mut self, v: u16) {
-        self.buffer.as_mut()[field::SRC_PORT].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the destination port.
-    pub fn set_dst_port(&mut self, v: u16) {
-        self.buffer.as_mut()[field::DST_PORT].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the length field.
-    pub fn set_len(&mut self, v: u16) {
-        self.buffer.as_mut()[field::LENGTH].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Compute and store the checksum for the given pseudo-header.
-    pub fn fill_checksum(&mut self, src: Ipv4Address, dst: Ipv4Address) {
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
-        let l = self.len() as usize;
-        let c = checksum::udp_ipv4(src.0, dst.0, &self.buffer.as_ref()[..l]);
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&c.to_be_bytes());
-    }
-
-    /// Mutable payload sub-slice.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let l = self.len() as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..l]
-    }
-}
-
-/// High-level representation of a UDP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpRepr {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-}
-
-impl UdpRepr {
-    /// Parse the representation, verifying the checksum.
-    pub fn parse<T: AsRef<[u8]>>(
-        packet: &UdpPacket<T>,
-        src: Ipv4Address,
-        dst: Ipv4Address,
-    ) -> WireResult<Self> {
-        if !packet.verify_checksum(src, dst) {
-            return Err(WireError::BadChecksum);
-        }
-        Ok(Self {
-            src_port: packet.src_port(),
-            dst_port: packet.dst_port(),
-        })
-    }
-
-    /// Buffer length needed for this header plus `payload_len` bytes.
-    pub fn buffer_len(&self, payload_len: usize) -> usize {
-        HEADER_LEN + payload_len
-    }
-
-    /// Emit the header (checksum included) for an already-placed payload.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(
-        &self,
-        packet: &mut UdpPacket<T>,
-        src: Ipv4Address,
-        dst: Ipv4Address,
-        payload_len: usize,
-    ) {
-        packet.set_src_port(self.src_port);
-        packet.set_dst_port(self.dst_port);
-        packet.set_len((HEADER_LEN + payload_len) as u16);
-        packet.fill_checksum(src, dst);
-    }
-}
-
-/// Convenience: build an owned UDP datagram (header + payload).
-pub fn build_udp(repr: &UdpRepr, src: Ipv4Address, dst: Ipv4Address, payload: &[u8]) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    buf[HEADER_LEN..].copy_from_slice(payload);
-    let mut packet = UdpPacket::new_unchecked(&mut buf[..]);
-    repr.emit(&mut packet, src, dst, payload.len());
-    buf
+    Ok((ports, &datagram[HEADER_LEN..]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ipv4::Ipv4Address;
 
-    const SRC: Ipv4Address = Ipv4Address::new(10, 0, 0, 1);
-    const DST: Ipv4Address = Ipv4Address::new(11, 0, 0, 2);
+    fn ip() -> Ipv4Header {
+        Ipv4Header::new(Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(11, 0, 0, 2))
+    }
+
+    fn datagram(payload: &[u8]) -> Vec<u8> {
+        Writer::collect(|w| {
+            emit(w, &ip(), UdpPorts::new(5353, 53), |w| {
+                w.bytes(payload);
+            });
+        })
+    }
 
     #[test]
     fn roundtrip() {
-        let repr = UdpRepr {
-            src_port: 5353,
-            dst_port: 53,
-        };
-        let bytes = build_udp(&repr, SRC, DST, b"hello");
-        let packet = UdpPacket::new_checked(&bytes[..]).unwrap();
-        assert_eq!(UdpRepr::parse(&packet, SRC, DST).unwrap(), repr);
-        assert_eq!(packet.payload(), b"hello");
-        assert!(!packet.is_empty());
+        let bytes = datagram(b"hello");
+        assert_eq!(bytes.len(), HEADER_LEN + 5);
+        let (ports, payload) = parse(&bytes, &ip()).unwrap();
+        assert_eq!(ports, UdpPorts::new(5353, 53));
+        assert_eq!(payload, b"hello");
     }
 
     #[test]
     fn corrupt_payload_detected() {
-        let repr = UdpRepr {
-            src_port: 1,
-            dst_port: 2,
-        };
-        let mut bytes = build_udp(&repr, SRC, DST, b"hello");
+        let mut bytes = datagram(b"hello");
         bytes[HEADER_LEN] ^= 0x55;
-        let packet = UdpPacket::new_checked(&bytes[..]).unwrap();
-        assert_eq!(
-            UdpRepr::parse(&packet, SRC, DST).unwrap_err(),
-            WireError::BadChecksum
-        );
+        assert_eq!(parse(&bytes, &ip()).unwrap_err(), WireError::BadChecksum);
     }
 
     #[test]
     fn wrong_pseudo_header_detected() {
-        let repr = UdpRepr {
-            src_port: 1,
-            dst_port: 2,
-        };
-        let bytes = build_udp(&repr, SRC, DST, b"hello");
-        let packet = UdpPacket::new_checked(&bytes[..]).unwrap();
-        let other = Ipv4Address::new(99, 0, 0, 1);
-        assert_eq!(
-            UdpRepr::parse(&packet, other, DST).unwrap_err(),
-            WireError::BadChecksum
-        );
+        let bytes = datagram(b"hello");
+        let mut other = ip();
+        other.src = Ipv4Address::new(99, 0, 0, 1);
+        assert_eq!(parse(&bytes, &other).unwrap_err(), WireError::BadChecksum);
     }
 
     #[test]
     fn zero_checksum_accepted() {
-        let repr = UdpRepr {
-            src_port: 1,
-            dst_port: 2,
-        };
-        let mut bytes = build_udp(&repr, SRC, DST, b"x");
+        let mut bytes = datagram(b"x");
         bytes[6] = 0;
         bytes[7] = 0;
-        let packet = UdpPacket::new_checked(&bytes[..]).unwrap();
-        assert!(UdpRepr::parse(&packet, SRC, DST).is_ok());
+        assert!(parse(&bytes, &ip()).is_ok());
     }
 
     #[test]
     fn short_buffer_rejected() {
-        assert_eq!(
-            UdpPacket::new_checked(&[0u8; 4][..]).unwrap_err(),
-            WireError::Truncated
-        );
+        assert_eq!(parse(&[0u8; 4], &ip()).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
     fn bad_length_field_rejected() {
-        let repr = UdpRepr {
-            src_port: 1,
-            dst_port: 2,
-        };
-        let mut bytes = build_udp(&repr, SRC, DST, b"hello");
+        let mut bytes = datagram(b"hello");
         bytes[4] = 0xff;
         bytes[5] = 0xff;
-        assert_eq!(
-            UdpPacket::new_checked(&bytes[..]).unwrap_err(),
-            WireError::BadLength
-        );
+        assert_eq!(parse(&bytes, &ip()).unwrap_err(), WireError::BadLength);
     }
 }

@@ -1,10 +1,12 @@
 //! Equivalence property tests for the typed packet plane (DESIGN.md §9):
 //! for every [`Packet`] variant, the computed `wire_len()` equals the
 //! materialized `encode().len()`, and the encoded bytes round-trip
-//! through the **legacy** checked decoder ([`Packet::decode`], built on
-//! the checksum-verifying byte parsers) back to the identical typed
-//! value. This pins the typed representation — and therefore all link
-//! timing and byte counters — to the pre-refactor byte path.
+//! through the checksum-verifying decoder ([`Packet::decode`]) back to
+//! the identical typed value. This pins the typed representation — and
+//! therefore all link timing and byte counters — to the wire image.
+//! The generators cover what the runtime emits: DNS replies with the
+//! AA/RA flags, NXDOMAIN/SERVFAIL codes and glue, and CONS wrappers
+//! around both Map-Requests and the Map-Replies CARs send back.
 
 use lispwire::dnswire::{Message, Name, Rcode, Record};
 use lispwire::lisp::LispRepr;
@@ -62,25 +64,39 @@ fn arb_name() -> impl Strategy<Value = Name> {
 }
 
 fn arb_message() -> impl Strategy<Value = Message> {
+    let flags = (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
+    let rcode = prop_oneof![
+        Just(Rcode::NoError),
+        Just(Rcode::NxDomain),
+        Just(Rcode::ServFail),
+        (0u8..16).prop_map(Rcode::from),
+    ];
+    let a_records = || prop::collection::vec((arb_name(), arb_addr(), any::<u32>()), 0..3);
     (
-        any::<u16>(),
-        any::<bool>(),
-        arb_name(),
-        prop::collection::vec((arb_name(), arb_addr(), any::<u32>()), 0..3),
+        (any::<u16>(), flags, rcode, arb_name()),
+        a_records(),
         prop::collection::vec((arb_name(), arb_name(), any::<u32>()), 0..2),
+        a_records(),
     )
-        .prop_map(|(id, is_response, qname, answers, nss)| {
-            let mut m = Message::query_a(id, qname, true);
-            m.is_response = is_response;
-            m.rcode = Rcode::NoError;
-            for (n, a, ttl) in answers {
-                m.answers.push(Record::a(n, a, ttl));
-            }
-            for (n, ns, ttl) in nss {
-                m.authority.push(Record::ns(n, ns, ttl));
-            }
-            m
-        })
+        .prop_map(
+            |((id, (rd, is_response, aa, ra), rcode, qname), answers, nss, glue)| {
+                let mut m = Message::query_a(id, qname, rd);
+                m.is_response = is_response;
+                m.authoritative = aa;
+                m.recursion_available = ra;
+                m.rcode = rcode;
+                for (n, a, ttl) in answers {
+                    m.answers.push(Record::a(n, a, ttl));
+                }
+                for (n, ns, ttl) in nss {
+                    m.authority.push(Record::ns(n, ns, ttl));
+                }
+                for (n, a, ttl) in glue {
+                    m.additional.push(Record::a(n, a, ttl));
+                }
+                m
+            },
+        )
 }
 
 fn arb_request() -> impl Strategy<Value = MapRequest> {
@@ -102,11 +118,14 @@ fn arb_request() -> impl Strategy<Value = MapRequest> {
         )
 }
 
+fn arb_reply() -> impl Strategy<Value = CtlMsg> {
+    (any::<u64>(), prop::collection::vec(arb_map_record(), 0..4))
+        .prop_map(|(nonce, records)| CtlMsg::Reply(MapReply { nonce, records }))
+}
+
 fn arb_ctl() -> impl Strategy<Value = CtlMsg> {
     let req = arb_request().prop_map(CtlMsg::Request).boxed();
-    let reply = (any::<u64>(), prop::collection::vec(arb_map_record(), 0..4))
-        .prop_map(|(nonce, records)| CtlMsg::Reply(MapReply { nonce, records }))
-        .boxed();
+    let reply = arb_reply().boxed();
     let push = (
         any::<u32>(),
         any::<u16>(),
@@ -125,18 +144,20 @@ fn arb_ctl() -> impl Strategy<Value = CtlMsg> {
     let probe = (any::<u64>(), arb_addr(), any::<bool>())
         .prop_map(|(nonce, origin, ack)| CtlMsg::Probe(RlocProbe { nonce, origin, ack }))
         .boxed();
+    // A request going up the CAR/CDR hierarchy, or the reply retracing it.
+    let cons_inner = prop_oneof![arb_request().prop_map(CtlMsg::Request), arb_reply()];
     let cons = (
         any::<bool>(),
         arb_addr(),
         prop::collection::vec(arb_addr(), 0..5),
-        arb_request(),
+        cons_inner,
     )
-        .prop_map(|(is_reply, orig_itr, via, req)| {
+        .prop_map(|(is_reply, orig_itr, via, inner)| {
             CtlMsg::Cons(ConsMsg {
                 is_reply,
                 orig_itr,
                 via,
-                inner: Box::new(CtlMsg::Request(req)),
+                inner: Box::new(inner),
             })
         })
         .boxed();
@@ -173,8 +194,8 @@ fn check(p: &Packet) {
         p.wire_len(),
         "wire_len must equal encode().len() for {p:?}"
     );
-    let decoded = Packet::decode(&bytes).expect("legacy decoder must accept encoded packet");
-    assert_eq!(&decoded, p, "legacy round-trip must be lossless");
+    let decoded = Packet::decode(&bytes).expect("decoder must accept encoded packet");
+    assert_eq!(&decoded, p, "round-trip must be lossless");
 }
 
 proptest! {

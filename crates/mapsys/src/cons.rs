@@ -333,9 +333,10 @@ mod tests {
                 hop_count: 4,
             })),
         };
+        let msg = CtlMsg::Cons(msg);
         let bytes = msg.to_bytes();
         assert_eq!(bytes.len(), msg.wire_len());
-        assert_eq!(ConsMsg::from_bytes(&bytes).unwrap(), msg);
+        assert_eq!(CtlMsg::from_bytes(&bytes).unwrap(), msg);
     }
 
     #[test]
@@ -349,13 +350,13 @@ mod tests {
                 records: vec![],
             })),
         };
-        let b = msg.to_bytes();
-        assert!(ConsMsg::from_bytes(&b[..b.len() - 2]).is_err());
-        assert!(ConsMsg::from_bytes(&[0xC5]).is_err());
+        let b = CtlMsg::Cons(msg).to_bytes();
+        assert!(CtlMsg::from_bytes(&b[..b.len() - 2]).is_err());
+        assert!(CtlMsg::from_bytes(&[0xC5]).is_err());
         let mut bad = b.clone();
         bad[0] = 0;
         assert_eq!(
-            ConsMsg::from_bytes(&bad).unwrap_err(),
+            CtlMsg::from_bytes(&bad).unwrap_err(),
             WireError::UnknownType
         );
     }

@@ -133,8 +133,8 @@ impl NerdAuthority {
                     total_chunks: total,
                     records: Arc::clone(chunk),
                 };
-                // Computed, not materialized — identical to the legacy
-                // to_bytes().len() (pinned by the codec wire_len pairs).
+                // Computed, not materialized — identical to the encoded
+                // length (pinned by the codec wire_len pairs).
                 self.bytes_pushed += push.wire_len() as u64;
                 self.chunks_sent += 1;
                 let pkt = self.stack.ctl(
@@ -343,7 +343,10 @@ mod tests {
                 other => panic!("not a database push: {other:?}"),
             })
             .collect();
-        let wire: usize = pushes.iter().map(|p| p.to_bytes().len()).sum();
+        let wire: usize = pushes
+            .iter()
+            .map(|&p| CtlMsg::DbPush(p.clone()).to_bytes().len())
+            .sum();
         assert_eq!(wire as u64, n.bytes_pushed);
         let chunk =
             |i: u16| -> Vec<&DbPush> { pushes.iter().copied().filter(|p| p.chunk == i).collect() };

@@ -10,7 +10,7 @@
 
 use pcelisp::experiments::{
     e10_recovery, e11_scale_xl, e12_adversarial, e13_availability, e1_fig1, e2_drops,
-    e3_resolution, e4_tcp_setup, e5_te, e6_cache, e7_reverse, e8_overhead,
+    e3_resolution, e4_tcp_setup, e5_te, e6_cache, e7_reverse, e8_overhead, e9_scale,
 };
 use std::path::PathBuf;
 
@@ -103,6 +103,16 @@ fn e8_overhead_table_golden() {
     check(
         "e8_overhead",
         &e8_overhead::run_overhead(SEED).table().render(),
+    );
+}
+
+// E9 pins the multi-site scale sweep, like E11 with auto jobs: the
+// table must come out byte-identical at any `--jobs` level (DESIGN.md §8).
+#[test]
+fn e9_scale_table_golden() {
+    check(
+        "e9_scale",
+        &e9_scale::run_scale_jobs(SEED, 0).table().render(),
     );
 }
 
