@@ -27,6 +27,7 @@
 use inet::stack::IpStack;
 use inet::Prefix;
 use ircte::{IrcEngine, Provider, SelectionPolicy};
+use lispwire::dnswire::Name;
 use lispwire::lispctl::{Locator, MapRecord};
 use lispwire::packet::{Packet, PceMsg};
 use lispwire::pcewire::{FlowMapping, PceFlowMsg, PceKind};
@@ -146,7 +147,7 @@ pub struct Pce {
     /// The online IRC engine.
     pub irc: IrcEngine,
     /// qname → requesting end-host, learned over IPC (step 1).
-    pending_requesters: BTreeMap<String, Ipv4Address>,
+    pending_requesters: BTreeMap<Name, Ipv4Address>,
     /// The PCE mapping database: flow → mapping (updated by step 7b
     /// decisions and ETR reverse syncs).
     pub db: BTreeMap<(Ipv4Address, Ipv4Address), FlowMapping>,
@@ -285,10 +286,7 @@ impl Pce {
             return;
         };
         // Find E_S from the IPC notice (match on the reply's qname).
-        let Some(source_eid) = qname
-            .as_deref()
-            .and_then(|q| self.pending_requesters.remove(q))
-        else {
+        let Some(source_eid) = qname.and_then(|q| self.pending_requesters.remove(&q)) else {
             self.stats.unknown_requester += 1;
             return;
         };
@@ -485,9 +483,9 @@ impl Pce {
 }
 
 /// Extract the question name from a typed DNS-reply packet.
-fn parse_qname(pkt: &Packet) -> Option<String> {
+fn parse_qname(pkt: &Packet) -> Option<Name> {
     match pkt {
-        Packet::Dns { msg, .. } => msg.question().map(|q| q.name.as_str().to_string()),
+        Packet::Dns { msg, .. } => msg.question().map(|q| q.name.clone()),
         _ => None,
     }
 }
@@ -683,7 +681,7 @@ mod tests {
     }
 
     fn auth_reply_packet(answer: Ipv4Address, reply_dst: Ipv4Address) -> Packet {
-        use lispwire::dnswire::{Name, Record};
+        use lispwire::dnswire::Record;
         let q = Message::query_a(42, Name::parse_str("host.d.example").unwrap(), false);
         let mut r = Message::response_to(&q);
         r.authoritative = true;
@@ -761,7 +759,7 @@ mod tests {
         // First the IPC notice: E_S asked for host.d.example.
         let notice = IpcQueryNotice {
             client: a([100, 0, 0, 5]),
-            qname: "host.d.example".into(),
+            qname: Name::parse_str("host.d.example").unwrap(),
         };
         let ipc_pkt = IpStack::new(a([10, 0, 0, 53])).pce(
             ports::PCE_IPC,
@@ -870,7 +868,7 @@ mod tests {
         let (mut sim, pce, dns_side, net_side) = world(cfg);
         let notice = IpcQueryNotice {
             client: a([100, 0, 0, 5]),
-            qname: "host.d.example".into(),
+            qname: Name::parse_str("host.d.example").unwrap(),
         };
         let ipc_pkt = IpStack::new(a([10, 0, 0, 53])).pce(
             ports::PCE_IPC,

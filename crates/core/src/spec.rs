@@ -44,6 +44,7 @@ use mapsys::GuardCfg;
 use netsim::{DownPolicy, LinkCfg, NodeId, Ns, PortId, Sim};
 use simdns::zone::{Zone, ZoneStore};
 use simdns::{AuthServer, Resolver, ResolverConfig};
+use std::fmt::{self, Write as _};
 use std::iter::once;
 use std::sync::Arc;
 
@@ -188,6 +189,32 @@ impl SiteSpec {
     pub fn zone_label(&self) -> String {
         self.name.to_lowercase()
     }
+
+    /// The site's fully-qualified zone under `suffix`, the topology's
+    /// [`TopologySpec::zone_suffix`].
+    fn zone_in(&self, suffix: &str) -> String {
+        let label = self.zone_label();
+        if suffix.is_empty() {
+            label
+        } else {
+            format!("{label}.{suffix}")
+        }
+    }
+}
+
+/// Spell `args` into `buf`, which is cleared first: one growing buffer
+/// serves every generated name, so a name costs no `String` of its own.
+fn spell<'b>(buf: &'b mut String, args: fmt::Arguments<'_>) -> &'b str {
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("writing to a String cannot fail");
+    buf
+}
+
+/// [`spell`] a generated DNS name: the `Name`'s own allocation is the
+/// only one.
+fn spell_name(buf: &mut String, args: fmt::Arguments<'_>) -> Name {
+    Name::parse_str(spell(buf, args)).expect("valid generated name")
 }
 
 /// Where things are: sites around a core, plus DNS and mapping-system
@@ -213,42 +240,40 @@ pub struct TopologySpec {
 
 impl TopologySpec {
     /// Zone name served by each DNS-infrastructure level, root (`""`)
-    /// first. Site zones live under the deepest level's name — both the
-    /// delegation chain and the site-zone suffix derive from this one
-    /// list so they cannot drift apart.
+    /// first: [`Self::zone_suffix`] and its ancestors, so the delegation
+    /// chain and the site-zone suffix cannot drift apart.
+    ///
+    /// # Panics
+    /// Panics when the zone suffix is longer than a DNS name may be
+    /// (a `dns_depth` in the forties), as [`ScenarioSpec::build`] would.
     pub fn level_suffixes(&self) -> Vec<String> {
-        let depth = self.dns_depth.max(1);
-        let mut suffixes = vec![String::new()]; // root
-        for level in 1..depth {
-            let mut s = "example".to_string();
-            for k in 0..level - 1 {
-                let label = if k == 0 {
-                    "sub".to_string()
-                } else {
-                    format!("sub{}", k + 1)
-                };
-                s = format!("{label}.{s}");
-            }
-            suffixes.push(s);
-        }
-        suffixes
+        let deepest = Name::parse_str(&self.zone_suffix()).expect("valid zone suffix");
+        let mut levels: Vec<String> = deepest.ancestors().map(str::to_owned).collect();
+        levels.reverse();
+        levels
     }
 
     /// The zone suffix under which site zones live, per [`Self::dns_depth`]:
     /// depth 1 → `""` (site zones are TLDs), depth 2 → `"example"`,
     /// depth 3 → `"sub.example"`, depth 4 → `"sub2.sub.example"`, …
     pub fn zone_suffix(&self) -> String {
-        self.level_suffixes().pop().unwrap_or_default()
+        let depth = self.dns_depth.max(1);
+        let mut suffix = String::new();
+        for k in (0..depth.saturating_sub(2)).rev() {
+            match k {
+                0 => suffix.push_str("sub."),
+                k => write!(suffix, "sub{}.", k + 1).expect("writing to a String cannot fail"),
+            }
+        }
+        if depth > 1 {
+            suffix.push_str("example");
+        }
+        suffix
     }
 
     /// Fully-qualified zone name of a server site.
     pub fn site_zone(&self, site: &SiteSpec) -> String {
-        let suffix = self.zone_suffix();
-        if suffix.is_empty() {
-            site.zone_label()
-        } else {
-            format!("{}.{}", site.zone_label(), suffix)
-        }
+        site.zone_in(&self.zone_suffix())
     }
 
     /// Fully-qualified name of `host-{i}` at a server site.
@@ -866,29 +891,45 @@ impl ScenarioSpec {
                     .filter(|s| s.role == SiteRole::Server)
                     .collect();
                 assert!(!servers.is_empty(), "workload needs a server site");
+                for s in &servers {
+                    assert!(
+                        s.hosts > 0,
+                        "server site {:?} has no hosts: the generated workload \
+                         would query names its zone never registers",
+                        s.name
+                    );
+                }
+                let suffix = self.topology.zone_suffix();
                 let mut arrivals = PoissonArrivals::new(seed, *rate_per_sec);
                 let mut site_pick = ZipfPicker::new(seed.wrapping_add(1), servers.len(), *zipf_s);
-                let mut host_picks: Vec<ZipfPicker> = servers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        assert!(
-                            s.hosts > 0,
-                            "server site {:?} has no hosts: the generated workload \
-                             would query names its zone never registers",
-                            s.name
-                        );
-                        ZipfPicker::new(seed.wrapping_add(2 + i as u64), s.hosts, 0.0)
-                    })
-                    .collect();
+                // A site's host picker, zone and host names are made on
+                // its first pick. The picker's seed is the site's own, so
+                // it draws what a picker made up front would; each host's
+                // name is spelled once and shared by all its flows.
+                let mut picked: Vec<Option<PickedSite>> = vec![None; servers.len()];
+                let mut buf = String::new();
                 (0..*flows)
                     .map(|_| {
                         let si = site_pick.pick();
-                        let hi = host_picks[si].pick();
+                        let site = picked[si].get_or_insert_with(|| PickedSite {
+                            hosts: ZipfPicker::new(
+                                seed.wrapping_add(2 + si as u64),
+                                servers[si].hosts,
+                                0.0,
+                            ),
+                            zone: servers[si].zone_in(&suffix),
+                            names: vec![None; servers[si].hosts],
+                        });
+                        let hi = site.hosts.pick();
+                        let zone = &site.zone;
+                        let qname = site.names[hi]
+                            .get_or_insert_with(|| {
+                                spell_name(&mut buf, format_args!("host-{hi}.{zone}"))
+                            })
+                            .clone();
                         FlowSpec {
                             start: arrivals.next_arrival(),
-                            qname: Name::parse_str(&self.topology.host_name(servers[si], hi))
-                                .expect("valid generated name"),
+                            qname,
                             mode: *mode,
                         }
                     })
@@ -903,6 +944,18 @@ impl ScenarioSpec {
             None => self.topology.sites.iter().map(|s| s.eid_prefix).collect(),
         }
     }
+}
+
+/// A server site's workload state, made by [`ScenarioSpec::resolve_flows`]
+/// at the site's first pick.
+#[derive(Clone)]
+struct PickedSite {
+    /// Uniform picker over the site's hosts.
+    hosts: ZipfPicker,
+    /// The site's zone.
+    zone: String,
+    /// Each host's name, once a flow has picked it.
+    names: Vec<Option<Name>>,
 }
 
 /// Built handles of one site, keyed by the site's spec.
@@ -1145,7 +1198,11 @@ impl ScenarioSpec {
         }
 
         let mut sim: Sim<Packet> = Sim::new(seed);
-        let flows = self.resolve_flows(seed);
+        // The flow script moves into the one client site's host.
+        let mut flows = Some(self.resolve_flows(seed));
+        // Every name this build spells (node names, host and server DNS
+        // names) goes through this one buffer.
+        let mut buf = String::new();
         let mapsys_owd = topo.mapsys_owd.unwrap_or(topo.infra_owd);
         let dyn_probing = self.dynamics.as_ref().and_then(|d| d.rloc_probing);
         let dyn_down_policy = self
@@ -1162,8 +1219,31 @@ impl ScenarioSpec {
 
         // ---- DNS infrastructure zone data -----------------------------------
         // Chain of delegations: root → [intermediates] → site zones.
-        let depth = topo.dns_depth.max(1);
-        let suffixes = topo.level_suffixes(); // zone names per infra level
+        // The zone each infra level serves, root first; site zones hang
+        // off the deepest.
+        let levels: Vec<Name> = topo
+            .level_suffixes()
+            .iter()
+            .map(|z| Name::parse_str(z).expect("valid zone name"))
+            .collect();
+        let suffix = levels
+            .last()
+            .expect("the root level is always there")
+            .as_str();
+        // Each server site's zone, spelled once: its text for
+        // `SiteWorld::zone`, its `Name` for the delegation and zone data.
+        let mut site_zones: Vec<Option<String>> = topo
+            .sites
+            .iter()
+            .map(|s| (s.role == SiteRole::Server).then(|| s.zone_in(suffix)))
+            .collect();
+        let zone_names: Vec<Option<Name>> = site_zones
+            .iter()
+            .map(|z| {
+                z.as_deref()
+                    .map(|z| Name::parse_str(z).expect("valid zone name"))
+            })
+            .collect();
         let infra_addr = |level: usize| -> Ipv4Address {
             match level {
                 0 => addrs::ROOT,
@@ -1171,38 +1251,18 @@ impl ScenarioSpec {
                 l => Ipv4Address::new(9, 0, (l - 1) as u8, 53),
             }
         };
-        let zone_name_of = |s: &str| -> Name {
-            if s.is_empty() {
-                Name::root()
-            } else {
-                Name::parse_str(s).expect("valid zone name")
-            }
-        };
         let mut infra_stores: Vec<ZoneStore> = Vec::new();
-        for level in 0..depth {
-            let mut zone = Zone::new(zone_name_of(&suffixes[level]));
-            if level + 1 < depth {
-                let child = &suffixes[level + 1];
-                zone.delegate(
-                    Name::parse_str(child).expect("valid"),
-                    vec![(
-                        Name::parse_str(&format!("ns.{child}")).expect("valid"),
-                        infra_addr(level + 1),
-                    )],
-                    86_400,
-                );
+        for (level, apex) in levels.iter().enumerate() {
+            let mut zone = Zone::new(apex.clone());
+            if let Some(child) = levels.get(level + 1) {
+                let ns = spell_name(&mut buf, format_args!("ns.{}", child.as_str()));
+                zone.delegate(child.clone(), vec![(ns, infra_addr(level + 1))], 86_400);
             } else {
                 // Deepest infra level delegates every server-site zone.
-                for site in topo.sites.iter().filter(|s| s.role == SiteRole::Server) {
-                    let z = topo.site_zone(site);
-                    zone.delegate(
-                        Name::parse_str(&z).expect("valid"),
-                        vec![(
-                            Name::parse_str(&format!("ns.{z}")).expect("valid"),
-                            site.dns_addr(),
-                        )],
-                        86_400,
-                    );
+                for (site, z) in topo.sites.iter().zip(&zone_names) {
+                    let Some(z) = z else { continue };
+                    let ns = spell_name(&mut buf, format_args!("ns.{}", z.as_str()));
+                    zone.delegate(z.clone(), vec![(ns, site.dns_addr())], 86_400);
                 }
             }
             let mut store = ZoneStore::new();
@@ -1223,27 +1283,25 @@ impl ScenarioSpec {
             .sites
             .iter()
             .zip(&site_dest_eids)
-            .map(|(s, eids)| match s.role {
-                SiteRole::Client => None,
-                SiteRole::Server => {
-                    let z = topo.site_zone(s);
-                    let mut zone = Zone::new(Name::parse_str(&z).expect("valid"));
+            .zip(&zone_names)
+            .map(|((s, eids), z)| {
+                let z = z.as_ref()?;
+                let mut zone = Zone::new(z.clone());
+                zone.add_a(
+                    spell_name(&mut buf, format_args!("host.{}", z.as_str())),
+                    s.host_addr(),
+                    300,
+                );
+                for (i, eid) in eids.iter().enumerate() {
                     zone.add_a(
-                        Name::parse_str(&format!("host.{z}")).expect("valid"),
-                        s.host_addr(),
+                        spell_name(&mut buf, format_args!("host-{i}.{}", z.as_str())),
+                        *eid,
                         300,
                     );
-                    for (i, eid) in eids.iter().enumerate() {
-                        zone.add_a(
-                            Name::parse_str(&format!("host-{i}.{z}")).expect("valid"),
-                            *eid,
-                            300,
-                        );
-                    }
-                    let mut store = ZoneStore::new();
-                    store.add_zone(zone);
-                    Some(store)
                 }
+                let mut store = ZoneStore::new();
+                store.add_zone(zone);
+                Some(store)
             })
             .collect();
 
@@ -1252,44 +1310,48 @@ impl ScenarioSpec {
         let site_routers: Vec<NodeId> = topo
             .sites
             .iter()
-            .map(|s| sim.add_node(&format!("site-{}", s.name), Box::new(FlowRouter::new())))
+            .map(|s| {
+                let name = spell(&mut buf, format_args!("site-{}", s.name));
+                sim.add_node(name, Box::new(FlowRouter::new()))
+            })
             .collect();
         let hosts: Vec<NodeId> = topo
             .sites
             .iter()
-            .map(|s| match s.role {
-                SiteRole::Client => sim.add_node(
-                    &format!("E_{}", s.name),
-                    Box::new(TrafficHost::new(s.host_addr(), s.dns_addr(), flows.clone())),
-                ),
-                SiteRole::Server => sim.add_node(
-                    &format!("E_{}", s.name),
-                    Box::new(ServerHost::new(s.host_addr())),
-                ),
+            .map(|s| {
+                let name = spell(&mut buf, format_args!("E_{}", s.name));
+                match s.role {
+                    SiteRole::Client => {
+                        let flows = flows.take().expect("exactly one client site");
+                        let host = TrafficHost::new(s.host_addr(), s.dns_addr(), flows);
+                        sim.add_node(name, Box::new(host))
+                    }
+                    SiteRole::Server => {
+                        sim.add_node(name, Box::new(ServerHost::new(s.host_addr())))
+                    }
+                }
             })
             .collect();
         let dns_nodes: Vec<NodeId> = topo
             .sites
             .iter()
             .enumerate()
-            .map(|(i, s)| match s.role {
-                SiteRole::Client => {
-                    let mut cfg = ResolverConfig::default();
-                    if cp == CpKind::Pce {
-                        cfg.ipc_notify = Some(s.pce_addr());
+            .map(|(i, s)| {
+                let name = spell(&mut buf, format_args!("DNS_{}", s.name));
+                match s.role {
+                    SiteRole::Client => {
+                        let mut cfg = ResolverConfig::default();
+                        if cp == CpKind::Pce {
+                            cfg.ipc_notify = Some(s.pce_addr());
+                        }
+                        let resolver = Resolver::with_config(s.dns_addr(), vec![addrs::ROOT], cfg);
+                        sim.add_node(name, Box::new(resolver))
                     }
-                    sim.add_node(
-                        &format!("DNS_{}", s.name),
-                        Box::new(Resolver::with_config(s.dns_addr(), vec![addrs::ROOT], cfg)),
-                    )
+                    SiteRole::Server => {
+                        let store = site_stores[i].take().expect("server store");
+                        sim.add_node(name, Box::new(AuthServer::new(s.dns_addr(), store)))
+                    }
                 }
-                SiteRole::Server => sim.add_node(
-                    &format!("DNS_{}", s.name),
-                    Box::new(AuthServer::new(
-                        s.dns_addr(),
-                        site_stores[i].take().expect("server store"),
-                    )),
-                ),
             })
             .collect();
         let infra_dns: Vec<NodeId> = infra_stores
@@ -1354,7 +1416,8 @@ impl ScenarioSpec {
                     if replicas.is_some() && s.role == SiteRole::Client {
                         cfg.mirror_to = Some(pce_standby_addr(s));
                     }
-                    sim.add_node(&format!("PCE_{}", s.name), Box::new(Pce::new(cfg)))
+                    let name = spell(&mut buf, format_args!("PCE_{}", s.name));
+                    sim.add_node(name, Box::new(Pce::new(cfg)))
                 })
                 .collect();
             // PCE port 0 = DNS side, port 1 = network side.
@@ -1371,7 +1434,8 @@ impl ScenarioSpec {
                 .filter(|(_, s)| s.role == SiteRole::Client);
             for (i, s) in clients.filter(|_| replicas.is_some()) {
                 let standby = pce_cfg_of(s, pce_standby_addr(s));
-                let id = sim.add_node(&format!("PCE2_{}", s.name), Box::new(Pce::new(standby)));
+                let name = spell(&mut buf, format_args!("PCE2_{}", s.name));
+                let id = sim.add_node(name, Box::new(Pce::new(standby)));
                 // Resolver port 1 = standby uplink; armed by the
                 // TOKEN_FAILOVER timer the dynamics block schedules.
                 sim.connect(id, dns_nodes[i], LinkCfg::ipc());
@@ -1458,7 +1522,8 @@ impl ScenarioSpec {
                         }
                         _ => None,
                     });
-                    let id = sim.add_node(&format!("xTR-{}", p.name), Box::new(Xtr::new(cfg)));
+                    let name = spell(&mut buf, format_args!("xTR-{}", p.name));
+                    let id = sim.add_node(name, Box::new(Xtr::new(cfg)));
                     site_xtrs[i].push(id);
                 }
             }
@@ -1702,7 +1767,7 @@ impl ScenarioSpec {
                 provider_links: std::mem::take(&mut site_links[i]),
                 egress_ports: std::mem::take(&mut site_egress[i]),
                 dest_eids: std::mem::take(&mut site_dest_eids[i]),
-                zone: (s.role == SiteRole::Server).then(|| topo.site_zone(s)),
+                zone: site_zones[i].take(),
             })
             .collect();
 
@@ -1812,6 +1877,7 @@ mod tests {
     use super::*;
     use crate::scenario::flow_script;
     use mapsys::{MapResolver, NerdAuthority};
+    use netsim::trace::fnv64;
 
     fn tcp_mode() -> FlowMode {
         FlowMode::Tcp {
@@ -2216,5 +2282,31 @@ mod tests {
                 assert_eq!(*eid_space(&w, x), want, "{}", cp.label());
             }
         }
+    }
+
+    #[test]
+    fn generated_flow_scripts_are_pinned() {
+        // Every flow script multi_site generates, over sizes, DNS depths,
+        // planes and seeds; recorded before host names and host pickers
+        // were made once per site. The goldens reach only a few of these.
+        let mut digests = Vec::new();
+        for n in [1, 64, 2048] {
+            for depth in 1..=4 {
+                for cp in CpKind::all() {
+                    let mut spec = ScenarioSpec::multi_site(cp, n, 2);
+                    spec.topology.dns_depth = depth;
+                    for seed in 1..=3 {
+                        let mut bytes = Vec::new();
+                        for flow in spec.resolve_flows(seed) {
+                            bytes.extend_from_slice(&flow.start.0.to_le_bytes());
+                            bytes.extend_from_slice(flow.qname.as_str().as_bytes());
+                            bytes.extend_from_slice(format!("{:?}", flow.mode).as_bytes());
+                        }
+                        digests.extend_from_slice(&fnv64(&bytes).to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(fnv64(&digests), 0xdaface01cc9a4bb5);
     }
 }

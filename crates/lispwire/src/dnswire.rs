@@ -11,8 +11,13 @@ use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
 use crate::wire::{Reader, Writer};
 use core::fmt;
+use std::borrow::Borrow;
+use std::sync::Arc;
 
-/// Maximum length of a DNS name in presentation format we accept.
+/// Maximum length of a DNS name on the wire, in octets: every label
+/// with its length byte, plus the root's zero byte (RFC 1035 §2.3.4).
+/// A presentation name of `n > 0` characters takes `n + 2` octets, so
+/// the longest name [`Name::parse_str`] accepts has 253 characters.
 pub const MAX_NAME_LEN: usize = 255;
 /// Maximum label length.
 pub const MAX_LABEL_LEN: usize = 63;
@@ -21,32 +26,41 @@ const CLASS_IN: u16 = 1;
 
 /// A fully-qualified domain name, stored lower-case without the trailing dot.
 ///
+/// A name is spelled once and then shared: the text lives in one
+/// reference-counted allocation, so `clone` only bumps a count. Maps
+/// keyed by `Name` can be searched with a `&str` (through
+/// [`Borrow<str>`]); [`Name::ancestors`] walks a name's suffixes that
+/// way without building a `Name` for each.
+///
 /// The `Default` name is the DNS root.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Name(String);
+pub struct Name(Arc<str>);
 
 impl Name {
     /// The DNS root (empty name).
     pub fn root() -> Self {
-        Name(String::new())
+        Name::default()
     }
 
     /// Parse from presentation format (e.g. `"www.example.com"`).
     /// Trailing dots are stripped; the name is lower-cased.
     pub fn parse_str(s: &str) -> WireResult<Self> {
         let trimmed = s.trim_end_matches('.');
-        if trimmed.len() > MAX_NAME_LEN {
+        if trimmed.is_empty() {
+            return Ok(Name::root());
+        }
+        if trimmed.len() + 2 > MAX_NAME_LEN
+            || trimmed
+                .split('.')
+                .any(|label| label.is_empty() || label.len() > MAX_LABEL_LEN)
+        {
             return Err(WireError::Malformed);
         }
-        for label in trimmed.split('.') {
-            if trimmed.is_empty() {
-                break;
-            }
-            if label.is_empty() || label.len() > MAX_LABEL_LEN {
-                return Err(WireError::Malformed);
-            }
-        }
-        Ok(Name(trimmed.to_ascii_lowercase()))
+        Ok(if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            Name(trimmed.to_ascii_lowercase().into())
+        } else {
+            Name(trimmed.into())
+        })
     }
 
     /// The presentation-format string (no trailing dot; empty for root).
@@ -76,9 +90,18 @@ impl Name {
     /// The parent name (strip the leftmost label); root's parent is root.
     pub fn parent(&self) -> Name {
         match self.0.find('.') {
-            Some(i) => Name(self.0[i + 1..].to_string()),
+            Some(i) => Name(self.0[i + 1..].into()),
             None => Name::root(),
         }
+    }
+
+    /// This name and each ancestor up to the root, most specific first:
+    /// `a.b.c`, `b.c`, `c`, then `""` for the root. Borrowed from this
+    /// name's text, for lookups through [`Borrow<str>`].
+    pub fn ancestors(&self) -> impl Iterator<Item = &str> {
+        core::iter::successors(Some(self.as_str()), |s| {
+            (!s.is_empty()).then(|| s.find('.').map_or("", |i| &s[i + 1..]))
+        })
     }
 
     /// True if `self` is equal to or a subdomain of `other`.
@@ -88,7 +111,7 @@ impl Name {
         }
         self.0 == other.0
             || (self.0.len() > other.0.len()
-                && self.0.ends_with(other.0.as_str())
+                && self.0.ends_with(other.as_str())
                 && self.0.as_bytes()[self.0.len() - other.0.len() - 1] == b'.')
     }
 
@@ -109,25 +132,36 @@ impl Name {
         w.u8(0);
     }
 
-    /// Read an uncompressed name.
+    /// Read an uncompressed name of at most [`MAX_NAME_LEN`] octets.
     pub(crate) fn parse(r: &mut Reader) -> WireResult<Name> {
-        let mut labels: Vec<String> = Vec::new();
-        let mut total_len = 0usize;
+        let mut text = String::new();
+        // Octets read so far, the zero byte that ends the name included.
+        let mut wire_len = 1;
         loop {
             let len = usize::from(r.u8()?);
             if len == 0 {
-                return Ok(Name(labels.join(".")));
+                text.make_ascii_lowercase();
+                return Ok(Name(text.into()));
             }
             if len > MAX_LABEL_LEN {
                 return Err(WireError::Malformed);
             }
             let label = core::str::from_utf8(r.bytes(len)?).map_err(|_| WireError::Malformed)?;
-            total_len += len + 1;
-            if total_len > MAX_NAME_LEN {
+            wire_len += len + 1;
+            if wire_len > MAX_NAME_LEN {
                 return Err(WireError::Malformed);
             }
-            labels.push(label.to_ascii_lowercase());
+            if !text.is_empty() {
+                text.push('.');
+            }
+            text.push_str(label);
         }
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -487,6 +521,48 @@ mod tests {
         assert!(Name::parse_str(&format!("{}.com", "y".repeat(64))).is_err());
     }
 
+    /// A presentation name of `n` characters: 63-character labels, then
+    /// one shorter label for the rest.
+    fn long_name(n: usize) -> String {
+        let mut s = String::new();
+        while s.len() < n {
+            if !s.is_empty() {
+                s.push('.');
+            }
+            let take = (n - s.len()).min(MAX_LABEL_LEN);
+            s.extend(std::iter::repeat_n('a', take));
+        }
+        s
+    }
+
+    #[test]
+    fn name_length_limit_is_255_wire_octets() {
+        // 253 characters take 255 octets on the wire: the longest name,
+        // and it round-trips.
+        let longest = name(&long_name(253));
+        assert_eq!(longest.wire_len(), MAX_NAME_LEN);
+        let bytes = Message::query_a(1, longest.clone(), false).to_bytes();
+        let parsed = Message::from_bytes(&bytes).unwrap();
+        assert_eq!(parsed.question().unwrap().name, longest);
+        // One and two characters more are 256 and 257 octets: refused
+        // in presentation form and on the wire alike.
+        for len in [254, 255] {
+            let text = long_name(len);
+            assert_eq!(Name::parse_str(&text).unwrap_err(), WireError::Malformed);
+            let mut wire = Vec::new();
+            for label in text.split('.') {
+                wire.push(label.len() as u8);
+                wire.extend_from_slice(label.as_bytes());
+            }
+            wire.push(0);
+            assert_eq!(wire.len(), len + 2);
+            assert_eq!(
+                Name::parse(&mut Reader::new(&wire)).unwrap_err(),
+                WireError::Malformed
+            );
+        }
+    }
+
     #[test]
     fn name_parent_and_subdomain() {
         let n = name("www.example.com");
@@ -497,6 +573,11 @@ mod tests {
         assert!(n.is_subdomain_of(&Name::root()));
         assert!(!n.is_subdomain_of(&name("ample.com")));
         assert!(!name("example.com").is_subdomain_of(&n));
+        assert_eq!(
+            n.ancestors().collect::<Vec<_>>(),
+            ["www.example.com", "example.com", "com", ""]
+        );
+        assert_eq!(Name::root().ancestors().collect::<Vec<_>>(), [""]);
     }
 
     #[test]

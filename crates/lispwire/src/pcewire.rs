@@ -24,6 +24,7 @@
 //! among ETRs after the first data packet arrives (paper §2, after
 //! step 8); the kind byte [`IPC_TAG`] marks an [`IpcQueryNotice`].
 
+use crate::dnswire::Name;
 use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
 use crate::lispctl::MapRecord;
@@ -217,8 +218,8 @@ impl PceFlowMsg {
 pub struct IpcQueryNotice {
     /// The requesting end-host (`E_S`).
     pub client: Ipv4Address,
-    /// The queried name, presentation format.
-    pub qname: String,
+    /// The queried name.
+    pub qname: Name,
 }
 
 /// The header tag byte identifying an [`IpcQueryNotice`] (vs the
@@ -226,14 +227,15 @@ pub struct IpcQueryNotice {
 pub const IPC_TAG: u8 = 0xF0;
 
 impl IpcQueryNotice {
-    /// Exact wire length, computed: names
-    /// longer than 255 bytes are cut to 255.
+    /// Exact wire length, computed. A name's presentation form is at
+    /// most 253 bytes ([`crate::dnswire::MAX_NAME_LEN`]), so its length
+    /// fits the one-byte field.
     pub fn wire_len(&self) -> usize {
-        9 + self.qname.len().min(255)
+        9 + self.qname.as_str().len()
     }
 
     fn emit(&self, w: &mut Writer) {
-        let name = &self.qname.as_bytes()[..self.qname.len().min(255)];
+        let name = self.qname.as_str().as_bytes();
         emit_header(w, IPC_TAG);
         w.addr(self.client).u8(name.len() as u8).bytes(name);
     }
@@ -242,17 +244,19 @@ impl IpcQueryNotice {
     fn parse(r: &mut Reader) -> WireResult<Self> {
         let client = r.addr()?;
         let len = r.u8()?;
-        let qname = core::str::from_utf8(r.bytes(usize::from(len))?)
-            .map_err(|_| WireError::Malformed)?
-            .to_string();
-        Ok(Self { client, qname })
+        let text =
+            core::str::from_utf8(r.bytes(usize::from(len))?).map_err(|_| WireError::Malformed)?;
+        Ok(Self {
+            client,
+            qname: Name::parse_str(text)?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dnswire::{Message, Name};
+    use crate::dnswire::Message;
     use crate::lispctl::Locator;
     use crate::ports;
 
@@ -387,7 +391,7 @@ mod tests {
         for qname in ["host.d.example", ""] {
             let n = PceMsg::Ipc(IpcQueryNotice {
                 client: addr(100, 0, 0, 5),
-                qname: qname.into(),
+                qname: Name::parse_str(qname).unwrap(),
             });
             let bytes = n.to_bytes();
             assert_eq!(bytes.len(), n.wire_len());
@@ -400,7 +404,7 @@ mod tests {
     fn ipc_notice_truncation_rejected() {
         let n = PceMsg::Ipc(IpcQueryNotice {
             client: addr(100, 0, 0, 5),
-            qname: "host.d.example".into(),
+            qname: Name::parse_str("host.d.example").unwrap(),
         });
         let b = n.to_bytes();
         assert_eq!(

@@ -5,7 +5,7 @@
 //! decode-never-panics on random byte soup, on byte soup framed in valid
 //! IPv4/UDP headers, and on truncations of valid encodings.
 
-use lispwire::dnswire::{Message, Name, Rcode, Record};
+use lispwire::dnswire::{Message, Name, Rcode, Record, MAX_LABEL_LEN, MAX_NAME_LEN};
 use lispwire::lisp::LispRepr;
 use lispwire::lispctl::{DbPush, Locator, MapRecord, MapReply, MapRequest};
 use lispwire::packet::{CtlMsg, Ipv4Header, Packet, PceMsg, UdpPorts};
@@ -14,6 +14,8 @@ use lispwire::ports;
 use lispwire::tcpseg::{TcpFlags, TcpRepr};
 use lispwire::Ipv4Address;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Address> {
     any::<u32>().prop_map(Ipv4Address::from_u32)
@@ -63,13 +65,72 @@ fn arb_map_record() -> impl Strategy<Value = MapRecord> {
         )
 }
 
+/// Short and long labels, so that names run from a single character to
+/// the length limit.
 fn arb_label() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-z0-9]{1,20}").unwrap()
+    prop_oneof![
+        proptest::string::string_regex("[a-z0-9]{1,12}").unwrap(),
+        proptest::string::string_regex("[a-z0-9]{1,63}").unwrap(),
+    ]
+}
+
+/// The longest presentation name: 253 characters are 255 octets on the
+/// wire.
+const MAX_TEXT_LEN: usize = MAX_NAME_LEN - 2;
+
+/// Presentation text of a valid name as a user might write it: mixed
+/// case, sometimes with the trailing dot. Labels are kept while they
+/// fit the length limit; with `fill`, more labels take the name to
+/// exactly the limit (or one short of it, when only a dot would fit).
+fn arb_name_text() -> impl Strategy<Value = String> {
+    (
+        prop::collection::vec(arb_label(), 0..9),
+        any::<bool>(),
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(labels, fill, upper, dot)| {
+            let mut text = String::new();
+            let push = |text: &mut String, label: &str| {
+                if !text.is_empty() {
+                    text.push('.');
+                }
+                text.push_str(label);
+            };
+            // Characters a next label may have: what is left, less its dot.
+            let room = |text: &String| {
+                (MAX_TEXT_LEN - text.len()).saturating_sub(usize::from(!text.is_empty()))
+            };
+            for label in labels {
+                if label.len() > room(&text) {
+                    break;
+                }
+                push(&mut text, &label);
+            }
+            while fill && room(&text) > 0 {
+                let label = "z".repeat(room(&text).min(MAX_LABEL_LEN));
+                push(&mut text, &label);
+            }
+            let mut text: String = text
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if upper >> (i % 64) & 1 == 1 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            if dot {
+                text.push('.');
+            }
+            text
+        })
 }
 
 fn arb_name() -> impl Strategy<Value = Name> {
-    prop::collection::vec(arb_label(), 0..5)
-        .prop_map(|labels| Name::parse_str(&labels.join(".")).unwrap())
+    arb_name_text().prop_map(|text| Name::parse_str(&text).unwrap())
 }
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -284,5 +345,138 @@ proptest! {
         data[0] = (c >> 8) as u8;
         data[1] = c as u8;
         prop_assert!(lispwire::checksum::verify(&data));
+    }
+}
+
+/// `Name` as it was while it owned a `String`: the reference the shared
+/// `Name` is checked against, operation by operation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct RefName(String);
+
+impl RefName {
+    /// Valid presentation text only: strip the trailing dot, lower-case.
+    fn parse_str(text: &str) -> Self {
+        RefName(text.trim_end_matches('.').to_ascii_lowercase())
+    }
+
+    fn is_root(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn label_count(&self) -> usize {
+        if self.0.is_empty() {
+            0
+        } else {
+            self.0.split('.').count()
+        }
+    }
+
+    fn parent(&self) -> RefName {
+        match self.0.find('.') {
+            Some(i) => RefName(self.0[i + 1..].to_string()),
+            None => RefName(String::new()),
+        }
+    }
+
+    fn is_subdomain_of(&self, other: &RefName) -> bool {
+        if other.is_root() {
+            return true;
+        }
+        self.0 == other.0
+            || (self.0.len() > other.0.len()
+                && self.0.ends_with(other.0.as_str())
+                && self.0.as_bytes()[self.0.len() - other.0.len() - 1] == b'.')
+    }
+
+    fn wire_len(&self) -> usize {
+        if self.0.is_empty() {
+            1
+        } else {
+            self.0.len() + 2
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        for label in self.0.split('.').filter(|l| !l.is_empty()) {
+            out.push(label.len() as u8);
+            out.extend_from_slice(label.as_bytes());
+        }
+        out.push(0);
+        out
+    }
+
+    fn display(&self) -> String {
+        if self.0.is_empty() {
+            ".".to_string()
+        } else {
+            self.0.clone()
+        }
+    }
+
+    /// This name, then each parent, the root last.
+    fn chain(&self) -> Vec<RefName> {
+        let mut chain = vec![self.clone()];
+        while !chain.last().unwrap().is_root() {
+            chain.push(chain.last().unwrap().parent());
+        }
+        chain
+    }
+}
+
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// A second name related to the first: one of its ancestors, a child of
+/// it, or an unrelated name.
+fn related(text: &str, other: &str, pick: usize) -> String {
+    let base = text.trim_end_matches('.');
+    match pick % 3 {
+        0 => base
+            .splitn(pick % 5 + 1, '.')
+            .last()
+            .unwrap_or("")
+            .to_string(),
+        1 if base.len() + 4 <= MAX_TEXT_LEN => format!("www.{base}"),
+        _ => other.to_string(),
+    }
+}
+
+proptest! {
+    #[test]
+    fn name_matches_string_reference(text in arb_name_text(), other in arb_name_text(), pick in 0usize..64) {
+        let other = related(&text, &other, pick);
+        let (a, b) = (Name::parse_str(&text).unwrap(), Name::parse_str(&other).unwrap());
+        let (ra, rb) = (RefName::parse_str(&text), RefName::parse_str(&other));
+        prop_assert_eq!(a.as_str(), ra.0.as_str());
+        prop_assert_eq!(a == b, ra == rb);
+        prop_assert_eq!(a.cmp(&b), ra.cmp(&rb));
+        prop_assert_eq!(hash_of(&a), hash_of(&ra));
+        prop_assert_eq!(a.to_string(), ra.display());
+        prop_assert_eq!(a.label_count(), ra.label_count());
+        prop_assert_eq!(a.is_subdomain_of(&b), ra.is_subdomain_of(&rb));
+        prop_assert_eq!(b.is_subdomain_of(&a), rb.is_subdomain_of(&ra));
+        prop_assert_eq!(a.wire_len(), ra.wire_len());
+        let bytes = Message::query_a(0, a.clone(), false).to_bytes();
+        prop_assert_eq!(&bytes[12..12 + a.wire_len()], &ra.encode()[..]);
+        // The parent chain, as names and as borrowed ancestors.
+        let mut chain = vec![a.clone()];
+        while !chain.last().unwrap().is_root() {
+            chain.push(chain.last().unwrap().parent());
+        }
+        let ref_chain = ra.chain();
+        let texts: Vec<&str> = chain.iter().map(Name::as_str).collect();
+        prop_assert_eq!(&texts, &ref_chain.iter().map(|r| r.0.as_str()).collect::<Vec<_>>());
+        prop_assert_eq!(a.ancestors().collect::<Vec<_>>(), texts);
+        // A clone shares the text; it does not copy it.
+        prop_assert!(std::ptr::eq(a.as_str(), a.clone().as_str()));
+        // Lookups by `&str` find what lookups by `Name` find.
+        let map: BTreeMap<Name, usize> = chain.iter().cloned().zip(0..).chain([(b.clone(), 99)]).collect();
+        for probe in chain.iter().chain([&b, &Name::parse_str("not.in.the.map").unwrap()]) {
+            prop_assert_eq!(map.get(probe.as_str()), map.get(probe));
+        }
     }
 }

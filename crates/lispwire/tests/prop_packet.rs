@@ -262,7 +262,7 @@ proptest! {
         flow in arb_flow(),
         kind_sel in 0usize..3,
         client in arb_addr(),
-        qname in proptest::string::string_regex("[a-z0-9.]{0,64}").unwrap(),
+        qname in arb_name(),
     ) {
         let kind = [PceKind::MappingPush, PceKind::MappingWithdraw, PceKind::ReverseSync][kind_sel];
         let flow_msg = PceMsg::Flow(PceFlowMsg { kind, mapping: flow });

@@ -232,13 +232,34 @@ pub mod queue_testing {
     }
 }
 
+/// Every node's name, back to back in one buffer: a world of many
+/// thousand nodes holds two allocations for its names, not one each.
+#[derive(Default)]
+struct NodeNames {
+    text: String,
+    /// Where each node's name ends in `text`, by node id.
+    ends: Vec<usize>,
+}
+
+impl NodeNames {
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    fn get(&self, id: NodeId) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[id]]
+    }
+}
+
 /// A deterministic discrete-event simulation, generic over the packet
 /// [`Payload`] its nodes exchange. Product code instantiates
 /// `Sim<lispwire::Packet>` (typed packets, computed wire lengths);
 /// engine tests and benches use the default `Sim<Vec<u8>>`.
 pub struct Sim<P: Payload = Vec<u8>> {
     nodes: Vec<Box<dyn Node<P>>>,
-    names: Vec<String>,
+    names: NodeNames,
     ports: Vec<Vec<PortBinding>>,
     transmitters: Vec<Transmitter<P>>,
     /// Delivery target of each transmitter (peer node, peer port), in
@@ -272,7 +293,7 @@ impl<P: Payload> Sim<P> {
     pub fn new(seed: u64) -> Self {
         Self {
             nodes: Vec::new(),
-            names: Vec::new(),
+            names: NodeNames::default(),
             ports: Vec::new(),
             transmitters: Vec::new(),
             tx_targets: Vec::new(),
@@ -296,7 +317,7 @@ impl<P: Payload> Sim<P> {
     pub fn add_node(&mut self, name: &str, node: Box<dyn Node<P>>) -> NodeId {
         let id = self.nodes.len();
         self.nodes.push(node);
-        self.names.push(name.to_string());
+        self.names.push(name);
         self.ports.push(Vec::new());
         self.node_up.push(true);
         id
@@ -349,7 +370,7 @@ impl<P: Payload> Sim<P> {
 
     /// A node's display name.
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id]
+        self.names.get(id)
     }
 
     /// Number of nodes.
@@ -576,7 +597,7 @@ impl<P: Payload> Sim<P> {
         let mut ctx = Ctx {
             now: self.now,
             node: node_id,
-            node_name: &self.names[node_id],
+            node_name: self.names.get(node_id),
             ports: &self.ports[node_id],
             transmitters: &mut self.transmitters,
             rng: &mut self.rng,
@@ -614,7 +635,7 @@ impl<P: Payload> Sim<P> {
                     self.trace.push(
                         self.now,
                         ev.node,
-                        &self.names[ev.node],
+                        self.names.get(ev.node),
                         format_args!(
                             "pkt rx port={} len={} fnv64={:016x}",
                             port,

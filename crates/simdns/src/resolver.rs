@@ -172,19 +172,15 @@ impl Resolver {
 
     /// The deepest cached NS set applicable to `qname`, else a root hint.
     fn pick_server(&self, qname: &Name, now: Ns) -> Ipv4Address {
-        let mut zone = qname.clone();
-        loop {
-            if let Some(c) = self.ns_cache.get(&zone) {
-                if c.expires > now && !c.servers.is_empty() {
-                    return c.servers[0];
-                }
-            }
-            if zone.is_root() {
-                break;
-            }
-            zone = zone.parent();
-        }
-        self.root_hints[0]
+        qname
+            .ancestors()
+            .find_map(|zone| {
+                self.ns_cache
+                    .get(zone)
+                    .filter(|c| c.expires > now)
+                    .and_then(|c| c.servers.first().copied())
+            })
+            .unwrap_or(self.root_hints[0])
     }
 
     fn send_upstream(&mut self, ctx: &mut Ctx<'_, Packet>, qid: u16) {
@@ -243,7 +239,7 @@ impl Resolver {
         if let Some(pce) = self.cfg.ipc_notify {
             let notice = lispwire::pcewire::IpcQueryNotice {
                 client: src,
-                qname: q.name.as_str().to_string(),
+                qname: q.name.clone(),
             };
             let pkt = self
                 .stack
@@ -502,6 +498,7 @@ mod tests {
     use crate::zone::Zone;
     use inet::{Prefix, Router};
     use netsim::{LinkCfg, Sim};
+    use proptest::prelude::*;
 
     fn n(s: &str) -> Name {
         Name::parse_str(s).unwrap()
@@ -751,6 +748,54 @@ mod tests {
         let second_out = sim.node_ref::<Tap>(s1).got.len();
         assert!(first_out >= 1, "pre-failover upstream must exit port 0");
         assert!(second_out >= 1, "post-failover upstream must exit port 1");
+    }
+
+    /// `pick_server` as it was before it walked borrowed ancestors: a
+    /// fresh parent `Name` per step. Kept as the walk's oracle.
+    fn pick_by_parents(r: &Resolver, qname: &Name, now: Ns) -> Ipv4Address {
+        let mut zone = qname.clone();
+        loop {
+            if let Some(c) = r.ns_cache.get(&zone) {
+                if c.expires > now && !c.servers.is_empty() {
+                    return c.servers[0];
+                }
+            }
+            if zone.is_root() {
+                break;
+            }
+            zone = zone.parent();
+        }
+        r.root_hints[0]
+    }
+
+    /// Names with a label count drawn from `depths`, over a three-letter
+    /// alphabet, so that cached zones nest and queries fall under them often.
+    fn arb_name(depths: core::ops::Range<usize>) -> impl Strategy<Value = Name> {
+        prop::collection::vec(0usize..3, depths).prop_map(|labels| {
+            let text: Vec<&str> = labels.iter().map(|&l| ["a", "b", "c"][l]).collect();
+            n(&text.join("."))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn pick_server_matches_parent_walk(
+            cached in prop::collection::vec((arb_name(0..5), 0u64..4, 0usize..3), 0..12),
+            queries in prop::collection::vec(arb_name(0..6), 1..12),
+        ) {
+            // Entries expire at 0–3 s and hold 0–2 servers; the clock
+            // reads 2 s, so some entries are stale and some are empty.
+            let now = Ns::from_secs(2);
+            let mut r = Resolver::new(a([10, 0, 0, 53]), vec![a([8, 0, 0, 53])]);
+            for (i, (zone, expires, servers)) in cached.iter().enumerate() {
+                let servers = (0..*servers).map(|k| a([9, 0, i as u8, k as u8])).collect();
+                let expires = Ns::from_secs(*expires);
+                r.ns_cache.insert(zone.clone(), CachedNs { servers, expires });
+            }
+            for q in queries.iter().chain(cached.iter().map(|(zone, _, _)| zone)) {
+                prop_assert_eq!(r.pick_server(q, now), pick_by_parents(&r, q, now));
+            }
+        }
     }
 
     #[test]

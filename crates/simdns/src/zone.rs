@@ -63,18 +63,12 @@ impl Zone {
     }
 
     /// Find the delegation (if any) that covers `qname`: the most specific
-    /// delegated child the name falls under.
+    /// delegated child the name falls under. One map lookup per ancestor
+    /// of `qname`, the name itself first.
     pub fn covering_delegation(&self, qname: &Name) -> Option<&Delegation> {
-        let mut best: Option<&Delegation> = None;
-        for d in self.delegations.values() {
-            if qname.is_subdomain_of(&d.zone) {
-                match best {
-                    Some(b) if b.zone.label_count() >= d.zone.label_count() => {}
-                    _ => best = Some(d),
-                }
-            }
-        }
-        best
+        qname
+            .ancestors()
+            .find_map(|zone| self.delegations.get(zone))
     }
 }
 
@@ -166,6 +160,7 @@ impl ZoneStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(s: &str) -> Name {
         Name::parse_str(s).unwrap()
@@ -259,6 +254,48 @@ mod tests {
         let d = z.covering_delegation(&n("host.deep.example")).unwrap();
         assert_eq!(d.zone, n("deep.example"));
         assert!(z.covering_delegation(&n("host.d.example")).is_none());
+    }
+
+    /// The linear scan `covering_delegation` was before it walked the
+    /// name's ancestors: every delegation the name falls under, the one
+    /// with the most labels winning. Kept as the walk's oracle.
+    fn covering_by_scan<'z>(zone: &'z Zone, qname: &Name) -> Option<&'z Delegation> {
+        let mut best: Option<&Delegation> = None;
+        for d in zone.delegations.values() {
+            if qname.is_subdomain_of(&d.zone) {
+                match best {
+                    Some(b) if b.zone.label_count() >= d.zone.label_count() => {}
+                    _ => best = Some(d),
+                }
+            }
+        }
+        best
+    }
+
+    /// Names with a label count drawn from `depths`, over a three-letter
+    /// alphabet, so that delegations nest and queries hit them often.
+    fn arb_name(depths: core::ops::Range<usize>) -> impl Strategy<Value = Name> {
+        prop::collection::vec(0usize..3, depths).prop_map(|labels| {
+            let text: Vec<&str> = labels.iter().map(|&l| ["a", "b", "c"][l]).collect();
+            n(&text.join("."))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn ancestor_walk_matches_linear_scan(
+            cuts in prop::collection::vec(arb_name(1..5), 0..12),
+            queries in prop::collection::vec(arb_name(0..6), 1..12),
+        ) {
+            let mut zone = Zone::new(Name::root());
+            for (i, cut) in cuts.iter().enumerate() {
+                zone.delegate(cut.clone(), vec![(n("ns.x"), a([10, 0, 0, i as u8]))], 60);
+            }
+            // Queries equal to a delegation, and the root, every time.
+            for q in queries.iter().chain(&cuts).chain([&Name::root()]) {
+                prop_assert_eq!(zone.covering_delegation(q), covering_by_scan(&zone, q));
+            }
+        }
     }
 
     #[test]

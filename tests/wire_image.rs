@@ -289,7 +289,7 @@ fn every_variant() -> Vec<(&'static str, Packet)> {
                 ports::PCE_IPC,
                 PceMsg::Ipc(IpcQueryNotice {
                     client: a(100, 0, 0, 5),
-                    qname: "host.d.example".into(),
+                    qname: Name::parse_str("host.d.example").unwrap(),
                 }),
             ),
         ),
