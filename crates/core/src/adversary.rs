@@ -21,7 +21,6 @@ use inet::stack::IpStack;
 use lispwire::packet::Packet;
 use lispwire::Ipv4Address;
 use netsim::{Ctx, Node, PortId};
-use std::any::Any;
 
 /// Deterministic xorshift64* stream for adversarial target selection.
 ///
@@ -116,13 +115,6 @@ impl Node<Packet> for AttackNode {
             ctx.send(0, pkt.clone());
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -131,6 +123,8 @@ mod tests {
     use lispwire::packet::{CtlMsg, Packet};
     use lispwire::{lispctl::MapRequest, ports};
     use netsim::{LinkCfg, Ns, Sim};
+
+    type Tap = netsim::testkit::Tap<Packet>;
 
     fn a(o: [u8; 4]) -> Ipv4Address {
         Ipv4Address(o)
@@ -176,31 +170,16 @@ mod tests {
         };
         let script = vec![req(1), req(2), req(3)];
 
-        struct Sink {
-            pub got: u64,
-        }
-        impl Node<Packet> for Sink {
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _p: PortId, _pkt: Packet) {
-                self.got += 1;
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-
         let mut sim: Sim<Packet> = Sim::new(1);
         let atk = sim.add_node("attacker", Box::new(AttackNode::new(atk_addr, script)));
-        let sink = sim.add_node("sink", Box::new(Sink { got: 0 }));
+        let sink = sim.add_node("sink", Box::new(Tap::sink()));
         sim.connect(atk, sink, LinkCfg::lan());
         for k in 0..3u64 {
             sim.schedule_timer(atk, Ns::from_ms(10).saturating_add(Ns::from_ms(10 * k)), k);
         }
         sim.run();
         assert_eq!(sim.node_ref::<AttackNode>(atk).sent, 3);
-        assert_eq!(sim.node_ref::<Sink>(sink).got, 3);
+        assert_eq!(sim.node_ref::<Tap>(sink).received.len(), 3);
     }
 
     #[test]
@@ -214,24 +193,9 @@ mod tests {
             data,
         );
 
-        struct Src {
-            pkt: Packet,
-        }
-        impl Node<Packet> for Src {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _t: u64) {
-                ctx.send(0, self.pkt.clone());
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-
         let mut sim: Sim<Packet> = Sim::new(1);
         let atk = sim.add_node("attacker", Box::new(AttackNode::new(atk_addr, vec![])));
-        let src = sim.add_node("src", Box::new(Src { pkt: tunnelled }));
+        let src = sim.add_node("src", Box::new(Tap::new(vec![tunnelled])));
         sim.connect(src, atk, LinkCfg::lan());
         sim.schedule_timer(src, Ns::ZERO, 0);
         sim.run();

@@ -36,10 +36,10 @@ use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::hosts::{FlowMode, FlowSpec};
 use crate::scenario::CpKind;
 use crate::spec::{DynamicsSpec, ScenarioSpec};
+use crate::table::Table;
 use ircte::SelectionPolicy;
 use lispwire::dnswire::Name;
 use netsim::Ns;
-use simstats::Table;
 
 /// When the locator fails (off the 1 s probe grid, so pull planes pay a
 /// realistic partial probe interval).

@@ -27,7 +27,7 @@ use crate::experiments::e9_scale::{run_scale_cell_at, ScaleRow};
 use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::experiments::sweep::Sweep;
 use crate::scenario::CpKind;
-use simstats::Table;
+use crate::table::Table;
 
 /// Destination-site counts: doubling then 4× steps, 2×–16× past E9's
 /// top of 32.

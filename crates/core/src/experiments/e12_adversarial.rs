@@ -21,13 +21,13 @@ use crate::hosts::FlowMode;
 use crate::plane::MapSystem;
 use crate::scenario::CpKind;
 use crate::spec::{AttackerSpec, DefenseSpec, ScenarioSpec};
+use crate::table::Table;
 use inet::Prefix;
 use lispdp::{CacheSpec, EvictionPolicy, MissPolicy, Xtr};
 use lispwire::dnswire::Name;
 use lispwire::Ipv4Address;
 use mapsys::{AltRouter, ConsNode, MapResolver};
 use netsim::Ns;
-use simstats::Table;
 
 /// One row of the capacity sweep.
 #[derive(Debug, Clone)]

@@ -42,10 +42,10 @@ use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::hosts::{FlowMode, FlowSpec, ServerHost};
 use crate::scenario::CpKind;
 use crate::spec::{DynamicsSpec, ReplicaSpec, RetrySpec, ScenarioSpec};
+use crate::table::Table;
 use ircte::SelectionPolicy;
 use lispwire::dnswire::Name;
 use netsim::Ns;
-use simstats::Table;
 
 /// When the client site's mapping node crashes.
 pub const T_FAIL: Ns = Ns::from_secs(2);

@@ -11,8 +11,8 @@ use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::hosts::{FlowMode, TrafficHost};
 use crate::scenario::{flow_script, CpKind};
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use netsim::Ns;
-use simstats::Table;
 
 /// Result of the E1 run.
 #[derive(Debug, Clone)]

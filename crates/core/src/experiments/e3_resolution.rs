@@ -16,9 +16,9 @@ use crate::experiments::sweep::Sweep;
 use crate::hosts::FlowMode;
 use crate::scenario::{flow_script, CpKind};
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use lispdp::{MissPolicy, Xtr};
 use netsim::Ns;
-use simstats::Table;
 
 /// One measurement row.
 #[derive(Debug, Clone)]

@@ -16,9 +16,9 @@ use crate::experiments::sweep::Sweep;
 use crate::hosts::FlowMode;
 use crate::scenario::{flow_script, CpKind};
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use lispdp::MissPolicy;
 use netsim::Ns;
-use simstats::Table;
 
 /// One row of the comparison.
 #[derive(Debug, Clone)]

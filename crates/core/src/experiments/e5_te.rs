@@ -16,9 +16,9 @@ use crate::experiments::sweep::Sweep;
 use crate::hosts::{FlowMode, ServerHost};
 use crate::scenario::{flow_script, CpKind, FlowRouter};
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use ircte::Imbalance;
 use netsim::Ns;
-use simstats::Table;
 
 /// One row: inbound byte distribution per domain.
 #[derive(Debug, Clone)]

@@ -12,11 +12,11 @@ use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::hosts::FlowMode;
 use crate::scenario::CpKind;
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use crate::workload::{PoissonArrivals, ZipfPicker};
 use lispdp::{MissPolicy, Xtr};
 use lispwire::dnswire::Name;
 use netsim::Ns;
-use simstats::Table;
 
 /// One row of the sweep.
 #[derive(Debug, Clone)]

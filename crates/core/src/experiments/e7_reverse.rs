@@ -11,9 +11,9 @@ use crate::hosts::FlowMode;
 use crate::pce::Pce;
 use crate::scenario::{flow_script, CpKind};
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use lispdp::Xtr;
 use netsim::Ns;
-use simstats::Table;
 
 /// E7 result.
 #[derive(Debug, Clone)]

@@ -13,10 +13,10 @@ use crate::pce::Pce;
 use crate::plane::MapSystem;
 use crate::scenario::{flow_script, CpKind};
 use crate::spec::{ScenarioSpec, World};
+use crate::table::Table;
 use lispdp::Xtr;
 use mapsys::{AltRouter, ConsNode, MapResolver, NerdAuthority};
 use netsim::Ns;
-use simstats::Table;
 
 /// One row of the overhead comparison.
 #[derive(Debug, Clone)]

@@ -20,9 +20,9 @@ use crate::experiments::e8_overhead::control_plane_tally;
 use crate::experiments::report::{Cell, ExpReport, Section};
 use crate::scenario::CpKind;
 use crate::spec::ScenarioSpec;
+use crate::table::Table;
 use lispdp::Xtr;
 use netsim::Ns;
-use simstats::Table;
 
 /// One (control plane, site count) measurement.
 #[derive(Debug, Clone)]

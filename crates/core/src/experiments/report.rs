@@ -6,7 +6,7 @@
 //! text (so renderings stay byte-identical to the historical tables)
 //! and a typed [`Value`] (so JSON emission keeps numbers as numbers).
 
-use simstats::Table;
+use crate::table::Table;
 use std::fmt::Write as _;
 
 /// A typed cell value, used for JSON serialization.

@@ -13,7 +13,6 @@ use lispwire::dnswire::{Message, Name};
 use lispwire::packet::Packet;
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
-use std::any::Any;
 use std::collections::BTreeMap;
 
 /// How a flow exercises the network after resolution.
@@ -287,13 +286,6 @@ impl Node<Packet> for TrafficHost {
             _ => {}
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// The passive peer: accepts TCP handshakes, counts TCP and UDP payload
@@ -423,13 +415,6 @@ impl Node<Packet> for ServerHost {
             _ => {}
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -478,12 +463,6 @@ mod tests {
             if let Some(p) = self.queue.pop_front() {
                 ctx.send(0, p);
             }
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
         }
     }
 

@@ -33,6 +33,8 @@
 //! * [`adversary`] — scripted attacker nodes for the graceful-degradation
 //!   study (E12): Map-Request floods, cache poisoning, prefix
 //!   overclaiming, all replay-deterministic (DESIGN.md §10).
+//! * [`table`] — the plain-text [`table::Table`] every experiment
+//!   report prints through.
 //! * [`experiments`] — the E1–E12 / A1–A2 harnesses of DESIGN.md behind
 //!   the [`experiments::Experiment`] trait: each returns an
 //!   [`experiments::ExpReport`] with typed rows, printable tables and
@@ -62,6 +64,7 @@ pub mod pce;
 pub mod plane;
 pub mod scenario;
 pub mod spec;
+pub mod table;
 pub mod workload;
 
 /// Convenient re-exports for examples and benches.
@@ -77,10 +80,10 @@ pub mod prelude {
         ScenarioSpec, SelectionPolicy, SiteRole, SiteSpec, SiteWorld, TopologySpec, Workload,
         World,
     };
+    pub use crate::table::Table;
     pub use crate::workload::{PoissonArrivals, ZipfPicker};
     pub use inet::{Prefix, Router};
     pub use lispdp::{CacheSpec, CpMode, DefenseCfg, EvictionPolicy, MissPolicy, Xtr};
     pub use lispwire::Ipv4Address;
     pub use netsim::{LinkCfg, Ns, Sim};
-    pub use simstats::Table;
 }

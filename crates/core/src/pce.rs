@@ -33,7 +33,6 @@ use lispwire::packet::{Packet, PceMsg};
 use lispwire::pcewire::{FlowMapping, PceFlowMsg, PceKind};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Static configuration of a PCE.
@@ -601,13 +600,6 @@ impl Node<Packet> for Pce {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -633,46 +625,19 @@ mod tests {
         )
     }
 
-    /// Node that feeds packets into a PCE port and records what comes out
-    /// the attached link.
-    struct Tap {
-        outbox: Vec<Packet>,
-        pub received: Vec<Packet>,
-    }
-    impl Node<Packet> for Tap {
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-            if let Some(p) = self.outbox.get(token as usize) {
-                ctx.send(0, p.clone());
-            }
-        }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _p: PortId, pkt: Packet) {
-            self.received.push(pkt);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
+    /// Feeds packets into a PCE port and records what comes out of it.
+    type Tap = netsim::testkit::Tap<Packet>;
+
+    /// The packets `tap` received, without their arrival times.
+    fn received(sim: &Sim<Packet>, tap: netsim::NodeId) -> Vec<Packet> {
+        sim.node_ref::<Tap>(tap).packets().cloned().collect()
     }
 
     fn world(cfg: PceConfig) -> (Sim<Packet>, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
         let mut sim: Sim<Packet> = Sim::new(2);
         sim.trace.enable();
-        let dns_side = sim.add_node(
-            "dns-side",
-            Box::new(Tap {
-                outbox: vec![],
-                received: vec![],
-            }),
-        );
-        let net_side = sim.add_node(
-            "net-side",
-            Box::new(Tap {
-                outbox: vec![],
-                received: vec![],
-            }),
-        );
+        let dns_side = sim.add_node("dns-side", Box::new(Tap::sink()));
+        let net_side = sim.add_node("net-side", Box::new(Tap::sink()));
         let pce = sim.add_node("pce", Box::new(Pce::new(cfg)));
         // PCE port 0 = DNS side, port 1 = network side.
         sim.connect(pce, dns_side, LinkCfg::ipc());
@@ -703,7 +668,7 @@ mod tests {
         let p = sim.node_mut::<Pce>(pce);
         assert_eq!(p.stats.dns_intercepts, 1);
         assert_eq!(p.stats.forwarded, 0);
-        let out = sim.node_ref::<Tap>(net_side).received.clone();
+        let out = received(&sim, net_side);
         assert_eq!(out.len(), 1);
         match &out[0] {
             Packet::Pce {
@@ -737,7 +702,7 @@ mod tests {
         sim.schedule_timer(dns_side, Ns::ZERO, 0);
         sim.run();
         assert_eq!(sim.node_mut::<Pce>(pce).stats.dns_intercepts, 0);
-        let out = sim.node_ref::<Tap>(net_side).received.clone();
+        let out = received(&sim, net_side);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], reply, "forwarded byte-identical");
     }
@@ -804,7 +769,7 @@ mod tests {
         assert!(flow.rloc_s == a([10, 0, 0, 1]) || flow.rloc_s == a([11, 0, 0, 1]));
 
         // 7a: the DNS server side got the original reply.
-        let dns_out = sim.node_ref::<Tap>(dns_side).received.clone();
+        let dns_out = received(&sim, dns_side);
         assert_eq!(dns_out.len(), 1);
         match &dns_out[0] {
             Packet::Dns { ip, ports: p, .. } => {
@@ -814,7 +779,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // 7b: the net side carried two pushes.
-        let net_out = sim.node_ref::<Tap>(net_side).received.clone();
+        let net_out = received(&sim, net_side);
         let pushes: Vec<_> = net_out
             .iter()
             .filter(|b| matches!(b.udp_ports(), Some(p) if p.dst == ports::PCE_MAP))
@@ -939,7 +904,7 @@ mod tests {
         assert_eq!(updated.rloc_s, a([13, 0, 0, 1]), "re-homed onto Y");
         // Local pushes to both ITRs plus the remote fix.
         assert_eq!(p.stats.pushes_sent, 3);
-        let out = sim.node_ref::<Tap>(net_side).received.clone();
+        let out = received(&sim, net_side);
         let remote_fix = out
             .iter()
             .find_map(|b| match b {

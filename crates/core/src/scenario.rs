@@ -11,7 +11,6 @@
 use inet::{LpmTrie, Prefix};
 use lispwire::{Ipv4Address, Packet};
 use netsim::{Ctx, LazyCounter, Node, PortId, ScheduledUpdates};
-use std::any::Any;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -172,13 +171,6 @@ impl Node<Packet> for FlowRouter {
                 self.ctr_dropped.add(ctx, "flowrouter.dropped", 1);
             }
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
     }
 }
 

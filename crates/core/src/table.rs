@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every experiment binary prints its results through this renderer so
+//! Every experiment report prints its results through this renderer so
 //! that EXPERIMENTS.md rows can be regenerated verbatim.
 
 use core::fmt::Write as _;

@@ -14,7 +14,6 @@ use crate::lpm::LpmTrie;
 use crate::stack::forward_hop;
 use lispwire::Packet;
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
-use std::any::Any;
 use std::collections::VecDeque;
 
 /// A transit router forwarding by longest-prefix match.
@@ -121,13 +120,6 @@ impl Node<Packet> for Router {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -137,40 +129,7 @@ mod tests {
     use lispwire::Ipv4Address;
     use netsim::{LinkCfg, Sim};
 
-    /// A sink endpoint that records every packet it receives.
-    pub struct Sink {
-        pub received: Vec<Packet>,
-    }
-
-    impl Node<Packet> for Sink {
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-            self.received.push(pkt);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    /// A source that emits one prebuilt packet per timer tick.
-    pub struct Source {
-        pub packets: Vec<Packet>,
-    }
-
-    impl Node<Packet> for Source {
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-            let pkt = self.packets[token as usize].clone();
-            ctx.send(0, pkt);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
-    }
+    type Tap = netsim::testkit::Tap<Packet>;
 
     fn addr(o: [u8; 4]) -> Ipv4Address {
         Ipv4Address(o)
@@ -188,16 +147,11 @@ mod tests {
         let p2 = stack.udp(1000, alt_ip, 2000, b"to-11".to_vec());
 
         let mut sim: Sim<Packet> = Sim::new(1);
-        let src = sim.add_node(
-            "src",
-            Box::new(Source {
-                packets: vec![p1, p2],
-            }),
-        );
+        let src = sim.add_node("src", Box::new(Tap::new(vec![p1, p2])));
         let r1 = sim.add_node("r1", Box::new(Router::new()));
         let r2 = sim.add_node("r2", Box::new(Router::new()));
-        let dst = sim.add_node("dst", Box::new(Sink { received: vec![] }));
-        let alt = sim.add_node("alt", Box::new(Sink { received: vec![] }));
+        let dst = sim.add_node("dst", Box::new(Tap::sink()));
+        let alt = sim.add_node("alt", Box::new(Tap::sink()));
 
         let (_, r1_from_src) = sim.connect(src, r1, LinkCfg::lan());
         let (r1_to_r2, r2_from_r1) = sim.connect(r1, r2, LinkCfg::wan(Ns::from_ms(10)));
@@ -216,17 +170,17 @@ mod tests {
         sim.schedule_timer(src, Ns::from_ms(1), 1);
         sim.run();
 
-        let got_dst = sim.node_ref::<Sink>(dst).received.clone();
+        let got_dst: Vec<_> = sim.node_ref::<Tap>(dst).packets().collect();
         assert_eq!(got_dst.len(), 1);
-        match &got_dst[0] {
+        match got_dst[0] {
             Packet::Udp { payload, .. } => assert_eq!(payload, b"to-12"),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(sim.node_ref::<Sink>(alt).received.len(), 1);
+        assert_eq!(sim.node_ref::<Tap>(alt).received.len(), 1);
 
         // TTL decremented twice on the r1->r2 path, once on the alt path.
         assert_eq!(got_dst[0].ip().ttl, 64 - 2);
-        assert_eq!(sim.node_ref::<Sink>(alt).received[0].ip().ttl, 64 - 1);
+        assert_eq!(sim.node_ref::<Tap>(alt).received[0].1.ip().ttl, 64 - 1);
     }
 
     #[test]
@@ -234,7 +188,7 @@ mod tests {
         let stack = IpStack::new(addr([10, 0, 0, 1]));
         let pkt = stack.udp(1, addr([99, 0, 0, 1]), 2, b"x".to_vec());
         let mut sim: Sim<Packet> = Sim::new(1);
-        let src = sim.add_node("src", Box::new(Source { packets: vec![pkt] }));
+        let src = sim.add_node("src", Box::new(Tap::new(vec![pkt])));
         let r = sim.add_node("r", Box::new(Router::new()));
         sim.connect(src, r, LinkCfg::lan());
         sim.schedule_timer(src, Ns::ZERO, 0);
@@ -249,16 +203,16 @@ mod tests {
         stack.ttl = 1;
         let pkt = stack.udp(1, addr([12, 0, 0, 1]), 2, b"x".to_vec());
         let mut sim: Sim<Packet> = Sim::new(1);
-        let src = sim.add_node("src", Box::new(Source { packets: vec![pkt] }));
+        let src = sim.add_node("src", Box::new(Tap::new(vec![pkt])));
         let r = sim.add_node("r", Box::new(Router::new()));
-        let snk = sim.add_node("s", Box::new(Sink { received: vec![] }));
+        let snk = sim.add_node("s", Box::new(Tap::sink()));
         let (_, _) = sim.connect(src, r, LinkCfg::lan());
         let (r_out, _) = sim.connect(r, snk, LinkCfg::lan());
         sim.node_mut::<Router>(r).set_default_route(r_out);
         sim.schedule_timer(src, Ns::ZERO, 0);
         sim.run();
         assert_eq!(sim.node_ref::<Router>(r).ttl_drops, 1);
-        assert!(sim.node_ref::<Sink>(snk).received.is_empty());
+        assert!(sim.node_ref::<Tap>(snk).received.is_empty());
     }
 
     #[test]
@@ -268,16 +222,16 @@ mod tests {
         let mut pkt = stack.udp(1, addr([12, 0, 0, 1]), 2, b"x".to_vec());
         Payload::corrupt(&mut pkt, 13, 6); // damage the header region
         let mut sim: Sim<Packet> = Sim::new(1);
-        let src = sim.add_node("src", Box::new(Source { packets: vec![pkt] }));
+        let src = sim.add_node("src", Box::new(Tap::new(vec![pkt])));
         let r = sim.add_node("r", Box::new(Router::new()));
-        let snk = sim.add_node("s", Box::new(Sink { received: vec![] }));
+        let snk = sim.add_node("s", Box::new(Tap::sink()));
         sim.connect(src, r, LinkCfg::lan());
         let (r_out, _) = sim.connect(r, snk, LinkCfg::lan());
         sim.node_mut::<Router>(r).set_default_route(r_out);
         sim.schedule_timer(src, Ns::ZERO, 0);
         sim.run();
         assert_eq!(sim.node_ref::<Router>(r).malformed_drops, 1);
-        assert!(sim.node_ref::<Sink>(snk).received.is_empty());
+        assert!(sim.node_ref::<Tap>(snk).received.is_empty());
     }
 
     #[test]
@@ -286,20 +240,15 @@ mod tests {
         let pkt = stack.udp(1, addr([12, 0, 0, 1]), 2, b"x".to_vec());
         let run_with = |delay: Ns| -> Ns {
             let mut sim: Sim<Packet> = Sim::new(1);
-            let src = sim.add_node(
-                "src",
-                Box::new(Source {
-                    packets: vec![pkt.clone()],
-                }),
-            );
+            let src = sim.add_node("src", Box::new(Tap::new(vec![pkt.clone()])));
             let r = sim.add_node("r", Box::new(Router::with_processing_delay(delay)));
-            let snk = sim.add_node("s", Box::new(Sink { received: vec![] }));
+            let snk = sim.add_node("s", Box::new(Tap::sink()));
             sim.connect(src, r, LinkCfg::lan());
             let (r_out, _) = sim.connect(r, snk, LinkCfg::lan());
             sim.node_mut::<Router>(r).set_default_route(r_out);
             sim.schedule_timer(src, Ns::ZERO, 0);
             sim.run();
-            assert_eq!(sim.node_ref::<Sink>(snk).received.len(), 1);
+            assert_eq!(sim.node_ref::<Tap>(snk).received.len(), 1);
             sim.now()
         };
         let fast = run_with(Ns::ZERO);

@@ -36,7 +36,6 @@ use lispwire::packet::{CtlMsg, Packet, PceMsg};
 use lispwire::pcewire::{FlowMapping, PceFlowMsg, PceKind};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -1244,13 +1243,6 @@ impl Node<Packet> for Xtr {
             self.send_map_request(ctx, eid, again);
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -1267,29 +1259,8 @@ mod tests {
         vec![Prefix::new(a([100, 0, 0, 0]), 6)] // 100..103
     }
 
-    /// A site host that sends prebuilt packets and records received ones.
-    struct SiteHost {
-        #[allow(dead_code)]
-        stack: IpStack,
-        outbox: Vec<Packet>,
-        pub received: Vec<(Ns, Packet)>,
-    }
-    impl Node<Packet> for SiteHost {
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-            if let Some(pkt) = self.outbox.get(token as usize) {
-                ctx.send(0, pkt.clone());
-            }
-        }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-            self.received.push((ctx.now(), pkt));
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
-    }
+    /// A site host: sends prebuilt packets and records received ones.
+    type SiteHost = netsim::testkit::Tap<Packet>;
 
     /// A stub map-server: answers any Map-Request with a fixed locator
     /// after a configurable delay.
@@ -1333,12 +1304,6 @@ mod tests {
                 ctx.send(0, pkt);
             }
         }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
     }
 
     /// Two sites S (100/8 behind xtr_s @ 10.0.0.1) and D (101/8 behind
@@ -1364,8 +1329,6 @@ mod tests {
         let mut sim: Sim<Packet> = Sim::new(42);
         sim.trace.enable();
 
-        let hs_addr = a([100, 0, 0, 5]);
-        let hd_addr = a([101, 0, 0, 7]);
         let s_rloc = a([10, 0, 0, 1]);
         let d_rloc = a([12, 0, 0, 1]);
         let ms_addr = a([8, 0, 0, 10]);
@@ -1385,22 +1348,8 @@ mod tests {
         );
         cfg_d.miss_policy = miss_policy;
 
-        let host_s = sim.add_node(
-            "host-s",
-            Box::new(SiteHost {
-                stack: IpStack::new(hs_addr),
-                outbox: vec![],
-                received: vec![],
-            }),
-        );
-        let host_d = sim.add_node(
-            "host-d",
-            Box::new(SiteHost {
-                stack: IpStack::new(hd_addr),
-                outbox: vec![],
-                received: vec![],
-            }),
-        );
+        let host_s = sim.add_node("host-s", Box::new(SiteHost::sink()));
+        let host_d = sim.add_node("host-d", Box::new(SiteHost::sink()));
         let xtr_s = sim.add_node("xtr-s", Box::new(Xtr::new(cfg_s)));
         let xtr_d = sim.add_node("xtr-d", Box::new(Xtr::new(cfg_d)));
         let core = sim.add_node("core", Box::new(Router::new()));
@@ -1623,20 +1572,6 @@ mod tests {
     #[test]
     fn db_push_populates_cache() {
         let mut sim: Sim<Packet> = Sim::new(7);
-        struct Pusher {
-            pkt: Packet,
-        }
-        impl Node<Packet> for Pusher {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _token: u64) {
-                ctx.send(0, self.pkt.clone());
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
         let push = DbPush {
             version: 1,
             chunk: 0,
@@ -1661,16 +1596,9 @@ mod tests {
             CpMode::PushDb,
         );
         cfg.miss_policy = MissPolicy::Drop;
-        let pusher = sim.add_node("pusher", Box::new(Pusher { pkt }));
+        let pusher = sim.add_node("pusher", Box::new(SiteHost::new(vec![pkt])));
         let xtr = sim.add_node("xtr", Box::new(Xtr::new(cfg)));
-        let site = sim.add_node(
-            "site",
-            Box::new(SiteHost {
-                stack: IpStack::new(a([100, 0, 0, 5])),
-                outbox: vec![],
-                received: vec![],
-            }),
-        );
+        let site = sim.add_node("site", Box::new(SiteHost::sink()));
         sim.connect(site, xtr, LinkCfg::lan()); // xtr port 0 = site
         sim.connect(xtr, pusher, LinkCfg::lan()); // xtr port 1 = wan
         sim.schedule_timer(pusher, Ns::ZERO, 0);

@@ -15,7 +15,6 @@ use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId, ScheduledUpdates};
-use std::any::Any;
 use std::collections::VecDeque;
 
 /// One ALT overlay router.
@@ -212,13 +211,6 @@ impl Node<Packet> for AltRouter {
             ));
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Build a linear ALT chain covering `site_prefix → etr`: the first router
@@ -254,61 +246,38 @@ mod tests {
 
     use lispwire::lispctl::MapRequest;
 
-    /// A fake ETR: records delivered requests and replies nothing.
-    struct EtrSink {
-        stack: IpStack,
-        pub requests: Vec<MapRequest>,
-    }
-    impl Node<Packet> for EtrSink {
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _p: PortId, pkt: Packet) {
-            if let Packet::LispCtl {
-                ip,
-                msg: CtlMsg::Request(req),
-                ..
-            } = pkt
-            {
-                if ip.dst == self.stack.addr {
-                    self.requests.push(req);
-                }
-            }
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
+    type Tap = netsim::testkit::Tap<Packet>;
+
+    /// The Map-Request an ITR at 10.0.0.1 sends into the overlay at `entry`.
+    fn request(target_eid: Ipv4Address, entry: Ipv4Address, hop_count: u16) -> Packet {
+        let req = MapRequest {
+            nonce: 9,
+            source_eid: a([100, 0, 0, 1]),
+            target_eid,
+            itr_rloc: a([10, 0, 0, 1]),
+            hop_count,
+        };
+        IpStack::new(a([10, 0, 0, 1])).ctl(
+            ports::LISP_CONTROL,
+            entry,
+            ports::LISP_CONTROL,
+            CtlMsg::Request(req),
+        )
     }
 
-    struct Injector {
-        stack: IpStack,
-        target: Ipv4Address,
-        entry: Ipv4Address,
-        hop_budget: u16,
-    }
-    impl Node<Packet> for Injector {
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _t: u64) {
-            let req = MapRequest {
-                nonce: 9,
-                source_eid: a([100, 0, 0, 1]),
-                target_eid: self.target,
-                itr_rloc: self.stack.addr,
-                hop_count: self.hop_budget,
-            };
-            let pkt = self.stack.ctl(
-                ports::LISP_CONTROL,
-                self.entry,
-                ports::LISP_CONTROL,
-                CtlMsg::Request(req),
-            );
-            ctx.send(0, pkt);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
+    /// The Map-Requests a fake ETR at `addr` (a sink that replies
+    /// nothing) received.
+    fn requests_at(tap: &Tap, addr: Ipv4Address) -> Vec<&MapRequest> {
+        tap.packets()
+            .filter_map(|pkt| match pkt {
+                Packet::LispCtl {
+                    ip,
+                    msg: CtlMsg::Request(req),
+                    ..
+                } if ip.dst == addr => Some(req),
+                _ => None,
+            })
+            .collect()
     }
 
     fn wire_star(sim: &mut Sim<Packet>, core: NodeId, nodes: &[(NodeId, Ipv4Address)], owd: Ns) {
@@ -334,31 +303,18 @@ mod tests {
             let id = sim.add_node(&format!("alt{i}"), Box::new(r));
             wiring.push((id, chain_addrs[i]));
         }
-        let etr = sim.add_node(
-            "etr",
-            Box::new(EtrSink {
-                stack: IpStack::new(etr_addr),
-                requests: vec![],
-            }),
-        );
+        let etr = sim.add_node("etr", Box::new(Tap::sink()));
         wiring.push((etr, etr_addr));
         let inj_addr = a([10, 0, 0, 1]);
-        let inj = sim.add_node(
-            "itr",
-            Box::new(Injector {
-                stack: IpStack::new(inj_addr),
-                target: a([101, 0, 0, 7]),
-                entry: chain_addrs[0],
-                hop_budget: 16,
-            }),
-        );
+        let req = request(a([101, 0, 0, 7]), chain_addrs[0], 16);
+        let inj = sim.add_node("itr", Box::new(Tap::new(vec![req])));
         wiring.push((inj, inj_addr));
         wire_star(&mut sim, core, &wiring, Ns::from_ms(10));
 
         sim.schedule_timer(inj, Ns::ZERO, 0);
         sim.run();
 
-        let got = &sim.node_ref::<EtrSink>(etr).requests;
+        let got = requests_at(sim.node_ref::<Tap>(etr), etr_addr);
         assert_eq!(got.len(), 1);
         // Two overlay hops consumed.
         assert_eq!(got[0].hop_count, 16 - 2);
@@ -385,30 +341,17 @@ mod tests {
             ids.push(id);
             wiring.push((id, chain_addrs[i]));
         }
-        let etr = sim.add_node(
-            "etr",
-            Box::new(EtrSink {
-                stack: IpStack::new(etr_addr),
-                requests: vec![],
-            }),
-        );
+        let etr = sim.add_node("etr", Box::new(Tap::sink()));
         wiring.push((etr, etr_addr));
         let inj_addr = a([10, 0, 0, 1]);
         // Budget 1: can cross alt0 -> alt1 but alt1 cannot forward again.
-        let inj = sim.add_node(
-            "itr",
-            Box::new(Injector {
-                stack: IpStack::new(inj_addr),
-                target: a([101, 0, 0, 7]),
-                entry: chain_addrs[0],
-                hop_budget: 1,
-            }),
-        );
+        let req = request(a([101, 0, 0, 7]), chain_addrs[0], 1);
+        let inj = sim.add_node("itr", Box::new(Tap::new(vec![req])));
         wiring.push((inj, inj_addr));
         wire_star(&mut sim, core, &wiring, Ns::from_ms(5));
         sim.schedule_timer(inj, Ns::ZERO, 0);
         sim.run();
-        assert!(sim.node_ref::<EtrSink>(etr).requests.is_empty());
+        assert!(requests_at(sim.node_ref::<Tap>(etr), etr_addr).is_empty());
         assert_eq!(sim.node_ref::<AltRouter>(ids[1]).dropped, 1);
         assert_eq!(sim.counter("alt.hop_exhausted"), 1);
     }
@@ -418,16 +361,8 @@ mod tests {
         let mut sim: Sim<Packet> = Sim::new(9);
         let r_addr = a([9, 0, 0, 1]);
         let alt = sim.add_node("alt", Box::new(AltRouter::new(r_addr)));
-        let inj_addr = a([10, 0, 0, 1]);
-        let inj = sim.add_node(
-            "itr",
-            Box::new(Injector {
-                stack: IpStack::new(inj_addr),
-                target: a([55, 0, 0, 7]),
-                entry: r_addr,
-                hop_budget: 16,
-            }),
-        );
+        let req = request(a([55, 0, 0, 7]), r_addr, 16);
+        let inj = sim.add_node("itr", Box::new(Tap::new(vec![req])));
         sim.connect(inj, alt, LinkCfg::wan(Ns::from_ms(5)));
         sim.schedule_timer(inj, Ns::ZERO, 0);
         sim.run();

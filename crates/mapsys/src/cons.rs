@@ -17,7 +17,6 @@ use inet::{LpmTrie, Prefix};
 use lispwire::packet::{ConsMsg, CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId, ScheduledUpdates};
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 /// UDP port CONS overlay nodes use among themselves.
@@ -298,13 +297,6 @@ impl Node<Packet> for ConsNode {
             ));
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -393,60 +385,42 @@ mod tests {
             );
             ctx.send(0, pkt);
         }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
     }
 
-    /// An ITR stub: sends one request to its CAR, records the reply time.
-    struct ItrStub {
-        stack: IpStack,
-        car: Ipv4Address,
-        target: Ipv4Address,
-        pub reply_at: Option<netsim::Ns>,
-        pub reply: Option<MapReply>,
+    type Tap = netsim::testkit::Tap<Packet>;
+
+    /// An ITR stub at 10.0.0.1: token 0 sends one request for
+    /// `target_eid` to its CAR at `car`.
+    fn itr_stub(car: Ipv4Address, target_eid: Ipv4Address) -> Box<Tap> {
+        let req = MapRequest {
+            nonce: 77,
+            source_eid: a([100, 0, 0, 1]),
+            target_eid,
+            itr_rloc: a([10, 0, 0, 1]),
+            hop_count: 32,
+        };
+        let pkt = IpStack::new(a([10, 0, 0, 1])).ctl(
+            ports::LISP_CONTROL,
+            car,
+            ports::LISP_CONTROL,
+            CtlMsg::Request(req),
+        );
+        Box::new(Tap::new(vec![pkt]))
     }
-    impl Node<Packet> for ItrStub {
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _t: u64) {
-            let req = MapRequest {
-                nonce: 77,
-                source_eid: a([100, 0, 0, 1]),
-                target_eid: self.target,
-                itr_rloc: self.stack.addr,
-                hop_count: 32,
-            };
-            let pkt = self.stack.ctl(
-                ports::LISP_CONTROL,
-                self.car,
-                ports::LISP_CONTROL,
-                CtlMsg::Request(req),
-            );
-            ctx.send(0, pkt);
-        }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _p: PortId, pkt: Packet) {
-            let Packet::LispCtl {
-                ip,
-                msg: CtlMsg::Reply(reply),
-                ..
-            } = pkt
-            else {
-                return;
-            };
-            if ip.dst != self.stack.addr {
-                return;
-            }
-            self.reply_at = Some(ctx.now());
-            self.reply = Some(reply);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
+
+    /// The Map-Replies the ITR stub received, with their arrival times.
+    fn replies(tap: &Tap) -> Vec<(Ns, &MapReply)> {
+        tap.received
+            .iter()
+            .filter_map(|(at, pkt)| match pkt {
+                Packet::LispCtl {
+                    ip,
+                    msg: CtlMsg::Reply(reply),
+                    ..
+                } if ip.dst == a([10, 0, 0, 1]) => Some((*at, reply)),
+                _ => None,
+            })
+            .collect()
     }
 
     fn wire_star(sim: &mut Sim<Packet>, core: NodeId, nodes: &[(NodeId, Ipv4Address)], owd: Ns) {
@@ -496,16 +470,7 @@ mod tests {
                 answered: 0,
             }),
         );
-        let n_itr = sim.add_node(
-            "itr",
-            Box::new(ItrStub {
-                stack: IpStack::new(itr_addr),
-                car: car_s_addr,
-                target: a([101, 0, 0, 7]),
-                reply_at: None,
-                reply: None,
-            }),
-        );
+        let n_itr = sim.add_node("itr", itr_stub(car_s_addr, a([101, 0, 0, 7])));
 
         wire_star(
             &mut sim,
@@ -522,13 +487,15 @@ mod tests {
         sim.schedule_timer(n_itr, Ns::ZERO, 0);
         sim.run();
 
-        let itr = sim.node_mut::<ItrStub>(n_itr);
-        let reply = itr.reply.clone().expect("no reply");
+        let replies = replies(sim.node_ref::<Tap>(n_itr));
+        let &[(reply_at, reply)] = replies.as_slice() else {
+            panic!("expected one reply, got {replies:?}");
+        };
         assert_eq!(reply.nonce, 77);
         assert_eq!(reply.records[0].locators[0].rloc, etr_addr);
         // Path: itr->car_s->cdr->car_d->etr->car_d->cdr->car_s->itr
         // = 8 one-way underlay trips of 20 ms each ≥ 160 ms.
-        assert!(itr.reply_at.unwrap() >= Ns::from_ms(160));
+        assert!(reply_at >= Ns::from_ms(160));
         assert_eq!(sim.node_ref::<EtrStub>(n_etr).answered, 1);
         assert_eq!(sim.node_ref::<ConsNode>(n_car_d).delivered, 1);
         // Reply relayed by car_d, cdr and car_s.
@@ -543,22 +510,12 @@ mod tests {
     fn unknown_target_dropped_at_root() {
         let mut sim: Sim<Packet> = Sim::new(4);
         let cdr_addr = a([9, 0, 0, 1]);
-        let itr_addr = a([10, 0, 0, 1]);
         let cdr = sim.add_node("cdr", Box::new(ConsNode::new(cdr_addr, None)));
-        let itr = sim.add_node(
-            "itr",
-            Box::new(ItrStub {
-                stack: IpStack::new(itr_addr),
-                car: cdr_addr,
-                target: a([55, 0, 0, 1]),
-                reply_at: None,
-                reply: None,
-            }),
-        );
+        let itr = sim.add_node("itr", itr_stub(cdr_addr, a([55, 0, 0, 1])));
         sim.connect(itr, cdr, LinkCfg::wan(Ns::from_ms(5)));
         sim.schedule_timer(itr, Ns::ZERO, 0);
         sim.run();
         assert_eq!(sim.node_ref::<ConsNode>(cdr).dropped, 1);
-        assert!(sim.node_ref::<ItrStub>(itr).reply.is_none());
+        assert!(replies(sim.node_ref::<Tap>(itr)).is_empty());
     }
 }

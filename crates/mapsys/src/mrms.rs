@@ -12,7 +12,6 @@ use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId, ScheduledUpdates};
-use std::any::Any;
 use std::collections::VecDeque;
 
 /// The map-resolver node.
@@ -179,13 +178,6 @@ impl Node<Packet> for MapResolver {
             ctx.trace(format_args!("map-resolver re-registers {prefix} -> {etr}"));
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -197,8 +189,27 @@ mod tests {
     use lispwire::lispctl::MapRequest;
     use netsim::{LinkCfg, Sim};
 
+    type Tap = netsim::testkit::Tap<Packet>;
+
     fn a(o: [u8; 4]) -> Ipv4Address {
         Ipv4Address(o)
+    }
+
+    /// A Map-Request from the ITR at 10.0.0.1 to the resolver at 8.0.0.1.
+    fn map_request(nonce: u64, target_eid: Ipv4Address) -> Packet {
+        let req = MapRequest {
+            nonce,
+            source_eid: a([100, 0, 0, 1]),
+            target_eid,
+            itr_rloc: a([10, 0, 0, 1]),
+            hop_count: 8,
+        };
+        IpStack::new(a([10, 0, 0, 1])).ctl(
+            ports::LISP_CONTROL,
+            a([8, 0, 0, 1]),
+            ports::LISP_CONTROL,
+            CtlMsg::Request(req),
+        )
     }
 
     /// Full pull resolution: host packet -> ITR miss -> MR -> ETR -> reply.
@@ -216,39 +227,10 @@ mod tests {
         ));
 
         // Site S sender host.
-        struct Src {
-            pkt: Packet,
-        }
-        impl Node<Packet> for Src {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _t: u64) {
-                ctx.send(0, self.pkt.clone());
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-        struct Dst {
-            pub got: u64,
-        }
-        impl Node<Packet> for Dst {
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _p: PortId, _pkt: Packet) {
-                self.got += 1;
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-
         let data =
             IpStack::new(a([100, 0, 0, 5])).udp(7000, a([101, 0, 0, 7]), 7001, b"hello".to_vec());
-        let src = sim.add_node("src", Box::new(Src { pkt: data }));
-        let dst = sim.add_node("dst", Box::new(Dst { got: 0 }));
+        let src = sim.add_node("src", Box::new(Tap::new(vec![data])));
+        let dst = sim.add_node("dst", Box::new(Tap::sink()));
 
         let mut cfg_s = XtrConfig::new(
             a([10, 0, 0, 1]),
@@ -292,7 +274,7 @@ mod tests {
         sim.schedule_timer(src, Ns::ZERO, 0);
         sim.run();
 
-        assert_eq!(sim.node_ref::<Dst>(dst).got, 1);
+        assert_eq!(sim.node_ref::<Tap>(dst).received.len(), 1);
         assert_eq!(sim.node_ref::<MapResolver>(mr).forwarded, 1);
         let x = sim.node_mut::<Xtr>(xtr_s);
         assert_eq!(x.stats.map_replies_received, 1);
@@ -316,52 +298,6 @@ mod tests {
     fn scheduled_update_repoints_resolution() {
         // Before the scheduled re-registration the resolver forwards to
         // the old ETR; afterwards to the new one — pull-refresh dynamics.
-        struct Asker {
-            stack: IpStack,
-            target: Ipv4Address,
-        }
-        impl Node<Packet> for Asker {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, t: u64) {
-                let req = MapRequest {
-                    nonce: t,
-                    source_eid: a([100, 0, 0, 1]),
-                    target_eid: self.target,
-                    itr_rloc: a([10, 0, 0, 1]),
-                    hop_count: 8,
-                };
-                let pkt = self.stack.ctl(
-                    ports::LISP_CONTROL,
-                    a([8, 0, 0, 1]),
-                    ports::LISP_CONTROL,
-                    CtlMsg::Request(req),
-                );
-                ctx.send(0, pkt);
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-        struct EtrSink {
-            addr: Ipv4Address,
-            pub got: u64,
-        }
-        impl Node<Packet> for EtrSink {
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _p: PortId, pkt: Packet) {
-                if pkt.dst() == self.addr {
-                    self.got += 1;
-                }
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-
         let mut sim: Sim<Packet> = Sim::new(4);
         let mut db = MappingDb::new();
         let site = Prefix::new(a([101, 0, 0, 0]), 8);
@@ -369,27 +305,11 @@ mod tests {
         let mut resolver = MapResolver::new(a([8, 0, 0, 1]), &db);
         resolver.schedule_update(Ns::from_ms(500), site, a([13, 0, 0, 1]));
         let mr = sim.add_node("mr", Box::new(resolver));
-        let old_etr = sim.add_node(
-            "old-etr",
-            Box::new(EtrSink {
-                addr: a([12, 0, 0, 1]),
-                got: 0,
-            }),
-        );
-        let new_etr = sim.add_node(
-            "new-etr",
-            Box::new(EtrSink {
-                addr: a([13, 0, 0, 1]),
-                got: 0,
-            }),
-        );
-        let asker = sim.add_node(
-            "asker",
-            Box::new(Asker {
-                stack: IpStack::new(a([10, 0, 0, 1])),
-                target: a([101, 0, 0, 7]),
-            }),
-        );
+        let old_etr = sim.add_node("old-etr", Box::new(Tap::sink()));
+        let new_etr = sim.add_node("new-etr", Box::new(Tap::sink()));
+        let target = a([101, 0, 0, 7]);
+        let requests = vec![map_request(0, target), map_request(1, target)];
+        let asker = sim.add_node("asker", Box::new(Tap::new(requests)));
         let core = sim.add_node("core", Box::new(Router::new()));
         let (_, p_mr) = sim.connect(mr, core, LinkCfg::wan(Ns::from_ms(5)));
         let (_, p_old) = sim.connect(old_etr, core, LinkCfg::wan(Ns::from_ms(5)));
@@ -405,8 +325,12 @@ mod tests {
         sim.schedule_timer(asker, Ns::ZERO, 0); // pre-update request
         sim.schedule_timer(asker, Ns::from_secs(1), 1); // post-update request
         sim.run();
-        assert_eq!(sim.node_ref::<EtrSink>(old_etr).got, 1);
-        assert_eq!(sim.node_ref::<EtrSink>(new_etr).got, 1);
+        let got = |etr, addr| {
+            let tap = sim.node_ref::<Tap>(etr);
+            tap.packets().filter(|p| p.dst() == addr).count()
+        };
+        assert_eq!(got(old_etr, a([12, 0, 0, 1])), 1);
+        assert_eq!(got(new_etr, a([13, 0, 0, 1])), 1);
         assert_eq!(sim.node_ref::<MapResolver>(mr).updates_applied, 1);
     }
 
@@ -415,39 +339,8 @@ mod tests {
         let mut sim: Sim<Packet> = Sim::new(3);
         let db = MappingDb::new();
         let mr = sim.add_node("mr", Box::new(MapResolver::new(a([8, 0, 0, 1]), &db)));
-        struct Asker {
-            stack: IpStack,
-        }
-        impl Node<Packet> for Asker {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _t: u64) {
-                let req = MapRequest {
-                    nonce: 5,
-                    source_eid: a([100, 0, 0, 1]),
-                    target_eid: a([101, 0, 0, 1]),
-                    itr_rloc: a([10, 0, 0, 1]),
-                    hop_count: 8,
-                };
-                let pkt = self.stack.ctl(
-                    ports::LISP_CONTROL,
-                    a([8, 0, 0, 1]),
-                    ports::LISP_CONTROL,
-                    CtlMsg::Request(req),
-                );
-                ctx.send(0, pkt);
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-        let asker = sim.add_node(
-            "asker",
-            Box::new(Asker {
-                stack: IpStack::new(a([10, 0, 0, 1])),
-            }),
-        );
+        let request = map_request(5, a([101, 0, 0, 1]));
+        let asker = sim.add_node("asker", Box::new(Tap::new(vec![request])));
         sim.connect(asker, mr, LinkCfg::wan(Ns::from_ms(5)));
         sim.schedule_timer(asker, Ns::ZERO, 0);
         sim.run();

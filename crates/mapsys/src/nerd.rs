@@ -12,7 +12,6 @@ use lispwire::lispctl::{DbPush, MapRecord};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, ScheduledUpdates};
-use std::any::Any;
 use std::sync::Arc;
 
 /// The central NERD authority node.
@@ -201,13 +200,6 @@ impl Node<Packet> for NerdAuthority {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -234,12 +226,6 @@ mod tests {
                 self.seen.push(pkt.clone());
             }
             ctx.send(port ^ 1, pkt);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
         }
     }
 
@@ -270,16 +256,7 @@ mod tests {
         let tap = sim.add_node("tap", Box::new(Tap { seen: Vec::new() }));
         let core = sim.add_node("core", Box::new(Router::new()));
         // xTR site ports' placeholder (unused).
-        struct Idle;
-        impl Node<Packet> for Idle {
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-        let idle = sim.add_node("site", Box::new(Idle));
+        let idle = sim.add_node("site", Box::new(netsim::testkit::Tap::<Packet>::sink()));
         sim.connect(auth, tap, LinkCfg::lan());
         let (_, pa) = sim.connect(tap, core, LinkCfg::wan(Ns::from_ms(20)));
         sim.node_mut::<Router>(core)

@@ -18,6 +18,12 @@
 //!   fire in scheduling order, so runs are deterministic.
 //! * Nodes interact with the world only through [`Ctx`], which exposes
 //!   `send`, `set_timer`, `trace`, counters and the RNG.
+//! * Results are read back from the nodes themselves: [`Node`] has
+//!   [`std::any::Any`] as a supertrait, so [`Sim::node_ref`] /
+//!   [`Sim::node_mut`] downcast a stored node to its concrete type and a
+//!   node implements only the hooks it handles — no downcast methods.
+//! * Tests that only send prebuilt packets and record what arrives use
+//!   the shared [`testkit::Tap`] rather than a node of their own.
 //!
 //! ```
 //! use netsim::{Ctx, LinkCfg, Node, Ns, Sim};
@@ -27,8 +33,6 @@
 //!     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: usize, bytes: Vec<u8>) {
 //!         ctx.send(port, bytes); // bounce it back
 //!     }
-//!     fn as_any(&mut self) -> &mut dyn std::any::Any { self }
-//!     fn as_any_ref(&self) -> &dyn std::any::Any { self }
 //! }
 //!
 //! struct Pinger { pub got_reply: bool }
@@ -39,8 +43,6 @@
 //!     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _port: usize, _bytes: Vec<u8>) {
 //!         self.got_reply = true;
 //!     }
-//!     fn as_any(&mut self) -> &mut dyn std::any::Any { self }
-//!     fn as_any_ref(&self) -> &dyn std::any::Any { self }
 //! }
 //!
 //! let mut sim: Sim = Sim::new(1);
@@ -63,6 +65,7 @@ pub mod node;
 pub mod par;
 pub mod payload;
 pub mod sim;
+pub mod testkit;
 pub mod time;
 pub mod trace;
 pub mod update;

@@ -23,20 +23,20 @@ pub type PortId = usize;
 /// generic over the packet [`Payload`] it exchanges (default: raw bytes;
 /// product nodes implement `Node<lispwire::Packet>`).
 ///
-/// Implementations must also provide `as_any` / `as_any_ref` so
-/// experiment code can downcast and read results after a run:
-///
-/// ```ignore
-/// fn as_any(&mut self) -> &mut dyn std::any::Any { self }
-/// fn as_any_ref(&self) -> &dyn std::any::Any { self }
-/// ```
+/// Every method has a default, so a node implements only the hooks it
+/// handles. [`Any`] is a supertrait: experiment code reads a node back
+/// after a run with [`crate::Sim::node_ref`] / [`crate::Sim::node_mut`],
+/// which upcast the stored `dyn Node` to `dyn Any` and downcast it to
+/// the concrete type — an implementation writes no downcast code. A
+/// test that only needs to send prebuilt packets and record arrivals
+/// uses [`crate::testkit::Tap`] instead of a node of its own.
 ///
 /// Nodes must be [`Send`], so a [`crate::Sim`] — and the world that
 /// owns it — stays movable into a [`crate::par::par_map`] worker. Node
 /// state is only ever touched by one thread at a time, so this costs
 /// implementations nothing beyond not holding `Rc`/`RefCell`-style
 /// thread-bound handles.
-pub trait Node<P: Payload = Vec<u8>>: Send {
+pub trait Node<P: Payload = Vec<u8>>: Any + Send {
     /// Called once when the simulation starts (before any event).
     fn on_start(&mut self, _ctx: &mut Ctx<'_, P>) {}
 
@@ -64,16 +64,25 @@ pub trait Node<P: Payload = Vec<u8>>: Send {
     /// no-op.
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, P>) {}
 
-    /// Downcast support (see trait docs).
-    fn as_any(&mut self) -> &mut dyn Any;
+    /// Former downcast hook, now done by the [`Any`] supertrait. Kept
+    /// only so existing overrides still compile; calling it warns.
+    #[deprecated(note = "`Node: Any`; read nodes with `Sim::node_mut`")]
+    fn as_any(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Shared-reference downcast support, so results can be inspected
-    /// without a mutable borrow (see [`crate::Sim::node_ref`]):
-    ///
-    /// ```ignore
-    /// fn as_any_ref(&self) -> &dyn std::any::Any { self }
-    /// ```
-    fn as_any_ref(&self) -> &dyn Any;
+    /// Former shared downcast hook, now done by the [`Any`] supertrait.
+    /// Kept only so existing overrides still compile; calling it warns.
+    #[deprecated(note = "`Node: Any`; read nodes with `Sim::node_ref`")]
+    fn as_any_ref(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// Internal: where a port leads — which peer node/port and which

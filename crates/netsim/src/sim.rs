@@ -25,6 +25,7 @@ use crate::time::Ns;
 use crate::trace::{fnv64, Trace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 
@@ -381,7 +382,11 @@ impl<P: Payload> Sim<P> {
     /// Schedule a timer for `node` at absolute-delay `delay` from now.
     /// Delays that would overflow the clock saturate to [`Ns::MAX`],
     /// which the engine treats as "never" — such timers do not fire.
+    ///
+    /// # Panics
+    /// Panics if `node` is not in the simulation.
     pub fn schedule_timer(&mut self, node: NodeId, delay: Ns, token: u64) {
+        assert!(node < self.nodes.len(), "unknown node {node}");
         let at = self.now.saturating_add(delay);
         self.push_event(at, node, EventKind::Timer { token });
     }
@@ -550,26 +555,28 @@ impl<P: Payload> Sim<P> {
         self.events_processed
     }
 
-    /// Mutable access to a node, downcast to its concrete type.
+    /// Mutable access to a node, downcast to its concrete type through
+    /// the [`Any`] supertrait of [`Node`].
     ///
     /// # Panics
-    /// Panics if the type does not match.
+    /// Panics if the node is not a `T`; the message names the node and `T`.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id]
-            .as_any()
-            .downcast_mut::<T>()
-            .expect("node type mismatch")
+        let n: &mut dyn Any = &mut *self.nodes[id];
+        n.downcast_mut::<T>()
+            .unwrap_or_else(|| type_mismatch::<T>(id, self.names.get(id)))
     }
 
-    /// Immutable access to a node, downcast to its concrete type.
+    /// Immutable access to a node, downcast to its concrete type through
+    /// the [`Any`] supertrait of [`Node`].
     ///
     /// # Panics
-    /// Panics if the type does not match.
+    /// Panics if the node is not a `T`; the message names the node and `T`.
     pub fn node_ref<T: 'static>(&self, id: NodeId) -> &T {
-        self.nodes[id]
-            .as_any_ref()
-            .downcast_ref::<T>()
-            .expect("node type mismatch")
+        // `&*` upcasts the node itself; `&self.nodes[id]` would make the
+        // `Box` the `Any`, and every downcast would fail.
+        let n: &dyn Any = &*self.nodes[id];
+        n.downcast_ref::<T>()
+            .unwrap_or_else(|| type_mismatch::<T>(id, self.names.get(id)))
     }
 
     #[inline]
@@ -707,21 +714,26 @@ impl<P: Payload> Sim<P> {
     }
 }
 
+/// The panic behind a failed [`Sim::node_ref`] / [`Sim::node_mut`]
+/// downcast: names the node and the type it was asked to be.
+#[cold]
+fn type_mismatch<T>(id: NodeId, name: &str) -> ! {
+    panic!(
+        "node type mismatch: node {id} ({name}) is not a {}",
+        std::any::type_name::<T>()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkCfg;
+    use crate::testkit::Tap;
 
     struct Echo;
     impl Node for Echo {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, bytes: Vec<u8>) {
             ctx.send(port, bytes);
-        }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn std::any::Any {
-            self
         }
     }
 
@@ -741,12 +753,6 @@ mod tests {
             ctx.trace(format_args!("pong received"));
             let pongs = ctx.counter_id("pongs");
             ctx.count_id(pongs, 1);
-        }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn std::any::Any {
-            self
         }
     }
 
@@ -846,12 +852,6 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
                 ctx.trace(format_args!("tick {}", self.0));
             }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
         }
         let run = |enabled: bool, cap: usize| {
             let built = Arc::new(AtomicU64::new(0));
@@ -904,39 +904,13 @@ mod tests {
 
     #[test]
     fn corruption_flips_one_bit() {
-        struct Collect {
-            got: Option<Vec<u8>>,
-        }
-        impl Node for Collect {
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, bytes: Vec<u8>) {
-                self.got = Some(bytes);
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
-        struct Sender;
-        impl Node for Sender {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-                ctx.send(0, vec![0u8; 64]);
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
         let mut sim: Sim = Sim::new(5);
-        let s = sim.add_node("s", Box::new(Sender));
-        let c = sim.add_node("c", Box::new(Collect { got: None }));
+        let s = sim.add_node("s", Box::new(Tap::new(vec![vec![0u8; 64]])));
+        let c = sim.add_node("c", Box::new(Tap::<Vec<u8>>::sink()));
         sim.connect(s, c, LinkCfg::lan().with_corrupt_prob(1.0));
         sim.schedule_timer(s, Ns::ZERO, 0);
         sim.run();
-        let got = sim.node_ref::<Collect>(c).got.clone().unwrap();
+        let got = &sim.node_ref::<Tap>(c).received[0].1;
         let ones: u32 = got.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1, "exactly one bit flipped");
         assert_eq!(sim.link_stats(0, 0).corrupted, 1);
@@ -950,12 +924,6 @@ mod tests {
         impl Node for Recorder {
             fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
                 self.tokens.push(token);
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
             }
         }
         let mut sim: Sim = Sim::new(1);
@@ -973,12 +941,6 @@ mod tests {
         impl Node for Looper {
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
                 ctx.set_timer(Ns::from_us(1), token + 1);
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
             }
         }
         let mut sim: Sim = Sim::new(1);
@@ -999,12 +961,6 @@ mod tests {
                 self.fired += 1;
                 ctx.stop();
             }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
         }
         let mut sim: Sim = Sim::new(1);
         let s = sim.add_node("s", Box::new(Stopper { fired: 0 }));
@@ -1024,12 +980,6 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 self.starts += 1;
                 ctx.set_timer(Ns::from_ms(1), 0);
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
             }
         }
         let mut sim: Sim = Sim::new(1);
@@ -1059,12 +1009,6 @@ mod tests {
                     // Would overflow `now + delay` in the old engine.
                     ctx.set_timer(Ns::MAX, 1);
                 }
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
             }
         }
         let mut sim: Sim = Sim::new(1);
@@ -1099,12 +1043,6 @@ mod tests {
                     ctx.count_id(id, 3);
                 }
             }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
         }
         let mut sim: Sim = Sim::new(1);
         let pre = sim.register_counter("events.seen");
@@ -1135,26 +1073,6 @@ mod tests {
                     ctx.set_timer(self.interval, token + 1);
                 }
             }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
-        struct Sink {
-            got: Vec<(Ns, u8)>,
-        }
-        impl Node for Sink {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, bytes: Vec<u8>) {
-                self.got.push((ctx.now(), bytes[0]));
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
         }
         let mut sim: Sim = Sim::new(1);
         let b = sim.add_node(
@@ -1164,14 +1082,14 @@ mod tests {
                 sent: 0,
             }),
         );
-        let s = sim.add_node("sink", Box::new(Sink { got: Vec::new() }));
+        let s = sim.add_node("sink", Box::new(Tap::<Vec<u8>>::sink()));
         sim.connect(b, s, LinkCfg::wan(Ns::from_ms(5)));
         // Beacons at 0,10,..,90 ms; link down during [25, 65) ms.
         sim.schedule_link_admin(Ns::from_ms(25), 0, false);
         sim.schedule_link_admin(Ns::from_ms(65), 0, true);
         sim.run();
-        let got = &sim.node_ref::<Sink>(s).got;
-        let delivered: Vec<u8> = got.iter().map(|&(_, t)| t).collect();
+        let got = &sim.node_ref::<Tap>(s).received;
+        let delivered: Vec<u8> = got.iter().map(|(_, bytes)| bytes[0]).collect();
         // Beacons 0,1,2 sent before the failure; 3,4,5,6 (30..60 ms)
         // dropped; 7,8,9 after recovery.
         assert_eq!(delivered, vec![0, 1, 2, 7, 8, 9]);
@@ -1180,7 +1098,7 @@ mod tests {
         // and still arrived (≈25 ms: OWD plus serialisation).
         assert!(got
             .iter()
-            .any(|&(at, tag)| tag == 2 && at >= Ns::from_ms(25) && at < Ns::from_ms(26)));
+            .any(|(at, bytes)| bytes[0] == 2 && *at >= Ns::from_ms(25) && *at < Ns::from_ms(26)));
     }
 
     /// Receives packets/timers; crash clears the volatile inbox and the
@@ -1207,12 +1125,6 @@ mod tests {
             self.restarts += 1;
             ctx.set_timer(Ns::from_ms(1), 99); // re-armed heartbeat
         }
-        fn as_any(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -1229,12 +1141,6 @@ mod tests {
                     ctx.send(0, vec![token as u8; 32]);
                     ctx.set_timer(self.interval, token + 1);
                 }
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
             }
         }
         let mut sim: Sim = Sim::new(1);
@@ -1313,36 +1219,11 @@ mod tests {
 
     #[test]
     fn stall_policy_flushes_on_link_up() {
-        struct Burst;
-        impl Node for Burst {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-                ctx.send(0, vec![token as u8; 16]);
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
-        struct Sink {
-            got: Vec<(Ns, u8)>,
-        }
-        impl Node for Sink {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, bytes: Vec<u8>) {
-                self.got.push((ctx.now(), bytes[0]));
-            }
-            fn as_any(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
         use crate::link::DownPolicy;
         let mut sim: Sim = Sim::new(1);
-        let b = sim.add_node("burst", Box::new(Burst));
-        let s = sim.add_node("sink", Box::new(Sink { got: Vec::new() }));
+        let burst = (0..3u8).map(|t| vec![t; 16]).collect();
+        let b = sim.add_node("burst", Box::new(Tap::new(burst)));
+        let s = sim.add_node("sink", Box::new(Tap::<Vec<u8>>::sink()));
         sim.connect(
             b,
             s,
@@ -1354,13 +1235,30 @@ mod tests {
         }
         sim.schedule_link_admin(Ns::from_ms(50), 0, true);
         sim.run();
-        let got = &sim.node_ref::<Sink>(s).got;
+        let got = &sim.node_ref::<Tap>(s).received;
         // Two packets stalled (FIFO), the third overflowed the stall buffer.
-        let tags: Vec<u8> = got.iter().map(|&(_, t)| t).collect();
+        let tags: Vec<u8> = got.iter().map(|(_, bytes)| bytes[0]).collect();
         assert_eq!(tags, vec![0, 1]);
-        assert!(got.iter().all(|&(at, _)| at >= Ns::from_ms(55)));
+        assert!(got.iter().all(|(at, _)| *at >= Ns::from_ms(55)));
         assert_eq!(sim.link_stats(0, 0).stalled, 2);
         assert_eq!(sim.link_stats(0, 0).down_drops, 1);
         assert!(sim.link_up(0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node 5")]
+    fn schedule_timer_rejects_unknown_node() {
+        let mut sim: Sim = Sim::new(1);
+        sim.add_node("only", Box::new(Tap::<Vec<u8>>::sink()));
+        sim.schedule_timer(5, Ns::from_ms(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 (tap) is not a netsim::sim::tests::Pinger")]
+    fn node_ref_mismatch_names_node_and_type() {
+        let mut sim: Sim = Sim::new(1);
+        sim.add_node("echo", Box::new(Echo));
+        let tap = sim.add_node("tap", Box::new(Tap::<Vec<u8>>::sink()));
+        sim.node_ref::<Pinger>(tap);
     }
 }

@@ -22,8 +22,6 @@
 //!             self.limit = limit;
 //!         }
 //!     }
-//!     fn as_any(&mut self) -> &mut dyn std::any::Any { self }
-//!     fn as_any_ref(&self) -> &dyn std::any::Any { self }
 //! }
 //!
 //! let mut updates = ScheduledUpdates::new();

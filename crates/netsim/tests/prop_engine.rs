@@ -2,6 +2,7 @@
 //! tie-breaking, link-timing monotonicity, and seed determinism under
 //! fault injection.
 
+use netsim::testkit::Tap;
 use netsim::{Ctx, LinkCfg, Node, Ns, Sim};
 use proptest::prelude::*;
 
@@ -11,12 +12,6 @@ struct Recorder {
 impl Node for Recorder {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.fired.push((ctx.now(), token));
-    }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -28,27 +23,6 @@ impl Node for Blaster {
         for &s in &self.sizes {
             ctx.send(0, vec![0u8; usize::from(s) + 1]);
         }
-    }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-struct Sink {
-    arrivals: Vec<(Ns, usize)>,
-}
-impl Node for Sink {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _p: usize, bytes: Vec<u8>) {
-        self.arrivals.push((ctx.now(), bytes.len()));
-    }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -86,14 +60,15 @@ proptest! {
                             bw in prop::sample::select(vec![1_000_000u64, 10_000_000, 1_000_000_000])) {
         let mut sim = Sim::new(2);
         let b = sim.add_node("b", Box::new(Blaster { sizes: sizes.clone() }));
-        let s = sim.add_node("s", Box::new(Sink { arrivals: vec![] }));
+        let s = sim.add_node("s", Box::new(Tap::<Vec<u8>>::sink()));
         let cfg = LinkCfg::wan(Ns::from_ms(5)).with_bandwidth(bw).with_queue_bytes(u64::MAX);
         sim.connect(b, s, cfg);
         sim.schedule_timer(b, Ns::ZERO, 0);
         sim.run();
-        let arrivals = &sim.node_ref::<Sink>(s).arrivals;
+        let arrivals = &sim.node_ref::<Tap>(s).received;
         prop_assert_eq!(arrivals.len(), sizes.len());
-        for (i, &(t, len)) in arrivals.iter().enumerate() {
+        for (i, &(t, ref bytes)) in arrivals.iter().enumerate() {
+            let len = bytes.len();
             prop_assert_eq!(len, usize::from(sizes[i]) + 1, "reordered at {}", i);
             if i > 0 {
                 // Spacing >= this packet's serialisation time.
@@ -112,11 +87,11 @@ proptest! {
             let mut sim = Sim::new(seed);
             sim.trace.enable();
             let b = sim.add_node("b", Box::new(Blaster { sizes: vec![100; 20] }));
-            let s = sim.add_node("s", Box::new(Sink { arrivals: vec![] }));
+            let s = sim.add_node("s", Box::new(Tap::<Vec<u8>>::sink()));
             sim.connect(b, s, LinkCfg::wan(Ns::from_ms(1)).with_drop_prob(drop_p));
             sim.schedule_timer(b, Ns::ZERO, 0);
             sim.run();
-            (sim.events_processed(), sim.total_fault_drops(), sim.node_ref::<Sink>(s).arrivals.len())
+            (sim.events_processed(), sim.total_fault_drops(), sim.node_ref::<Tap>(s).received.len())
         };
         prop_assert_eq!(run(seed), run(seed));
     }
@@ -127,11 +102,11 @@ proptest! {
     fn packet_conservation(n in 1usize..60, drop_p in 0.0f64..1.0, qbytes in 100u64..100_000) {
         let mut sim = Sim::new(7);
         let b = sim.add_node("b", Box::new(Blaster { sizes: vec![500; n] }));
-        let s = sim.add_node("s", Box::new(Sink { arrivals: vec![] }));
+        let s = sim.add_node("s", Box::new(Tap::<Vec<u8>>::sink()));
         sim.connect(b, s, LinkCfg::wan(Ns::from_ms(1)).with_drop_prob(drop_p).with_queue_bytes(qbytes));
         sim.schedule_timer(b, Ns::ZERO, 0);
         sim.run();
-        let delivered = sim.node_ref::<Sink>(s).arrivals.len() as u64;
+        let delivered = sim.node_ref::<Tap>(s).received.len() as u64;
         let dropped = sim.total_fault_drops() + sim.total_queue_drops();
         prop_assert_eq!(delivered + dropped, n as u64);
     }
@@ -150,12 +125,6 @@ impl Node for MixEmitter {
         ctx.trace(format_args!("timer {token}"));
         ctx.send(0, vec![0u8; self.payload]);
     }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A sink that records and traces every arrival.
@@ -166,12 +135,6 @@ impl Node for TracingSink {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _p: usize, bytes: Vec<u8>) {
         self.arrivals.push((ctx.now(), bytes.len()));
         ctx.trace(format_args!("rx {}", bytes.len()));
-    }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -6,7 +6,6 @@ use lispwire::dnswire::{Message, Rcode};
 use lispwire::packet::Packet;
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::any::Any;
 use std::collections::VecDeque;
 
 /// An authoritative server answering A queries from its [`ZoneStore`].
@@ -130,13 +129,6 @@ impl Node<Packet> for AuthServer {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -200,46 +192,21 @@ mod tests {
 
     #[test]
     fn end_to_end_over_sim() {
+        use netsim::testkit::Tap;
         use netsim::{LinkCfg, Sim};
 
-        struct Asker {
-            stack: IpStack,
-            server: Ipv4Address,
-            pub got: Option<Message>,
-        }
-        impl Node<Packet> for Asker {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _token: u64) {
-                let q = Message::query_a(77, Name::parse_str("host.example").unwrap(), false);
-                let pkt = self.stack.dns(5555, self.server, ports::DNS, q);
-                ctx.send(0, pkt);
-            }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-                if let Packet::Dns { msg, .. } = pkt {
-                    self.got = Some(*msg);
-                }
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
-
+        let q = Message::query_a(77, n("host.example"), false);
+        let query = IpStack::new(a([10, 0, 0, 1])).dns(5555, a([12, 0, 0, 53]), ports::DNS, q);
         let mut sim: Sim<Packet> = Sim::new(1);
-        let asker = sim.add_node(
-            "asker",
-            Box::new(Asker {
-                stack: IpStack::new(a([10, 0, 0, 1])),
-                server: a([12, 0, 0, 53]),
-                got: None,
-            }),
-        );
+        let asker = sim.add_node("asker", Box::new(Tap::new(vec![query])));
         let auth = sim.add_node("auth", Box::new(server()));
         sim.connect(asker, auth, LinkCfg::wan(Ns::from_ms(15)));
         sim.schedule_timer(asker, Ns::ZERO, 0);
         sim.run();
-        let got = sim.node_ref::<Asker>(asker).got.clone().expect("no answer");
+        let got = match sim.node_ref::<Tap<Packet>>(asker).packets().next() {
+            Some(Packet::Dns { msg, .. }) => msg,
+            other => panic!("expected a DNS answer, got {other:?}"),
+        };
         assert_eq!(got.id, 77);
         assert_eq!(got.first_answer_a(), Some(a([101, 0, 0, 5])));
         // One RTT plus processing: > 30 ms.

@@ -7,7 +7,6 @@ use lispwire::dnswire::{Message, Name, Rcode};
 use lispwire::packet::Packet;
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::any::Any;
 
 /// A recorded answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,13 +115,6 @@ impl Node<Packet> for DnsClient {
             addr,
             rcode: msg.rcode,
         });
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -12,7 +12,6 @@ use lispwire::dnswire::{Message, Name, Rcode, Rdata, Record};
 use lispwire::packet::{Packet, PceMsg};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::any::Any;
 use std::collections::BTreeMap;
 
 /// Resolver tunables.
@@ -464,13 +463,6 @@ impl Node<Packet> for Resolver {
             self.send_upstream(ctx, qid);
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Convenience for building a resolver-facing client query packet.
@@ -507,39 +499,30 @@ mod tests {
         Ipv4Address(o)
     }
 
-    struct TestClient {
-        stack: IpStack,
-        resolver: Ipv4Address,
-        qname: Name,
-        pub answers: Vec<(Ns, Option<Ipv4Address>)>,
+    type Tap = netsim::testkit::Tap<Packet>;
+
+    /// The client's query for `qname` with DNS id `id`.
+    fn query(id: u16, qname: &str) -> Packet {
+        let client = IpStack::new(a([10, 0, 0, 1]));
+        client_query_packet(&client, 40000, a([10, 0, 0, 53]), id, n(qname))
     }
-    impl Node<Packet> for TestClient {
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-            let pkt = client_query_packet(
-                &self.stack,
-                40000,
-                self.resolver,
-                token as u16,
-                self.qname.clone(),
-            );
-            ctx.send(0, pkt);
-        }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-            if let Packet::Dns { msg, .. } = pkt {
-                self.answers.push((ctx.now(), msg.first_answer_a()));
-            }
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn as_any_ref(&self) -> &dyn Any {
-            self
-        }
+
+    /// Arrival time and first A answer of every reply the client got.
+    fn answers(sim: &Sim<Packet>, client: netsim::NodeId) -> Vec<(Ns, Option<Ipv4Address>)> {
+        let tap = sim.node_ref::<Tap>(client);
+        tap.received
+            .iter()
+            .filter_map(|(at, pkt)| match pkt {
+                Packet::Dns { msg, .. } => Some((*at, msg.first_answer_a())),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Build: client - resolver - router - {root, tld(example), auth(d.example)}
     /// Root delegates `example` to TLD; TLD delegates `d.example` to auth;
-    /// auth holds host.d.example A 101.0.0.5.
+    /// auth holds host.d.example A 101.0.0.5. Client timer token `i`
+    /// sends query `i + 1` for host.d.example.
     fn build(owd: Ns, drop_prob: f64) -> (Sim<Packet>, netsim::NodeId, netsim::NodeId) {
         let root_addr = a([8, 0, 0, 53]);
         let tld_addr = a([12, 0, 0, 53]);
@@ -563,15 +546,8 @@ mod tests {
 
         let mut sim: Sim<Packet> = Sim::new(11);
         sim.trace.enable();
-        let client = sim.add_node(
-            "client",
-            Box::new(TestClient {
-                stack: IpStack::new(a([10, 0, 0, 1])),
-                resolver: resolver_addr,
-                qname: n("host.d.example"),
-                answers: vec![],
-            }),
-        );
+        let queries = vec![query(1, "host.d.example"), query(2, "host.d.example")];
+        let client = sim.add_node("client", Box::new(Tap::new(queries)));
         let resolver = sim.add_node(
             "resolver",
             Box::new(Resolver::new(resolver_addr, vec![root_addr])),
@@ -603,9 +579,9 @@ mod tests {
     #[test]
     fn iterative_resolution_walks_hierarchy() {
         let (mut sim, client, resolver) = build(Ns::from_ms(20), 0.0);
-        sim.schedule_timer(client, Ns::ZERO, 1);
+        sim.schedule_timer(client, Ns::ZERO, 0);
         sim.run();
-        let answers = &sim.node_ref::<TestClient>(client).answers;
+        let answers = answers(&sim, client);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].1, Some(a([101, 0, 0, 5])));
         // Three upstream round trips (root, tld, auth), each ≈ 2×(20+20) ms
@@ -624,14 +600,14 @@ mod tests {
     #[test]
     fn cache_hit_is_local() {
         let (mut sim, client, resolver) = build(Ns::from_ms(20), 0.0);
-        sim.schedule_timer(client, Ns::ZERO, 1);
+        sim.schedule_timer(client, Ns::ZERO, 0);
         sim.run();
         // Second query after the first fully drains: served from cache,
         // no new upstream traffic.
         let t0 = sim.now();
-        sim.schedule_timer(client, Ns::ZERO, 2);
+        sim.schedule_timer(client, Ns::ZERO, 1);
         sim.run();
-        let answers = sim.node_ref::<TestClient>(client).answers.clone();
+        let answers = answers(&sim, client);
         assert_eq!(answers.len(), 2);
         assert_eq!(answers[1].1, Some(a([101, 0, 0, 5])));
         // One client<->resolver round trip (the 20 ms WAN hop is on that
@@ -649,11 +625,11 @@ mod tests {
     #[test]
     fn ttl_expiry_forces_refetch() {
         let (mut sim, client, resolver) = build(Ns::from_ms(20), 0.0);
-        sim.schedule_timer(client, Ns::ZERO, 1);
+        sim.schedule_timer(client, Ns::ZERO, 0);
         sim.run();
         // A record TTL is 300 s; jump past it.
         let later = sim.now() + Ns::from_secs(301);
-        sim.schedule_timer(client, later.saturating_sub(sim.now()), 2);
+        sim.schedule_timer(client, later.saturating_sub(sim.now()), 1);
         sim.run();
         let r = sim.node_mut::<Resolver>(resolver);
         assert_eq!(r.cache_hits, 0);
@@ -665,9 +641,9 @@ mod tests {
     #[test]
     fn retransmission_recovers_from_loss() {
         let (mut sim, client, resolver) = build(Ns::from_ms(10), 0.35);
-        sim.schedule_timer(client, Ns::ZERO, 1);
+        sim.schedule_timer(client, Ns::ZERO, 0);
         sim.run_until(Ns::from_secs(30));
-        let answers = &sim.node_ref::<TestClient>(client).answers;
+        let answers = answers(&sim, client);
         // With 35% loss and 3 tries/step the query usually succeeds; accept
         // either outcome but require a reply of some kind (no deadlock).
         assert_eq!(answers.len(), 1, "resolver must answer eventually");
@@ -678,13 +654,10 @@ mod tests {
     #[test]
     fn nxdomain_propagates() {
         let (mut sim, client, _resolver) = build(Ns::from_ms(10), 0.0);
-        {
-            let c = sim.node_mut::<TestClient>(client);
-            c.qname = n("missing.d.example");
-        }
-        sim.schedule_timer(client, Ns::ZERO, 1);
+        sim.node_mut::<Tap>(client).outbox[0] = query(1, "missing.d.example");
+        sim.schedule_timer(client, Ns::ZERO, 0);
         sim.run();
-        let answers = &sim.node_ref::<TestClient>(client).answers;
+        let answers = answers(&sim, client);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].1, None);
     }
@@ -693,49 +666,16 @@ mod tests {
     fn failover_token_switches_uplink() {
         // Resolver between two taps; every transmission leaves on the
         // uplink, which TOKEN_FAILOVER re-points from port 0 to port 1.
-        struct Tap {
-            outbox: Vec<Packet>,
-            got: Vec<Packet>,
-        }
-        impl Node<Packet> for Tap {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-                if let Some(p) = self.outbox.get(token as usize) {
-                    ctx.send(0, p.clone());
-                }
-            }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_, Packet>, _p: PortId, pkt: Packet) {
-                self.got.push(pkt);
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn as_any_ref(&self) -> &dyn Any {
-                self
-            }
-        }
         let resolver_addr = a([10, 0, 0, 53]);
-        let client = IpStack::new(a([10, 0, 0, 1]));
-        let q1 = client_query_packet(&client, 40000, resolver_addr, 1, n("a.d.example"));
-        let q2 = client_query_packet(&client, 40000, resolver_addr, 2, n("b.d.example"));
+        let q1 = query(1, "a.d.example");
+        let q2 = query(2, "b.d.example");
         let mut sim: Sim<Packet> = Sim::new(3);
         let res = sim.add_node(
             "resolver",
             Box::new(Resolver::new(resolver_addr, vec![a([8, 0, 0, 53])])),
         );
-        let s0 = sim.add_node(
-            "s0",
-            Box::new(Tap {
-                outbox: vec![q1],
-                got: vec![],
-            }),
-        );
-        let s1 = sim.add_node(
-            "s1",
-            Box::new(Tap {
-                outbox: vec![q2],
-                got: vec![],
-            }),
-        );
+        let s0 = sim.add_node("s0", Box::new(Tap::new(vec![q1])));
+        let s1 = sim.add_node("s1", Box::new(Tap::new(vec![q2])));
         sim.connect(res, s0, LinkCfg::ipc()); // resolver port 0
         sim.connect(res, s1, LinkCfg::ipc()); // resolver port 1
         sim.node_mut::<Resolver>(res)
@@ -744,8 +684,8 @@ mod tests {
         sim.schedule_timer(res, Ns::from_ms(1), TOKEN_FAILOVER);
         sim.schedule_timer(s1, Ns::from_ms(2), 0); // q2 after failover
         sim.run_until(Ns::from_ms(5));
-        let first_out = sim.node_ref::<Tap>(s0).got.len();
-        let second_out = sim.node_ref::<Tap>(s1).got.len();
+        let first_out = sim.node_ref::<Tap>(s0).received.len();
+        let second_out = sim.node_ref::<Tap>(s1).received.len();
         assert!(first_out >= 1, "pre-failover upstream must exit port 0");
         assert!(second_out >= 1, "post-failover upstream must exit port 1");
     }
@@ -802,9 +742,9 @@ mod tests {
     fn cache_disabled_repeats_full_walk() {
         let (mut sim, client, resolver) = build(Ns::from_ms(10), 0.0);
         sim.node_mut::<Resolver>(resolver).cfg.cache_enabled = false;
-        sim.schedule_timer(client, Ns::ZERO, 1);
+        sim.schedule_timer(client, Ns::ZERO, 0);
         sim.run();
-        sim.schedule_timer(client, Ns::ZERO, 2);
+        sim.schedule_timer(client, Ns::ZERO, 1);
         sim.run();
         let r = sim.node_mut::<Resolver>(resolver);
         assert_eq!(r.upstream_queries, 6);
