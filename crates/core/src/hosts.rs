@@ -99,6 +99,9 @@ fn untoken(t: u64) -> (usize, u8, u32) {
 const KIND_START: u8 = 1;
 const KIND_DATA: u8 = 2;
 
+/// The source port of flow 0; flow `i` sends from `FIRST_FLOW_PORT + i`.
+const FIRST_FLOW_PORT: u16 = 41_000;
+
 /// The scripted traffic client.
 pub struct TrafficHost {
     stack: IpStack,
@@ -113,8 +116,25 @@ pub struct TrafficHost {
 }
 
 impl TrafficHost {
+    /// The longest flow script one client runs: flow `i` sends from
+    /// port 41,000 + `i` (and queries DNS with id `i`), and ports end at
+    /// 65,535.
+    pub const MAX_FLOWS: usize = (u16::MAX - FIRST_FLOW_PORT) as usize + 1;
+
     /// A client at `addr` using `resolver`, with a flow script.
+    ///
+    /// # Panics
+    /// Panics if the script holds more than [`TrafficHost::MAX_FLOWS`]
+    /// flows: later flows would share ports with earlier ones (and with
+    /// DNS), so their packets would be matched to the wrong flow.
     pub fn new(addr: Ipv4Address, resolver: Ipv4Address, flows: Vec<FlowSpec>) -> Self {
+        assert!(
+            flows.len() <= Self::MAX_FLOWS,
+            "client script has {} flows; one client holds at most {} \
+             (flow i sends from port 41000 + i, and ports end at 65535)",
+            flows.len(),
+            Self::MAX_FLOWS
+        );
         let records = flows
             .iter()
             .map(|f| FlowRecord {
@@ -127,7 +147,7 @@ impl TrafficHost {
                 data_echoed: 0,
             })
             .collect();
-        let port_of_flow = (0..flows.len()).map(|i| 41000 + i as u16).collect();
+        let port_of_flow = (FIRST_FLOW_PORT..=u16::MAX).take(flows.len()).collect();
         Self {
             stack: IpStack::new(addr),
             resolver,
@@ -508,6 +528,26 @@ mod tests {
         }
         sim.schedule_timer(client, Ns::ZERO, TrafficHost::start_token(0));
         (sim, client, server)
+    }
+
+    #[test]
+    fn full_flow_script_gets_distinct_ports() {
+        let flow = FlowSpec {
+            start: Ns::ZERO,
+            qname: Name::parse_str("host.d.example").unwrap(),
+            mode: FlowMode::Udp {
+                packets: 1,
+                interval: Ns::from_ms(1),
+                size: 10,
+            },
+        };
+        assert_eq!(TrafficHost::MAX_FLOWS, 24_536);
+        let flows = vec![flow; TrafficHost::MAX_FLOWS];
+        let host = TrafficHost::new(a([100, 0, 0, 5]), a([10, 0, 0, 53]), flows);
+        let ports = &host.port_of_flow;
+        assert_eq!(ports.len(), 24_536);
+        assert_eq!((ports[0], ports[24_535]), (41_000, u16::MAX));
+        assert!(ports.windows(2).all(|w| w[1] == w[0] + 1), "ports repeat");
     }
 
     #[test]

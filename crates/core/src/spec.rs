@@ -31,7 +31,7 @@ use crate::plane::{attach_to_core, MapSystem};
 use crate::scenario::{addrs, CpKind, FlowRouter};
 use crate::workload::{PoissonArrivals, ZipfPicker};
 use inet::stack::IpStack;
-use inet::{Prefix, Router};
+use inet::{Prefix, PrefixSet, Router};
 use ircte::Provider;
 pub use ircte::SelectionPolicy;
 use lispdp::{CacheSpec, CpMode, DefenseCfg, MissPolicy, RlocProbeCfg, Xtr, XtrConfig};
@@ -1165,7 +1165,8 @@ impl ScenarioSpec {
     /// Panics on an ill-formed spec: no sites, a site without
     /// providers, not exactly one client site, a server site with a
     /// host population outside `1..=200` (the per-site EID address
-    /// plan holds 200 hosts), or (via [`MappingDb`]) duplicate EID
+    /// plan holds 200 hosts), a flow script longer than
+    /// [`TrafficHost::MAX_FLOWS`], or (via [`MappingDb`]) duplicate EID
     /// prefixes across sites.
     pub fn build(&self, seed: u64) -> World {
         let topo = &self.topology;
@@ -1453,7 +1454,7 @@ impl ScenarioSpec {
         };
 
         // ---- Border: xTRs or plain routing ------------------------------------
-        let eid_space: Arc<[Prefix]> = self.derived_eid_space().into();
+        let eid_space = Arc::new(PrefixSet::new(self.derived_eid_space()));
         let mut site_xtrs: Vec<Vec<NodeId>> = vec![Vec::new(); topo.sites.len()];
         let mut site_links: Vec<Vec<usize>> = vec![Vec::new(); topo.sites.len()];
         let mut site_egress: Vec<Vec<PortId>> = vec![Vec::new(); topo.sites.len()];
@@ -1645,7 +1646,8 @@ impl ScenarioSpec {
                         for _ in 0..*packets {
                             let want_live = rng.pick(2) == 0;
                             let dead = (0..32).find_map(|_| {
-                                let p = eid_space[rng.pick(eid_space.len())];
+                                let space = eid_space.prefixes();
+                                let p = space[rng.pick(space.len())];
                                 let cand = p.nth_host(rng.next_u64() as u32);
                                 (!in_any_site(cand)).then_some(cand)
                             });
@@ -1654,7 +1656,7 @@ impl ScenarioSpec {
                                     live_targets[rng.pick(live_targets.len())]
                                 }
                                 (_, Some(d)) => d,
-                                _ => eid_space[0].nth_host(rng.next_u64() as u32),
+                                _ => eid_space.prefixes()[0].nth_host(rng.next_u64() as u32),
                             };
                             script.push(stack.udp(9666, target, 9666, vec![0u8; 40]));
                         }
@@ -2197,6 +2199,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one client holds at most 24536")]
+    fn flow_script_past_the_port_range_fails_loudly() {
+        // Flow 24,536 would send from port 65,536: a debug build panics
+        // on the overflow and a release build wraps onto ports 0, 1, …
+        // 53, which collide with DNS and with other flows.
+        let flows = flow_script(&vec![Ns::ZERO; TrafficHost::MAX_FLOWS + 1], 1, tcp_mode());
+        let _ = ScenarioSpec::fig1(CpKind::Pce)
+            .with(|s| s.set_flows(flows))
+            .build(1);
+    }
+
+    #[test]
     #[should_panic(expected = "exactly one client site")]
     fn second_client_site_is_rejected() {
         // World drives a single traffic source; a second client site
@@ -2272,14 +2286,14 @@ mod tests {
         let xtrs = w.all_xtrs();
         assert_eq!(xtrs.len(), 2 * w.sites.len());
         let first = eid_space(&w, xtrs[0]);
-        assert_eq!(first.len(), w.sites.len());
+        assert_eq!(first.prefixes().len(), w.sites.len());
         assert!(xtrs.iter().all(|&x| Arc::ptr_eq(&first, &eid_space(&w, x))));
         // Given by the spec: Fig. 1's 100.0.0.0/7 reaches every xTR.
         for cp in CpKind::all() {
             let w = ScenarioSpec::fig1(cp).build(1);
             let want = [Prefix::new(Ipv4Address::new(100, 0, 0, 0), 7)];
             for x in w.all_xtrs() {
-                assert_eq!(*eid_space(&w, x), want, "{}", cp.label());
+                assert_eq!(eid_space(&w, x).prefixes(), want, "{}", cp.label());
             }
         }
     }

@@ -80,6 +80,64 @@ impl Prefix {
     }
 }
 
+/// A set of IPv4 addresses given as prefixes, held as sorted, merged
+/// address ranges: membership is one binary search however many
+/// prefixes there are. An xTR asks it of every site-to-WAN packet ("is
+/// the destination in the EID space?"), and a world of 512 sites would
+/// otherwise scan 512 prefixes each time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixSet {
+    /// The prefixes as given, in order.
+    prefixes: Vec<Prefix>,
+    /// Ascending, disjoint, non-adjacent inclusive `(first, last)`
+    /// ranges whose union is exactly the prefixes' union.
+    ranges: Vec<(u32, u32)>,
+}
+
+impl PrefixSet {
+    /// The union of `prefixes` (duplicates, nesting and adjacency are
+    /// all fine).
+    pub fn new(prefixes: Vec<Prefix>) -> Self {
+        let mut spans: Vec<(u32, u32)> = prefixes
+            .iter()
+            .map(|p| {
+                let first = p.addr.to_u32();
+                (first, first | !Prefix::mask(p.len))
+            })
+            .collect();
+        spans.sort_unstable();
+        let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(spans.len());
+        for (first, last) in spans {
+            match ranges.last_mut() {
+                // Overlapping or adjacent: extend. `saturating_add` keeps
+                // a range ending at 255.255.255.255 from wrapping.
+                Some(prev) if first <= prev.1.saturating_add(1) => prev.1 = prev.1.max(last),
+                _ => ranges.push((first, last)),
+            }
+        }
+        Self { prefixes, ranges }
+    }
+
+    /// True if some prefix of the set contains `addr`.
+    pub fn contains(&self, addr: Ipv4Address) -> bool {
+        let addr = addr.to_u32();
+        // The ranges starting at or before `addr` form a prefix of the
+        // list; only the last of them can hold it.
+        let after = self.ranges.partition_point(|&(first, _)| first <= addr);
+        after > 0 && addr <= self.ranges[after - 1].1
+    }
+
+    /// The prefixes the set was made from, in the order given.
+    pub fn prefixes(&self) -> &[Prefix] {
+        &self.prefixes
+    }
+
+    /// The merged ranges, as `(first, last)` inclusive addresses.
+    pub fn ranges(&self) -> &[(u32, u32)] {
+        &self.ranges
+    }
+}
+
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.addr, self.len)

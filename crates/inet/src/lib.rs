@@ -25,7 +25,7 @@ pub mod router;
 pub mod stack;
 pub mod tcp;
 
-pub use addr::Prefix;
+pub use addr::{Prefix, PrefixSet};
 pub use lpm::LpmTrie;
 pub use router::Router;
 pub use stack::IpStack;

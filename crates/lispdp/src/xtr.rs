@@ -29,7 +29,7 @@
 use crate::mapcache::{CacheSpec, MapCache};
 use crate::policy::MissPolicy;
 use inet::stack::IpStack;
-use inet::Prefix;
+use inet::{Prefix, PrefixSet};
 use lispwire::lisp::LispRepr;
 use lispwire::lispctl::{Locator, MapRecord, MapReply, MapRequest, RlocProbe};
 use lispwire::packet::{CtlMsg, Packet, PceMsg};
@@ -115,8 +115,9 @@ pub struct XtrConfig {
     /// The global EID space: destinations inside it need mappings,
     /// destinations outside it are plain-forwarded (RLOC space). One
     /// allocation shared by every xTR of a world: a copy each was
-    /// O(sites²) bytes.
-    pub eid_space: Arc<[Prefix]>,
+    /// O(sites²) bytes. Held as merged ranges, so the per-packet
+    /// membership test is a binary search, not a scan of every site.
+    pub eid_space: Arc<PrefixSet>,
     /// Control-plane mode.
     pub mode: CpMode,
     /// Policy for cache-missing data packets.
@@ -188,7 +189,7 @@ impl XtrConfig {
     pub fn new(
         rloc: Ipv4Address,
         site_prefix: Prefix,
-        eid_space: impl Into<Arc<[Prefix]>>,
+        eid_space: impl Into<Arc<PrefixSet>>,
         mode: CpMode,
     ) -> Self {
         Self {
@@ -394,7 +395,7 @@ impl Xtr {
     }
 
     fn in_eid_space(&self, addr: Ipv4Address) -> bool {
-        self.cfg.eid_space.iter().any(|p| p.contains(addr))
+        self.cfg.eid_space.contains(addr)
     }
 
     fn in_internal_plain(&self, addr: Ipv4Address) -> bool {
@@ -1255,8 +1256,8 @@ mod tests {
         Ipv4Address(o)
     }
 
-    fn eid_space() -> Vec<Prefix> {
-        vec![Prefix::new(a([100, 0, 0, 0]), 6)] // 100..103
+    fn eid_space() -> PrefixSet {
+        PrefixSet::new(vec![Prefix::new(a([100, 0, 0, 0]), 6)]) // 100..103
     }
 
     /// A site host: sends prebuilt packets and records received ones.

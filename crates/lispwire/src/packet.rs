@@ -443,18 +443,30 @@ impl Packet {
 
     /// Exact number of bytes this packet occupies on the wire — equal
     /// to `encode().len()` at all times (pinned by property tests), but
-    /// computed without materializing anything.
+    /// computed without materializing anything. A loop over the LISP
+    /// encapsulation rather than a recursion, so it inlines whole: the
+    /// engine's send path pays a few adds for a data packet, tunnelled
+    /// or not.
+    #[inline]
     pub fn wire_len(&self) -> usize {
         const IP_UDP: usize = crate::ipv4::HEADER_LEN + crate::udp::HEADER_LEN;
-        match self {
-            Packet::Udp { payload, .. } => IP_UDP + payload.len(),
-            Packet::Tcp { payload, .. } => {
-                crate::ipv4::HEADER_LEN + crate::tcpseg::HEADER_LEN + payload.len()
+        let mut len = 0;
+        let mut pkt = self;
+        loop {
+            match pkt {
+                Packet::LispData { inner, .. } => {
+                    len += IP_UDP + crate::lisp::HEADER_LEN;
+                    pkt = inner;
+                }
+                Packet::Udp { payload, .. } => return len + IP_UDP + payload.len(),
+                Packet::Tcp { payload, .. } => {
+                    let headers = crate::ipv4::HEADER_LEN + crate::tcpseg::HEADER_LEN;
+                    return len + headers + payload.len();
+                }
+                Packet::LispCtl { msg, .. } => return len + IP_UDP + msg.wire_len(),
+                Packet::Pce { msg, .. } => return len + IP_UDP + msg.wire_len(),
+                Packet::Dns { msg, .. } => return len + IP_UDP + msg.wire_len(),
             }
-            Packet::LispData { inner, .. } => IP_UDP + crate::lisp::HEADER_LEN + inner.wire_len(),
-            Packet::LispCtl { msg, .. } => IP_UDP + msg.wire_len(),
-            Packet::Pce { msg, .. } => IP_UDP + msg.wire_len(),
-            Packet::Dns { msg, .. } => IP_UDP + msg.wire_len(),
         }
     }
 
@@ -544,6 +556,7 @@ fn emit_udp_ip(w: &mut Writer, ip: &Ipv4Header, ports: UdpPorts, body: impl FnOn
 }
 
 impl netsim::payload::Payload for Packet {
+    #[inline]
     fn wire_len(&self) -> usize {
         Packet::wire_len(self)
     }

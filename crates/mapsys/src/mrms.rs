@@ -217,7 +217,7 @@ mod tests {
     fn end_to_end_resolution_via_mrms() {
         let mut sim: Sim<Packet> = Sim::new(3);
         sim.trace.enable();
-        let eid_space = vec![Prefix::new(a([100, 0, 0, 0]), 6)];
+        let eid_space = inet::PrefixSet::new(vec![Prefix::new(a([100, 0, 0, 0]), 6)]);
 
         let mut db = MappingDb::new();
         db.register(SiteEntry::single(

@@ -235,7 +235,7 @@ mod tests {
     fn world(subscribers: u8) -> (Sim<Packet>, Vec<NodeId>, NodeId, NodeId) {
         let mut sim: Sim<Packet> = Sim::new(6);
         sim.trace.enable();
-        let eid_space = vec![Prefix::new(a([100, 0, 0, 0]), 6)];
+        let eid_space = inet::PrefixSet::new(vec![Prefix::new(a([100, 0, 0, 0]), 6)]);
         let mut db = MappingDb::new();
         db.register(SiteEntry::single(
             Prefix::new(a([101, 0, 0, 0]), 8),

@@ -235,6 +235,7 @@ impl CalendarQueue {
     /// ahead (overflow heap) or in the already-sorted cursor bucket,
     /// where it is placed by binary insertion so the drain order stays
     /// exact (zero-delay self-schedules land here).
+    #[inline]
     pub fn push(&mut self, key: u128, slot: u32) {
         let at = Self::key_at(key);
         let year = self.year_of(at);
@@ -307,7 +308,19 @@ impl CalendarQueue {
     /// Advance internal state until the cursor bucket holds the minimum
     /// pending entry, sorted and ready to pop from the back. Returns
     /// `false` when the queue is empty.
+    #[inline]
     fn settle(&mut self) -> bool {
+        // Fast path: a sorted, non-empty cursor bucket already holds the
+        // minimum — an entry of an earlier bucket would have been filed
+        // into this one (see `push`), and later buckets are later.
+        if self.cursor_sorted && !self.drain.is_empty() {
+            return true;
+        }
+        self.settle_slow()
+    }
+
+    /// [`CalendarQueue::settle`] once the cursor bucket has run dry.
+    fn settle_slow(&mut self) -> bool {
         if self.in_year == 0 && !self.roll_year() {
             return false;
         }

@@ -6,7 +6,7 @@ use crate::link::{Transmitter, TxOutcome};
 use crate::payload::Payload;
 use crate::sim::{EventKind, EventQueue};
 use crate::time::Ns;
-use crate::trace::Trace;
+use crate::trace::{NodeNames, Trace};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::any::Any;
@@ -103,7 +103,8 @@ pub(crate) type EventPort = u32;
 pub struct Ctx<'a, P: Payload = Vec<u8>> {
     pub(crate) now: Ns,
     pub(crate) node: NodeId,
-    pub(crate) node_name: &'a str,
+    /// Every node's name: read only when a trace line is kept.
+    pub(crate) names: &'a NodeNames,
     pub(crate) ports: &'a [PortBinding],
     pub(crate) transmitters: &'a mut [Transmitter<P>],
     pub(crate) rng: &'a mut SmallRng,
@@ -114,14 +115,6 @@ pub struct Ctx<'a, P: Payload = Vec<u8>> {
 }
 
 impl<'a, P: Payload> Ctx<'a, P> {
-    /// Push an event straight into the engine's queue (the shared
-    /// scheduling routine, so engine- and node-scheduled events follow
-    /// one `(time, seq)` total order).
-    #[inline]
-    fn push_event(&mut self, at: Ns, node: NodeId, kind: EventKind<P>) {
-        self.queue.push(at, node, kind);
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> Ns {
         self.now
@@ -145,7 +138,7 @@ impl<'a, P: Payload> Ctx<'a, P> {
     ///
     /// # Panics
     /// Panics if `port` is not connected.
-    pub fn send(&mut self, port: PortId, pkt: P) -> bool {
+    pub fn send(&mut self, port: PortId, mut pkt: P) -> bool {
         let binding = self.ports[port];
         let tx = &mut self.transmitters[binding.tx_index];
         // Administratively-down link: drop or stall per policy, before
@@ -159,7 +152,6 @@ impl<'a, P: Payload> Ctx<'a, P> {
             tx.stats.fault_drops += 1;
             return false;
         }
-        let mut pkt = pkt;
         let len = pkt.wire_len();
         // Fault injection: corrupt one random bit of the wire image.
         if tx.cfg.corrupt_prob > 0.0 && len > 0 && self.rng.random_bool(tx.cfg.corrupt_prob) {
@@ -170,14 +162,13 @@ impl<'a, P: Payload> Ctx<'a, P> {
         }
         match tx.offer(self.now, len) {
             TxOutcome::Deliver { arrival } => {
-                self.push_event(
-                    arrival,
-                    binding.peer_node,
-                    EventKind::Packet {
-                        port: binding.peer_port,
-                        payload: pkt,
-                    },
-                );
+                // Claim the slot first and build the event in the call
+                // that stores it: the packet moves once, from this
+                // frame into the slab (DESIGN.md §12).
+                if let Some(claim) = self.queue.claim(arrival) {
+                    let port = binding.peer_port;
+                    claim.fill(binding.peer_node, EventKind::Packet { port, payload: pkt });
+                }
                 true
             }
             TxOutcome::QueueDrop => false,
@@ -189,7 +180,7 @@ impl<'a, P: Payload> Ctx<'a, P> {
     /// engine treats as "never" — such timers do not fire.
     pub fn set_timer(&mut self, delay: Ns, token: u64) {
         let at = self.now.saturating_add(delay);
-        self.push_event(at, self.node, EventKind::Timer { token });
+        self.queue.push(at, self.node, EventKind::Timer { token });
     }
 
     /// Record a trace message. **Lazy**: `msg` is an unformatted
@@ -201,7 +192,7 @@ impl<'a, P: Payload> Ctx<'a, P> {
     /// `ctx.trace(format_args!("…"))`, never `format!`.
     #[inline]
     pub fn trace(&mut self, msg: fmt::Arguments<'_>) {
-        self.trace.push(self.now, self.node, self.node_name, msg);
+        self.trace.push(self.now, self.node, self.names, msg);
     }
 
     /// Increment the counter behind an id from [`Ctx::counter_id`] /

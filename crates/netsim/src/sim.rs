@@ -22,7 +22,7 @@ use crate::link::{LinkCfg, LinkStats, Transmitter, TxOutcome};
 use crate::node::{Ctx, EventPort, Node, NodeId, PortBinding, PortId};
 use crate::payload::Payload;
 use crate::time::Ns;
-use crate::trace::{fnv64, Trace};
+use crate::trace::{fnv64, NodeNames, Trace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
@@ -73,14 +73,17 @@ pub(crate) enum EventKind<P> {
     },
 }
 
-/// A popped event, reassembled from the queue's key/slab halves.
+/// End of the slab's free chain.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the event slab: a pending event's body, or a link of
+/// the free chain threaded through the vacant slots.
 #[derive(Debug)]
-pub(crate) struct TimedEvent<P> {
-    pub(crate) at: Ns,
-    /// Low half of the popped key: the schedule sequence number.
-    pub(crate) seq: u64,
-    pub(crate) node: NodeId,
-    pub(crate) kind: EventKind<P>,
+pub(crate) enum Slot<P> {
+    /// A pending event for a node.
+    Busy(NodeId, EventKind<P>),
+    /// Vacant; the next vacant slot, or [`NIL`].
+    Free(u32),
 }
 
 /// The engine's priority queue: a [`CalendarQueue`] of compact
@@ -92,17 +95,52 @@ pub(crate) struct TimedEvent<P> {
 /// both breaks time ties deterministically and yields FIFO order among
 /// same-time events. Keeping the ordered entries small matters: event
 /// bodies are as large as the payload type (a typed `Packet` is 72
-/// bytes), so bodies live in a free-listed slab (slots indexed by the
-/// entry's `u32`) and only the compact keys enter the calendar queue.
-/// Events at [`Ns::MAX`] mean "never" (saturated timers) and are not
-/// enqueued at all — they consume no sequence number either.
+/// bytes), so bodies live in a slab (slots indexed by the entry's
+/// `u32`, vacant ones chained into a free list through the slab itself)
+/// and only the compact keys enter the calendar queue. Events at
+/// [`Ns::MAX`] mean "never" (saturated timers) and are not enqueued at
+/// all — they consume no sequence number either.
+///
+/// A body is moved once into its slot and once out of it (DESIGN.md
+/// §12): [`EventQueue::claim`] does every check and allocation a push
+/// needs *before* the body exists, [`Claim::fill`] writes it straight
+/// into the slot, and [`EventQueue::take`] moves it out to the
+/// dispatching frame. No panic edge sits between building a body and
+/// storing it, so the compiler keeps no spare copy for an unwind path.
 #[derive(Debug)]
 pub(crate) struct EventQueue<P> {
     cal: CalendarQueue,
-    slab: Vec<Option<(NodeId, EventKind<P>)>>,
-    free: Vec<u32>,
+    slab: Vec<Slot<P>>,
+    /// First vacant slot of the free chain, or [`NIL`].
+    free: u32,
     /// Monotonic schedule counter (the low 64 bits of every key).
     seq: u64,
+}
+
+/// A slab slot claimed for one event: its key is stamped and the slot
+/// unlinked from the free chain, and [`Claim::fill`] writes the body
+/// and files the key. An unfilled claim enqueues nothing.
+#[must_use = "a claim enqueues nothing until it is filled"]
+pub(crate) struct Claim<'a, P> {
+    slot: &'a mut Slot<P>,
+    cal: &'a mut CalendarQueue,
+    key: u128,
+    index: u32,
+}
+
+impl<P> Claim<'_, P> {
+    /// Write the event body into the claimed slot — its one move in —
+    /// and file its key in the calendar queue.
+    #[inline(always)]
+    pub(crate) fn fill(self, node: NodeId, kind: EventKind<P>) {
+        // `claim` saw the slot vacant, and a vacant slot owns nothing,
+        // so the old value is forgotten rather than dropped: a drop
+        // (which plain `=` would run first) is a call the compiler
+        // cannot rule out, and its unwind edge would pin the new body
+        // in a temporary and copy it twice.
+        std::mem::forget(std::mem::replace(self.slot, Slot::Busy(node, kind)));
+        self.cal.push(self.key, self.index);
+    }
 }
 
 impl<P> EventQueue<P> {
@@ -110,61 +148,115 @@ impl<P> EventQueue<P> {
         Self {
             cal: CalendarQueue::new(),
             slab: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             seq: 0,
         }
     }
 
-    #[inline]
-    fn insert_body(&mut self, node: NodeId, kind: EventKind<P>) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some((node, kind));
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("too many pending events");
-                self.slab.push(Some((node, kind)));
-                slot
-            }
-        }
-    }
-
-    /// Schedule `kind` for `node` at `at`, stamping the next sequence
+    /// Claim a slot for an event at `at`, stamping the next sequence
     /// number — the single scheduling routine shared by the engine
     /// ([`Sim`]) and node contexts ([`Ctx`]), so the `(time, seq)`
-    /// total order has exactly one implementation.
-    #[inline]
-    pub(crate) fn push(&mut self, at: Ns, node: NodeId, kind: EventKind<P>) {
+    /// total order has exactly one implementation. `None` for
+    /// [`Ns::MAX`] ("never"): nothing is claimed and no sequence number
+    /// is spent.
+    #[inline(always)]
+    pub(crate) fn claim(&mut self, at: Ns) -> Option<Claim<'_, P>> {
         if at == Ns::MAX {
-            return;
+            return None;
         }
         self.seq += 1;
         let key = (u128::from(at.0) << 64) | u128::from(self.seq);
-        let slot = self.insert_body(node, kind);
-        self.cal.push(key, slot);
+        if self.free == NIL {
+            self.grow();
+        }
+        let index = self.free;
+        let slot = &mut self.slab[index as usize];
+        let Slot::Free(next) = *slot else {
+            unreachable!("free chain runs through a pending event")
+        };
+        self.free = next;
+        Some(Claim {
+            slot,
+            cal: &mut self.cal,
+            key,
+            index,
+        })
     }
 
-    /// Remove and return the earliest pending event if it is due at or
-    /// before `deadline`.
-    #[inline]
-    pub(crate) fn pop_until(&mut self, deadline: Ns) -> Option<TimedEvent<P>> {
-        let (key, slot) = self.cal.pop_until(deadline.0)?;
-        let (node, kind) = self.slab[slot as usize]
-            .take()
-            .expect("queue entry without slab body");
-        self.free.push(slot);
-        Some(TimedEvent {
-            at: Ns((key >> 64) as u64),
-            seq: key as u64,
-            node,
-            kind,
-        })
+    /// Add one vacant slot to the empty free chain.
+    #[cold]
+    fn grow(&mut self) {
+        self.free = u32::try_from(self.slab.len())
+            .ok()
+            .filter(|&index| index != NIL)
+            .expect("too many pending events");
+        self.slab.push(Slot::Free(NIL));
+    }
+
+    /// Schedule `kind` for `node` at `at` (see [`EventQueue::claim`]).
+    #[inline(always)]
+    pub(crate) fn push(&mut self, at: Ns, node: NodeId, kind: EventKind<P>) {
+        if let Some(claim) = self.claim(at) {
+            claim.fill(node, kind);
+        }
+    }
+
+    /// Remove the earliest pending event if it is due at or before
+    /// `deadline`: its time, sequence number and slab slot. The body
+    /// stays in the slot until [`EventQueue::take`] moves it out.
+    #[inline(always)]
+    pub(crate) fn pop_until(&mut self, deadline: Ns) -> Option<(Ns, u64, u32)> {
+        let (key, index) = self.cal.pop_until(deadline.0)?;
+        Some((Ns((key >> 64) as u64), key as u64, index))
+    }
+
+    /// Move the body out of slot `index` — its one move out — and chain
+    /// the slot onto the free list.
+    #[inline(always)]
+    pub(crate) fn take(&mut self, index: u32) -> Slot<P> {
+        let body = std::mem::replace(&mut self.slab[index as usize], Slot::Free(self.free));
+        self.free = index;
+        body
+    }
+
+    /// The target node of the event in slot `index`, and whether the
+    /// event is a delivery (packet or timer) rather than an
+    /// administrative change.
+    #[inline(always)]
+    pub(crate) fn peek(&self, index: u32) -> (NodeId, bool) {
+        match &self.slab[index as usize] {
+            Slot::Busy(node, kind) => (
+                *node,
+                matches!(kind, EventKind::Packet { .. } | EventKind::Timer { .. }),
+            ),
+            Slot::Free(_) => unreachable!("queue entry without slab body"),
+        }
+    }
+
+    /// The packet event waiting in slot `index`, by reference: target
+    /// node, port and payload.
+    pub(crate) fn packet(&self, index: u32) -> Option<(NodeId, EventPort, &P)> {
+        match &self.slab[index as usize] {
+            Slot::Busy(node, EventKind::Packet { port, payload }) => Some((*node, *port, payload)),
+            _ => None,
+        }
     }
 
     /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
         self.cal.len()
+    }
+
+    /// Slab slots holding an event body, and how many of those bodies
+    /// are packets.
+    fn bodies(&self) -> (usize, usize) {
+        self.slab
+            .iter()
+            .fold((0, 0), |(all, packets), slot| match slot {
+                Slot::Busy(_, EventKind::Packet { .. }) => (all + 1, packets + 1),
+                Slot::Busy(..) => (all + 1, packets),
+                Slot::Free(_) => (all, packets),
+            })
     }
 }
 
@@ -173,7 +265,7 @@ impl<P> EventQueue<P> {
 /// queue + slab) against a reference implementation. Hidden: not API.
 #[doc(hidden)]
 pub mod queue_testing {
-    use super::{EventKind, EventQueue};
+    use super::{EventKind, EventQueue, Slot};
     use crate::time::Ns;
 
     /// Drives an `EventQueue<Vec<u8>>` with timer events.
@@ -204,11 +296,11 @@ pub mod queue_testing {
 
         /// Pop the earliest event as `(at, seq, node, token)`.
         pub fn pop(&mut self) -> Option<(u64, u64, usize, u64)> {
-            let ev = self.q.pop_until(Ns::MAX)?;
-            let EventKind::Timer { token } = ev.kind else {
+            let (at, seq, index) = self.q.pop_until(Ns::MAX)?;
+            let Slot::Busy(node, EventKind::Timer { token }) = self.q.take(index) else {
                 unreachable!("probe pushes timers only")
             };
-            Some((ev.at.0, ev.seq, ev.node, token))
+            Some((at.0, seq, node, token))
         }
 
         /// Pending events.
@@ -223,34 +315,13 @@ pub mod queue_testing {
 
         /// Slab slots currently holding a live event body.
         pub fn slab_occupied(&self) -> usize {
-            self.q.slab.iter().filter(|s| s.is_some()).count()
+            self.q.bodies().0
         }
 
         /// Total slab slots ever allocated (live + free-listed).
         pub fn slab_capacity(&self) -> usize {
             self.q.slab.len()
         }
-    }
-}
-
-/// Every node's name, back to back in one buffer: a world of many
-/// thousand nodes holds two allocations for its names, not one each.
-#[derive(Default)]
-struct NodeNames {
-    text: String,
-    /// Where each node's name ends in `text`, by node id.
-    ends: Vec<usize>,
-}
-
-impl NodeNames {
-    fn push(&mut self, name: &str) {
-        self.text.push_str(name);
-        self.ends.push(self.text.len());
-    }
-
-    fn get(&self, id: NodeId) -> &str {
-        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.text[start..self.ends[id]]
     }
 }
 
@@ -388,7 +459,7 @@ impl<P: Payload> Sim<P> {
     pub fn schedule_timer(&mut self, node: NodeId, delay: Ns, token: u64) {
         assert!(node < self.nodes.len(), "unknown node {node}");
         let at = self.now.saturating_add(delay);
-        self.push_event(at, node, EventKind::Timer { token });
+        self.queue.push(at, node, EventKind::Timer { token });
     }
 
     /// Global counter value (see [`Ctx::count_id`]).
@@ -455,7 +526,7 @@ impl<P: Payload> Sim<P> {
         for dir in 0..2 {
             let tx = link * 2 + dir;
             let sender = self.tx_targets[tx ^ 1].0;
-            self.push_event(at, sender, EventKind::LinkAdmin { tx, up });
+            self.queue.push(at, sender, EventKind::LinkAdmin { tx, up });
         }
     }
 
@@ -470,7 +541,7 @@ impl<P: Payload> Sim<P> {
     pub fn schedule_node_admin(&mut self, delay: Ns, node: NodeId, up: bool) {
         assert!(node < self.nodes.len(), "unknown node {node}");
         let at = self.now.saturating_add(delay);
-        self.push_event(at, node, EventKind::NodeAdmin { up });
+        self.queue.push(at, node, EventKind::NodeAdmin { up });
     }
 
     /// Apply an administrative node state change immediately (the
@@ -498,9 +569,11 @@ impl<P: Payload> Sim<P> {
         let was_up = self.node_up[node];
         self.node_up[node] = up;
         if was_up && !up {
-            self.with_node_ctx(node, |n, ctx| n.on_crash(ctx));
+            let (n, mut ctx) = self.node_ctx(node);
+            n.on_crash(&mut ctx);
         } else if !was_up && up {
-            self.with_node_ctx(node, |n, ctx| n.on_restart(ctx));
+            let (n, mut ctx) = self.node_ctx(node);
+            n.on_restart(&mut ctx);
         }
     }
 
@@ -545,6 +618,22 @@ impl<P: Payload> Sim<P> {
         }
     }
 
+    /// Packets the engine holds right now: `(queued for delivery,
+    /// stalled on a down link)`. Test probe for packet conservation:
+    /// not part of the API.
+    #[doc(hidden)]
+    pub fn held_packets(&self) -> (usize, usize) {
+        let stalled = self.transmitters.iter().map(|t| t.stall_buf.len()).sum();
+        (self.queue.bodies().1, stalled)
+    }
+
+    /// Slab slots holding an event body of any kind; 0 once the queue
+    /// has drained. Test probe: not part of the API.
+    #[doc(hidden)]
+    pub fn slab_bodies(&self) -> usize {
+        self.queue.bodies().0
+    }
+
     /// Limit the number of processed events (runaway protection in tests).
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
@@ -579,32 +668,21 @@ impl<P: Payload> Sim<P> {
             .unwrap_or_else(|| type_mismatch::<T>(id, self.names.get(id)))
     }
 
-    #[inline]
-    fn push_event(&mut self, at: Ns, node: NodeId, kind: EventKind<P>) {
-        self.queue.push(at, node, kind);
-    }
-
-    /// Run `f` against `node_id` with a fully-wired [`Ctx`]. This is the
-    /// single dispatch helper shared by event delivery and `start_all`
-    /// (the seed engine duplicated this loop in both places). The
-    /// context holds split borrows of the queue, so everything a node
-    /// schedules is pushed straight into the heap — steady-state
-    /// dispatch materialises no intermediate action list and performs
-    /// no allocations.
-    #[inline]
-    fn with_node_ctx<F: FnOnce(&mut dyn Node<P>, &mut Ctx<'_, P>)>(
-        &mut self,
-        node_id: NodeId,
-        f: F,
-    ) {
-        // Split borrows: the node lives in `self.nodes`, everything the
-        // Ctx exposes lives in *other* fields, so the node can be handed
-        // out by `&mut` directly.
+    /// Split the simulation into node `node_id` and a fully-wired
+    /// [`Ctx`] for it: the one way every hook is called (event delivery,
+    /// `start_all`, crash and restart). The context holds split borrows
+    /// of the other fields, so everything a node schedules is pushed
+    /// straight into the queue — steady-state dispatch materialises no
+    /// intermediate action list and performs no allocations. Nothing is
+    /// captured in a closure, so a packet moves from the slab to the
+    /// hook's argument without a stop in between.
+    #[inline(always)]
+    fn node_ctx(&mut self, node_id: NodeId) -> (&mut dyn Node<P>, Ctx<'_, P>) {
         let node = &mut *self.nodes[node_id];
-        let mut ctx = Ctx {
+        let ctx = Ctx {
             now: self.now,
             node: node_id,
-            node_name: self.names.get(node_id),
+            names: &self.names,
             ports: &self.ports[node_id],
             transmitters: &mut self.transmitters,
             rng: &mut self.rng,
@@ -613,54 +691,74 @@ impl<P: Payload> Sim<P> {
             queue: &mut self.queue,
             stopped: &mut self.stopped,
         };
-        f(node, &mut ctx);
+        (node, ctx)
     }
 
-    #[inline]
-    fn dispatch(&mut self, ev: TimedEvent<P>) {
+    /// Deliver the event in slab slot `index`. Everything that can
+    /// fail — the down-node test, the packet log, the index checks of
+    /// [`Sim::node_ctx`] — runs while the body still sits in the slab;
+    /// only then is it moved out, straight into the hook's argument (its
+    /// one move out). A panic edge with the payload held in this frame
+    /// would pin it in a temporary and copy it once more.
+    #[inline(always)]
+    fn dispatch(&mut self, index: u32) {
+        let (node_id, delivery) = self.queue.peek(index);
+        // LinkAdmin and NodeAdmin are engine state, not node state: they
+        // apply even while the owning endpoint is down.
+        if !delivery {
+            match self.queue.take(index) {
+                Slot::Busy(_, EventKind::LinkAdmin { tx, up }) => self.set_link_dir_up(tx, up),
+                Slot::Busy(_, EventKind::NodeAdmin { up }) => self.apply_node_admin(node_id, up),
+                _ => unreachable!("peek said administrative"),
+            }
+            return;
+        }
         // Down-node check first: a crashed node receives neither packets
         // nor timers (its pending timers are part of the volatile state
         // lost in the crash). One bool test on the hot path, before the
         // packet log, so all-up runs are byte-identical to the
-        // pre-node-dynamics engine. LinkAdmin is engine state, not node
-        // state: it applies even while the owning endpoint is down.
-        if !self.node_up[ev.node]
-            && !matches!(
-                ev.kind,
-                EventKind::NodeAdmin { .. } | EventKind::LinkAdmin { .. }
-            )
-        {
+        // pre-node-dynamics engine.
+        if !self.node_up[node_id] {
             self.node_down_drops += 1;
+            drop(self.queue.take(index));
             return;
         }
-        match ev.kind {
-            EventKind::Packet { port, payload } => {
-                // Lazy packet log: encodes the payload only when the
-                // trace was explicitly asked to record packet digests.
-                if self.trace.packet_log_enabled() {
-                    let bytes = payload.encode();
-                    self.trace.push(
-                        self.now,
-                        ev.node,
-                        self.names.get(ev.node),
-                        format_args!(
-                            "pkt rx port={} len={} fnv64={:016x}",
-                            port,
-                            bytes.len(),
-                            fnv64(&bytes)
-                        ),
-                    );
-                }
-                self.with_node_ctx(ev.node, move |node, ctx| {
-                    node.on_packet(ctx, port as PortId, payload);
-                });
-            }
-            EventKind::Timer { token } => {
-                self.with_node_ctx(ev.node, move |node, ctx| node.on_timer(ctx, token));
-            }
-            EventKind::LinkAdmin { tx, up } => self.set_link_dir_up(tx, up),
-            EventKind::NodeAdmin { up } => self.apply_node_admin(ev.node, up),
+        if self.trace.packet_log_enabled() {
+            self.log_packet(index);
         }
+        let (node, mut ctx) = self.node_ctx(node_id);
+        match ctx.queue.take(index) {
+            Slot::Busy(_, EventKind::Packet { port, payload }) => {
+                node.on_packet(&mut ctx, port as PortId, payload);
+            }
+            Slot::Busy(_, EventKind::Timer { token }) => node.on_timer(&mut ctx, token),
+            // Consumed by a call rather than held across a panic: an
+            // unwind edge here would keep the body in a temporary on
+            // every path.
+            other => not_a_delivery(other),
+        }
+    }
+
+    /// Lazy packet log: encodes the payload waiting in slot `index`
+    /// only when the trace was explicitly asked to record packet
+    /// digests.
+    #[cold]
+    fn log_packet(&mut self, index: u32) {
+        let Some((node, port, payload)) = self.queue.packet(index) else {
+            return;
+        };
+        let bytes = payload.encode();
+        self.trace.push(
+            self.now,
+            node,
+            &self.names,
+            format_args!(
+                "pkt rx port={} len={} fnv64={:016x}",
+                port,
+                bytes.len(),
+                fnv64(&bytes)
+            ),
+        );
     }
 
     fn start_all(&mut self) {
@@ -669,7 +767,8 @@ impl<P: Payload> Sim<P> {
         }
         self.started = true;
         for node_id in 0..self.nodes.len() {
-            self.with_node_ctx(node_id, |node, ctx| node.on_start(ctx));
+            let (node, mut ctx) = self.node_ctx(node_id);
+            node.on_start(&mut ctx);
         }
     }
 
@@ -684,13 +783,13 @@ impl<P: Payload> Sim<P> {
     pub fn run_until(&mut self, deadline: Ns) {
         self.start_all();
         while !self.stopped && self.events_processed < self.event_limit {
-            let Some(ev) = self.queue.pop_until(deadline) else {
+            let Some((at, _seq, index)) = self.queue.pop_until(deadline) else {
                 break;
             };
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
             self.events_processed += 1;
-            self.dispatch(ev);
+            self.dispatch(index);
         }
         if self.now < deadline && deadline != Ns::MAX {
             self.now = deadline;
@@ -712,6 +811,14 @@ impl<P: Payload> Sim<P> {
     pub fn is_stopped(&self) -> bool {
         self.stopped
     }
+}
+
+/// The panic behind a slab slot that [`EventQueue::peek`] called a
+/// delivery but is not one.
+#[cold]
+fn not_a_delivery<P>(slot: Slot<P>) -> ! {
+    drop(slot);
+    unreachable!("peek said packet or timer")
 }
 
 /// The panic behind a failed [`Sim::node_ref`] / [`Sim::node_mut`]
@@ -878,9 +985,7 @@ mod tests {
         // hide a tag in: node id, port and both enum tags must fit in
         // 16 bytes, or every queued packet grows by a word again.
         type P = [u64; 9];
-        assert!(
-            std::mem::size_of::<Option<(NodeId, EventKind<P>)>>() <= std::mem::size_of::<P>() + 16
-        );
+        assert!(std::mem::size_of::<Slot<P>>() <= std::mem::size_of::<P>() + 16);
     }
 
     #[test]

@@ -44,6 +44,27 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Every node's name, back to back in one buffer: a world of many
+/// thousand nodes holds two allocations for its names, not one each.
+#[derive(Debug, Default)]
+pub(crate) struct NodeNames {
+    text: String,
+    /// Where each node's name ends in `text`, by node id.
+    ends: Vec<usize>,
+}
+
+impl NodeNames {
+    pub(crate) fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    pub(crate) fn get(&self, id: NodeId) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[id]]
+    }
+}
+
 /// A bounded trace log. Disabled by default: enabling costs allocations
 /// per event, so experiments that only need counters leave it off.
 ///
@@ -112,15 +133,16 @@ impl Trace {
     }
 
     /// Record an event (no-op when disabled or full). The message is
-    /// taken unformatted and rendered only once the event is known to be
-    /// retained, so a disabled or full trace costs callers one test.
+    /// taken unformatted and the node's name looked up in `names` only
+    /// once the event is known to be retained, so a disabled or full
+    /// trace costs callers one test.
     #[inline]
-    pub fn push(&mut self, t: Ns, node: NodeId, node_name: &str, msg: fmt::Arguments<'_>) {
+    pub(crate) fn push(&mut self, t: Ns, node: NodeId, names: &NodeNames, msg: fmt::Arguments<'_>) {
         if self.enabled && self.events.len() < self.cap {
             self.events.push(TraceEvent {
                 t,
                 node,
-                node_name: node_name.to_string(),
+                node_name: names.get(node).to_string(),
                 msg: fmt::format(msg),
             });
         }
@@ -196,19 +218,34 @@ impl Trace {
 mod tests {
     use super::*;
 
+    /// Nodes 0 and 1, named "a" and "b".
+    fn names() -> NodeNames {
+        let mut names = NodeNames::default();
+        names.push("a");
+        names.push("b");
+        names
+    }
+
     fn mk() -> Trace {
-        let mut t = Trace::new();
+        let (mut t, names) = (Trace::new(), names());
         t.enable();
-        t.push(Ns::from_ms(1), 0, "a", format_args!("step1: hello"));
-        t.push(Ns::from_ms(2), 1, "b", format_args!("noise"));
-        t.push(Ns::from_ms(3), 0, "a", format_args!("step2: world"));
+        t.push(Ns::from_ms(1), 0, &names, format_args!("step1: hello"));
+        t.push(Ns::from_ms(2), 1, &names, format_args!("noise"));
+        t.push(Ns::from_ms(3), 0, &names, format_args!("step2: world"));
         t
+    }
+
+    #[test]
+    fn names_resolve_by_node_id() {
+        let t = mk();
+        let got: Vec<_> = t.events().iter().map(|e| e.node_name.as_str()).collect();
+        assert_eq!(got, ["a", "b", "a"]);
     }
 
     #[test]
     fn disabled_records_nothing() {
         let mut t = Trace::new();
-        t.push(Ns::ZERO, 0, "a", format_args!("x"));
+        t.push(Ns::ZERO, 0, &names(), format_args!("x"));
         assert!(t.is_empty());
     }
 
@@ -223,7 +260,7 @@ mod tests {
         );
         let mut t = Trace::default();
         t.enable();
-        t.push(Ns::ZERO, 0, "a", format_args!("kept"));
+        t.push(Ns::ZERO, 0, &names(), format_args!("kept"));
         assert_eq!(t.len(), 1);
     }
 
@@ -272,7 +309,7 @@ mod tests {
         t.enable();
         t.set_capacity(2);
         for i in 0..5 {
-            t.push(Ns(i), 0, "a", format_args!("e{i}"));
+            t.push(Ns(i), 0, &names(), format_args!("e{i}"));
         }
         assert_eq!(t.len(), 2);
     }
