@@ -66,7 +66,7 @@ pub struct PceConfig {
     pub push_to_all_itrs: bool,
     /// Warm-standby twin, if any: every flow decision inserted into the
     /// database is mirrored there as a [`PceKind::ReverseSync`] message,
-    /// so a [`TOKEN_TAKEOVER`] on the twin can re-push the full flow
+    /// so [`Pce::take_over`] on the twin can re-push the full flow
     /// database after this PCE dies (replica failover, DESIGN.md §13).
     pub mirror_to: Option<Ipv4Address>,
 }
@@ -130,13 +130,6 @@ pub struct PceStats {
 const DNS_PORT: PortId = 0;
 const NET_PORT: PortId = 1;
 const TOKEN_RELEASE: u64 = 0x7CE0_0000_0000_0000;
-const TOKEN_PROVIDER_BASE: u64 = 0x7CE1_0000_0000_0000;
-const TOKEN_PROVIDER_UP_BIT: u64 = 1 << 16;
-
-/// Timer token that promotes a warm standby: re-push every database
-/// flow to the local ITRs (scheduled by the dynamics subsystem at
-/// detection time after the primary dies).
-pub const TOKEN_TAKEOVER: u64 = 0x7CE2_0000_0000_0000;
 
 /// The PCE node (acts as `PCE_S` and `PCE_D` simultaneously).
 pub struct Pce {
@@ -362,19 +355,30 @@ impl Pce {
         }
     }
 
-    /// The timer token that delivers a provider reachability change to
-    /// this node (scheduled externally by the dynamics subsystem; the
-    /// site-internal IGP tells the domain PCE its border link died).
-    pub fn provider_event_token(provider: usize, up: bool) -> u64 {
-        TOKEN_PROVIDER_BASE
-            | (if up { TOKEN_PROVIDER_UP_BIT } else { 0 })
-            | (provider as u64 & 0xffff)
+    /// Promote a warm standby: re-install every mirrored flow at the
+    /// local ITRs, so state lost with the primary is re-pushed. The
+    /// dynamics subsystem calls it at detection time after the primary
+    /// dies, through `Sim::schedule_call` (DESIGN.md §13).
+    pub fn take_over(&mut self, ctx: &mut Ctx<'_, Packet>) {
+        let flows: Vec<FlowMapping> = self.db.values().copied().collect();
+        ctx.trace(format_args!(
+            "PCE {} takes over: re-pushing {} flows",
+            self.cfg.addr,
+            flows.len()
+        ));
+        for flow in flows {
+            self.push_flow(ctx, flow, PceKind::MappingPush);
+            self.stats.takeover_pushes += 1;
+        }
     }
 
-    /// React to a provider reachability change (DESIGN.md §7). On a
-    /// failure, the IRC engine is told the provider is down and every
-    /// database flow whose local tunnel end (`RLOC_S`) was the dead
-    /// locator is re-pathed onto a surviving provider, then re-pushed:
+    /// React to a provider reachability change (DESIGN.md §7): the
+    /// site-internal IGP tells the domain PCE a border link died or
+    /// came back, and the dynamics subsystem calls this through
+    /// `Sim::schedule_call`. On a failure, the IRC engine is told the
+    /// provider is down and every database flow whose local tunnel end
+    /// (`RLOC_S`) was the dead locator is re-pathed onto a surviving
+    /// provider, then re-pushed:
     ///
     /// * to **all local ITRs** (the paper's push-to-all argument makes
     ///   the move hitless for locally-originated directions), and
@@ -382,6 +386,9 @@ impl Pce {
     ///   fixing the opposite direction's encapsulation target — the
     ///   push-based cross-domain recovery a pull system can only match
     ///   after probe timeout plus re-resolution.
+    ///
+    /// # Panics
+    /// Panics if `provider` is not an index into this PCE's providers.
     pub fn provider_reachability_changed(
         &mut self,
         ctx: &mut Ctx<'_, Packet>,
@@ -578,25 +585,6 @@ impl Node<Packet> for Pce {
         if token == TOKEN_RELEASE {
             if let Some((port, pkt)) = self.release_queue.pop_front() {
                 ctx.send(port, pkt);
-            }
-        } else if token == TOKEN_TAKEOVER {
-            // Standby promotion: re-install every mirrored flow at the
-            // local ITRs so state lost with the primary is re-pushed.
-            let flows: Vec<FlowMapping> = self.db.values().copied().collect();
-            ctx.trace(format_args!(
-                "PCE {} takes over: re-pushing {} flows",
-                self.cfg.addr,
-                flows.len()
-            ));
-            for flow in flows {
-                self.push_flow(ctx, flow, PceKind::MappingPush);
-                self.stats.takeover_pushes += 1;
-            }
-        } else if token & TOKEN_PROVIDER_BASE == TOKEN_PROVIDER_BASE {
-            let provider = (token & 0xffff) as usize;
-            let up = token & TOKEN_PROVIDER_UP_BIT != 0;
-            if provider < self.irc.providers().len() {
-                self.provider_reachability_changed(ctx, provider, up);
             }
         }
     }
@@ -893,7 +881,9 @@ mod tests {
         sim.node_mut::<Pce>(pce)
             .db
             .insert((flow.source_eid, flow.dest_eid), flow);
-        sim.schedule_timer(pce, Ns::from_ms(10), Pce::provider_event_token(0, false));
+        sim.schedule_call::<Pce>(pce, Ns::from_ms(10), |p, ctx| {
+            p.provider_reachability_changed(ctx, 0, false)
+        });
         sim.run();
 
         let p = sim.node_mut::<Pce>(pce);
@@ -926,8 +916,11 @@ mod tests {
     #[test]
     fn provider_recovery_only_marks_up() {
         let (mut sim, pce, _dns_side, _net_side) = world(pce_d_config());
-        sim.schedule_timer(pce, Ns::from_ms(1), Pce::provider_event_token(0, false));
-        sim.schedule_timer(pce, Ns::from_ms(2), Pce::provider_event_token(0, true));
+        for (ms, up) in [(1, false), (2, true)] {
+            sim.schedule_call::<Pce>(pce, Ns::from_ms(ms), move |p, ctx| {
+                p.provider_reachability_changed(ctx, 0, up)
+            });
+        }
         sim.run();
         let p = sim.node_mut::<Pce>(pce);
         assert_eq!(p.stats.provider_events, 2);

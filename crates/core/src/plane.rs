@@ -10,6 +10,7 @@
 //! push-side takeover). Adding a control plane means a [`CpKind`]
 //! variant in `scenario.rs` and its arms here.
 
+use crate::pce::Pce;
 use crate::scenario::{addrs, CpKind, FlowRouter};
 use crate::spec::{ScenarioSpec, SiteRole, SiteWorld};
 use inet::{Prefix, Router};
@@ -20,6 +21,7 @@ use mapsys::alt::linear_chain;
 use mapsys::api::MappingDb;
 use mapsys::{AltRouter, ConsNode, MapResolver, NerdAuthority, RequestGuard};
 use netsim::{LinkCfg, Node, NodeId, Ns, PortId, Sim};
+use simdns::Resolver;
 use std::iter::once;
 
 /// The built mapping infrastructure of a world, typed by plane. Only
@@ -287,8 +289,8 @@ impl MapSystem {
                 let authority = NerdAuthority::new(addrs::NERD, db, subscribers.clone());
                 let primary = add("nerd", Box::new(authority), addrs::NERD);
                 // The standby has the same database and subscribers but
-                // no boot push: its first TOKEN_PUSH (the takeover hook)
-                // promotes it and re-pushes the full database.
+                // no boot push: `take_over` promotes it and re-pushes
+                // the full database.
                 let standby = replicated.then(|| {
                     let twin = NerdAuthority::new(addrs::NERD_2, db, subscribers).standby();
                     add("nerd-2", Box::new(twin), addrs::NERD_2)
@@ -310,26 +312,29 @@ impl MapSystem {
         rloc: Ipv4Address,
         ttl_minutes: u16,
     ) {
-        let mut update = |id, prefix| match self {
+        let mut update = |id, prefix: Prefix| match self {
             MapSystem::None => {}
-            MapSystem::Resolver { .. } => sim
-                .node_mut::<MapResolver>(id)
-                .schedule_update(at, prefix, rloc),
-            MapSystem::Alt { .. } => sim
-                .node_mut::<AltRouter>(id)
-                .schedule_update(at, prefix, rloc),
+            MapSystem::Resolver { .. } => {
+                sim.schedule_call::<MapResolver>(id, at, move |n, ctx| {
+                    n.update_site(ctx, prefix, rloc)
+                })
+            }
+            MapSystem::Alt { .. } => sim.schedule_call::<AltRouter>(id, at, move |n, ctx| {
+                n.update_delivery(ctx, prefix, rloc)
+            }),
             MapSystem::Cons { .. } => sim
-                .node_mut::<ConsNode>(id)
-                .schedule_update(at, prefix, rloc),
-            MapSystem::Nerd { .. } => sim.node_mut::<NerdAuthority>(id).schedule_update(
-                at,
-                MapRecord {
+                .schedule_call::<ConsNode>(id, at, move |n, ctx| n.update_site(ctx, prefix, rloc)),
+            MapSystem::Nerd { .. } => {
+                let record = MapRecord {
                     eid_prefix: prefix.addr(),
                     prefix_len: prefix.len(),
                     ttl_minutes,
                     locators: vec![Locator::new(rloc, 1, 100)],
-                },
-            ),
+                };
+                sim.schedule_call::<NerdAuthority>(id, at, move |n, ctx| {
+                    n.apply_update(ctx, record)
+                })
+            }
         };
         let holders: Vec<NodeId> = match self {
             MapSystem::None => Vec::new(),
@@ -384,20 +389,19 @@ impl MapSystem {
             MapSystem::Nerd {
                 standby: Some(standby),
                 ..
-            } => sim.schedule_timer(*standby, at, mapsys::nerd::TOKEN_PUSH),
+            } => sim.schedule_call::<NerdAuthority>(*standby, at, NerdAuthority::take_over),
             MapSystem::None => {
                 // Three synchronized moves: the site resolver re-homes
                 // its uplink to the standby bump, the site IGP re-routes
                 // the DNS server address through it, and the standby
                 // re-pushes its mirrored flow database.
                 if let (Some(standby), Some(port)) = (site.pce_standby, pce_standby_port) {
-                    sim.schedule_timer(site.dns, at, simdns::resolver::TOKEN_FAILOVER);
-                    sim.node_mut::<FlowRouter>(site.router).schedule_route(
-                        at,
-                        Prefix::host(site.dns_addr),
-                        port,
-                    );
-                    sim.schedule_timer(standby, at, crate::pce::TOKEN_TAKEOVER);
+                    sim.schedule_call::<Resolver>(site.dns, at, Resolver::fail_over);
+                    let dns = Prefix::host(site.dns_addr);
+                    sim.schedule_call::<FlowRouter>(site.router, at, move |r, ctx| {
+                        r.reroute(ctx, dns, port)
+                    });
+                    sim.schedule_call::<Pce>(standby, at, Pce::take_over);
                 }
             }
             _ => {}

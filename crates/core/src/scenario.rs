@@ -10,7 +10,7 @@
 
 use inet::{LpmTrie, Prefix};
 use lispwire::{Ipv4Address, Packet};
-use netsim::{Ctx, LazyCounter, Node, PortId, ScheduledUpdates};
+use netsim::{Ctx, LazyCounter, Node, PortId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -79,14 +79,10 @@ impl CpKind {
 pub struct FlowRouter {
     routes: LpmTrie<PortId>,
     overrides: BTreeMap<(Ipv4Address, Ipv4Address), PortId>,
-    /// Timed route changes (dynamics; see [`FlowRouter::schedule_route`]).
-    scheduled_routes: ScheduledUpdates<(Prefix, PortId)>,
     /// Packets forwarded.
     pub forwarded: u64,
     /// Packets dropped for lack of a route.
     pub dropped: u64,
-    /// Scheduled route changes applied so far.
-    pub route_updates_applied: u64,
     ctr_dropped: LazyCounter,
 }
 
@@ -96,10 +92,8 @@ impl FlowRouter {
         Self {
             routes: LpmTrie::new(),
             overrides: BTreeMap::new(),
-            scheduled_routes: ScheduledUpdates::new(),
             forwarded: 0,
             dropped: 0,
-            route_updates_applied: 0,
             ctr_dropped: LazyCounter::new(),
         }
     }
@@ -125,12 +119,15 @@ impl FlowRouter {
         self.overrides.remove(&(src, dst));
     }
 
-    /// Install (or replace) the route for `prefix` at absolute
-    /// simulation time `at` — the site IGP re-converging onto a
-    /// surviving egress after a border failure (DESIGN.md §7). Use
-    /// [`Prefix::DEFAULT`] to move the default route.
-    pub fn schedule_route(&mut self, at: netsim::Ns, prefix: Prefix, port: PortId) {
-        self.scheduled_routes.push(at, (prefix, port));
+    /// Install (or replace) the route for `prefix` as the site IGP
+    /// re-converging onto a surviving egress after a border failure
+    /// (DESIGN.md §7): traced, unlike [`FlowRouter::add_route`]. The
+    /// dynamics subsystem calls it at a set time through
+    /// `Sim::schedule_call`. Use [`Prefix::DEFAULT`] to move the
+    /// default route.
+    pub fn reroute(&mut self, ctx: &mut Ctx<'_, Packet>, prefix: Prefix, port: PortId) {
+        self.routes.insert(prefix, port);
+        ctx.trace(format_args!("igp reroute: {prefix} now via port {port}"));
     }
 }
 
@@ -141,18 +138,6 @@ impl Default for FlowRouter {
 }
 
 impl Node<Packet> for FlowRouter {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.scheduled_routes.arm(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if let Some(&(prefix, port)) = self.scheduled_routes.get(token) {
-            self.routes.insert(prefix, port);
-            self.route_updates_applied += 1;
-            ctx.trace(format_args!("igp reroute: {prefix} now via port {port}"));
-        }
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
         // Site-internal hop: no TTL work (modelled as L2/IGP forwarding).
         let (src, dst) = (pkt.src(), pkt.dst());

@@ -1437,8 +1437,8 @@ impl ScenarioSpec {
                 let standby = pce_cfg_of(s, pce_standby_addr(s));
                 let name = spell(&mut buf, format_args!("PCE2_{}", s.name));
                 let id = sim.add_node(name, Box::new(Pce::new(standby)));
-                // Resolver port 1 = standby uplink; armed by the
-                // TOKEN_FAILOVER timer the dynamics block schedules.
+                // Resolver port 1 = standby uplink; taken by the
+                // `Resolver::fail_over` call the dynamics block schedules.
                 sim.connect(id, dns_nodes[i], LinkCfg::ipc());
                 let (_, sp) = sim.connect(id, site_routers[i], LinkCfg::lan());
                 sim.node_mut::<Resolver>(dns_nodes[i])
@@ -1775,9 +1775,9 @@ impl ScenarioSpec {
 
         // ---- Timed dynamics --------------------------------------------------
         // Every mutation is scheduled *now*, at build time: link changes
-        // as engine LinkAdmin events, node changes as timers against
-        // state pre-loaded into the nodes above — so the whole failure
-        // story replays inside the deterministic (time, seq) event order.
+        // as engine LinkAdmin events, node changes as `schedule_call`s to
+        // the nodes' plain methods — so the whole failure story replays
+        // inside the deterministic (time, seq) event order.
         if let Some(dynamics) = &self.dynamics {
             let site_index = |name: &str| -> usize {
                 sites
@@ -1823,10 +1823,11 @@ impl ScenarioSpec {
                             // Site IGP: re-home the default egress if the
                             // failed border was carrying it.
                             if k == 0 && !site.egress_ports.is_empty() {
-                                sim.node_mut::<FlowRouter>(site.router).schedule_route(
+                                let port = site.egress_ports[fallback];
+                                sim.schedule_call::<FlowRouter>(
+                                    site.router,
                                     detect_at,
-                                    Prefix::DEFAULT,
-                                    site.egress_ports[fallback],
+                                    move |r, ctx| r.reroute(ctx, Prefix::DEFAULT, port),
                                 );
                             }
                             let rereg_at = ev.at.saturating_add(dynamics.reregister_delay);
@@ -1839,10 +1840,10 @@ impl ScenarioSpec {
                         // surviving default egress regardless of
                         // node-construction order.
                         if let Some(pce) = site.pce {
-                            sim.schedule_timer(
+                            sim.schedule_call::<Pce>(
                                 pce,
                                 detect_at.saturating_add(Ns(1)),
-                                Pce::provider_event_token(k, false),
+                                move |p, ctx| p.provider_reachability_changed(ctx, k, false),
                             );
                         }
                     }

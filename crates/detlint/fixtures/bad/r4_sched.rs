@@ -1,5 +1,5 @@
 //! R4 fixture: unchecked arithmetic in schedule-call time arguments
-//! (lines 5, 7, 9).
+//! (lines 5, 7, 9, 11).
 
 fn schedule(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, ms: u64) {
     ctx.set_timer(base + jitter, 1);
@@ -7,6 +7,8 @@ fn schedule(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, ms: u64) {
     ctx.set_timer(base - jitter, 2);
     // `as` casts hide truncation; schedule_timer's time is argument 1:
     sim.schedule_timer(node, Ns(ms as u64), 3);
+    // schedule_call's time is argument 1, after its turbofish:
+    sim.schedule_call::<Fragile>(node, base + jitter, |n, _| n.tick());
 }
 
 fn fine(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, token: u64) {

@@ -108,9 +108,9 @@ impl RuleSet {
             &[
                 "set_timer:0",
                 "schedule_timer:1",
+                "schedule_call:1",
                 "schedule_link_admin:0",
-                "schedule_route:0",
-                "schedule_update:0",
+                "schedule_node_admin:0",
             ],
         );
         let schedule_fns = sched
@@ -277,14 +277,15 @@ fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding
         if i > 0 && toks[i - 1].text == "fn" {
             continue;
         }
-        if toks.get(i + 1).map(|n| n.text.as_str()) != Some("(") {
+        let open = skip_turbofish(toks, i + 1);
+        if toks.get(open).map(|n| n.text.as_str()) != Some("(") {
             continue;
         }
         // Walk the balanced argument list, tracking the top-level
         // argument index, and inspect the configured time argument.
         let mut depth = 0usize;
         let mut arg = 0usize;
-        let mut j = i + 1;
+        let mut j = open;
         let mut flagged = false;
         while j < toks.len() {
             let tj = &toks[j];
@@ -321,6 +322,28 @@ fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding
             j += 1;
         }
     }
+}
+
+/// The index just past a turbofish (`::<T>`) starting at `i`, or `i`
+/// itself when there is none.
+fn skip_turbofish(toks: &[Token], i: usize) -> usize {
+    let text = |k: usize| toks.get(k).map(|t| t.text.as_str());
+    if text(i) != Some("::") || text(i + 1) != Some("<") {
+        return i;
+    }
+    let mut depth = 0isize;
+    for (k, t) in toks.iter().enumerate().skip(i + 1) {
+        depth += match t.text.as_str() {
+            "<" => 1,
+            ">" => -1,
+            ">>" => -2,
+            _ => 0,
+        };
+        if depth <= 0 {
+            return k + 1;
+        }
+    }
+    toks.len()
 }
 
 fn rule_r5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
@@ -535,6 +558,12 @@ mod tests {
         assert_eq!(f.len(), 1);
         // Definitions are not call sites.
         let (f, _) = scan("pub fn set_timer(&mut self, delay: Ns, token: u64) {}");
+        assert!(f.is_empty(), "{f:?}");
+        // A turbofish does not hide a call: schedule_call's time is
+        // argument 1, and arithmetic inside its closure is fine.
+        let (f, _) = scan("sim.schedule_call::<Vec<Pce>>(n, at + d, |p, c| p.f(c, k + 1));");
+        assert_eq!(f.len(), 1, "{f:?}");
+        let (f, _) = scan("sim.schedule_call::<Pce>(n, at, move |p, c| p.f(c, k + 1));");
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -1055,8 +1055,11 @@ impl Node<Packet> for Xtr {
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        // Pending timers were dropped while down: restart the periodic
-        // probe machinery exactly as a fresh boot would. Registrations
+        // The engine dropped the timers that fell due while down, so
+        // the probe round may have been lost: restart the periodic
+        // probe machinery exactly as a fresh boot would. (A round due
+        // after the restart still fires; it then runs beside this new
+        // chain.) Registrations
         // are provisioned state on the mapping side (the site's entry in
         // the mapping database), so nothing needs re-announcing here.
         if let Some(probe_cfg) = self.cfg.rloc_probing {

@@ -14,7 +14,7 @@ use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId, ScheduledUpdates};
+use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
 use std::collections::VecDeque;
 
 /// One ALT overlay router.
@@ -26,9 +26,6 @@ pub struct AltRouter {
     delivery: LpmTrie<Ipv4Address>,
     processing_delay: Ns,
     outbox: VecDeque<Packet>,
-    /// Timed delivery re-registrations (dynamics; see
-    /// [`AltRouter::schedule_update`]).
-    scheduled_updates: ScheduledUpdates<(Prefix, Ipv4Address)>,
     /// Optional ingress guard (enable on the ITR-facing gateway only:
     /// per-source rate limiting of requests entering the overlay).
     pub guard: Option<RequestGuard>,
@@ -56,7 +53,6 @@ impl AltRouter {
             delivery: LpmTrie::new(),
             processing_delay: Ns::from_us(500),
             outbox: VecDeque::new(),
-            scheduled_updates: ScheduledUpdates::new(),
             guard: None,
             overlay_hops: 0,
             delivered: 0,
@@ -67,12 +63,17 @@ impl AltRouter {
         }
     }
 
-    /// Re-point the delivery entry for `prefix` at `etr` at absolute
-    /// simulation time `at` (the site re-registering after a locator
-    /// failure; only meaningful on the router that carries the delivery
-    /// entry). Timer-driven, so deterministic (DESIGN.md §7).
-    pub fn schedule_update(&mut self, at: Ns, prefix: Prefix, etr: Ipv4Address) {
-        self.scheduled_updates.push(at, (prefix, etr));
+    /// Re-point the delivery entry for `prefix` at `etr` (the site
+    /// re-registering after a locator failure; only meaningful on the
+    /// router that carries the delivery entry). The dynamics subsystem
+    /// calls it at a set time through `Sim::schedule_call` (DESIGN.md §7).
+    pub fn update_delivery(&mut self, ctx: &mut Ctx<'_, Packet>, prefix: Prefix, etr: Ipv4Address) {
+        self.delivery.insert(prefix, etr);
+        self.updates_applied += 1;
+        ctx.trace(format_args!(
+            "alt {} re-registers delivery {prefix} -> {etr}",
+            self.stack.addr
+        ));
     }
 
     /// Override the per-hop processing delay.
@@ -106,10 +107,6 @@ impl AltRouter {
 }
 
 impl Node<Packet> for AltRouter {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.scheduled_updates.arm(ctx);
-    }
-
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
         // Volatile: requests mid-processing and the guard's learned
         // windows. Overlay routes and delivery entries are BGP
@@ -119,10 +116,6 @@ impl Node<Packet> for AltRouter {
         if let Some(guard) = &mut self.guard {
             guard.clear_learned();
         }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.scheduled_updates.rearm(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
@@ -202,13 +195,6 @@ impl Node<Packet> for AltRouter {
             if let Some(pkt) = self.outbox.pop_front() {
                 ctx.send(0, pkt);
             }
-        } else if let Some(&(prefix, etr)) = self.scheduled_updates.get(token) {
-            self.delivery.insert(prefix, etr);
-            self.updates_applied += 1;
-            ctx.trace(format_args!(
-                "alt {} re-registers delivery {prefix} -> {etr}",
-                self.stack.addr
-            ));
         }
     }
 }

@@ -16,7 +16,7 @@ use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{ConsMsg, CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId, ScheduledUpdates};
+use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// UDP port CONS overlay nodes use among themselves.
@@ -34,9 +34,6 @@ pub struct ConsNode {
     pending: BTreeMap<u64, (Ipv4Address, Vec<Ipv4Address>)>,
     processing_delay: Ns,
     outbox: VecDeque<Packet>,
-    /// Timed site re-registrations (dynamics; see
-    /// [`ConsNode::schedule_update`]).
-    scheduled_updates: ScheduledUpdates<(Prefix, Ipv4Address)>,
     /// Optional ingress guard: per-source rate limiting of fresh requests
     /// entering the overlay at this CAR (relayed overlay traffic on
     /// [`CONS_PORT`] is not re-charged).
@@ -67,7 +64,6 @@ impl ConsNode {
             pending: BTreeMap::new(),
             processing_delay: Ns::from_us(500),
             outbox: VecDeque::new(),
-            scheduled_updates: ScheduledUpdates::new(),
             guard: None,
             overlay_hops: 0,
             delivered: 0,
@@ -78,11 +74,17 @@ impl ConsNode {
         }
     }
 
-    /// Re-point this CAR's served-site entry for `prefix` at `etr` at
-    /// absolute simulation time `at` (re-registration after a locator
-    /// failure). Timer-driven, so deterministic (DESIGN.md §7).
-    pub fn schedule_update(&mut self, at: Ns, prefix: Prefix, etr: Ipv4Address) {
-        self.scheduled_updates.push(at, (prefix, etr));
+    /// Re-point this CAR's served-site entry for `prefix` at `etr`
+    /// (re-registration after a locator failure). The dynamics
+    /// subsystem calls it at a set time through `Sim::schedule_call`
+    /// (DESIGN.md §7).
+    pub fn update_site(&mut self, ctx: &mut Ctx<'_, Packet>, prefix: Prefix, etr: Ipv4Address) {
+        self.serving.insert(prefix, etr);
+        self.updates_applied += 1;
+        ctx.trace(format_args!(
+            "cons {} re-registers site {prefix} -> {etr}",
+            self.stack.addr
+        ));
     }
 
     /// Override the per-hop processing delay.
@@ -207,10 +209,6 @@ impl ConsNode {
 }
 
 impl Node<Packet> for ConsNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.scheduled_updates.arm(ctx);
-    }
-
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
         // CONS is connection-oriented: the per-nonce pending table (the
         // overlay's connection state) and queued messages die with the
@@ -221,10 +219,6 @@ impl Node<Packet> for ConsNode {
         if let Some(guard) = &mut self.guard {
             guard.clear_learned();
         }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.scheduled_updates.rearm(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
@@ -288,13 +282,6 @@ impl Node<Packet> for ConsNode {
             if let Some(pkt) = self.outbox.pop_front() {
                 ctx.send(0, pkt);
             }
-        } else if let Some(&(prefix, etr)) = self.scheduled_updates.get(token) {
-            self.serving.insert(prefix, etr);
-            self.updates_applied += 1;
-            ctx.trace(format_args!(
-                "cons {} re-registers site {prefix} -> {etr}",
-                self.stack.addr
-            ));
         }
     }
 }

@@ -11,7 +11,7 @@ use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, Node, Ns, PortId, ScheduledUpdates};
+use netsim::{Ctx, Node, Ns, PortId};
 use std::collections::VecDeque;
 
 /// The map-resolver node.
@@ -20,8 +20,6 @@ pub struct MapResolver {
     table: LpmTrie<Ipv4Address>,
     processing_delay: Ns,
     outbox: VecDeque<Packet>,
-    /// Timed re-registrations (dynamics; see [`MapResolver::schedule_update`]).
-    scheduled_updates: ScheduledUpdates<(Prefix, Ipv4Address)>,
     /// Optional ingress guard: per-source rate limiting plus negative
     /// caching of unresolvable targets (DESIGN.md §10).
     pub guard: Option<RequestGuard>,
@@ -49,7 +47,6 @@ impl MapResolver {
             table,
             processing_delay: Ns::from_us(50),
             outbox: VecDeque::new(),
-            scheduled_updates: ScheduledUpdates::new(),
             guard: None,
             forwarded: 0,
             unresolved: 0,
@@ -57,19 +54,14 @@ impl MapResolver {
         }
     }
 
-    /// Re-register `prefix` to `etr` at absolute simulation time `at`
-    /// (a site re-homing its mapping after a locator failure — the
-    /// pull-refresh half of the dynamics model, DESIGN.md §7). The
-    /// change is timer-driven, so it lands in the deterministic
-    /// `(time, seq)` event order.
-    pub fn schedule_update(&mut self, at: Ns, prefix: Prefix, etr: Ipv4Address) {
-        self.scheduled_updates.push(at, (prefix, etr));
-    }
-
-    /// Apply a re-registration immediately.
-    pub fn update_site(&mut self, prefix: Prefix, etr: Ipv4Address) {
+    /// Re-register `prefix` to `etr` (a site re-homing its mapping
+    /// after a locator failure — the pull-refresh half of the dynamics
+    /// model, DESIGN.md §7). The dynamics subsystem calls it at a set
+    /// time through `Sim::schedule_call`.
+    pub fn update_site(&mut self, ctx: &mut Ctx<'_, Packet>, prefix: Prefix, etr: Ipv4Address) {
         self.table.insert(prefix, etr);
         self.updates_applied += 1;
+        ctx.trace(format_args!("map-resolver re-registers {prefix} -> {etr}"));
     }
 
     /// Override the per-request processing delay.
@@ -91,10 +83,6 @@ impl MapResolver {
 }
 
 impl Node<Packet> for MapResolver {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.scheduled_updates.arm(ctx);
-    }
-
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
         // Volatile: half-processed forwards and the guard's learned
         // windows. The registration table is provisioned state (seeded
@@ -103,12 +91,6 @@ impl Node<Packet> for MapResolver {
         if let Some(guard) = &mut self.guard {
             guard.clear_learned();
         }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        // Re-registrations scheduled for after the outage still arrive
-        // (the sites keep announcing); the crash dropped their timers.
-        self.scheduled_updates.rearm(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
@@ -173,9 +155,6 @@ impl Node<Packet> for MapResolver {
             if let Some(pkt) = self.outbox.pop_front() {
                 ctx.send(0, pkt);
             }
-        } else if let Some(&(prefix, etr)) = self.scheduled_updates.get(token) {
-            self.update_site(prefix, etr);
-            ctx.trace(format_args!("map-resolver re-registers {prefix} -> {etr}"));
         }
     }
 }
@@ -302,9 +281,11 @@ mod tests {
         let mut db = MappingDb::new();
         let site = Prefix::new(a([101, 0, 0, 0]), 8);
         db.register(SiteEntry::single(site, a([12, 0, 0, 1]), 60));
-        let mut resolver = MapResolver::new(a([8, 0, 0, 1]), &db);
-        resolver.schedule_update(Ns::from_ms(500), site, a([13, 0, 0, 1]));
+        let resolver = MapResolver::new(a([8, 0, 0, 1]), &db);
         let mr = sim.add_node("mr", Box::new(resolver));
+        sim.schedule_call::<MapResolver>(mr, Ns::from_ms(500), move |r, ctx| {
+            r.update_site(ctx, site, a([13, 0, 0, 1]))
+        });
         let old_etr = sim.add_node("old-etr", Box::new(Tap::sink()));
         let new_etr = sim.add_node("new-etr", Box::new(Tap::sink()));
         let target = a([101, 0, 0, 7]);

@@ -11,7 +11,7 @@ use inet::stack::IpStack;
 use lispwire::lispctl::{DbPush, MapRecord};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, Node, Ns, ScheduledUpdates};
+use netsim::{Ctx, Node, Ns};
 use std::sync::Arc;
 
 /// The central NERD authority node.
@@ -21,11 +21,8 @@ pub struct NerdAuthority {
     subscribers: Vec<Ipv4Address>,
     chunk_records: usize,
     version: u32,
-    /// Timed database updates (dynamics; see
-    /// [`NerdAuthority::schedule_update`]).
-    scheduled_updates: ScheduledUpdates<MapRecord>,
     /// Standby twin: keeps its database warm from the same update
-    /// stream but never pushes until a takeover [`TOKEN_PUSH`] timer
+    /// stream but never pushes until [`NerdAuthority::take_over`]
     /// promotes it (replica failover, DESIGN.md §13).
     standby: bool,
     /// Push batches transmitted (chunks × subscribers).
@@ -38,8 +35,8 @@ pub struct NerdAuthority {
     pub updates_applied: u64,
 }
 
-/// Timer token: start (or restart) a full push round.
-pub const TOKEN_PUSH: u64 = 0x9e4d;
+/// Timer token: the boot push round.
+const TOKEN_PUSH: u64 = 0x9e4d;
 
 impl NerdAuthority {
     /// An authority at `addr` seeded from the shared database, pushing to
@@ -51,7 +48,6 @@ impl NerdAuthority {
             subscribers,
             chunk_records: 64,
             version: 1,
-            scheduled_updates: ScheduledUpdates::new(),
             standby: false,
             chunks_sent: 0,
             bytes_pushed: 0,
@@ -60,12 +56,26 @@ impl NerdAuthority {
         }
     }
 
-    /// Apply `record` to the database at absolute simulation time `at`
-    /// and immediately re-push the **whole** database to every
-    /// subscriber — NERD's push-update propagation model, whose cost is
-    /// the full database times the subscriber count (DESIGN.md §7).
-    pub fn schedule_update(&mut self, at: Ns, record: MapRecord) {
-        self.scheduled_updates.push(at, record);
+    /// Apply `record` to the database and immediately re-push the
+    /// **whole** database to every subscriber — NERD's push-update
+    /// propagation model, whose cost is the full database times the
+    /// subscriber count (DESIGN.md §7). A standby applies it silently.
+    /// The dynamics subsystem calls it at a set time through
+    /// `Sim::schedule_call`.
+    pub fn apply_update(&mut self, ctx: &mut Ctx<'_, Packet>, record: MapRecord) {
+        self.update(record);
+        self.updates_applied += 1;
+        if !self.standby {
+            self.push_all(ctx);
+        }
+    }
+
+    /// Promote a standby to active and push the full database — the
+    /// takeover the dynamics subsystem schedules at detection time
+    /// after the primary crashed (DESIGN.md §13).
+    pub fn take_over(&mut self, ctx: &mut Ctx<'_, Packet>) {
+        self.standby = false;
+        self.push_all(ctx);
     }
 
     /// Override the records-per-chunk granularity.
@@ -75,17 +85,11 @@ impl NerdAuthority {
     }
 
     /// Mark this authority as a warm standby: it applies the update
-    /// stream silently and skips the boot push; the first [`TOKEN_PUSH`]
-    /// timer (the takeover, scheduled by the dynamics subsystem at
-    /// detection time) promotes it to active.
+    /// stream silently and skips the boot push until
+    /// [`NerdAuthority::take_over`] promotes it to active.
     pub fn standby(mut self) -> Self {
         self.standby = true;
         self
-    }
-
-    /// Whether this authority is still a passive standby.
-    pub fn is_standby(&self) -> bool {
-        self.standby
     }
 
     /// This node's address.
@@ -167,7 +171,6 @@ impl Node<Packet> for NerdAuthority {
         if !self.standby {
             ctx.set_timer(Ns::from_us(10), TOKEN_PUSH);
         }
-        self.scheduled_updates.arm(ctx);
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
@@ -178,26 +181,15 @@ impl Node<Packet> for NerdAuthority {
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Packet>) {
         // Boot behaviour again: actives re-push the (persistent)
-        // database to every subscriber, and the crash-dropped update
-        // timers are re-armed for updates still in the future.
+        // database to every subscriber.
         if !self.standby {
             ctx.set_timer(Ns::from_us(10), TOKEN_PUSH);
         }
-        self.scheduled_updates.rearm(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
         if token == TOKEN_PUSH {
-            // A takeover push promotes a standby to active.
-            self.standby = false;
             self.push_all(ctx);
-        } else if let Some(record) = self.scheduled_updates.get(token) {
-            let record = record.clone();
-            self.update(record);
-            self.updates_applied += 1;
-            if !self.standby {
-                self.push_all(ctx);
-            }
         }
     }
 }
@@ -361,7 +353,7 @@ mod tests {
             assert_eq!(rec.locators[0].rloc, a([12, 0, 0, 1]));
         }
         // Trigger the next round.
-        sim.schedule_timer(auth, Ns::ZERO, TOKEN_PUSH);
+        sim.schedule_call::<NerdAuthority>(auth, Ns::ZERO, NerdAuthority::push_all);
         sim.run();
         let now = sim.now() + Ns::from_secs(1);
         let x = sim.node_mut::<Xtr>(xtr);

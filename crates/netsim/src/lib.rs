@@ -17,7 +17,8 @@
 //! * Events are totally ordered by `(time, sequence)`; same-time events
 //!   fire in scheduling order, so runs are deterministic.
 //! * Nodes interact with the world only through [`Ctx`], which exposes
-//!   `send`, `set_timer`, `trace`, counters and the RNG.
+//!   `send`, `set_timer`, `trace`, counters and the RNG. The world
+//!   changes a node's state at a set time with [`Sim::schedule_call`].
 //! * Results are read back from the nodes themselves: [`Node`] has
 //!   [`std::any::Any`] as a supertrait, so [`Sim::node_ref`] /
 //!   [`Sim::node_mut`] downcast a stored node to its concrete type and a
@@ -68,7 +69,6 @@ pub mod sim;
 pub mod testkit;
 pub mod time;
 pub mod trace;
-pub mod update;
 
 pub use counters::{CounterId, Counters, LazyCounter};
 pub use link::{DownPolicy, LinkCfg, LinkStats};
@@ -77,4 +77,3 @@ pub use payload::Payload;
 pub use sim::Sim;
 pub use time::Ns;
 pub use trace::{Trace, TraceEvent};
-pub use update::ScheduledUpdates;

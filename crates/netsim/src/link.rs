@@ -149,6 +149,9 @@ pub struct LinkStats {
     pub down_drops: u64,
     /// Packets stalled while down (flushed on link-up; see [`DownPolicy`]).
     pub stalled: u64,
+    /// Packets refused because their arrival would fall at or past
+    /// [`Ns::MAX`], the engine's "never".
+    pub horizon_drops: u64,
 }
 
 /// One direction of a link: the transmitter state, generic over the
@@ -180,8 +183,10 @@ pub enum TxOutcome {
         /// Arrival instant at the receiving node.
         arrival: Ns,
     },
-    /// Dropped: transmit queue full.
-    QueueDrop,
+    /// Dropped: transmit queue full (counted in
+    /// [`LinkStats::queue_drops`]) or the arrival would fall at the end
+    /// of the clock ([`LinkStats::horizon_drops`]).
+    Dropped,
 }
 
 impl<P: Payload> Transmitter<P> {
@@ -249,19 +254,23 @@ impl<P: Payload> Transmitter<P> {
         };
         if queued_bytes > self.cfg.queue_bytes {
             self.stats.queue_drops += 1;
-            return TxOutcome::QueueDrop;
+            return TxOutcome::Dropped;
         }
         let start = self.busy_until.max(now);
         let ser = self.serialization_time_memo(len);
         // Saturating: near the clock ceiling an arrival clamps to
-        // Ns::MAX, which the engine treats as "never delivered" rather
-        // than overflowing.
-        self.busy_until = start.saturating_add(ser);
+        // Ns::MAX, the engine's "never", which no event queue accepts:
+        // such a packet is refused and counted, not lost in silence.
+        let done = start.saturating_add(ser);
+        let arrival = done.saturating_add(self.cfg.delay);
+        if arrival == Ns::MAX {
+            self.stats.horizon_drops += 1;
+            return TxOutcome::Dropped;
+        }
+        self.busy_until = done;
         self.stats.tx_packets += 1;
         self.stats.tx_bytes += len as u64;
-        TxOutcome::Deliver {
-            arrival: self.busy_until.saturating_add(self.cfg.delay),
-        }
+        TxOutcome::Deliver { arrival }
     }
 
     /// Current backlog (queued but unserialised time) at `now`.
@@ -317,7 +326,7 @@ mod tests {
         // Each 1250-byte packet takes 10 ms to serialise at 1 Mbps.
         let mut drops = 0;
         for _ in 0..10 {
-            if matches!(tx.offer(Ns::ZERO, 1250), TxOutcome::QueueDrop) {
+            if matches!(tx.offer(Ns::ZERO, 1250), TxOutcome::Dropped) {
                 drops += 1;
             }
         }

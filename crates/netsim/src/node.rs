@@ -52,10 +52,11 @@ pub trait Node<P: Payload = Vec<u8>>: Any + Send {
     /// implementations clear **volatile** state here — caches, pending
     /// requests, in-flight bookkeeping, learned registrations — and keep
     /// **static configuration** (addresses, prefixes, peer lists).
-    /// Pending timers addressed to the node are part of the volatile
-    /// state: the engine drops them while the node is down, so
-    /// [`Node::on_restart`] must re-arm whatever periodic machinery the
-    /// node needs. Default: no-op (an immortal-by-convention node).
+    /// The engine drops every timer and call that falls due while the
+    /// node is down; one due after the restart still fires. So
+    /// [`Node::on_restart`] must re-arm periodic machinery whose next
+    /// tick the outage may have swallowed. Default: no-op (an
+    /// immortal-by-convention node).
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, P>) {}
 
     /// The node restarted after a crash (`up == true` transition).
@@ -134,7 +135,8 @@ impl<'a, P: Payload> Ctx<'a, P> {
     /// and fault injection are applied by the link — all of it computed
     /// from [`Payload::wire_len`], never from materialized bytes;
     /// delivery to the peer is scheduled automatically. Returns `false`
-    /// if the packet was dropped (queue full or fault injection).
+    /// if the packet was dropped (link down, fault injection, queue
+    /// full, or an arrival past the end of the clock).
     ///
     /// # Panics
     /// Panics if `port` is not connected.
@@ -171,7 +173,7 @@ impl<'a, P: Payload> Ctx<'a, P> {
                 }
                 true
             }
-            TxOutcome::QueueDrop => false,
+            TxOutcome::Dropped => false,
         }
     }
 

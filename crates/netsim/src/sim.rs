@@ -44,7 +44,7 @@ pub fn process_events() -> u64 {
 
 /// What a scheduled event delivers.
 #[derive(Debug)]
-pub(crate) enum EventKind<P> {
+pub(crate) enum EventKind<P: Payload> {
     Packet {
         port: EventPort,
         payload: P,
@@ -52,6 +52,10 @@ pub(crate) enum EventKind<P> {
     Timer {
         token: u64,
     },
+    /// A timed call into the target node's state
+    /// ([`Sim::schedule_call`]). Delivered like a timer: dropped while
+    /// the node is down.
+    Call(Call<P>),
     /// Administrative link state change, handled by the engine itself
     /// (no node dispatch): transmitter `tx` (one *direction* of a link;
     /// `link * 2 + dir`) goes up/down. `Sim::schedule_link_admin`
@@ -66,11 +70,25 @@ pub(crate) enum EventKind<P> {
     /// addressed to the affected node itself. On a down-transition the
     /// node's [`Node::on_crash`] hook runs (volatile state is lost); on
     /// an up-transition [`Node::on_restart`] runs. While a node is down,
-    /// packets and timers addressed to it are dropped and counted in
-    /// [`Sim::node_down_drops`].
+    /// packets, timers and calls addressed to it are dropped and counted
+    /// in [`Sim::node_down_drops`].
     NodeAdmin {
         up: bool,
     },
+}
+
+/// The boxed closure of a [`Sim::schedule_call`], with the downcast to
+/// the node's concrete type folded in. Two words, so it fits inside
+/// any packet variant and the slab slot does not grow.
+pub(crate) struct Call<P: Payload>(Box<CallFn<P>>);
+
+/// The body of a [`Call`]: it receives the target node untyped.
+type CallFn<P> = dyn FnOnce(&mut dyn Node<P>, &mut Ctx<'_, P>) + Send;
+
+impl<P: Payload> std::fmt::Debug for Call<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Call")
+    }
 }
 
 /// End of the slab's free chain.
@@ -79,7 +97,7 @@ const NIL: u32 = u32::MAX;
 /// One slot of the event slab: a pending event's body, or a link of
 /// the free chain threaded through the vacant slots.
 #[derive(Debug)]
-pub(crate) enum Slot<P> {
+pub(crate) enum Slot<P: Payload> {
     /// A pending event for a node.
     Busy(NodeId, EventKind<P>),
     /// Vacant; the next vacant slot, or [`NIL`].
@@ -108,7 +126,7 @@ pub(crate) enum Slot<P> {
 /// dispatching frame. No panic edge sits between building a body and
 /// storing it, so the compiler keeps no spare copy for an unwind path.
 #[derive(Debug)]
-pub(crate) struct EventQueue<P> {
+pub(crate) struct EventQueue<P: Payload> {
     cal: CalendarQueue,
     slab: Vec<Slot<P>>,
     /// First vacant slot of the free chain, or [`NIL`].
@@ -121,14 +139,14 @@ pub(crate) struct EventQueue<P> {
 /// unlinked from the free chain, and [`Claim::fill`] writes the body
 /// and files the key. An unfilled claim enqueues nothing.
 #[must_use = "a claim enqueues nothing until it is filled"]
-pub(crate) struct Claim<'a, P> {
+pub(crate) struct Claim<'a, P: Payload> {
     slot: &'a mut Slot<P>,
     cal: &'a mut CalendarQueue,
     key: u128,
     index: u32,
 }
 
-impl<P> Claim<'_, P> {
+impl<P: Payload> Claim<'_, P> {
     /// Write the event body into the claimed slot — its one move in —
     /// and file its key in the calendar queue.
     #[inline(always)]
@@ -143,7 +161,7 @@ impl<P> Claim<'_, P> {
     }
 }
 
-impl<P> EventQueue<P> {
+impl<P: Payload> EventQueue<P> {
     pub(crate) fn new() -> Self {
         Self {
             cal: CalendarQueue::new(),
@@ -220,8 +238,8 @@ impl<P> EventQueue<P> {
     }
 
     /// The target node of the event in slot `index`, and whether the
-    /// event is a delivery (packet or timer) rather than an
-    /// administrative change.
+    /// event is a packet or timer rather than an administrative change
+    /// or a call.
     #[inline(always)]
     pub(crate) fn peek(&self, index: u32) -> (NodeId, bool) {
         match &self.slab[index as usize] {
@@ -341,7 +359,8 @@ pub struct Sim<P: Payload = Vec<u8>> {
     /// All-up worlds pay one bool test per delivered event and nothing
     /// else, so runs without node dynamics stay byte-identical.
     node_up: Vec<bool>,
-    /// Packets and timers dropped because their target node was down.
+    /// Packets, timers and calls dropped because their target node was
+    /// down.
     node_down_drops: u64,
     queue: EventQueue<P>,
     now: Ns,
@@ -355,7 +374,7 @@ pub struct Sim<P: Payload = Vec<u8>> {
     /// Portion of `events_processed` already flushed to [`PROCESS_EVENTS`].
     events_flushed: u64,
     event_limit: u64,
-    /// Scratch deque reused by [`Sim::set_link_up`] so flushing a stalled
+    /// Scratch deque reused by [`Sim::set_link_dir_up`] so flushing a stalled
     /// link allocates nothing in steady state.
     stall_scratch: VecDeque<P>,
 }
@@ -462,6 +481,55 @@ impl<P: Payload> Sim<P> {
         self.queue.push(at, node, EventKind::Timer { token });
     }
 
+    /// Schedule `f` to run against `node`'s state, `delay` from now —
+    /// the one way to change a node at a set time (a re-registration, a
+    /// route change, a standby's takeover; DESIGN.md §7). The call fires
+    /// in `(time, seq)` order with every other event and is delivered
+    /// like a timer: while the node is down it is dropped and counted in
+    /// [`Sim::node_down_drops`], and nothing re-delivers it after a
+    /// restart. Delays that would overflow the clock saturate to
+    /// [`Ns::MAX`], which the engine treats as "never".
+    ///
+    /// ```
+    /// use netsim::{Node, Ns, Sim};
+    ///
+    /// struct Configurable {
+    ///     limit: u32,
+    /// }
+    /// impl Node for Configurable {}
+    ///
+    /// let mut sim: Sim = Sim::new(1);
+    /// let n = sim.add_node("cfg", Box::new(Configurable { limit: 0 }));
+    /// sim.schedule_call::<Configurable>(n, Ns::from_ms(5), |c, _ctx| c.limit = 42);
+    /// sim.run_until(Ns::from_ms(10));
+    /// assert_eq!(sim.node_ref::<Configurable>(n).limit, 42);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics, here rather than when the call fires, if `node` is not in
+    /// the simulation or is not a `T`; the message names the node and
+    /// `T`.
+    pub fn schedule_call<T: Node<P>>(
+        &mut self,
+        node: NodeId,
+        delay: Ns,
+        f: impl FnOnce(&mut T, &mut Ctx<'_, P>) + Send + 'static,
+    ) {
+        assert!(node < self.nodes.len(), "unknown node {node}");
+        let n: &dyn Any = &*self.nodes[node];
+        if !n.is::<T>() {
+            type_mismatch::<T>(node, self.names.get(node));
+        }
+        let call = Call(Box::new(
+            move |n: &mut dyn Node<P>, ctx: &mut Ctx<'_, P>| {
+                let n: &mut dyn Any = n;
+                f(n.downcast_mut().expect("checked at schedule time"), ctx)
+            },
+        ));
+        let at = self.now.saturating_add(delay);
+        self.queue.push(at, node, EventKind::Call(call));
+    }
+
     /// Global counter value (see [`Ctx::count_id`]).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name)
@@ -506,6 +574,15 @@ impl<P: Payload> Sim<P> {
         self.transmitters.iter().map(|t| t.stats.down_drops).sum()
     }
 
+    /// Sum of horizon-drop counts across all links (packets whose
+    /// arrival would fall past the end of the clock).
+    pub fn total_horizon_drops(&self) -> u64 {
+        self.transmitters
+            .iter()
+            .map(|t| t.stats.horizon_drops)
+            .sum()
+    }
+
     /// Whether the `dir` direction of link `link` is administratively up.
     pub fn link_up(&self, link: usize, dir: usize) -> bool {
         self.transmitters[link * 2 + dir].up
@@ -534,8 +611,8 @@ impl<P: Payload> Sim<P> {
     /// `up == false`, restart when `up == true`), `delay` from now — the
     /// node-mortality primitive of the dynamics subsystem (DESIGN.md
     /// §13). The change fires in `(time, seq)` total order with every
-    /// other event; packets and timers already addressed to the node
-    /// that pop while it is down are dropped and counted in
+    /// other event; packets, timers and calls already addressed to the
+    /// node that pop while it is down are dropped and counted in
     /// [`Sim::node_down_drops`]. On the transition the node's
     /// [`Node::on_crash`] / [`Node::on_restart`] hook runs.
     pub fn schedule_node_admin(&mut self, delay: Ns, node: NodeId, up: bool) {
@@ -556,7 +633,8 @@ impl<P: Payload> Sim<P> {
         self.node_up[node]
     }
 
-    /// Packets and timers dropped because their target node was down.
+    /// Packets, timers and calls dropped because their target node was
+    /// down.
     pub fn node_down_drops(&self) -> u64 {
         self.node_down_drops
     }
@@ -577,19 +655,11 @@ impl<P: Payload> Sim<P> {
         }
     }
 
-    /// Apply an administrative state change to both directions of link
-    /// `link` immediately. On an up-transition, packets stalled by
-    /// [`crate::link::DownPolicy::Stall`] are retransmitted in FIFO
-    /// order starting at the current instant (no fault injection).
-    pub fn set_link_up(&mut self, link: usize, up: bool) {
-        assert!(link < self.link_count(), "unknown link {link}");
-        self.set_link_dir_up(link * 2, up);
-        self.set_link_dir_up(link * 2 + 1, up);
-    }
-
     /// Apply an administrative state change to one *direction* of a link
     /// (transmitter index `idx`) — the unit the engine's `LinkAdmin`
-    /// events operate on.
+    /// events operate on. On an up-transition, packets stalled by
+    /// [`crate::link::DownPolicy::Stall`] are retransmitted in FIFO
+    /// order starting at the current instant (no fault injection).
     fn set_link_dir_up(&mut self, idx: usize, up: bool) {
         let was_up = self.transmitters[idx].up;
         self.transmitters[idx].up = up;
@@ -611,7 +681,7 @@ impl<P: Payload> Sim<P> {
                         };
                         self.queue.push(arrival, peer_node, kind);
                     }
-                    TxOutcome::QueueDrop => {}
+                    TxOutcome::Dropped => {}
                 }
             }
             self.stall_scratch = pending;
@@ -704,19 +774,23 @@ impl<P: Payload> Sim<P> {
     fn dispatch(&mut self, index: u32) {
         let (node_id, delivery) = self.queue.peek(index);
         // LinkAdmin and NodeAdmin are engine state, not node state: they
-        // apply even while the owning endpoint is down.
+        // apply even while the owning endpoint is down. Calls are rare,
+        // so they take this branch too and the packet and timer path
+        // below stays as lean as it was without them.
         if !delivery {
             match self.queue.take(index) {
                 Slot::Busy(_, EventKind::LinkAdmin { tx, up }) => self.set_link_dir_up(tx, up),
                 Slot::Busy(_, EventKind::NodeAdmin { up }) => self.apply_node_admin(node_id, up),
-                _ => unreachable!("peek said administrative"),
+                Slot::Busy(_, EventKind::Call(call)) => self.call(node_id, call),
+                _ => unreachable!("peek said administrative or a call"),
             }
             return;
         }
-        // Down-node check first: a crashed node receives neither packets
-        // nor timers (its pending timers are part of the volatile state
-        // lost in the crash). One bool test on the hot path, before the
-        // packet log, so all-up runs are byte-identical to the
+        // Down-node check first: a crashed node receives no packets or
+        // timers (calls get the same check in `Sim::call`). Only what
+        // falls due during the outage is lost; a timer due after the
+        // restart still fires. One bool test on the hot path, before
+        // the packet log, so all-up runs are byte-identical to the
         // pre-node-dynamics engine.
         if !self.node_up[node_id] {
             self.node_down_drops += 1;
@@ -737,6 +811,18 @@ impl<P: Payload> Sim<P> {
             // every path.
             other => not_a_delivery(other),
         }
+    }
+
+    /// Run a [`Sim::schedule_call`] body against its node, delivered
+    /// like a timer: while the node is down it is dropped and counted.
+    #[cold]
+    fn call(&mut self, node_id: NodeId, Call(f): Call<P>) {
+        if !self.node_up[node_id] {
+            self.node_down_drops += 1;
+            return;
+        }
+        let (node, mut ctx) = self.node_ctx(node_id);
+        f(node, &mut ctx);
     }
 
     /// Lazy packet log: encodes the payload waiting in slot `index`
@@ -816,7 +902,7 @@ impl<P: Payload> Sim<P> {
 /// The panic behind a slab slot that [`EventQueue::peek`] called a
 /// delivery but is not one.
 #[cold]
-fn not_a_delivery<P>(slot: Slot<P>) -> ! {
+fn not_a_delivery<P: Payload>(slot: Slot<P>) -> ! {
     drop(slot);
     unreachable!("peek said packet or timer")
 }
@@ -983,8 +1069,19 @@ mod tests {
     fn slab_slot_adds_at_most_16_bytes_to_its_payload() {
         // A 72-byte stand-in for `lispwire::Packet` with no niche to
         // hide a tag in: node id, port and both enum tags must fit in
-        // 16 bytes, or every queued packet grows by a word again.
-        type P = [u64; 9];
+        // 16 bytes, or every queued packet grows by a word again. A
+        // `Call` is two words, so it hides inside the packet variant.
+        #[derive(Debug)]
+        struct P([u64; 9]);
+        impl Payload for P {
+            fn wire_len(&self) -> usize {
+                72
+            }
+            fn encode(&self) -> Vec<u8> {
+                self.0.iter().flat_map(|w| w.to_be_bytes()).collect()
+            }
+            fn corrupt(&mut self, _idx: usize, _bit: u8) {}
+        }
         assert!(std::mem::size_of::<Slot<P>>() <= std::mem::size_of::<P>() + 16);
     }
 
@@ -1255,15 +1352,7 @@ mod tests {
                 interval: Ns::from_ms(10),
             }),
         );
-        let f = sim.add_node(
-            "fragile",
-            Box::new(Fragile {
-                got: Vec::new(),
-                heartbeat: 0,
-                crashes: 0,
-                restarts: 0,
-            }),
-        );
+        let f = sim.add_node("fragile", fragile());
         sim.connect(b, f, LinkCfg::wan(Ns::from_ms(5)));
         // Beacons at 0,10,..,90 ms; node down during [25, 65) ms; a
         // timer addressed to the node mid-outage is dropped too.
@@ -1283,18 +1372,73 @@ mod tests {
         assert!(sim.node_up(f));
     }
 
+    fn fragile() -> Box<Fragile> {
+        Box::new(Fragile {
+            got: Vec::new(),
+            heartbeat: 0,
+            crashes: 0,
+            restarts: 0,
+        })
+    }
+
+    #[test]
+    fn call_keeps_fifo_order_with_timers_at_the_same_instant() {
+        let mut sim: Sim = Sim::new(1);
+        let f = sim.add_node("fragile", fragile());
+        let at = Ns::from_ms(1);
+        // Each call records how many timers fired before it.
+        let record = |n: &mut Fragile, _: &mut Ctx<'_>| n.got.push(n.heartbeat as u8);
+        sim.schedule_call(f, at, record);
+        sim.schedule_timer(f, at, 0);
+        sim.schedule_call(f, at, record);
+        sim.schedule_timer(f, at, 1);
+        sim.schedule_call(f, at, record);
+        sim.run();
+        assert_eq!(sim.node_ref::<Fragile>(f).got, vec![0, 1, 2]);
+        assert_eq!(sim.events_processed(), 5);
+    }
+
+    #[test]
+    fn call_due_while_down_is_dropped_and_counted() {
+        let mut sim: Sim = Sim::new(1);
+        let f = sim.add_node("fragile", fragile());
+        sim.schedule_node_admin(Ns::from_ms(1), f, false);
+        sim.schedule_call::<Fragile>(f, Ns::from_ms(2), |n, _| n.got.push(7));
+        sim.schedule_node_admin(Ns::from_ms(3), f, true);
+        sim.run();
+        assert!(sim.node_ref::<Fragile>(f).got.is_empty());
+        assert_eq!(sim.node_down_drops(), 1);
+    }
+
+    #[test]
+    fn call_due_after_a_restart_applies_once() {
+        let mut sim: Sim = Sim::new(1);
+        let f = sim.add_node("fragile", fragile());
+        sim.schedule_node_admin(Ns::from_ms(1), f, false);
+        sim.schedule_node_admin(Ns::from_ms(2), f, true);
+        sim.schedule_call::<Fragile>(f, Ns::from_ms(5), |n, ctx| {
+            assert_eq!(ctx.now(), Ns::from_ms(5));
+            n.got.push(7);
+        });
+        sim.run();
+        let node = sim.node_ref::<Fragile>(f);
+        assert_eq!(node.got, vec![7]);
+        assert_eq!((node.crashes, node.restarts), (1, 1));
+        assert_eq!(sim.node_down_drops(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 (echo) is not a netsim::sim::tests::Fragile")]
+    fn call_against_the_wrong_type_panics_when_scheduled() {
+        let mut sim: Sim = Sim::new(1);
+        let echo = sim.add_node("echo", Box::new(Echo));
+        sim.schedule_call::<Fragile>(echo, Ns::from_ms(1), |n, _| n.got.push(7));
+    }
+
     #[test]
     fn redundant_node_admin_is_a_noop() {
         let mut sim: Sim = Sim::new(1);
-        let f = sim.add_node(
-            "fragile",
-            Box::new(Fragile {
-                got: Vec::new(),
-                heartbeat: 0,
-                crashes: 0,
-                restarts: 0,
-            }),
-        );
+        let f = sim.add_node("fragile", fragile());
         sim.set_node_up(f, true); // already up: no hook
         sim.schedule_node_admin(Ns::from_ms(1), f, false);
         sim.schedule_node_admin(Ns::from_ms(2), f, false); // redundant

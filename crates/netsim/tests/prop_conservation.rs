@@ -41,6 +41,16 @@ struct Host {
 }
 
 impl Host {
+    fn new(id: u64, size: usize) -> Self {
+        Host {
+            id,
+            next: 0,
+            sent: Vec::new(),
+            got: Vec::new(),
+            size,
+        }
+    }
+
     fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, hops: u8) {
         let id = (self.id << 32) | self.next;
         self.next += 1;
@@ -79,13 +89,7 @@ fn world(seed: u64) -> (Sim, Vec<NodeId>, Ns) {
     let mut sim: Sim = Sim::new(seed);
     let hosts: Vec<NodeId> = (0..2 + g.below(4))
         .map(|i| {
-            let host = Host {
-                id: i,
-                next: 0,
-                sent: Vec::new(),
-                got: Vec::new(),
-                size: 9 + g.below(1500) as usize,
-            };
+            let host = Host::new(i, 9 + g.below(1500) as usize);
             sim.add_node(&format!("h{i}"), Box::new(host))
         })
         .collect();
@@ -172,10 +176,11 @@ fn check_conservation(sim: &Sim, hosts: &[NodeId]) -> Result<(), String> {
         ));
     }
     let states = states(sim, hosts);
-    if sent != states.iter().sum::<u64>() {
+    let horizon = sim.total_horizon_drops();
+    if sent != states.iter().sum::<u64>() + horizon {
         return Err(format!(
             "sent {sent} != delivered, fault, queue, down, node-down, \
-             pending, stalled {states:?}"
+             pending, stalled {states:?} + horizon {horizon}"
         ));
     }
     let [delivered, fault, queue, down, node_down, pending, stalled] = states;
@@ -190,19 +195,46 @@ fn check_conservation(sim: &Sim, hosts: &[NodeId]) -> Result<(), String> {
              + node-down {node_down} + pending {pending}"
         ));
     }
-    // A `false` from send is a fault, down or queue drop; only packets
-    // flushed from a stall buffer can be queue-dropped after send said
-    // `true`.
+    // A `false` from send is a fault, down, queue or horizon drop; only
+    // packets flushed from a stall buffer can be queue- or
+    // horizon-dropped after send said `true`.
     let refused = sent - accepted.len() as u64;
     let flushed = stalled_ever - stalled;
-    let dropped = fault + down + queue;
+    let dropped = fault + down + queue + horizon;
     if refused > dropped || refused + flushed < dropped {
         return Err(format!(
-            "send refused {refused}, but fault + down + queue drops are \
-             {dropped} with {flushed} flushed from stall buffers"
+            "send refused {refused}, but fault + down + queue + horizon \
+             drops are {dropped} with {flushed} flushed from stall buffers"
         ));
     }
     Ok(())
+}
+
+/// A packet whose arrival would saturate at `Ns::MAX`, the engine's
+/// "never", is refused by `send` and counted, on the direct path and
+/// when a stall buffer flushes it.
+#[test]
+fn packet_arriving_past_the_clock_is_refused_and_counted() {
+    for stall in [false, true] {
+        let mut sim: Sim = Sim::new(1);
+        let hosts: Vec<NodeId> = (0..2)
+            .map(|i| sim.add_node(&format!("h{i}"), Box::new(Host::new(i, 10))))
+            .collect();
+        let cfg =
+            LinkCfg::wan(Ns(u64::MAX - 5)).with_down_policy(DownPolicy::Stall { max_packets: 1 });
+        sim.connect(hosts[0], hosts[1], cfg);
+        if stall {
+            sim.schedule_link_admin(Ns::ZERO, 0, false);
+            sim.schedule_link_admin(Ns::from_ms(2), 0, true);
+        }
+        sim.schedule_timer(hosts[0], Ns::from_ms(1), 0);
+        sim.run();
+        let host = sim.node_ref::<Host>(hosts[0]);
+        assert_eq!(host.sent, vec![(0, stall)], "stall {stall}");
+        assert_eq!(sim.total_horizon_drops(), 1, "stall {stall}");
+        assert_eq!(sim.held_packets(), (0, 0), "stall {stall}");
+        assert_eq!(check_conservation(&sim, &hosts), Ok(()), "stall {stall}");
+    }
 }
 
 /// The generator is only as good as the states it reaches: over a

@@ -69,11 +69,6 @@ struct CachedNs {
     expires: Ns,
 }
 
-/// Timer token that switches the resolver onto its standby uplink (see
-/// [`Resolver::set_failover`]). Distinct from every query timer: those
-/// pack `(generation << 16) | qid` and stay below 2^48.
-pub const TOKEN_FAILOVER: u64 = 0xD45F_0000_0000_0000;
-
 /// A recursive (iterating) resolver.
 pub struct Resolver {
     stack: IpStack,
@@ -81,10 +76,10 @@ pub struct Resolver {
     root_hints: Vec<Ipv4Address>,
     /// The port every outgoing packet leaves on. Single-homed resolvers
     /// keep the default 0; a resolver behind a replicated PCE bump is
-    /// re-pointed at the standby's port by a [`TOKEN_FAILOVER`] timer.
+    /// re-pointed at the standby's port by [`Resolver::fail_over`].
     uplink: PortId,
-    /// Standby uplink: `(port, standby PCE address)` applied at
-    /// [`TOKEN_FAILOVER`] time.
+    /// Standby uplink: `(port, standby PCE address)` applied by
+    /// [`Resolver::fail_over`].
     failover: Option<(PortId, Ipv4Address)>,
     // Ordered maps (not HashMap): any future iteration over the caches
     // is deterministic, like every other table in the tree.
@@ -159,14 +154,29 @@ impl Resolver {
         self.ns_cache.clear();
     }
 
-    /// Configure the standby uplink: when a [`TOKEN_FAILOVER`] timer
-    /// fires (scheduled by the dynamics subsystem at detection time),
-    /// the resolver moves every future transmission onto `port` and —
-    /// if IPC notification is on — re-targets its notices at
-    /// `standby_pce`. Models the site switching its DNS path onto the
-    /// backup PCE appliance after the primary bump dies.
+    /// Configure the standby uplink: [`Resolver::fail_over`] moves
+    /// every future transmission onto `port` and — if IPC notification
+    /// is on — re-targets its notices at `standby_pce`.
     pub fn set_failover(&mut self, port: PortId, standby_pce: Ipv4Address) {
         self.failover = Some((port, standby_pce));
+    }
+
+    /// Switch onto the standby uplink set by [`Resolver::set_failover`]
+    /// (a no-op without one). Models the site moving its DNS path onto
+    /// the backup PCE appliance after the primary bump dies; the
+    /// dynamics subsystem calls it at detection time through
+    /// `Sim::schedule_call`.
+    pub fn fail_over(&mut self, ctx: &mut Ctx<'_, Packet>) {
+        if let Some((port, pce)) = self.failover {
+            self.uplink = port;
+            if self.cfg.ipc_notify.is_some() {
+                self.cfg.ipc_notify = Some(pce);
+            }
+            ctx.trace(format_args!(
+                "resolver {} fails over to standby uplink port {port}",
+                self.stack.addr
+            ));
+        }
     }
 
     /// The deepest cached NS set applicable to `qname`, else a root hint.
@@ -425,19 +435,6 @@ impl Node<Packet> for Resolver {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_FAILOVER {
-            if let Some((port, pce)) = self.failover {
-                self.uplink = port;
-                if self.cfg.ipc_notify.is_some() {
-                    self.cfg.ipc_notify = Some(pce);
-                }
-                ctx.trace(format_args!(
-                    "resolver {} fails over to standby uplink port {port}",
-                    self.stack.addr
-                ));
-            }
-            return;
-        }
         let qid = (token & 0xffff) as u16;
         let generation = (token >> 16) as u32;
         let give_up;
@@ -663,9 +660,9 @@ mod tests {
     }
 
     #[test]
-    fn failover_token_switches_uplink() {
+    fn fail_over_switches_uplink() {
         // Resolver between two taps; every transmission leaves on the
-        // uplink, which TOKEN_FAILOVER re-points from port 0 to port 1.
+        // uplink, which `fail_over` re-points from port 0 to port 1.
         let resolver_addr = a([10, 0, 0, 53]);
         let q1 = query(1, "a.d.example");
         let q2 = query(2, "b.d.example");
@@ -681,7 +678,7 @@ mod tests {
         sim.node_mut::<Resolver>(res)
             .set_failover(1, a([10, 0, 0, 201]));
         sim.schedule_timer(s0, Ns::ZERO, 0); // q1 before failover
-        sim.schedule_timer(res, Ns::from_ms(1), TOKEN_FAILOVER);
+        sim.schedule_call::<Resolver>(res, Ns::from_ms(1), Resolver::fail_over);
         sim.schedule_timer(s1, Ns::from_ms(2), 0); // q2 after failover
         sim.run_until(Ns::from_ms(5));
         let first_out = sim.node_ref::<Tap>(s0).received.len();

@@ -194,3 +194,43 @@ proptest! {
         }
     }
 }
+
+/// Regression: a re-registration due after a mapping node's crash and
+/// restart applies exactly once. It was applied twice when the restart
+/// re-armed a timer the crash had never dropped.
+#[test]
+fn update_after_a_restart_applies_once() {
+    use mapsys::{MapResolver, NerdAuthority};
+    use pcelisp::plane::MapSystem;
+    for cp in [CpKind::Nerd, CpKind::LispQueue] {
+        let mut spec = ScenarioSpec::multi_site(cp, 4, 2);
+        // Coarse mappings: D0 registers its one EID prefix.
+        assert!(!spec.fine_grained_mappings);
+        let d0_prefixes = 1;
+        spec.dynamics = Some(
+            DynamicsSpec::mapsys_outage("S", Ns::from_secs(1), Ns::from_secs(2)).with_event(
+                Ns::from_secs(3),
+                DynEventKind::Remap {
+                    site: "D0".into(),
+                    provider: "D0b".into(),
+                },
+            ),
+        );
+        let mut world = spec.build(1);
+        world.schedule_all_flows();
+        world.sim.run_until(Ns::from_secs(5));
+        match world.mapsys {
+            MapSystem::Nerd { primary, .. } => {
+                let auth = world.sim.node_ref::<NerdAuthority>(primary);
+                assert_eq!(auth.updates_applied, d0_prefixes);
+                // Boot push, restart push, one push for the update.
+                assert_eq!(auth.push_rounds, 3);
+            }
+            MapSystem::Resolver { primary, .. } => {
+                let mr = world.sim.node_ref::<MapResolver>(primary);
+                assert_eq!(mr.updates_applied, d0_prefixes);
+            }
+            ref other => panic!("unexpected plane {other:?} under {}", cp.label()),
+        }
+    }
+}
