@@ -452,7 +452,6 @@ mod tests {
         stack: IpStack,
         answer: Ipv4Address,
         delay: Ns,
-        queue: std::collections::VecDeque<Packet>,
     }
     impl Node<Packet> for StubDns {
         fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _p: PortId, pkt: Packet) {
@@ -476,13 +475,7 @@ mod tests {
                 ));
             }
             let pkt = self.stack.dns(ports::DNS, ip.src, p.src, r);
-            self.queue.push_back(pkt);
-            ctx.set_timer(self.delay, 1);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _t: u64) {
-            if let Some(p) = self.queue.pop_front() {
-                ctx.send(0, p);
-            }
+            ctx.send_after(self.delay, 0, pkt);
         }
     }
 
@@ -513,7 +506,6 @@ mod tests {
                 stack: IpStack::new(dns_addr),
                 answer: s_addr,
                 delay: dns_delay,
-                queue: Default::default(),
             }),
         );
         let router = sim.add_node("router", Box::new(Router::new()));

@@ -33,7 +33,7 @@ use lispwire::packet::{Packet, PceMsg};
 use lispwire::pcewire::{FlowMapping, PceFlowMsg, PceKind};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Static configuration of a PCE.
 #[derive(Debug, Clone)]
@@ -52,13 +52,9 @@ pub struct PceConfig {
     /// TTL stamped on issued mappings (minutes).
     pub mapping_ttl_minutes: u16,
     /// Whether the outbound mapping is precomputed (paper claim: yes).
-    /// When `false`, every step-6 interception pays `on_demand_delay`
-    /// (ablation A2).
+    /// When `false`, every step-6 interception pays a further 2 ms of
+    /// on-demand computation (ablation A2).
     pub precompute: bool,
-    /// Extra computation delay when `precompute` is off.
-    pub on_demand_delay: Ns,
-    /// Per-packet transparent-forwarding delay of the bump in the wire.
-    pub forward_delay: Ns,
     /// Rate estimate (capacity units) booked per admitted flow.
     pub flow_rate_estimate: f64,
     /// Push mappings to all ITRs (paper default) or only the first
@@ -87,8 +83,6 @@ impl PceConfig {
             policy: SelectionPolicy::WeightedBalance,
             mapping_ttl_minutes: 60,
             precompute: true,
-            on_demand_delay: Ns::from_ms(2),
-            forward_delay: Ns::from_us(5),
             flow_rate_estimate: 1.0,
             push_to_all_itrs: true,
             mirror_to: None,
@@ -129,7 +123,10 @@ pub struct PceStats {
 
 const DNS_PORT: PortId = 0;
 const NET_PORT: PortId = 1;
-const TOKEN_RELEASE: u64 = 0x7CE0_0000_0000_0000;
+/// Per-packet transparent-forwarding delay of the bump in the wire.
+const FORWARD_DELAY: Ns = Ns::from_us(5);
+/// Extra step-6 computation delay when the mapping is not precomputed.
+const ON_DEMAND_DELAY: Ns = Ns::from_ms(2);
 
 /// The PCE node (acts as `PCE_S` and `PCE_D` simultaneously).
 pub struct Pce {
@@ -143,7 +140,6 @@ pub struct Pce {
     /// The PCE mapping database: flow → mapping (updated by step 7b
     /// decisions and ETR reverse syncs).
     pub db: BTreeMap<(Ipv4Address, Ipv4Address), FlowMapping>,
-    release_queue: VecDeque<(PortId, Packet)>,
     /// Counters.
     pub stats: PceStats,
     /// Times at which each step-7b push batch completed (for E3/E7).
@@ -159,7 +155,6 @@ impl Pce {
             irc,
             pending_requesters: BTreeMap::new(),
             db: BTreeMap::new(),
-            release_queue: VecDeque::new(),
             stats: PceStats::default(),
             push_times: Vec::new(),
             cfg,
@@ -176,11 +171,6 @@ impl Pce {
             .domain_eid_prefixes
             .iter()
             .any(|p| p.contains(addr))
-    }
-
-    fn release_later(&mut self, ctx: &mut Ctx<'_, Packet>, delay: Ns, port: PortId, pkt: Packet) {
-        self.release_queue.push_back((port, pkt));
-        ctx.set_timer(delay, TOKEN_RELEASE);
     }
 
     /// Compose the mapping record for a local EID: the full locator set
@@ -241,11 +231,11 @@ impl Pce {
             .stack
             .pce(ports::PCE_MAP, reply_dst, ports::PCE_MAP, msg);
         let delay = if self.cfg.precompute {
-            self.cfg.forward_delay
+            FORWARD_DELAY
         } else {
-            self.cfg.forward_delay + self.cfg.on_demand_delay
+            FORWARD_DELAY.saturating_add(ON_DEMAND_DELAY)
         };
-        self.release_later(ctx, delay, NET_PORT, pkt);
+        ctx.send_after(delay, NET_PORT, pkt);
     }
 
     /// Steps 7a + 7b: a port-`P` packet arrived for our DNS server.
@@ -268,8 +258,7 @@ impl Pce {
             self.cfg.addr
         ));
         let qname = parse_qname(&dns_reply);
-        let fwd_delay = self.cfg.forward_delay;
-        self.release_later(ctx, fwd_delay, DNS_PORT, *dns_reply);
+        ctx.send_after(FORWARD_DELAY, DNS_PORT, *dns_reply);
 
         // 7b: install the two-one-way-tunnel mapping at every ITR.
         let dest_eid = mapping.eid_prefix;
@@ -565,28 +554,19 @@ impl Node<Packet> for Pce {
         }
         // Everything else: transparent bump-in-the-wire forward.
         self.stats.forwarded += 1;
-        let d = self.cfg.forward_delay;
-        self.release_later(ctx, d, other, pkt);
+        ctx.send_after(FORWARD_DELAY, other, pkt);
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
         // A PCE crash loses everything computed at runtime: the flow
-        // database, the IPC-learned requester map, packets parked in the
-        // forwarding queue, and the IRC engine's booked flows. The
-        // static configuration is provisioned state and survives; stats
-        // and push times model the operator's monitoring box.
+        // database, the IPC-learned requester map and the IRC engine's
+        // booked flows (packets it was forwarding are deferred sends,
+        // which the engine drops if they fall due during the outage).
+        // The static configuration is provisioned state and survives;
+        // stats and push times model the operator's monitoring box.
         self.db.clear();
         self.pending_requesters.clear();
-        self.release_queue.clear();
         self.irc = IrcEngine::new(self.cfg.providers.clone(), self.cfg.policy);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_RELEASE {
-            if let Some((port, pkt)) = self.release_queue.pop_front() {
-                ctx.send(port, pkt);
-            }
-        }
     }
 }
 
@@ -865,6 +845,40 @@ mod tests {
         let fast = run(true);
         let slow = run(false);
         assert_eq!(slow - fast, Ns::from_ms(2));
+    }
+
+    /// Packets the PCE holds for different times each keep their own
+    /// delay: with precompute off, a step-6 reply sent at 0 (held
+    /// 2.005 ms) and a pass-through reply sent at 0.5 ms (held 5 µs)
+    /// leave exactly as each would alone, the pass-through first.
+    #[test]
+    fn held_packets_keep_their_own_delays() {
+        let run = |sends: &[(Ns, &Packet)]| -> Vec<(Ns, Packet)> {
+            let mut cfg = pce_d_config();
+            cfg.precompute = false;
+            let (mut sim, _pce, dns_side, net_side) = world(cfg);
+            let tap = sim.node_mut::<Tap>(dns_side);
+            tap.outbox = sends.iter().map(|&(_, pkt)| pkt.clone()).collect();
+            for (token, &(at, _)) in sends.iter().enumerate() {
+                sim.schedule_timer(dns_side, at, token as u64);
+            }
+            sim.run();
+            sim.node_ref::<Tap>(net_side).received.clone()
+        };
+        let step6 = auth_reply_packet(a([101, 0, 0, 7]), a([10, 0, 0, 53]));
+        let passthrough = auth_reply_packet(a([55, 0, 0, 7]), a([10, 0, 0, 53]));
+        let alone_step6 = run(&[(Ns::ZERO, &step6)]);
+        let alone_passthrough = run(&[(Ns::from_us(500), &passthrough)]);
+        let both = run(&[(Ns::ZERO, &step6), (Ns::from_us(500), &passthrough)]);
+        assert_eq!(both, [alone_passthrough[0].clone(), alone_step6[0].clone()]);
+        assert_eq!(both[0].1, passthrough);
+        assert!(matches!(
+            both[1].1,
+            Packet::Pce {
+                msg: PceMsg::DnsMapping { .. },
+                ..
+            }
+        ));
     }
 
     #[test]

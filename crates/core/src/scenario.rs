@@ -114,11 +114,6 @@ impl FlowRouter {
         self.overrides.insert((src, dst), port);
     }
 
-    /// Remove a pin.
-    pub fn unpin_flow(&mut self, src: Ipv4Address, dst: Ipv4Address) {
-        self.overrides.remove(&(src, dst));
-    }
-
     /// Install (or replace) the route for `prefix` as the site IGP
     /// re-converging onto a surviving egress after a border failure
     /// (DESIGN.md §7): traced, unlike [`FlowRouter::add_route`]. The

@@ -1,5 +1,5 @@
 //! R4 fixture: unchecked arithmetic in schedule-call time arguments
-//! (lines 5, 7, 9, 11).
+//! (lines 5, 7, 9, 11, 13).
 
 fn schedule(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, ms: u64) {
     ctx.set_timer(base + jitter, 1);
@@ -9,6 +9,8 @@ fn schedule(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, ms: u64) {
     sim.schedule_timer(node, Ns(ms as u64), 3);
     // schedule_call's time is argument 1, after its turbofish:
     sim.schedule_call::<Fragile>(node, base + jitter, |n, _| n.tick());
+    // send_after's time is argument 0; the port and packet follow it:
+    ctx.send_after(base + jitter, 0, pkt);
 }
 
 fn fine(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, token: u64) {
@@ -17,4 +19,5 @@ fn fine(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, token: u64) {
     ctx.set_timer(base.saturating_add(jitter), 4);
     sim.schedule_timer(node, base.saturating_sub(jitter), token + 2);
     sim.schedule_link_admin(base, 0, true);
+    ctx.send_after(base.saturating_add(jitter), port + 1, pkt);
 }

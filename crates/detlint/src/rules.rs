@@ -111,6 +111,7 @@ impl RuleSet {
                 "schedule_call:1",
                 "schedule_link_admin:0",
                 "schedule_node_admin:0",
+                "send_after:0",
             ],
         );
         let schedule_fns = sched

@@ -6,20 +6,21 @@
 //! out the matched port. Unroutable packets are dropped and counted.
 //! Packets are typed [`Packet`] values — nothing is parsed per hop.
 //!
-//! A small fixed per-packet processing delay models lookup cost; it is
-//! configurable so experiments can explore its effect.
+//! A small fixed per-packet processing delay (`PROCESSING_DELAY`, held
+//! with `Ctx::send_after`) models lookup cost.
 
 use crate::addr::Prefix;
 use crate::lpm::LpmTrie;
 use crate::stack::forward_hop;
 use lispwire::Packet;
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
-use std::collections::VecDeque;
+
+/// Per-packet lookup/processing delay of every [`Router`].
+const PROCESSING_DELAY: Ns = Ns::from_us(1);
 
 /// A transit router forwarding by longest-prefix match.
 pub struct Router {
     routes: LpmTrie<PortId>,
-    processing_delay: Ns,
     /// Packets forwarded.
     pub forwarded: u64,
     /// Packets dropped: no route.
@@ -28,30 +29,20 @@ pub struct Router {
     pub ttl_drops: u64,
     /// Packets dropped: malformed / bad checksum.
     pub malformed_drops: u64,
-    pending: VecDeque<(PortId, Packet)>,
     ctr_ttl: LazyCounter,
     ctr_malformed: LazyCounter,
     ctr_no_route: LazyCounter,
 }
 
-const TOKEN_FORWARD: u64 = u64::MAX - 0xF0F0;
-
 impl Router {
-    /// A router with a default 1 µs lookup/processing delay.
+    /// A router with no routes.
     pub fn new() -> Self {
-        Self::with_processing_delay(Ns::from_us(1))
-    }
-
-    /// A router with an explicit per-packet processing delay.
-    pub fn with_processing_delay(processing_delay: Ns) -> Self {
         Self {
             routes: LpmTrie::new(),
-            processing_delay,
             forwarded: 0,
             no_route_drops: 0,
             ttl_drops: 0,
             malformed_drops: 0,
-            pending: VecDeque::new(),
             ctr_ttl: LazyCounter::new(),
             ctr_malformed: LazyCounter::new(),
             ctr_no_route: LazyCounter::new(),
@@ -99,24 +90,11 @@ impl Node<Packet> for Router {
         match self.routes.lookup_value(pkt.dst()).copied() {
             Some(out_port) => {
                 self.forwarded += 1;
-                if self.processing_delay == Ns::ZERO {
-                    ctx.send(out_port, pkt);
-                } else {
-                    self.pending.push_back((out_port, pkt));
-                    ctx.set_timer(self.processing_delay, TOKEN_FORWARD);
-                }
+                ctx.send_after(PROCESSING_DELAY, out_port, pkt);
             }
             None => {
                 self.no_route_drops += 1;
                 self.ctr_no_route.add(ctx, "router.no_route_drops", 1);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_FORWARD {
-            if let Some((port, pkt)) = self.pending.pop_front() {
-                ctx.send(port, pkt);
             }
         }
     }
@@ -238,21 +216,26 @@ mod tests {
     fn processing_delay_applied() {
         let stack = IpStack::new(addr([10, 0, 0, 1]));
         let pkt = stack.udp(1, addr([12, 0, 0, 1]), 2, b"x".to_vec());
-        let run_with = |delay: Ns| -> Ns {
-            let mut sim: Sim<Packet> = Sim::new(1);
-            let src = sim.add_node("src", Box::new(Tap::new(vec![pkt.clone()])));
-            let r = sim.add_node("r", Box::new(Router::with_processing_delay(delay)));
-            let snk = sim.add_node("s", Box::new(Tap::sink()));
-            sim.connect(src, r, LinkCfg::lan());
-            let (r_out, _) = sim.connect(r, snk, LinkCfg::lan());
-            sim.node_mut::<Router>(r).set_default_route(r_out);
-            sim.schedule_timer(src, Ns::ZERO, 0);
-            sim.run();
-            assert_eq!(sim.node_ref::<Tap>(snk).received.len(), 1);
-            sim.now()
-        };
-        let fast = run_with(Ns::ZERO);
-        let slow = run_with(Ns::from_ms(1));
-        assert_eq!(slow - fast, Ns::from_ms(1));
+        // One LAN hop, for reference: src -- snk.
+        let mut sim: Sim<Packet> = Sim::new(1);
+        let src = sim.add_node("src", Box::new(Tap::new(vec![pkt.clone()])));
+        let snk = sim.add_node("s", Box::new(Tap::sink()));
+        sim.connect(src, snk, LinkCfg::lan());
+        sim.schedule_timer(src, Ns::ZERO, 0);
+        sim.run();
+        let hop = sim.node_ref::<Tap>(snk).received[0].0;
+        // Two LAN hops through a router: src -- r -- snk.
+        let mut sim: Sim<Packet> = Sim::new(1);
+        let src = sim.add_node("src", Box::new(Tap::new(vec![pkt])));
+        let r = sim.add_node("r", Box::new(Router::new()));
+        let snk = sim.add_node("s", Box::new(Tap::sink()));
+        sim.connect(src, r, LinkCfg::lan());
+        let (r_out, _) = sim.connect(r, snk, LinkCfg::lan());
+        sim.node_mut::<Router>(r).set_default_route(r_out);
+        sim.schedule_timer(src, Ns::ZERO, 0);
+        sim.run();
+        let received = &sim.node_ref::<Tap>(snk).received;
+        assert_eq!(received.len(), 1);
+        assert_eq!(received[0].0, hop * 2 + PROCESSING_DELAY);
     }
 }

@@ -243,9 +243,11 @@ struct InFlight {
 const SITE_PORT: PortId = 0;
 const WAN_PORT: PortId = 1;
 const TOKEN_RETRY_BASE: u64 = 0x4000_0000_0000_0000;
-const TOKEN_CP_RELEASE: u64 = 0x2000_0000_0000_0000;
+/// Probe round and probe check tokens carry the probe generation
+/// (`Xtr::probe_gen`) in their low 32 bits.
 const TOKEN_PROBE_ROUND: u64 = 0x1000_0000_0000_0000;
 const TOKEN_PROBE_CHECK: u64 = 0x0800_0000_0000_0000;
+const PROBE_GEN_MASK: u64 = 0xffff_ffff;
 
 #[derive(Debug, Default, Clone)]
 /// Public data-plane counters of an xTR.
@@ -334,7 +336,11 @@ pub struct Xtr {
     neg_cache: BTreeMap<Ipv4Address, Ns>,       // eid -> valid-until
     req_windows: BTreeMap<Ipv4Address, (Ns, u32)>, // src eid -> (window start, count)
     probe_outstanding: BTreeMap<Ipv4Address, u64>, // rloc -> nonce
-    cp_release: VecDeque<Packet>,
+    /// Bumped by every crash: a probe round or check armed before the
+    /// crash carries an older generation and is ignored, so a round
+    /// that survives a short outage does not run beside the chain
+    /// `on_restart` arms.
+    probe_gen: u32,
     seen_wan_flows: BTreeSet<(Ipv4Address, Ipv4Address)>,
     /// Index into `[primary, replicas...]` new resolutions start at when
     /// failover is sticky. Volatile: reset to the primary on crash.
@@ -368,7 +374,7 @@ impl Xtr {
             neg_cache: BTreeMap::new(),
             req_windows: BTreeMap::new(),
             probe_outstanding: BTreeMap::new(),
-            cp_release: VecDeque::new(),
+            probe_gen: 0,
             seen_wan_flows: BTreeSet::new(),
             resolver_cursor: 0,
             nonce_counter: 1,
@@ -707,8 +713,7 @@ impl Xtr {
                         self.stats.encap += 1;
                         *self.tx_per_rloc.entry(rloc).or_insert(0) += 1;
                         *self.tx_per_src_rloc.entry(self.cfg.rloc).or_insert(0) += 1;
-                        self.cp_release.push_back(tunneled);
-                        ctx.set_timer(extra_latency, TOKEN_CP_RELEASE);
+                        ctx.send_after(extra_latency, WAN_PORT, tunneled);
                     }
                     _ => {
                         self.send_encap(ctx, pkt, self.cfg.rloc, rloc);
@@ -970,9 +975,23 @@ impl Xtr {
             self.stats.probes_sent += 1;
         }
         if !self.probe_outstanding.is_empty() {
-            ctx.set_timer(probe_cfg.timeout, TOKEN_PROBE_CHECK);
+            ctx.set_timer(probe_cfg.timeout, self.probe_token(TOKEN_PROBE_CHECK));
         }
-        ctx.set_timer(probe_cfg.interval, TOKEN_PROBE_ROUND);
+        self.arm_probe_round(ctx);
+    }
+
+    /// `kind` (a probe round or check) stamped with the current probe
+    /// generation.
+    fn probe_token(&self, kind: u64) -> u64 {
+        kind | u64::from(self.probe_gen)
+    }
+
+    /// Arm the next probe round of the current generation, if probing
+    /// is on.
+    fn arm_probe_round(&self, ctx: &mut Ctx<'_, Packet>) {
+        if let Some(probe_cfg) = self.cfg.rloc_probing {
+            ctx.set_timer(probe_cfg.interval, self.probe_token(TOKEN_PROBE_ROUND));
+        }
     }
 
     /// Probe-timeout check: every probe still unanswered declares its
@@ -1029,9 +1048,7 @@ impl Xtr {
 
 impl Node<Packet> for Xtr {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        if let Some(probe_cfg) = self.cfg.rloc_probing {
-            ctx.set_timer(probe_cfg.interval, TOKEN_PROBE_ROUND);
-        }
+        self.arm_probe_round(ctx);
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
@@ -1049,7 +1066,7 @@ impl Node<Packet> for Xtr {
         self.neg_cache.clear();
         self.req_windows.clear();
         self.probe_outstanding.clear();
-        self.cp_release.clear();
+        self.probe_gen = self.probe_gen.wrapping_add(1);
         self.seen_wan_flows.clear();
         self.resolver_cursor = 0;
     }
@@ -1057,14 +1074,13 @@ impl Node<Packet> for Xtr {
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Packet>) {
         // The engine dropped the timers that fell due while down, so
         // the probe round may have been lost: restart the periodic
-        // probe machinery exactly as a fresh boot would. (A round due
-        // after the restart still fires; it then runs beside this new
-        // chain.) Registrations
-        // are provisioned state on the mapping side (the site's entry in
-        // the mapping database), so nothing needs re-announcing here.
-        if let Some(probe_cfg) = self.cfg.rloc_probing {
-            ctx.set_timer(probe_cfg.interval, TOKEN_PROBE_ROUND);
-        }
+        // probe machinery exactly as a fresh boot would. A round or
+        // check armed before the crash and due after the restart still
+        // fires, but carries the old generation and is ignored.
+        // Registrations are provisioned state on the mapping side (the
+        // site's entry in the mapping database), so nothing needs
+        // re-announcing here.
+        self.arm_probe_round(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, pkt: Packet) {
@@ -1140,17 +1156,15 @@ impl Node<Packet> for Xtr {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_PROBE_ROUND {
-            self.run_probe_round(ctx);
-            return;
-        }
-        if token == TOKEN_PROBE_CHECK {
-            self.check_probe_timeouts(ctx);
-            return;
-        }
-        if token & TOKEN_CP_RELEASE != 0 {
-            if let Some(pkt) = self.cp_release.pop_front() {
-                ctx.send(WAN_PORT, pkt);
+        let kind = token & !PROBE_GEN_MASK;
+        if kind == TOKEN_PROBE_ROUND || kind == TOKEN_PROBE_CHECK {
+            if token != self.probe_token(kind) {
+                return; // armed before a crash
+            }
+            if kind == TOKEN_PROBE_ROUND {
+                self.run_probe_round(ctx);
+            } else {
+                self.check_probe_timeouts(ctx);
             }
             return;
         }
@@ -1272,7 +1286,6 @@ mod tests {
         stack: IpStack,
         rloc_for_everything: Ipv4Address,
         delay: Ns,
-        queue: VecDeque<(Ipv4Address, Packet)>,
         pub requests_seen: u64,
     }
     impl Node<Packet> for StubMapServer {
@@ -1300,13 +1313,7 @@ mod tests {
                 ports::LISP_CONTROL,
                 CtlMsg::Reply(reply),
             );
-            self.queue.push_back((req.itr_rloc, pkt));
-            ctx.set_timer(self.delay, 1);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, _token: u64) {
-            if let Some((_, pkt)) = self.queue.pop_front() {
-                ctx.send(0, pkt);
-            }
+            ctx.send_after(self.delay, 0, pkt);
         }
     }
 
@@ -1363,7 +1370,6 @@ mod tests {
                 stack: IpStack::new(ms_addr),
                 rloc_for_everything: d_rloc,
                 delay: resolver_delay,
-                queue: VecDeque::new(),
                 requests_seen: 0,
             }),
         );
@@ -1650,6 +1656,46 @@ mod tests {
         // The probe target answered the earlier rounds.
         let xtr_d = w.sim.node_ref::<Xtr>(w.xtr_d);
         assert!(xtr_d.stats.probes_answered >= 2);
+    }
+
+    #[test]
+    fn short_crash_leaves_one_probe_chain() {
+        // Probe every second; packets at 0 s and 1.5 s keep one locator
+        // referenced. A crash at 1.2 s and restart at 1.3 s re-arm the
+        // chain (rounds at 2.3, 3.3, 4.3, 5.3 s); the round armed before
+        // the crash still falls due at 2 s and must not start a second
+        // chain beside it.
+        let run = |crash: bool| {
+            let mut w = build_world(
+                CpMode::Pull {
+                    map_resolver: Some(a([8, 0, 0, 10])),
+                },
+                CpMode::Pull {
+                    map_resolver: Some(a([8, 0, 0, 10])),
+                },
+                MissPolicy::Queue { max_packets: 8 },
+                Ns::from_us(100),
+            );
+            w.sim.node_mut::<Xtr>(w.xtr_s).cfg.rloc_probing = Some(RlocProbeCfg {
+                interval: Ns::from_secs(1),
+                timeout: Ns::from_ms(250),
+            });
+            let pkt = |tag| data_packet(a([100, 0, 0, 5]), a([101, 0, 0, 7]), tag);
+            w.sim.node_mut::<SiteHost>(w.host_s).outbox = vec![pkt(1), pkt(2)];
+            w.sim.schedule_timer(w.host_s, Ns::ZERO, 0);
+            w.sim.schedule_timer(w.host_s, Ns::from_ms(1500), 1);
+            if crash {
+                w.sim.schedule_node_admin(Ns::from_ms(1200), w.xtr_s, false);
+                w.sim.schedule_node_admin(Ns::from_ms(1300), w.xtr_s, true);
+            }
+            w.sim.run_until(Ns::from_ms(6100));
+            w.sim.node_ref::<Xtr>(w.xtr_s).stats.clone()
+        };
+        let steady = run(false);
+        assert_eq!(steady.probes_sent, 6, "rounds at 1..=6 s");
+        let crashed = run(true);
+        assert_eq!(crashed.probes_sent, 5, "round at 1 s, then 2.3..=5.3 s");
+        assert_eq!(crashed.probe_timeouts, 0, "{crashed:?}");
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! plus a per-hop processing delay — the well-known ALT latency cost is
 //! the sum of these hops (experiments E2/E3 expose it).
 
-use crate::guard::{GuardCfg, RequestGuard};
+use crate::guard::RequestGuard;
 use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
-use std::collections::VecDeque;
+
+/// Per-hop processing delay of every [`AltRouter`] (BGP-over-GRE
+/// overlays are not fast paths).
+const PROCESSING_DELAY: Ns = Ns::from_us(500);
 
 /// One ALT overlay router.
 pub struct AltRouter {
@@ -24,8 +27,6 @@ pub struct AltRouter {
     routes: LpmTrie<Ipv4Address>,
     /// Local delivery: EID prefix → authoritative ETR address.
     delivery: LpmTrie<Ipv4Address>,
-    processing_delay: Ns,
-    outbox: VecDeque<Packet>,
     /// Optional ingress guard (enable on the ITR-facing gateway only:
     /// per-source rate limiting of requests entering the overlay).
     pub guard: Option<RequestGuard>,
@@ -41,18 +42,13 @@ pub struct AltRouter {
     ctr_no_route: LazyCounter,
 }
 
-const TOKEN_FWD: u64 = 1;
-
 impl AltRouter {
-    /// A router at `addr` with a default 500 µs per-hop processing delay
-    /// (BGP-over-GRE overlays are not fast paths).
+    /// A router at `addr` with no routes.
     pub fn new(addr: Ipv4Address) -> Self {
         Self {
             stack: IpStack::new(addr),
             routes: LpmTrie::new(),
             delivery: LpmTrie::new(),
-            processing_delay: Ns::from_us(500),
-            outbox: VecDeque::new(),
             guard: None,
             overlay_hops: 0,
             delivered: 0,
@@ -76,18 +72,6 @@ impl AltRouter {
         ));
     }
 
-    /// Override the per-hop processing delay.
-    pub fn with_processing_delay(mut self, d: Ns) -> Self {
-        self.processing_delay = d;
-        self
-    }
-
-    /// Enable the ingress guard (per-source rate limiting).
-    pub fn with_guard(mut self, cfg: GuardCfg) -> Self {
-        self.guard = Some(RequestGuard::new(cfg));
-        self
-    }
-
     /// Advertise: requests for `prefix` go to overlay neighbour `next`.
     pub fn add_overlay_route(&mut self, prefix: Prefix, next: Ipv4Address) -> &mut Self {
         self.routes.insert(prefix, next);
@@ -108,11 +92,11 @@ impl AltRouter {
 
 impl Node<Packet> for AltRouter {
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
-        // Volatile: requests mid-processing and the guard's learned
-        // windows. Overlay routes and delivery entries are BGP
-        // advertisements the neighbours re-announce on session
-        // re-establishment — modelled as surviving configuration.
-        self.outbox.clear();
+        // Volatile: the guard's learned windows (requests mid-processing
+        // are deferred sends the engine drops while the node is down).
+        // Overlay routes and delivery entries are BGP advertisements the
+        // neighbours re-announce on session re-establishment — modelled
+        // as surviving configuration.
         if let Some(guard) = &mut self.guard {
             guard.clear_learned();
         }
@@ -156,8 +140,7 @@ impl Node<Packet> for AltRouter {
                 ports::LISP_CONTROL,
                 CtlMsg::Request(req),
             );
-            self.outbox.push_back(pkt);
-            ctx.set_timer(self.processing_delay, TOKEN_FWD);
+            ctx.send_after(PROCESSING_DELAY, 0, pkt);
             return;
         }
         // Otherwise route across the overlay.
@@ -180,20 +163,11 @@ impl Node<Packet> for AltRouter {
                     ports::LISP_CONTROL,
                     CtlMsg::Request(req),
                 );
-                self.outbox.push_back(pkt);
-                ctx.set_timer(self.processing_delay, TOKEN_FWD);
+                ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
             None => {
                 self.dropped += 1;
                 self.ctr_no_route.add(ctx, "alt.no_route", 1);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_FWD {
-            if let Some(pkt) = self.outbox.pop_front() {
-                ctx.send(0, pkt);
             }
         }
     }

@@ -11,16 +11,19 @@
 //! [`ConsMsg`] wrapper, plus a per-leaf pending
 //! table keyed by nonce.
 
-use crate::guard::{GuardCfg, RequestGuard};
+use crate::guard::RequestGuard;
 use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{ConsMsg, CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// UDP port CONS overlay nodes use among themselves.
 pub const CONS_PORT: u16 = ports::CONS;
+
+/// Per-hop processing delay of every [`ConsNode`].
+const PROCESSING_DELAY: Ns = Ns::from_us(500);
 
 /// One CONS overlay node (CAR when it has attached sites, CDR otherwise).
 pub struct ConsNode {
@@ -32,8 +35,6 @@ pub struct ConsNode {
     serving: LpmTrie<Ipv4Address>,
     /// Pending request state at leaf CARs: nonce → (orig itr, return path).
     pending: BTreeMap<u64, (Ipv4Address, Vec<Ipv4Address>)>,
-    processing_delay: Ns,
-    outbox: VecDeque<Packet>,
     /// Optional ingress guard: per-source rate limiting of fresh requests
     /// entering the overlay at this CAR (relayed overlay traffic on
     /// [`CONS_PORT`] is not re-charged).
@@ -51,8 +52,6 @@ pub struct ConsNode {
     ctr_no_route: LazyCounter,
 }
 
-const TOKEN_FWD: u64 = 1;
-
 impl ConsNode {
     /// A node at `addr`, optionally with a parent in the hierarchy.
     pub fn new(addr: Ipv4Address, parent: Option<Ipv4Address>) -> Self {
@@ -62,8 +61,6 @@ impl ConsNode {
             children: LpmTrie::new(),
             serving: LpmTrie::new(),
             pending: BTreeMap::new(),
-            processing_delay: Ns::from_us(500),
-            outbox: VecDeque::new(),
             guard: None,
             overlay_hops: 0,
             delivered: 0,
@@ -87,18 +84,6 @@ impl ConsNode {
         ));
     }
 
-    /// Override the per-hop processing delay.
-    pub fn with_processing_delay(mut self, d: Ns) -> Self {
-        self.processing_delay = d;
-        self
-    }
-
-    /// Enable the ingress guard (per-source rate limiting at this CAR).
-    pub fn with_guard(mut self, cfg: GuardCfg) -> Self {
-        self.guard = Some(RequestGuard::new(cfg));
-        self
-    }
-
     /// Register a child zone.
     pub fn add_child(&mut self, prefix: Prefix, child: Ipv4Address) -> &mut Self {
         self.children.insert(prefix, child);
@@ -114,11 +99,6 @@ impl ConsNode {
     /// This node's address.
     pub fn addr(&self) -> Ipv4Address {
         self.stack.addr
-    }
-
-    fn enqueue(&mut self, ctx: &mut Ctx<'_, Packet>, pkt: Packet) {
-        self.outbox.push_back(pkt);
-        ctx.set_timer(self.processing_delay, TOKEN_FWD);
     }
 
     /// Route a wrapped request one step.
@@ -146,7 +126,7 @@ impl ConsNode {
                 ports::LISP_CONTROL,
                 CtlMsg::Request(rewritten),
             );
-            self.enqueue(ctx, pkt);
+            ctx.send_after(PROCESSING_DELAY, 0, pkt);
             return;
         }
         // Down toward a child zone?
@@ -166,7 +146,7 @@ impl ConsNode {
                 let pkt = self
                     .stack
                     .ctl(CONS_PORT, next, CONS_PORT, CtlMsg::Cons(msg));
-                self.enqueue(ctx, pkt);
+                ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
             None => {
                 self.dropped += 1;
@@ -187,7 +167,7 @@ impl ConsNode {
                 let pkt = self
                     .stack
                     .ctl(CONS_PORT, prev, CONS_PORT, CtlMsg::Cons(msg));
-                self.enqueue(ctx, pkt);
+                ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
             None => {
                 // We are the requester's CAR: deliver natively to the ITR.
@@ -202,7 +182,7 @@ impl ConsNode {
                     ports::LISP_CONTROL,
                     *msg.inner,
                 );
-                self.enqueue(ctx, pkt);
+                ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
         }
     }
@@ -211,11 +191,11 @@ impl ConsNode {
 impl Node<Packet> for ConsNode {
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
         // CONS is connection-oriented: the per-nonce pending table (the
-        // overlay's connection state) and queued messages die with the
-        // node — replies for them can never be routed back. The tree
-        // topology and served-site entries are configuration.
+        // overlay's connection state) dies with the node — replies for
+        // it can never be routed back — and the engine drops the
+        // messages it deferred while the node is down. The tree topology
+        // and served-site entries are configuration.
         self.pending.clear();
-        self.outbox.clear();
         if let Some(guard) = &mut self.guard {
             guard.clear_learned();
         }
@@ -274,14 +254,6 @@ impl Node<Packet> for ConsNode {
             }
             (CONS_PORT, _) => self.dropped += 1,
             _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_FWD {
-            if let Some(pkt) = self.outbox.pop_front() {
-                ctx.send(0, pkt);
-            }
         }
     }
 }

@@ -6,20 +6,20 @@
 //! therefore `OWD(ITR,MR) + OWD(MR,ETR) + OWD(ETR,ITR)` plus processing.
 
 use crate::api::MappingDb;
-use crate::guard::{GuardCfg, RequestGuard};
+use crate::guard::RequestGuard;
 use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::collections::VecDeque;
+
+/// Per-request processing delay of every [`MapResolver`].
+const PROCESSING_DELAY: Ns = Ns::from_us(50);
 
 /// The map-resolver node.
 pub struct MapResolver {
     stack: IpStack,
     table: LpmTrie<Ipv4Address>,
-    processing_delay: Ns,
-    outbox: VecDeque<Packet>,
     /// Optional ingress guard: per-source rate limiting plus negative
     /// caching of unresolvable targets (DESIGN.md §10).
     pub guard: Option<RequestGuard>,
@@ -33,8 +33,6 @@ pub struct MapResolver {
     pub updates_applied: u64,
 }
 
-const TOKEN_FWD: u64 = 1;
-
 impl MapResolver {
     /// A resolver at `addr` seeded from the shared database.
     pub fn new(addr: Ipv4Address, db: &MappingDb) -> Self {
@@ -45,8 +43,6 @@ impl MapResolver {
         Self {
             stack: IpStack::new(addr),
             table,
-            processing_delay: Ns::from_us(50),
-            outbox: VecDeque::new(),
             guard: None,
             forwarded: 0,
             unresolved: 0,
@@ -64,18 +60,6 @@ impl MapResolver {
         ctx.trace(format_args!("map-resolver re-registers {prefix} -> {etr}"));
     }
 
-    /// Override the per-request processing delay.
-    pub fn with_processing_delay(mut self, d: Ns) -> Self {
-        self.processing_delay = d;
-        self
-    }
-
-    /// Enable the ingress guard (rate limiting + negative caching).
-    pub fn with_guard(mut self, cfg: GuardCfg) -> Self {
-        self.guard = Some(RequestGuard::new(cfg));
-        self
-    }
-
     /// This node's address.
     pub fn addr(&self) -> Ipv4Address {
         self.stack.addr
@@ -84,10 +68,10 @@ impl MapResolver {
 
 impl Node<Packet> for MapResolver {
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, Packet>) {
-        // Volatile: half-processed forwards and the guard's learned
-        // windows. The registration table is provisioned state (seeded
+        // Volatile: the guard's learned windows (half-processed
+        // forwards are deferred sends the engine drops while the node is
+        // down). The registration table is provisioned state (seeded
         // from the site database, like stable storage) and survives.
-        self.outbox.clear();
         if let Some(guard) = &mut self.guard {
             guard.clear_learned();
         }
@@ -134,8 +118,7 @@ impl Node<Packet> for MapResolver {
                     ports::LISP_CONTROL,
                     CtlMsg::Request(req),
                 );
-                self.outbox.push_back(pkt);
-                ctx.set_timer(self.processing_delay, TOKEN_FWD);
+                ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
             None => {
                 self.unresolved += 1;
@@ -146,14 +129,6 @@ impl Node<Packet> for MapResolver {
                 if let Some(guard) = &mut self.guard {
                     guard.note_unresolvable(req.target_eid, ctx.now());
                 }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_FWD {
-            if let Some(pkt) = self.outbox.pop_front() {
-                ctx.send(0, pkt);
             }
         }
     }

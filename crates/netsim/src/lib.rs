@@ -17,7 +17,7 @@
 //! * Events are totally ordered by `(time, sequence)`; same-time events
 //!   fire in scheduling order, so runs are deterministic.
 //! * Nodes interact with the world only through [`Ctx`], which exposes
-//!   `send`, `set_timer`, `trace`, counters and the RNG. The world
+//!   `send`, `send_after`, `set_timer`, `trace`, counters and the RNG. The world
 //!   changes a node's state at a set time with [`Sim::schedule_call`].
 //! * Results are read back from the nodes themselves: [`Node`] has
 //!   [`std::any::Any`] as a supertrait, so [`Sim::node_ref`] /

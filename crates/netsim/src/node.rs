@@ -52,17 +52,21 @@ pub trait Node<P: Payload = Vec<u8>>: Any + Send {
     /// implementations clear **volatile** state here — caches, pending
     /// requests, in-flight bookkeeping, learned registrations — and keep
     /// **static configuration** (addresses, prefixes, peer lists).
-    /// The engine drops every timer and call that falls due while the
-    /// node is down; one due after the restart still fires. So
-    /// [`Node::on_restart`] must re-arm periodic machinery whose next
-    /// tick the outage may have swallowed. Default: no-op (an
-    /// immortal-by-convention node).
+    /// Packets held by [`Ctx::send_after`] live in the engine, not in
+    /// the node, so there is no outbox to clear here: the engine drops
+    /// every timer, deferred send and call that falls due while the
+    /// node is down, and one due after the restart still fires (a
+    /// deferred send is then sent). So [`Node::on_restart`] must re-arm
+    /// periodic machinery whose next tick the outage may have
+    /// swallowed, and a periodic chain whose tick survives a short
+    /// outage must tell its own timers from the re-armed ones.
+    /// Default: no-op (an immortal-by-convention node).
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, P>) {}
 
     /// The node restarted after a crash (`up == true` transition).
     /// Implementations re-arm timers and re-announce themselves (an xTR
-    /// re-registers its mappings, a PCE re-syncs its flow DB). Default:
-    /// no-op.
+    /// re-arms RLOC probing, a NERD authority re-pushes its database).
+    /// Default: no-op.
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, P>) {}
 
     /// Former downcast hook, now done by the [`Any`] supertrait. Kept
@@ -174,6 +178,39 @@ impl<'a, P: Payload> Ctx<'a, P> {
                 true
             }
             TxOutcome::Dropped => false,
+        }
+    }
+
+    /// Send `pkt` out of `port` after `delay` — the one way to hold a
+    /// packet for a processing time. The engine keeps the packet in its
+    /// event queue, addressed to this node, and calls [`Ctx::send`]
+    /// with it when `now + delay` comes round, in `(time, seq)` order
+    /// with every other event. A deferred send is delivered like a
+    /// timer: if it falls due while this node is down it is dropped and
+    /// counted in [`crate::Sim::node_down_drops`]; one due after a
+    /// restart is sent. Each deferral keeps its own delay, whatever
+    /// else the node holds. A send that would fall due at the end of
+    /// the clock is refused and counted in the port's
+    /// [`crate::LinkStats::horizon_drops`], as [`Ctx::send`] counts an
+    /// arrival there.
+    ///
+    /// # Panics
+    /// Panics, here rather than when the send falls due, if `port` is
+    /// not connected.
+    pub fn send_after(&mut self, delay: Ns, port: PortId, pkt: P) {
+        let tx = self.ports[port].tx_index;
+        match self.queue.claim(self.now.saturating_add(delay)) {
+            // Built in the call that stores it, as in `send`: the packet
+            // moves once into the slab. `connect` checked that every
+            // port fits an `EventPort`.
+            Some(claim) => claim.fill(
+                self.node,
+                EventKind::Deferred {
+                    port: port as EventPort,
+                    payload: pkt,
+                },
+            ),
+            None => self.transmitters[tx].stats.horizon_drops += 1,
         }
     }
 

@@ -52,6 +52,14 @@ pub(crate) enum EventKind<P: Payload> {
     Timer {
         token: u64,
     },
+    /// A deferred send ([`Ctx::send_after`]), addressed to the sending
+    /// node: when it falls due the engine hands `payload` to
+    /// [`Ctx::send`] on `port`. Delivered like a timer: dropped while
+    /// the node is down.
+    Deferred {
+        port: EventPort,
+        payload: P,
+    },
     /// A timed call into the target node's state
     /// ([`Sim::schedule_call`]). Delivered like a timer: dropped while
     /// the node is down.
@@ -238,14 +246,17 @@ impl<P: Payload> EventQueue<P> {
     }
 
     /// The target node of the event in slot `index`, and whether the
-    /// event is a packet or timer rather than an administrative change
-    /// or a call.
+    /// event is a packet, timer or deferred send rather than an
+    /// administrative change or a call.
     #[inline(always)]
     pub(crate) fn peek(&self, index: u32) -> (NodeId, bool) {
         match &self.slab[index as usize] {
             Slot::Busy(node, kind) => (
                 *node,
-                matches!(kind, EventKind::Packet { .. } | EventKind::Timer { .. }),
+                matches!(
+                    kind,
+                    EventKind::Packet { .. } | EventKind::Timer { .. } | EventKind::Deferred { .. }
+                ),
             ),
             Slot::Free(_) => unreachable!("queue entry without slab body"),
         }
@@ -266,12 +277,14 @@ impl<P: Payload> EventQueue<P> {
     }
 
     /// Slab slots holding an event body, and how many of those bodies
-    /// are packets.
+    /// are packets (in flight or deferred).
     fn bodies(&self) -> (usize, usize) {
         self.slab
             .iter()
             .fold((0, 0), |(all, packets), slot| match slot {
-                Slot::Busy(_, EventKind::Packet { .. }) => (all + 1, packets + 1),
+                Slot::Busy(_, EventKind::Packet { .. } | EventKind::Deferred { .. }) => {
+                    (all + 1, packets + 1)
+                }
                 Slot::Busy(..) => (all + 1, packets),
                 Slot::Free(_) => (all, packets),
             })
@@ -359,8 +372,8 @@ pub struct Sim<P: Payload = Vec<u8>> {
     /// All-up worlds pay one bool test per delivered event and nothing
     /// else, so runs without node dynamics stay byte-identical.
     node_up: Vec<bool>,
-    /// Packets, timers and calls dropped because their target node was
-    /// down.
+    /// Packets, timers, deferred sends and calls dropped because their
+    /// target node was down.
     node_down_drops: u64,
     queue: EventQueue<P>,
     now: Ns,
@@ -611,8 +624,9 @@ impl<P: Payload> Sim<P> {
     /// `up == false`, restart when `up == true`), `delay` from now — the
     /// node-mortality primitive of the dynamics subsystem (DESIGN.md
     /// §13). The change fires in `(time, seq)` total order with every
-    /// other event; packets, timers and calls already addressed to the
-    /// node that pop while it is down are dropped and counted in
+    /// other event; packets, timers, deferred sends and calls already
+    /// addressed to the node that pop while it is down are dropped and
+    /// counted in
     /// [`Sim::node_down_drops`]. On the transition the node's
     /// [`Node::on_crash`] / [`Node::on_restart`] hook runs.
     pub fn schedule_node_admin(&mut self, delay: Ns, node: NodeId, up: bool) {
@@ -633,8 +647,8 @@ impl<P: Payload> Sim<P> {
         self.node_up[node]
     }
 
-    /// Packets, timers and calls dropped because their target node was
-    /// down.
+    /// Packets, timers, deferred sends and calls dropped because their
+    /// target node was down.
     pub fn node_down_drops(&self) -> u64 {
         self.node_down_drops
     }
@@ -688,9 +702,9 @@ impl<P: Payload> Sim<P> {
         }
     }
 
-    /// Packets the engine holds right now: `(queued for delivery,
-    /// stalled on a down link)`. Test probe for packet conservation:
-    /// not part of the API.
+    /// Packets the engine holds right now: `(queued for delivery or
+    /// held by a` [`Ctx::send_after`]`, stalled on a down link)`. Test
+    /// probe for packet conservation: not part of the API.
     #[doc(hidden)]
     pub fn held_packets(&self) -> (usize, usize) {
         let stalled = self.transmitters.iter().map(|t| t.stall_buf.len()).sum();
@@ -787,9 +801,10 @@ impl<P: Payload> Sim<P> {
             return;
         }
         // Down-node check first: a crashed node receives no packets or
-        // timers (calls get the same check in `Sim::call`). Only what
-        // falls due during the outage is lost; a timer due after the
-        // restart still fires. One bool test on the hot path, before
+        // timers and sends nothing it deferred (calls get the same check
+        // in `Sim::call`). Only what falls due during the outage is
+        // lost; a timer or deferred send due after the restart still
+        // fires. One bool test on the hot path, before
         // the packet log, so all-up runs are byte-identical to the
         // pre-node-dynamics engine.
         if !self.node_up[node_id] {
@@ -806,6 +821,9 @@ impl<P: Payload> Sim<P> {
                 node.on_packet(&mut ctx, port as PortId, payload);
             }
             Slot::Busy(_, EventKind::Timer { token }) => node.on_timer(&mut ctx, token),
+            Slot::Busy(_, EventKind::Deferred { port, payload }) => {
+                ctx.send(port as PortId, payload);
+            }
             // Consumed by a call rather than held across a panic: an
             // unwind edge here would keep the body in a temporary on
             // every path.
@@ -904,7 +922,7 @@ impl<P: Payload> Sim<P> {
 #[cold]
 fn not_a_delivery<P: Payload>(slot: Slot<P>) -> ! {
     drop(slot);
-    unreachable!("peek said packet or timer")
+    unreachable!("peek said packet, timer or deferred send")
 }
 
 /// The panic behind a failed [`Sim::node_ref`] / [`Sim::node_mut`]
@@ -1425,6 +1443,111 @@ mod tests {
         assert_eq!(node.got, vec![7]);
         assert_eq!((node.crashes, node.restarts), (1, 1));
         assert_eq!(sim.node_down_drops(), 0);
+    }
+
+    /// A source with two sinks: port 0 leads to the first, port 1 to
+    /// the second, each over a 5 ms, 1 Gbps link.
+    fn deferral_world() -> (Sim, NodeId, [NodeId; 2]) {
+        let mut sim: Sim = Sim::new(1);
+        let src = sim.add_node("src", Box::new(Tap::<Vec<u8>>::new(vec![vec![0]])));
+        let sinks = [0, 1].map(|i| {
+            let sink = sim.add_node(&format!("sink{i}"), Box::new(Tap::<Vec<u8>>::sink()));
+            sim.connect(src, sink, LinkCfg::wan(Ns::from_ms(5)));
+            sink
+        });
+        (sim, src, sinks)
+    }
+
+    /// `(arrival, first byte)` of every packet `sink` received.
+    fn arrivals(sim: &Sim, sink: NodeId) -> Vec<(Ns, u8)> {
+        let received = &sim.node_ref::<Tap>(sink).received;
+        received.iter().map(|(at, pkt)| (*at, pkt[0])).collect()
+    }
+
+    #[test]
+    fn deferred_send_leaves_through_its_port_at_now_plus_delay() {
+        let (mut sim, src, sinks) = deferral_world();
+        sim.schedule_call::<Tap>(src, Ns::from_ms(1), |_, ctx| {
+            ctx.send_after(Ns::from_ms(3), 1, vec![7; 125]);
+        });
+        sim.run_until(Ns::from_ms(2));
+        assert_eq!(sim.held_packets(), (1, 0), "held by the engine");
+        assert_eq!(sim.link_stats(1, 0).tx_packets, 0, "not on the link yet");
+        sim.run();
+        // Sent at 4 ms: 125 bytes serialise in 1 µs, then 5 ms of delay.
+        let sent = Ns::from_ms(4);
+        assert_eq!(
+            arrivals(&sim, sinks[1]),
+            [(sent + Ns::from_us(1) + Ns::from_ms(5), 7)]
+        );
+        assert!(arrivals(&sim, sinks[0]).is_empty());
+        assert_eq!(sim.link_stats(1, 0).tx_packets, 1);
+        assert_eq!(sim.held_packets(), (0, 0));
+    }
+
+    #[test]
+    fn deferred_send_due_while_down_is_dropped_and_one_due_after_restart_is_sent() {
+        let (mut sim, src, sinks) = deferral_world();
+        sim.schedule_call::<Tap>(src, Ns::ZERO, |_, ctx| {
+            ctx.send_after(Ns::from_ms(2), 0, vec![1]);
+            ctx.send_after(Ns::from_ms(6), 0, vec![2]);
+        });
+        sim.schedule_node_admin(Ns::from_ms(1), src, false);
+        sim.schedule_node_admin(Ns::from_ms(4), src, true);
+        sim.run();
+        let got: Vec<u8> = arrivals(&sim, sinks[0]).iter().map(|a| a.1).collect();
+        assert_eq!(got, [2]);
+        assert_eq!(sim.node_down_drops(), 1);
+        assert_eq!(sim.link_stats(0, 0).tx_packets, 1);
+    }
+
+    #[test]
+    fn deferred_send_keeps_fifo_order_with_a_timer_at_the_same_instant() {
+        // The tap's timer 0 sends byte 0; the deferral carries byte 1.
+        for timer_first in [false, true] {
+            let (mut sim, src, sinks) = deferral_world();
+            sim.schedule_call::<Tap>(src, Ns::ZERO, move |_, ctx| {
+                let at = Ns::from_ms(1);
+                if timer_first {
+                    ctx.set_timer(at, 0);
+                }
+                ctx.send_after(at, 0, vec![1]);
+                if !timer_first {
+                    ctx.set_timer(at, 0);
+                }
+            });
+            sim.run();
+            let got: Vec<u8> = arrivals(&sim, sinks[0]).iter().map(|a| a.1).collect();
+            let expect = if timer_first { [0, 1] } else { [1, 0] };
+            assert_eq!(got, expect, "timer first: {timer_first}");
+        }
+    }
+
+    #[test]
+    fn deferred_sends_with_different_delays_each_keep_their_own() {
+        let (mut sim, src, sinks) = deferral_world();
+        sim.schedule_call::<Tap>(src, Ns::ZERO, |_, ctx| {
+            ctx.send_after(Ns::from_ms(2), 0, vec![1]);
+            ctx.send_after(Ns::from_ms(1), 0, vec![2]);
+        });
+        sim.run();
+        // One byte serialises in 8 ns.
+        let link = Ns::from_ms(5) + Ns(8);
+        assert_eq!(
+            arrivals(&sim, sinks[0]),
+            [(Ns::from_ms(1) + link, 2), (Ns::from_ms(2) + link, 1)]
+        );
+    }
+
+    #[test]
+    fn deferred_send_past_the_clock_is_refused_and_counted() {
+        let (mut sim, src, _) = deferral_world();
+        sim.schedule_call::<Tap>(src, Ns::from_ms(1), |_, ctx| {
+            ctx.send_after(Ns::MAX, 0, vec![1]);
+        });
+        sim.run();
+        assert_eq!(sim.total_horizon_drops(), 1);
+        assert_eq!(sim.held_packets(), (0, 0));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Engine-level packet conservation: every packet handed to
-//! `Ctx::send` ends in exactly one state — delivered once, counted in
-//! one named drop counter, stalled on a down link, or still pending in
-//! the event queue — in random small worlds with finite queues, random
-//! loss, links that go down under both down policies, and nodes that
-//! crash and restart. Once the queue drains, no slab slot holds a body.
+//! `Ctx::send` or `Ctx::send_after` ends in exactly one state —
+//! delivered once, counted in one named drop counter, stalled on a down
+//! link, or still pending in the event queue — in random small worlds
+//! with finite queues, random loss, links that go down under both down
+//! policies, and nodes that crash and restart. Once the queue drains,
+//! no slab slot holds a body.
 
 use netsim::{Ctx, DownPolicy, LinkCfg, Node, NodeId, Ns, PortId, Sim};
 use proptest::prelude::*;
@@ -28,13 +29,21 @@ impl Gen {
 
 /// Sends one packet per timer (out of port `token % ports`) and, on
 /// every even-id arrival that has made fewer than two hops, one more
-/// packet back out of the arrival port. Every packet carries a unique
-/// id in its first eight bytes and its hop count in the ninth.
+/// packet back out of the arrival port — at once, or (for every other
+/// such echo) through `Ctx::send_after` with a delay of up to 5 ms.
+/// Every packet carries a unique id in its first eight bytes and its
+/// hop count in the ninth.
 struct Host {
     id: u64,
     next: u64,
-    /// `(packet id, what send returned)` for every `Ctx::send` call.
+    /// `(packet id, what send returned)` for every `Ctx::send` call;
+    /// a deferral is recorded as accepted.
     sent: Vec<(u64, bool)>,
+    /// When each `Ctx::send_after` call falls due.
+    deferred: Vec<Ns>,
+    /// This host's outages, `[crash, restart)`; an open one ends at
+    /// `Ns::MAX`.
+    outages: Vec<(Ns, Ns)>,
     /// Ids of every packet delivered here.
     got: Vec<u64>,
     size: usize,
@@ -46,19 +55,44 @@ impl Host {
             id,
             next: 0,
             sent: Vec::new(),
+            deferred: Vec::new(),
+            outages: Vec::new(),
             got: Vec::new(),
             size,
         }
     }
 
-    fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, hops: u8) {
+    fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, hops: u8, delay: Option<Ns>) {
         let id = (self.id << 32) | self.next;
         self.next += 1;
         let mut bytes = vec![0u8; self.size.max(9)];
         bytes[..8].copy_from_slice(&id.to_be_bytes());
         bytes[8] = hops;
-        let ok = ctx.send(port, bytes);
+        let ok = match delay {
+            Some(delay) => {
+                ctx.send_after(delay, port, bytes);
+                self.deferred.push(ctx.now().saturating_add(delay));
+                true
+            }
+            None => ctx.send(port, bytes),
+        };
         self.sent.push((id, ok));
+    }
+
+    /// Deferrals that are still held at `now`, and those that fell due
+    /// while this host was down. Every admin event is scheduled before
+    /// the run, so at one instant a crash or restart takes effect
+    /// before a deferral falls due.
+    fn deferrals(&self, now: Ns) -> (u64, u64) {
+        let held = self.deferred.iter().filter(|&&due| due > now).count();
+        let down = self.deferred.iter().filter(|&&due| {
+            due <= now
+                && self
+                    .outages
+                    .iter()
+                    .any(|&(crash, up)| crash <= due && due < up)
+        });
+        (held as u64, down.count() as u64)
     }
 }
 
@@ -66,7 +100,7 @@ impl Node for Host {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if ctx.port_count() > 0 {
             let port = token as usize % ctx.port_count();
-            self.send(ctx, port, 0);
+            self.send(ctx, port, 0, None);
         }
     }
 
@@ -74,8 +108,18 @@ impl Node for Host {
         let id = u64::from_be_bytes(bytes[..8].try_into().expect("8-byte id"));
         self.got.push(id);
         if id % 2 == 0 && bytes[8] < 2 {
-            self.send(ctx, port, bytes[8] + 1);
+            let delay = (id % 4 == 2).then(|| Ns::from_us(1 + id.wrapping_mul(7919) % 5_000));
+            self.send(ctx, port, bytes[8] + 1, delay);
         }
+    }
+
+    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
+        self.outages.push((ctx.now(), Ns::MAX));
+    }
+
+    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+        let outage = self.outages.last_mut().expect("a restart follows a crash");
+        outage.1 = ctx.now();
     }
 }
 
@@ -137,8 +181,9 @@ fn world(seed: u64) -> (Sim, Vec<NodeId>, Ns) {
 }
 
 /// How many packets are in each end state: delivered, fault-dropped,
-/// queue-dropped, down-dropped, dropped at a down node, pending,
-/// stalled.
+/// queue-dropped, down-dropped, dropped at a down node (on arrival, or
+/// deferred and due during an outage), pending (in flight or
+/// deferred), stalled.
 fn states(sim: &Sim, hosts: &[NodeId]) -> [u64; 7] {
     let delivered = hosts
         .iter()
@@ -184,30 +229,46 @@ fn check_conservation(sim: &Sim, hosts: &[NodeId]) -> Result<(), String> {
         ));
     }
     let [delivered, fault, queue, down, node_down, pending, stalled] = states;
+    let (deferred, deferred_held, deferred_down) = deferrals(sim, hosts);
     // Every packet a link accepted is delivered, dropped at a down
-    // node, or still queued.
+    // node on arrival, or still in flight: the deferrals still held or
+    // due during an outage never reached a link.
     let links = (0..sim.link_count()).flat_map(|l| [sim.link_stats(l, 0), sim.link_stats(l, 1)]);
     let (accepted_by_links, stalled_ever) =
         links.fold((0, 0), |(tx, st), s| (tx + s.tx_packets, st + s.stalled));
-    if accepted_by_links != delivered + node_down + pending {
+    if accepted_by_links + deferred_held + deferred_down != delivered + node_down + pending {
         return Err(format!(
-            "links accepted {accepted_by_links} != delivered {delivered} \
+            "links accepted {accepted_by_links} + deferrals held {deferred_held} \
+             + deferrals due while down {deferred_down} != delivered {delivered} \
              + node-down {node_down} + pending {pending}"
         ));
     }
     // A `false` from send is a fault, down, queue or horizon drop; only
-    // packets flushed from a stall buffer can be queue- or
-    // horizon-dropped after send said `true`.
+    // packets flushed from a stall buffer and deferrals handed to a
+    // link can be queue-, fault-, down- or horizon-dropped after the
+    // node was told `true`.
     let refused = sent - accepted.len() as u64;
     let flushed = stalled_ever - stalled;
+    let deferred_sent = deferred - deferred_held - deferred_down;
     let dropped = fault + down + queue + horizon;
-    if refused > dropped || refused + flushed < dropped {
+    if refused > dropped || refused + flushed + deferred_sent < dropped {
         return Err(format!(
             "send refused {refused}, but fault + down + queue + horizon \
-             drops are {dropped} with {flushed} flushed from stall buffers"
+             drops are {dropped} with {flushed} flushed from stall buffers \
+             and {deferred_sent} deferrals sent"
         ));
     }
     Ok(())
+}
+
+/// Every host's deferrals at the current instant: made, still held,
+/// and dropped because they fell due while their host was down.
+fn deferrals(sim: &Sim, hosts: &[NodeId]) -> (u64, u64, u64) {
+    hosts.iter().fold((0, 0, 0), |(all, held, down), &h| {
+        let host = sim.node_ref::<Host>(h);
+        let (h, d) = host.deferrals(sim.now());
+        (all + host.deferred.len() as u64, held + h, down + d)
+    })
 }
 
 /// A packet whose arrival would saturate at `Ns::MAX`, the engine's
@@ -238,15 +299,18 @@ fn packet_arriving_past_the_clock_is_refused_and_counted() {
 }
 
 /// The generator is only as good as the states it reaches: over a
-/// fixed run of seeds, every end state occurs, mid-run and at the end.
+/// fixed run of seeds, every end state occurs, mid-run and at the end,
+/// and deferrals are both held and dropped at a down host.
 #[test]
 fn generator_reaches_every_end_state() {
-    let mut seen = [0u64; 7];
+    let mut seen = [0u64; 9];
     for seed in 0..64 {
         let (mut sim, hosts, horizon) = world(seed);
         for step in 1..=4 {
             sim.run_until(Ns(horizon.0 * step / 4));
-            for (total, n) in seen.iter_mut().zip(states(&sim, &hosts)) {
+            let (_, held, down) = deferrals(&sim, &hosts);
+            let states = states(&sim, &hosts).into_iter().chain([held, down]);
+            for (total, n) in seen.iter_mut().zip(states) {
                 *total += n;
             }
         }

@@ -6,42 +6,29 @@ use lispwire::dnswire::{Message, Rcode};
 use lispwire::packet::Packet;
 use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
-use std::collections::VecDeque;
+
+/// Per-query lookup/processing delay of every [`AuthServer`].
+const PROCESSING_DELAY: Ns = Ns::from_us(100);
 
 /// An authoritative server answering A queries from its [`ZoneStore`].
 ///
 /// Listens on UDP port 53 of its single access port; everything else is
-/// ignored. A configurable processing delay models lookup cost.
+/// ignored. A fixed 100 µs processing delay models lookup cost.
 pub struct AuthServer {
     stack: IpStack,
     zones: ZoneStore,
-    processing_delay: Ns,
-    pending: VecDeque<Packet>,
     /// Queries answered (any rcode).
     pub queries_answered: u64,
     /// Queries ignored (not DNS / not a query).
     pub ignored: u64,
 }
 
-const TOKEN_ANSWER: u64 = u64::MAX - 0xA0A0;
-
 impl AuthServer {
-    /// A server at `addr` serving `zones` with 100 µs processing delay.
+    /// A server at `addr` serving `zones`.
     pub fn new(addr: Ipv4Address, zones: ZoneStore) -> Self {
-        Self::with_processing_delay(addr, zones, Ns::from_us(100))
-    }
-
-    /// A server with an explicit processing delay.
-    pub fn with_processing_delay(
-        addr: Ipv4Address,
-        zones: ZoneStore,
-        processing_delay: Ns,
-    ) -> Self {
         Self {
             stack: IpStack::new(addr),
             zones,
-            processing_delay,
-            pending: VecDeque::new(),
             queries_answered: 0,
             ignored: 0,
         }
@@ -114,20 +101,7 @@ impl Node<Packet> for AuthServer {
             ));
         }
         let reply_pkt = self.stack.dns(ports::DNS, ip.src, p.src, resp);
-        if self.processing_delay == Ns::ZERO {
-            ctx.send(0, reply_pkt);
-        } else {
-            self.pending.push_back(reply_pkt);
-            ctx.set_timer(self.processing_delay, TOKEN_ANSWER);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == TOKEN_ANSWER {
-            if let Some(pkt) = self.pending.pop_front() {
-                ctx.send(0, pkt);
-            }
-        }
+        ctx.send_after(PROCESSING_DELAY, 0, reply_pkt);
     }
 }
 

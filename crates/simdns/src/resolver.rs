@@ -142,18 +142,6 @@ impl Resolver {
         self.stack.addr
     }
 
-    /// Entries currently in the positive cache (expired ones included
-    /// until next touch).
-    pub fn cache_len(&self) -> usize {
-        self.answer_cache.len()
-    }
-
-    /// Drop all cached state (used between experiment repetitions).
-    pub fn flush_cache(&mut self) {
-        self.answer_cache.clear();
-        self.ns_cache.clear();
-    }
-
     /// Configure the standby uplink: [`Resolver::fail_over`] moves
     /// every future transmission onto `port` and — if IPC notification
     /// is on — re-targets its notices at `standby_pce`.
