@@ -31,12 +31,10 @@
 //! re-resolution, an order of magnitude longer — and the gap widens as
 //! the mapping system gets bigger.
 
-use crate::experiments::e8_overhead::control_plane_tally;
-use crate::experiments::report::{Cell, ExpReport, Section};
+use crate::experiments::{cross, Cell, Grid, RunRecord};
 use crate::hosts::{FlowMode, FlowSpec};
 use crate::scenario::CpKind;
 use crate::spec::{DynamicsSpec, ScenarioSpec};
-use crate::table::Table;
 use ircte::SelectionPolicy;
 use lispwire::dnswire::Name;
 use netsim::Ns;
@@ -51,80 +49,9 @@ pub const CBR_PACKETS: u32 = 160;
 /// Destination-site counts of the sweep.
 pub const SITE_COUNTS: [usize; 3] = [2, 8, 32];
 
-/// One (control plane, site count) measurement.
-#[derive(Debug, Clone)]
-pub struct RecoveryRow {
-    /// Control plane label.
-    pub cp: String,
-    /// Destination-site count.
-    pub n_sites: usize,
-    /// CBR packets sent by the client.
-    pub sent: u64,
-    /// Packets delivered at the destination site.
-    pub delivered: u64,
-    /// Packets lost to the failure (sent − delivered).
-    pub blackholed: u64,
-    /// Time from the failure instant to the first post-failure arrival
-    /// (ms); `None` when the flow never recovers.
-    pub recovery_ms: Option<f64>,
-    /// Control messages attributable to recovery (post-failure delta).
-    pub recovery_ctl_msgs: u64,
-    /// Database bytes pushed during recovery (NERD re-push).
-    pub recovery_push_bytes: u64,
-}
-
-/// E10 result.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryResult {
-    /// All rows, site-count-major.
-    pub rows: Vec<RecoveryRow>,
-}
-
-impl RecoveryResult {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "recovery",
-            "E10: locator-failure recovery under live CBR traffic",
-            &[
-                "cp",
-                "n_sites",
-                "sent",
-                "delivered",
-                "blackholed",
-                "recovery_ms",
-                "rec_ctl_msgs",
-                "rec_push_bytes",
-            ],
-        );
-        for r in &self.rows {
-            s.row(vec![
-                Cell::str(r.cp.clone()),
-                Cell::usize(r.n_sites),
-                Cell::u64(r.sent),
-                Cell::u64(r.delivered),
-                Cell::u64(r.blackholed),
-                Cell::opt_f64(r.recovery_ms, 1, "never"),
-                Cell::u64(r.recovery_ctl_msgs),
-                Cell::u64(r.recovery_push_bytes),
-            ]);
-        }
-        s
-    }
-
-    /// Render the table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
-
-    /// Rows for one control plane, ordered by site count.
-    pub fn rows_for(&self, cp: &str) -> Vec<&RecoveryRow> {
-        self.rows.iter().filter(|r| r.cp == cp).collect()
-    }
-}
-
-/// Run one (cp, n_sites) cell.
-pub fn run_recovery_cell(cp: CpKind, n_sites: usize, seed: u64) -> RecoveryRow {
+/// One (cp, n_sites) cell: one CBR flow to `host-0` of D0, whose
+/// primary locator fails at [`T_FAIL`].
+pub fn spec(cp: CpKind, n_sites: usize) -> ScenarioSpec {
     let mut spec = ScenarioSpec::multi_site(cp, n_sites, 2);
     let qname = spec.topology.host_name(&spec.topology.sites[1], 0);
     spec.set_flows(vec![FlowSpec {
@@ -141,132 +68,129 @@ pub fn run_recovery_cell(cp: CpKind, n_sites: usize, seed: u64) -> RecoveryRow {
     // is the same provider every other control plane registers (and
     // therefore the one the failure kills).
     spec.pce_policy = SelectionPolicy::MinCost;
-
-    let mut world = spec.build(seed);
-    world.schedule_all_flows();
-    // Snapshot the control-plane tally just before the failure fires,
-    // so the reported cost is the *recovery* cost alone.
-    world.sim.run_until(T_FAIL - Ns(1));
-    let before = control_plane_tally(&world);
-    world.sim.run_until(Ns::from_secs(14));
-    let after = control_plane_tally(&world);
-
-    let sent: u64 = world.records().iter().map(|r| u64::from(r.data_sent)).sum();
-    let delivered = world.server_udp_received();
-    let arrivals = world.udp_arrivals("D0");
-    // Packets accepted before the failure drain within ~2 WAN OWDs;
-    // anything arriving after this horizon crossed the recovered path.
-    let inflight_horizon = T_FAIL + Ns::from_ms(100);
-    let recovery_ms = arrivals
-        .iter()
-        .find(|&&t| t > inflight_horizon)
-        .map(|&t| (t - T_FAIL).as_ms_f64());
-
-    RecoveryRow {
-        cp: cp.label().into_owned(),
-        n_sites,
-        sent,
-        delivered,
-        blackholed: sent.saturating_sub(delivered),
-        recovery_ms,
-        recovery_ctl_msgs: after.control_msgs.saturating_sub(before.control_msgs),
-        recovery_push_bytes: after.push_bytes.saturating_sub(before.push_bytes),
-    }
+    spec
 }
 
-/// Full sweep on up to `jobs` workers (`0` = auto): every [`CpKind`]
-/// at every site count.
-pub fn run_recovery_jobs(seed: u64, jobs: usize) -> RecoveryResult {
-    let mut cells = Vec::new();
-    for n in SITE_COUNTS {
-        for cp in CpKind::all() {
-            cells.push((cp, n));
-        }
-    }
-    let rows = crate::experiments::sweep::Sweep::new("e10", cells).run(
-        jobs,
-        |&(cp, n)| format!("{}/n={n}", cp.label()),
-        |&(cp, n)| run_recovery_cell(cp, n, seed),
-    );
-    RecoveryResult { rows }
-}
-
-/// Full sweep, serial.
-pub fn run_recovery(seed: u64) -> RecoveryResult {
-    run_recovery_jobs(seed, 1)
-}
-
-/// The registry entry for E10.
-pub struct E10Recovery;
-
-impl crate::experiments::Experiment for E10Recovery {
-    fn name(&self) -> &'static str {
-        "e10"
-    }
-    fn title(&self) -> &'static str {
-        "Locator-failure recovery (dynamics subsystem)"
-    }
-    fn run(&self, seed: u64, jobs: usize) -> ExpReport {
-        ExpReport::new(self.name(), self.title())
-            .with_section(run_recovery_jobs(seed, jobs).section())
+/// E10: every [`CpKind`] at every site count.
+pub fn grid() -> Grid<(CpKind, usize)> {
+    Grid {
+        name: "e10",
+        title: "Locator-failure recovery (dynamics subsystem)",
+        key: "recovery",
+        heading: "E10: locator-failure recovery under live CBR traffic",
+        columns: &[
+            "cp",
+            "n_sites",
+            "sent",
+            "delivered",
+            "blackholed",
+            "recovery_ms",
+            "rec_ctl_msgs",
+            "rec_push_bytes",
+        ],
+        cells: cross(&SITE_COUNTS, &CpKind::all()),
+        row: |&(cp, n), seed| {
+            let mut world = spec(cp, n).build(seed);
+            world.schedule_all_flows();
+            // Read the world just before the failure fires, so the
+            // reported cost is the *recovery* cost alone.
+            world.sim.run_until(T_FAIL - Ns(1));
+            let before = RunRecord::of(&world).tally;
+            world.sim.run_until(Ns::from_secs(14));
+            let after = RunRecord::of(&world);
+            // Packets accepted before the failure drain within ~2 WAN
+            // OWDs; anything arriving after this horizon crossed the
+            // recovered path. `never` when the flow never recovers.
+            let inflight_horizon = T_FAIL + Ns::from_ms(100);
+            let recovery_ms = world
+                .udp_arrivals("D0")
+                .into_iter()
+                .find(|&t| t > inflight_horizon)
+                .map(|t| (t - T_FAIL).as_ms_f64());
+            let (sent, delivered) = (after.sent(), after.delivered);
+            let t = after.tally;
+            vec![
+                Cell::str(cp.label()),
+                Cell::usize(n),
+                Cell::u64(sent),
+                Cell::u64(delivered),
+                Cell::u64(sent.saturating_sub(delivered)),
+                Cell::opt_f64(recovery_ms, 1, "never"),
+                Cell::u64(t.control_msgs.saturating_sub(before.control_msgs)),
+                Cell::u64(t.push_bytes.saturating_sub(before.push_bytes)),
+            ]
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Section;
+
+    fn cell(cp: CpKind, n: usize, seed: u64) -> Section {
+        Grid {
+            cells: vec![(cp, n)],
+            ..grid()
+        }
+        .section(seed, 1)
+    }
 
     #[test]
     fn pce_recovers_fastest_and_pull_pays_probe_plus_resolution() {
-        let pce = run_recovery_cell(CpKind::Pce, 2, 1);
-        let pull = run_recovery_cell(CpKind::LispQueue, 2, 1);
-        let pce_rec = pce.recovery_ms.expect("pce must recover");
-        let pull_rec = pull.recovery_ms.expect("pull must recover");
+        let pce = cell(CpKind::Pce, 2, 1);
+        let pull = cell(CpKind::LispQueue, 2, 1);
+        let pce_rec = pce.num(0, "recovery_ms").expect("pce must recover");
+        let pull_rec = pull.num(0, "recovery_ms").expect("pull must recover");
         assert!(
             pce_rec * 3.0 < pull_rec,
             "push-based recovery must be far faster: pce {pce_rec} ms vs pull {pull_rec} ms"
         );
-        assert!(pce.blackholed < pull.sent / 10, "{pce:?}");
+        let pull_sent = pull.num(0, "sent").unwrap();
+        assert!(
+            pce.num(0, "blackholed").unwrap() < pull_sent / 10.0,
+            "{pce:?}"
+        );
     }
 
     #[test]
     fn nerd_repush_bytes_grow_with_sites() {
-        let small = run_recovery_cell(CpKind::Nerd, 2, 1);
-        let big = run_recovery_cell(CpKind::Nerd, 8, 1);
-        assert!(small.recovery_push_bytes > 0, "{small:?}");
-        assert!(
-            big.recovery_push_bytes > 2 * small.recovery_push_bytes,
-            "recovery re-push is db × subscribers: {} vs {}",
-            small.recovery_push_bytes,
-            big.recovery_push_bytes
+        let small = cell(CpKind::Nerd, 2, 1);
+        let big = cell(CpKind::Nerd, 8, 1);
+        let (s, b) = (
+            small.num(0, "rec_push_bytes").unwrap(),
+            big.num(0, "rec_push_bytes").unwrap(),
         );
-        assert!(small.recovery_ms.is_some());
+        assert!(s > 0.0, "{small:?}");
+        assert!(
+            b > 2.0 * s,
+            "recovery re-push is db × subscribers: {s} vs {b}"
+        );
+        assert!(small.num(0, "recovery_ms").is_some());
     }
 
     #[test]
     fn no_lisp_single_homed_site_never_recovers() {
-        let row = run_recovery_cell(CpKind::NoLisp, 2, 1);
-        assert!(row.recovery_ms.is_none(), "{row:?}");
-        assert!(row.blackholed > 0, "{row:?}");
+        let s = cell(CpKind::NoLisp, 2, 1);
+        assert!(s.num(0, "recovery_ms").is_none(), "{s:?}");
+        assert!(s.num(0, "blackholed").unwrap() > 0.0, "{s:?}");
     }
 
     #[test]
     fn every_cp_recovers_except_no_lisp() {
-        for cp in CpKind::all() {
-            let row = run_recovery_cell(cp, 2, 2);
-            if cp == CpKind::NoLisp {
-                continue;
-            }
+        let mut g = grid();
+        g.cells.retain(|&(cp, n)| n == 2 && cp != CpKind::NoLisp);
+        let s = g.section(2, 1);
+        for (i, row) in s.rows.iter().enumerate() {
+            let cp = &row[0].text;
             assert!(
-                row.recovery_ms.is_some(),
-                "{}: must reconnect after the failure: {row:?}",
-                row.cp
+                s.num(i, "recovery_ms").is_some(),
+                "{cp}: must reconnect after the failure: {row:?}"
             );
             assert_eq!(
-                row.sent,
-                u64::from(CBR_PACKETS),
-                "{}: full CBR must run: {row:?}",
-                row.cp
+                s.num(i, "sent"),
+                Some(f64::from(CBR_PACKETS)),
+                "{cp}: full CBR must run: {row:?}"
             );
         }
     }

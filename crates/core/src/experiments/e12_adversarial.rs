@@ -15,165 +15,43 @@
 //!    a data-driven miss, so scans extract *zero* amplification from it
 //!    — the graceful-degradation headline (DESIGN.md §10).
 
-use crate::experiments::e8_overhead::control_plane_tally;
-use crate::experiments::report::{Cell, ExpReport, Section};
-use crate::hosts::FlowMode;
+use crate::adversary::AttackNode;
+use crate::experiments::{
+    run_world, Cell, Grid, Horizon, RunRecord, Section, Sections, Value, QUEUE,
+};
+use crate::hosts::{FlowMode, FlowSpec};
 use crate::plane::MapSystem;
 use crate::scenario::CpKind;
 use crate::spec::{AttackerSpec, DefenseSpec, ScenarioSpec};
-use crate::table::Table;
+use crate::workload::{PoissonArrivals, ZipfPicker};
 use inet::Prefix;
-use lispdp::{CacheSpec, EvictionPolicy, MissPolicy, Xtr};
+use lispdp::{CacheSpec, EvictionPolicy, Xtr};
 use lispwire::dnswire::Name;
 use lispwire::Ipv4Address;
 use mapsys::{AltRouter, ConsNode, MapResolver};
 use netsim::Ns;
 
-/// One row of the capacity sweep.
-#[derive(Debug, Clone)]
-pub struct CapacityRow {
-    /// Cache shape label (`"unbounded"`, `"8 lru"`, …).
-    pub cache: String,
-    /// ITR cache hits.
-    pub hits: u64,
-    /// ITR cache misses.
-    pub misses: u64,
-    /// Miss ratio.
-    pub miss_ratio: f64,
-    /// Capacity evictions.
-    pub evictions: u64,
-    /// TTL expirations.
-    pub expirations: u64,
-    /// Map-Requests sent (the signalling cost of the misses).
-    pub requests_sent: u64,
+/// The capacity cells, in report order.
+pub fn capacity_cells() -> Vec<CacheSpec> {
+    let bounded = |n, policy| CacheSpec::bounded(n, policy).with_sweep();
+    vec![
+        bounded(4, EvictionPolicy::Lru),
+        bounded(8, EvictionPolicy::Lru),
+        bounded(16, EvictionPolicy::Lru),
+        CacheSpec::default(),
+        bounded(8, EvictionPolicy::Lfu),
+        bounded(8, EvictionPolicy::Ttl),
+    ]
 }
 
-/// One row of the attack grid.
-#[derive(Debug, Clone)]
-pub struct AttackRow {
-    /// Attacker role (`"none"`, `"flood"`, `"poison"`, `"overclaim"`).
-    pub attack: String,
-    /// Control plane label.
-    pub cp: String,
-    /// Whether the defenses were armed.
-    pub defended: bool,
-    /// Control messages tallied across the whole control plane.
-    pub control_msgs: u64,
-    /// Control-message amplification vs. the same control plane's
-    /// attack-free baseline.
-    pub amplification: f64,
-    /// UDP data packets delivered to server hosts.
-    pub goodput: u64,
-    /// Goodput as a percentage of the attack-free baseline.
-    pub goodput_pct: f64,
-    /// Data packets hijacked into the attacker's sink.
-    pub hijacked: u64,
-    /// Map-Reply records rejected by xTR verification.
-    pub rejected: u64,
-    /// Requests dropped by rate limits or negative caches (xTR side plus
-    /// mapping-system ingress guards).
-    pub rate_limited: u64,
-}
-
-/// E12 result: the capacity sweep plus the attack grid.
-#[derive(Debug, Clone, Default)]
-pub struct AdversarialResult {
-    /// Capacity sweep rows.
-    pub capacity: Vec<CapacityRow>,
-    /// Attack grid rows (baselines first).
-    pub attacks: Vec<AttackRow>,
-}
-
-impl AdversarialResult {
-    /// The capacity-sweep section.
-    pub fn capacity_section(&self) -> Section {
-        let mut s = Section::new(
-            "capacity",
-            "E12a: miss rate vs map-cache capacity and eviction policy (Zipf workload)",
-            &[
-                "cache",
-                "hits",
-                "misses",
-                "miss_ratio",
-                "evict",
-                "expired",
-                "reqs",
-            ],
-        );
-        for r in &self.capacity {
-            s.row(vec![
-                Cell::str(r.cache.clone()),
-                Cell::u64(r.hits),
-                Cell::u64(r.misses),
-                Cell::f64(r.miss_ratio, 3),
-                Cell::u64(r.evictions),
-                Cell::u64(r.expirations),
-                Cell::u64(r.requests_sent),
-            ]);
-        }
-        s
-    }
-
-    /// The attack-grid section.
-    pub fn attack_section(&self) -> Section {
-        let mut s = Section::new(
-            "attack",
-            "E12b: control-plane amplification and goodput per attacker role x control plane",
-            &[
-                "attack",
-                "cp",
-                "defended",
-                "ctl_msgs",
-                "amp",
-                "goodput",
-                "goodput_pct",
-                "hijacked",
-                "rejected",
-                "rate_ltd",
-            ],
-        );
-        for r in &self.attacks {
-            s.row(vec![
-                Cell::str(r.attack.clone()),
-                Cell::str(r.cp.clone()),
-                Cell::str(if r.defended { "yes" } else { "no" }),
-                Cell::u64(r.control_msgs),
-                Cell::f64(r.amplification, 2),
-                Cell::u64(r.goodput),
-                Cell::f64(r.goodput_pct, 1),
-                Cell::u64(r.hijacked),
-                Cell::u64(r.rejected),
-                Cell::u64(r.rate_limited),
-            ]);
-        }
-        s
-    }
-
-    /// Render both tables.
-    pub fn tables(&self) -> Vec<Table> {
-        vec![
-            self.capacity_section().table(),
-            self.attack_section().table(),
-        ]
-    }
-}
-
-/// The bounded cache shape every attack-grid world runs with: tight
-/// enough that a scan can thrash it, sweep on so expired entries are
-/// reaped even when never rematched.
-fn attack_cache() -> CacheSpec {
-    CacheSpec::bounded(32, EvictionPolicy::Lru).with_sweep()
-}
-
-/// Run one capacity cell: Fig. 1, fine-grained mappings over 24
-/// destination EIDs, 180 Zipf(1.0) flows, 1-minute TTL.
-pub fn run_capacity_cell(cache: CacheSpec, seed: u64) -> CapacityRow {
-    let n_flows = 180;
+/// One capacity cell: Fig. 1 under lisp-queue, fine-grained mappings
+/// over 24 destination EIDs, 180 Zipf(1.0) flows, 1-minute TTL.
+pub fn capacity_spec(cache: CacheSpec, seed: u64) -> ScenarioSpec {
     let dest_count = 24;
-    let mut arrivals = crate::workload::PoissonArrivals::new(seed, 2.0);
-    let mut zipf = crate::workload::ZipfPicker::new(seed.wrapping_add(1), dest_count, 1.0);
-    let flows: Vec<crate::hosts::FlowSpec> = (0..n_flows)
-        .map(|_| crate::hosts::FlowSpec {
+    let mut arrivals = PoissonArrivals::new(seed, 2.0);
+    let mut zipf = ZipfPicker::new(seed.wrapping_add(1), dest_count, 1.0);
+    let flows = (0..180)
+        .map(|_| FlowSpec {
             start: arrivals.next_arrival(),
             qname: Name::parse_str(&format!("host-{}.d.example", zipf.pick())).expect("valid"),
             mode: FlowMode::Udp {
@@ -183,60 +61,70 @@ pub fn run_capacity_cell(cache: CacheSpec, seed: u64) -> CapacityRow {
             },
         })
         .collect();
-    let horizon = flows.last().map(|f| f.start).unwrap_or(Ns::ZERO) + Ns::from_secs(30);
-    let mut world = ScenarioSpec::fig1(CpKind::LispQueue)
-        .with(|s| {
-            s.set_dest_count(dest_count);
-            s.mapping_ttl_minutes = 1;
-            s.fine_grained_mappings = true;
-            s.cache = cache;
-            s.set_flows(flows);
-        })
-        .build(seed);
-    world.override_pull_miss_policy(MissPolicy::Queue { max_packets: 64 });
-    world.schedule_all_flows();
-    world.sim.run_until(horizon);
+    ScenarioSpec::fig1(CpKind::LispQueue).with(|s| {
+        s.set_dest_count(dest_count);
+        s.mapping_ttl_minutes = 1;
+        s.fine_grained_mappings = true;
+        s.cache = cache;
+        s.set_flows(flows);
+        s.pull_miss_policy = Some(QUEUE);
+    })
+}
 
-    let (mut hits, mut misses, mut evictions, mut expirations, mut reqs) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for &x in &world.site("S").xtrs {
-        let xtr = world.sim.node_ref::<Xtr>(x);
-        hits += xtr.cache.hit_count;
-        misses += xtr.cache.miss_count;
-        evictions += xtr.cache.evictions;
-        expirations += xtr.cache.expirations;
-        reqs += xtr.stats.map_requests_sent + xtr.stats.map_request_retries;
-    }
-    let total = hits + misses;
-    CapacityRow {
-        cache: cache.label(),
-        hits,
-        misses,
-        miss_ratio: if total == 0 {
-            0.0
-        } else {
-            misses as f64 / total as f64
+/// E12a: miss rate vs cache capacity and eviction policy.
+pub fn capacity_grid() -> Grid<CacheSpec> {
+    Grid {
+        name: "e12",
+        title: TITLE,
+        key: "capacity",
+        heading: "E12a: miss rate vs map-cache capacity and eviction policy (Zipf workload)",
+        columns: &[
+            "cache",
+            "hits",
+            "misses",
+            "miss_ratio",
+            "evict",
+            "expired",
+            "reqs",
+        ],
+        cells: capacity_cells(),
+        row: |&cache, seed| {
+            let horizon = Horizon::AfterLastFlow(Ns::from_secs(30));
+            let world = run_world(&capacity_spec(cache, seed), seed, horizon);
+            let (mut hits, mut misses, mut evict, mut expired, mut reqs) = (0, 0, 0, 0, 0);
+            for &x in &world.site("S").xtrs {
+                let xtr = world.sim.node_ref::<Xtr>(x);
+                hits += xtr.cache.hit_count;
+                misses += xtr.cache.miss_count;
+                evict += xtr.cache.evictions;
+                expired += xtr.cache.expirations;
+                // The signalling cost of the misses.
+                reqs += xtr.stats.map_requests_sent + xtr.stats.map_request_retries;
+            }
+            let total = hits + misses;
+            let miss_ratio = if total == 0 {
+                0.0
+            } else {
+                misses as f64 / total as f64
+            };
+            vec![
+                Cell::str(cache.label()),
+                Cell::u64(hits),
+                Cell::u64(misses),
+                Cell::f64(miss_ratio, 3),
+                Cell::u64(evict),
+                Cell::u64(expired),
+                Cell::u64(reqs),
+            ]
         },
-        evictions,
-        expirations,
-        requests_sent: reqs,
     }
 }
 
-/// Raw tallies of one attack-grid run (joined against the baseline
-/// after the sweep).
-#[derive(Debug, Clone, Copy)]
-pub struct AttackRaw {
-    /// Control messages across the whole control plane.
-    pub control_msgs: u64,
-    /// UDP data packets delivered to server hosts.
-    pub goodput: u64,
-    /// Data packets absorbed by attacker sinks.
-    pub hijacked: u64,
-    /// Records rejected by xTR reply verification.
-    pub rejected: u64,
-    /// Rate-limit and negative-cache drops, xTR + mapping system.
-    pub rate_limited: u64,
+/// The bounded cache shape every attack-grid world runs with: tight
+/// enough that a scan can thrash it, sweep on so expired entries are
+/// reaped even when never rematched.
+fn attack_cache() -> CacheSpec {
+    CacheSpec::bounded(32, EvictionPolicy::Lru).with_sweep()
 }
 
 /// The attacker roles of the grid, in report order.
@@ -266,73 +154,119 @@ pub fn attack_roles() -> Vec<(&'static str, AttackerSpec)> {
     ]
 }
 
-/// Run one attack-grid cell: `multi_site(cp, 4, 4)` with a bounded LRU
-/// cache, the given attacker (or none), and defenses on or off.
-pub fn run_attack_cell(
-    cp: CpKind,
-    attack: Option<&AttackerSpec>,
-    defended: bool,
-    seed: u64,
-) -> AttackRaw {
-    let mut world = ScenarioSpec::multi_site(cp, 4, 4)
-        .with(|s| {
-            // A covering /8 EID space leaves dead space between the
-            // site /16s for the flood's randomized scans.
-            s.eid_space = Some(vec![Prefix::new(Ipv4Address::new(120, 0, 0, 0), 8)]);
-            s.cache = attack_cache();
-            if defended {
-                s.defense = DefenseSpec::armed();
-            }
-            if let Some(a) = attack {
-                s.attackers = vec![a.clone()];
-            }
-        })
-        .build(seed);
-    world.schedule_all_flows();
-    let horizon = world.last_flow_start() + Ns::from_secs(20);
-    world.sim.run_until(horizon);
+/// One attack cell: the attacker role's label, the plane, the attacker
+/// (`None` for the plane's attack-free baseline) and whether the
+/// defenses are armed.
+pub type AttackCell = (&'static str, CpKind, Option<AttackerSpec>, bool);
 
-    let mut raw = AttackRaw {
-        control_msgs: control_plane_tally(&world).control_msgs,
-        goodput: world.server_udp_received(),
-        hijacked: 0,
-        rejected: 0,
-        rate_limited: 0,
-    };
-    for &n in &world.attack_nodes {
-        raw.hijacked += world
-            .sim
-            .node_ref::<crate::adversary::AttackNode>(n)
-            .hijacked_packets;
-    }
-    for x in world.all_xtrs() {
-        let xtr = world.sim.node_ref::<Xtr>(x);
-        raw.rejected += xtr.stats.replies_rejected;
-        raw.rate_limited += xtr.stats.rate_limited_requests + xtr.stats.neg_cache_drops;
-    }
-    match &world.mapsys {
-        MapSystem::None | MapSystem::Nerd { .. } => {}
-        MapSystem::Resolver { primary, .. } => {
-            if let Some(g) = &world.sim.node_ref::<MapResolver>(*primary).guard {
-                raw.rate_limited += g.rate_limited + g.negative_hits;
+/// The attack cells: one attack-free baseline per control plane, then
+/// every attacker role × control plane × {undefended, defended}.
+pub fn attack_cells() -> Vec<AttackCell> {
+    let mut cells: Vec<AttackCell> = CpKind::all()
+        .into_iter()
+        .map(|cp| ("none", cp, None, false))
+        .collect();
+    for (label, role) in attack_roles() {
+        for cp in CpKind::all() {
+            for defended in [false, true] {
+                cells.push((label, cp, Some(role.clone()), defended));
             }
         }
-        MapSystem::Alt { chain, .. } => {
-            for &id in chain {
-                if let Some(g) = &world.sim.node_ref::<AltRouter>(id).guard {
-                    raw.rate_limited += g.rate_limited;
+    }
+    cells
+}
+
+/// One attack cell's world: `multi_site(cp, 4, 4)` with a bounded LRU
+/// cache, the attacker (if any) and the defenses on or off.
+pub fn attack_spec(cp: CpKind, attack: Option<&AttackerSpec>, defended: bool) -> ScenarioSpec {
+    ScenarioSpec::multi_site(cp, 4, 4).with(|s| {
+        // A covering /8 EID space leaves dead space between the site
+        // /16s for the flood's randomized scans.
+        s.eid_space = Some(vec![Prefix::new(Ipv4Address::new(120, 0, 0, 0), 8)]);
+        s.cache = attack_cache();
+        if defended {
+            s.defense = DefenseSpec::armed();
+        }
+        s.attackers = attack.into_iter().cloned().collect();
+    })
+}
+
+/// E12b before the baseline join: `amp` and `goodput_pct` are empty
+/// until [`join_baselines`] fills them in.
+pub fn attack_grid() -> Grid<AttackCell> {
+    Grid {
+        name: "e12",
+        title: TITLE,
+        key: "attack",
+        heading: "E12b: control-plane amplification and goodput per attacker role x control plane",
+        columns: &[
+            "attack",
+            "cp",
+            "defended",
+            "ctl_msgs",
+            "amp",
+            "goodput",
+            "goodput_pct",
+            "hijacked",
+            "rejected",
+            "rate_ltd",
+        ],
+        cells: attack_cells(),
+        row: |(label, cp, attack, defended), seed| {
+            let spec = attack_spec(*cp, attack.as_ref(), *defended);
+            let world = run_world(&spec, seed, Horizon::AfterLastFlow(Ns::from_secs(20)));
+            let r = RunRecord::of(&world);
+            // Data packets absorbed by attacker sinks.
+            let hijacked: u64 = world
+                .attack_nodes
+                .iter()
+                .map(|&n| world.sim.node_ref::<AttackNode>(n).hijacked_packets)
+                .sum();
+            // Records rejected by xTR reply verification; requests
+            // dropped by rate limits or negative caches, xTR side plus
+            // the mapping system's ingress guards.
+            let (mut rejected, mut rate_limited) = (0, 0);
+            for x in world.all_xtrs() {
+                let s = &world.sim.node_ref::<Xtr>(x).stats;
+                rejected += s.replies_rejected;
+                rate_limited += s.rate_limited_requests + s.neg_cache_drops;
+            }
+            match &world.mapsys {
+                MapSystem::None | MapSystem::Nerd { .. } => {}
+                MapSystem::Resolver { primary, .. } => {
+                    if let Some(g) = &world.sim.node_ref::<MapResolver>(*primary).guard {
+                        rate_limited += g.rate_limited + g.negative_hits;
+                    }
+                }
+                MapSystem::Alt { chain, .. } => {
+                    for &id in chain {
+                        if let Some(g) = &world.sim.node_ref::<AltRouter>(id).guard {
+                            rate_limited += g.rate_limited;
+                        }
+                    }
+                }
+                MapSystem::Cons { cars, cdrs, .. } => {
+                    for &id in cars.iter().chain(cdrs) {
+                        if let Some(g) = &world.sim.node_ref::<ConsNode>(id).guard {
+                            rate_limited += g.rate_limited;
+                        }
+                    }
                 }
             }
-        }
-        MapSystem::Cons { cars, cdrs, .. } => {
-            for &id in cars.iter().chain(cdrs) {
-                if let Some(g) = &world.sim.node_ref::<ConsNode>(id).guard {
-                    raw.rate_limited += g.rate_limited;
-                }
-            }
-        }
+            vec![
+                Cell::str(*label),
+                Cell::str(cp.label()),
+                Cell::str(if *defended { "yes" } else { "no" }),
+                Cell::u64(r.tally.control_msgs),
+                Cell::empty(),
+                Cell::u64(r.delivered),
+                Cell::empty(),
+                Cell::u64(hijacked),
+                Cell::u64(rejected),
+                Cell::u64(rate_limited),
+            ]
+        },
     }
-    raw
 }
 
 fn ratio(attacked: u64, baseline: u64) -> f64 {
@@ -347,101 +281,45 @@ fn ratio(attacked: u64, baseline: u64) -> f64 {
     }
 }
 
-/// Full E12 on up to `jobs` workers (`0` = auto).
-pub fn run_adversarial_jobs(seed: u64, jobs: usize) -> AdversarialResult {
-    // -- E12a: capacity sweep ------------------------------------------------
-    let cap_cells: Vec<CacheSpec> = vec![
-        CacheSpec::bounded(4, EvictionPolicy::Lru).with_sweep(),
-        CacheSpec::bounded(8, EvictionPolicy::Lru).with_sweep(),
-        CacheSpec::bounded(16, EvictionPolicy::Lru).with_sweep(),
-        CacheSpec::default(),
-        CacheSpec::bounded(8, EvictionPolicy::Lfu).with_sweep(),
-        CacheSpec::bounded(8, EvictionPolicy::Ttl).with_sweep(),
-    ];
-    let capacity = crate::experiments::sweep::Sweep::new("e12a", cap_cells).run(
-        jobs,
-        |c| c.label(),
-        |&c| run_capacity_cell(c, seed),
-    );
-
-    // -- E12b: attack grid ---------------------------------------------------
-    // Cells: one attack-free baseline per control plane, then every
-    // attacker role x control plane x {undefended, defended}.
-    let roles = attack_roles();
-    let mut cells: Vec<(String, CpKind, Option<AttackerSpec>, bool)> = CpKind::all()
-        .into_iter()
-        .map(|cp| ("none".to_string(), cp, None, false))
-        .collect();
-    for (label, role) in &roles {
-        for cp in CpKind::all() {
-            for defended in [false, true] {
-                cells.push((label.to_string(), cp, Some(role.clone()), defended));
-            }
-        }
-    }
-    let raws = crate::experiments::sweep::Sweep::new("e12b", cells.clone()).run(
-        jobs,
-        |(label, cp, _, defended)| {
-            format!(
-                "{label}/{}/{}",
-                cp.label(),
-                if *defended { "def" } else { "undef" }
-            )
-        },
-        |(_, cp, attack, defended)| run_attack_cell(*cp, attack.as_ref(), *defended, seed),
-    );
-
-    // Join each cell against its control plane's attack-free baseline.
-    let baseline_of = |cp: CpKind| -> AttackRaw {
-        let idx = cells
-            .iter()
-            .position(|(label, c, _, _)| label == "none" && *c == cp)
-            .expect("baseline cell exists");
-        raws[idx]
+/// Join each attack row against its control plane's attack-free
+/// baseline row: control-message amplification and goodput as a
+/// percentage of the baseline's.
+pub fn join_baselines(mut s: Section) -> Section {
+    let count = |row: &[Cell], col: usize| match row[col].value {
+        Value::UInt(n) => n,
+        ref v => panic!("column {col} holds {v:?}, not a count"),
     };
-    let attacks = cells
+    let baselines: Vec<Vec<Cell>> = s
+        .rows
         .iter()
-        .zip(&raws)
-        .map(|((label, cp, _, defended), raw)| {
-            let base = baseline_of(*cp);
-            AttackRow {
-                attack: label.clone(),
-                cp: cp.label().into_owned(),
-                defended: *defended,
-                control_msgs: raw.control_msgs,
-                amplification: ratio(raw.control_msgs, base.control_msgs),
-                goodput: raw.goodput,
-                goodput_pct: 100.0 * ratio(raw.goodput, base.goodput),
-                hijacked: raw.hijacked,
-                rejected: raw.rejected,
-                rate_limited: raw.rate_limited,
-            }
-        })
+        .filter(|r| r[0].text == "none")
+        .cloned()
         .collect();
-
-    AdversarialResult { capacity, attacks }
+    for row in &mut s.rows {
+        let base = baselines
+            .iter()
+            .find(|b| b[1].text == row[1].text)
+            .expect("every plane has a baseline cell");
+        row[4] = Cell::f64(ratio(count(row, 3), count(base, 3)), 2);
+        row[6] = Cell::f64(100.0 * ratio(count(row, 5), count(base, 5)), 1);
+    }
+    s
 }
 
-/// Full E12, serial.
-pub fn run_adversarial(seed: u64) -> AdversarialResult {
-    run_adversarial_jobs(seed, 1)
-}
+const TITLE: &str = "Graceful degradation: bounded caches and adversarial load";
 
-/// The registry entry for E12.
-pub struct E12Adversarial;
-
-impl crate::experiments::Experiment for E12Adversarial {
-    fn name(&self) -> &'static str {
-        "e12"
-    }
-    fn title(&self) -> &'static str {
-        "Graceful degradation: bounded caches and adversarial load"
-    }
-    fn run(&self, seed: u64, jobs: usize) -> ExpReport {
-        let r = run_adversarial_jobs(seed, jobs);
-        ExpReport::new(self.name(), self.title())
-            .with_section(r.capacity_section())
-            .with_section(r.attack_section())
+/// The registry entry for E12: the capacity sweep and the joined
+/// attack grid.
+pub fn experiment() -> Sections {
+    Sections {
+        name: "e12",
+        title: TITLE,
+        run: |seed, jobs| {
+            vec![
+                capacity_grid().section(seed, jobs),
+                join_baselines(attack_grid().section(seed, jobs)),
+            ]
+        },
     }
 }
 
@@ -449,71 +327,98 @@ impl crate::experiments::Experiment for E12Adversarial {
 mod tests {
     use super::*;
 
+    fn capacity(cache: CacheSpec) -> Section {
+        Grid {
+            cells: vec![cache],
+            ..capacity_grid()
+        }
+        .section(1, 1)
+    }
+
+    /// One attack cell's raw row (before the baseline join).
+    fn attack(cp: CpKind, role: Option<usize>, defended: bool) -> Section {
+        let role = role.map(|i| attack_roles().swap_remove(i));
+        let label = role.as_ref().map_or("none", |r| r.0);
+        Grid {
+            cells: vec![(label, cp, role.map(|r| r.1), defended)],
+            ..attack_grid()
+        }
+        .section(1, 1)
+    }
+
+    fn n(s: &Section, column: &str) -> f64 {
+        s.num(0, column).unwrap()
+    }
+
+    const FLOOD: Option<usize> = Some(0);
+    const POISON: Option<usize> = Some(1);
+    const OVERCLAIM: Option<usize> = Some(2);
+
     #[test]
     fn smaller_capacity_means_more_misses() {
-        let tight = run_capacity_cell(CacheSpec::bounded(4, EvictionPolicy::Lru).with_sweep(), 1);
-        let unbounded = run_capacity_cell(CacheSpec::default(), 1);
+        let tight = capacity(CacheSpec::bounded(4, EvictionPolicy::Lru).with_sweep());
+        let unbounded = capacity(CacheSpec::default());
         assert!(
-            tight.miss_ratio > unbounded.miss_ratio,
+            n(&tight, "miss_ratio") > n(&unbounded, "miss_ratio"),
             "tight {tight:?} unbounded {unbounded:?}"
         );
-        assert!(tight.evictions > 0, "{tight:?}");
-        assert_eq!(unbounded.evictions, 0, "{unbounded:?}");
+        assert!(n(&tight, "evict") > 0.0, "{tight:?}");
+        assert_eq!(n(&unbounded, "evict"), 0.0, "{unbounded:?}");
     }
 
     #[test]
     fn flood_amplifies_pull_but_not_pce() {
-        let flood = &attack_roles()[0].1;
-        let base_q = run_attack_cell(CpKind::LispQueue, None, false, 1);
-        let atk_q = run_attack_cell(CpKind::LispQueue, Some(flood), false, 1);
+        let base_q = attack(CpKind::LispQueue, None, false);
+        let atk_q = attack(CpKind::LispQueue, FLOOD, false);
         assert!(
-            atk_q.control_msgs >= 10 * base_q.control_msgs.max(1),
+            n(&atk_q, "ctl_msgs") >= 10.0 * n(&base_q, "ctl_msgs").max(1.0),
             "base {base_q:?} attacked {atk_q:?}"
         );
-        let base_p = run_attack_cell(CpKind::Pce, None, false, 1);
-        let atk_p = run_attack_cell(CpKind::Pce, Some(flood), false, 1);
+        let base_p = attack(CpKind::Pce, None, false);
+        let atk_p = attack(CpKind::Pce, FLOOD, false);
         assert_eq!(
-            atk_p.control_msgs, base_p.control_msgs,
+            n(&atk_p, "ctl_msgs"),
+            n(&base_p, "ctl_msgs"),
             "PCE must stay flat under a scan flood"
         );
     }
 
     #[test]
     fn defenses_shrink_flood_amplification() {
-        let flood = &attack_roles()[0].1;
-        let undef = run_attack_cell(CpKind::LispQueue, Some(flood), false, 1);
-        let def = run_attack_cell(CpKind::LispQueue, Some(flood), true, 1);
+        let undef = attack(CpKind::LispQueue, FLOOD, false);
+        let def = attack(CpKind::LispQueue, FLOOD, true);
         assert!(
-            def.control_msgs < undef.control_msgs,
+            n(&def, "ctl_msgs") < n(&undef, "ctl_msgs"),
             "undef {undef:?} def {def:?}"
         );
-        assert!(def.rate_limited > 0, "{def:?}");
+        assert!(n(&def, "rate_ltd") > 0.0, "{def:?}");
     }
 
     #[test]
     fn overclaim_is_contained_by_scope_clamping() {
-        let oc = &attack_roles()[2].1;
-        let base = run_attack_cell(CpKind::LispQueue, None, false, 1);
-        let undef = run_attack_cell(CpKind::LispQueue, Some(oc), false, 1);
-        let def = run_attack_cell(CpKind::LispQueue, Some(oc), true, 1);
+        let base = attack(CpKind::LispQueue, None, false);
+        let undef = attack(CpKind::LispQueue, OVERCLAIM, false);
+        let def = attack(CpKind::LispQueue, OVERCLAIM, true);
         assert!(
-            undef.goodput < base.goodput,
+            n(&undef, "goodput") < n(&base, "goodput"),
             "overclaim must misdeliver some traffic: base {base:?} undef {undef:?}"
         );
         assert!(
-            def.goodput > undef.goodput,
+            n(&def, "goodput") > n(&undef, "goodput"),
             "scope clamping must recover goodput: undef {undef:?} def {def:?}"
         );
     }
 
     #[test]
     fn poison_hijacks_until_verification_is_armed() {
-        let poison = &attack_roles()[1].1;
-        let undef = run_attack_cell(CpKind::LispQueue, Some(poison), false, 1);
-        assert!(undef.hijacked > 0, "{undef:?}");
-        let def = run_attack_cell(CpKind::LispQueue, Some(poison), true, 1);
-        assert_eq!(def.hijacked, 0, "{def:?}");
-        assert!(def.rejected > 0, "{def:?}");
-        assert!(def.goodput > undef.goodput, "undef {undef:?} def {def:?}");
+        let undef = attack(CpKind::LispQueue, POISON, false);
+        assert!(n(&undef, "hijacked") > 0.0, "{undef:?}");
+        let def = attack(CpKind::LispQueue, POISON, true);
+        assert_eq!(n(&def, "hijacked"), 0.0, "{def:?}");
+        assert!(n(&def, "rejected") > 0.0, "{def:?}");
+        assert!(
+            n(&def, "goodput") > n(&undef, "goodput"),
+            "undef {undef:?} def {def:?}"
+        );
     }
 }

@@ -7,72 +7,30 @@
 //!   property: *the mapping is installed at every ITR before the end-host
 //!   receives its DNS answer*, so the first data packet finds state.
 
-use crate::experiments::report::{Cell, ExpReport, Section};
-use crate::hosts::{FlowMode, TrafficHost};
-use crate::scenario::{flow_script, CpKind};
-use crate::spec::ScenarioSpec;
-use crate::table::Table;
+use crate::experiments::{fig1_one_flow, Cell, Section, Sections};
+use crate::hosts::FlowMode;
+use crate::scenario::CpKind;
 use netsim::Ns;
 
-/// Result of the E1 run.
+/// One E1 run: the rendered trace and the step table read out of it.
 #[derive(Debug, Clone)]
-pub struct Fig1Result {
+pub struct Fig1Run {
     /// The rendered trace.
     pub trace: String,
-    /// Times of the ordered steps (step 1, 2–5, 6, 7a/7b, 8).
-    pub step_times: Vec<(String, Ns)>,
-    /// Mapping installed at all ITRs before the DNS answer reached `E_S`.
-    pub installed_before_answer: bool,
-    /// Zero packets dropped anywhere.
-    pub no_drops: bool,
-    /// TCP setup completed.
-    pub established: bool,
-}
-
-impl Fig1Result {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "steps",
-            "E1: Fig.1 step sequence (PCE control plane)",
-            &["step", "t_ms"],
-        );
-        for (label, at) in &self.step_times {
-            s.row(vec![Cell::str(label.clone()), Cell::f64(at.as_ms_f64(), 3)]);
-        }
-        s.row(vec![
-            Cell::str("mapping installed before DNS answer"),
-            Cell::bool(self.installed_before_answer),
-        ]);
-        s.row(vec![Cell::str("no drops"), Cell::bool(self.no_drops)]);
-        s.row(vec![
-            Cell::str("tcp established"),
-            Cell::bool(self.established),
-        ]);
-        s
-    }
-
-    /// Summary table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
+    /// The eight ordered steps (step 1, 2–5, 6, 7a/7b, 8) with their
+    /// times, then three checks: mapping installed at every ITR before
+    /// the DNS answer reached `E_S`, no drops anywhere, TCP established.
+    pub section: Section,
 }
 
 /// Run the experiment.
-pub fn run_fig1_trace(seed: u64) -> Fig1Result {
-    let mut world = ScenarioSpec::fig1(CpKind::Pce)
-        .with(|s| {
-            s.set_flows(flow_script(
-                &[Ns::ZERO],
-                4,
-                FlowMode::Tcp {
-                    packets: 3,
-                    interval: Ns::from_ms(1),
-                    size: 200,
-                },
-            ));
-        })
-        .build(1 + seed);
+pub fn run_fig1_trace(seed: u64) -> Fig1Run {
+    let mode = FlowMode::Tcp {
+        packets: 3,
+        interval: Ns::from_ms(1),
+        size: 200,
+    };
+    let mut world = fig1_one_flow(CpKind::Pce, mode).build(1 + seed);
     world.sim.trace.enable();
     world.schedule_all_flows();
     world.sim.run_until(Ns::from_secs(10));
@@ -87,80 +45,78 @@ pub fn run_fig1_trace(seed: u64) -> Fig1Result {
         ("step7b: PCE_S", "7b: PCE_S pushes mapping to ITRs"),
         ("step8: E_S", "8: DNS answer at E_S"),
     ];
-    let times = world
-        .sim
-        .trace
-        .assert_order(&needles.iter().map(|(n, _)| *n).collect::<Vec<_>>());
-    let step_times: Vec<(String, Ns)> = needles
-        .iter()
-        .zip(&times)
-        .map(|((_, label), &t)| (label.to_string(), t))
-        .collect();
+    let trace = &world.sim.trace;
+    let times = trace.assert_order(&needles.iter().map(|(n, _)| *n).collect::<Vec<_>>());
+    let mut s = Section::new(
+        "steps",
+        "E1: Fig.1 step sequence (PCE control plane)",
+        &["step", "t_ms"],
+    );
+    for ((_, label), t) in needles.iter().zip(&times) {
+        s.row(vec![Cell::str(*label), Cell::f64(t.as_ms_f64(), 3)]);
+    }
 
     // Install times at both ITRs vs. the answer time at E_S.
-    let answer_t = world
-        .sim
-        .trace
-        .time_of("step8: E_S")
-        .expect("answer traced");
-    let installs: Vec<Ns> = world
-        .sim
-        .trace
+    let answer_t = trace.time_of("step8: E_S").expect("answer traced");
+    let installs: Vec<Ns> = trace
         .find("installed flow 100.0.0.5")
         .iter()
         .map(|e| e.t)
         .take(2)
         .collect();
     let installed_before_answer = installs.len() >= 2 && installs.iter().all(|&t| t <= answer_t);
-
     let no_drops = world.total_miss_drops() == 0
         && world.sim.total_queue_drops() == 0
         && world.sim.total_fault_drops() == 0;
-    let established = world
-        .sim
-        .node_ref::<TrafficHost>(world.client().host)
-        .records[0]
-        .t_established
-        .is_some();
-
-    Fig1Result {
-        trace: world.sim.trace.render(),
-        step_times,
-        installed_before_answer,
-        no_drops,
-        established,
+    let established = world.records()[0].t_established.is_some();
+    for (label, ok) in [
+        (
+            "mapping installed before DNS answer",
+            installed_before_answer,
+        ),
+        ("no drops", no_drops),
+        ("tcp established", established),
+    ] {
+        s.row(vec![Cell::str(label), Cell::bool(ok)]);
+    }
+    Fig1Run {
+        trace: trace.render(),
+        section: s,
     }
 }
 
-/// The registry entry for E1.
-pub struct E1Fig1;
-
-impl crate::experiments::Experiment for E1Fig1 {
-    fn name(&self) -> &'static str {
-        "e1"
-    }
-    fn title(&self) -> &'static str {
-        "Fig.1 step-sequence reproduction (PCE control plane)"
-    }
-    fn run(&self, seed: u64, _jobs: usize) -> ExpReport {
-        // A single cell: nothing to fan out.
-        ExpReport::new(self.name(), self.title()).with_section(run_fig1_trace(seed).section())
+/// The registry entry for E1: one world, nothing to fan out.
+pub fn experiment() -> Sections {
+    Sections {
+        name: "e1",
+        title: "Fig.1 step-sequence reproduction (PCE control plane)",
+        run: |seed, _jobs| vec![run_fig1_trace(seed).section],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Value;
 
     #[test]
     fn fig1_sequence_holds() {
         let r = run_fig1_trace(0);
-        assert!(r.installed_before_answer, "trace:\n{}", r.trace);
-        assert!(r.no_drops);
-        assert!(r.established);
-        assert_eq!(r.step_times.len(), 8);
+        let rows = &r.section.rows;
+        assert_eq!(rows.len(), 11);
+        // The three checks: installed before answer, no drops, established.
+        for row in &rows[8..] {
+            assert_eq!(
+                row[1].value,
+                Value::Bool(true),
+                "{}\n{}",
+                row[0].text,
+                r.trace
+            );
+        }
         // Steps are in non-decreasing time order.
-        assert!(r.step_times.windows(2).all(|w| w[0].1 <= w[1].1));
+        let t: Vec<f64> = (0..8).map(|i| r.section.num(i, "t_ms").unwrap()).collect();
+        assert!(t.windows(2).all(|w| w[0] <= w[1]), "{t:?}");
     }
 
     #[test]

@@ -10,216 +10,110 @@
 //! amount; the overlay control planes (ALT/CONS) lose more as their
 //! resolution paths lengthen.
 
-use crate::experiments::report::{Cell, ExpReport, Section};
-use crate::experiments::sweep::Sweep;
+use crate::experiments::{cross, fig1_one_flow, run, Cell, Grid, Horizon, OWD_SWEEP};
 use crate::hosts::FlowMode;
-use crate::scenario::{flow_script, CpKind};
+use crate::scenario::CpKind;
 use crate::spec::ScenarioSpec;
-use crate::table::Table;
-use lispdp::Xtr;
 use netsim::Ns;
 
-/// One measurement row.
-#[derive(Debug, Clone)]
-pub struct DropRow {
-    /// Control plane label.
-    pub cp: String,
-    /// Provider-link one-way delay (ms).
-    pub owd_ms: u64,
-    /// UDP packets the host sent.
-    pub sent: u64,
-    /// Packets delivered to the destination host.
-    pub delivered: u64,
-    /// Packets dropped at ITRs for lack of a mapping.
-    pub miss_drops: u64,
-    /// Packets buffered at ITRs while resolving.
-    pub queued: u64,
-    /// Mean queue delay (ms) of flushed packets.
-    pub mean_queue_delay_ms: f64,
+/// How long every E2 cell runs.
+pub const HORIZON: Horizon = Horizon::At(Ns::from_secs(60));
+
+/// The control planes E2 compares.
+pub const VARIANTS: [CpKind; 7] = [
+    CpKind::LispDrop,
+    CpKind::LispQueue,
+    CpKind::LispDataCp,
+    CpKind::Alt { hops: 4 },
+    CpKind::Cons { cdr_depth: 1 },
+    CpKind::Nerd,
+    CpKind::Pce,
+];
+
+/// One (cp, owd) cell: 150 CBR packets 5 ms apart from the DNS answer.
+pub fn spec(cp: CpKind, owd: Ns) -> ScenarioSpec {
+    let mode = FlowMode::Udp {
+        packets: 150,
+        interval: Ns::from_ms(5),
+        size: 400,
+    };
+    fig1_one_flow(cp, mode).with(|s| s.set_provider_owd(owd))
 }
 
-/// Result of the sweep.
-#[derive(Debug, Clone, Default)]
-pub struct DropsResult {
-    /// All rows.
-    pub rows: Vec<DropRow>,
-}
-
-impl DropsResult {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "drops",
-            "E2: drops/queueing during mapping resolution (CBR UDP from DNS answer)",
-            &[
-                "cp",
-                "owd_ms",
-                "sent",
-                "delivered",
-                "miss_drops",
-                "queued",
-                "mean_qdelay_ms",
-            ],
-        );
-        for r in &self.rows {
-            s.row(vec![
-                Cell::str(r.cp.clone()),
-                Cell::u64(r.owd_ms),
-                Cell::u64(r.sent),
+/// E2: every plane at every [`crate::experiments::OWD_SWEEP`] delay.
+pub fn grid() -> Grid<(CpKind, Ns)> {
+    Grid {
+        name: "e2",
+        title: "Packet loss/queueing during mapping resolution",
+        key: "drops",
+        heading: "E2: drops/queueing during mapping resolution (CBR UDP from DNS answer)",
+        columns: &[
+            "cp",
+            "owd_ms",
+            "sent",
+            "delivered",
+            "miss_drops",
+            "queued",
+            "mean_qdelay_ms",
+        ],
+        cells: cross(&OWD_SWEEP, &VARIANTS),
+        row: |&(cp, owd), seed| {
+            let r = run(&spec(cp, owd), seed, HORIZON);
+            vec![
+                Cell::str(cp.label()),
+                Cell::u64(owd.as_ms()),
+                Cell::u64(r.sent()),
                 Cell::u64(r.delivered),
                 Cell::u64(r.miss_drops),
                 Cell::u64(r.queued),
-                Cell::f64(r.mean_queue_delay_ms, 1),
-            ]);
-        }
-        s
-    }
-
-    /// Render the result table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
-
-    /// Rows for one control plane.
-    pub fn rows_for(&self, cp: &str) -> Vec<&DropRow> {
-        self.rows.iter().filter(|r| r.cp == cp).collect()
-    }
-}
-
-/// The control planes E2 compares.
-pub fn e2_variants() -> Vec<CpKind> {
-    vec![
-        CpKind::LispDrop,
-        CpKind::LispQueue,
-        CpKind::LispDataCp,
-        CpKind::Alt { hops: 4 },
-        CpKind::Cons { cdr_depth: 1 },
-        CpKind::Nerd,
-        CpKind::Pce,
-    ]
-}
-
-/// Run one (cp, owd) cell.
-pub fn run_drops_cell(cp: CpKind, owd: Ns, seed: u64) -> DropRow {
-    let packets = 150u32;
-    let interval = Ns::from_ms(5);
-    let mut world = ScenarioSpec::fig1(cp)
-        .with(|s| {
-            s.set_provider_owd(owd);
-            s.set_flows(flow_script(
-                &[Ns::ZERO],
-                4,
-                FlowMode::Udp {
-                    packets,
-                    interval,
-                    size: 400,
-                },
-            ));
-        })
-        .build(seed);
-    world.schedule_all_flows();
-    world.sim.run_until(Ns::from_secs(60));
-
-    let rec = world.records()[0].clone();
-    let delivered = world.server_udp_received();
-    let mut miss_drops = 0;
-    let mut queued = 0;
-    let mut delays: Vec<Ns> = Vec::new();
-    for x in world.all_xtrs() {
-        let xtr = world.sim.node_ref::<Xtr>(x);
-        miss_drops += xtr.stats.miss_drops;
-        queued += xtr.stats.queued;
-        delays.extend(xtr.queue_delays.iter().copied());
-    }
-    let mean_queue_delay_ms = if delays.is_empty() {
-        0.0
-    } else {
-        delays.iter().map(|d| d.as_ms_f64()).sum::<f64>() / delays.len() as f64
-    };
-    DropRow {
-        cp: cp.label().into_owned(),
-        owd_ms: owd.as_ms(),
-        sent: u64::from(rec.data_sent),
-        delivered,
-        miss_drops,
-        queued,
-        mean_queue_delay_ms,
-    }
-}
-
-/// Run the full sweep on up to `jobs` workers (`0` = auto).
-pub fn run_drops_jobs(seed: u64, jobs: usize) -> DropsResult {
-    let mut cells = Vec::new();
-    for owd in crate::experiments::OWD_SWEEP {
-        for cp in e2_variants() {
-            cells.push((cp, owd));
-        }
-    }
-    let rows = Sweep::new("e2", cells).run(
-        jobs,
-        |&(cp, owd)| format!("{}/owd={}ms", cp.label(), owd.as_ms()),
-        |&(cp, owd)| run_drops_cell(cp, owd, seed),
-    );
-    DropsResult { rows }
-}
-
-/// Run the full sweep serially.
-pub fn run_drops(seed: u64) -> DropsResult {
-    run_drops_jobs(seed, 1)
-}
-
-/// The registry entry for E2.
-pub struct E2Drops;
-
-impl crate::experiments::Experiment for E2Drops {
-    fn name(&self) -> &'static str {
-        "e2"
-    }
-    fn title(&self) -> &'static str {
-        "Packet loss/queueing during mapping resolution"
-    }
-    fn run(&self, seed: u64, jobs: usize) -> ExpReport {
-        ExpReport::new(self.name(), self.title()).with_section(run_drops_jobs(seed, jobs).section())
+                Cell::f64(r.mean_queue_delay_ms(), 1),
+            ]
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunRecord;
+
+    fn cell(cp: CpKind, owd_ms: u64) -> RunRecord {
+        run(&spec(cp, Ns::from_ms(owd_ms)), 1, HORIZON)
+    }
 
     #[test]
     fn pce_and_nerd_lose_nothing() {
         for cp in [CpKind::Pce, CpKind::Nerd] {
-            let row = run_drops_cell(cp, Ns::from_ms(30), 1);
-            assert_eq!(row.miss_drops, 0, "{}", row.cp);
-            assert_eq!(row.queued, 0, "{}", row.cp);
-            assert_eq!(row.delivered, row.sent, "{}", row.cp);
+            let r = cell(cp, 30);
+            assert_eq!(r.miss_drops, 0, "{}", cp.label());
+            assert_eq!(r.queued, 0, "{}", cp.label());
+            assert_eq!(r.delivered, r.sent(), "{}", cp.label());
         }
     }
 
     #[test]
     fn lisp_drop_loses_resolution_window() {
-        let row = run_drops_cell(CpKind::LispDrop, Ns::from_ms(30), 1);
-        assert!(row.miss_drops > 0);
-        assert_eq!(row.delivered + row.miss_drops, row.sent);
+        let r = cell(CpKind::LispDrop, 30);
+        assert!(r.miss_drops > 0);
+        assert_eq!(r.delivered + r.miss_drops, r.sent());
         // ≈ T_map / interval packets lost; T_map ≈ 3 legs × ~75 ms ≈ 200 ms
-        // → tens of packets at 2 ms spacing, but bounded by the flow size.
-        assert!(row.miss_drops >= 5, "drops {}", row.miss_drops);
+        // → tens of packets at 5 ms spacing, but bounded by the flow size.
+        assert!(r.miss_drops >= 5, "drops {}", r.miss_drops);
     }
 
     #[test]
     fn lisp_queue_delays_instead() {
-        let row = run_drops_cell(CpKind::LispQueue, Ns::from_ms(30), 1);
-        assert_eq!(row.miss_drops, 0);
-        assert!(row.queued > 0);
-        assert_eq!(row.delivered, row.sent);
-        assert!(row.mean_queue_delay_ms > 10.0);
+        let r = cell(CpKind::LispQueue, 30);
+        assert_eq!(r.miss_drops, 0);
+        assert!(r.queued > 0);
+        assert_eq!(r.delivered, r.sent());
+        assert!(r.mean_queue_delay_ms() > 10.0);
     }
 
     #[test]
     fn drops_grow_with_owd_for_lisp_drop() {
-        let near = run_drops_cell(CpKind::LispDrop, Ns::from_ms(15), 1);
-        let far = run_drops_cell(CpKind::LispDrop, Ns::from_ms(100), 1);
+        let near = cell(CpKind::LispDrop, 15);
+        let far = cell(CpKind::LispDrop, 100);
         assert!(
             far.miss_drops >= near.miss_drops,
             "near {} far {}",
@@ -230,8 +124,8 @@ mod tests {
 
     #[test]
     fn overlay_cps_lose_more_than_mrms() {
-        let mrms = run_drops_cell(CpKind::LispDrop, Ns::from_ms(30), 1);
-        let alt = run_drops_cell(CpKind::Alt { hops: 6 }, Ns::from_ms(30), 1);
+        let mrms = cell(CpKind::LispDrop, 30);
+        let alt = cell(CpKind::Alt { hops: 6 }, 30);
         assert!(
             alt.miss_drops >= mrms.miss_drops,
             "alt {} vs mrms {}",

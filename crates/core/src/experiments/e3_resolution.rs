@@ -11,197 +11,113 @@
 //! The reported ratio is `(T_DNS + T_map_eff) / T_DNS` — the paper claims
 //! ≈ 1.0 for its control plane.
 
-use crate::experiments::report::{Cell, ExpReport, Section};
-use crate::experiments::sweep::Sweep;
+use crate::experiments::{
+    cross, fig1_one_flow, run, Cell, Grid, Horizon, RunRecord, Section, Sections, OWD_SWEEP, QUEUE,
+};
 use crate::hosts::FlowMode;
-use crate::scenario::{flow_script, CpKind};
+use crate::scenario::CpKind;
 use crate::spec::ScenarioSpec;
-use crate::table::Table;
-use lispdp::{MissPolicy, Xtr};
 use netsim::Ns;
 
-/// One measurement row.
-#[derive(Debug, Clone)]
-pub struct ResolutionRow {
-    /// Control plane label.
-    pub cp: String,
-    /// Provider-link one-way delay (ms).
-    pub owd_ms: u64,
-    /// Measured `T_DNS` (ms).
-    pub t_dns_ms: f64,
-    /// Effective extra mapping latency after the answer (ms).
-    pub t_map_eff_ms: f64,
-    /// `(T_DNS + T_map_eff) / T_DNS`.
-    pub ratio: f64,
-}
+/// How long every E3 cell runs.
+pub const HORIZON: Horizon = Horizon::At(Ns::from_secs(60));
 
-/// Sweep result.
-#[derive(Debug, Clone, Default)]
-pub struct ResolutionResult {
-    /// All rows.
-    pub rows: Vec<ResolutionRow>,
-}
+/// Control planes compared in E3 (lisp-drop runs with the queue
+/// policy, so it stands for the map-resolver/map-server pull plane).
+pub const VARIANTS: [CpKind; 5] = [
+    CpKind::LispDrop,
+    CpKind::Alt { hops: 4 },
+    CpKind::Cons { cdr_depth: 1 },
+    CpKind::Nerd,
+    CpKind::Pce,
+];
 
-impl ResolutionResult {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "resolution",
-            "E3: (T_DNS + T_map_eff)/T_DNS per control plane",
-            &["cp", "owd_ms", "t_dns_ms", "t_map_eff_ms", "ratio"],
-        );
-        for r in &self.rows {
-            s.row(vec![
-                Cell::str(r.cp.clone()),
-                Cell::u64(r.owd_ms),
-                Cell::f64(r.t_dns_ms, 1),
-                Cell::f64(r.t_map_eff_ms, 1),
-                Cell::f64(r.ratio, 3),
-            ]);
-        }
-        s
-    }
-
-    /// Render the table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
-}
-
-/// Control planes compared in E3.
-pub fn e3_variants() -> Vec<CpKind> {
-    vec![
-        CpKind::LispDrop, // run with Queue policy override below
-        CpKind::Alt { hops: 4 },
-        CpKind::Cons { cdr_depth: 1 },
-        CpKind::Nerd,
-        CpKind::Pce,
-    ]
-}
-
-/// Run one (cp, owd) cell.
-pub fn run_resolution_cell(cp: CpKind, owd: Ns, seed: u64) -> ResolutionRow {
-    let mut world = ScenarioSpec::fig1(cp)
-        .with(|s| {
-            s.set_provider_owd(owd);
-            s.set_flows(flow_script(
-                &[Ns::ZERO],
-                4,
-                FlowMode::Udp {
-                    packets: 4,
-                    interval: Ns::from_ms(1),
-                    size: 200,
-                },
-            ));
-        })
-        .build(seed);
-    // Queue policy for pull systems so the first packet's waiting time is
-    // exactly T_map.
-    world.override_pull_miss_policy(MissPolicy::Queue { max_packets: 64 });
-    world.schedule_all_flows();
-    world.sim.run_until(Ns::from_secs(60));
-
-    let rec = world.records()[0].clone();
-    let t_dns = rec.dns_time().unwrap_or(Ns::ZERO);
-    // First-packet queue delay across ITRs = T_map_eff for pull systems.
-    let t_map_eff = world
-        .all_xtrs()
-        .iter()
-        .flat_map(|&x| world.sim.node_ref::<Xtr>(x).queue_delays.clone())
-        .max()
-        .unwrap_or(Ns::ZERO);
-    let t_dns_ms = t_dns.as_ms_f64();
-    let t_map_eff_ms = t_map_eff.as_ms_f64();
-    let ratio = if t_dns_ms > 0.0 {
-        (t_dns_ms + t_map_eff_ms) / t_dns_ms
-    } else {
-        0.0
+/// One (cp, owd) cell. Pull planes queue, so the first packet's wait
+/// is exactly `T_map`.
+pub fn spec(cp: CpKind, owd: Ns) -> ScenarioSpec {
+    let mode = FlowMode::Udp {
+        packets: 4,
+        interval: Ns::from_ms(1),
+        size: 200,
     };
-    ResolutionRow {
-        cp: cp.label().into_owned(),
-        owd_ms: owd.as_ms(),
-        t_dns_ms,
-        t_map_eff_ms,
-        ratio,
+    fig1_one_flow(cp, mode).with(|s| {
+        s.set_provider_owd(owd);
+        s.pull_miss_policy = Some(QUEUE);
+    })
+}
+
+/// `(T_DNS, T_map_eff)` of a run, in ms: the flow's DNS time and the
+/// longest ITR queue delay (the first packet's wait for its mapping).
+pub fn timings(r: &RunRecord) -> (f64, f64) {
+    let t_dns = r.flows[0].dns_time().unwrap_or(Ns::ZERO);
+    (t_dns.as_ms_f64(), r.max_queue_delay_ms())
+}
+
+/// The E3 grid: every plane at every [`crate::experiments::OWD_SWEEP`]
+/// delay.
+pub fn grid() -> Grid<(CpKind, Ns)> {
+    Grid {
+        name: "e3",
+        title: TITLE,
+        key: "resolution",
+        heading: "E3: (T_DNS + T_map_eff)/T_DNS per control plane",
+        columns: &["cp", "owd_ms", "t_dns_ms", "t_map_eff_ms", "ratio"],
+        cells: cross(&OWD_SWEEP, &VARIANTS),
+        row: |&(cp, owd), seed| {
+            let (t_dns, t_map) = timings(&run(&spec(cp, owd), seed, HORIZON));
+            let ratio = if t_dns > 0.0 {
+                (t_dns + t_map) / t_dns
+            } else {
+                0.0
+            };
+            vec![
+                Cell::str(cp.label()),
+                Cell::u64(owd.as_ms()),
+                Cell::f64(t_dns, 1),
+                Cell::f64(t_map, 1),
+                Cell::f64(ratio, 3),
+            ]
+        },
     }
 }
 
-/// Full sweep on up to `jobs` workers (`0` = auto).
-pub fn run_resolution_jobs(seed: u64, jobs: usize) -> ResolutionResult {
-    let mut cells = Vec::new();
-    for owd in crate::experiments::OWD_SWEEP {
-        for cp in e3_variants() {
-            cells.push((cp, owd));
-        }
-    }
-    let rows = Sweep::new("e3", cells).run(
-        jobs,
-        |&(cp, owd)| format!("{}/owd={}ms", cp.label(), owd.as_ms()),
-        |&(cp, owd)| run_resolution_cell(cp, owd, seed),
-    );
-    ResolutionResult { rows }
-}
-
-/// Full sweep, serial.
-pub fn run_resolution(seed: u64) -> ResolutionResult {
-    run_resolution_jobs(seed, 1)
-}
-
-/// **Ablation A2** — PCE precompute vs. on-demand computation at step 6.
-/// Returns `(t_dns_precomputed_ms, t_dns_on_demand_ms)`.
-pub fn run_ablation_precompute(seed: u64) -> (f64, f64) {
-    let run = |precompute: bool| -> f64 {
-        let mut world = ScenarioSpec::fig1(CpKind::Pce)
-            .with(|s| {
-                s.pce_precompute = precompute;
-                s.set_flows(flow_script(
-                    &[Ns::ZERO],
-                    4,
-                    FlowMode::Udp {
-                        packets: 1,
-                        interval: Ns::from_ms(1),
-                        size: 100,
-                    },
-                ));
-            })
-            .build(seed);
-        world.schedule_all_flows();
-        world.sim.run_until(Ns::from_secs(30));
-        world.records()[0]
-            .dns_time()
-            .map(|t| t.as_ms_f64())
-            .unwrap_or(f64::NAN)
+/// **Ablation A2** — PCE precompute vs. on-demand computation at step
+/// 6: the DNS time of one flow with each.
+pub fn ablation_precompute(seed: u64) -> Section {
+    let t_dns = |precompute: bool| {
+        let mode = FlowMode::Udp {
+            packets: 1,
+            interval: Ns::from_ms(1),
+            size: 100,
+        };
+        let spec = fig1_one_flow(CpKind::Pce, mode).with(|s| s.pce_precompute = precompute);
+        let r = run(&spec, seed, Horizon::At(Ns::from_secs(30)));
+        r.flows[0].dns_time().map_or(f64::NAN, |t| t.as_ms_f64())
     };
-    (run(true), run(false))
-}
-
-/// The A2 ablation as a typed section.
-pub fn ablation_precompute_section(seed: u64) -> Section {
-    let (pre, demand) = run_ablation_precompute(seed);
     let mut s = Section::new(
         "ablation_precompute",
         "A2: PCE precompute vs on-demand mapping computation",
         &["variant", "t_dns_ms"],
     );
-    s.row(vec![Cell::str("precomputed (paper)"), Cell::f64(pre, 1)]);
-    s.row(vec![Cell::str("on-demand (ablated)"), Cell::f64(demand, 1)]);
+    s.row(vec![
+        Cell::str("precomputed (paper)"),
+        Cell::f64(t_dns(true), 1),
+    ]);
+    s.row(vec![
+        Cell::str("on-demand (ablated)"),
+        Cell::f64(t_dns(false), 1),
+    ]);
     s
 }
 
-/// The registry entry for E3 (includes the A2 ablation section).
-pub struct E3Resolution;
+const TITLE: &str = "Mapping resolution hidden inside the DNS time";
 
-impl crate::experiments::Experiment for E3Resolution {
-    fn name(&self) -> &'static str {
-        "e3"
-    }
-    fn title(&self) -> &'static str {
-        "Mapping resolution hidden inside the DNS time"
-    }
-    fn run(&self, seed: u64, jobs: usize) -> ExpReport {
-        ExpReport::new(self.name(), self.title())
-            .with_section(run_resolution_jobs(seed, jobs).section())
-            .with_section(ablation_precompute_section(seed))
+/// The registry entry for E3: the grid plus the A2 ablation.
+pub fn experiment() -> Sections {
+    Sections {
+        name: "e3",
+        title: TITLE,
+        run: |seed, jobs| vec![grid().section(seed, jobs), ablation_precompute(seed)],
     }
 }
 
@@ -209,36 +125,39 @@ impl crate::experiments::Experiment for E3Resolution {
 mod tests {
     use super::*;
 
+    fn cell(cp: CpKind) -> (f64, f64) {
+        timings(&run(&spec(cp, Ns::from_ms(30)), 1, HORIZON))
+    }
+
     #[test]
     fn pce_ratio_is_one() {
-        let row = run_resolution_cell(CpKind::Pce, Ns::from_ms(30), 1);
-        assert!(row.t_map_eff_ms == 0.0, "{row:?}");
-        assert!((row.ratio - 1.0).abs() < 1e-9, "{row:?}");
-        assert!(row.t_dns_ms > 100.0, "hierarchy walk expected: {row:?}");
+        let (t_dns, t_map) = cell(CpKind::Pce);
+        assert!(t_map == 0.0, "T_map_eff {t_map}");
+        assert!(t_dns > 100.0, "hierarchy walk expected: T_DNS {t_dns}");
     }
 
     #[test]
     fn pull_ratio_exceeds_one() {
-        let row = run_resolution_cell(CpKind::LispDrop, Ns::from_ms(30), 1);
-        assert!(row.ratio > 1.1, "{row:?}");
-        assert!(row.t_map_eff_ms > 50.0, "{row:?}");
+        let (t_dns, t_map) = cell(CpKind::LispDrop);
+        assert!(
+            (t_dns + t_map) / t_dns > 1.1,
+            "T_DNS {t_dns} T_map_eff {t_map}"
+        );
+        assert!(t_map > 50.0, "T_map_eff {t_map}");
     }
 
     #[test]
     fn alt_worse_than_mrms() {
-        let mrms = run_resolution_cell(CpKind::LispDrop, Ns::from_ms(30), 1);
-        let alt = run_resolution_cell(CpKind::Alt { hops: 6 }, Ns::from_ms(30), 1);
-        assert!(
-            alt.t_map_eff_ms > mrms.t_map_eff_ms,
-            "alt {} vs mrms {}",
-            alt.t_map_eff_ms,
-            mrms.t_map_eff_ms
-        );
+        let (_, mrms) = cell(CpKind::LispDrop);
+        let (_, alt) = cell(CpKind::Alt { hops: 6 });
+        assert!(alt > mrms, "alt {alt} vs mrms {mrms}");
     }
 
     #[test]
     fn ablation_on_demand_slower() {
-        let (pre, demand) = run_ablation_precompute(1);
+        let s = ablation_precompute(1);
+        let pre = s.num(0, "t_dns_ms").unwrap();
+        let demand = s.num(1, "t_dns_ms").unwrap();
         assert!(demand > pre, "precompute {pre} vs on-demand {demand}");
         // The 2 ms on-demand penalty lands once on the DNS path.
         assert!(

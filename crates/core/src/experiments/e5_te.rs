@@ -11,75 +11,16 @@
 //! mid-flow egress moves lossless; pushing to only the first ITR strands
 //! moved flows on a stateless border router.
 
-use crate::experiments::report::{Cell, ExpReport, Section};
-use crate::experiments::sweep::Sweep;
+use crate::experiments::{fig1_one_flow, Cell, Grid, RunRecord, Section, Sections};
 use crate::hosts::{FlowMode, ServerHost};
 use crate::scenario::{flow_script, CpKind, FlowRouter};
-use crate::spec::ScenarioSpec;
-use crate::table::Table;
+use crate::spec::{ScenarioSpec, World};
 use ircte::Imbalance;
 use netsim::Ns;
 
-/// One row: inbound byte distribution per domain.
-#[derive(Debug, Clone)]
-pub struct TeRow {
-    /// Control plane label.
-    pub cp: String,
-    /// Inbound bytes into S via provider A / B.
-    pub inbound_s: [u64; 2],
-    /// Inbound bytes into D via provider X / Y.
-    pub inbound_d: [u64; 2],
-    /// Imbalance of the D-side inbound split (normalised utilisations).
-    pub imbalance_d: Imbalance,
-    /// Imbalance of the S-side inbound split.
-    pub imbalance_s: Imbalance,
-}
-
-/// E5 result.
-#[derive(Debug, Clone, Default)]
-pub struct TeResult {
-    /// Comparison rows.
-    pub rows: Vec<TeRow>,
-}
-
-impl TeResult {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "inbound_te",
-            "E5: inbound TE — per-provider inbound bytes (flows with echo traffic)",
-            &[
-                "cp",
-                "in_S_A",
-                "in_S_B",
-                "in_D_X",
-                "in_D_Y",
-                "max_util_D",
-                "stddev_D",
-            ],
-        );
-        for r in &self.rows {
-            s.row(vec![
-                Cell::str(r.cp.clone()),
-                Cell::u64(r.inbound_s[0]),
-                Cell::u64(r.inbound_s[1]),
-                Cell::u64(r.inbound_d[0]),
-                Cell::u64(r.inbound_d[1]),
-                Cell::f64(r.imbalance_d.max, 3),
-                Cell::f64(r.imbalance_d.stddev, 3),
-            ]);
-        }
-        s
-    }
-
-    /// Render the table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
-}
-
-/// Run one control plane's TE measurement.
-pub fn run_te_cell(cp: CpKind, n_flows: usize, seed: u64) -> TeRow {
+/// The E5 world for one plane: `n_flows` echoed UDP flows, 400 ms apart,
+/// over eight destination hosts, run for 120 s.
+pub fn run_te(cp: CpKind, n_flows: usize, seed: u64) -> World {
     let starts: Vec<Ns> = (0..n_flows).map(|i| Ns::from_ms(400 * i as u64)).collect();
     let mut world = ScenarioSpec::fig1(cp)
         .with(|s| {
@@ -99,141 +40,114 @@ pub fn run_te_cell(cp: CpKind, n_flows: usize, seed: u64) -> TeRow {
     world.sim.node_mut::<ServerHost>(host_d).echo_udp = true;
     world.schedule_all_flows();
     world.sim.run_until(Ns::from_secs(120));
+    world
+}
 
-    let in_s = world.provider_inbound_bytes("S");
-    let in_d = world.provider_inbound_bytes("D");
-    let inbound_s = [in_s[0], in_s[1]];
-    let inbound_d = [in_d[0], in_d[1]];
-    let norm = |pair: [u64; 2]| -> Imbalance {
-        let total = (pair[0] + pair[1]).max(1) as f64;
-        Imbalance::of(&[pair[0] as f64 / total, pair[1] as f64 / total])
-    };
-    TeRow {
-        cp: cp.label().into_owned(),
-        inbound_s,
-        inbound_d,
-        imbalance_d: norm(inbound_d),
-        imbalance_s: norm(inbound_s),
+/// Imbalance of a site's inbound split over its two providers
+/// (normalised utilisations).
+pub fn imbalance(world: &World, site: &str) -> Imbalance {
+    let b = world.provider_inbound_bytes(site);
+    let total = (b[0] + b[1]).max(1) as f64;
+    Imbalance::of(&[b[0] as f64 / total, b[1] as f64 / total])
+}
+
+/// The E5 grid: inbound bytes per provider of S and D, per plane.
+pub fn grid() -> Grid<CpKind> {
+    Grid {
+        name: "e5",
+        title: TITLE,
+        key: "inbound_te",
+        heading: "E5: inbound TE — per-provider inbound bytes (flows with echo traffic)",
+        columns: &[
+            "cp",
+            "in_S_A",
+            "in_S_B",
+            "in_D_X",
+            "in_D_Y",
+            "max_util_D",
+            "stddev_D",
+        ],
+        cells: vec![CpKind::LispQueue, CpKind::Nerd, CpKind::Pce],
+        row: |&cp, seed| {
+            let world = run_te(cp, 12, seed);
+            let (s, d) = (
+                world.provider_inbound_bytes("S"),
+                world.provider_inbound_bytes("D"),
+            );
+            let imb = imbalance(&world, "D");
+            vec![
+                Cell::str(cp.label()),
+                Cell::u64(s[0]),
+                Cell::u64(s[1]),
+                Cell::u64(d[0]),
+                Cell::u64(d[1]),
+                Cell::f64(imb.max, 3),
+                Cell::f64(imb.stddev, 3),
+            ]
+        },
     }
 }
 
-/// Full comparison on up to `jobs` workers (`0` = auto).
-pub fn run_te_jobs(seed: u64, jobs: usize) -> TeResult {
-    let cells = vec![CpKind::LispQueue, CpKind::Nerd, CpKind::Pce];
-    let rows = Sweep::new("e5", cells).run(
-        jobs,
-        |cp| cp.label().into_owned(),
-        |&cp| run_te_cell(cp, 12, seed),
+/// **Ablation A1**: one PCE flow whose egress moves from xTR-A to xTR-B
+/// at 600 ms, with the mapping pushed to every ITR (`push_all`, the
+/// paper) or to one.
+pub fn run_ablation_push(push_all: bool, seed: u64) -> RunRecord {
+    let mode = FlowMode::Udp {
+        packets: 60,
+        interval: Ns::from_ms(10),
+        size: 400,
+    };
+    let mut world = fig1_one_flow(CpKind::Pce, mode)
+        .with(|s| s.pce_push_all = push_all)
+        .build(seed);
+    world.schedule_all_flows();
+    // Let the flow resolve and stream for a while via xTR-A.
+    world.sim.run_until(Ns::from_ms(600));
+    // TE action: move the flow's egress to xTR-B.
+    let dest = world.records()[0].dest;
+    let site = world.site("S");
+    let (host, router, port_b) = (
+        site.host_addr,
+        site.router,
+        site.egress_ports.get(1).copied(),
     );
-    TeResult { rows }
+    if let (Some(dest), Some(port_b)) = (dest, port_b) {
+        world
+            .sim
+            .node_mut::<FlowRouter>(router)
+            .pin_flow(host, dest, port_b);
+    }
+    world.sim.run_until(Ns::from_secs(60));
+    RunRecord::of(&world)
 }
 
-/// Full comparison, serial.
-pub fn run_te(seed: u64) -> TeResult {
-    run_te_jobs(seed, 1)
-}
-
-/// **Ablation A1** result: mid-flow egress move with/without mappings
-/// pre-installed at every ITR.
-#[derive(Debug, Clone)]
-pub struct AblationPushResult {
-    /// Packets sent / delivered / dropped with push-to-all (paper).
-    pub push_all: (u64, u64, u64),
-    /// Same with push-to-one.
-    pub push_one: (u64, u64, u64),
-}
-
-impl AblationPushResult {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "ablation_push",
-            "A1: mid-flow egress move — push-to-all-ITRs vs push-to-one",
-            &["variant", "sent", "delivered", "miss_drops"],
-        );
+/// The A1 ablation as a section.
+pub fn ablation_push(seed: u64) -> Section {
+    let mut s = Section::new(
+        "ablation_push",
+        "A1: mid-flow egress move — push-to-all-ITRs vs push-to-one",
+        &["variant", "sent", "delivered", "miss_drops"],
+    );
+    for (label, push_all) in [("push-all (paper)", true), ("push-one (ablated)", false)] {
+        let r = run_ablation_push(push_all, seed);
         s.row(vec![
-            Cell::str("push-all (paper)"),
-            Cell::u64(self.push_all.0),
-            Cell::u64(self.push_all.1),
-            Cell::u64(self.push_all.2),
+            Cell::str(label),
+            Cell::u64(r.sent()),
+            Cell::u64(r.delivered),
+            Cell::u64(r.miss_drops),
         ]);
-        s.row(vec![
-            Cell::str("push-one (ablated)"),
-            Cell::u64(self.push_one.0),
-            Cell::u64(self.push_one.1),
-            Cell::u64(self.push_one.2),
-        ]);
-        s
     }
-
-    /// Render the table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
+    s
 }
 
-/// Run the A1 ablation.
-pub fn run_ablation_push(seed: u64) -> AblationPushResult {
-    let run = |push_all: bool| -> (u64, u64, u64) {
-        let mut world = ScenarioSpec::fig1(CpKind::Pce)
-            .with(|s| {
-                s.pce_push_all = push_all;
-                s.set_flows(flow_script(
-                    &[Ns::ZERO],
-                    4,
-                    FlowMode::Udp {
-                        packets: 60,
-                        interval: Ns::from_ms(10),
-                        size: 400,
-                    },
-                ));
-            })
-            .build(seed);
-        world.schedule_all_flows();
-        // Let the flow resolve and stream for a while via xTR-A.
-        world.sim.run_until(Ns::from_ms(600));
-        // TE action: move the flow's egress to xTR-B.
-        let dest = world.records()[0].dest;
-        let (host_s_addr, site_s, port_b) = {
-            let site = world.site("S");
-            (
-                site.host_addr,
-                site.router,
-                site.egress_ports.get(1).copied(),
-            )
-        };
-        if let (Some(dest), Some(port_b)) = (dest, port_b) {
-            world
-                .sim
-                .node_mut::<FlowRouter>(site_s)
-                .pin_flow(host_s_addr, dest, port_b);
-        }
-        world.sim.run_until(Ns::from_secs(60));
-        let rec = world.records()[0].clone();
-        let delivered = world.server_udp_received();
-        let drops = world.total_miss_drops();
-        (u64::from(rec.data_sent), delivered, drops)
-    };
-    AblationPushResult {
-        push_all: run(true),
-        push_one: run(false),
-    }
-}
+const TITLE: &str = "Inbound traffic-engineering flexibility";
 
-/// The registry entry for E5 (includes the A1 ablation section).
-pub struct E5Te;
-
-impl crate::experiments::Experiment for E5Te {
-    fn name(&self) -> &'static str {
-        "e5"
-    }
-    fn title(&self) -> &'static str {
-        "Inbound traffic-engineering flexibility"
-    }
-    fn run(&self, seed: u64, jobs: usize) -> ExpReport {
-        ExpReport::new(self.name(), self.title())
-            .with_section(run_te_jobs(seed, jobs).section())
-            .with_section(run_ablation_push(seed).section())
+/// The registry entry for E5: the grid plus the A1 ablation.
+pub fn experiment() -> Sections {
+    Sections {
+        name: "e5",
+        title: TITLE,
+        run: |seed, jobs| vec![grid().section(seed, jobs), ablation_push(seed)],
     }
 }
 
@@ -243,48 +157,41 @@ mod tests {
 
     #[test]
     fn pce_spreads_inbound_at_d() {
-        let pce = run_te_cell(CpKind::Pce, 8, 1);
+        let pce = run_te(CpKind::Pce, 8, 1);
+        let d = pce.provider_inbound_bytes("D");
         // Both D providers carry real traffic.
-        assert!(pce.inbound_d[0] > 0, "{pce:?}");
-        assert!(pce.inbound_d[1] > 0, "{pce:?}");
+        assert!(d[0] > 0 && d[1] > 0, "{d:?}");
         // No provider carries more than ~80% of inbound.
-        assert!(pce.imbalance_d.max < 0.8, "{pce:?}");
+        assert!(imbalance(&pce, "D").max < 0.8, "{d:?}");
     }
 
     #[test]
     fn vanilla_concentrates_inbound_at_d() {
-        let v = run_te_cell(CpKind::LispQueue, 8, 1);
+        let d = run_te(CpKind::LispQueue, 8, 1).provider_inbound_bytes("D");
         // All inbound data lands on the registered RLOC (provider X);
         // provider Y sees only control-plane noise.
-        assert!(
-            v.inbound_d[0] > v.inbound_d[1] * 5,
-            "X {} vs Y {}",
-            v.inbound_d[0],
-            v.inbound_d[1]
-        );
+        assert!(d[0] > d[1] * 5, "X {} vs Y {}", d[0], d[1]);
     }
 
     #[test]
     fn pce_beats_vanilla_on_balance() {
-        let v = run_te_cell(CpKind::LispQueue, 8, 1);
-        let p = run_te_cell(CpKind::Pce, 8, 1);
-        assert!(
-            p.imbalance_d.max < v.imbalance_d.max,
-            "pce {p:?} vanilla {v:?}"
-        );
-        assert!(
-            p.imbalance_s.max < v.imbalance_s.max,
-            "pce {p:?} vanilla {v:?}"
-        );
+        let v = run_te(CpKind::LispQueue, 8, 1);
+        let p = run_te(CpKind::Pce, 8, 1);
+        for site in ["D", "S"] {
+            let (pi, vi) = (imbalance(&p, site), imbalance(&v, site));
+            assert!(pi.max < vi.max, "{site}: pce {pi:?} vanilla {vi:?}");
+        }
     }
 
     #[test]
     fn ablation_push_all_lossless_move() {
-        let r = run_ablation_push(1);
-        let (sent_all, delivered_all, drops_all) = r.push_all;
-        assert_eq!(drops_all, 0, "{r:?}");
-        assert_eq!(delivered_all, sent_all, "{r:?}");
-        let (_sent_one, _delivered_one, drops_one) = r.push_one;
-        assert!(drops_one > 0, "push-one must strand the moved flow: {r:?}");
+        let all = run_ablation_push(true, 1);
+        assert_eq!(all.miss_drops, 0, "{all:?}");
+        assert_eq!(all.delivered, all.sent(), "{all:?}");
+        let one = run_ablation_push(false, 1);
+        assert!(
+            one.miss_drops > 0,
+            "push-one must strand the moved flow: {one:?}"
+        );
     }
 }

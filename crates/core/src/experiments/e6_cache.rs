@@ -8,94 +8,26 @@
 //! control plane (the PCE control plane never takes a data-driven miss —
 //! shown alongside).
 
-use crate::experiments::report::{Cell, ExpReport, Section};
-use crate::hosts::FlowMode;
+use crate::experiments::{run_world, Cell, Grid, Horizon, QUEUE};
+use crate::hosts::{FlowMode, FlowSpec};
 use crate::scenario::CpKind;
 use crate::spec::ScenarioSpec;
-use crate::table::Table;
 use crate::workload::{PoissonArrivals, ZipfPicker};
-use lispdp::{MissPolicy, Xtr};
+use lispdp::Xtr;
 use lispwire::dnswire::Name;
 use netsim::Ns;
 
-/// One row of the sweep.
-#[derive(Debug, Clone)]
-pub struct CacheRow {
-    /// Control plane label.
-    pub cp: String,
-    /// Mapping TTL (minutes).
-    pub ttl_minutes: u16,
-    /// Zipf skew.
-    pub zipf_s: f64,
-    /// ITR cache hits.
-    pub hits: u64,
-    /// ITR cache misses.
-    pub misses: u64,
-    /// Entries that aged out.
-    pub expirations: u64,
-    /// Hit ratio.
-    pub hit_ratio: f64,
-    /// Packets dropped or queued while resolving.
-    pub affected_packets: u64,
-}
+/// Every cell runs until 30 s after its last flow starts.
+pub const HORIZON: Horizon = Horizon::AfterLastFlow(Ns::from_secs(30));
 
-/// Sweep result.
-#[derive(Debug, Clone, Default)]
-pub struct CacheResult {
-    /// All rows.
-    pub rows: Vec<CacheRow>,
-}
-
-impl CacheResult {
-    /// The typed result section.
-    pub fn section(&self) -> Section {
-        let mut s = Section::new(
-            "cache",
-            "E6: map-cache hit ratio vs TTL and workload skew (vanilla LISP vs PCE)",
-            &[
-                "cp",
-                "ttl_min",
-                "zipf_s",
-                "hits",
-                "misses",
-                "expired",
-                "hit_ratio",
-                "affected_pkts",
-            ],
-        );
-        for r in &self.rows {
-            s.row(vec![
-                Cell::str(r.cp.clone()),
-                Cell::u64(u64::from(r.ttl_minutes)),
-                Cell::f64(r.zipf_s, 1),
-                Cell::u64(r.hits),
-                Cell::u64(r.misses),
-                Cell::u64(r.expirations),
-                Cell::f64(r.hit_ratio, 3),
-                Cell::u64(r.affected_packets),
-            ]);
-        }
-        s
-    }
-
-    /// Render the table.
-    pub fn table(&self) -> Table {
-        self.section().table()
-    }
-}
-
-/// Build the Zipf/Poisson flow script.
-fn zipf_flows(
-    n_flows: usize,
-    dest_count: usize,
-    zipf_s: f64,
-    rate_per_sec: f64,
-    seed: u64,
-) -> Vec<crate::hosts::FlowSpec> {
-    let mut arrivals = PoissonArrivals::new(seed, rate_per_sec);
+/// One cell: 150 Poisson(1.2/s) flows over 16 destination hosts with
+/// Zipf(`zipf_s`) popularity, host-granular mappings with the given TTL.
+pub fn spec(cp: CpKind, ttl_minutes: u16, zipf_s: f64, seed: u64) -> ScenarioSpec {
+    let dest_count = 16;
+    let mut arrivals = PoissonArrivals::new(seed, 1.2);
     let mut zipf = ZipfPicker::new(seed.wrapping_add(1), dest_count, zipf_s);
-    (0..n_flows)
-        .map(|_| crate::hosts::FlowSpec {
+    let flows = (0..150)
+        .map(|_| FlowSpec {
             start: arrivals.next_arrival(),
             qname: Name::parse_str(&format!("host-{}.d.example", zipf.pick())).expect("valid"),
             mode: FlowMode::Udp {
@@ -104,133 +36,121 @@ fn zipf_flows(
                 size: 300,
             },
         })
-        .collect()
+        .collect();
+    ScenarioSpec::fig1(cp).with(|s| {
+        s.set_dest_count(dest_count);
+        s.mapping_ttl_minutes = ttl_minutes;
+        s.fine_grained_mappings = true;
+        s.set_flows(flows);
+        s.pull_miss_policy = Some(QUEUE);
+    })
 }
 
-/// Run one cell.
-pub fn run_cache_cell(cp: CpKind, ttl_minutes: u16, zipf_s: f64, seed: u64) -> CacheRow {
-    let n_flows = 150;
-    let dest_count = 16;
-    let flows = zipf_flows(n_flows, dest_count, zipf_s, 1.2, seed);
-    let horizon = flows.last().map(|f| f.start).unwrap_or(Ns::ZERO) + Ns::from_secs(30);
-    let mut world = ScenarioSpec::fig1(cp)
-        .with(|s| {
-            s.set_dest_count(dest_count);
-            s.mapping_ttl_minutes = ttl_minutes;
-            s.fine_grained_mappings = true;
-            s.set_flows(flows);
-        })
-        .build(seed);
-    world.override_pull_miss_policy(MissPolicy::Queue { max_packets: 64 });
-    world.schedule_all_flows();
-    world.sim.run_until(horizon);
-
-    let (mut hits, mut misses, mut expirations, mut affected) = (0u64, 0u64, 0u64, 0u64);
-    // Only the S-side ITRs see the forward data path.
-    for &x in &world.site("S").xtrs {
-        let xtr = world.sim.node_ref::<Xtr>(x);
-        hits += xtr.cache.hit_count;
-        misses += xtr.cache.miss_count;
-        expirations += xtr.cache.expirations;
-        affected += xtr.stats.miss_drops + xtr.stats.queued;
-    }
-    let total = hits + misses;
-    CacheRow {
-        cp: cp.label().into_owned(),
-        ttl_minutes,
-        zipf_s,
-        hits,
-        misses,
-        expirations,
-        hit_ratio: if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        },
-        affected_packets: affected,
-    }
-}
-
-/// Full sweep on up to `jobs` workers (`0` = auto): TTL × skew for
-/// vanilla, one PCE row per skew.
-pub fn run_cache_jobs(seed: u64, jobs: usize) -> CacheResult {
+/// E6: TTL × skew for vanilla, one PCE row per skew.
+pub fn grid() -> Grid<(CpKind, u16, f64)> {
     let mut cells = Vec::new();
-    for &zipf_s in &[0.0, 1.0] {
-        for &ttl in &[1u16, 2, 10] {
+    for zipf_s in [0.0, 1.0] {
+        for ttl in [1u16, 2, 10] {
             cells.push((CpKind::LispQueue, ttl, zipf_s));
         }
         cells.push((CpKind::Pce, 10, zipf_s));
     }
-    let rows = crate::experiments::sweep::Sweep::new("e6", cells).run(
-        jobs,
-        |&(cp, ttl, zipf_s)| format!("{}/ttl={ttl}m/s={zipf_s}", cp.label()),
-        |&(cp, ttl, zipf_s)| run_cache_cell(cp, ttl, zipf_s, seed),
-    );
-    CacheResult { rows }
-}
-
-/// Full sweep, serial.
-pub fn run_cache(seed: u64) -> CacheResult {
-    run_cache_jobs(seed, 1)
-}
-
-/// The registry entry for E6.
-pub struct E6Cache;
-
-impl crate::experiments::Experiment for E6Cache {
-    fn name(&self) -> &'static str {
-        "e6"
-    }
-    fn title(&self) -> &'static str {
-        "Map-cache behaviour under TTL aging and workload skew"
-    }
-    fn run(&self, seed: u64, jobs: usize) -> ExpReport {
-        ExpReport::new(self.name(), self.title()).with_section(run_cache_jobs(seed, jobs).section())
+    Grid {
+        name: "e6",
+        title: "Map-cache behaviour under TTL aging and workload skew",
+        key: "cache",
+        heading: "E6: map-cache hit ratio vs TTL and workload skew (vanilla LISP vs PCE)",
+        columns: &[
+            "cp",
+            "ttl_min",
+            "zipf_s",
+            "hits",
+            "misses",
+            "expired",
+            "hit_ratio",
+            "affected_pkts",
+        ],
+        cells,
+        row: |&(cp, ttl, zipf_s), seed| {
+            let world = run_world(&spec(cp, ttl, zipf_s, seed), seed, HORIZON);
+            // Only the S-side ITRs see the forward data path; affected
+            // packets were dropped or queued while resolving.
+            let (mut hits, mut misses, mut expired, mut affected) = (0, 0, 0, 0);
+            for &x in &world.site("S").xtrs {
+                let xtr = world.sim.node_ref::<Xtr>(x);
+                hits += xtr.cache.hit_count;
+                misses += xtr.cache.miss_count;
+                expired += xtr.cache.expirations;
+                affected += xtr.stats.miss_drops + xtr.stats.queued;
+            }
+            let total = hits + misses;
+            let hit_ratio = if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            };
+            vec![
+                Cell::str(cp.label()),
+                Cell::u64(u64::from(ttl)),
+                Cell::f64(zipf_s, 1),
+                Cell::u64(hits),
+                Cell::u64(misses),
+                Cell::u64(expired),
+                Cell::f64(hit_ratio, 3),
+                Cell::u64(affected),
+            ]
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Section;
+
+    fn cell(cp: CpKind, ttl: u16, zipf_s: f64) -> Section {
+        Grid {
+            cells: vec![(cp, ttl, zipf_s)],
+            ..grid()
+        }
+        .section(3, 1)
+    }
 
     #[test]
     fn longer_ttl_improves_hit_ratio() {
-        let short = run_cache_cell(CpKind::LispQueue, 1, 1.0, 3);
-        let long = run_cache_cell(CpKind::LispQueue, 10, 1.0, 3);
+        let short = cell(CpKind::LispQueue, 1, 1.0);
+        let long = cell(CpKind::LispQueue, 10, 1.0);
+        let ratio = |s: &Section| s.num(0, "hit_ratio").unwrap();
         assert!(
-            long.hit_ratio >= short.hit_ratio,
-            "short {:?} long {:?}",
-            short.hit_ratio,
-            long.hit_ratio
+            ratio(&long) >= ratio(&short),
+            "short {short:?} long {long:?}"
         );
         assert!(
-            short.expirations > 0,
+            short.num(0, "expired").unwrap() > 0.0,
             "1-minute TTL must age out: {short:?}"
         );
     }
 
     #[test]
     fn skew_improves_hit_ratio() {
-        let uniform = run_cache_cell(CpKind::LispQueue, 2, 0.0, 3);
-        let skewed = run_cache_cell(CpKind::LispQueue, 2, 1.2, 3);
+        let uniform = cell(CpKind::LispQueue, 2, 0.0);
+        let skewed = cell(CpKind::LispQueue, 2, 1.2);
         assert!(
-            skewed.hit_ratio >= uniform.hit_ratio,
-            "uniform {:?} skewed {:?}",
-            uniform.hit_ratio,
-            skewed.hit_ratio
+            skewed.num(0, "hit_ratio") >= uniform.num(0, "hit_ratio"),
+            "uniform {uniform:?} skewed {skewed:?}"
         );
     }
 
     #[test]
     fn pce_has_no_data_driven_misses() {
-        let pce = run_cache_cell(CpKind::Pce, 1, 1.0, 3);
-        assert_eq!(pce.affected_packets, 0, "{pce:?}");
+        let pce = cell(CpKind::Pce, 1, 1.0);
+        assert_eq!(pce.num(0, "affected_pkts"), Some(0.0), "{pce:?}");
     }
 
     #[test]
     fn misses_happen_on_cold_start() {
-        let row = run_cache_cell(CpKind::LispQueue, 10, 1.0, 3);
-        assert!(row.misses > 0);
-        assert!(row.hits > 0);
+        let s = cell(CpKind::LispQueue, 10, 1.0);
+        assert!(s.num(0, "misses").unwrap() > 0.0);
+        assert!(s.num(0, "hits").unwrap() > 0.0);
     }
 }

@@ -1,12 +1,11 @@
 //! Experiment harnesses (see DESIGN.md §4 and §6 for the index).
 //!
-//! Each `run_*` function builds its worlds, runs them, and returns a
-//! typed result struct with `section()` / `table()` renderers. Every
-//! experiment is also registered behind the [`Experiment`] trait, so
-//! runners iterate [`registry`] instead of hand-listing modules. Grid
-//! experiments fan their cells across the [`sweep::Sweep`] worker pool
-//! (`jobs`: `0` = auto, `1` = serial; reports are byte-identical either
-//! way — DESIGN.md §8):
+//! Every experiment is registered behind the [`Experiment`] trait, so
+//! runners iterate [`registry`] instead of hand-listing modules. A grid
+//! experiment is data: a [`Grid`] of cells whose row function runs one
+//! world through [`run`] and projects the [`RunRecord`] it returns.
+//! Grids fan their cells across a worker pool (`jobs`: `0` = auto,
+//! `1` = serial; reports are byte-identical either way — DESIGN.md §8):
 //!
 //! ```no_run
 //! for exp in pcelisp::experiments::registry() {
@@ -16,8 +15,9 @@
 //! }
 //! ```
 
+pub mod grid;
+pub mod record;
 pub mod report;
-pub mod sweep;
 
 pub mod e10_recovery;
 pub mod e11_scale_xl;
@@ -33,19 +33,43 @@ pub mod e7_reverse;
 pub mod e8_overhead;
 pub mod e9_scale;
 
+pub use grid::{Grid, Sections};
+pub use record::{run, run_world, CpTally, Horizon, RunRecord};
 pub use report::{Cell, ExpReport, Experiment, Section, Value};
-pub use sweep::Sweep;
+
+use crate::hosts::FlowMode;
+use crate::scenario::{flow_script, CpKind};
+use crate::spec::ScenarioSpec;
+use lispdp::MissPolicy;
+use netsim::Ns;
 
 /// The provider-link one-way-delay axis shared by the Fig.-1 sweeps
 /// (E2 drops, E3 resolution, E4 TCP setup) — one definition so the
 /// grids can't drift apart and each experiment's golden pins the same
 /// axis.
-pub const OWD_SWEEP: [netsim::Ns; 4] = [
-    netsim::Ns::from_ms(15),
-    netsim::Ns::from_ms(30),
-    netsim::Ns::from_ms(60),
-    netsim::Ns::from_ms(100),
+pub const OWD_SWEEP: [Ns; 4] = [
+    Ns::from_ms(15),
+    Ns::from_ms(30),
+    Ns::from_ms(60),
+    Ns::from_ms(100),
 ];
+
+/// The miss policy latency experiments give pull planes, so packets
+/// wait for their mapping instead of being dropped.
+pub const QUEUE: MissPolicy = MissPolicy::Queue { max_packets: 64 };
+
+/// Every plane at every point of `axis`, axis-major: the cell list of
+/// the plane × delay and plane × site-count grids.
+pub fn cross<T: Copy>(axis: &[T], cps: &[CpKind]) -> Vec<(CpKind, T)> {
+    axis.iter()
+        .flat_map(|&x| cps.iter().map(move |&cp| (cp, x)))
+        .collect()
+}
+
+/// The Fig. 1 world running one flow of `mode` to `host-0`.
+pub fn fig1_one_flow(cp: CpKind, mode: FlowMode) -> ScenarioSpec {
+    ScenarioSpec::fig1(cp).with(|s| s.set_flows(flow_script(&[Ns::ZERO], 4, mode)))
+}
 
 /// Every experiment in run order. This is the single source of truth:
 /// runner `--list` output, the smoke-test expectations, and the docs
@@ -53,19 +77,19 @@ pub const OWD_SWEEP: [netsim::Ns; 4] = [
 /// new experiment needs to be picked up everywhere.
 pub fn registry() -> Vec<Box<dyn Experiment>> {
     vec![
-        Box::new(e1_fig1::E1Fig1),
-        Box::new(e2_drops::E2Drops),
-        Box::new(e3_resolution::E3Resolution),
-        Box::new(e4_tcp_setup::E4TcpSetup),
-        Box::new(e5_te::E5Te),
-        Box::new(e6_cache::E6Cache),
-        Box::new(e7_reverse::E7Reverse),
-        Box::new(e8_overhead::E8Overhead),
-        Box::new(e9_scale::E9Scale),
-        Box::new(e10_recovery::E10Recovery),
-        Box::new(e11_scale_xl::E11ScaleXl),
-        Box::new(e12_adversarial::E12Adversarial),
-        Box::new(e13_availability::E13Availability),
+        Box::new(e1_fig1::experiment()),
+        Box::new(e2_drops::grid()),
+        Box::new(e3_resolution::experiment()),
+        Box::new(e4_tcp_setup::grid()),
+        Box::new(e5_te::experiment()),
+        Box::new(e6_cache::grid()),
+        Box::new(e7_reverse::experiment()),
+        Box::new(e8_overhead::grid()),
+        Box::new(e9_scale::grid()),
+        Box::new(e10_recovery::grid()),
+        Box::new(e11_scale_xl::grid()),
+        Box::new(e12_adversarial::experiment()),
+        Box::new(e13_availability::grid()),
     ]
 }
 

@@ -5,8 +5,8 @@
 //! section is a titled grid whose cells carry **both** the exact table
 //! text (so renderings stay byte-identical to the historical tables)
 //! and a typed [`Value`] (so JSON emission keeps numbers as numbers).
+//! A section renders itself as a column-aligned text table.
 
-use crate::table::Table;
 use std::fmt::Write as _;
 
 /// A typed cell value, used for JSON serialization.
@@ -125,15 +125,67 @@ impl Section {
         self
     }
 
-    /// Render as a plain-text [`Table`].
-    pub fn table(&self) -> Table {
-        let cols: Vec<&str> = self.columns.iter().map(String::as_str).collect();
-        let mut t = Table::new(&self.title, &cols);
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|c| c.text.clone()).collect();
-            t.row(&cells);
+    /// The number in `column` of row `row`: `None` for a string, a
+    /// boolean or a missing value.
+    ///
+    /// # Panics
+    /// When the section has no such column or row.
+    pub fn num(&self, row: usize, column: &str) -> Option<f64> {
+        let col = self.columns.iter().position(|c| c == column);
+        let col = col.unwrap_or_else(|| panic!("section {:?} has no column {column:?}", self.key));
+        match self.rows[row][col].value {
+            Value::UInt(n) => Some(n as f64),
+            Value::Int(n) => Some(n as f64),
+            Value::Float(f) => Some(f),
+            Value::Str(_) | Value::Bool(_) | Value::Null => None,
         }
-        t
+    }
+
+    /// Render as a column-aligned text table: `== title ==`, the header,
+    /// a dash rule, then one line per row. Rows longer than the header
+    /// widen the table; trailing blanks are trimmed from every line.
+    pub fn render(&self) -> String {
+        let header: Vec<&str> = self.columns.iter().map(String::as_str).collect();
+        let rows: Vec<Vec<&str>> = self
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|c| c.text.as_str()).collect())
+            .collect();
+        let ncols = rows
+            .iter()
+            .map(Vec::len)
+            .chain([header.len()])
+            .max()
+            .unwrap_or(0);
+        let mut widths = vec![0usize; ncols];
+        for line in std::iter::once(&header).chain(&rows) {
+            for (w, text) in widths.iter_mut().zip(line) {
+                *w = (*w).max(text.len());
+            }
+        }
+        let fmt_line = |cells: &[&str]| -> String {
+            let mut line = String::new();
+            for (i, w) in widths.iter().enumerate() {
+                if i > 0 {
+                    line.push_str("  ");
+                }
+                let _ = write!(line, "{:<w$}", cells.get(i).copied().unwrap_or(""));
+            }
+            line.trim_end().to_string()
+        };
+        let mut out = String::new();
+        if !self.title.is_empty() {
+            let _ = writeln!(out, "== {} ==", self.title);
+        }
+        if !header.is_empty() {
+            let _ = writeln!(out, "{}", fmt_line(&header));
+            let total = widths.iter().sum::<usize>() + 2 * ncols.saturating_sub(1);
+            let _ = writeln!(out, "{}", "-".repeat(total));
+        }
+        for row in &rows {
+            let _ = writeln!(out, "{}", fmt_line(row));
+        }
+        out
     }
 }
 
@@ -152,7 +204,7 @@ impl Section {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExpReport {
-    /// Experiment key (`"e1"` … `"e10"`).
+    /// Experiment key (`"e1"`, `"e2"`, …).
     pub name: String,
     /// One-line experiment title.
     pub title: String,
@@ -176,18 +228,19 @@ impl ExpReport {
         self
     }
 
-    /// All sections as printable tables, in order.
-    pub fn tables(&self) -> Vec<Table> {
-        self.sections.iter().map(Section::table).collect()
+    /// All sections, in order; each renders as a table
+    /// ([`Section::render`]).
+    pub fn tables(&self) -> &[Section] {
+        &self.sections
     }
 
     /// Print every section table to stdout, blank-line separated.
     pub fn print(&self) {
-        for (i, t) in self.tables().iter().enumerate() {
+        for (i, s) in self.sections.iter().enumerate() {
             if i > 0 {
                 println!();
             }
-            t.print();
+            print!("{}", s.render());
         }
     }
 
@@ -312,12 +365,12 @@ fn json_value(v: &Value) -> String {
 /// assert_eq!(report.to_json(), Demo.run(7, 8).to_json());
 /// ```
 pub trait Experiment {
-    /// Stable key used by `exp_all --only` (`"e1"` … `"e11"`).
+    /// Stable key used by `exp_all --only` (`"e1"`, `"e2"`, …).
     fn name(&self) -> &'static str;
     /// One-line description for `--list` output.
     fn title(&self) -> &'static str;
     /// Run the experiment at the given seed on up to `jobs` worker
-    /// threads (`0` = auto; see [`crate::experiments::sweep::resolve_jobs`]).
+    /// threads (`0` = auto; see [`crate::experiments::grid::resolve_jobs`]).
     /// The report is byte-identical for every `jobs` value.
     fn run(&self, seed: u64, jobs: usize) -> ExpReport;
 }
@@ -380,5 +433,31 @@ mod tests {
         s.row(vec![Cell::f64(2.0, 1)]);
         let json = ExpReport::new("e", "t").with_section(s).to_json();
         assert!(json.contains("[2.0]"), "{json}");
+    }
+
+    #[test]
+    fn renders_aligned() {
+        let mut s = Section::new("k", "demo", &["cp", "drops", "latency_ms"]);
+        s.row(vec![
+            Cell::str("lisp-drop"),
+            Cell::u64(120),
+            Cell::f64(312.5, 3),
+        ]);
+        s.row(vec![Cell::str("pce"), Cell::u64(0), Cell::f64(150.0, 3)]);
+        let text = s.render();
+        assert!(text.contains("== demo =="));
+        // Columns aligned: the header line and rows share prefix widths.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5);
+        let drops_col = lines[1].find("drops").unwrap();
+        assert_eq!(lines[3].find("120").unwrap(), drops_col);
+        assert_eq!(lines[4], "pce        0      150.000");
+    }
+
+    #[test]
+    fn ragged_rows_ok() {
+        let mut s = Section::new("k", "", &["a"]);
+        s.row(vec![Cell::u64(1), Cell::u64(2), Cell::u64(3)]);
+        assert_eq!(s.render(), "a\n-------\n1  2  3\n");
     }
 }

@@ -33,12 +33,12 @@
 //! * [`adversary`] — scripted attacker nodes for the graceful-degradation
 //!   study (E12): Map-Request floods, cache poisoning, prefix
 //!   overclaiming, all replay-deterministic (DESIGN.md §10).
-//! * [`table`] — the plain-text [`table::Table`] every experiment
-//!   report prints through.
-//! * [`experiments`] — the E1–E12 / A1–A2 harnesses of DESIGN.md behind
+//! * [`experiments`] — the E1–E13 / A1–A2 harnesses of DESIGN.md behind
 //!   the [`experiments::Experiment`] trait: each returns an
-//!   [`experiments::ExpReport`] with typed rows, printable tables and
-//!   JSON serialization, and [`experiments::registry`] drives them all.
+//!   [`experiments::ExpReport`] whose sections render as tables and
+//!   serialize to JSON, and [`experiments::registry`] drives them all.
+//!   A grid experiment is data ([`experiments::Grid`]); every cell runs
+//!   its world through [`experiments::run`].
 //!
 //! ```no_run
 //! use pcelisp::prelude::*;
@@ -64,13 +64,12 @@ pub mod pce;
 pub mod plane;
 pub mod scenario;
 pub mod spec;
-pub mod table;
 pub mod workload;
 
 /// Convenient re-exports for examples and benches.
 pub mod prelude {
     pub use crate::adversary::{AttackNode, ScanRng};
-    pub use crate::experiments::{self, ExpReport, Experiment};
+    pub use crate::experiments::{self, Cell, ExpReport, Experiment, Section};
     pub use crate::hosts::{FlowMode, FlowSpec, ServerHost, TrafficHost};
     pub use crate::pce::{Pce, PceConfig};
     pub use crate::plane::MapSystem;
@@ -80,7 +79,6 @@ pub mod prelude {
         ScenarioSpec, SelectionPolicy, SiteRole, SiteSpec, SiteWorld, TopologySpec, Workload,
         World,
     };
-    pub use crate::table::Table;
     pub use crate::workload::{PoissonArrivals, ZipfPicker};
     pub use inet::{Prefix, Router};
     pub use lispdp::{CacheSpec, CpMode, DefenseCfg, EvictionPolicy, MissPolicy, Xtr};

@@ -665,6 +665,12 @@ pub struct ScenarioSpec {
     pub replicas: Option<ReplicaSpec>,
     /// xTR map-request retry shaping (`None` = xTR defaults).
     pub retry: Option<RetrySpec>,
+    /// Miss policy of every xTR that resolves by pull (lisp-drop,
+    /// lisp-queue, lisp-data-cp, ALT, CONS); push-plane xTRs (NERD,
+    /// PCE) keep theirs. `None` keeps each plane's own. Latency
+    /// experiments set a queue so pull planes hold packets instead of
+    /// dropping them.
+    pub pull_miss_policy: Option<MissPolicy>,
 }
 
 impl ScenarioSpec {
@@ -728,6 +734,7 @@ impl ScenarioSpec {
             attackers: Vec::new(),
             replicas: None,
             retry: None,
+            pull_miss_policy: None,
         }
     }
 
@@ -817,6 +824,7 @@ impl ScenarioSpec {
             attackers: Vec::new(),
             replicas: None,
             retry: None,
+            pull_miss_policy: None,
         }
     }
 
@@ -1144,17 +1152,6 @@ impl World {
             .iter()
             .map(|&l| self.sim.link_stats(l, 1).tx_bytes)
             .collect()
-    }
-
-    /// Override the miss policy of every xTR running in Pull mode
-    /// (pull systems must queue for latency-oriented experiments).
-    pub fn override_pull_miss_policy(&mut self, policy: MissPolicy) {
-        for x in self.all_xtrs() {
-            let xtr = self.sim.node_mut::<Xtr>(x);
-            if matches!(xtr.cfg.mode, CpMode::Pull { .. }) {
-                xtr.cfg.miss_policy = policy;
-            }
-        }
     }
 }
 
@@ -1497,7 +1494,10 @@ impl ScenarioSpec {
                         Arc::clone(&eid_space),
                         cp.xtr_mode(i),
                     );
-                    cfg.miss_policy = cp.miss_policy();
+                    cfg.miss_policy = match (self.pull_miss_policy, &cfg.mode) {
+                        (Some(policy), CpMode::Pull { .. }) => policy,
+                        _ => cp.miss_policy(),
+                    };
                     cfg.internal_plain_prefixes = internal.clone();
                     cfg.reverse_sync_peers = peers;
                     cfg.pced_addr = pced;
@@ -1967,9 +1967,11 @@ mod tests {
     fn alt_and_cons_flows_complete_with_queue_policy() {
         for cp in [CpKind::Alt { hops: 3 }, CpKind::Cons { cdr_depth: 1 }] {
             let mut world = ScenarioSpec::fig1(cp)
-                .with(|s| s.set_flows(flow_script(&[Ns::ZERO], 4, tcp_mode())))
+                .with(|s| {
+                    s.set_flows(flow_script(&[Ns::ZERO], 4, tcp_mode()));
+                    s.pull_miss_policy = Some(MissPolicy::Queue { max_packets: 64 });
+                })
                 .build(1);
-            world.override_pull_miss_policy(MissPolicy::Queue { max_packets: 64 });
             world.schedule_all_flows();
             world.sim.run_until(Ns::from_secs(30));
             let rec = world.records()[0].clone();
@@ -1978,6 +1980,32 @@ mod tests {
                 "{} resolution must complete",
                 cp.label()
             );
+        }
+    }
+
+    #[test]
+    fn pull_miss_policy_reaches_pull_xtrs_only() {
+        let queue = MissPolicy::Queue { max_packets: 7 };
+        let pull = [
+            CpKind::LispDrop,
+            CpKind::Alt { hops: 3 },
+            CpKind::Cons { cdr_depth: 1 },
+        ];
+        for cp in pull.into_iter().chain([CpKind::Nerd, CpKind::Pce]) {
+            let world = ScenarioSpec::fig1(cp)
+                .with(|s| s.pull_miss_policy = Some(queue))
+                .build(1);
+            let want = if pull.contains(&cp) {
+                queue
+            } else {
+                cp.miss_policy()
+            };
+            let xtrs = world.all_xtrs();
+            assert_eq!(xtrs.len(), 4, "{}", cp.label());
+            for x in xtrs {
+                let xtr = world.sim.node_ref::<Xtr>(x);
+                assert_eq!(xtr.cfg.miss_policy, want, "{}", cp.label());
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 use pcelisp::experiments::Experiment;
 
 fn main() {
-    let report = pcelisp::experiments::e6_cache::E6Cache.run(3, 0);
+    let report = pcelisp::experiments::e6_cache::grid().run(3, 0);
     report.print();
     println!();
     println!(

@@ -6,25 +6,24 @@
 //! cargo run --release --example cp_comparison
 //! ```
 
-use pcelisp::experiments::e2_drops::{e2_variants, run_drops_cell};
-use pcelisp::experiments::e4_tcp_setup::{e4_variants, run_setup_cell};
+use pcelisp::experiments::{cross, e2_drops, e4_tcp_setup, Grid};
 use pcelisp::prelude::*;
 
 fn main() {
-    let owd = Ns::from_ms(30);
-
-    let mut drops = pcelisp::experiments::e2_drops::DropsResult::default();
-    for cp in e2_variants() {
-        drops.rows.push(run_drops_cell(cp, owd, 1));
-    }
-    drops.section().table().print();
+    // The E2 and E4 grids, cut down to one representative delay.
+    let owd = [Ns::from_ms(30)];
+    let drops = Grid {
+        cells: cross(&owd, &e2_drops::VARIANTS),
+        ..e2_drops::grid()
+    };
+    print!("{}", drops.section(1, 0).render());
     println!();
 
-    let mut setup = pcelisp::experiments::e4_tcp_setup::SetupResult::default();
-    for cp in e4_variants() {
-        setup.rows.push(run_setup_cell(cp, owd, 1));
-    }
-    setup.section().table().print();
+    let setup = Grid {
+        cells: cross(&owd, &e4_tcp_setup::VARIANTS),
+        ..e4_tcp_setup::grid()
+    };
+    print!("{}", setup.section(1, 0).render());
     println!();
     println!(
         "Shape check: PCE loses nothing and matches the no-LISP setup time;\n\

@@ -13,48 +13,35 @@
 //! cargo run --release --example deaggregation
 //! ```
 
-use mapsys::NerdAuthority;
+use pcelisp::experiments::{run, Horizon};
 use pcelisp::hosts::FlowMode;
 use pcelisp::prelude::*;
 use pcelisp::scenario::flow_script;
 
+/// xTR mapping state and NERD push bytes of one run.
 fn run_cell(cp: CpKind, dest_count: usize, flows: usize) -> (u64, u64) {
     let starts: Vec<Ns> = (0..flows).map(|i| Ns::from_ms(300 * i as u64)).collect();
-    let mut world = ScenarioSpec::fig1(cp)
-        .with(|s| {
-            s.set_dest_count(dest_count);
-            s.fine_grained_mappings = true; // de-aggregated /32 registrations
-            s.set_flows(flow_script(
-                &starts,
-                dest_count,
-                FlowMode::Udp {
-                    packets: 2,
-                    interval: Ns::from_ms(2),
-                    size: 200,
-                },
-            ));
-        })
-        .build(1);
-    world.schedule_all_flows();
-    world.sim.run_until(Ns::from_secs(60));
-
-    let mut itr_state = 0u64;
-    for x in world.all_xtrs() {
-        let xtr = world.sim.node_ref::<Xtr>(x);
-        itr_state += xtr.cache.len() as u64 + xtr.flows.len() as u64;
-    }
-    let push_bytes = match world.mapsys {
-        MapSystem::Nerd { primary, .. } => {
-            world.sim.node_ref::<NerdAuthority>(primary).bytes_pushed
-        }
-        _ => 0,
-    };
-    (itr_state, push_bytes)
+    let spec = ScenarioSpec::fig1(cp).with(|s| {
+        s.set_dest_count(dest_count);
+        s.fine_grained_mappings = true; // de-aggregated /32 registrations
+        s.set_flows(flow_script(
+            &starts,
+            dest_count,
+            FlowMode::Udp {
+                packets: 2,
+                interval: Ns::from_ms(2),
+                size: 200,
+            },
+        ));
+    });
+    let tally = run(&spec, 1, Horizon::At(Ns::from_secs(60))).tally;
+    (tally.itr_state_entries, tally.push_bytes)
 }
 
 fn main() {
     let flows = 6;
-    let mut table = Table::new(
+    let mut table = Section::new(
+        "deaggregation",
         "De-aggregation sweep: xTR mapping state and pushed bytes vs prefix count",
         &[
             "dest_prefixes",
@@ -67,15 +54,15 @@ fn main() {
     for dest_count in [8usize, 32, 96, 192] {
         let (nerd_state, nerd_bytes) = run_cell(CpKind::Nerd, dest_count, flows);
         let (pce_state, pce_bytes) = run_cell(CpKind::Pce, dest_count, flows);
-        table.row(&[
-            dest_count.to_string(),
-            nerd_state.to_string(),
-            nerd_bytes.to_string(),
-            pce_state.to_string(),
-            pce_bytes.to_string(),
+        table.row(vec![
+            Cell::usize(dest_count),
+            Cell::u64(nerd_state),
+            Cell::u64(nerd_bytes),
+            Cell::u64(pce_state),
+            Cell::u64(pce_bytes),
         ]);
     }
-    table.print();
+    print!("{}", table.render());
     println!();
     println!(
         "NERD's cost tracks the de-aggregation factor (every xTR holds every\n\

@@ -29,12 +29,12 @@ fn main() {
         }
     }
     println!();
-    result.table().print();
+    print!("{}", result.section.render());
     println!();
     println!(
         "The mapping was installed at every ITR before the DNS answer reached \
          the end-host: {} — the paper's claims C1 and C2 in one run.",
-        result.installed_before_answer
+        result.section.rows[8][1].text
     );
 
     // The same world, built by hand from the declarative spec — the

@@ -12,13 +12,14 @@
 //! cargo run --release --example scale_sites
 //! ```
 
-use pcelisp::experiments::e9_scale::run_scale_cell;
+use pcelisp::experiments::e9_scale::{run_scale, HOSTS_PER_SITE};
 use pcelisp::prelude::*;
 
 fn main() {
     // The full sweep is `exp_all --only e9`; here a
     // compact slice: three control planes at N ∈ {2, 8, 32}.
-    let mut table = Table::new(
+    let mut table = Section::new(
+        "scale_slice",
         "Scale slice: N destination sites, Zipf(1.0) cross-site popularity",
         &[
             "cp",
@@ -32,19 +33,19 @@ fn main() {
     );
     for n in [2usize, 8, 32] {
         for cp in [CpKind::LispQueue, CpKind::Nerd, CpKind::Pce] {
-            let row = run_scale_cell(cp, n, 1);
-            table.row(&[
-                row.cp.clone(),
-                row.n_sites.to_string(),
-                format!("{}/{}", row.delivered, row.sent),
-                row.miss_drops.to_string(),
-                format!("{:.1}", row.mean_map_latency_ms),
-                row.control_msgs.to_string(),
-                row.push_bytes.to_string(),
+            let r = run_scale(cp, n, HOSTS_PER_SITE, 1);
+            table.row(vec![
+                Cell::str(cp.label()),
+                Cell::usize(n),
+                Cell::str(format!("{}/{}", r.delivered, r.sent())),
+                Cell::u64(r.miss_drops),
+                Cell::f64(r.mean_queue_delay_ms(), 1),
+                Cell::u64(r.tally.control_msgs),
+                Cell::u64(r.tally.push_bytes),
             ]);
         }
     }
-    table.print();
+    print!("{}", table.render());
 
     println!();
     println!(

@@ -13,7 +13,7 @@ use pcelisp::experiments::Experiment;
 fn main() {
     // E5 carries both sections (inbound TE + the A1 ablation) in one
     // registry report.
-    let report = pcelisp::experiments::e5_te::E5Te.run(1, 0);
+    let report = pcelisp::experiments::e5_te::experiment().run(1, 0);
     report.print();
     println!();
     println!(

@@ -1,20 +1,24 @@
-//! Golden-compat pins: the `ScenarioSpec::fig1` preset must reproduce
-//! the pre-redesign E1–E8 tables **byte-identically** at the default
-//! seed (1). The golden files under `tests/golden/` were rendered by the
-//! hand-built `Fig1Builder` world before the declarative-spec redesign;
-//! any drift in node ordering, link setup, addressing, or formatting
-//! shows up here as a diff.
+//! Golden-compat pins: every registry experiment's rendered sections —
+//! exactly what `exp_all` prints — must reproduce the pinned tables
+//! **byte-identically** at the default seed (1). The E1–E8 golden files
+//! under `tests/golden/` were rendered by the hand-built `Fig1Builder`
+//! world before the declarative-spec redesign; any drift in node
+//! ordering, link setup, addressing, or formatting shows up here as a
+//! diff.
 //!
 //! Regenerate (only when an intentional behaviour change is being made)
 //! with `UPDATE_GOLDEN=1 cargo test --test golden_compat`.
 
-use pcelisp::experiments::{
-    e10_recovery, e11_scale_xl, e12_adversarial, e13_availability, e1_fig1, e2_drops,
-    e3_resolution, e4_tcp_setup, e5_te, e6_cache, e7_reverse, e8_overhead, e9_scale,
-};
+use pcelisp::experiments::{by_name, Section};
 use std::path::PathBuf;
 
 const SEED: u64 = 1;
+
+/// The sections of registry experiment `id` at the golden seed — what
+/// `exp_all` prints.
+fn sections(id: &str, jobs: usize) -> Vec<Section> {
+    by_name(id).expect("registered").run(SEED, jobs).sections
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -39,81 +43,64 @@ fn check(name: &str, rendered: &str) {
 
 #[test]
 fn e1_fig1_table_golden() {
-    check("e1_fig1", &e1_fig1::run_fig1_trace(SEED).table().render());
+    check("e1_fig1", &sections("e1", 1)[0].render());
 }
 
 #[test]
 fn e2_drops_table_golden() {
-    check("e2_drops", &e2_drops::run_drops(SEED).table().render());
+    check("e2_drops", &sections("e2", 1)[0].render());
 }
 
 #[test]
 fn e3_resolution_table_golden() {
-    check(
-        "e3_resolution",
-        &e3_resolution::run_resolution(SEED).table().render(),
-    );
+    check("e3_resolution", &sections("e3", 1)[0].render());
 }
 
 #[test]
 fn e3_ablation_precompute_golden() {
-    let (pre, demand) = e3_resolution::run_ablation_precompute(SEED);
+    let a2 = &sections("e3", 1)[1];
+    let (pre, demand) = (&a2.rows[0][1].text, &a2.rows[1][1].text);
     check(
         "e3_ablation_precompute",
-        &format!("A2 ablation: precomputed = {pre:.1} ms; on-demand = {demand:.1} ms\n"),
+        &format!("A2 ablation: precomputed = {pre} ms; on-demand = {demand} ms\n"),
     );
 }
 
 #[test]
 fn e4_tcp_setup_table_golden() {
-    check(
-        "e4_tcp_setup",
-        &e4_tcp_setup::run_tcp_setup(SEED).table().render(),
-    );
+    check("e4_tcp_setup", &sections("e4", 1)[0].render());
 }
 
 #[test]
 fn e5_te_table_golden() {
-    check("e5_te", &e5_te::run_te(SEED).table().render());
+    check("e5_te", &sections("e5", 1)[0].render());
 }
 
 #[test]
 fn e5_ablation_push_table_golden() {
-    check(
-        "e5_ablation_push",
-        &e5_te::run_ablation_push(SEED).table().render(),
-    );
+    check("e5_ablation_push", &sections("e5", 1)[1].render());
 }
 
 #[test]
 fn e6_cache_table_golden() {
-    check("e6_cache", &e6_cache::run_cache(SEED).table().render());
+    check("e6_cache", &sections("e6", 1)[0].render());
 }
 
 #[test]
 fn e7_reverse_table_golden() {
-    check(
-        "e7_reverse",
-        &e7_reverse::run_reverse(4, SEED).table().render(),
-    );
+    check("e7_reverse", &sections("e7", 1)[0].render());
 }
 
 #[test]
 fn e8_overhead_table_golden() {
-    check(
-        "e8_overhead",
-        &e8_overhead::run_overhead(SEED).table().render(),
-    );
+    check("e8_overhead", &sections("e8", 1)[0].render());
 }
 
 // E9 pins the multi-site scale sweep, like E11 with auto jobs: the
 // table must come out byte-identical at any `--jobs` level (DESIGN.md §8).
 #[test]
 fn e9_scale_table_golden() {
-    check(
-        "e9_scale",
-        &e9_scale::run_scale_jobs(SEED, 0).table().render(),
-    );
+    check("e9_scale", &sections("e9", 0)[0].render());
 }
 
 // E10 postdates the redesign; its golden pins the dynamics subsystem's
@@ -121,10 +108,7 @@ fn e9_scale_table_golden() {
 // locator failure must replay bit-identically, recovery timings included).
 #[test]
 fn e10_recovery_table_golden() {
-    check(
-        "e10_recovery",
-        &e10_recovery::run_recovery(SEED).table().render(),
-    );
+    check("e10_recovery", &sections("e10", 1)[0].render());
 }
 
 // E11 pins the XL-scale sweep — run *in parallel* (auto jobs), because
@@ -132,10 +116,7 @@ fn e10_recovery_table_golden() {
 // protects (DESIGN.md §8).
 #[test]
 fn e11_scale_xl_table_golden() {
-    check(
-        "e11_scale_xl",
-        &e11_scale_xl::run_scale_xl_jobs(SEED, 0).table().render(),
-    );
+    check("e11_scale_xl", &sections("e11", 0)[0].render());
 }
 
 // E12 pins the adversarial sweep — also run with auto jobs, because the
@@ -143,8 +124,7 @@ fn e11_scale_xl_table_golden() {
 // byte-identically at any `--jobs` level (DESIGN.md §8/§10).
 #[test]
 fn e12_adversarial_tables_golden() {
-    let r = e12_adversarial::run_adversarial_jobs(SEED, 0);
-    let rendered: Vec<String> = r.tables().iter().map(|t| t.render()).collect();
+    let rendered: Vec<String> = sections("e12", 0).iter().map(Section::render).collect();
     check("e12_adversarial", &rendered.join("\n"));
 }
 
@@ -153,10 +133,5 @@ fn e12_adversarial_tables_golden() {
 // E11/E12) at any `--jobs` level, so the golden runs with auto jobs.
 #[test]
 fn e13_availability_table_golden() {
-    check(
-        "e13_availability",
-        &e13_availability::run_availability_jobs(SEED, 0)
-            .table()
-            .render(),
-    );
+    check("e13_availability", &sections("e13", 0)[0].render());
 }

@@ -3,30 +3,36 @@
 
 use pcelisp::experiments::e1_fig1::run_fig1_trace;
 use pcelisp::experiments::e7_reverse::run_reverse;
+use pcelisp::experiments::Value;
 
 #[test]
 fn fig1_steps_in_paper_order_with_no_drops() {
     let r = run_fig1_trace(0);
-    assert!(
-        r.installed_before_answer,
-        "mapping must precede the DNS answer\n{}",
-        r.trace
-    );
-    assert!(r.no_drops);
-    assert!(r.established);
-    // The eight labelled steps appear in order.
-    let labels: Vec<&str> = r.step_times.iter().map(|(l, _)| l.as_str()).collect();
-    assert_eq!(labels.len(), 8);
-    assert!(labels[0].starts_with("1:"));
-    assert!(labels[7].starts_with("8:"));
+    let rows = &r.section.rows;
+    // The eight labelled steps appear in order, then the three checks:
+    // the mapping precedes the DNS answer, no drops, TCP established.
+    assert_eq!(rows.len(), 11);
+    assert!(rows[0][0].text.starts_with("1:"));
+    assert!(rows[7][0].text.starts_with("8:"));
+    for row in &rows[8..] {
+        assert_eq!(
+            row[1].value,
+            Value::Bool(true),
+            "{}\n{}",
+            row[0].text,
+            r.trace
+        );
+    }
 }
 
 #[test]
 fn reverse_mapping_completes_two_way_resolution() {
-    let r = run_reverse(4, 7);
-    assert!(r.reverse_entries_complete);
-    assert!(r.db_entries >= 4);
-    assert!(r.t_db_update >= r.t_first_decap);
+    let s = run_reverse(4, 7);
+    assert_eq!(s.rows[5][0].text, "reverse entries complete");
+    assert_eq!(s.rows[5][1].value, Value::Bool(true));
+    assert!(s.num(6, "t_ms").unwrap() >= 4.0, "PCE db entries: {s:?}");
+    // The database update lands after the first decapsulation.
+    assert!(s.num(3, "t_ms").unwrap() >= s.num(0, "t_ms").unwrap());
 }
 
 #[test]

@@ -1,25 +1,26 @@
 //! Integration: the TE claims — independent one-way tunnels spread
 //! inbound load; push-to-all-ITRs makes egress moves lossless.
 
-use pcelisp::experiments::e5_te::{run_ablation_push, run_te_cell};
+use pcelisp::experiments::e5_te::{imbalance, run_ablation_push, run_te};
 use pcelisp::scenario::CpKind;
 
 #[test]
 fn inbound_te_spreads_both_domains() {
-    let pce = run_te_cell(CpKind::Pce, 10, 11);
-    assert!(pce.inbound_d[0] > 0 && pce.inbound_d[1] > 0, "{pce:?}");
-    assert!(pce.inbound_s[0] > 0 && pce.inbound_s[1] > 0, "{pce:?}");
-    let vanilla = run_te_cell(CpKind::LispQueue, 10, 11);
-    assert!(
-        pce.imbalance_d.max < vanilla.imbalance_d.max,
-        "pce {pce:?} vanilla {vanilla:?}"
-    );
+    let pce = run_te(CpKind::Pce, 10, 11);
+    for site in ["D", "S"] {
+        let b = pce.provider_inbound_bytes(site);
+        assert!(b[0] > 0 && b[1] > 0, "{site}: {b:?}");
+    }
+    let vanilla = run_te(CpKind::LispQueue, 10, 11);
+    let (p, v) = (imbalance(&pce, "D"), imbalance(&vanilla, "D"));
+    assert!(p.max < v.max, "pce {p:?} vanilla {v:?}");
 }
 
 #[test]
 fn ablation_a1_push_all_is_lossless() {
-    let r = run_ablation_push(11);
-    assert_eq!(r.push_all.2, 0, "{r:?}");
-    assert_eq!(r.push_all.0, r.push_all.1, "{r:?}");
-    assert!(r.push_one.2 > 0, "{r:?}");
+    let all = run_ablation_push(true, 11);
+    assert_eq!(all.miss_drops, 0, "{all:?}");
+    assert_eq!(all.sent(), all.delivered, "{all:?}");
+    let one = run_ablation_push(false, 11);
+    assert!(one.miss_drops > 0, "{one:?}");
 }

@@ -6,7 +6,6 @@
 //! level.
 
 use netsim::Ns;
-use pcelisp::experiments::e12_adversarial;
 use pcelisp::prelude::*;
 use proptest::prelude::*;
 
@@ -54,7 +53,9 @@ fn flood_schedule_depends_on_the_seed() {
 #[test]
 fn e12_report_is_jobs_invariant() {
     let render = |jobs: usize| {
-        let r = e12_adversarial::run_adversarial_jobs(1, jobs);
+        let r = experiments::by_name("e12")
+            .expect("registered")
+            .run(1, jobs);
         r.tables()
             .iter()
             .map(|t| t.render())
