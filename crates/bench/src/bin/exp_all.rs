@@ -7,7 +7,7 @@
 //! exp_all                      # run the whole registry, print tables
 //! exp_all --only e2,e5         # a subset, in registry order
 //! exp_all --json out.json      # also write the typed JSON report
-//! exp_all --seed 7             # override the seed (default 1)
+//! exp_all --seed 7             # override the seed (default 1; reaches e6, e9, e11, e12 only)
 //! exp_all --jobs 4             # worker threads per sweep (0 = auto)
 //! exp_all --list               # list registered experiments and exit
 //! ```

@@ -79,7 +79,7 @@ pub fn retry_spec() -> RetrySpec {
 
 /// One (cp, n_sites, replicas) cell: flow A to D0 before the crash,
 /// flow B to D1 during it.
-pub fn spec(cp: CpKind, n_sites: usize, replicas: u32) -> ScenarioSpec {
+pub fn spec(cp: CpKind, n_sites: usize, replicas: bool) -> ScenarioSpec {
     let mut spec = ScenarioSpec::multi_site(cp, n_sites, 2);
     // Flow B targets a *different* site than flow A: with site-prefix
     // mapping granularity a same-site destination would be covered by
@@ -101,17 +101,14 @@ pub fn spec(cp: CpKind, n_sites: usize, replicas: u32) -> ScenarioSpec {
     // resolver/authority/gateway, or S's own CAR / PCE bump.
     spec.dynamics = Some(DynamicsSpec::mapsys_outage("S", T_FAIL, T_RESTORE));
     spec.retry = Some(retry_spec());
-    spec.replicas = (replicas > 0).then(|| ReplicaSpec {
-        count: replicas,
-        ..ReplicaSpec::default()
-    });
+    spec.replicas = replicas.then(ReplicaSpec::default);
     spec.pce_policy = SelectionPolicy::MinCost;
     spec
 }
 
 /// E13: every [`CpKind`] at every site count, without and with the
 /// standby replicas (replication-arm-major).
-pub fn grid() -> Grid<(CpKind, usize, u32)> {
+pub fn grid() -> Grid<(CpKind, usize, bool)> {
     Grid {
         name: "e13",
         title: "Mapping-infrastructure availability (crash + failover)",
@@ -126,7 +123,7 @@ pub fn grid() -> Grid<(CpKind, usize, u32)> {
             "rec_ctl_msgs",
             "unresolved",
         ],
-        cells: [0u32, 1]
+        cells: [false, true]
             .into_iter()
             .flat_map(|r| {
                 cross(&SITE_COUNTS, &CpKind::all())
@@ -176,7 +173,7 @@ mod tests {
     use super::*;
     use crate::experiments::Section;
 
-    fn cell(cp: CpKind, replicas: u32) -> Section {
+    fn cell(cp: CpKind, replicas: bool) -> Section {
         Grid {
             cells: vec![(cp, 2, replicas)],
             ..grid()
@@ -191,8 +188,8 @@ mod tests {
     #[test]
     fn cached_flow_survives_the_outage_everywhere() {
         for cp in CpKind::all() {
-            let bare = cell(cp, 0);
-            let rep = cell(cp, 1);
+            let bare = cell(cp, false);
+            let rep = cell(cp, true);
             // Setup drops (pull-drop planes lose a couple of packets
             // while the *first* resolution runs) are plane-inherent;
             // the outage itself must not add any on top — the cached
@@ -214,15 +211,15 @@ mod tests {
 
     #[test]
     fn pce_without_standby_blackholes_forever_with_standby_recovers_fastest() {
-        let bare = cell(CpKind::Pce, 0);
+        let bare = cell(CpKind::Pce, false);
         assert!(
             n(&bare, "blackhole_ms").is_none() && n(&bare, "unresolved") == Some(1.0),
             "the dead bump swallows the one DNS query the host ever sends: {bare:?}"
         );
-        let standby = cell(CpKind::Pce, 1);
+        let standby = cell(CpKind::Pce, true);
         let pce_bh = n(&standby, "blackhole_ms").expect("standby PCE must recover");
         assert_eq!(n(&standby, "unresolved"), Some(0.0), "{standby:?}");
-        let pull = cell(CpKind::LispDrop, 1);
+        let pull = cell(CpKind::LispDrop, true);
         let pull_bh = n(&pull, "blackhole_ms").expect("replicated pull must recover");
         assert!(
             pce_bh < pull_bh,
@@ -233,7 +230,7 @@ mod tests {
 
     #[test]
     fn replicas_cut_pull_blackhole_and_restart_rearm_saves_the_bare_world() {
-        let bare = cell(CpKind::LispDrop, 0);
+        let bare = cell(CpKind::LispDrop, false);
         let bare_bh = n(&bare, "blackhole_ms")
             .expect("cooldown re-arm must recover the flow after the restart");
         // Without a replica the flow waits out the whole outage.
@@ -241,7 +238,7 @@ mod tests {
             bare_bh >= (T_RESTORE - FLOW_B_START).as_ms_f64(),
             "{bare:?}"
         );
-        let rep = cell(CpKind::LispDrop, 1);
+        let rep = cell(CpKind::LispDrop, true);
         let rep_bh = n(&rep, "blackhole_ms").expect("failover must recover the flow");
         assert!(
             rep_bh * 2.0 < bare_bh,
@@ -253,7 +250,7 @@ mod tests {
     #[test]
     fn push_planes_barely_notice() {
         for cp in [CpKind::NoLisp, CpKind::Nerd] {
-            let s = cell(cp, 0);
+            let s = cell(cp, false);
             let bh = n(&s, "blackhole_ms").unwrap_or(f64::INFINITY);
             assert!(
                 bh < 1000.0,

@@ -233,9 +233,6 @@ impl Node<Packet> for TrafficHost {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-        if pkt.is_corrupt() {
-            return; // failed end-to-end checksum (typed form)
-        }
         match pkt {
             // DNS answer.
             Packet::Dns { ports: p, msg, .. } if p.src == ports::DNS => {
@@ -376,9 +373,6 @@ impl ServerHost {
 
 impl Node<Packet> for ServerHost {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-        if pkt.is_corrupt() {
-            return; // failed end-to-end checksum (typed form)
-        }
         match pkt {
             Packet::Udp {
                 ip,

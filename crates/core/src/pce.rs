@@ -55,8 +55,6 @@ pub struct PceConfig {
     /// When `false`, every step-6 interception pays a further 2 ms of
     /// on-demand computation (ablation A2).
     pub precompute: bool,
-    /// Rate estimate (capacity units) booked per admitted flow.
-    pub flow_rate_estimate: f64,
     /// Push mappings to all ITRs (paper default) or only the first
     /// (ablation A1).
     pub push_to_all_itrs: bool,
@@ -83,7 +81,6 @@ impl PceConfig {
             policy: SelectionPolicy::WeightedBalance,
             mapping_ttl_minutes: 60,
             precompute: true,
-            flow_rate_estimate: 1.0,
             push_to_all_itrs: true,
             mirror_to: None,
         }
@@ -127,6 +124,8 @@ const NET_PORT: PortId = 1;
 const FORWARD_DELAY: Ns = Ns::from_us(5);
 /// Extra step-6 computation delay when the mapping is not precomputed.
 const ON_DEMAND_DELAY: Ns = Ns::from_ms(2);
+/// Rate estimate (capacity units) booked per admitted flow.
+const FLOW_RATE_ESTIMATE: f64 = 1.0;
 
 /// The PCE node (acts as `PCE_S` and `PCE_D` simultaneously).
 pub struct Pce {
@@ -174,7 +173,8 @@ impl Pce {
     }
 
     /// Compose the mapping record for a local EID: the full locator set
-    /// with the IRC engine's current choice at priority 1.
+    /// with the IRC engine's current choice at priority 1, every
+    /// locator at weight 1.
     fn mapping_for(&mut self, eid: Ipv4Address) -> MapRecord {
         let chosen = self.irc.peek_choice().map(|(p, _)| p);
         let locators: Vec<Locator> = self
@@ -185,7 +185,7 @@ impl Pce {
             .map(|(i, p)| Locator {
                 rloc: p.rloc,
                 priority: if Some(i) == chosen { 1 } else { 2 },
-                weight: p.weight.min(255) as u8,
+                weight: 1,
                 reachable: p.up,
             })
             .collect();
@@ -211,7 +211,7 @@ impl Pce {
         // Book the inbound flow on the chosen provider.
         let _ = self
             .irc
-            .admit_flow((reply_dst, answer_eid), self.cfg.flow_rate_estimate);
+            .admit_flow((reply_dst, answer_eid), FLOW_RATE_ESTIMATE);
         let mapping = self.mapping_for(answer_eid);
         ctx.trace(format_args!(
             "step6: PCE_D {} encapsulates DNS reply for {} with mapping (best rloc {})",
@@ -274,7 +274,7 @@ impl Pce {
         // Step 1's ingress choice for the reverse (inbound) direction.
         let Some((_, rloc_s)) = self
             .irc
-            .admit_flow((source_eid, dest_eid), self.cfg.flow_rate_estimate)
+            .admit_flow((source_eid, dest_eid), FLOW_RATE_ESTIMATE)
         else {
             return;
         };
@@ -416,7 +416,7 @@ impl Pce {
             let key = (flow.source_eid, flow.dest_eid);
             let new_rloc = match moved.get(&key) {
                 Some(&rloc) => rloc,
-                None => match self.irc.admit_flow(key, self.cfg.flow_rate_estimate) {
+                None => match self.irc.admit_flow(key, FLOW_RATE_ESTIMATE) {
                     Some((_, rloc)) => rloc,
                     None => continue, // every provider down: nothing to re-path onto
                 },
@@ -453,28 +453,6 @@ impl Pce {
             self.stats.repaths += 1;
         }
     }
-
-    /// TE action: re-optimise tracked flows and re-push the moved ones
-    /// with an updated `RLOC_S` (inbound move). Returns the number of
-    /// flows moved. Safe precisely because every ITR already has state
-    /// for every flow (the paper's argument for pushing to all ITRs).
-    pub fn reoptimize_and_push(&mut self, ctx: &mut Ctx<'_, Packet>) -> usize {
-        let moves = self.irc.reoptimize();
-        let mut count = 0;
-        for m in moves {
-            if let Some(flow) = self.db.get(&m.flow_key).copied() {
-                let updated = FlowMapping {
-                    rloc_s: m.new_rloc,
-                    ..flow
-                };
-                self.db.insert(m.flow_key, updated);
-                self.mirror_flow(ctx, updated);
-                self.push_flow(ctx, updated, PceKind::MappingPush);
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 /// Extract the question name from a typed DNS-reply packet.
@@ -489,10 +467,7 @@ impl Node<Packet> for Pce {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, pkt: Packet) {
         let other = if port == DNS_PORT { NET_PORT } else { DNS_PORT };
         let dst = pkt.dst();
-        // A corruption marker is the typed form of a failed checksum: the
-        // byte path could not parse such packets and fell through to the
-        // transparent bump-in-the-wire forward, so interpret nothing here.
-        if let Some(p) = pkt.udp_ports().filter(|_| !pkt.is_corrupt()) {
+        if let Some(p) = pkt.udp_ports() {
             // IPC from the local DNS server (either port; consumed).
             if dst == self.cfg.addr && p.dst == ports::PCE_IPC {
                 if let Packet::Pce {

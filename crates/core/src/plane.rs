@@ -163,7 +163,7 @@ impl MapSystem {
     ) -> Self {
         let topo = &spec.topology;
         let link = LinkCfg::wan(topo.mapsys_owd.unwrap_or(topo.infra_owd));
-        let replicated = spec.replicas.is_some_and(|r| r.count > 0);
+        let replicated = spec.replicas.is_some();
         let guard = spec.defense.resolver_guard;
         let mut add = |name: &str, node: Box<dyn Node<Packet>>, addr: Ipv4Address| {
             let id = sim.add_node(name, node);

@@ -41,7 +41,7 @@ use lispwire::packet::CtlMsg;
 use lispwire::{ports, Ipv4Address, Packet};
 use mapsys::api::{MappingDb, SiteEntry};
 use mapsys::GuardCfg;
-use netsim::{DownPolicy, LinkCfg, NodeId, Ns, PortId, Sim};
+use netsim::{LinkCfg, NodeId, Ns, PortId, Sim};
 use simdns::zone::{Zone, ZoneStore};
 use simdns::{AuthServer, Resolver, ResolverConfig};
 use std::fmt::{self, Write as _};
@@ -324,7 +324,7 @@ pub enum DynEventKind {
         /// Provider name within the site.
         provider: String,
     },
-    /// The provider's WAN link comes back up (stalled packets flush).
+    /// The provider's WAN link comes back up.
     LinkUp {
         /// Site name.
         site: String,
@@ -378,9 +378,10 @@ pub enum DynEventKind {
 /// Deterministic, seed-driven schedule of topology and mapping dynamics
 /// layered onto a [`ScenarioSpec`] (DESIGN.md §7). Every mutation is
 /// applied through the engine's `(time, seq)` event order — link-state
-/// changes as engine `LinkAdmin` events, node-state changes as timers
-/// pre-scheduled at build — so two runs of the same spec and seed stay
-/// byte-identical, failures included.
+/// changes as engine `LinkAdmin` events, node-state changes as
+/// `Sim::schedule_call`s made at build — so two runs of the same spec
+/// and seed stay byte-identical, failures included. Packets offered to
+/// a provider link while it is down are dropped.
 #[derive(Debug, Clone)]
 pub struct DynamicsSpec {
     /// The timed mutations, in any order.
@@ -394,8 +395,6 @@ pub struct DynamicsSpec {
     /// How long the site takes to re-register its mappings with the
     /// mapping system after a locator failure.
     pub reregister_delay: Ns,
-    /// What provider WAN links do with packets while down.
-    pub down_policy: DownPolicy,
 }
 
 impl Default for DynamicsSpec {
@@ -405,7 +404,6 @@ impl Default for DynamicsSpec {
             rloc_probing: None,
             detection_delay: Ns::from_ms(50),
             reregister_delay: Ns::from_ms(150),
-            down_policy: DownPolicy::Drop,
         }
     }
 }
@@ -462,34 +460,26 @@ impl DynamicsSpec {
 
 /// Warm-standby replication of the mapping infrastructure (DESIGN.md
 /// §13). `Some(ReplicaSpec)` on [`ScenarioSpec::replicas`] adds one
-/// standby twin per mapping role: a second Map-Resolver sharing the
-/// registration database, a standby NERD authority that re-pushes on
-/// promotion, a standby ALT entry gateway, a standby CONS CAR per
-/// site, and (client sites only) a standby PCE bump warm-mirrored by
-/// the primary. Failover is deterministic: xTRs walk their ordered
-/// replica list on request exhaustion; infrastructure takeover timers
-/// fire exactly [`ReplicaSpec::detection_delay`] after a
-/// [`DynEventKind::NodeDown`].
+/// standby twin per mapping role (the address plan reserves one): a
+/// second Map-Resolver sharing the registration database, a standby
+/// NERD authority that re-pushes on promotion, a standby ALT entry
+/// gateway, a standby CONS CAR per site, and (client sites only) a
+/// standby PCE bump warm-mirrored by the primary. Failover is
+/// deterministic and sticky: xTRs walk their ordered replica list on
+/// request exhaustion and start later requests at the resolver they
+/// rotated to; infrastructure takeover timers fire exactly
+/// [`ReplicaSpec::detection_delay`] after a [`DynEventKind::NodeDown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaSpec {
-    /// Standby twins per mapping role. Currently 0 or 1 — the address
-    /// plan reserves one twin per role.
-    pub count: u32,
     /// How long death of a primary takes to detect: promotion /
     /// re-route timers fire this long after the crash.
     pub detection_delay: Ns,
-    /// xTR failover stickiness: after failing over, new requests start
-    /// at the resolver that last answered instead of re-trying the
-    /// primary first.
-    pub sticky_failover: bool,
 }
 
 impl Default for ReplicaSpec {
     fn default() -> Self {
         Self {
-            count: 1,
             detection_delay: Ns::from_ms(200),
-            sticky_failover: true,
         }
     }
 }
@@ -843,20 +833,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Set provider bandwidths in site-major, provider-minor order
-    /// (Fig. 1: `[A, B, X, Y]`). Extra entries are ignored; missing
-    /// entries leave the provider unchanged.
-    pub fn set_provider_bw(&mut self, bw: &[u64]) {
-        let mut it = bw.iter();
-        for site in &mut self.topology.sites {
-            for p in &mut site.providers {
-                if let Some(&b) = it.next() {
-                    p.bandwidth_bps = b;
-                }
-            }
-        }
-    }
-
     /// Inject random loss on every provider and DNS-infrastructure WAN
     /// link (failure experiments).
     pub fn set_wan_drop_prob(&mut self, prob: f64) {
@@ -1203,16 +1179,10 @@ impl ScenarioSpec {
         let mut buf = String::new();
         let mapsys_owd = topo.mapsys_owd.unwrap_or(topo.infra_owd);
         let dyn_probing = self.dynamics.as_ref().and_then(|d| d.rloc_probing);
-        let dyn_down_policy = self
-            .dynamics
-            .as_ref()
-            .map(|d| d.down_policy)
-            .unwrap_or_default();
         let provider_link = |p: &ProviderSpec| {
             LinkCfg::wan(p.owd)
                 .with_bandwidth(p.bandwidth_bps)
                 .with_drop_prob(p.drop_prob)
-                .with_down_policy(dyn_down_policy)
         };
 
         // ---- DNS infrastructure zone data -----------------------------------
@@ -1372,7 +1342,7 @@ impl ScenarioSpec {
 
         // Warm-standby replication (DESIGN.md §13): `Some` arms one
         // standby twin per mapping role below.
-        let replicas = self.replicas.filter(|r| r.count > 0);
+        let replicas = self.replicas;
         // The standby PCE bump lives next to the primary on the site's
         // first internal subnet (primary .200, standby .201).
         let pce_standby_addr = |s: &SiteSpec| -> Ipv4Address {
@@ -1513,8 +1483,7 @@ impl ScenarioSpec {
                         cfg.request_backoff_cap = r.backoff_cap;
                         cfg.request_cooldown = r.cooldown;
                     }
-                    if let Some(rep) = replicas {
-                        cfg.resolver_failover_sticky = rep.sticky_failover;
+                    if replicas.is_some() {
                         cfg.map_resolver_replicas = cp.standby_resolvers(i);
                     }
                     cfg.overclaim = self.attackers.iter().rev().find_map(|atk| match atk {

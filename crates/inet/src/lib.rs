@@ -10,8 +10,8 @@
 //!   node uses to construct `lispwire::Packet` values, plus the per-hop
 //!   forwarding helper.
 //! * [`router`] — a transit IPv4 router [`netsim::Node`]: decrements the
-//!   TTL of typed packets, drops header-corrupted ones, forwards by
-//!   longest-prefix match — no per-hop parsing.
+//!   TTL of typed packets and forwards by longest-prefix match — no
+//!   per-hop parsing.
 //! * [`tcp`] — a minimal TCP connection state machine (3-way handshake +
 //!   counted data segments), enough to measure the paper's
 //!   connection-establishment latencies.

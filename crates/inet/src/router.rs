@@ -1,8 +1,7 @@
 //! A transit IPv4 router node.
 //!
-//! On every packet: verify (header-region corruption fails the hop, like
-//! a bad header checksum), decrement the TTL (dropping expired packets),
-//! look the destination up in the longest-prefix-match table and forward
+//! On every packet: decrement the TTL (dropping expired packets), look
+//! the destination up in the longest-prefix-match table and forward
 //! out the matched port. Unroutable packets are dropped and counted.
 //! Packets are typed [`Packet`] values — nothing is parsed per hop.
 //!
@@ -27,10 +26,7 @@ pub struct Router {
     pub no_route_drops: u64,
     /// Packets dropped: TTL expired.
     pub ttl_drops: u64,
-    /// Packets dropped: malformed / bad checksum.
-    pub malformed_drops: u64,
     ctr_ttl: LazyCounter,
-    ctr_malformed: LazyCounter,
     ctr_no_route: LazyCounter,
 }
 
@@ -42,9 +38,7 @@ impl Router {
             forwarded: 0,
             no_route_drops: 0,
             ttl_drops: 0,
-            malformed_drops: 0,
             ctr_ttl: LazyCounter::new(),
-            ctr_malformed: LazyCounter::new(),
             ctr_no_route: LazyCounter::new(),
         }
     }
@@ -74,18 +68,10 @@ impl Default for Router {
 
 impl Node<Packet> for Router {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, mut pkt: Packet) {
-        match forward_hop(&mut pkt) {
-            Ok(()) => {}
-            Err(lispwire::WireError::Malformed) => {
-                self.ttl_drops += 1;
-                self.ctr_ttl.add(ctx, "router.ttl_drops", 1);
-                return;
-            }
-            Err(_) => {
-                self.malformed_drops += 1;
-                self.ctr_malformed.add(ctx, "router.malformed_drops", 1);
-                return;
-            }
+        if !forward_hop(&mut pkt) {
+            self.ttl_drops += 1;
+            self.ctr_ttl.add(ctx, "router.ttl_drops", 1);
+            return;
         }
         match self.routes.lookup_value(pkt.dst()).copied() {
             Some(out_port) => {
@@ -190,25 +176,6 @@ mod tests {
         sim.schedule_timer(src, Ns::ZERO, 0);
         sim.run();
         assert_eq!(sim.node_ref::<Router>(r).ttl_drops, 1);
-        assert!(sim.node_ref::<Tap>(snk).received.is_empty());
-    }
-
-    #[test]
-    fn corrupted_packet_dropped() {
-        use netsim::Payload;
-        let stack = IpStack::new(addr([10, 0, 0, 1]));
-        let mut pkt = stack.udp(1, addr([12, 0, 0, 1]), 2, b"x".to_vec());
-        Payload::corrupt(&mut pkt, 13, 6); // damage the header region
-        let mut sim: Sim<Packet> = Sim::new(1);
-        let src = sim.add_node("src", Box::new(Tap::new(vec![pkt])));
-        let r = sim.add_node("r", Box::new(Router::new()));
-        let snk = sim.add_node("s", Box::new(Tap::sink()));
-        sim.connect(src, r, LinkCfg::lan());
-        let (r_out, _) = sim.connect(r, snk, LinkCfg::lan());
-        sim.node_mut::<Router>(r).set_default_route(r_out);
-        sim.schedule_timer(src, Ns::ZERO, 0);
-        sim.run();
-        assert_eq!(sim.node_ref::<Router>(r).malformed_drops, 1);
         assert!(sim.node_ref::<Tap>(snk).received.is_empty());
     }
 

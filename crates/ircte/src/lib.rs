@@ -6,24 +6,20 @@
 //! Intelligent Route Control techniques" (step 1). This crate provides
 //! that engine:
 //!
-//! * [`monitor`] — per-provider path monitors (EWMA latency and loss).
-//! * [`policy`] — deterministic selection policies: lowest latency,
-//!   lowest loss, lowest cost, weighted load balance, and a composite
-//!   score.
-//! * [`objective`] — the TE objective: minimise the maximum provider
-//!   utilisation; greedy flow assignment plus imbalance metrics.
+//! * [`policy`] — deterministic selection policies: a fixed primary
+//!   (lowest cost, every provider costing the same) and load balance.
+//! * [`objective`] — imbalance metrics over provider utilisations.
 //! * [`engine`] — the [`engine::IrcEngine`] tying them together: choose
-//!   ingress/egress RLOCs per flow, track allocated load, re-optimise.
+//!   ingress RLOCs per flow, track allocated load, and move flows off a
+//!   failed provider.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod engine;
-pub mod monitor;
 pub mod objective;
 pub mod policy;
 
 pub use engine::{IrcEngine, Provider, ProviderId};
-pub use monitor::PathMonitor;
-pub use objective::{assign_min_max, Imbalance};
+pub use objective::Imbalance;
 pub use policy::SelectionPolicy;

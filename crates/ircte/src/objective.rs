@@ -1,4 +1,4 @@
-//! The TE objective: minimise the maximum provider utilisation.
+//! The TE objective's measure: how evenly load spreads over providers.
 
 /// Imbalance metrics over a set of provider utilisations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,48 +37,6 @@ impl Imbalance {
     }
 }
 
-/// Greedy min-max assignment: place each flow (heaviest first) onto the
-/// provider whose post-assignment utilisation is smallest. Returns the
-/// provider index chosen for each flow (in the original flow order).
-///
-/// This is the classic longest-processing-time heuristic — within 4/3 of
-/// optimal for makespan, deterministic, and exactly the kind of algorithm
-/// an online IRC engine can afford per flow arrival.
-pub fn assign_min_max(flow_rates: &[f64], capacities: &[f64]) -> Vec<usize> {
-    assert!(!capacities.is_empty(), "need at least one provider");
-    let mut order: Vec<usize> = (0..flow_rates.len()).collect();
-    // Heaviest first; ties by index for determinism.
-    order.sort_by(|&a, &b| flow_rates[b].total_cmp(&flow_rates[a]).then(a.cmp(&b)));
-    let mut load = vec![0.0f64; capacities.len()];
-    let mut assignment = vec![0usize; flow_rates.len()];
-    for &f in &order {
-        let mut best = 0usize;
-        let mut best_util = f64::INFINITY;
-        for (p, &cap) in capacities.iter().enumerate() {
-            let util = (load[p] + flow_rates[f]) / cap.max(f64::MIN_POSITIVE);
-            if util < best_util {
-                best_util = util;
-                best = p;
-            }
-        }
-        load[best] += flow_rates[f];
-        assignment[f] = best;
-    }
-    assignment
-}
-
-/// Utilisations resulting from an assignment.
-pub fn utilisations(flow_rates: &[f64], capacities: &[f64], assignment: &[usize]) -> Vec<f64> {
-    let mut load = vec![0.0f64; capacities.len()];
-    for (f, &p) in assignment.iter().enumerate() {
-        load[p] += flow_rates[f];
-    }
-    load.iter()
-        .zip(capacities)
-        .map(|(l, c)| l / c.max(f64::MIN_POSITIVE))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,61 +50,5 @@ mod tests {
         assert!(i.stddev > 0.0);
         let z = Imbalance::of(&[]);
         assert_eq!(z.max, 0.0);
-    }
-
-    #[test]
-    fn equal_capacity_balances() {
-        let rates = [5.0, 5.0, 5.0, 5.0];
-        let caps = [10.0, 10.0];
-        let asg = assign_min_max(&rates, &caps);
-        let utils = utilisations(&rates, &caps, &asg);
-        let imb = Imbalance::of(&utils);
-        assert!((imb.max - 1.0).abs() < 1e-9);
-        assert!((imb.min - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn asymmetric_capacity_respected() {
-        // 30 units of flow over capacities 20 and 10: min-max is 1.0 each.
-        let rates = [10.0, 10.0, 5.0, 5.0];
-        let caps = [20.0, 10.0];
-        let asg = assign_min_max(&rates, &caps);
-        let utils = utilisations(&rates, &caps, &asg);
-        assert!(Imbalance::of(&utils).max <= 1.01, "utils {utils:?}");
-    }
-
-    #[test]
-    fn single_provider_takes_all() {
-        let rates = [1.0, 2.0, 3.0];
-        let caps = [6.0];
-        let asg = assign_min_max(&rates, &caps);
-        assert!(asg.iter().all(|&p| p == 0));
-        let utils = utilisations(&rates, &caps, &asg);
-        assert!((utils[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deterministic() {
-        let rates = [3.0, 3.0, 2.0, 2.0, 1.0];
-        let caps = [5.0, 5.0];
-        assert_eq!(assign_min_max(&rates, &caps), assign_min_max(&rates, &caps));
-    }
-
-    #[test]
-    fn beats_single_homing() {
-        // Anything spread beats dumping everything on provider 0.
-        let rates: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let caps = [30.0, 30.0];
-        let asg = assign_min_max(&rates, &caps);
-        let utils = utilisations(&rates, &caps, &asg);
-        let spread_max = Imbalance::of(&utils).max;
-        let single_max = rates.iter().sum::<f64>() / caps[0];
-        assert!(spread_max < single_max);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one provider")]
-    fn no_providers_panics() {
-        let _ = assign_min_max(&[1.0], &[]);
     }
 }

@@ -3,91 +3,35 @@
 /// A provider's current view, as the policies see it.
 #[derive(Debug, Clone, Copy)]
 pub struct ProviderView {
-    /// Smoothed path latency in nanoseconds (u64::MAX if unknown).
-    pub latency_ns: u64,
-    /// Smoothed loss in [0, 1].
-    pub loss: f64,
-    /// Monetary cost weight (relative units).
-    pub cost: f64,
     /// Current utilisation in [0, ∞) (allocated / capacity).
     pub utilisation: f64,
-    /// Static weight for weighted balancing.
-    pub weight: u32,
     /// Whether the provider is usable at all.
     pub up: bool,
 }
 
 /// How the IRC engine picks a provider for a new flow.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionPolicy {
-    /// Lowest smoothed latency.
-    MinLatency,
-    /// Lowest smoothed loss.
-    MinLoss,
-    /// Lowest monetary cost.
+    /// Lowest monetary cost. Every provider costs the same, so this is
+    /// the first provider that is up: a fixed primary locator.
     MinCost,
-    /// Keep allocated load proportional to static weights (pick the
-    /// provider with the lowest utilisation/weight ratio).
+    /// Balance allocated load across providers: pick the provider with
+    /// the lowest utilisation (every provider has the same weight).
     WeightedBalance,
-    /// Weighted score: `wl·latency + wc·cost + wu·utilisation` (loss folds
-    /// into latency as a penalty); lowest wins.
-    Composite {
-        /// Latency weight (per ms).
-        wl: f64,
-        /// Cost weight.
-        wc: f64,
-        /// Utilisation weight.
-        wu: f64,
-    },
 }
 
 impl SelectionPolicy {
-    /// Short label for report tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SelectionPolicy::MinLatency => "min-latency",
-            SelectionPolicy::MinLoss => "min-loss",
-            SelectionPolicy::MinCost => "min-cost",
-            SelectionPolicy::WeightedBalance => "weighted-balance",
-            SelectionPolicy::Composite { .. } => "composite",
-        }
-    }
-
     /// Choose among `views`; returns the index of the winner, or `None`
     /// if every provider is down. Ties break toward the lower index
     /// (deterministic).
     pub fn select(&self, views: &[ProviderView]) -> Option<usize> {
-        let candidates = views.iter().enumerate().filter(|(_, v)| v.up);
         match self {
-            SelectionPolicy::MinLatency => candidates
-                .min_by(|(ia, a), (ib, b)| a.latency_ns.cmp(&b.latency_ns).then(ia.cmp(ib)))
-                .map(|(i, _)| i),
-            SelectionPolicy::MinLoss => candidates
-                .min_by(|(ia, a), (ib, b)| a.loss.total_cmp(&b.loss).then(ia.cmp(ib)))
-                .map(|(i, _)| i),
-            SelectionPolicy::MinCost => candidates
-                .min_by(|(ia, a), (ib, b)| a.cost.total_cmp(&b.cost).then(ia.cmp(ib)))
-                .map(|(i, _)| i),
-            SelectionPolicy::WeightedBalance => candidates
-                .min_by(|(ia, a), (ib, b)| {
-                    let ra = a.utilisation / f64::from(a.weight.max(1));
-                    let rb = b.utilisation / f64::from(b.weight.max(1));
-                    ra.total_cmp(&rb).then(ia.cmp(ib))
-                })
-                .map(|(i, _)| i),
-            SelectionPolicy::Composite { wl, wc, wu } => candidates
-                .min_by(|(ia, a), (ib, b)| {
-                    let score = |v: &ProviderView| {
-                        let lat_ms = if v.latency_ns == u64::MAX {
-                            1e6
-                        } else {
-                            v.latency_ns as f64 / 1e6
-                        };
-                        // Loss folds into latency as a 1 s penalty per unit.
-                        wl * (lat_ms + v.loss * 1000.0) + wc * v.cost + wu * v.utilisation
-                    };
-                    score(a).total_cmp(&score(b)).then(ia.cmp(ib))
-                })
+            SelectionPolicy::MinCost => views.iter().position(|v| v.up),
+            SelectionPolicy::WeightedBalance => views
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.up)
+                .min_by(|(ia, a), (ib, b)| a.utilisation.total_cmp(&b.utilisation).then(ia.cmp(ib)))
                 .map(|(i, _)| i),
         }
     }
@@ -97,82 +41,38 @@ impl SelectionPolicy {
 mod tests {
     use super::*;
 
-    fn view(latency_ms: u64, loss: f64, cost: f64, util: f64, weight: u32) -> ProviderView {
+    fn view(util: f64) -> ProviderView {
         ProviderView {
-            latency_ns: latency_ms * 1_000_000,
-            loss,
-            cost,
             utilisation: util,
-            weight,
             up: true,
         }
     }
 
     #[test]
-    fn min_latency_picks_fastest() {
-        let views = [view(50, 0.0, 1.0, 0.0, 1), view(20, 0.0, 5.0, 0.0, 1)];
-        assert_eq!(SelectionPolicy::MinLatency.select(&views), Some(1));
-    }
-
-    #[test]
-    fn min_cost_picks_cheapest() {
-        let views = [view(50, 0.0, 1.0, 0.0, 1), view(20, 0.0, 5.0, 0.0, 1)];
-        assert_eq!(SelectionPolicy::MinCost.select(&views), Some(0));
-    }
-
-    #[test]
-    fn min_loss_picks_cleanest() {
-        let views = [view(10, 0.2, 1.0, 0.0, 1), view(80, 0.01, 1.0, 0.0, 1)];
-        assert_eq!(SelectionPolicy::MinLoss.select(&views), Some(1));
-    }
-
-    #[test]
-    fn weighted_balance_tracks_weights() {
-        // Provider 0 weight 3, provider 1 weight 1: with equal utilisation
-        // provider 0 wins; once it is 3x more utilised they tie (tie -> 0).
-        let views = [view(10, 0.0, 1.0, 0.3, 3), view(10, 0.0, 1.0, 0.2, 1)];
-        assert_eq!(SelectionPolicy::WeightedBalance.select(&views), Some(0));
-        let views = [view(10, 0.0, 1.0, 0.9, 3), view(10, 0.0, 1.0, 0.2, 1)];
+    fn weighted_balance_picks_least_utilised() {
+        let views = [view(0.3), view(0.2)];
         assert_eq!(SelectionPolicy::WeightedBalance.select(&views), Some(1));
+        let views = [view(0.1), view(0.2)];
+        assert_eq!(SelectionPolicy::WeightedBalance.select(&views), Some(0));
     }
 
     #[test]
     fn down_providers_skipped() {
-        let mut views = [view(10, 0.0, 1.0, 0.0, 1), view(99, 0.0, 1.0, 0.0, 1)];
-        views[0].up = false;
-        assert_eq!(SelectionPolicy::MinLatency.select(&views), Some(1));
-        views[1].up = false;
-        assert_eq!(SelectionPolicy::MinLatency.select(&views), None);
-    }
-
-    #[test]
-    fn composite_trades_latency_for_cost() {
-        let views = [view(10, 0.0, 10.0, 0.0, 1), view(30, 0.0, 1.0, 0.0, 1)];
-        // Latency-dominated: pick 0.
-        assert_eq!(
-            SelectionPolicy::Composite {
-                wl: 1.0,
-                wc: 0.1,
-                wu: 0.0
-            }
-            .select(&views),
-            Some(0)
-        );
-        // Cost-dominated: pick 1.
-        assert_eq!(
-            SelectionPolicy::Composite {
-                wl: 0.01,
-                wc: 1.0,
-                wu: 0.0
-            }
-            .select(&views),
-            Some(1)
-        );
+        for policy in [SelectionPolicy::MinCost, SelectionPolicy::WeightedBalance] {
+            let mut views = [view(0.0), view(0.9)];
+            views[0].up = false;
+            assert_eq!(policy.select(&views), Some(1), "{policy:?}");
+            views[1].up = false;
+            assert_eq!(policy.select(&views), None, "{policy:?}");
+        }
     }
 
     #[test]
     fn ties_break_deterministically() {
-        let views = [view(10, 0.0, 1.0, 0.0, 1), view(10, 0.0, 1.0, 0.0, 1)];
-        assert_eq!(SelectionPolicy::MinLatency.select(&views), Some(0));
+        let views = [view(0.5), view(0.5)];
+        assert_eq!(SelectionPolicy::WeightedBalance.select(&views), Some(0));
+        // MinCost ignores load: the first provider wins however busy.
+        let views = [view(0.9), view(0.1)];
+        assert_eq!(SelectionPolicy::MinCost.select(&views), Some(0));
     }
 }

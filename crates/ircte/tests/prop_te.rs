@@ -1,65 +1,31 @@
-//! Property tests for the TE objective and the IRC engine.
+//! Property tests for the IRC engine.
 
-use ircte::objective::{assign_min_max, utilisations, Imbalance};
 use ircte::{IrcEngine, Provider, SelectionPolicy};
 use lispwire::Ipv4Address;
 use proptest::prelude::*;
 
 proptest! {
-    /// The greedy assignment is valid, deterministic, and never worse
-    /// than dumping everything on the single best provider.
-    #[test]
-    fn assignment_sane(rates in prop::collection::vec(0.1f64..100.0, 1..40),
-                       caps in prop::collection::vec(1.0f64..1000.0, 1..6)) {
-        let asg = assign_min_max(&rates, &caps);
-        prop_assert_eq!(asg.len(), rates.len());
-        prop_assert!(asg.iter().all(|&p| p < caps.len()));
-        prop_assert_eq!(assign_min_max(&rates, &caps), asg.clone());
-
-        let utils = utilisations(&rates, &caps, &asg);
-        let spread_max = Imbalance::of(&utils).max;
-        let total: f64 = rates.iter().sum();
-        let single_best = caps.iter().copied().fold(f64::MIN, f64::max);
-        prop_assert!(spread_max <= total / single_best + 1e-9,
-            "greedy {spread_max} worse than single-homing {}", total / single_best);
-        // Lower bound: cannot beat total / sum(caps).
-        let cap_sum: f64 = caps.iter().sum();
-        prop_assert!(spread_max >= total / cap_sum - 1e-9);
-    }
-
-    /// Load conservation: utilisation × capacity sums back to the total
-    /// offered rate.
-    #[test]
-    fn load_conserved(rates in prop::collection::vec(0.1f64..50.0, 1..30),
-                      caps in prop::collection::vec(1.0f64..100.0, 1..5)) {
-        let asg = assign_min_max(&rates, &caps);
-        let utils = utilisations(&rates, &caps, &asg);
-        let carried: f64 = utils.iter().zip(&caps).map(|(u, c)| u * c).sum();
-        let offered: f64 = rates.iter().sum();
-        prop_assert!((carried - offered).abs() < 1e-6);
-    }
-
     /// The engine's tracked loads always sum to the admitted rates, and
-    /// reoptimisation never increases max utilisation.
+    /// a repath off a dead provider moves its load without losing any.
     #[test]
-    fn engine_reopt_never_worse(rates in prop::collection::vec(0.5f64..20.0, 1..25)) {
+    fn engine_conserves_admitted_load(rates in prop::collection::vec(0.5f64..20.0, 1..25)) {
         let mut e = IrcEngine::new(
             vec![
                 Provider::new("A", Ipv4Address::new(10, 0, 0, 1), 100.0),
                 Provider::new("B", Ipv4Address::new(11, 0, 0, 1), 40.0),
             ],
-            SelectionPolicy::MinCost, // deliberately load-blind
+            SelectionPolicy::WeightedBalance,
         );
         for (i, &r) in rates.iter().enumerate() {
             let flow = (Ipv4Address::from_u32(100 + i as u32), Ipv4Address::from_u32(200 + i as u32));
             e.admit_flow(flow, r);
         }
-        let before = e.imbalance().max;
-        e.reoptimize();
-        let after = e.imbalance().max;
-        prop_assert!(after <= before + 1e-9, "reopt worsened: {before} -> {after}");
         let offered: f64 = rates.iter().sum();
         let carried: f64 = e.loads().iter().sum();
         prop_assert!((carried - offered).abs() < 1e-6);
+        e.repath(0);
+        let loads = e.loads();
+        prop_assert_eq!(loads[0], 0.0);
+        prop_assert!((loads[1] - offered).abs() < 1e-6);
     }
 }

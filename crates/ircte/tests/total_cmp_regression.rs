@@ -7,116 +7,33 @@
 //! inputs no longer panic (`.expect("finite")` is gone) and sort as
 //! "worst", so a poisoned metric can never *win* a selection.
 
-use ircte::objective::{assign_min_max, Imbalance};
+use ircte::objective::Imbalance;
 use ircte::policy::{ProviderView, SelectionPolicy};
 
-fn view(latency_ms: u64, loss: f64, cost: f64, util: f64, weight: u32) -> ProviderView {
+fn view(util: f64) -> ProviderView {
     ProviderView {
-        latency_ns: latency_ms * 1_000_000,
-        loss,
-        cost,
         utilisation: util,
-        weight,
         up: true,
     }
 }
 
 #[test]
-fn min_loss_pinned_winner_and_tiebreak() {
-    let views = [
-        view(10, 0.020, 1.0, 0.5, 1),
-        view(90, 0.005, 9.0, 0.9, 1),
-        view(50, 0.005, 5.0, 0.1, 1),
-    ];
-    // 0.005 ties between indices 1 and 2; lower index wins.
-    assert_eq!(SelectionPolicy::MinLoss.select(&views), Some(1));
-}
-
-#[test]
-fn min_cost_pinned_winner() {
-    let views = [
-        view(10, 0.0, 3.25, 0.5, 1),
-        view(10, 0.0, 3.20, 0.5, 1),
-        view(10, 0.0, 3.30, 0.5, 1),
-    ];
-    assert_eq!(SelectionPolicy::MinCost.select(&views), Some(1));
-}
-
-#[test]
 fn weighted_balance_pinned_ratio_winner() {
-    // Ratios: 0.9/3 = 0.3, 0.5/2 = 0.25, 0.28/1 = 0.28 → index 1.
-    let views = [
-        view(10, 0.0, 1.0, 0.9, 3),
-        view(10, 0.0, 1.0, 0.5, 2),
-        view(10, 0.0, 1.0, 0.28, 1),
-    ];
+    // Utilisation ratios (allocated / capacity) 0.3, 0.25, 0.28 → index 1.
+    let views = [view(0.3), view(0.25), view(0.28)];
     assert_eq!(SelectionPolicy::WeightedBalance.select(&views), Some(1));
 }
 
 #[test]
-fn composite_pinned_score_winner() {
-    let policy = SelectionPolicy::Composite {
-        wl: 1.0,
-        wc: 10.0,
-        wu: 100.0,
-    };
-    // Scores: 10 + 10 + 50 = 70;  5 + 20 + 40 = 65;  20 + 5 + 60 = 85.
-    let views = [
-        view(10, 0.0, 1.0, 0.5, 1),
-        view(5, 0.0, 2.0, 0.4, 1),
-        view(20, 0.0, 0.5, 0.6, 1),
-    ];
-    assert_eq!(policy.select(&views), Some(1));
-}
-
-#[test]
 fn nan_metric_never_wins_and_never_panics() {
-    // Before the sweep these were `partial_cmp(..).expect(..)` — a NaN
-    // loss/cost/utilisation aborted the run. total_cmp orders +NaN
-    // above every finite value, so the poisoned provider simply loses.
-    let nan = f64::NAN;
-    let loss_views = [view(10, nan, 1.0, 0.5, 1), view(90, 0.9, 1.0, 0.5, 1)];
-    assert_eq!(SelectionPolicy::MinLoss.select(&loss_views), Some(1));
-
-    let cost_views = [view(10, 0.0, nan, 0.5, 1), view(10, 0.0, 99.0, 0.5, 1)];
-    assert_eq!(SelectionPolicy::MinCost.select(&cost_views), Some(1));
-
-    let util_views = [view(10, 0.0, 1.0, nan, 1), view(10, 0.0, 1.0, 0.99, 1)];
+    // Before the sweep this was `partial_cmp(..).expect(..)` — a NaN
+    // utilisation aborted the run. total_cmp orders +NaN above every
+    // finite value, so the poisoned provider simply loses.
+    let util_views = [view(f64::NAN), view(0.99)];
     assert_eq!(
         SelectionPolicy::WeightedBalance.select(&util_views),
         Some(1)
     );
-
-    let policy = SelectionPolicy::Composite {
-        wl: 1.0,
-        wc: 1.0,
-        wu: 1.0,
-    };
-    let comp_views = [view(10, nan, 1.0, 0.5, 1), view(500, 0.5, 9.0, 0.9, 1)];
-    assert_eq!(policy.select(&comp_views), Some(1));
-}
-
-#[test]
-fn assign_min_max_pinned_assignment() {
-    // LPT order: rates sorted desc = [5, 4, 3, 2] → flows 2, 0, 3, 1.
-    // Two unit-capacity providers: 5→p0, 4→p1, 3→p1 (4+3=7? no: loads
-    // 5 vs 4, util after +3: p0 8, p1 7 → p1), 2→p0 (7 vs 9 → p1? loads
-    // now 5 and 7; +2 → p0 7, p1 9 → p0).
-    let rates = [4.0, 2.0, 5.0, 3.0];
-    let caps = [1.0, 1.0];
-    assert_eq!(assign_min_max(&rates, &caps), vec![1, 0, 0, 1]);
-}
-
-#[test]
-fn assign_min_max_nan_rate_does_not_panic() {
-    // A NaN rate sorts first (treated as heaviest) and propagates NaN
-    // into that provider's load; the remaining flows still get placed
-    // deterministically and the function returns without panicking.
-    let rates = [1.0, f64::NAN, 2.0];
-    let caps = [1.0, 1.0];
-    let assignment = assign_min_max(&rates, &caps);
-    assert_eq!(assignment.len(), 3);
-    assert!(assignment.iter().all(|&p| p < 2));
 }
 
 #[test]

@@ -130,18 +130,11 @@ pub struct XtrConfig {
     /// prefix (pointing at our own locators) instead of the real site
     /// prefix — the Overclaim attack (DESIGN.md §10).
     pub overclaim: Option<Prefix>,
-    /// The locator set advertised for this site in Map-Replies, in
-    /// priority order. Defaults to `[rloc]`.
-    pub site_locators: Vec<Locator>,
     /// TTL (minutes) for records this xTR issues in Map-Replies.
     pub reply_ttl_minutes: u16,
     /// Answer Map-Requests with a /32 record for the queried EID instead
     /// of the covering site prefix (host-granular mappings).
     pub reply_host_granularity: bool,
-    /// TTL (minutes) for gleaned reverse mappings.
-    pub glean_ttl_minutes: u16,
-    /// Enable gleaning in Pull mode.
-    pub gleaning: bool,
     /// Peer xTR RLOCs in the same domain (PCE reverse-sync targets).
     pub reverse_sync_peers: Vec<Ipv4Address>,
     /// The domain PCE database address to notify on reverse sync.
@@ -173,10 +166,6 @@ pub struct XtrConfig {
     /// (`None` = historical permanent give-up). Queued packets are kept
     /// across the cool-down.
     pub request_cooldown: Option<Ns>,
-    /// Failover stickiness: `true` (default) starts new resolutions at
-    /// the resolver the last failover rotated to; `false` always starts
-    /// back at the primary.
-    pub resolver_failover_sticky: bool,
     /// Periodic RLOC reachability probing (`None` = disabled). A probe
     /// timeout invalidates every cache entry and PCE flow whose only
     /// usable locator was the dead RLOC, so the next packet re-resolves
@@ -201,11 +190,8 @@ impl XtrConfig {
             cache: CacheSpec::default(),
             defense: DefenseCfg::default(),
             overclaim: None,
-            site_locators: vec![Locator::new(rloc, 1, 100)],
             reply_ttl_minutes: 60,
             reply_host_granularity: false,
-            glean_ttl_minutes: 5,
-            gleaning: true,
             reverse_sync_peers: Vec::new(),
             pced_addr: None,
             internal_plain_prefixes: Vec::new(),
@@ -215,7 +201,6 @@ impl XtrConfig {
             request_backoff_cap: Ns::from_secs(30),
             map_resolver_replicas: Vec::new(),
             request_cooldown: None,
-            resolver_failover_sticky: true,
             rloc_probing: None,
         }
     }
@@ -242,6 +227,8 @@ struct InFlight {
 
 const SITE_PORT: PortId = 0;
 const WAN_PORT: PortId = 1;
+/// TTL (minutes) of reverse mappings gleaned in Pull mode.
+const GLEAN_TTL_MINUTES: u16 = 5;
 const TOKEN_RETRY_BASE: u64 = 0x4000_0000_0000_0000;
 /// Probe round and probe check tokens carry the probe generation
 /// (`Xtr::probe_gen`) in their low 32 bits.
@@ -342,7 +329,7 @@ pub struct Xtr {
     /// `on_restart` arms.
     probe_gen: u32,
     seen_wan_flows: BTreeSet<(Ipv4Address, Ipv4Address)>,
-    /// Index into `[primary, replicas...]` new resolutions start at when
+    /// Index into `[primary, replicas...]` new resolutions start at:
     /// failover is sticky. Volatile: reset to the primary on crash.
     resolver_cursor: usize,
     nonce_counter: u64,
@@ -435,7 +422,8 @@ impl Xtr {
         outer_dst: Ipv4Address,
     ) -> Packet {
         let nonce = (self.next_nonce() & 0x00ff_ffff) as u32;
-        let lisp_repr = LispRepr::with_nonce(nonce, self.cfg.site_locators.len() as u32);
+        // Locator-status bits: this site advertises one locator.
+        let lisp_repr = LispRepr::with_nonce(nonce, 1);
         Packet::lisp_data(outer_src, outer_dst, lisp_repr, inner)
     }
 
@@ -623,16 +611,11 @@ impl Xtr {
             w.1 += 1;
         }
         let nonce = self.next_nonce();
-        let resolver_idx = if self.cfg.resolver_failover_sticky {
-            self.resolver_cursor
-        } else {
-            0
-        };
         let inf = InFlight {
             nonce,
             tries: 1,
             source_eid: src_eid,
-            resolver_idx,
+            resolver_idx: self.resolver_cursor,
             resolvers_tried: 1,
         };
         self.in_flight.insert(dst_eid, inf);
@@ -761,10 +744,10 @@ impl Xtr {
         // ETR reverse-mapping duties on the first packet of a flow.
         if self.seen_wan_flows.insert((inner_src, inner_dst)) {
             match self.cfg.mode {
-                CpMode::Pull { .. } if self.cfg.gleaning => {
+                CpMode::Pull { .. } => {
                     // Vanilla LISP: glean "inner_src is reachable at
                     // outer_src" so return traffic avoids a resolution.
-                    let rec = MapRecord::host(inner_src, outer_src, self.cfg.glean_ttl_minutes);
+                    let rec = MapRecord::host(inner_src, outer_src, GLEAN_TTL_MINUTES);
                     let now = ctx.now();
                     self.install_record(ctx, rec, now);
                     self.stats.gleaned += 1;
@@ -844,27 +827,18 @@ impl Xtr {
                 // Overclaim attack: a *legitimate* ETR answering with a
                 // too-broad prefix pointing at its own locators, so the
                 // requester's LPM cache hijacks unrelated destinations.
-                let record = if let Some(oc) = self.cfg.overclaim {
-                    MapRecord {
-                        eid_prefix: oc.addr(),
-                        prefix_len: oc.len(),
-                        ttl_minutes: self.cfg.reply_ttl_minutes,
-                        locators: self.cfg.site_locators.clone(),
-                    }
+                let (eid_prefix, prefix_len) = if let Some(oc) = self.cfg.overclaim {
+                    (oc.addr(), oc.len())
                 } else if self.cfg.reply_host_granularity {
-                    MapRecord {
-                        eid_prefix: req.target_eid,
-                        prefix_len: 32,
-                        ttl_minutes: self.cfg.reply_ttl_minutes,
-                        locators: self.cfg.site_locators.clone(),
-                    }
+                    (req.target_eid, 32)
                 } else {
-                    MapRecord {
-                        eid_prefix: prefix.addr(),
-                        prefix_len: prefix.len(),
-                        ttl_minutes: self.cfg.reply_ttl_minutes,
-                        locators: self.cfg.site_locators.clone(),
-                    }
+                    (prefix.addr(), prefix.len())
+                };
+                let record = MapRecord {
+                    eid_prefix,
+                    prefix_len,
+                    ttl_minutes: self.cfg.reply_ttl_minutes,
+                    locators: vec![Locator::new(self.cfg.rloc, 1, 100)],
                 };
                 let reply = MapReply {
                     nonce: req.nonce,
@@ -1091,9 +1065,6 @@ impl Node<Packet> for Xtr {
             // Control messages from inside the domain (PCE pushes, peer
             // ETR syncs) addressed to this router.
             if dst == self.cfg.rloc {
-                if pkt.is_corrupt() {
-                    return; // failed end-to-end checksum (typed form)
-                }
                 match pkt {
                     Packet::Pce { ports: p, msg, .. }
                         if p.dst == ports::PCE_MAP || p.dst == ports::ETR_SYNC =>
@@ -1123,12 +1094,7 @@ impl Node<Packet> for Xtr {
             return;
         }
 
-        // WAN side. Corrupted packets fail their end-to-end checksums
-        // here, exactly where the byte path rejected them.
-        if pkt.is_corrupt() {
-            self.stats.malformed += 1;
-            return;
-        }
+        // WAN side.
         let src = pkt.src();
         let dst = pkt.dst();
         match pkt {
@@ -1185,16 +1151,11 @@ impl Node<Packet> for Xtr {
                 // Cool-down expired: wake the dormant entry with a fresh
                 // round (new nonce, try counter restarted) against the
                 // preferred resolver.
-                let resolver_idx = if self.cfg.resolver_failover_sticky {
-                    self.resolver_cursor
-                } else {
-                    0
-                };
                 let fresh = InFlight {
                     nonce: self.next_nonce(),
                     tries: 1,
                     source_eid: inf.source_eid,
-                    resolver_idx,
+                    resolver_idx: self.resolver_cursor,
                     resolvers_tried: 1,
                 };
                 self.in_flight.insert(eid, fresh);

@@ -91,12 +91,7 @@ pub(crate) fn parse(bytes: &[u8]) -> WireResult<(Ipv4Header, u8, &[u8])> {
     if !checksum::verify(&datagram[..header_len]) {
         return Err(WireError::BadChecksum);
     }
-    let ip = Ipv4Header {
-        src,
-        dst,
-        ttl,
-        corrupt: None,
-    };
+    let ip = Ipv4Header { src, dst, ttl };
     Ok((ip, protocol, &datagram[header_len..]))
 }
 

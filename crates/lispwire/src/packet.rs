@@ -33,10 +33,7 @@ use crate::wire::{Reader, Writer};
 /// The typed outer IPv4 header of a [`Packet`].
 ///
 /// Checksums are not stored: they are an artefact of the wire image,
-/// recomputed by [`Packet::encode`]. Link fault injection instead
-/// records the flipped bit in `corrupt`, which receivers treat exactly
-/// like a failed checksum (and which `encode` applies literally, so the
-/// wire image of a corrupted packet is the corrupted bytes).
+/// recomputed by [`Packet::encode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Source address.
@@ -45,23 +42,18 @@ pub struct Ipv4Header {
     pub dst: Ipv4Address,
     /// Time to live (decremented by routers; see `inet::stack::forward_hop`).
     pub ttl: u8,
-    /// Link corruption marker: `(octet index, bit)` of the wire image.
-    /// The index is 16 bits because an IPv4 datagram's total length is;
-    /// see [`Packet`]'s `Payload::corrupt` for longer simulated images.
-    pub corrupt: Option<(u16, u8)>,
 }
 
 impl Ipv4Header {
     /// Default TTL used by simulated hosts (matches smoltcp's default).
     pub const DEFAULT_TTL: u8 = 64;
 
-    /// A header with the default TTL and no corruption.
+    /// A header with the default TTL.
     pub fn new(src: Ipv4Address, dst: Ipv4Address) -> Self {
         Self {
             src,
             dst,
             ttl: Self::DEFAULT_TTL,
-            corrupt: None,
         }
     }
 
@@ -428,19 +420,6 @@ impl Packet {
         }
     }
 
-    /// True if link fault injection corrupted this packet anywhere —
-    /// endpoints treat this exactly like a failed end-to-end checksum.
-    pub fn is_corrupt(&self) -> bool {
-        self.ip().corrupt.is_some()
-    }
-
-    /// True if the corruption hit the outer IPv4 header (first 20
-    /// octets) — the region a transit router's header checksum covers,
-    /// so routers drop such packets as malformed.
-    pub fn header_corrupt(&self) -> bool {
-        matches!(self.ip().corrupt, Some((idx, _)) if usize::from(idx) < crate::ipv4::HEADER_LEN)
-    }
-
     /// Exact number of bytes this packet occupies on the wire — equal
     /// to `encode().len()` at all times (pinned by property tests), but
     /// computed without materializing anything. A loop over the LISP
@@ -471,19 +450,16 @@ impl Packet {
     }
 
     /// Materialize the exact wire image: real headers, real checksums,
-    /// uncompressed names — with any corruption marker applied
-    /// literally. Lazy: used by traces, golden hashing, and equivalence
-    /// tests only.
+    /// uncompressed names. Lazy: used by traces, golden hashing, and
+    /// equivalence tests only.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(self.wire_len());
         self.emit(&mut w);
         w.into_vec()
     }
 
-    /// Append the wire image. An inner packet's corruption marker flips
-    /// a bit of the inner image before the outer checksums cover it.
+    /// Append the wire image.
     pub(crate) fn emit(&self, w: &mut Writer) {
-        let start = w.len();
         let ip = self.ip();
         match self {
             Packet::Udp { ports, payload, .. } => emit_udp_ip(w, ip, *ports, |w| {
@@ -502,15 +478,12 @@ impl Packet {
             Packet::Pce { ports, msg, .. } => emit_udp_ip(w, ip, *ports, |w| msg.emit(w)),
             Packet::Dns { ports, msg, .. } => emit_udp_ip(w, ip, *ports, |w| msg.emit(w)),
         }
-        if let Some((idx, bit)) = ip.corrupt {
-            w.flip(start + usize::from(idx), bit);
-        }
     }
 
     /// Decode a typed packet from real wire bytes, verifying the
     /// checksum of every layer and classifying UDP payloads by the
-    /// well-known ports. Inverse of [`Packet::encode`] for uncorrupted
-    /// packets; `encode`'s test oracle, never called by the simulation.
+    /// well-known ports. Inverse of [`Packet::encode`]; `encode`'s test
+    /// oracle, never called by the simulation.
     pub fn decode(bytes: &[u8]) -> WireResult<Packet> {
         let (ip, protocol, body) = ipv4::parse(bytes)?;
         match protocol {
@@ -564,34 +537,12 @@ impl netsim::payload::Payload for Packet {
     fn encode(&self) -> Vec<u8> {
         Packet::encode(self)
     }
-
-    // Single-shot by design: the first corrupting link wins and later
-    // flips are not recorded — the receiver drops a marked packet either
-    // way, so only the lazily encoded wire image of a multiply-corrupted
-    // packet differs from the byte path (DESIGN.md §9).
-    //
-    // The marker's index is 16 bits. A wire image longer than 65,535
-    // octets is not a valid IPv4 datagram but can be simulated (nothing
-    // bounds a payload `Vec`), so an index past the marker's range
-    // *clamps* to octet 65,535 rather than truncating: the packet stays
-    // marked as payload-corrupt — a wrapped index could land in the
-    // header region and turn an endpoint drop into a router drop — and
-    // only the lazily encoded image flips octet 65,535 instead of the
-    // drawn one.
-    fn corrupt(&mut self, idx: usize, bit: u8) {
-        let header = self.ip_mut();
-        if header.corrupt.is_none() {
-            let idx = u16::try_from(idx).unwrap_or(u16::MAX);
-            header.corrupt = Some((idx, bit & 7));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lispctl::Locator;
-    use netsim::payload::Payload;
 
     fn a(x: u8, y: u8, z: u8, w: u8) -> Ipv4Address {
         Ipv4Address::new(x, y, z, w)
@@ -684,57 +635,10 @@ mod tests {
     }
 
     #[test]
-    fn corruption_marks_and_flips_in_encode() {
-        let mut p = Packet::udp(a(1, 1, 1, 1), 1, a(2, 2, 2, 2), 2, vec![0; 8]);
-        let clean = p.encode();
-        Payload::corrupt(&mut p, 25, 3);
-        assert!(p.is_corrupt());
-        assert!(!p.header_corrupt());
-        let dirty = p.encode();
-        assert_eq!(clean.len(), dirty.len());
-        assert_eq!(clean[25] ^ (1 << 3), dirty[25]);
-        // A second corruption keeps the first marker (one bit max).
-        Payload::corrupt(&mut p, 0, 0);
-        assert_eq!(p.ip().corrupt, Some((25, 3)));
-        // Header-region flips are what routers drop on.
-        let mut q = Packet::udp(a(1, 1, 1, 1), 1, a(2, 2, 2, 2), 2, vec![0; 8]);
-        Payload::corrupt(&mut q, 12, 0);
-        assert!(q.header_corrupt());
-    }
-
-    #[test]
-    fn corruption_index_clamps_past_the_marker_range() {
-        const IP_UDP: usize = 28;
-        let sized = |wire_len: usize| {
-            Packet::udp(
-                a(1, 1, 1, 1),
-                1,
-                a(2, 2, 2, 2),
-                2,
-                vec![0; wire_len - IP_UDP],
-            )
-        };
-        // 65,535 is the last index the marker holds exactly.
-        let mut p = sized(65_536);
-        let clean = p.encode();
-        Payload::corrupt(&mut p, 65_535, 1);
-        assert_eq!(p.ip().corrupt, Some((u16::MAX, 1)));
-        let dirty = p.encode();
-        assert_eq!(clean[65_535] ^ 2, dirty[65_535]);
-        assert_eq!(clean[..65_535], dirty[..65_535]);
-        // 65,536 must clamp, not wrap to octet 0 (the header region).
-        let mut q = sized(65_537);
-        Payload::corrupt(&mut q, 65_536, 0);
-        assert_eq!(q.ip().corrupt, Some((u16::MAX, 0)));
-        assert!(q.is_corrupt());
-        assert!(!q.header_corrupt());
-    }
-
-    #[test]
     fn packet_fits_the_queue_slot_budget() {
         // The event slab moves a whole `Packet` several times per hop;
         // at 152 bytes that was 30 % of `dataplane_steady` (DESIGN.md §9).
-        assert!(std::mem::size_of::<Packet>() <= 72);
+        assert!(std::mem::size_of::<Packet>() <= 64);
     }
 
     #[test]

@@ -92,13 +92,6 @@ impl Writer {
         body(self);
         self.patch_len(at, at + 2);
     }
-
-    /// Flip `bit` of the octet at `at`, if that octet has been written.
-    pub(crate) fn flip(&mut self, at: usize, bit: u8) {
-        if let Some(b) = self.buf.get_mut(at) {
-            *b ^= 1 << (bit & 7);
-        }
-    }
 }
 
 /// A bounds-checked big-endian cursor over a byte slice.
@@ -166,15 +159,13 @@ mod tests {
         w.u64(0x0809_0a0b_0c0d_0e0f)
             .addr(Ipv4Address::new(10, 0, 0, 1));
         w.patch_len(7, 0);
-        w.flip(0, 1);
-        w.flip(99, 0); // past the end: ignored
         let bytes = w.into_vec();
         assert_eq!(
             bytes,
-            [3, 2, 3, 4, 5, 6, 7, 0, 21, 8, 9, 10, 11, 12, 13, 14, 15, 10, 0, 0, 1]
+            [1, 2, 3, 4, 5, 6, 7, 0, 21, 8, 9, 10, 11, 12, 13, 14, 15, 10, 0, 0, 1]
         );
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8(), Ok(3));
+        assert_eq!(r.u8(), Ok(1));
         assert_eq!(r.u16(), Ok(0x0203));
         assert_eq!(r.u32(), Ok(0x0405_0607));
         assert_eq!(r.u16(), Ok(21));

@@ -78,9 +78,6 @@ impl Node<Packet> for MapResolver {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-        if pkt.is_corrupt() {
-            return; // failed end-to-end checksum (typed form)
-        }
         let Packet::LispCtl {
             ip,
             ports: p,

@@ -2,7 +2,7 @@
 //!
 //! The engine drives [`Node`] implementations connected by duplex
 //! [links](link) with configurable one-way delay, bandwidth, finite FIFO
-//! queues (tail drop) and fault injection (random drop / corruption), under
+//! queues (tail drop) and fault injection (random drop), under
 //! a virtual nanosecond clock. All randomness flows from a single seeded
 //! RNG, so a run is reproducible bit-for-bit from its seed.
 //!
@@ -71,7 +71,7 @@ pub mod time;
 pub mod trace;
 
 pub use counters::{CounterId, Counters, LazyCounter};
-pub use link::{DownPolicy, LinkCfg, LinkStats};
+pub use link::{LinkCfg, LinkStats};
 pub use node::{Ctx, Node, NodeId, PortId};
 pub use payload::Payload;
 pub use sim::Sim;

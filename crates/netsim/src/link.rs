@@ -1,42 +1,24 @@
-//! Link model: one-way delay, bandwidth, finite FIFO queue, fault injection,
-//! and administrative up/down state.
+//! Link model: one-way delay, bandwidth, finite FIFO queue, random
+//! loss, and administrative up/down state.
 //!
 //! A duplex link is two independent unidirectional transmitters. Each
 //! transmitter serialises packets at `bandwidth_bps` and keeps at most
 //! `queue_bytes` of backlog; a packet arriving to a full queue is dropped
 //! (tail drop). After serialisation the packet propagates for `delay` and
-//! is delivered to the peer. Fault injection can additionally drop or
-//! corrupt packets with configured probabilities (driven by the simulation
-//! RNG so runs stay deterministic).
+//! is delivered to the peer. Fault injection can additionally drop
+//! packets with a configured probability (driven by the simulation RNG
+//! so runs stay deterministic).
 //!
 //! A transmitter can also be **administratively down** (timed failures;
 //! see `Sim::schedule_link_admin` and DESIGN.md §7). Packets offered to a
-//! down transmitter follow its [`DownPolicy`]: dropped (the default) or
-//! stalled in a bounded buffer that is flushed, in FIFO order, the
-//! instant the link comes back up. Packets already accepted before the
-//! failure instant are treated as on the wire and still arrive.
+//! down transmitter are dropped and counted in [`LinkStats::down_drops`].
+//! Packets already accepted before the failure instant are treated as on
+//! the wire and still arrive.
 
-use crate::payload::Payload;
 use crate::time::Ns;
-use std::collections::VecDeque;
-
-/// What happens to packets offered to a link direction that is
-/// administratively down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DownPolicy {
-    /// Drop the packet and count it in [`LinkStats::down_drops`].
-    #[default]
-    Drop,
-    /// Hold up to `max_packets` packets and retransmit them (FIFO, no
-    /// fault injection) when the link comes back up; overflow drops.
-    Stall {
-        /// Stall-buffer capacity in packets.
-        max_packets: usize,
-    },
-}
 
 /// Configuration for one link direction (a duplex link uses the same
-/// config for both directions unless connected asymmetrically).
+/// config for both directions).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkCfg {
     /// One-way propagation delay.
@@ -47,10 +29,6 @@ pub struct LinkCfg {
     pub queue_bytes: u64,
     /// Probability a packet is randomly dropped (fault injection).
     pub drop_prob: f64,
-    /// Probability one octet of a packet is randomly corrupted.
-    pub corrupt_prob: f64,
-    /// What happens to packets offered while the link is down.
-    pub down_policy: DownPolicy,
 }
 
 impl LinkCfg {
@@ -61,8 +39,6 @@ impl LinkCfg {
             bandwidth_bps: 1_000_000_000,
             queue_bytes: 256 * 1024,
             drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            down_policy: DownPolicy::Drop,
         }
     }
 
@@ -73,8 +49,6 @@ impl LinkCfg {
             bandwidth_bps: 10_000_000_000,
             queue_bytes: 1024 * 1024,
             drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            down_policy: DownPolicy::Drop,
         }
     }
 
@@ -86,20 +60,12 @@ impl LinkCfg {
             bandwidth_bps: 100_000_000_000,
             queue_bytes: u64::MAX,
             drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            down_policy: DownPolicy::Drop,
         }
     }
 
     /// Builder-style: set the random drop probability.
     pub fn with_drop_prob(mut self, p: f64) -> Self {
         self.drop_prob = p;
-        self
-    }
-
-    /// Builder-style: set the random corruption probability.
-    pub fn with_corrupt_prob(mut self, p: f64) -> Self {
-        self.corrupt_prob = p;
         self
     }
 
@@ -112,12 +78,6 @@ impl LinkCfg {
     /// Builder-style: set the queue capacity in bytes.
     pub fn with_queue_bytes(mut self, bytes: u64) -> Self {
         self.queue_bytes = bytes;
-        self
-    }
-
-    /// Builder-style: set the administrative-down policy.
-    pub fn with_down_policy(mut self, policy: DownPolicy) -> Self {
-        self.down_policy = policy;
         self
     }
 
@@ -143,21 +103,16 @@ pub struct LinkStats {
     pub queue_drops: u64,
     /// Packets dropped by fault injection.
     pub fault_drops: u64,
-    /// Packets corrupted by fault injection (still delivered).
-    pub corrupted: u64,
     /// Packets dropped because the link was administratively down.
     pub down_drops: u64,
-    /// Packets stalled while down (flushed on link-up; see [`DownPolicy`]).
-    pub stalled: u64,
     /// Packets refused because their arrival would fall at or past
     /// [`Ns::MAX`], the engine's "never".
     pub horizon_drops: u64,
 }
 
-/// One direction of a link: the transmitter state, generic over the
-/// packet [`Payload`] it may stall while administratively down.
+/// One direction of a link: the transmitter state.
 #[derive(Debug)]
-pub struct Transmitter<P: Payload = Vec<u8>> {
+pub struct Transmitter {
     /// Static configuration.
     pub cfg: LinkCfg,
     /// Virtual time at which the transmitter becomes idle.
@@ -166,8 +121,6 @@ pub struct Transmitter<P: Payload = Vec<u8>> {
     pub stats: LinkStats,
     /// Administrative state: packets are carried only while `up`.
     pub up: bool,
-    /// Packets held by [`DownPolicy::Stall`] awaiting link recovery.
-    pub(crate) stall_buf: VecDeque<P>,
     /// One-entry serialisation-time memo keyed on (size, bandwidth):
     /// most traffic repeats a handful of packet sizes, and the exact
     /// computation costs a u128 division. Keying on the bandwidth keeps
@@ -189,7 +142,7 @@ pub enum TxOutcome {
     Dropped,
 }
 
-impl<P: Payload> Transmitter<P> {
+impl Transmitter {
     /// New idle transmitter.
     pub fn new(cfg: LinkCfg) -> Self {
         // Memo slot primed with the zero-length packet (always 0 ns).
@@ -198,30 +151,7 @@ impl<P: Payload> Transmitter<P> {
             busy_until: Ns::ZERO,
             stats: LinkStats::default(),
             up: true,
-            stall_buf: VecDeque::new(),
             ser_memo: (0, cfg.bandwidth_bps, Ns::ZERO),
-        }
-    }
-
-    /// Accept a packet while administratively down, per the configured
-    /// [`DownPolicy`]. Returns the packet back when it must be dropped,
-    /// `None` when it was stalled for retransmission on link-up.
-    pub(crate) fn hold_while_down(&mut self, pkt: P) -> Option<P> {
-        match self.cfg.down_policy {
-            DownPolicy::Drop => {
-                self.stats.down_drops += 1;
-                Some(pkt)
-            }
-            DownPolicy::Stall { max_packets } => {
-                if self.stall_buf.len() < max_packets {
-                    self.stats.stalled += 1;
-                    self.stall_buf.push_back(pkt);
-                    None
-                } else {
-                    self.stats.down_drops += 1;
-                    Some(pkt)
-                }
-            }
         }
     }
 
@@ -293,7 +223,7 @@ mod tests {
 
     #[test]
     fn idle_link_delivers_after_ser_plus_delay() {
-        let mut tx: Transmitter = Transmitter::new(LinkCfg::wan(Ns::from_ms(10)));
+        let mut tx = Transmitter::new(LinkCfg::wan(Ns::from_ms(10)));
         match tx.offer(Ns::ZERO, 1250) {
             TxOutcome::Deliver { arrival } => {
                 assert_eq!(arrival, Ns::from_us(10) + Ns::from_ms(10));
@@ -304,7 +234,7 @@ mod tests {
 
     #[test]
     fn back_to_back_packets_queue() {
-        let mut tx: Transmitter = Transmitter::new(LinkCfg::wan(Ns::from_ms(1)));
+        let mut tx = Transmitter::new(LinkCfg::wan(Ns::from_ms(1)));
         let TxOutcome::Deliver { arrival: a1 } = tx.offer(Ns::ZERO, 1250) else {
             panic!()
         };
@@ -322,7 +252,7 @@ mod tests {
         let cfg = LinkCfg::wan(Ns::from_ms(1))
             .with_queue_bytes(2500)
             .with_bandwidth(1_000_000); // 1 Mbps
-        let mut tx: Transmitter = Transmitter::new(cfg);
+        let mut tx = Transmitter::new(cfg);
         // Each 1250-byte packet takes 10 ms to serialise at 1 Mbps.
         let mut drops = 0;
         for _ in 0..10 {
@@ -338,8 +268,7 @@ mod tests {
 
     #[test]
     fn backlog_drains_with_time() {
-        let mut tx: Transmitter =
-            Transmitter::new(LinkCfg::wan(Ns::from_ms(1)).with_bandwidth(1_000_000));
+        let mut tx = Transmitter::new(LinkCfg::wan(Ns::from_ms(1)).with_bandwidth(1_000_000));
         tx.offer(Ns::ZERO, 1250); // 10 ms serialisation
         assert_eq!(tx.backlog(Ns::ZERO), Ns::from_ms(10));
         assert_eq!(tx.backlog(Ns::from_ms(4)), Ns::from_ms(6));
@@ -350,10 +279,7 @@ mod tests {
     fn presets_sane() {
         assert!(LinkCfg::lan().bandwidth_bps > LinkCfg::wan(Ns::ZERO).bandwidth_bps);
         assert!(LinkCfg::ipc().delay < LinkCfg::lan().delay);
-        let f = LinkCfg::wan(Ns::ZERO)
-            .with_drop_prob(0.1)
-            .with_corrupt_prob(0.2);
+        let f = LinkCfg::wan(Ns::ZERO).with_drop_prob(0.1);
         assert_eq!(f.drop_prob, 0.1);
-        assert_eq!(f.corrupt_prob, 0.2);
     }
 }

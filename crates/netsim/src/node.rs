@@ -111,12 +111,11 @@ pub struct Ctx<'a, P: Payload = Vec<u8>> {
     /// Every node's name: read only when a trace line is kept.
     pub(crate) names: &'a NodeNames,
     pub(crate) ports: &'a [PortBinding],
-    pub(crate) transmitters: &'a mut [Transmitter<P>],
+    pub(crate) transmitters: &'a mut [Transmitter],
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) trace: &'a mut Trace,
     pub(crate) counters: &'a mut Counters,
     pub(crate) queue: &'a mut EventQueue<P>,
-    pub(crate) stopped: &'a mut bool,
 }
 
 impl<'a, P: Payload> Ctx<'a, P> {
@@ -144,29 +143,22 @@ impl<'a, P: Payload> Ctx<'a, P> {
     ///
     /// # Panics
     /// Panics if `port` is not connected.
-    pub fn send(&mut self, port: PortId, mut pkt: P) -> bool {
+    pub fn send(&mut self, port: PortId, pkt: P) -> bool {
         let binding = self.ports[port];
         let tx = &mut self.transmitters[binding.tx_index];
-        // Administratively-down link: drop or stall per policy, before
-        // fault injection (a dead link consumes no randomness, so runs
-        // with all links up are bit-identical to the pre-dynamics engine).
+        // Administratively-down link: drop before fault injection (a dead
+        // link consumes no randomness, so runs with all links up are
+        // bit-identical to the pre-dynamics engine).
         if !tx.up {
-            return tx.hold_while_down(pkt).is_none();
+            tx.stats.down_drops += 1;
+            return false;
         }
         // Fault injection: random drop.
         if tx.cfg.drop_prob > 0.0 && self.rng.random_bool(tx.cfg.drop_prob) {
             tx.stats.fault_drops += 1;
             return false;
         }
-        let len = pkt.wire_len();
-        // Fault injection: corrupt one random bit of the wire image.
-        if tx.cfg.corrupt_prob > 0.0 && len > 0 && self.rng.random_bool(tx.cfg.corrupt_prob) {
-            let idx = self.rng.random_range(0..len);
-            let bit = self.rng.random_range(0..8u8);
-            pkt.corrupt(idx, bit);
-            tx.stats.corrupted += 1;
-        }
-        match tx.offer(self.now, len) {
+        match tx.offer(self.now, pkt.wire_len()) {
             TxOutcome::Deliver { arrival } => {
                 // Claim the slot first and build the event in the call
                 // that stores it: the packet moves once, from this
@@ -250,10 +242,5 @@ impl<'a, P: Payload> Ctx<'a, P> {
     /// The simulation RNG (seeded; deterministic).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
-    }
-
-    /// Stop the simulation after this event is processed.
-    pub fn stop(&mut self) {
-        *self.stopped = true;
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::calq::CalendarQueue;
 use crate::counters::{CounterId, Counters};
-use crate::link::{LinkCfg, LinkStats, Transmitter, TxOutcome};
+use crate::link::{LinkCfg, LinkStats, Transmitter};
 use crate::node::{Ctx, EventPort, Node, NodeId, PortBinding, PortId};
 use crate::payload::Payload;
 use crate::time::Ns;
@@ -26,7 +26,6 @@ use crate::trace::{fnv64, NodeNames, Trace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 
 /// Events processed by every [`Sim`] in this process, across all
@@ -364,10 +363,10 @@ pub struct Sim<P: Payload = Vec<u8>> {
     nodes: Vec<Box<dyn Node<P>>>,
     names: NodeNames,
     ports: Vec<Vec<PortBinding>>,
-    transmitters: Vec<Transmitter<P>>,
-    /// Delivery target of each transmitter (peer node, peer port), in
-    /// transmitter order — used to flush stalled packets on link-up.
-    tx_targets: Vec<(NodeId, EventPort)>,
+    transmitters: Vec<Transmitter>,
+    /// The sending node of each transmitter, in transmitter order: the
+    /// node a `LinkAdmin` event for that direction is addressed to.
+    tx_senders: Vec<NodeId>,
     /// Administrative per-node state: `false` while a node is crashed.
     /// All-up worlds pay one bool test per delivered event and nothing
     /// else, so runs without node dynamics stay byte-identical.
@@ -381,15 +380,10 @@ pub struct Sim<P: Payload = Vec<u8>> {
     /// The trace log (enable before running to record).
     pub trace: Trace,
     counters: Counters,
-    stopped: bool,
     started: bool,
     events_processed: u64,
     /// Portion of `events_processed` already flushed to [`PROCESS_EVENTS`].
     events_flushed: u64,
-    event_limit: u64,
-    /// Scratch deque reused by [`Sim::set_link_dir_up`] so flushing a stalled
-    /// link allocates nothing in steady state.
-    stall_scratch: VecDeque<P>,
 }
 
 impl<P: Payload> Sim<P> {
@@ -400,7 +394,7 @@ impl<P: Payload> Sim<P> {
             names: NodeNames::default(),
             ports: Vec::new(),
             transmitters: Vec::new(),
-            tx_targets: Vec::new(),
+            tx_senders: Vec::new(),
             node_up: Vec::new(),
             node_down_drops: 0,
             queue: EventQueue::new(),
@@ -408,12 +402,9 @@ impl<P: Payload> Sim<P> {
             rng: SmallRng::seed_from_u64(seed),
             trace: Trace::new(),
             counters: Counters::new(),
-            stopped: false,
             started: false,
             events_processed: 0,
             events_flushed: 0,
-            event_limit: u64::MAX,
-            stall_scratch: VecDeque::new(),
         }
     }
 
@@ -430,30 +421,17 @@ impl<P: Payload> Sim<P> {
     /// Connect two nodes with a duplex link using `cfg` for both
     /// directions. Returns the port ids assigned at `a` and `b`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, cfg: LinkCfg) -> (PortId, PortId) {
-        self.connect_asym(a, b, cfg, cfg)
-    }
-
-    /// Connect two nodes with per-direction configurations
-    /// (`cfg_ab` carries a→b, `cfg_ba` carries b→a).
-    pub fn connect_asym(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        cfg_ab: LinkCfg,
-        cfg_ba: LinkCfg,
-    ) -> (PortId, PortId) {
         assert!(a < self.nodes.len() && b < self.nodes.len(), "unknown node");
         let tx_ab = self.transmitters.len();
-        self.transmitters.push(Transmitter::new(cfg_ab));
+        self.transmitters.push(Transmitter::new(cfg));
         let tx_ba = self.transmitters.len();
-        self.transmitters.push(Transmitter::new(cfg_ba));
+        self.transmitters.push(Transmitter::new(cfg));
         let port_a = self.ports[a].len();
         let port_b = self.ports[b].len();
         let event_port =
             |port: PortId| EventPort::try_from(port).expect("too many ports on one node");
         let (peer_a, peer_b) = (event_port(port_a), event_port(port_b));
-        self.tx_targets.push((b, peer_b)); // tx_ab delivers to b
-        self.tx_targets.push((a, peer_a)); // tx_ba delivers to a
+        self.tx_senders.extend([a, b]);
         self.ports[a].push(PortBinding {
             peer_node: b,
             peer_port: peer_b,
@@ -582,7 +560,7 @@ impl<P: Payload> Sim<P> {
     }
 
     /// Sum of down-drop counts across all links (packets offered while a
-    /// link was administratively down under [`crate::link::DownPolicy::Drop`]).
+    /// link was administratively down).
     pub fn total_down_drops(&self) -> u64 {
         self.transmitters.iter().map(|t| t.stats.down_drops).sum()
     }
@@ -594,11 +572,6 @@ impl<P: Payload> Sim<P> {
             .iter()
             .map(|t| t.stats.horizon_drops)
             .sum()
-    }
-
-    /// Whether the `dir` direction of link `link` is administratively up.
-    pub fn link_up(&self, link: usize, dir: usize) -> bool {
-        self.transmitters[link * 2 + dir].up
     }
 
     /// Schedule an administrative state change of both directions of
@@ -615,7 +588,7 @@ impl<P: Payload> Sim<P> {
         // the same instant), each addressed to the direction's sender.
         for dir in 0..2 {
             let tx = link * 2 + dir;
-            let sender = self.tx_targets[tx ^ 1].0;
+            let sender = self.tx_senders[tx];
             self.queue.push(at, sender, EventKind::LinkAdmin { tx, up });
         }
     }
@@ -669,46 +642,12 @@ impl<P: Payload> Sim<P> {
         }
     }
 
-    /// Apply an administrative state change to one *direction* of a link
-    /// (transmitter index `idx`) — the unit the engine's `LinkAdmin`
-    /// events operate on. On an up-transition, packets stalled by
-    /// [`crate::link::DownPolicy::Stall`] are retransmitted in FIFO
-    /// order starting at the current instant (no fault injection).
-    fn set_link_dir_up(&mut self, idx: usize, up: bool) {
-        let was_up = self.transmitters[idx].up;
-        self.transmitters[idx].up = up;
-        if up && !was_up {
-            // Swap the stalled backlog out through the reusable
-            // scratch deque instead of collecting into a fresh Vec:
-            // recoveries are allocation-free in steady state, and the
-            // (empty) scratch capacity parks in the transmitter until
-            // the next flush swaps it back.
-            let mut pending = std::mem::take(&mut self.stall_scratch);
-            std::mem::swap(&mut pending, &mut self.transmitters[idx].stall_buf);
-            let (peer_node, peer_port) = self.tx_targets[idx];
-            while let Some(payload) = pending.pop_front() {
-                match self.transmitters[idx].offer(self.now, payload.wire_len()) {
-                    TxOutcome::Deliver { arrival } => {
-                        let kind = EventKind::Packet {
-                            port: peer_port,
-                            payload,
-                        };
-                        self.queue.push(arrival, peer_node, kind);
-                    }
-                    TxOutcome::Dropped => {}
-                }
-            }
-            self.stall_scratch = pending;
-        }
-    }
-
-    /// Packets the engine holds right now: `(queued for delivery or
-    /// held by a` [`Ctx::send_after`]`, stalled on a down link)`. Test
-    /// probe for packet conservation: not part of the API.
+    /// Packets the engine holds right now: queued for delivery or held
+    /// by a [`Ctx::send_after`]. Test probe for packet conservation: not
+    /// part of the API.
     #[doc(hidden)]
-    pub fn held_packets(&self) -> (usize, usize) {
-        let stalled = self.transmitters.iter().map(|t| t.stall_buf.len()).sum();
-        (self.queue.bodies().1, stalled)
+    pub fn held_packets(&self) -> usize {
+        self.queue.bodies().1
     }
 
     /// Slab slots holding an event body of any kind; 0 once the queue
@@ -716,11 +655,6 @@ impl<P: Payload> Sim<P> {
     #[doc(hidden)]
     pub fn slab_bodies(&self) -> usize {
         self.queue.bodies().0
-    }
-
-    /// Limit the number of processed events (runaway protection in tests).
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Number of events processed so far.
@@ -773,7 +707,6 @@ impl<P: Payload> Sim<P> {
             trace: &mut self.trace,
             counters: &mut self.counters,
             queue: &mut self.queue,
-            stopped: &mut self.stopped,
         };
         (node, ctx)
     }
@@ -793,7 +726,7 @@ impl<P: Payload> Sim<P> {
         // below stays as lean as it was without them.
         if !delivery {
             match self.queue.take(index) {
-                Slot::Busy(_, EventKind::LinkAdmin { tx, up }) => self.set_link_dir_up(tx, up),
+                Slot::Busy(_, EventKind::LinkAdmin { tx, up }) => self.transmitters[tx].up = up,
                 Slot::Busy(_, EventKind::NodeAdmin { up }) => self.apply_node_admin(node_id, up),
                 Slot::Busy(_, EventKind::Call(call)) => self.call(node_id, call),
                 _ => unreachable!("peek said administrative or a call"),
@@ -876,20 +809,16 @@ impl<P: Payload> Sim<P> {
         }
     }
 
-    /// Run until the event queue is empty, a node calls [`Ctx::stop`], or
-    /// the event limit is hit.
+    /// Run until the event queue is empty.
     pub fn run(&mut self) {
         self.run_until(Ns::MAX);
     }
 
     /// Run until virtual time `deadline` (events at exactly `deadline` are
-    /// processed), the queue drains, or a stop is requested.
+    /// processed) or the queue drains.
     pub fn run_until(&mut self, deadline: Ns) {
         self.start_all();
-        while !self.stopped && self.events_processed < self.event_limit {
-            let Some((at, _seq, index)) = self.queue.pop_until(deadline) else {
-                break;
-            };
+        while let Some((at, _seq, index)) = self.queue.pop_until(deadline) {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             self.events_processed += 1;
@@ -909,11 +838,6 @@ impl<P: Payload> Sim<P> {
             std::sync::atomic::Ordering::Relaxed,
         );
         self.events_flushed = self.events_processed;
-    }
-
-    /// True if a stop was requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
     }
 }
 
@@ -1085,20 +1009,19 @@ mod tests {
 
     #[test]
     fn slab_slot_adds_at_most_16_bytes_to_its_payload() {
-        // A 72-byte stand-in for `lispwire::Packet` with no niche to
+        // A 64-byte stand-in for `lispwire::Packet` with no niche to
         // hide a tag in: node id, port and both enum tags must fit in
         // 16 bytes, or every queued packet grows by a word again. A
         // `Call` is two words, so it hides inside the packet variant.
         #[derive(Debug)]
-        struct P([u64; 9]);
+        struct P([u64; 8]);
         impl Payload for P {
             fn wire_len(&self) -> usize {
-                72
+                64
             }
             fn encode(&self) -> Vec<u8> {
                 self.0.iter().flat_map(|w| w.to_be_bytes()).collect()
             }
-            fn corrupt(&mut self, _idx: usize, _bit: u8) {}
         }
         assert!(std::mem::size_of::<Slot<P>>() <= std::mem::size_of::<P>() + 16);
     }
@@ -1123,20 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_flips_one_bit() {
-        let mut sim: Sim = Sim::new(5);
-        let s = sim.add_node("s", Box::new(Tap::new(vec![vec![0u8; 64]])));
-        let c = sim.add_node("c", Box::new(Tap::<Vec<u8>>::sink()));
-        sim.connect(s, c, LinkCfg::lan().with_corrupt_prob(1.0));
-        sim.schedule_timer(s, Ns::ZERO, 0);
-        sim.run();
-        let got = &sim.node_ref::<Tap>(c).received[0].1;
-        let ones: u32 = got.iter().map(|b| b.count_ones()).sum();
-        assert_eq!(ones, 1, "exactly one bit flipped");
-        assert_eq!(sim.link_stats(0, 0).corrupted, 1);
-    }
-
-    #[test]
     fn same_time_events_fifo() {
         struct Recorder {
             tokens: Vec<u64>,
@@ -1153,42 +1062,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.node_ref::<Recorder>(r).tokens, vec![3, 1, 4, 1, 5]);
-    }
-
-    #[test]
-    fn event_limit_halts() {
-        struct Looper;
-        impl Node for Looper {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-                ctx.set_timer(Ns::from_us(1), token + 1);
-            }
-        }
-        let mut sim: Sim = Sim::new(1);
-        let l = sim.add_node("loop", Box::new(Looper));
-        sim.schedule_timer(l, Ns::ZERO, 0);
-        sim.set_event_limit(100);
-        sim.run();
-        assert_eq!(sim.events_processed(), 100);
-    }
-
-    #[test]
-    fn stop_halts_immediately() {
-        struct Stopper {
-            fired: u64,
-        }
-        impl Node for Stopper {
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-                self.fired += 1;
-                ctx.stop();
-            }
-        }
-        let mut sim: Sim = Sim::new(1);
-        let s = sim.add_node("s", Box::new(Stopper { fired: 0 }));
-        sim.schedule_timer(s, Ns::from_ms(1), 0);
-        sim.schedule_timer(s, Ns::from_ms(2), 1);
-        sim.run();
-        assert!(sim.is_stopped());
-        assert_eq!(sim.node_ref::<Stopper>(s).fired, 1);
     }
 
     #[test]
@@ -1471,7 +1344,7 @@ mod tests {
             ctx.send_after(Ns::from_ms(3), 1, vec![7; 125]);
         });
         sim.run_until(Ns::from_ms(2));
-        assert_eq!(sim.held_packets(), (1, 0), "held by the engine");
+        assert_eq!(sim.held_packets(), 1, "held by the engine");
         assert_eq!(sim.link_stats(1, 0).tx_packets, 0, "not on the link yet");
         sim.run();
         // Sent at 4 ms: 125 bytes serialise in 1 µs, then 5 ms of delay.
@@ -1482,7 +1355,7 @@ mod tests {
         );
         assert!(arrivals(&sim, sinks[0]).is_empty());
         assert_eq!(sim.link_stats(1, 0).tx_packets, 1);
-        assert_eq!(sim.held_packets(), (0, 0));
+        assert_eq!(sim.held_packets(), 0);
     }
 
     #[test]
@@ -1547,7 +1420,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.total_horizon_drops(), 1);
-        assert_eq!(sim.held_packets(), (0, 0));
+        assert_eq!(sim.held_packets(), 0);
     }
 
     #[test]
@@ -1587,34 +1460,6 @@ mod tests {
             sim.trace.render()
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn stall_policy_flushes_on_link_up() {
-        use crate::link::DownPolicy;
-        let mut sim: Sim = Sim::new(1);
-        let burst = (0..3u8).map(|t| vec![t; 16]).collect();
-        let b = sim.add_node("burst", Box::new(Tap::new(burst)));
-        let s = sim.add_node("sink", Box::new(Tap::<Vec<u8>>::sink()));
-        sim.connect(
-            b,
-            s,
-            LinkCfg::wan(Ns::from_ms(5)).with_down_policy(DownPolicy::Stall { max_packets: 2 }),
-        );
-        sim.schedule_link_admin(Ns::ZERO, 0, false);
-        for t in 0..3u64 {
-            sim.schedule_timer(b, Ns::from_ms(1).saturating_add(Ns::from_ms(t)), t);
-        }
-        sim.schedule_link_admin(Ns::from_ms(50), 0, true);
-        sim.run();
-        let got = &sim.node_ref::<Tap>(s).received;
-        // Two packets stalled (FIFO), the third overflowed the stall buffer.
-        let tags: Vec<u8> = got.iter().map(|(_, bytes)| bytes[0]).collect();
-        assert_eq!(tags, vec![0, 1]);
-        assert!(got.iter().all(|(at, _)| *at >= Ns::from_ms(55)));
-        assert_eq!(sim.link_stats(0, 0).stalled, 2);
-        assert_eq!(sim.link_stats(0, 0).down_drops, 1);
-        assert!(sim.link_up(0, 0));
     }
 
     #[test]

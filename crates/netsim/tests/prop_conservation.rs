@@ -1,12 +1,11 @@
 //! Engine-level packet conservation: every packet handed to
 //! `Ctx::send` or `Ctx::send_after` ends in exactly one state —
-//! delivered once, counted in one named drop counter, stalled on a down
-//! link, or still pending in the event queue — in random small worlds
-//! with finite queues, random loss, links that go down under both down
-//! policies, and nodes that crash and restart. Once the queue drains,
-//! no slab slot holds a body.
+//! delivered once, counted in one named drop counter, or still pending
+//! in the event queue — in random small worlds with finite queues,
+//! random loss, links that go down, and nodes that crash and restart.
+//! Once the queue drains, no slab slot holds a body.
 
-use netsim::{Ctx, DownPolicy, LinkCfg, Node, NodeId, Ns, PortId, Sim};
+use netsim::{Ctx, LinkCfg, Node, NodeId, Ns, PortId, Sim};
 use proptest::prelude::*;
 
 /// SplitMix64: the world generator's own stream, independent of the
@@ -125,9 +124,8 @@ impl Node for Host {
 
 /// A random world: `2..=5` hosts, random links with small queues and
 /// loss, timers only on host 0 (which never crashes, so the engine's
-/// `node_down_drops` counts packets alone), link outages under both
-/// down policies, and crashes of the other hosts. Every link is up
-/// again by the end, so a fully drained run holds nothing stalled.
+/// `node_down_drops` counts packets alone), link outages, and crashes
+/// of the other hosts.
 fn world(seed: u64) -> (Sim, Vec<NodeId>, Ns) {
     let mut g = Gen(seed);
     let mut sim: Sim = Sim::new(seed);
@@ -144,18 +142,10 @@ fn world(seed: u64) -> (Sim, Vec<NodeId>, Ns) {
         if a == b {
             continue;
         }
-        let policy = if g.below(2) == 0 {
-            DownPolicy::Drop
-        } else {
-            DownPolicy::Stall {
-                max_packets: g.below(4) as usize,
-            }
-        };
         let cfg = LinkCfg::wan(Ns::from_us(1 + g.below(2_000)))
             .with_bandwidth(1_000_000 * (1 + g.below(100)))
             .with_queue_bytes(g.below(8_000))
-            .with_drop_prob([0.0, 0.0, 0.05, 0.3][g.below(4) as usize])
-            .with_down_policy(policy);
+            .with_drop_prob([0.0, 0.0, 0.05, 0.3][g.below(4) as usize]);
         sim.connect(a, b, cfg);
     }
     let horizon = Ns::from_ms(50);
@@ -183,20 +173,18 @@ fn world(seed: u64) -> (Sim, Vec<NodeId>, Ns) {
 /// How many packets are in each end state: delivered, fault-dropped,
 /// queue-dropped, down-dropped, dropped at a down node (on arrival, or
 /// deferred and due during an outage), pending (in flight or
-/// deferred), stalled.
-fn states(sim: &Sim, hosts: &[NodeId]) -> [u64; 7] {
+/// deferred).
+fn states(sim: &Sim, hosts: &[NodeId]) -> [u64; 6] {
     let delivered = hosts
         .iter()
         .map(|&h| sim.node_ref::<Host>(h).got.len() as u64);
-    let (pending, stalled) = sim.held_packets();
     [
         delivered.sum(),
         sim.total_fault_drops(),
         sim.total_queue_drops(),
         sim.total_down_drops(),
         sim.node_down_drops(),
-        pending as u64,
-        stalled as u64,
+        sim.held_packets() as u64,
     ]
 }
 
@@ -225,17 +213,16 @@ fn check_conservation(sim: &Sim, hosts: &[NodeId]) -> Result<(), String> {
     if sent != states.iter().sum::<u64>() + horizon {
         return Err(format!(
             "sent {sent} != delivered, fault, queue, down, node-down, \
-             pending, stalled {states:?} + horizon {horizon}"
+             pending {states:?} + horizon {horizon}"
         ));
     }
-    let [delivered, fault, queue, down, node_down, pending, stalled] = states;
+    let [delivered, fault, queue, down, node_down, pending] = states;
     let (deferred, deferred_held, deferred_down) = deferrals(sim, hosts);
     // Every packet a link accepted is delivered, dropped at a down
     // node on arrival, or still in flight: the deferrals still held or
     // due during an outage never reached a link.
     let links = (0..sim.link_count()).flat_map(|l| [sim.link_stats(l, 0), sim.link_stats(l, 1)]);
-    let (accepted_by_links, stalled_ever) =
-        links.fold((0, 0), |(tx, st), s| (tx + s.tx_packets, st + s.stalled));
+    let accepted_by_links: u64 = links.map(|s| s.tx_packets).sum();
     if accepted_by_links + deferred_held + deferred_down != delivered + node_down + pending {
         return Err(format!(
             "links accepted {accepted_by_links} + deferrals held {deferred_held} \
@@ -244,18 +231,15 @@ fn check_conservation(sim: &Sim, hosts: &[NodeId]) -> Result<(), String> {
         ));
     }
     // A `false` from send is a fault, down, queue or horizon drop; only
-    // packets flushed from a stall buffer and deferrals handed to a
-    // link can be queue-, fault-, down- or horizon-dropped after the
-    // node was told `true`.
+    // deferrals handed to a link can be queue-, fault-, down- or
+    // horizon-dropped after the node was told `true`.
     let refused = sent - accepted.len() as u64;
-    let flushed = stalled_ever - stalled;
     let deferred_sent = deferred - deferred_held - deferred_down;
     let dropped = fault + down + queue + horizon;
-    if refused > dropped || refused + flushed + deferred_sent < dropped {
+    if refused > dropped || refused + deferred_sent < dropped {
         return Err(format!(
             "send refused {refused}, but fault + down + queue + horizon \
-             drops are {dropped} with {flushed} flushed from stall buffers \
-             and {deferred_sent} deferrals sent"
+             drops are {dropped} with {deferred_sent} deferrals sent"
         ));
     }
     Ok(())
@@ -272,30 +256,21 @@ fn deferrals(sim: &Sim, hosts: &[NodeId]) -> (u64, u64, u64) {
 }
 
 /// A packet whose arrival would saturate at `Ns::MAX`, the engine's
-/// "never", is refused by `send` and counted, on the direct path and
-/// when a stall buffer flushes it.
+/// "never", is refused by `send` and counted.
 #[test]
 fn packet_arriving_past_the_clock_is_refused_and_counted() {
-    for stall in [false, true] {
-        let mut sim: Sim = Sim::new(1);
-        let hosts: Vec<NodeId> = (0..2)
-            .map(|i| sim.add_node(&format!("h{i}"), Box::new(Host::new(i, 10))))
-            .collect();
-        let cfg =
-            LinkCfg::wan(Ns(u64::MAX - 5)).with_down_policy(DownPolicy::Stall { max_packets: 1 });
-        sim.connect(hosts[0], hosts[1], cfg);
-        if stall {
-            sim.schedule_link_admin(Ns::ZERO, 0, false);
-            sim.schedule_link_admin(Ns::from_ms(2), 0, true);
-        }
-        sim.schedule_timer(hosts[0], Ns::from_ms(1), 0);
-        sim.run();
-        let host = sim.node_ref::<Host>(hosts[0]);
-        assert_eq!(host.sent, vec![(0, stall)], "stall {stall}");
-        assert_eq!(sim.total_horizon_drops(), 1, "stall {stall}");
-        assert_eq!(sim.held_packets(), (0, 0), "stall {stall}");
-        assert_eq!(check_conservation(&sim, &hosts), Ok(()), "stall {stall}");
-    }
+    let mut sim: Sim = Sim::new(1);
+    let hosts: Vec<NodeId> = (0..2)
+        .map(|i| sim.add_node(&format!("h{i}"), Box::new(Host::new(i, 10))))
+        .collect();
+    sim.connect(hosts[0], hosts[1], LinkCfg::wan(Ns(u64::MAX - 5)));
+    sim.schedule_timer(hosts[0], Ns::from_ms(1), 0);
+    sim.run();
+    let host = sim.node_ref::<Host>(hosts[0]);
+    assert_eq!(host.sent, vec![(0, false)]);
+    assert_eq!(sim.total_horizon_drops(), 1);
+    assert_eq!(sim.held_packets(), 0);
+    assert_eq!(check_conservation(&sim, &hosts), Ok(()));
 }
 
 /// The generator is only as good as the states it reaches: over a
@@ -303,7 +278,7 @@ fn packet_arriving_past_the_clock_is_refused_and_counted() {
 /// and deferrals are both held and dropped at a down host.
 #[test]
 fn generator_reaches_every_end_state() {
-    let mut seen = [0u64; 9];
+    let mut seen = [0u64; 8];
     for seed in 0..64 {
         let (mut sim, hosts, horizon) = world(seed);
         for step in 1..=4 {
@@ -322,7 +297,7 @@ proptest! {
     #[test]
     fn every_sent_packet_ends_in_exactly_one_state(seed in any::<u64>()) {
         let (mut sim, hosts, horizon) = world(seed);
-        // Mid-run: packets in flight and stalled must be accounted for.
+        // Mid-run: packets in flight must be accounted for.
         for step in 1..=4 {
             sim.run_until(Ns(horizon.0 * step / 4));
             let checked = check_conservation(&sim, &hosts);
@@ -331,8 +306,8 @@ proptest! {
         sim.run();
         let checked = check_conservation(&sim, &hosts);
         prop_assert!(checked.is_ok(), "seed {seed:#x} drained: {:?}", checked);
-        // Drained: nothing pending, nothing stalled, no body left behind.
-        prop_assert_eq!(sim.held_packets(), (0, 0));
+        // Drained: nothing pending, no body left behind.
+        prop_assert_eq!(sim.held_packets(), 0);
         prop_assert_eq!(sim.slab_bodies(), 0);
     }
 }

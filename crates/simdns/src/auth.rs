@@ -69,12 +69,6 @@ impl AuthServer {
 
 impl Node<Packet> for AuthServer {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-        // A corruption marker is the typed form of a failed end-to-end
-        // checksum: ignore, as the byte path's parse failure did.
-        if pkt.is_corrupt() {
-            self.ignored += 1;
-            return;
-        }
         let Packet::Dns {
             ip,
             ports: p,

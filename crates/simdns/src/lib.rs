@@ -10,9 +10,9 @@
 //!   Fig. 1) performing *iterative* resolution from root hints, with a
 //!   positive cache and an NS/glue cache, retransmission timers, and a
 //!   client-facing RD interface.
-//! * [`client`] — a simple query client node used by tests and examples.
-//! * [`hierarchy`] — builders that assemble a root / TLD / authoritative
-//!   topology inside a simulation.
+//!
+//! The world builder (`pcelisp::spec`) assembles the root / TLD /
+//! authoritative topology from these parts.
 //!
 //! The resolver purposely mirrors the paper's timing model: resolving a
 //! cold name costs one round trip per delegation level, which is exactly
@@ -22,13 +22,9 @@
 #![deny(missing_docs)]
 
 pub mod auth;
-pub mod client;
-pub mod hierarchy;
 pub mod resolver;
 pub mod zone;
 
 pub use auth::AuthServer;
-pub use client::DnsClient;
-pub use hierarchy::{HierarchyBuilder, HierarchySpec};
 pub use resolver::{Resolver, ResolverConfig};
 pub use zone::{Zone, ZoneStore};

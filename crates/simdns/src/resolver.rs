@@ -6,7 +6,6 @@
 //! (relevant for fault-injection experiments); a step budget bounds
 //! referral chains.
 
-use crate::zone::ZoneStore;
 use inet::stack::IpStack;
 use lispwire::dnswire::{Message, Name, Rcode, Rdata, Record};
 use lispwire::packet::{Packet, PceMsg};
@@ -14,33 +13,20 @@ use lispwire::{ports, Ipv4Address};
 use netsim::{Ctx, Node, Ns, PortId};
 use std::collections::BTreeMap;
 
+/// Retransmit an unanswered upstream query after this long.
+const RETRANSMIT: Ns = Ns::from_secs(1);
+/// Give up after this many transmissions of the same step.
+const MAX_TRIES: u32 = 3;
+/// Maximum referral steps per resolution: bounds a referral loop.
+const MAX_STEPS: u32 = 16;
+
 /// Resolver tunables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ResolverConfig {
-    /// Retransmit an unanswered upstream query after this long.
-    pub retransmit: Ns,
-    /// Give up after this many transmissions of the same step.
-    pub max_tries: u32,
-    /// Maximum referral steps per resolution.
-    pub max_steps: u32,
-    /// Enable the positive and NS caches.
-    pub cache_enabled: bool,
     /// If set, notify this address (the domain's PCE) of every client
     /// query via an [`lispwire::pcewire::IpcQueryNotice`] on the IPC port
     /// — the paper's Fig. 1 dashed line (step 1).
     pub ipc_notify: Option<Ipv4Address>,
-}
-
-impl Default for ResolverConfig {
-    fn default() -> Self {
-        Self {
-            retransmit: Ns::from_secs(1),
-            max_tries: 3,
-            max_steps: 16,
-            cache_enabled: true,
-            ipc_notify: None,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -190,7 +176,7 @@ impl Resolver {
         ctx.trace(format_args!("resolver asks {} for {}", fl.server, fl.qname));
         ctx.send(self.uplink, pkt);
         let token = timer_token(qid, fl.generation);
-        ctx.set_timer(self.cfg.retransmit, token);
+        ctx.set_timer(RETRANSMIT, token);
     }
 
     fn reply_client(
@@ -248,31 +234,29 @@ impl Resolver {
             ctx.send(self.uplink, pkt);
         }
         let now = ctx.now();
-        if self.cfg.cache_enabled {
-            if let Some(hit) = self.answer_cache.get(&q.name) {
-                if hit.expires > now {
-                    self.cache_hits += 1;
-                    let remaining = (hit.expires - now).0 / 1_000_000_000;
-                    let rec = Record::a(
-                        q.name.clone(),
-                        hit.addr,
-                        remaining.min(u64::from(hit.original_ttl)) as u32,
-                    );
-                    let fl = InFlight {
-                        client: src,
-                        client_port: src_port,
-                        client_qid: msg.id,
-                        qname: q.name.clone(),
-                        started: now,
-                        server: Ipv4Address::UNSPECIFIED,
-                        tries: 0,
-                        steps: 0,
-                        generation: 0,
-                    };
-                    ctx.trace(format_args!("resolver cache hit for {}", q.name));
-                    self.reply_client(ctx, &fl, Rcode::NoError, vec![rec]);
-                    return;
-                }
+        if let Some(hit) = self.answer_cache.get(&q.name) {
+            if hit.expires > now {
+                self.cache_hits += 1;
+                let remaining = (hit.expires - now).0 / 1_000_000_000;
+                let rec = Record::a(
+                    q.name.clone(),
+                    hit.addr,
+                    remaining.min(u64::from(hit.original_ttl)) as u32,
+                );
+                let fl = InFlight {
+                    client: src,
+                    client_port: src_port,
+                    client_qid: msg.id,
+                    qname: q.name.clone(),
+                    started: now,
+                    server: Ipv4Address::UNSPECIFIED,
+                    tries: 0,
+                    steps: 0,
+                    generation: 0,
+                };
+                ctx.trace(format_args!("resolver cache hit for {}", q.name));
+                self.reply_client(ctx, &fl, Rcode::NoError, vec![rec]);
+                return;
             }
         }
         let qid = self.next_qid;
@@ -307,16 +291,14 @@ impl Resolver {
         if msg.rcode == Rcode::NoError {
             if let Some(addr) = msg.first_answer_a() {
                 let ttl = msg.answers.first().map(|r| r.ttl).unwrap_or(60);
-                if self.cfg.cache_enabled {
-                    self.answer_cache.insert(
-                        fl.qname.clone(),
-                        CachedAnswer {
-                            addr,
-                            expires: now + Ns::from_secs(u64::from(ttl)),
-                            original_ttl: ttl,
-                        },
-                    );
-                }
+                self.answer_cache.insert(
+                    fl.qname.clone(),
+                    CachedAnswer {
+                        addr,
+                        expires: now + Ns::from_secs(u64::from(ttl)),
+                        original_ttl: ttl,
+                    },
+                );
                 self.resolved += 1;
                 let latency = now - fl.started;
                 self.resolution_times.push((fl.qname.clone(), latency));
@@ -355,17 +337,15 @@ impl Resolver {
                     return;
                 }
                 let ttl = msg.authority[0].ttl;
-                if self.cfg.cache_enabled {
-                    self.ns_cache.insert(
-                        zone.clone(),
-                        CachedNs {
-                            servers: servers.clone(),
-                            expires: now + Ns::from_secs(u64::from(ttl)),
-                        },
-                    );
-                }
+                self.ns_cache.insert(
+                    zone.clone(),
+                    CachedNs {
+                        servers: servers.clone(),
+                        expires: now + Ns::from_secs(u64::from(ttl)),
+                    },
+                );
                 fl.steps += 1;
-                if fl.steps > self.cfg.max_steps {
+                if fl.steps > MAX_STEPS {
                     self.failed += 1;
                     self.reply_client(ctx, &fl, Rcode::ServFail, vec![]);
                     return;
@@ -406,9 +386,6 @@ fn timer_token(qid: u16, generation: u32) -> u64 {
 
 impl Node<Packet> for Resolver {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, pkt: Packet) {
-        if pkt.is_corrupt() {
-            return; // failed end-to-end checksum (typed form)
-        }
         let Packet::Dns { ip, ports: p, msg } = pkt else {
             return;
         };
@@ -428,7 +405,7 @@ impl Node<Packet> for Resolver {
         let give_up;
         match self.in_flight.get_mut(&qid) {
             Some(fl) if fl.generation == generation => {
-                if fl.tries >= self.cfg.max_tries {
+                if fl.tries >= MAX_TRIES {
                     give_up = true;
                 } else {
                     fl.tries += 1;
@@ -462,17 +439,11 @@ pub fn client_query_packet(
     client.dns(client_port, resolver, ports::DNS, q)
 }
 
-/// Build zone stores for a classic 3-level hierarchy in tests.
-#[doc(hidden)]
-pub fn _test_zone_store() -> ZoneStore {
-    ZoneStore::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::auth::AuthServer;
-    use crate::zone::Zone;
+    use crate::zone::{Zone, ZoneStore};
     use inet::{Prefix, Router};
     use netsim::{LinkCfg, Sim};
     use proptest::prelude::*;
@@ -721,18 +692,5 @@ mod tests {
                 prop_assert_eq!(r.pick_server(q, now), pick_by_parents(&r, q, now));
             }
         }
-    }
-
-    #[test]
-    fn cache_disabled_repeats_full_walk() {
-        let (mut sim, client, resolver) = build(Ns::from_ms(10), 0.0);
-        sim.node_mut::<Resolver>(resolver).cfg.cache_enabled = false;
-        sim.schedule_timer(client, Ns::ZERO, 0);
-        sim.run();
-        sim.schedule_timer(client, Ns::ZERO, 1);
-        sim.run();
-        let r = sim.node_mut::<Resolver>(resolver);
-        assert_eq!(r.upstream_queries, 6);
-        assert_eq!(r.cache_hits, 0);
     }
 }

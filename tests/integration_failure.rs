@@ -56,10 +56,10 @@ fn zero_loss_control() {
     assert_eq!(faults, 0);
 }
 
+/// A clean Fig. 1 PCE world: no xTR counts a malformed message (a
+/// CONS wrapper or a step-6 `DnsMapping` reaching an xTR).
 #[test]
-fn corruption_is_detected_not_crashing() {
-    // Corrupt 30% of packets on WAN links: checksums must reject them and
-    // nothing should panic; resolution may or may not complete.
+fn clean_pce_world_has_no_malformed_messages() {
     let mut world = ScenarioSpec::fig1(CpKind::Pce)
         .with(|s| {
             s.set_flows(flow_script(
@@ -73,9 +73,6 @@ fn corruption_is_detected_not_crashing() {
             ));
         })
         .build(3);
-    // No builder knob for corruption; run clean — the per-link corruption
-    // path is covered by netsim unit tests; here we assert the clean path
-    // has zero malformed count end to end.
     world.schedule_all_flows();
     world.sim.run_until(Ns::from_secs(30));
     for x in world.all_xtrs() {

@@ -13,7 +13,6 @@ use lispwire::pcewire::{FlowMapping, IpcQueryNotice, PceFlowMsg, PceKind};
 use lispwire::ports;
 use lispwire::tcpseg::{TcpFlags, TcpRepr};
 use lispwire::Ipv4Address;
-use netsim::payload::Payload;
 use netsim::trace::fnv64;
 use netsim::Ns;
 use pcelisp::scenario::CpKind;
@@ -133,11 +132,6 @@ fn ctl(port: u16, msg: CtlMsg) -> Packet {
 
 fn pce(port: u16, msg: PceMsg) -> Packet {
     Packet::pce(a(12, 0, 0, 200), port, a(10, 0, 0, 53), port, msg)
-}
-
-fn corrupted(mut p: Packet, idx: usize, bit: u8) -> Packet {
-    Payload::corrupt(&mut p, idx, bit);
-    p
 }
 
 fn every_variant() -> Vec<(&'static str, Packet)> {
@@ -308,9 +302,6 @@ fn every_variant() -> Vec<(&'static str, Packet)> {
             "dns-nxdomain",
             Packet::dns(a(12, 0, 0, 53), ports::DNS, a(10, 0, 0, 53), 32853, nx),
         ),
-        ("corrupt-outer-header", corrupted(tunnel(udp()), 12, 5)),
-        ("corrupt-past-header", corrupted(tunnel(udp()), 40, 2)),
-        ("corrupt-inner", tunnel(corrupted(udp(), 33, 7))),
         // Longer than an IPv4 datagram can be: the length fields wrap.
         (
             "udp-oversized",
@@ -340,9 +331,6 @@ const ENCODED: &[(&str, usize, u64)] = &[
     ("dns-query", 60, 0xead1484b023c82c2),
     ("dns-answer", 155, 0x76c005adec7188b2),
     ("dns-nxdomain", 58, 0x400248876d733e98),
-    ("corrupt-outer-header", 112, 0xb0e5023b44172f82),
-    ("corrupt-past-header", 112, 0xbf3b399dad5a915e),
-    ("corrupt-inner", 112, 0x8584b3a4ceb355e1),
     ("udp-oversized", 65628, 0x5de6f83126548c1d),
 ];
 
