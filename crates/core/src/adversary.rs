@@ -14,13 +14,18 @@
 //!   scan targets (the Map-Request flood role) reproducibly from the
 //!   scenario seed.
 //!
-//! The roles themselves ([`crate::spec::AttackerSpec`]) are declared in
-//! the spec layer, which compiles them into a script here.
+//! The roles themselves ([`AttackerSpec`]) are declared in the spec
+//! layer; `ScenarioSpec::build` compiles them here, into scripted nodes
+//! or, for overclaiming, into an xTR config flag.
 
+use crate::plane::{attach_to_core, attach_to_site};
+use crate::spec::{AttackerSpec, ScenarioSpec, SiteRole, SiteSpec, SiteWorld};
 use inet::stack::IpStack;
-use lispwire::packet::Packet;
-use lispwire::Ipv4Address;
-use netsim::{Ctx, Node, PortId};
+use inet::{Prefix, PrefixSet};
+use lispwire::lispctl::{MapRecord, MapReply};
+use lispwire::packet::{CtlMsg, Packet};
+use lispwire::{ports, Ipv4Address};
+use netsim::{Ctx, LinkCfg, Node, NodeId, Ns, PortId, Sim};
 
 /// Deterministic xorshift64* stream for adversarial target selection.
 ///
@@ -86,16 +91,6 @@ impl AttackNode {
             absorbed: 0,
         }
     }
-
-    /// This node's address.
-    pub fn addr(&self) -> Ipv4Address {
-        self.stack.addr
-    }
-
-    /// Number of scripted packets.
-    pub fn script_len(&self) -> usize {
-        self.script.len()
-    }
 }
 
 impl Node<Packet> for AttackNode {
@@ -115,6 +110,135 @@ impl Node<Packet> for AttackNode {
             ctx.send(0, pkt.clone());
         }
     }
+}
+
+/// Add a scripted node for each of `spec`'s node-backed attacker roles,
+/// in spec order, and schedule every scripted packet *now*, at build
+/// time, through the deterministic (time, seq) timer order. The nodes
+/// come after all legitimate infrastructure, so attacker-free specs
+/// build node-for-node identical worlds.
+pub(crate) fn add_attackers(
+    spec: &ScenarioSpec,
+    seed: u64,
+    sim: &mut Sim<Packet>,
+    core: NodeId,
+    sites: &[SiteWorld],
+    eid_space: &PrefixSet,
+) -> Vec<NodeId> {
+    let of_role = |role| sites.iter().filter(move |s: &&SiteWorld| s.role == role);
+    let client = (sites.iter().position(|s| s.role == SiteRole::Client))
+        .expect("adversarial scenarios need a client site");
+    let mut nodes = Vec::new();
+    for (ai, atk) in spec.attackers.iter().enumerate() {
+        // A role's script goes out in bursts of `burst` packets, `rate`
+        // bursts a second, from inside the site router `home` or, with
+        // none, from off-site at the core.
+        let (kind, addr, script, rate, burst, home) = match *atk {
+            // A compromised host inside the client site scans randomized
+            // EIDs: live cross-site targets thrash the cache, dead ones
+            // burn the resolver's full retry budget.
+            AttackerSpec::MapRequestFlood {
+                rate_per_sec,
+                packets,
+            } => {
+                let addr = spec.topology.sites[client].eid_with_last_octet(6);
+                let stack = IpStack::new(addr);
+                let mut rng = ScanRng::new(seed ^ (ai as u64 + 1));
+                let live: Vec<Ipv4Address> = (of_role(SiteRole::Server))
+                    .flat_map(|s| s.dest_eids.iter().copied())
+                    .collect();
+                let space = eid_space.prefixes();
+                let in_any_site = |a: Ipv4Address| sites.iter().any(|s| s.eid_prefix.contains(a));
+                let script: Vec<Packet> = (0..packets)
+                    .map(|_| {
+                        let want_live = rng.pick(2) == 0;
+                        let dead = (0..32).find_map(|_| {
+                            let p = space[rng.pick(space.len())];
+                            let cand = p.nth_host(rng.next_u64() as u32);
+                            (!in_any_site(cand)).then_some(cand)
+                        });
+                        let target = match (want_live, dead) {
+                            (true, _) | (false, None) if !live.is_empty() => {
+                                live[rng.pick(live.len())]
+                            }
+                            (_, Some(d)) => d,
+                            _ => space[0].nth_host(rng.next_u64() as u32),
+                        };
+                        stack.udp(9666, target, 9666, vec![0u8; 40])
+                    })
+                    .collect();
+                let home = Some(sites[client].router);
+                ("flood", addr, script, rate_per_sec, 1, home)
+            }
+            // An off-site node sprays spoofed Map-Replies at every
+            // client-site xTR, claiming every server prefix with its own
+            // RLOC as locator; hijacked tunnels land back on it.
+            AttackerSpec::CachePoison {
+                rate_per_sec,
+                rounds,
+            } => {
+                let addr = Ipv4Address::new(66, 6, 0, (ai + 1) as u8);
+                let stack = IpStack::new(addr);
+                let mut rng = ScanRng::new(seed ^ (0x5000 + ai as u64));
+                let shots: Vec<(Ipv4Address, Prefix)> = (of_role(SiteRole::Client))
+                    .flat_map(|s| s.xtr_rlocs.iter())
+                    .flat_map(|&v| of_role(SiteRole::Server).map(move |s| (v, s.eid_prefix)))
+                    .collect();
+                let ttl = spec.mapping_ttl_minutes;
+                let script: Vec<Packet> = (0..rounds)
+                    .flat_map(|_| &shots)
+                    .map(|&(victim, claim)| {
+                        let record = MapRecord {
+                            prefix_len: claim.len(),
+                            ..MapRecord::host(claim.addr(), addr, ttl)
+                        };
+                        // The attacker cannot see nonces in flight; it
+                        // guesses (verification, when armed, rejects these).
+                        let nonce = rng.next_u64();
+                        let records = vec![record];
+                        let reply = CtlMsg::Reply(MapReply { nonce, records });
+                        stack.ctl(ports::LISP_CONTROL, victim, ports::LISP_CONTROL, reply)
+                    })
+                    .collect();
+                let per_round = shots.len() as u64;
+                ("poison", addr, script, rate_per_sec, per_round, None)
+            }
+            // Overclaiming is a flag on the site's own xTRs: `overclaim`.
+            AttackerSpec::Overclaim { .. } => continue,
+        };
+        let packets = script.len() as u64;
+        let name = format!("attacker-{kind}-{ai}");
+        let node = sim.add_node(&name, Box::new(AttackNode::new(addr, script)));
+        match home {
+            Some(router) => {
+                attach_to_site(sim, router, node, LinkCfg::lan(), [Prefix::host(addr)]);
+            }
+            None => {
+                let topo = &spec.topology;
+                let link = LinkCfg::wan(topo.mapsys_owd.unwrap_or(topo.infra_owd));
+                let route = Prefix::new(Ipv4Address::new(66, 0, 0, 0), 8);
+                attach_to_core(sim, core, node, route, link);
+            }
+        }
+        let period = Ns((1e9 / rate).max(1.0) as u64);
+        for k in 0..packets {
+            let at = Ns::from_ms(50).saturating_add(Ns(period.0 * (k / burst)));
+            sim.schedule_timer(node, at, k);
+        }
+        nodes.push(node);
+    }
+    nodes
+}
+
+/// The too-broad prefix site `s`'s own xTRs answer Map-Requests with
+/// when an Overclaim role names the site (the last such role wins).
+pub(crate) fn overclaim(attackers: &[AttackerSpec], s: &SiteSpec) -> Option<Prefix> {
+    attackers.iter().rev().find_map(|atk| match atk {
+        AttackerSpec::Overclaim { site, prefix_len } if *site == s.name => {
+            Some(Prefix::new(s.eid_prefix.addr(), *prefix_len))
+        }
+        _ => None,
+    })
 }
 
 #[cfg(test)]

@@ -434,74 +434,80 @@ mod tests {
     /// them. It sprays spoofed Map-Replies carrying every nonce in
     /// `1..=K` every 10 ms, claiming each server site's prefix for its
     /// own RLOC, at every client-site xTR. Nonce verification holds
-    /// only if no xTR installs the attacker's locator.
+    /// only if no xTR installs the attacker's locator, at every seed.
     #[test]
-    #[ignore = "known failing until ROADMAP 15(b): xTR nonces are a counter"]
     fn counting_nonce_attacker_cannot_poison_armed_xtrs() {
         const K: u64 = 64;
         const ROUNDS: u64 = 200;
-        let mut world = attack_spec(CpKind::LispQueue, None, true).build(1);
-        let addr = Ipv4Address::new(66, 6, 0, 99);
-        let stack = IpStack::new(addr);
-        let victims: Vec<Ipv4Address> = world.client().xtr_rlocs.clone();
-        let claims: Vec<Prefix> = world
-            .sites
-            .iter()
-            .filter(|s| s.role == SiteRole::Server)
-            .map(|s| s.eid_prefix)
-            .collect();
-        let mut round = Vec::new();
-        for nonce in 1..=K {
-            for &victim in &victims {
-                for &claim in &claims {
-                    let reply = MapReply {
-                        nonce,
-                        records: vec![MapRecord {
-                            eid_prefix: claim.addr(),
-                            prefix_len: claim.len(),
-                            ttl_minutes: 60,
-                            locators: vec![Locator::new(addr, 1, 100)],
-                        }],
-                    };
-                    let msg = CtlMsg::Reply(reply);
-                    round.push(stack.ctl(ports::LISP_CONTROL, victim, ports::LISP_CONTROL, msg));
+        for seed in 1..=3 {
+            let mut world = attack_spec(CpKind::LispQueue, None, true).build(seed);
+            let addr = Ipv4Address::new(66, 6, 0, 99);
+            let stack = IpStack::new(addr);
+            let victims: Vec<Ipv4Address> = world.client().xtr_rlocs.clone();
+            let claims: Vec<Prefix> = world
+                .sites
+                .iter()
+                .filter(|s| s.role == SiteRole::Server)
+                .map(|s| s.eid_prefix)
+                .collect();
+            let mut round = Vec::new();
+            for nonce in 1..=K {
+                for &victim in &victims {
+                    for &claim in &claims {
+                        let reply = MapReply {
+                            nonce,
+                            records: vec![MapRecord {
+                                eid_prefix: claim.addr(),
+                                prefix_len: claim.len(),
+                                ttl_minutes: 60,
+                                locators: vec![Locator::new(addr, 1, 100)],
+                            }],
+                        };
+                        let msg = CtlMsg::Reply(reply);
+                        round.push(stack.ctl(
+                            ports::LISP_CONTROL,
+                            victim,
+                            ports::LISP_CONTROL,
+                            msg,
+                        ));
+                    }
                 }
             }
-        }
-        let per_round = round.len() as u64;
-        let script: Vec<Packet> = (0..ROUNDS).flat_map(|_| round.iter().cloned()).collect();
-        let node = world
-            .sim
-            .add_node("attacker-count", Box::new(AttackNode::new(addr, script)));
-        let link = LinkCfg::wan(Ns::from_ms(10));
-        attach_to_core(&mut world.sim, world.core, node, Prefix::host(addr), link);
-        for r in 0..ROUNDS {
-            for j in 0..per_round {
-                world
-                    .sim
-                    .schedule_timer(node, Ns::from_ms(10 * r), r * per_round + j);
+            let per_round = round.len() as u64;
+            let script: Vec<Packet> = (0..ROUNDS).flat_map(|_| round.iter().cloned()).collect();
+            let node = world
+                .sim
+                .add_node("attacker-count", Box::new(AttackNode::new(addr, script)));
+            let link = LinkCfg::wan(Ns::from_ms(10));
+            attach_to_core(&mut world.sim, world.core, node, Prefix::host(addr), link);
+            for r in 0..ROUNDS {
+                for j in 0..per_round {
+                    world
+                        .sim
+                        .schedule_timer(node, Ns::from_ms(10 * r), r * per_round + j);
+                }
             }
-        }
-        world.schedule_all_flows();
-        let horizon = world.last_flow_start() + Ns::from_secs(20);
-        world.sim.run_until(horizon);
+            world.schedule_all_flows();
+            let horizon = world.last_flow_start() + Ns::from_secs(20);
+            world.sim.run_until(horizon);
 
-        let attacker = world.sim.node_ref::<AttackNode>(node);
-        assert_eq!(attacker.sent, ROUNDS * per_round);
-        for &x in &world.client().xtrs {
-            let xtr = world.sim.node_ref::<Xtr>(x);
-            let poisoned: Vec<Prefix> = xtr
-                .cache
-                .iter()
-                .filter(|(_, e)| e.record.locators.iter().any(|l| l.rloc == addr))
-                .map(|(p, _)| p)
-                .collect();
-            assert!(
-                poisoned.is_empty(),
-                "xTR {} installed {poisoned:?}",
-                xtr.cfg.rloc
-            );
+            let attacker = world.sim.node_ref::<AttackNode>(node);
+            assert_eq!(attacker.sent, ROUNDS * per_round);
+            for &x in &world.client().xtrs {
+                let xtr = world.sim.node_ref::<Xtr>(x);
+                let poisoned: Vec<Prefix> = xtr
+                    .cache
+                    .iter()
+                    .filter(|(_, e)| e.record.locators.iter().any(|l| l.rloc == addr))
+                    .map(|(p, _)| p)
+                    .collect();
+                assert!(
+                    poisoned.is_empty(),
+                    "seed {seed}: xTR {} installed {poisoned:?}",
+                    xtr.cfg.rloc
+                );
+            }
+            assert_eq!(attacker.hijacked_packets, 0);
         }
-        assert_eq!(attacker.hijacked_packets, 0);
     }
 }

@@ -3,19 +3,23 @@
 //!
 //! [`crate::spec::ScenarioSpec::build`] is one generic engine — sites,
 //! DNS, xTRs, attackers, dynamics — and asks this module, by
-//! [`CpKind`], what the plane contributes: the xTR's resolution mode,
-//! miss policy and resolver failover list; the overlay address plan;
-//! the mapping nodes at the core (`MapSystem::build`); and the plane's
-//! dynamics hooks (re-registration, which node a crash targets, and
-//! push-side takeover). Adding a control plane means a [`CpKind`]
-//! variant in `scenario.rs` and its arms here.
+//! [`CpKind`], what the plane contributes: the DNS side of each site
+//! (the PCE plane's bump and standby, `attach_site_dns`); whether sites
+//! have xTRs at all (`add_direct_uplinks` when not); the xTR's
+//! resolution mode, miss policy, resolver failover list and PCE peer;
+//! the overlay address plan; the mapping nodes at the core
+//! (`MapSystem::build`); and the plane's dynamics hooks
+//! (re-registration, which node a crash targets, and push-side
+//! takeover). Adding a control plane means a [`CpKind`] variant in
+//! `scenario.rs` and its arms here.
 
-use crate::pce::Pce;
+use crate::pce::{Pce, PceConfig};
 use crate::scenario::{addrs, CpKind, FlowRouter};
-use crate::spec::{ScenarioSpec, SiteRole, SiteWorld};
+use crate::spec::{spell, ScenarioSpec, SiteRole, SiteSpec, SiteWorld};
 use inet::{Prefix, Router};
+use ircte::Provider;
 use lispdp::{CpMode, MissPolicy};
-use lispwire::lispctl::{Locator, MapRecord};
+use lispwire::lispctl::MapRecord;
 use lispwire::{Ipv4Address, Packet};
 use mapsys::alt::linear_chain;
 use mapsys::api::MappingDb;
@@ -124,6 +128,18 @@ impl CpKind {
         }
     }
 
+    /// Whether sites reach the core through xTRs: every plane but
+    /// [`CpKind::NoLisp`], whose sites route their EIDs natively.
+    pub(crate) fn has_xtrs(self) -> bool {
+        self != CpKind::NoLisp
+    }
+
+    /// The address of `site`'s PCE bump, in the plane that has one: the
+    /// site resolver notifies it of every query, the xTRs sync with it.
+    pub(crate) fn pce_addr(self, site: &SiteSpec) -> Option<Ipv4Address> {
+        (self == CpKind::Pce).then(|| site.pce_addr())
+    }
+
     /// Site `site`'s ordered resolver failover list in replicated
     /// worlds: the standby twin of whatever resolver the plane points
     /// at. Push planes fail over on the infrastructure side instead.
@@ -149,6 +165,133 @@ pub(crate) fn attach_to_core(
 ) {
     let (_, port) = sim.connect(node, core, link);
     sim.node_mut::<Router>(core).add_route(route, port);
+}
+
+/// Connect `node` to the site router `router` over `link` and route
+/// `routes` to it there; returns the router's port.
+pub(crate) fn attach_to_site(
+    sim: &mut Sim<Packet>,
+    router: NodeId,
+    node: NodeId,
+    link: LinkCfg,
+    routes: impl IntoIterator<Item = Prefix>,
+) -> PortId {
+    let (_, port) = sim.connect(node, router, link);
+    route_site(sim, router, port, routes);
+    port
+}
+
+/// Route `routes` to `port` at the site router `router`: every route a
+/// site router holds at build is written here.
+fn route_site(
+    sim: &mut Sim<Packet>,
+    router: NodeId,
+    port: PortId,
+    routes: impl IntoIterator<Item = Prefix>,
+) {
+    let r = sim.node_mut::<FlowRouter>(router);
+    for route in routes {
+        r.add_route(route, port);
+    }
+}
+
+/// The border of a plane without xTRs: each site router's own uplink to
+/// the core over its first provider's link, the site's EIDs routed
+/// natively. Every provider's entry in `provider_links` aliases it.
+pub(crate) fn add_direct_uplinks(
+    sim: &mut Sim<Packet>,
+    core: NodeId,
+    sites: &mut [SiteWorld],
+    specs: &[SiteSpec],
+) {
+    for (site, s) in sites.iter_mut().zip(specs) {
+        let p = &s.providers[0];
+        site.provider_links = vec![sim.link_count(); s.providers.len()];
+        let (uplink, core_port) = sim.connect(site.router, core, p.link());
+        let r = sim.node_mut::<Router>(core);
+        r.add_route(s.eid_prefix, core_port);
+        r.add_route(p.core_route, core_port);
+        route_site(sim, site.router, uplink, [Prefix::DEFAULT]);
+    }
+}
+
+/// The DNS side of every site. In the PCE plane each site DNS node sits
+/// behind the site's PCE bump, and in replicated worlds the client site
+/// also gets a standby bump that the primary warm-mirrors to; in every
+/// other plane the DNS node is wired straight to the site router.
+/// Returns the site-router port toward the standby bump.
+pub(crate) fn attach_site_dns(
+    spec: &ScenarioSpec,
+    sim: &mut Sim<Packet>,
+    sites: &mut [SiteWorld],
+    buf: &mut String,
+) -> Option<PortId> {
+    let lan = LinkCfg::lan();
+    if spec.cp != CpKind::Pce {
+        for site in sites.iter() {
+            let route = [Prefix::host(site.dns_addr)];
+            attach_to_site(sim, site.router, site.dns, lan, route);
+        }
+        return None;
+    }
+    let specs = &spec.topology.sites;
+    let replicated = spec.replicas.is_some();
+    let pces: Vec<NodeId> = specs
+        .iter()
+        .map(|s| {
+            let mut cfg = pce_config(spec, s, s.pce_addr());
+            // Client sites only: server-site DNS is authoritative, not
+            // resolver-driven.
+            if replicated && s.role == SiteRole::Client {
+                cfg.mirror_to = Some(standby_pce_addr(s));
+            }
+            let name = spell(buf, format_args!("PCE_{}", s.name));
+            sim.add_node(name, Box::new(Pce::new(cfg)))
+        })
+        .collect();
+    // PCE port 0 = DNS side, port 1 = network side.
+    for ((site, s), pce) in sites.iter_mut().zip(specs).zip(pces) {
+        sim.connect(pce, site.dns, LinkCfg::ipc());
+        let routes = [Prefix::host(site.dns_addr), Prefix::host(s.pce_addr())];
+        attach_to_site(sim, site.router, pce, lan, routes);
+        site.pce = Some(pce);
+    }
+    let mut standby_port = None;
+    let clients = (sites.iter_mut().zip(specs)).filter(|(site, _)| site.role == SiteRole::Client);
+    for (site, s) in clients.filter(|_| replicated) {
+        let addr = standby_pce_addr(s);
+        let name = spell(buf, format_args!("PCE2_{}", s.name));
+        let standby = sim.add_node(name, Box::new(Pce::new(pce_config(spec, s, addr))));
+        // Resolver port 1 = standby uplink; taken by the
+        // `Resolver::fail_over` call of `MapSystem::take_over`.
+        sim.connect(standby, site.dns, LinkCfg::ipc());
+        let route = [Prefix::host(addr)];
+        standby_port = Some(attach_to_site(sim, site.router, standby, lan, route));
+        sim.node_mut::<Resolver>(site.dns).set_failover(1, addr);
+        site.pce_standby = Some(standby);
+    }
+    standby_port
+}
+
+/// The standby PCE bump's address, next to the primary on the site's
+/// first internal subnet (primary .200, standby .201).
+fn standby_pce_addr(s: &SiteSpec) -> Ipv4Address {
+    let o = s.providers[0].internal_prefix.addr().0;
+    Ipv4Address::new(o[0], o[1], o[2], 201)
+}
+
+/// The configuration of a PCE bump at `addr` serving site `s`.
+fn pce_config(spec: &ScenarioSpec, s: &SiteSpec, addr: Ipv4Address) -> PceConfig {
+    let providers: Vec<Provider> = (s.providers.iter())
+        .map(|p| Provider::new(&p.name, p.rloc, p.bandwidth_bps as f64 / 1e6))
+        .collect();
+    let rlocs = s.providers.iter().map(|p| p.rloc).collect();
+    let mut cfg = PceConfig::new(addr, vec![s.eid_prefix], rlocs, providers);
+    cfg.precompute = spec.pce_precompute;
+    cfg.push_to_all_itrs = spec.pce_push_all;
+    cfg.policy = spec.pce_policy;
+    cfg.mapping_ttl_minutes = spec.mapping_ttl_minutes;
+    cfg
 }
 
 impl MapSystem {
@@ -326,10 +469,8 @@ impl MapSystem {
                 .schedule_call::<ConsNode>(id, at, move |n, ctx| n.update_site(ctx, prefix, rloc)),
             MapSystem::Nerd { .. } => {
                 let record = MapRecord {
-                    eid_prefix: prefix.addr(),
                     prefix_len: prefix.len(),
-                    ttl_minutes,
-                    locators: vec![Locator::new(rloc, 1, 100)],
+                    ..MapRecord::host(prefix.addr(), rloc, ttl_minutes)
                 };
                 sim.schedule_call::<NerdAuthority>(id, at, move |n, ctx| {
                     n.apply_update(ctx, record)

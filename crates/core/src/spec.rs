@@ -16,7 +16,13 @@
 //! * [`ScenarioSpec::build`] — `spec + seed → `[`World`]: the running
 //!   simulation plus handles keyed by **site and provider name**
 //!   instead of fixed struct fields, so the same experiment code works
-//!   for 2 sites or 200.
+//!   for 2 sites or 200. `build` is a driver over construction layers
+//!   (spec checks, DNS zone data, site nodes, the DNS side, the border,
+//!   DNS infrastructure, registrations and the mapping plane, attackers,
+//!   dynamics) that fill one [`SiteWorld`] table; it names no
+//!   [`CpKind`]: what differs between planes lives in
+//!   [`crate::plane`], the attacker roles compile in
+//!   [`crate::adversary`].
 //!
 //! [`ScenarioSpec::fig1`] is a preset that reproduces the paper's
 //! Fig. 1 world *exactly* (same node names, ordering, addressing and
@@ -24,24 +30,22 @@
 //! `tests/golden_compat.rs`). [`ScenarioSpec::multi_site`] generates
 //! N-destination-site worlds for the scale experiments (E9).
 
-use crate::adversary::{AttackNode, ScanRng};
+use crate::adversary::{add_attackers, overclaim};
 use crate::hosts::{FlowMode, FlowSpec, ServerHost, TrafficHost};
-use crate::pce::{Pce, PceConfig};
-use crate::plane::{attach_to_core, MapSystem};
+use crate::pce::Pce;
+use crate::plane::{
+    add_direct_uplinks, attach_site_dns, attach_to_core, attach_to_site, MapSystem,
+};
 use crate::scenario::{addrs, CpKind, FlowRouter};
 use crate::workload::{PoissonArrivals, ZipfPicker};
-use inet::stack::IpStack;
 use inet::{Prefix, PrefixSet, Router};
-use ircte::Provider;
 pub use ircte::SelectionPolicy;
 use lispdp::{CacheSpec, CpMode, DefenseCfg, MissPolicy, RlocProbeCfg, Xtr, XtrConfig};
 use lispwire::dnswire::Name;
-use lispwire::lispctl::{Locator, MapRecord, MapReply};
-use lispwire::packet::CtlMsg;
-use lispwire::{ports, Ipv4Address, Packet};
+use lispwire::{Ipv4Address, Packet};
 use mapsys::api::{MappingDb, SiteEntry};
 use mapsys::GuardCfg;
-use netsim::{LinkCfg, NodeId, Ns, PortId, Sim};
+use netsim::{LinkCfg, Node, NodeId, Ns, PortId, Sim};
 use simdns::zone::{Zone, ZoneStore};
 use simdns::{AuthServer, Resolver, ResolverConfig};
 use std::fmt::{self, Write as _};
@@ -79,6 +83,13 @@ pub struct ProviderSpec {
 }
 
 impl ProviderSpec {
+    /// The provider↔core link.
+    pub(crate) fn link(&self) -> LinkCfg {
+        LinkCfg::wan(self.owd)
+            .with_bandwidth(self.bandwidth_bps)
+            .with_drop_prob(self.drop_prob)
+    }
+
     /// A provider with Fig. 1 defaults: 30 ms OWD, 1 Gbps, no loss, a
     /// `/8` core route and a `/24` internal subnet derived from `rloc`.
     pub fn new(name: &str, rloc: Ipv4Address) -> Self {
@@ -120,9 +131,6 @@ pub struct SiteSpec {
     /// Host population. For server sites this is the number of distinct
     /// destination EIDs (`host-0 … host-{n-1}` in the site zone).
     pub hosts: usize,
-    /// Per-site map-cache override (`None` = the scenario-wide
-    /// [`ScenarioSpec::cache`]).
-    pub cache: Option<CacheSpec>,
 }
 
 impl SiteSpec {
@@ -134,7 +142,6 @@ impl SiteSpec {
             providers,
             role: SiteRole::Client,
             hosts: 1,
-            cache: None,
         }
     }
 
@@ -151,11 +158,10 @@ impl SiteSpec {
             providers,
             role: SiteRole::Server,
             hosts,
-            cache: None,
         }
     }
 
-    fn eid_with_last_octet(&self, last: u8) -> Ipv4Address {
+    pub(crate) fn eid_with_last_octet(&self, last: u8) -> Ipv4Address {
         let o = self.eid_prefix.addr().0;
         Ipv4Address::new(o[0], o[1], o[2], last)
     }
@@ -204,7 +210,7 @@ impl SiteSpec {
 
 /// Spell `args` into `buf`, which is cleared first: one growing buffer
 /// serves every generated name, so a name costs no `String` of its own.
-fn spell<'b>(buf: &'b mut String, args: fmt::Arguments<'_>) -> &'b str {
+pub(crate) fn spell<'b>(buf: &'b mut String, args: fmt::Arguments<'_>) -> &'b str {
     buf.clear();
     buf.write_fmt(args)
         .expect("writing to a String cannot fail");
@@ -279,6 +285,26 @@ impl TopologySpec {
     /// Fully-qualified name of `host-{i}` at a server site.
     pub fn host_name(&self, site: &SiteSpec, i: usize) -> String {
         format!("host-{i}.{}", self.site_zone(site))
+    }
+
+    /// The DNS-infrastructure zones, root first, one per
+    /// [`Self::level_suffixes`] entry, each delegating the next. The
+    /// deepest is the parent of every server-site zone; the site layer
+    /// of [`ScenarioSpec::build`] delegates each as it adds the site.
+    fn infra_zones(&self, buf: &mut String) -> Vec<Zone> {
+        let levels: Vec<Name> = (self.level_suffixes().iter())
+            .map(|z| Name::parse_str(z).expect("valid zone name"))
+            .collect();
+        (levels.iter().enumerate())
+            .map(|(level, apex)| {
+                let mut zone = Zone::new(apex.clone());
+                if let Some(child) = levels.get(level + 1) {
+                    let ns = spell_name(buf, format_args!("ns.{}", child.as_str()));
+                    zone.delegate(child.clone(), vec![(ns, infra_dns_addr(level + 1))], 86_400);
+                }
+                zone
+            })
+            .collect()
     }
 }
 
@@ -516,9 +542,10 @@ impl Default for RetrySpec {
 
 /// One adversarial role layered onto a scenario (DESIGN.md §10).
 ///
-/// Every role compiles at build time into a fully scripted
-/// [`AttackNode`] (or, for [`AttackerSpec::Overclaim`], a config flag on
-/// a legitimate xTR), so adversarial worlds replay byte-identically.
+/// Every role compiles at build time, in [`crate::adversary`], into a
+/// fully scripted `AttackNode` (or, for [`AttackerSpec::Overclaim`], a
+/// config flag on a legitimate xTR), so adversarial worlds replay
+/// byte-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttackerSpec {
     /// An in-site compromised host scanning randomized EIDs: each scan
@@ -642,9 +669,8 @@ pub struct ScenarioSpec {
     /// Timed topology/mapping dynamics (`None` = the static world every
     /// pre-dynamics experiment runs on).
     pub dynamics: Option<DynamicsSpec>,
-    /// Scenario-wide map-cache shape of every xTR (capacity + eviction
-    /// policy; [`SiteSpec::cache`] overrides per site). The default,
-    /// unbounded, reproduces the pre-E12 worlds bit-for-bit.
+    /// Map-cache shape of every xTR (capacity + eviction policy). The
+    /// default, unbounded, reproduces the pre-E12 worlds bit-for-bit.
     pub cache: CacheSpec,
     /// Which defenses are armed (default: none).
     pub defense: DefenseSpec,
@@ -921,13 +947,6 @@ impl ScenarioSpec {
             }
         }
     }
-
-    fn derived_eid_space(&self) -> Vec<Prefix> {
-        match &self.eid_space {
-            Some(space) => space.clone(),
-            None => self.topology.sites.iter().map(|s| s.eid_prefix).collect(),
-        }
-    }
 }
 
 /// A server site's workload state, made by [`ScenarioSpec::resolve_flows`]
@@ -1132,34 +1151,89 @@ impl World {
 }
 
 impl ScenarioSpec {
-    /// Construct the world.
+    /// Construct the world, one layer at a time in a fixed order, so node
+    /// ids, link indices and build-time events follow from the spec
+    /// alone: spec checks, DNS zone data, site nodes, the DNS side (the
+    /// PCE plane's bumps), the border, DNS infrastructure at the core,
+    /// registrations and the mapping plane, attackers, dynamics. Each
+    /// layer writes its handles into the one site table.
     ///
     /// # Panics
     /// Panics on an ill-formed spec: no sites, a site without
     /// providers, not exactly one client site, a server site with a
     /// host population outside `1..=200` (the per-site EID address
-    /// plan holds 200 hosts), a flow script longer than
+    /// plan holds 200 hosts), a dynamics event naming an unknown site
+    /// or provider, a flow script longer than
     /// [`TrafficHost::MAX_FLOWS`], or (via [`MappingDb`]) duplicate EID
     /// prefixes across sites.
     pub fn build(&self, seed: u64) -> World {
+        self.check();
         let topo = &self.topology;
-        let cp = self.cp;
-        assert!(!topo.sites.is_empty(), "spec has no sites");
+        let flows = self.resolve_flows(seed);
+        let mut sim: Sim<Packet> = Sim::new(seed);
+        // Every name this build spells (node names, host and server DNS
+        // names) goes through this one buffer.
+        let mut buf = String::new();
+        let mut infra_zones = topo.infra_zones(&mut buf);
+        let core = sim.add_node("core", Box::new(Router::new()));
+        let deepest = infra_zones
+            .last_mut()
+            .expect("the root level is always there");
+        let mut sites = self.add_sites(&mut sim, flows, deepest, &mut buf);
+        let infra_dns = add_infra_dns(&mut sim, infra_zones);
+        // The site router hands the site's EIDs to its host.
+        for site in &sites {
+            let route = [site.eid_prefix];
+            attach_to_site(&mut sim, site.router, site.host, LinkCfg::lan(), route);
+        }
+        let pce_standby_port = attach_site_dns(self, &mut sim, &mut sites, &mut buf);
+        let eid_space = (self.eid_space.clone())
+            .unwrap_or_else(|| sites.iter().map(|s| s.eid_prefix).collect());
+        let eid_space = Arc::new(PrefixSet::new(eid_space));
+        self.add_border(&mut sim, core, &mut sites, &eid_space, &mut buf);
+        let infra_link = LinkCfg::wan(topo.infra_owd).with_drop_prob(topo.infra_drop_prob);
+        for (level, &node) in infra_dns.iter().enumerate() {
+            let route = Prefix::host(infra_dns_addr(level));
+            attach_to_core(&mut sim, core, node, route, infra_link);
+        }
+        let mut db = MappingDb::new();
+        for site in &sites {
+            for prefix in self.registered(site) {
+                let etr = site.xtr_rlocs[0];
+                db.register(SiteEntry::single(prefix, etr, self.mapping_ttl_minutes));
+            }
+        }
+        let mapsys = MapSystem::build(self, &mut sim, core, &db);
+        let attack_nodes = add_attackers(self, seed, &mut sim, core, &sites, &eid_space);
+        if let Some(dynamics) = &self.dynamics {
+            self.schedule_dynamics(dynamics, &mut sim, &sites, &mapsys, pce_standby_port);
+        }
+        World {
+            sim,
+            cp: self.cp,
+            core,
+            sites,
+            infra_dns,
+            mapsys,
+            attack_nodes,
+        }
+    }
+
+    /// Spec layer: reject an ill-formed spec before any node exists.
+    fn check(&self) {
+        let sites = &self.topology.sites;
+        assert!(!sites.is_empty(), "spec has no sites");
         assert!(
-            topo.sites.iter().all(|s| !s.providers.is_empty()),
+            sites.iter().all(|s| !s.providers.is_empty()),
             "every site needs at least one provider"
         );
-        let clients = topo
-            .sites
-            .iter()
-            .filter(|s| s.role == SiteRole::Client)
-            .count();
+        let clients = sites.iter().filter(|s| s.role == SiteRole::Client).count();
         assert!(
             clients == 1,
             "spec needs exactly one client site (found {clients}): the workload \
              drives a single traffic source"
         );
-        for s in &topo.sites {
+        for s in sites {
             if s.role == SiteRole::Server {
                 assert!(
                     (1..=200).contains(&s.hosts),
@@ -1170,678 +1244,335 @@ impl ScenarioSpec {
                 );
             }
         }
-
-        let mut sim: Sim<Packet> = Sim::new(seed);
-        // The flow script moves into the one client site's host.
-        let mut flows = Some(self.resolve_flows(seed));
-        // Every name this build spells (node names, host and server DNS
-        // names) goes through this one buffer.
-        let mut buf = String::new();
-        let mapsys_owd = topo.mapsys_owd.unwrap_or(topo.infra_owd);
-        let dyn_probing = self.dynamics.as_ref().and_then(|d| d.rloc_probing);
-        let provider_link = |p: &ProviderSpec| {
-            LinkCfg::wan(p.owd)
-                .with_bandwidth(p.bandwidth_bps)
-                .with_drop_prob(p.drop_prob)
-        };
-
-        // ---- DNS infrastructure zone data -----------------------------------
-        // Chain of delegations: root → [intermediates] → site zones.
-        // The zone each infra level serves, root first; site zones hang
-        // off the deepest.
-        let levels: Vec<Name> = topo
-            .level_suffixes()
-            .iter()
-            .map(|z| Name::parse_str(z).expect("valid zone name"))
-            .collect();
-        let suffix = levels
-            .last()
-            .expect("the root level is always there")
-            .as_str();
-        // Each server site's zone, spelled once: its text for
-        // `SiteWorld::zone`, its `Name` for the delegation and zone data.
-        let mut site_zones: Vec<Option<String>> = topo
-            .sites
-            .iter()
-            .map(|s| (s.role == SiteRole::Server).then(|| s.zone_in(suffix)))
-            .collect();
-        let zone_names: Vec<Option<Name>> = site_zones
-            .iter()
-            .map(|z| {
-                z.as_deref()
-                    .map(|z| Name::parse_str(z).expect("valid zone name"))
-            })
-            .collect();
-        let infra_addr = |level: usize| -> Ipv4Address {
-            match level {
-                0 => addrs::ROOT,
-                1 => addrs::TLD,
-                l => Ipv4Address::new(9, 0, (l - 1) as u8, 53),
-            }
-        };
-        let mut infra_stores: Vec<ZoneStore> = Vec::new();
-        for (level, apex) in levels.iter().enumerate() {
-            let mut zone = Zone::new(apex.clone());
-            if let Some(child) = levels.get(level + 1) {
-                let ns = spell_name(&mut buf, format_args!("ns.{}", child.as_str()));
-                zone.delegate(child.clone(), vec![(ns, infra_addr(level + 1))], 86_400);
-            } else {
-                // Deepest infra level delegates every server-site zone.
-                for (site, z) in topo.sites.iter().zip(&zone_names) {
-                    let Some(z) = z else { continue };
-                    let ns = spell_name(&mut buf, format_args!("ns.{}", z.as_str()));
-                    zone.delegate(z.clone(), vec![(ns, site.dns_addr())], 86_400);
-                }
-            }
-            let mut store = ZoneStore::new();
-            store.add_zone(zone);
-            infra_stores.push(store);
-        }
-
-        // Per-site authoritative zone data (server sites).
-        let mut site_dest_eids: Vec<Vec<Ipv4Address>> = topo
-            .sites
-            .iter()
-            .map(|s| match s.role {
-                SiteRole::Server => (0..s.hosts).map(|i| s.dest_eid(i)).collect(),
-                SiteRole::Client => Vec::new(),
-            })
-            .collect();
-        let mut site_stores: Vec<Option<ZoneStore>> = topo
-            .sites
-            .iter()
-            .zip(&site_dest_eids)
-            .zip(&zone_names)
-            .map(|((s, eids), z)| {
-                let z = z.as_ref()?;
-                let mut zone = Zone::new(z.clone());
-                zone.add_a(
-                    spell_name(&mut buf, format_args!("host.{}", z.as_str())),
-                    s.host_addr(),
-                    300,
-                );
-                for (i, eid) in eids.iter().enumerate() {
-                    zone.add_a(
-                        spell_name(&mut buf, format_args!("host-{i}.{}", z.as_str())),
-                        *eid,
-                        300,
-                    );
-                }
-                let mut store = ZoneStore::new();
-                store.add_zone(zone);
-                Some(store)
-            })
-            .collect();
-
-        // ---- Nodes ----------------------------------------------------------
-        let core = sim.add_node("core", Box::new(Router::new()));
-        let site_routers: Vec<NodeId> = topo
-            .sites
-            .iter()
-            .map(|s| {
-                let name = spell(&mut buf, format_args!("site-{}", s.name));
-                sim.add_node(name, Box::new(FlowRouter::new()))
-            })
-            .collect();
-        let hosts: Vec<NodeId> = topo
-            .sites
-            .iter()
-            .map(|s| {
-                let name = spell(&mut buf, format_args!("E_{}", s.name));
-                match s.role {
-                    SiteRole::Client => {
-                        let flows = flows.take().expect("exactly one client site");
-                        let host = TrafficHost::new(s.host_addr(), s.dns_addr(), flows);
-                        sim.add_node(name, Box::new(host))
-                    }
-                    SiteRole::Server => {
-                        sim.add_node(name, Box::new(ServerHost::new(s.host_addr())))
-                    }
-                }
-            })
-            .collect();
-        let dns_nodes: Vec<NodeId> = topo
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let name = spell(&mut buf, format_args!("DNS_{}", s.name));
-                match s.role {
-                    SiteRole::Client => {
-                        let mut cfg = ResolverConfig::default();
-                        if cp == CpKind::Pce {
-                            cfg.ipc_notify = Some(s.pce_addr());
-                        }
-                        let resolver = Resolver::with_config(s.dns_addr(), vec![addrs::ROOT], cfg);
-                        sim.add_node(name, Box::new(resolver))
-                    }
-                    SiteRole::Server => {
-                        let store = site_stores[i].take().expect("server store");
-                        sim.add_node(name, Box::new(AuthServer::new(s.dns_addr(), store)))
-                    }
-                }
-            })
-            .collect();
-        let infra_dns: Vec<NodeId> = infra_stores
-            .into_iter()
-            .enumerate()
-            .map(|(level, store)| {
-                let name = match level {
-                    0 => "dns-root".to_string(),
-                    1 => "dns-tld".to_string(),
-                    l => format!("dns-l{l}"),
-                };
-                sim.add_node(&name, Box::new(AuthServer::new(infra_addr(level), store)))
-            })
-            .collect();
-
-        // ---- Hosts & site wiring ---------------------------------------------
-        let host_ports: Vec<PortId> = (0..topo.sites.len())
-            .map(|i| sim.connect(hosts[i], site_routers[i], LinkCfg::lan()).1)
-            .collect();
-
-        // Warm-standby replication (DESIGN.md §13): `Some` arms one
-        // standby twin per mapping role below.
-        let replicas = self.replicas;
-        // The standby PCE bump lives next to the primary on the site's
-        // first internal subnet (primary .200, standby .201).
-        let pce_standby_addr = |s: &SiteSpec| -> Ipv4Address {
-            let o = s.providers[0].internal_prefix.addr().0;
-            Ipv4Address::new(o[0], o[1], o[2], 201)
-        };
-        let pce_cfg_of = |s: &SiteSpec, addr: Ipv4Address| -> PceConfig {
-            let providers: Vec<Provider> = s
-                .providers
-                .iter()
-                .map(|p| Provider::new(&p.name, p.rloc, p.bandwidth_bps as f64 / 1e6))
-                .collect();
-            let mut cfg = PceConfig::new(
-                addr,
-                vec![s.eid_prefix],
-                s.providers.iter().map(|p| p.rloc).collect(),
-                providers,
-            );
-            cfg.precompute = self.pce_precompute;
-            cfg.push_to_all_itrs = self.pce_push_all;
-            cfg.policy = self.pce_policy;
-            cfg.mapping_ttl_minutes = self.mapping_ttl_minutes;
-            cfg
-        };
-
-        // DNS attachment: behind the PCE bump when cp == Pce.
-        let mut pce_nodes: Vec<Option<NodeId>> = vec![None; topo.sites.len()];
-        // Standby PCE bump and the site-router port toward it, per site.
-        let mut pce_standby: Vec<Option<(NodeId, PortId)>> = vec![None; topo.sites.len()];
-        let dns_ports: Vec<PortId> = if cp == CpKind::Pce {
-            let pces: Vec<NodeId> = topo
-                .sites
-                .iter()
-                .map(|s| {
-                    let mut cfg = pce_cfg_of(s, s.pce_addr());
-                    // The primary warm-mirrors every installed flow to
-                    // its standby twin (client sites only — server-site
-                    // DNS is authoritative, not resolver-driven).
-                    if replicas.is_some() && s.role == SiteRole::Client {
-                        cfg.mirror_to = Some(pce_standby_addr(s));
-                    }
-                    let name = spell(&mut buf, format_args!("PCE_{}", s.name));
-                    sim.add_node(name, Box::new(Pce::new(cfg)))
-                })
-                .collect();
-            // PCE port 0 = DNS side, port 1 = network side.
-            let ports = (0..topo.sites.len())
-                .map(|i| {
-                    sim.connect(pces[i], dns_nodes[i], LinkCfg::ipc());
-                    sim.connect(pces[i], site_routers[i], LinkCfg::lan()).1
-                })
-                .collect();
-            let clients = topo
-                .sites
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.role == SiteRole::Client);
-            for (i, s) in clients.filter(|_| replicas.is_some()) {
-                let standby = pce_cfg_of(s, pce_standby_addr(s));
-                let name = spell(&mut buf, format_args!("PCE2_{}", s.name));
-                let id = sim.add_node(name, Box::new(Pce::new(standby)));
-                // Resolver port 1 = standby uplink; taken by the
-                // `Resolver::fail_over` call the dynamics block schedules.
-                sim.connect(id, dns_nodes[i], LinkCfg::ipc());
-                let (_, sp) = sim.connect(id, site_routers[i], LinkCfg::lan());
-                sim.node_mut::<Resolver>(dns_nodes[i])
-                    .set_failover(1, pce_standby_addr(s));
-                pce_standby[i] = Some((id, sp));
-            }
-            pce_nodes = pces.into_iter().map(Some).collect();
-            ports
-        } else {
-            (0..topo.sites.len())
-                .map(|i| sim.connect(dns_nodes[i], site_routers[i], LinkCfg::lan()).1)
-                .collect()
-        };
-
-        // ---- Border: xTRs or plain routing ------------------------------------
-        let eid_space = Arc::new(PrefixSet::new(self.derived_eid_space()));
-        let mut site_xtrs: Vec<Vec<NodeId>> = vec![Vec::new(); topo.sites.len()];
-        let mut site_links: Vec<Vec<usize>> = vec![Vec::new(); topo.sites.len()];
-        let mut site_egress: Vec<Vec<PortId>> = vec![Vec::new(); topo.sites.len()];
-
-        if cp == CpKind::NoLisp {
-            // Sites connect straight to the core; EIDs globally routable.
-            for (i, s) in topo.sites.iter().enumerate() {
-                site_links[i] = vec![sim.link_count(); s.providers.len()];
-                let (uplink, core_port) =
-                    sim.connect(site_routers[i], core, provider_link(&s.providers[0]));
-                let r = sim.node_mut::<Router>(core);
-                r.add_route(s.eid_prefix, core_port);
-                r.add_route(s.providers[0].core_route, core_port);
-                let hosts = match s.role {
-                    SiteRole::Client => Prefix::host(s.host_addr()),
-                    SiteRole::Server => s.eid_prefix,
-                };
-                let r = sim.node_mut::<FlowRouter>(site_routers[i]);
-                r.add_route(hosts, host_ports[i]);
-                r.add_route(Prefix::host(s.dns_addr()), dns_ports[i]);
-                r.set_default_route(uplink);
-            }
-        } else {
-            // All xTR nodes first (site-major, provider-minor), matching
-            // the figure's construction order.
-            for (i, s) in topo.sites.iter().enumerate() {
-                let internal: Vec<Prefix> = s.providers.iter().map(|p| p.internal_prefix).collect();
-                let pced = (cp == CpKind::Pce).then(|| s.pce_addr());
-                for (k, p) in s.providers.iter().enumerate() {
-                    let peers: Vec<Ipv4Address> = s
-                        .providers
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != k)
-                        .map(|(_, q)| q.rloc)
-                        .collect();
-                    let mut cfg = XtrConfig::new(
-                        p.rloc,
-                        s.eid_prefix,
-                        Arc::clone(&eid_space),
-                        cp.xtr_mode(i),
-                    );
-                    cfg.miss_policy = match (self.pull_miss_policy, &cfg.mode) {
-                        (Some(policy), CpMode::Pull { .. }) => policy,
-                        _ => cp.miss_policy(),
-                    };
-                    cfg.internal_plain_prefixes = internal.clone();
-                    cfg.reverse_sync_peers = peers;
-                    cfg.pced_addr = pced;
-                    cfg.reply_ttl_minutes = self.mapping_ttl_minutes;
-                    cfg.reply_host_granularity = self.fine_grained_mappings;
-                    cfg.rloc_probing = dyn_probing;
-                    cfg.cache = s.cache.unwrap_or(self.cache);
-                    cfg.defense = self.defense.xtr;
-                    if let Some(r) = self.retry {
-                        cfg.request_retransmit = r.retransmit.unwrap_or(cfg.request_retransmit);
-                        cfg.request_max_tries = r.max_tries.unwrap_or(cfg.request_max_tries);
-                        cfg.request_backoff_multiplier = r.backoff_multiplier;
-                        cfg.request_backoff_cap = r.backoff_cap;
-                        cfg.request_cooldown = r.cooldown;
-                    }
-                    if replicas.is_some() {
-                        cfg.map_resolver_replicas = cp.standby_resolvers(i);
-                    }
-                    cfg.overclaim = self.attackers.iter().rev().find_map(|atk| match atk {
-                        AttackerSpec::Overclaim { site, prefix_len } if *site == s.name => {
-                            Some(Prefix::new(s.eid_prefix.addr(), *prefix_len))
-                        }
-                        _ => None,
-                    });
-                    let name = spell(&mut buf, format_args!("xTR-{}", p.name));
-                    let id = sim.add_node(name, Box::new(Xtr::new(cfg)));
-                    site_xtrs[i].push(id);
-                }
-            }
-
-            // Site ports (xTR port 0 = site).
-            for (i, xtrs) in site_xtrs.iter().enumerate() {
-                for &x in xtrs {
-                    let (_, sp) = sim.connect(x, site_routers[i], LinkCfg::lan());
-                    site_egress[i].push(sp);
-                }
-            }
-
-            // WAN ports (xTR port 1 = provider link to core).
-            for (i, s) in topo.sites.iter().enumerate() {
-                for (k, p) in s.providers.iter().enumerate() {
-                    site_links[i].push(sim.link_count());
-                    attach_to_core(
-                        &mut sim,
-                        core,
-                        site_xtrs[i][k],
-                        p.core_route,
-                        provider_link(p),
-                    );
-                }
-            }
-
-            // Site-router tables.
-            for (i, s) in topo.sites.iter().enumerate() {
-                let r = sim.node_mut::<FlowRouter>(site_routers[i]);
-                if s.role == SiteRole::Client {
-                    r.add_route(Prefix::host(s.host_addr()), host_ports[i]);
-                }
-                r.add_route(s.eid_prefix, host_ports[i]);
-                for (k, p) in s.providers.iter().enumerate() {
-                    r.add_route(Prefix::host(p.rloc), site_egress[i][k]);
-                }
-                r.add_route(Prefix::host(s.dns_addr()), dns_ports[i]);
-                if cp == CpKind::Pce {
-                    r.add_route(Prefix::host(s.pce_addr()), dns_ports[i]);
-                    if let Some((_, sp)) = pce_standby[i] {
-                        r.add_route(Prefix::host(pce_standby_addr(s)), sp);
-                    }
-                }
-                r.set_default_route(site_egress[i][0]);
-            }
-        }
-
-        // ---- DNS infrastructure at the core ------------------------------------
-        let infra_link = LinkCfg::wan(topo.infra_owd).with_drop_prob(topo.infra_drop_prob);
-        for (level, &node) in infra_dns.iter().enumerate() {
-            let route = Prefix::host(infra_addr(level));
-            attach_to_core(&mut sim, core, node, route, infra_link);
-        }
-
-        // ---- Mapping-system infrastructure --------------------------------------
-        // What each site registers at its first provider's ETR: its EID
-        // prefix, or one host route per EID with fine-grained mappings.
-        let registered: Vec<Vec<Prefix>> = topo
-            .sites
-            .iter()
-            .zip(&site_dest_eids)
-            .map(|(s, eids)| {
-                if self.fine_grained_mappings {
-                    let eids = eids.iter().copied();
-                    once(s.host_addr()).chain(eids).map(Prefix::host).collect()
-                } else {
-                    vec![s.eid_prefix]
-                }
-            })
-            .collect();
-        let mut db = MappingDb::new();
-        for (s, prefixes) in topo.sites.iter().zip(&registered) {
-            for &prefix in prefixes {
-                let etr = s.providers[0].rloc;
-                db.register(SiteEntry::single(prefix, etr, self.mapping_ttl_minutes));
-            }
-        }
-
-        let mapsys = MapSystem::build(self, &mut sim, core, &db);
-
-        // ---- Adversaries -----------------------------------------------------
-        // Attacker nodes come after all legitimate infrastructure so that
-        // attacker-free specs construct node-for-node identical worlds,
-        // and every attack packet is scheduled *here*, at build time,
-        // through the deterministic (time, seq) timer order.
-        let mut attack_nodes: Vec<NodeId> = Vec::new();
-        if !self.attackers.is_empty() {
-            let live_targets: Vec<Ipv4Address> = topo
-                .sites
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.role == SiteRole::Server)
-                .flat_map(|(i, _)| site_dest_eids[i].iter().copied())
-                .collect();
-            let in_any_site = |a: Ipv4Address| topo.sites.iter().any(|s| s.eid_prefix.contains(a));
-            let client_idx = topo
-                .sites
-                .iter()
-                .position(|s| s.role == SiteRole::Client)
-                .expect("adversarial scenarios need a client site");
-            let attack_t0 = Ns::from_ms(50);
-
-            for (ai, atk) in self.attackers.iter().enumerate() {
-                match atk {
-                    AttackerSpec::MapRequestFlood {
-                        rate_per_sec,
-                        packets,
-                    } => {
-                        // A compromised host inside the client site scans
-                        // randomized EIDs. Each probe is ordinary data the
-                        // site ITR must classify: live cross-site targets
-                        // thrash the cache, dead ones burn the resolver's
-                        // full retry budget.
-                        let s = &topo.sites[client_idx];
-                        let addr = s.eid_with_last_octet(6);
-                        let stack = IpStack::new(addr);
-                        let mut rng = ScanRng::new(seed ^ (ai as u64 + 1));
-                        let mut script = Vec::with_capacity(*packets);
-                        for _ in 0..*packets {
-                            let want_live = rng.pick(2) == 0;
-                            let dead = (0..32).find_map(|_| {
-                                let space = eid_space.prefixes();
-                                let p = space[rng.pick(space.len())];
-                                let cand = p.nth_host(rng.next_u64() as u32);
-                                (!in_any_site(cand)).then_some(cand)
-                            });
-                            let target = match (want_live, dead) {
-                                (true, _) | (false, None) if !live_targets.is_empty() => {
-                                    live_targets[rng.pick(live_targets.len())]
-                                }
-                                (_, Some(d)) => d,
-                                _ => eid_space.prefixes()[0].nth_host(rng.next_u64() as u32),
-                            };
-                            script.push(stack.udp(9666, target, 9666, vec![0u8; 40]));
-                        }
-                        let period = Ns((1e9 / rate_per_sec).max(1.0) as u64);
-                        let node = sim.add_node(
-                            &format!("attacker-flood-{ai}"),
-                            Box::new(AttackNode::new(addr, script)),
-                        );
-                        let (_, rp) = sim.connect(node, site_routers[client_idx], LinkCfg::lan());
-                        sim.node_mut::<FlowRouter>(site_routers[client_idx])
-                            .add_route(Prefix::host(addr), rp);
-                        for k in 0..*packets as u64 {
-                            sim.schedule_timer(node, attack_t0.saturating_add(Ns(period.0 * k)), k);
-                        }
-                        attack_nodes.push(node);
-                    }
-                    AttackerSpec::CachePoison {
-                        rate_per_sec,
-                        rounds,
-                    } => {
-                        // An off-site node sprays spoofed Map-Replies at
-                        // every client-site xTR, claiming every server
-                        // prefix with the attacker's own RLOC as locator.
-                        // Hijacked tunnels then land back on this node,
-                        // which absorbs them (counted, never delivered).
-                        let addr = Ipv4Address::new(66, 6, 0, (ai + 1) as u8);
-                        let stack = IpStack::new(addr);
-                        let mut rng = ScanRng::new(seed ^ (0x5000 + ai as u64));
-                        let victims: Vec<Ipv4Address> = topo
-                            .sites
-                            .iter()
-                            .filter(|s| s.role == SiteRole::Client)
-                            .flat_map(|s| s.providers.iter().map(|p| p.rloc))
-                            .collect();
-                        let claims: Vec<Prefix> = topo
-                            .sites
-                            .iter()
-                            .filter(|s| s.role == SiteRole::Server)
-                            .map(|s| s.eid_prefix)
-                            .collect();
-                        let mut script = Vec::new();
-                        for _ in 0..*rounds {
-                            for &victim in &victims {
-                                for &claim in &claims {
-                                    let reply = MapReply {
-                                        // The attacker cannot see nonces in
-                                        // flight; it guesses (verification,
-                                        // when armed, rejects these).
-                                        nonce: rng.next_u64(),
-                                        records: vec![MapRecord {
-                                            eid_prefix: claim.addr(),
-                                            prefix_len: claim.len(),
-                                            ttl_minutes: self.mapping_ttl_minutes,
-                                            locators: vec![Locator::new(addr, 1, 100)],
-                                        }],
-                                    };
-                                    script.push(stack.ctl(
-                                        ports::LISP_CONTROL,
-                                        victim,
-                                        ports::LISP_CONTROL,
-                                        CtlMsg::Reply(reply),
-                                    ));
-                                }
-                            }
-                        }
-                        let per_round = (victims.len() * claims.len()) as u64;
-                        let node = sim.add_node(
-                            &format!("attacker-poison-{ai}"),
-                            Box::new(AttackNode::new(addr, script)),
-                        );
-                        let route = Prefix::new(Ipv4Address::new(66, 0, 0, 0), 8);
-                        attach_to_core(&mut sim, core, node, route, LinkCfg::wan(mapsys_owd));
-                        let period = Ns((1e9 / rate_per_sec).max(1.0) as u64);
-                        for r in 0..*rounds as u64 {
-                            for j in 0..per_round {
-                                sim.schedule_timer(
-                                    node,
-                                    attack_t0.saturating_add(Ns(period.0 * r)),
-                                    r * per_round + j,
-                                );
-                            }
-                        }
-                        attack_nodes.push(node);
-                    }
-                    // Overclaiming is a config flag on the site's own
-                    // xTRs, applied in the border block above.
-                    AttackerSpec::Overclaim { .. } => {}
-                }
-            }
-        }
-
-        let sites: Vec<SiteWorld> = topo
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SiteWorld {
-                name: s.name.clone(),
-                role: s.role,
-                eid_prefix: s.eid_prefix,
-                router: site_routers[i],
-                host: hosts[i],
-                host_addr: s.host_addr(),
-                dns: dns_nodes[i],
-                dns_addr: s.dns_addr(),
-                pce: pce_nodes[i],
-                pce_standby: pce_standby[i].map(|(id, _)| id),
-                provider_names: s.providers.iter().map(|p| p.name.clone()).collect(),
-                xtrs: std::mem::take(&mut site_xtrs[i]),
-                xtr_rlocs: s.providers.iter().map(|p| p.rloc).collect(),
-                provider_links: std::mem::take(&mut site_links[i]),
-                egress_ports: std::mem::take(&mut site_egress[i]),
-                dest_eids: std::mem::take(&mut site_dest_eids[i]),
-                zone: site_zones[i].take(),
-            })
-            .collect();
-
-        // ---- Timed dynamics --------------------------------------------------
-        // Every mutation is scheduled *now*, at build time: link changes
-        // as engine LinkAdmin events, node changes as `schedule_call`s to
-        // the nodes' plain methods — so the whole failure story replays
-        // inside the deterministic (time, seq) event order.
-        if let Some(dynamics) = &self.dynamics {
-            let site_index = |name: &str| -> usize {
-                sites
-                    .iter()
-                    .position(|s| s.name == name)
-                    .unwrap_or_else(|| panic!("dynamics event names unknown site {name:?}"))
-            };
-            let provider_index = |i: usize, name: &str| -> usize {
-                sites[i].provider_index(name).unwrap_or_else(|| {
-                    panic!(
-                        "dynamics event names unknown provider {name:?} at site {:?}",
-                        sites[i].name
-                    )
-                })
-            };
-            // Re-register site `i`'s mappings onto provider `k` at `at`.
-            let reregister = |sim: &mut Sim<Packet>, at: Ns, i: usize, k: usize| {
-                let rloc = sites[i].xtr_rlocs[k];
-                mapsys.reregister(sim, at, i, &registered[i], rloc, self.mapping_ttl_minutes);
-            };
-
-            for ev in &dynamics.events {
-                match &ev.kind {
-                    DynEventKind::LinkDown { site, provider }
-                    | DynEventKind::LinkUp { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        let up = matches!(ev.kind, DynEventKind::LinkUp { .. });
-                        sim.schedule_link_admin(ev.at, sites[i].provider_links[k], up);
-                    }
-                    DynEventKind::Remap { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        reregister(&mut sim, ev.at, i, k);
-                    }
-                    DynEventKind::RlocFail { site, provider } => {
-                        let i = site_index(site);
-                        let k = provider_index(i, provider);
-                        let site = &sites[i];
-                        sim.schedule_link_admin(ev.at, site.provider_links[k], false);
-                        let detect_at = ev.at.saturating_add(dynamics.detection_delay);
-                        if let Some(fallback) = (0..site.xtr_rlocs.len()).find(|&j| j != k) {
-                            // Site IGP: re-home the default egress if the
-                            // failed border was carrying it.
-                            if k == 0 && !site.egress_ports.is_empty() {
-                                let port = site.egress_ports[fallback];
-                                sim.schedule_call::<FlowRouter>(
-                                    site.router,
-                                    detect_at,
-                                    move |r, ctx| r.reroute(ctx, Prefix::DEFAULT, port),
-                                );
-                            }
-                            let rereg_at = ev.at.saturating_add(dynamics.reregister_delay);
-                            reregister(&mut sim, rereg_at, i, fallback);
-                        }
-                        // The domain PCE hears from the site IGP and
-                        // re-paths its flow database (core::pce) — one
-                        // tick after the IGP itself re-converged, so the
-                        // PCE's cross-domain fix always exits via the
-                        // surviving default egress regardless of
-                        // node-construction order.
-                        if let Some(pce) = site.pce {
-                            sim.schedule_call::<Pce>(
-                                pce,
-                                detect_at.saturating_add(Ns(1)),
-                                move |p, ctx| p.provider_reachability_changed(ctx, k, false),
-                            );
-                        }
-                    }
-                    DynEventKind::NodeDown { site } | DynEventKind::NodeUp { site } => {
-                        let i = site_index(site);
-                        let up = matches!(ev.kind, DynEventKind::NodeUp { .. });
-                        if let Some(target) = mapsys.node_of(&sites[i], i) {
-                            sim.schedule_node_admin(ev.at, target, up);
-                        }
-                        if let Some(rep) = replicas.filter(|_| !up) {
-                            let detect_at = ev.at.saturating_add(rep.detection_delay);
-                            let pce_port = pce_standby[i].map(|(_, port)| port);
-                            mapsys.take_over(&mut sim, detect_at, &sites[i], pce_port);
-                        }
-                    }
-                }
-            }
-        }
-
-        World {
-            sim,
-            cp,
-            core,
-            sites,
-            infra_dns,
-            mapsys,
-            attack_nodes,
+        for ev in self.dynamics.iter().flat_map(|d| &d.events) {
+            ev.kind.target(sites);
         }
     }
+
+    /// Site layer: the site table, one [`SiteWorld`] per site holding
+    /// what the spec fixes (names, addresses, destination EIDs, the zone,
+    /// which `parent`, the deepest DNS-infrastructure zone, delegates),
+    /// then every site's router, every host and every DNS node. Later
+    /// layers write the other handles.
+    fn add_sites(
+        &self,
+        sim: &mut Sim<Packet>,
+        flows: Vec<FlowSpec>,
+        parent: &mut Zone,
+        buf: &mut String,
+    ) -> Vec<SiteWorld> {
+        let specs = &self.topology.sites;
+        let suffix = parent.apex.clone();
+        // Each server site's zone, in site order, for its DNS node.
+        let mut apexes = Vec::new();
+        let mut sites: Vec<SiteWorld> = (specs.iter())
+            .map(|s| {
+                let mut dest_eids = Vec::new();
+                let mut zone = None;
+                if s.role == SiteRole::Server {
+                    dest_eids = (0..s.hosts).map(|i| s.dest_eid(i)).collect();
+                    let text = s.zone_in(suffix.as_str());
+                    let apex = Name::parse_str(&text).expect("valid zone name");
+                    let ns = spell_name(buf, format_args!("ns.{}", apex.as_str()));
+                    parent.delegate(apex.clone(), vec![(ns, s.dns_addr())], 86_400);
+                    apexes.push(apex);
+                    zone = Some(text);
+                }
+                SiteWorld {
+                    name: s.name.clone(),
+                    role: s.role,
+                    eid_prefix: s.eid_prefix,
+                    // Set by the node passes below.
+                    router: NodeId::MAX,
+                    host: NodeId::MAX,
+                    host_addr: s.host_addr(),
+                    dns: NodeId::MAX,
+                    dns_addr: s.dns_addr(),
+                    pce: None,
+                    pce_standby: None,
+                    provider_names: s.providers.iter().map(|p| p.name.clone()).collect(),
+                    xtrs: Vec::new(),
+                    xtr_rlocs: s.providers.iter().map(|p| p.rloc).collect(),
+                    provider_links: Vec::new(),
+                    egress_ports: Vec::new(),
+                    dest_eids,
+                    zone,
+                }
+            })
+            .collect();
+        for (site, s) in sites.iter_mut().zip(specs) {
+            let name = spell(buf, format_args!("site-{}", s.name));
+            site.router = sim.add_node(name, Box::new(FlowRouter::new()));
+        }
+        // The flow script moves into the one client site's host.
+        let mut flows = Some(flows);
+        for (site, s) in sites.iter_mut().zip(specs) {
+            let host: Box<dyn Node<Packet>> = match s.role {
+                SiteRole::Client => {
+                    let flows = flows.take().expect("exactly one client site");
+                    Box::new(TrafficHost::new(s.host_addr(), s.dns_addr(), flows))
+                }
+                SiteRole::Server => Box::new(ServerHost::new(s.host_addr())),
+            };
+            site.host = sim.add_node(spell(buf, format_args!("E_{}", s.name)), host);
+        }
+        let mut apexes = apexes.iter();
+        for (site, s) in sites.iter_mut().zip(specs) {
+            let dns: Box<dyn Node<Packet>> = match s.role {
+                SiteRole::Client => {
+                    let cfg = ResolverConfig {
+                        ipc_notify: self.cp.pce_addr(s),
+                    };
+                    Box::new(Resolver::with_config(s.dns_addr(), vec![addrs::ROOT], cfg))
+                }
+                SiteRole::Server => {
+                    let apex = apexes.next().expect("one zone per server site");
+                    let store = site_zone(s, apex, &site.dest_eids, buf);
+                    Box::new(AuthServer::new(s.dns_addr(), store))
+                }
+            };
+            site.dns = sim.add_node(spell(buf, format_args!("DNS_{}", s.name)), dns);
+        }
+        sites
+    }
+
+    /// Border layer: one xTR per provider between the site router and
+    /// the core — all xTR nodes first (site-major, provider-minor, the
+    /// figure's construction order), then their site links, then their
+    /// WAN links — or, in a plane without xTRs, the site router's own
+    /// uplink.
+    fn add_border(
+        &self,
+        sim: &mut Sim<Packet>,
+        core: NodeId,
+        sites: &mut [SiteWorld],
+        eid_space: &Arc<PrefixSet>,
+        buf: &mut String,
+    ) {
+        let specs = &self.topology.sites;
+        if !self.cp.has_xtrs() {
+            return add_direct_uplinks(sim, core, sites, specs);
+        }
+        for (i, (site, s)) in sites.iter_mut().zip(specs).enumerate() {
+            site.xtrs = (0..s.providers.len())
+                .map(|k| {
+                    let xtr = Xtr::new(self.xtr_config(i, s, k, eid_space));
+                    let name = spell(buf, format_args!("xTR-{}", s.providers[k].name));
+                    sim.add_node(name, Box::new(xtr))
+                })
+                .collect();
+        }
+        // Site ports (xTR port 0 = site); the first provider's border
+        // carries the default route.
+        for site in sites.iter_mut() {
+            site.egress_ports = (site.xtrs.iter().zip(&site.xtr_rlocs).enumerate())
+                .map(|(k, (&x, &rloc))| {
+                    let default = (k == 0).then_some(Prefix::DEFAULT);
+                    let routes = once(Prefix::host(rloc)).chain(default);
+                    attach_to_site(sim, site.router, x, LinkCfg::lan(), routes)
+                })
+                .collect();
+        }
+        // WAN ports (xTR port 1 = provider link to core).
+        for (site, s) in sites.iter_mut().zip(specs) {
+            site.provider_links = (site.xtrs.iter().zip(&s.providers))
+                .map(|(&x, p)| {
+                    let link = sim.link_count();
+                    attach_to_core(sim, core, x, p.core_route, p.link());
+                    link
+                })
+                .collect();
+        }
+    }
+
+    /// The configuration of site `i`'s xTR toward its provider `k`.
+    fn xtr_config(
+        &self,
+        i: usize,
+        s: &SiteSpec,
+        k: usize,
+        eid_space: &Arc<PrefixSet>,
+    ) -> XtrConfig {
+        let cp = self.cp;
+        let rloc = s.providers[k].rloc;
+        let mut cfg = XtrConfig::new(rloc, s.eid_prefix, Arc::clone(eid_space), cp.xtr_mode(i));
+        cfg.miss_policy = match (self.pull_miss_policy, &cfg.mode) {
+            (Some(policy), CpMode::Pull { .. }) => policy,
+            _ => cp.miss_policy(),
+        };
+        cfg.internal_plain_prefixes = s.providers.iter().map(|p| p.internal_prefix).collect();
+        cfg.reverse_sync_peers = (s.providers.iter().enumerate())
+            .filter(|&(j, _)| j != k)
+            .map(|(_, q)| q.rloc)
+            .collect();
+        cfg.pced_addr = cp.pce_addr(s);
+        cfg.reply_ttl_minutes = self.mapping_ttl_minutes;
+        cfg.reply_host_granularity = self.fine_grained_mappings;
+        cfg.rloc_probing = self.dynamics.as_ref().and_then(|d| d.rloc_probing);
+        cfg.cache = self.cache;
+        cfg.defense = self.defense.xtr;
+        if let Some(r) = self.retry {
+            cfg.request_retransmit = r.retransmit.unwrap_or(cfg.request_retransmit);
+            cfg.request_max_tries = r.max_tries.unwrap_or(cfg.request_max_tries);
+            cfg.request_backoff_multiplier = r.backoff_multiplier;
+            cfg.request_backoff_cap = r.backoff_cap;
+            cfg.request_cooldown = r.cooldown;
+        }
+        if self.replicas.is_some() {
+            cfg.map_resolver_replicas = cp.standby_resolvers(i);
+        }
+        cfg.overclaim = overclaim(&self.attackers, s);
+        cfg
+    }
+
+    /// What `site` registers at its first provider's ETR: its EID
+    /// prefix, or one host route per EID with fine-grained mappings.
+    fn registered<'a>(&self, site: &'a SiteWorld) -> impl Iterator<Item = Prefix> + 'a {
+        let fine = self.fine_grained_mappings;
+        let eids = once(site.host_addr).chain(site.dest_eids.iter().copied());
+        let coarse = once(site.eid_prefix).filter(move |_| !fine);
+        eids.filter(move |_| fine).map(Prefix::host).chain(coarse)
+    }
+
+    /// Dynamics layer: every mutation is scheduled *now*, at build time —
+    /// link changes as engine LinkAdmin events, node changes as
+    /// `schedule_call`s to the nodes' plain methods — so the whole
+    /// failure story replays inside the deterministic (time, seq) event
+    /// order. `pce_standby_port` is the site-router port toward the
+    /// client site's standby PCE bump.
+    fn schedule_dynamics(
+        &self,
+        dynamics: &DynamicsSpec,
+        sim: &mut Sim<Packet>,
+        sites: &[SiteWorld],
+        mapsys: &MapSystem,
+        pce_standby_port: Option<PortId>,
+    ) {
+        // Re-register site `i`'s mappings onto provider `k` at `at`.
+        let reregister = |sim: &mut Sim<Packet>, at: Ns, i: usize, k: usize| {
+            let prefixes: Vec<Prefix> = self.registered(&sites[i]).collect();
+            let rloc = sites[i].xtr_rlocs[k];
+            mapsys.reregister(sim, at, i, &prefixes, rloc, self.mapping_ttl_minutes);
+        };
+        for ev in &dynamics.events {
+            let (i, k) = ev.kind.target(&self.topology.sites);
+            let site = &sites[i];
+            match ev.kind {
+                DynEventKind::LinkDown { .. } | DynEventKind::LinkUp { .. } => {
+                    let up = matches!(ev.kind, DynEventKind::LinkUp { .. });
+                    sim.schedule_link_admin(ev.at, site.provider_links[k], up);
+                }
+                DynEventKind::Remap { .. } => reregister(sim, ev.at, i, k),
+                DynEventKind::RlocFail { .. } => {
+                    sim.schedule_link_admin(ev.at, site.provider_links[k], false);
+                    let detect_at = ev.at.saturating_add(dynamics.detection_delay);
+                    if let Some(fallback) = (0..site.xtr_rlocs.len()).find(|&j| j != k) {
+                        // Site IGP: re-home the default egress if the
+                        // failed border was carrying it.
+                        if k == 0 && !site.egress_ports.is_empty() {
+                            let port = site.egress_ports[fallback];
+                            sim.schedule_call::<FlowRouter>(
+                                site.router,
+                                detect_at,
+                                move |r, ctx| r.reroute(ctx, Prefix::DEFAULT, port),
+                            );
+                        }
+                        let rereg_at = ev.at.saturating_add(dynamics.reregister_delay);
+                        reregister(sim, rereg_at, i, fallback);
+                    }
+                    // The domain PCE hears from the site IGP and re-paths
+                    // its flow database (core::pce) — one tick after the
+                    // IGP itself re-converged, so the PCE's cross-domain
+                    // fix always exits via the surviving default egress
+                    // regardless of node-construction order.
+                    if let Some(pce) = site.pce {
+                        let at = detect_at.saturating_add(Ns(1));
+                        sim.schedule_call::<Pce>(pce, at, move |p, ctx| {
+                            p.provider_reachability_changed(ctx, k, false)
+                        });
+                    }
+                }
+                DynEventKind::NodeDown { .. } | DynEventKind::NodeUp { .. } => {
+                    let up = matches!(ev.kind, DynEventKind::NodeUp { .. });
+                    if let Some(node) = mapsys.node_of(site, i) {
+                        sim.schedule_node_admin(ev.at, node, up);
+                    }
+                    if let Some(rep) = self.replicas.filter(|_| !up) {
+                        let detect_at = ev.at.saturating_add(rep.detection_delay);
+                        mapsys.take_over(sim, detect_at, site, pce_standby_port);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl DynEventKind {
+    /// The index in `sites` of the site the event names, and that of the
+    /// provider it names there (0 for node events, which name none).
+    ///
+    /// # Panics
+    /// Panics when the event names an unknown site or provider.
+    fn target(&self, sites: &[SiteSpec]) -> (usize, usize) {
+        let (site, provider) = match self {
+            DynEventKind::LinkDown { site, provider }
+            | DynEventKind::LinkUp { site, provider }
+            | DynEventKind::RlocFail { site, provider }
+            | DynEventKind::Remap { site, provider } => (site, Some(provider)),
+            DynEventKind::NodeDown { site } | DynEventKind::NodeUp { site } => (site, None),
+        };
+        let i = (sites.iter().position(|s| s.name == *site))
+            .unwrap_or_else(|| panic!("dynamics event names unknown site {site:?}"));
+        let k = provider.map_or(0, |name| {
+            (sites[i].providers.iter().position(|p| p.name == *name)).unwrap_or_else(|| {
+                let at = &sites[i].name;
+                panic!("dynamics event names unknown provider {name:?} at site {at:?}")
+            })
+        });
+        (i, k)
+    }
+}
+
+/// Address of the DNS-infrastructure server at `level` (0 = root).
+fn infra_dns_addr(level: usize) -> Ipv4Address {
+    match level {
+        0 => addrs::ROOT,
+        1 => addrs::TLD,
+        l => Ipv4Address::new(9, 0, (l - 1) as u8, 53),
+    }
+}
+
+/// A server site's authoritative zone data: its host and every
+/// destination EID under `apex`.
+fn site_zone(s: &SiteSpec, apex: &Name, dest_eids: &[Ipv4Address], buf: &mut String) -> ZoneStore {
+    let z = apex.as_str();
+    let mut zone = Zone::new(apex.clone());
+    let host = spell_name(buf, format_args!("host.{z}"));
+    zone.add_a(host, s.host_addr(), 300);
+    for (i, &eid) in dest_eids.iter().enumerate() {
+        zone.add_a(spell_name(buf, format_args!("host-{i}.{z}")), eid, 300);
+    }
+    let mut store = ZoneStore::new();
+    store.add_zone(zone);
+    store
+}
+
+/// The DNS-infrastructure servers, root first, one per zone of
+/// [`TopologySpec::infra_zones`].
+fn add_infra_dns(sim: &mut Sim<Packet>, zones: Vec<Zone>) -> Vec<NodeId> {
+    (zones.into_iter().enumerate())
+        .map(|(level, zone)| {
+            let name = match level {
+                0 => "dns-root".to_string(),
+                1 => "dns-tld".to_string(),
+                l => format!("dns-l{l}"),
+            };
+            let mut store = ZoneStore::new();
+            store.add_zone(zone);
+            let server = AuthServer::new(infra_dns_addr(level), store);
+            sim.add_node(&name, Box::new(server))
+        })
+        .collect()
 }
 
 #[cfg(test)]

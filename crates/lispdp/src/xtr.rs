@@ -110,8 +110,8 @@ pub struct DefenseCfg {
 pub struct XtrConfig {
     /// This router's RLOC (its WAN-side, globally routable address).
     pub rloc: Ipv4Address,
-    /// EID prefixes of the local site (decap targets, glean sources).
-    pub site_prefixes: Vec<Prefix>,
+    /// EID prefix of the local site (decap targets, glean sources).
+    pub site_prefix: Prefix,
     /// The global EID space: destinations inside it need mappings,
     /// destinations outside it are plain-forwarded (RLOC space). One
     /// allocation shared by every xTR of a world: a copy each was
@@ -183,7 +183,7 @@ impl XtrConfig {
     ) -> Self {
         Self {
             rloc,
-            site_prefixes: vec![site_prefix],
+            site_prefix,
             eid_space: eid_space.into(),
             mode,
             miss_policy: MissPolicy::Drop,
@@ -332,7 +332,6 @@ pub struct Xtr {
     /// Index into `[primary, replicas...]` new resolutions start at:
     /// failover is sticky. Volatile: reset to the primary on crash.
     resolver_cursor: usize,
-    nonce_counter: u64,
     /// Data-plane counters.
     pub stats: XtrStats,
     /// Encapsulated packets per outer destination RLOC (TE accounting).
@@ -364,7 +363,6 @@ impl Xtr {
             probe_gen: 0,
             seen_wan_flows: BTreeSet::new(),
             resolver_cursor: 0,
-            nonce_counter: 1,
             stats: XtrStats::default(),
             tx_per_rloc: BTreeMap::new(),
             tx_per_src_rloc: BTreeMap::new(),
@@ -384,7 +382,7 @@ impl Xtr {
     }
 
     fn in_site(&self, addr: Ipv4Address) -> bool {
-        self.cfg.site_prefixes.iter().any(|p| p.contains(addr))
+        self.cfg.site_prefix.contains(addr)
     }
 
     fn in_eid_space(&self, addr: Ipv4Address) -> bool {
@@ -408,20 +406,22 @@ impl Xtr {
         }
     }
 
-    fn next_nonce(&mut self) -> u64 {
-        self.nonce_counter = self.nonce_counter.wrapping_add(1);
-        self.nonce_counter
+    /// A fresh nonce for a Map-Request, an RLOC probe or a data header,
+    /// drawn from the world's seeded RNG: an off-path attacker cannot
+    /// predict it, and a replay of the seed draws it again.
+    fn next_nonce(ctx: &mut Ctx<'_, Packet>) -> u64 {
+        ctx.rng().next_u64()
     }
 
     /// LISP-encapsulate `inner` between the given tunnel ends
     /// (structural: no serialization).
     fn build_encap(
-        &mut self,
+        ctx: &mut Ctx<'_, Packet>,
         inner: Packet,
         outer_src: Ipv4Address,
         outer_dst: Ipv4Address,
     ) -> Packet {
-        let nonce = (self.next_nonce() & 0x00ff_ffff) as u32;
+        let nonce = (Self::next_nonce(ctx) & 0x00ff_ffff) as u32;
         // Locator-status bits: this site advertises one locator.
         let lisp_repr = LispRepr::with_nonce(nonce, 1);
         Packet::lisp_data(outer_src, outer_dst, lisp_repr, inner)
@@ -434,7 +434,7 @@ impl Xtr {
         outer_src: Ipv4Address,
         outer_dst: Ipv4Address,
     ) {
-        let pkt = self.build_encap(inner, outer_src, outer_dst);
+        let pkt = Self::build_encap(ctx, inner, outer_src, outer_dst);
         self.stats.encap += 1;
         *self.tx_per_rloc.entry(outer_dst).or_insert(0) += 1;
         *self.tx_per_src_rloc.entry(outer_src).or_insert(0) += 1;
@@ -610,7 +610,7 @@ impl Xtr {
             }
             w.1 += 1;
         }
-        let nonce = self.next_nonce();
+        let nonce = Self::next_nonce(ctx);
         let inf = InFlight {
             nonce,
             tries: 1,
@@ -692,7 +692,7 @@ impl Xtr {
                         // The packet rode the control plane: it reaches the
                         // WAN after the CP's extra latency.
                         self.stats.cp_data_packets += 1;
-                        let tunneled = self.build_encap(pkt, self.cfg.rloc, rloc);
+                        let tunneled = Self::build_encap(ctx, pkt, self.cfg.rloc, rloc);
                         self.stats.encap += 1;
                         *self.tx_per_rloc.entry(rloc).or_insert(0) += 1;
                         *self.tx_per_src_rloc.entry(self.cfg.rloc).or_insert(0) += 1;
@@ -815,15 +815,11 @@ impl Xtr {
     fn handle_control(&mut self, ctx: &mut Ctx<'_, Packet>, src: Ipv4Address, msg: CtlMsg) {
         match msg {
             CtlMsg::Request(req) => {
-                // ETR authority role: answer for our site prefixes.
-                let Some(prefix) = self
-                    .cfg
-                    .site_prefixes
-                    .iter()
-                    .find(|p| p.contains(req.target_eid))
-                else {
+                // ETR authority role: answer for our site prefix.
+                let prefix = self.cfg.site_prefix;
+                if !prefix.contains(req.target_eid) {
                     return;
-                };
+                }
                 // Overclaim attack: a *legitimate* ETR answering with a
                 // too-broad prefix pointing at its own locators, so the
                 // requester's LPM cache hijacks unrelated destinations.
@@ -931,7 +927,7 @@ impl Xtr {
         };
         let targets = self.referenced_rlocs();
         for rloc in targets {
-            let nonce = self.next_nonce();
+            let nonce = Self::next_nonce(ctx);
             self.probe_outstanding.insert(rloc, nonce);
             let probe = RlocProbe {
                 nonce,
@@ -1152,7 +1148,7 @@ impl Node<Packet> for Xtr {
                 // round (new nonce, try counter restarted) against the
                 // preferred resolver.
                 let fresh = InFlight {
-                    nonce: self.next_nonce(),
+                    nonce: Self::next_nonce(ctx),
                     tries: 1,
                     source_eid: inf.source_eid,
                     resolver_idx: self.resolver_cursor,
@@ -1177,7 +1173,7 @@ impl Node<Packet> for Xtr {
                     self.resolver_cursor = next_idx;
                     self.stats.resolver_failovers += 1;
                     let moved = InFlight {
-                        nonce: self.next_nonce(),
+                        nonce: Self::next_nonce(ctx),
                         tries: 1,
                         source_eid: inf.source_eid,
                         resolver_idx: next_idx,

@@ -8,8 +8,14 @@
 //! link indices, event sequence numbers) or to their dynamics hooks
 //! (every world carries a mapping-node crash and restart, a remap and
 //! a locator failure).
+//!
+//! A second, build-only family pins `multi_site(cp, 300, 2)` with
+//! replicas, armed defenses, the same dynamics and every E12 attacker
+//! role: the attacker layer and the address plan's first-octet step at
+//! 256 sites, which no run-length world here reaches.
 
 use netsim::Ns;
+use pcelisp::experiments::e12_adversarial::attack_roles;
 use pcelisp::scenario::CpKind;
 use pcelisp::spec::{DefenseSpec, DynEventKind, DynamicsSpec, ReplicaSpec, ScenarioSpec, World};
 
@@ -115,6 +121,38 @@ const PINNED: &[&str] = &[
     "pce true true 34 39 637 c88913ccda10a224 300a5d79a982513c",
 ];
 
+/// One build-only row of a 300-site world carrying every attacker role:
+/// plane, node count, link count and the node-name digest.
+fn big_shape(cp: CpKind) -> String {
+    let mut spec = ScenarioSpec::multi_site(cp, 300, 2);
+    spec.replicas = Some(ReplicaSpec::default());
+    spec.defense = DefenseSpec::armed();
+    spec.dynamics = Some(dynamics());
+    spec.attackers = attack_roles().into_iter().map(|(_, role)| role).collect();
+    let w = spec.build(1);
+    let names = fnv64((0..w.sim.node_count()).map(|i| w.sim.node_name(i)));
+    format!(
+        "{} {} {} {names:016x}",
+        cp.label(),
+        w.sim.node_count(),
+        w.sim.link_count()
+    )
+}
+
+/// Recorded before `ScenarioSpec::build` was split into layers. The
+/// CONS rows will move when the CAR address plan stops wrapping at 256
+/// sites (ROADMAP 2(b)): CAR node names carry the CAR address.
+const PINNED_300: &[&str] = &[
+    "no-lisp 908 907 42383f4f34138878",
+    "lisp-drop 1512 1812 6aa2543f15aaa5c0",
+    "lisp-queue 1512 1812 6aa2543f15aaa5c0",
+    "lisp-data-cp 1512 1812 6aa2543f15aaa5c0",
+    "lisp-alt-4 1515 1815 f199ba2545fd60d0",
+    "lisp-cons-1 2114 2414 355ef0d8eaa3a4ec",
+    "nerd 1512 1812 98266d3f49288f5c",
+    "pce 1812 2113 a183122d33233bc3",
+];
+
 #[test]
 fn every_plane_world_keeps_its_shape() {
     let mut rows = PINNED.iter();
@@ -127,4 +165,6 @@ fn every_plane_world_keeps_its_shape() {
         }
     }
     assert!(rows.next().is_none(), "one world per pinned row");
+    let big: Vec<String> = CpKind::all().into_iter().map(big_shape).collect();
+    assert_eq!(big, PINNED_300);
 }
