@@ -12,7 +12,7 @@ use inet::tcp::{TcpEvent, TcpMachine};
 use lispwire::dnswire::{Message, Name};
 use lispwire::packet::Packet;
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
+use netsim::{Counters, Ctx, Node, Ns, PortId};
 use std::collections::BTreeMap;
 
 /// How a flow exercises the network after resolution.
@@ -313,8 +313,6 @@ pub struct ServerHost {
     /// traffic for the inbound-TE experiments).
     pub echo_udp: bool,
     tcp: BTreeMap<(Ipv4Address, u16), TcpMachine>,
-    /// UDP data packets received, per source.
-    pub udp_received: BTreeMap<Ipv4Address, u64>,
     /// Arrival time of every UDP data packet, in order — the outage
     /// signal of the failure-recovery experiments (E10): the longest
     /// inter-arrival gap brackets the black-hole window.
@@ -323,8 +321,6 @@ pub struct ServerHost {
     pub tcp_data_received: BTreeMap<Ipv4Address, u64>,
     /// Establishment times observed at the server.
     pub established: Vec<(Ipv4Address, Ns)>,
-    /// Arrival time of the first UDP packet per source.
-    pub first_udp_at: BTreeMap<Ipv4Address, Ns>,
     /// Arrival time of the first UDP packet per *destination* EID — the
     /// per-flow outage signal of the availability experiment (E13),
     /// where concurrent flows from one client host differ only in the
@@ -332,8 +328,6 @@ pub struct ServerHost {
     pub first_udp_at_dst: BTreeMap<Ipv4Address, Ns>,
     /// UDP data packets received, per destination EID.
     pub udp_received_by_dst: BTreeMap<Ipv4Address, u64>,
-    ctr_udp: LazyCounter,
-    ctr_tcp_data: LazyCounter,
 }
 
 impl ServerHost {
@@ -343,15 +337,11 @@ impl ServerHost {
             stack: IpStack::new(addr),
             echo_udp: false,
             tcp: BTreeMap::new(),
-            udp_received: BTreeMap::new(),
             udp_arrivals: Vec::new(),
             tcp_data_received: BTreeMap::new(),
             established: Vec::new(),
-            first_udp_at: BTreeMap::new(),
             first_udp_at_dst: BTreeMap::new(),
             udp_received_by_dst: BTreeMap::new(),
-            ctr_udp: LazyCounter::new(),
-            ctr_tcp_data: LazyCounter::new(),
         }
     }
 
@@ -362,7 +352,7 @@ impl ServerHost {
 
     /// Total UDP data packets received.
     pub fn total_udp(&self) -> u64 {
-        self.udp_received.values().sum()
+        self.udp_arrivals.len() as u64
     }
 
     /// Total TCP data segments received.
@@ -381,14 +371,11 @@ impl Node<Packet> for ServerHost {
             } if p.dst == 7001 => {
                 let _ = &self.stack; // identity only; replies use the addressed dst
                 let (src, dst) = (ip.src, ip.dst);
-                *self.udp_received.entry(src).or_insert(0) += 1;
-                self.first_udp_at.entry(src).or_insert_with(|| ctx.now());
                 self.first_udp_at_dst
                     .entry(dst)
                     .or_insert_with(|| ctx.now());
                 *self.udp_received_by_dst.entry(dst).or_insert(0) += 1;
                 self.udp_arrivals.push(ctx.now());
-                self.ctr_udp.add(ctx, "server.udp_received", 1);
                 if self.echo_udp {
                     let reply = IpStack::new(dst).udp(p.dst, src, p.src, payload);
                     ctx.send(0, reply);
@@ -407,7 +394,6 @@ impl Node<Packet> for ServerHost {
                     .or_insert_with(|| TcpMachine::new(seg.dst_port, seg.src_port, 9000));
                 if !payload.is_empty() {
                     *self.tcp_data_received.entry(src).or_insert(0) += 1;
-                    self.ctr_tcp_data.add(ctx, "server.tcp_data_received", 1);
                 }
                 match m.on_segment(ctx.now(), &seg, payload.len()) {
                     TcpEvent::Send(out) => {
@@ -428,6 +414,11 @@ impl Node<Packet> for ServerHost {
             }
             _ => {}
         }
+    }
+
+    fn counters(&self, out: &mut Counters) {
+        out.add("server.udp_received", self.total_udp());
+        out.add("server.tcp_data_received", self.total_tcp_data());
     }
 }
 
@@ -582,7 +573,7 @@ mod tests {
         assert_eq!(srv.total_udp(), 5);
         // First packet lands one OWD after the answer.
         let t_ans = rec.t_answer.unwrap();
-        let first = srv.first_udp_at[&a([100, 0, 0, 5])];
+        let first = srv.udp_arrivals[0];
         assert!(first >= t_ans + Ns::from_ms(20) && first < t_ans + Ns::from_ms(25));
     }
 }

@@ -10,7 +10,7 @@
 
 use inet::{LpmTrie, Prefix};
 use lispwire::{Ipv4Address, Packet};
-use netsim::{Ctx, LazyCounter, Node, PortId};
+use netsim::{Counters, Ctx, Node, PortId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -79,11 +79,8 @@ impl CpKind {
 pub struct FlowRouter {
     routes: LpmTrie<PortId>,
     overrides: BTreeMap<(Ipv4Address, Ipv4Address), PortId>,
-    /// Packets forwarded.
-    pub forwarded: u64,
     /// Packets dropped for lack of a route.
     pub dropped: u64,
-    ctr_dropped: LazyCounter,
 }
 
 impl FlowRouter {
@@ -92,9 +89,7 @@ impl FlowRouter {
         Self {
             routes: LpmTrie::new(),
             overrides: BTreeMap::new(),
-            forwarded: 0,
             dropped: 0,
-            ctr_dropped: LazyCounter::new(),
         }
     }
 
@@ -143,14 +138,14 @@ impl Node<Packet> for FlowRouter {
             .or_else(|| self.routes.lookup_value(dst).copied());
         match port {
             Some(p) => {
-                self.forwarded += 1;
                 ctx.send(p, pkt);
             }
-            None => {
-                self.dropped += 1;
-                self.ctr_dropped.add(ctx, "flowrouter.dropped", 1);
-            }
+            None => self.dropped += 1,
         }
+    }
+
+    fn counters(&self, out: &mut Counters) {
+        out.add("flowrouter.dropped", self.dropped);
     }
 }
 

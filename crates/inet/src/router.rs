@@ -12,7 +12,7 @@ use crate::addr::Prefix;
 use crate::lpm::LpmTrie;
 use crate::stack::forward_hop;
 use lispwire::Packet;
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
+use netsim::{Counters, Ctx, Node, Ns, PortId};
 
 /// Per-packet lookup/processing delay of every [`Router`].
 const PROCESSING_DELAY: Ns = Ns::from_us(1);
@@ -20,14 +20,10 @@ const PROCESSING_DELAY: Ns = Ns::from_us(1);
 /// A transit router forwarding by longest-prefix match.
 pub struct Router {
     routes: LpmTrie<PortId>,
-    /// Packets forwarded.
-    pub forwarded: u64,
     /// Packets dropped: no route.
     pub no_route_drops: u64,
     /// Packets dropped: TTL expired.
     pub ttl_drops: u64,
-    ctr_ttl: LazyCounter,
-    ctr_no_route: LazyCounter,
 }
 
 impl Router {
@@ -35,11 +31,8 @@ impl Router {
     pub fn new() -> Self {
         Self {
             routes: LpmTrie::new(),
-            forwarded: 0,
             no_route_drops: 0,
             ttl_drops: 0,
-            ctr_ttl: LazyCounter::new(),
-            ctr_no_route: LazyCounter::new(),
         }
     }
 
@@ -70,19 +63,17 @@ impl Node<Packet> for Router {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, mut pkt: Packet) {
         if !forward_hop(&mut pkt) {
             self.ttl_drops += 1;
-            self.ctr_ttl.add(ctx, "router.ttl_drops", 1);
             return;
         }
         match self.routes.lookup_value(pkt.dst()).copied() {
-            Some(out_port) => {
-                self.forwarded += 1;
-                ctx.send_after(PROCESSING_DELAY, out_port, pkt);
-            }
-            None => {
-                self.no_route_drops += 1;
-                self.ctr_no_route.add(ctx, "router.no_route_drops", 1);
-            }
+            Some(out_port) => ctx.send_after(PROCESSING_DELAY, out_port, pkt),
+            None => self.no_route_drops += 1,
         }
+    }
+
+    fn counters(&self, out: &mut Counters) {
+        out.add("router.ttl_drops", self.ttl_drops);
+        out.add("router.no_route_drops", self.no_route_drops);
     }
 }
 
@@ -158,7 +149,7 @@ mod tests {
         sim.schedule_timer(src, Ns::ZERO, 0);
         sim.run();
         assert_eq!(sim.node_ref::<Router>(r).no_route_drops, 1);
-        assert_eq!(sim.counter("router.no_route_drops"), 1);
+        assert_eq!(sim.counters().get("router.no_route_drops"), 1);
     }
 
     #[test]

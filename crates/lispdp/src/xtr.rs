@@ -35,7 +35,7 @@ use lispwire::lispctl::{Locator, MapRecord, MapReply, MapRequest, RlocProbe};
 use lispwire::packet::{CtlMsg, Packet, PceMsg};
 use lispwire::pcewire::{FlowMapping, PceFlowMsg, PceKind};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
+use netsim::{Counters, Ctx, Node, Ns, PortId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -239,14 +239,10 @@ const PROBE_GEN_MASK: u64 = 0xffff_ffff;
 #[derive(Debug, Default, Clone)]
 /// Public data-plane counters of an xTR.
 pub struct XtrStats {
-    /// Packets received from the site side.
-    pub from_site: u64,
     /// Packets encapsulated toward a remote RLOC.
     pub encap: u64,
     /// Non-EID packets plain-forwarded to the WAN.
     pub plain_to_wan: u64,
-    /// Non-LISP WAN packets delivered into the site.
-    pub plain_to_site: u64,
     /// Cache-miss events (one per missing packet).
     pub miss_events: u64,
     /// Packets dropped by the Drop policy.
@@ -255,22 +251,12 @@ pub struct XtrStats {
     pub queued: u64,
     /// Packets dropped because the per-EID queue was full.
     pub queue_overflow_drops: u64,
-    /// Buffered packets flushed after mapping install.
-    pub flushed: u64,
-    /// Packets carried over the control plane (DataOverCp policy).
-    pub cp_data_packets: u64,
-    /// Tunnel packets decapsulated.
-    pub decap: u64,
-    /// Decapsulated packets delivered into the site.
-    pub decap_to_site: u64,
     /// Reverse mappings gleaned (vanilla LISP).
     pub gleaned: u64,
     /// Reverse-sync messages sent (PCE mode).
     pub reverse_syncs_sent: u64,
     /// Flow mappings installed (pushes + syncs).
     pub flow_installs: u64,
-    /// Flow mappings withdrawn.
-    pub flow_withdrawals: u64,
     /// Map-Requests sent (first transmissions).
     pub map_requests_sent: u64,
     /// Map-Request retransmissions.
@@ -291,8 +277,6 @@ pub struct XtrStats {
     pub probe_timeouts: u64,
     /// Cache entries invalidated by probe timeouts.
     pub invalidated_cache_entries: u64,
-    /// PCE flow entries invalidated by probe timeouts.
-    pub invalidated_flows: u64,
     /// Map-Reply records rejected by the verify / scope-limit defenses.
     pub replies_rejected: u64,
     /// Packets dropped by an active negative-cache entry (no signalling).
@@ -334,17 +318,8 @@ pub struct Xtr {
     resolver_cursor: usize,
     /// Data-plane counters.
     pub stats: XtrStats,
-    /// Encapsulated packets per outer destination RLOC (TE accounting).
-    pub tx_per_rloc: BTreeMap<Ipv4Address, u64>,
-    /// Encapsulated packets per outer *source* RLOC (one-way tunnel use).
-    pub tx_per_src_rloc: BTreeMap<Ipv4Address, u64>,
     /// Queue delays experienced by flushed packets.
     pub queue_delays: Vec<Ns>,
-    ctr_miss_events: LazyCounter,
-    ctr_miss_drops: LazyCounter,
-    ctr_overflow_drops: LazyCounter,
-    ctr_queued: LazyCounter,
-    ctr_gleaned: LazyCounter,
 }
 
 impl Xtr {
@@ -364,14 +339,7 @@ impl Xtr {
             seen_wan_flows: BTreeSet::new(),
             resolver_cursor: 0,
             stats: XtrStats::default(),
-            tx_per_rloc: BTreeMap::new(),
-            tx_per_src_rloc: BTreeMap::new(),
             queue_delays: Vec::new(),
-            ctr_miss_events: LazyCounter::new(),
-            ctr_miss_drops: LazyCounter::new(),
-            ctr_overflow_drops: LazyCounter::new(),
-            ctr_queued: LazyCounter::new(),
-            ctr_gleaned: LazyCounter::new(),
             cfg,
         }
     }
@@ -413,14 +381,16 @@ impl Xtr {
         ctx.rng().next_u64()
     }
 
-    /// LISP-encapsulate `inner` between the given tunnel ends
-    /// (structural: no serialization).
-    fn build_encap(
+    /// LISP-encapsulate `inner` between the given tunnel ends and count
+    /// it (structural: no serialization).
+    fn encap(
+        &mut self,
         ctx: &mut Ctx<'_, Packet>,
         inner: Packet,
         outer_src: Ipv4Address,
         outer_dst: Ipv4Address,
     ) -> Packet {
+        self.stats.encap += 1;
         let nonce = (Self::next_nonce(ctx) & 0x00ff_ffff) as u32;
         // Locator-status bits: this site advertises one locator.
         let lisp_repr = LispRepr::with_nonce(nonce, 1);
@@ -434,10 +404,7 @@ impl Xtr {
         outer_src: Ipv4Address,
         outer_dst: Ipv4Address,
     ) {
-        let pkt = Self::build_encap(ctx, inner, outer_src, outer_dst);
-        self.stats.encap += 1;
-        *self.tx_per_rloc.entry(outer_dst).or_insert(0) += 1;
-        *self.tx_per_src_rloc.entry(outer_src).or_insert(0) += 1;
+        let pkt = self.encap(ctx, inner, outer_src, outer_dst);
         ctx.send(WAN_PORT, pkt);
     }
 
@@ -465,7 +432,6 @@ impl Xtr {
         }
         // Miss.
         self.stats.miss_events += 1;
-        self.ctr_miss_events.add(ctx, "xtr.miss_events", 1);
         // Negative cache: a destination that recently failed to resolve
         // is dropped without signalling until its entry ages out.
         if self.cfg.defense.negative_ttl.is_some() {
@@ -488,7 +454,6 @@ impl Xtr {
         match self.cfg.miss_policy {
             MissPolicy::Drop => {
                 self.stats.miss_drops += 1;
-                self.ctr_miss_drops.add(ctx, "xtr.miss_drops", 1);
                 ctx.trace(format_args!(
                     "ITR {} dropped packet to {} (no mapping)",
                     self.cfg.rloc, dst_eid
@@ -498,12 +463,9 @@ impl Xtr {
                 let q = self.pending.entry(dst_eid).or_default();
                 if q.len() >= max_packets {
                     self.stats.queue_overflow_drops += 1;
-                    self.ctr_overflow_drops
-                        .add(ctx, "xtr.queue_overflow_drops", 1);
                 } else {
                     q.push_back((pkt, ctx.now()));
                     self.stats.queued += 1;
-                    self.ctr_queued.add(ctx, "xtr.queued", 1);
                 }
             }
             MissPolicy::DataOverCp { .. } => {
@@ -685,21 +647,16 @@ impl Xtr {
                 continue;
             };
             for (pkt, enqueued) in q {
-                self.stats.flushed += 1;
                 self.queue_delays.push(now.saturating_sub(enqueued));
+                let tunneled = self.encap(ctx, pkt, self.cfg.rloc, rloc);
                 match self.cfg.miss_policy {
+                    // The packet rode the control plane: it reaches the
+                    // WAN after the CP's extra latency.
                     MissPolicy::DataOverCp { extra_latency } => {
-                        // The packet rode the control plane: it reaches the
-                        // WAN after the CP's extra latency.
-                        self.stats.cp_data_packets += 1;
-                        let tunneled = Self::build_encap(ctx, pkt, self.cfg.rloc, rloc);
-                        self.stats.encap += 1;
-                        *self.tx_per_rloc.entry(rloc).or_insert(0) += 1;
-                        *self.tx_per_src_rloc.entry(self.cfg.rloc).or_insert(0) += 1;
-                        ctx.send_after(extra_latency, WAN_PORT, tunneled);
+                        ctx.send_after(extra_latency, WAN_PORT, tunneled)
                     }
                     _ => {
-                        self.send_encap(ctx, pkt, self.cfg.rloc, rloc);
+                        ctx.send(WAN_PORT, tunneled);
                     }
                 }
             }
@@ -717,7 +674,6 @@ impl Xtr {
         let now = ctx.now();
         if let Some(q) = self.pending.remove(&flow.dest_eid) {
             for (pkt, enqueued) in q {
-                self.stats.flushed += 1;
                 self.queue_delays.push(now.saturating_sub(enqueued));
                 self.send_encap(ctx, pkt, flow.rloc_s, flow.rloc_d);
             }
@@ -735,7 +691,6 @@ impl Xtr {
     ) {
         let inner_src = inner.src();
         let inner_dst = inner.dst();
-        self.stats.decap += 1;
         ctx.trace(format_args!(
             "ETR {} decap {} -> {} (outer {} -> {})",
             self.cfg.rloc, inner_src, inner_dst, outer_src, outer_dst
@@ -751,7 +706,6 @@ impl Xtr {
                     let now = ctx.now();
                     self.install_record(ctx, rec, now);
                     self.stats.gleaned += 1;
-                    self.ctr_gleaned.add(ctx, "xtr.gleaned", 1);
                 }
                 CpMode::Pce => {
                     // The paper, after step 8: install the return mapping,
@@ -804,7 +758,6 @@ impl Xtr {
         }
 
         if self.in_site(inner_dst) {
-            self.stats.decap_to_site += 1;
             ctx.send(SITE_PORT, inner);
         } else {
             self.stats.malformed += 1;
@@ -982,7 +935,6 @@ impl Xtr {
             for key in &dead_flows {
                 self.flows.remove(key);
             }
-            self.stats.invalidated_flows += dead_flows.len() as u64;
             ctx.trace(format_args!(
                 "xTR {} declares RLOC {} unreachable ({} cache entries, {} flows invalidated)",
                 self.cfg.rloc,
@@ -1003,13 +955,8 @@ impl Xtr {
         match msg.kind {
             PceKind::MappingPush | PceKind::ReverseSync => self.install_flow(ctx, msg.mapping),
             PceKind::MappingWithdraw => {
-                if self
-                    .flows
-                    .remove(&(msg.mapping.source_eid, msg.mapping.dest_eid))
-                    .is_some()
-                {
-                    self.stats.flow_withdrawals += 1;
-                }
+                self.flows
+                    .remove(&(msg.mapping.source_eid, msg.mapping.dest_eid));
             }
             PceKind::DnsMapping => self.stats.malformed += 1,
         }
@@ -1026,9 +973,9 @@ impl Node<Packet> for Xtr {
         // runtime — map-cache, PCE flow table, buffered packets,
         // in-flight resolutions, gleaned/negative entries, probe
         // bookkeeping — dies with the process. Static configuration
-        // (`cfg`) and already-recorded measurements (stats, per-RLOC
-        // tallies, queue delays) survive: they model the operator's
-        // monitoring box, not the router.
+        // (`cfg`) and already-recorded measurements (stats, queue
+        // delays) survive: they model the operator's monitoring box,
+        // not the router.
         self.cache = MapCache::from_spec(self.cfg.cache);
         self.flows.clear();
         self.pending.clear();
@@ -1055,7 +1002,6 @@ impl Node<Packet> for Xtr {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, pkt: Packet) {
         if port == SITE_PORT {
-            self.stats.from_site += 1;
             let src = pkt.src();
             let dst = pkt.dst();
             // Control messages from inside the domain (PCE pushes, peer
@@ -1110,7 +1056,6 @@ impl Node<Packet> for Xtr {
                 // Plain packet transiting into the site (RLOC-space
                 // senders talking to site infrastructure).
                 if self.in_site(dst) || self.in_internal_plain(dst) {
-                    self.stats.plain_to_site += 1;
                     ctx.send(SITE_PORT, other);
                 }
             }
@@ -1217,6 +1162,15 @@ impl Node<Packet> for Xtr {
             self.stats.map_request_retries += 1;
             self.send_map_request(ctx, eid, again);
         }
+    }
+
+    fn counters(&self, out: &mut Counters) {
+        let s = &self.stats;
+        out.add("xtr.miss_events", s.miss_events);
+        out.add("xtr.miss_drops", s.miss_drops);
+        out.add("xtr.queue_overflow_drops", s.queue_overflow_drops);
+        out.add("xtr.queued", s.queued);
+        out.add("xtr.gleaned", s.gleaned);
     }
 }
 
@@ -1415,7 +1369,6 @@ mod tests {
         let xtr = w.sim.node_mut::<Xtr>(w.xtr_s);
         assert_eq!(xtr.stats.miss_drops, 0);
         assert_eq!(xtr.stats.queued, 1);
-        assert_eq!(xtr.stats.flushed, 1);
         assert_eq!(xtr.queue_delays.len(), 1);
         // Queue delay ≈ map-request RTT: 2×(30+10) ms + processing.
         assert!(
@@ -1512,8 +1465,10 @@ mod tests {
         w.sim.schedule_timer(w.host_s, Ns::ZERO, 0);
         w.sim.run();
 
-        let xtr_s = w.sim.node_mut::<Xtr>(w.xtr_s);
-        assert_eq!(xtr_s.tx_per_src_rloc.get(&a([11, 0, 0, 99])), Some(&1));
+        assert!(
+            w.sim.trace.first("(outer 11.0.0.99 -> 12.0.0.1)").is_some(),
+            "the tunnel left with the mapping's rloc_s as its outer source"
+        );
         // The ETR's gleaned return flow must target that source RLOC.
         let xtr_d = w.sim.node_mut::<Xtr>(w.xtr_d);
         let rev = xtr_d

@@ -14,7 +14,7 @@ use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
+use netsim::{Counters, Ctx, Node, Ns, PortId};
 
 /// Per-hop processing delay of every [`AltRouter`] (BGP-over-GRE
 /// overlays are not fast paths).
@@ -34,12 +34,12 @@ pub struct AltRouter {
     pub overlay_hops: u64,
     /// Requests delivered to an ETR.
     pub delivered: u64,
-    /// Requests dropped (no route or hop budget exhausted).
-    pub dropped: u64,
+    /// Requests dropped: hop budget exhausted.
+    pub hop_exhausted: u64,
+    /// Requests dropped: no overlay route.
+    pub no_route: u64,
     /// Scheduled re-registrations applied so far.
     pub updates_applied: u64,
-    ctr_hop_exhausted: LazyCounter,
-    ctr_no_route: LazyCounter,
 }
 
 impl AltRouter {
@@ -52,10 +52,9 @@ impl AltRouter {
             guard: None,
             overlay_hops: 0,
             delivered: 0,
-            dropped: 0,
+            hop_exhausted: 0,
+            no_route: 0,
             updates_applied: 0,
-            ctr_hop_exhausted: LazyCounter::new(),
-            ctr_no_route: LazyCounter::new(),
         }
     }
 
@@ -142,8 +141,7 @@ impl Node<Packet> for AltRouter {
         }
         // Otherwise route across the overlay.
         if req.hop_count == 0 {
-            self.dropped += 1;
-            self.ctr_hop_exhausted.add(ctx, "alt.hop_exhausted", 1);
+            self.hop_exhausted += 1;
             return;
         }
         match self.routes.lookup_value(req.target_eid) {
@@ -162,11 +160,13 @@ impl Node<Packet> for AltRouter {
                 );
                 ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
-            None => {
-                self.dropped += 1;
-                self.ctr_no_route.add(ctx, "alt.no_route", 1);
-            }
+            None => self.no_route += 1,
         }
+    }
+
+    fn counters(&self, out: &mut Counters) {
+        out.add("alt.hop_exhausted", self.hop_exhausted);
+        out.add("alt.no_route", self.no_route);
     }
 }
 
@@ -309,8 +309,8 @@ mod tests {
         sim.schedule_timer(inj, Ns::ZERO, 0);
         sim.run();
         assert!(requests_at(sim.node_ref::<Tap>(etr), etr_addr).is_empty());
-        assert_eq!(sim.node_ref::<AltRouter>(ids[1]).dropped, 1);
-        assert_eq!(sim.counter("alt.hop_exhausted"), 1);
+        assert_eq!(sim.node_ref::<AltRouter>(ids[1]).hop_exhausted, 1);
+        assert_eq!(sim.counters().get("alt.hop_exhausted"), 1);
     }
 
     #[test]
@@ -323,7 +323,7 @@ mod tests {
         sim.connect(inj, alt, LinkCfg::wan(Ns::from_ms(5)));
         sim.schedule_timer(inj, Ns::ZERO, 0);
         sim.run();
-        assert_eq!(sim.node_ref::<AltRouter>(alt).dropped, 1);
-        assert_eq!(sim.counter("alt.no_route"), 1);
+        assert_eq!(sim.node_ref::<AltRouter>(alt).no_route, 1);
+        assert_eq!(sim.counters().get("alt.no_route"), 1);
     }
 }

@@ -16,7 +16,7 @@ use inet::stack::IpStack;
 use inet::{LpmTrie, Prefix};
 use lispwire::packet::{ConsMsg, CtlMsg, Packet};
 use lispwire::{ports, Ipv4Address};
-use netsim::{Ctx, LazyCounter, Node, Ns, PortId};
+use netsim::{Counters, Ctx, Node, Ns, PortId};
 use std::collections::BTreeMap;
 
 /// UDP port CONS overlay nodes use among themselves.
@@ -45,11 +45,14 @@ pub struct ConsNode {
     pub delivered: u64,
     /// Replies relayed back down the path.
     pub replies_relayed: u64,
-    /// Messages dropped (no route).
-    pub dropped: u64,
+    /// Requests dropped: no child zone, no parent.
+    pub no_route: u64,
+    /// Replies dropped: their nonce matches no pending request.
+    pub unmatched_replies: u64,
+    /// Overlay messages dropped: not a wrapped request or reply.
+    pub malformed: u64,
     /// Scheduled re-registrations applied so far.
     pub updates_applied: u64,
-    ctr_no_route: LazyCounter,
 }
 
 impl ConsNode {
@@ -65,9 +68,10 @@ impl ConsNode {
             overlay_hops: 0,
             delivered: 0,
             replies_relayed: 0,
-            dropped: 0,
+            no_route: 0,
+            unmatched_replies: 0,
+            malformed: 0,
             updates_applied: 0,
-            ctr_no_route: LazyCounter::new(),
         }
     }
 
@@ -104,7 +108,7 @@ impl ConsNode {
     /// Route a wrapped request one step.
     fn route_request(&mut self, ctx: &mut Ctx<'_, Packet>, mut msg: ConsMsg) {
         let CtlMsg::Request(req) = &*msg.inner else {
-            self.dropped += 1;
+            self.malformed += 1;
             return;
         };
         let req = *req;
@@ -148,10 +152,7 @@ impl ConsNode {
                     .ctl(CONS_PORT, next, CONS_PORT, CtlMsg::Cons(msg));
                 ctx.send_after(PROCESSING_DELAY, 0, pkt);
             }
-            None => {
-                self.dropped += 1;
-                self.ctr_no_route.add(ctx, "cons.no_route", 1);
-            }
+            None => self.no_route += 1,
         }
     }
 
@@ -231,7 +232,7 @@ impl Node<Packet> for ConsNode {
             }
             (ports::LISP_CONTROL, CtlMsg::Reply(reply)) => {
                 let Some((orig_itr, via)) = self.pending.remove(&reply.nonce) else {
-                    self.dropped += 1;
+                    self.unmatched_replies += 1;
                     return;
                 };
                 let msg = ConsMsg {
@@ -249,9 +250,13 @@ impl Node<Packet> for ConsNode {
                     self.route_request(ctx, msg);
                 }
             }
-            (CONS_PORT, _) => self.dropped += 1,
+            (CONS_PORT, _) => self.malformed += 1,
             _ => {}
         }
+    }
+
+    fn counters(&self, out: &mut Counters) {
+        out.add("cons.no_route", self.no_route);
     }
 }
 
@@ -471,7 +476,7 @@ mod tests {
         sim.connect(itr, cdr, LinkCfg::wan(Ns::from_ms(5)));
         sim.schedule_timer(itr, Ns::ZERO, 0);
         sim.run();
-        assert_eq!(sim.node_ref::<ConsNode>(cdr).dropped, 1);
+        assert_eq!(sim.node_ref::<ConsNode>(cdr).no_route, 1);
         assert!(replies(sim.node_ref::<Tap>(itr)).is_empty());
     }
 }

@@ -17,12 +17,14 @@
 //! * Events are totally ordered by `(time, sequence)`; same-time events
 //!   fire in scheduling order, so runs are deterministic.
 //! * Nodes interact with the world only through [`Ctx`], which exposes
-//!   `send`, `send_after`, `set_timer`, `trace`, counters and the RNG. The world
+//!   `send`, `send_after`, `set_timer`, `trace` and the RNG. The world
 //!   changes a node's state at a set time with [`Sim::schedule_call`].
 //! * Results are read back from the nodes themselves: [`Node`] has
 //!   [`std::any::Any`] as a supertrait, so [`Sim::node_ref`] /
 //!   [`Sim::node_mut`] downcast a stored node to its concrete type and a
 //!   node implements only the hooks it handles — no downcast methods.
+//!   [`Sim::counters`] is a view built from the same fields: each node
+//!   reports its named counts through [`Node::counters`].
 //! * Tests that only send prebuilt packets and record what arrives use
 //!   the shared [`testkit::Tap`] rather than a node of their own.
 //!
@@ -70,7 +72,7 @@ pub mod testkit;
 pub mod time;
 pub mod trace;
 
-pub use counters::{CounterId, Counters, LazyCounter};
+pub use counters::Counters;
 pub use link::{LinkCfg, LinkStats};
 pub use node::{Ctx, Node, NodeId, PortId};
 pub use payload::Payload;

@@ -1,7 +1,7 @@
 //! The [`Node`] behaviour trait and the [`Ctx`] handle through which nodes
 //! interact with the simulation.
 
-use crate::counters::{CounterId, Counters};
+use crate::counters::Counters;
 use crate::link::{Transmitter, TxOutcome};
 use crate::payload::Payload;
 use crate::sim::{EventKind, EventQueue};
@@ -69,6 +69,12 @@ pub trait Node<P: Payload = Vec<u8>>: Any + Send {
     /// Default: no-op.
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, P>) {}
 
+    /// Add this node's named counts to `out`, each read from the typed
+    /// field that keeps it (DESIGN.md §3). [`crate::Sim::counters`]
+    /// calls it on every node and sums the counts by name. Default:
+    /// reports nothing.
+    fn counters(&self, _out: &mut Counters) {}
+
     /// Former downcast hook, now done by the [`Any`] supertrait. Kept
     /// only so existing overrides still compile; calling it warns.
     #[deprecated(note = "`Node: Any`; read nodes with `Sim::node_mut`")]
@@ -114,7 +120,6 @@ pub struct Ctx<'a, P: Payload = Vec<u8>> {
     pub(crate) transmitters: &'a mut [Transmitter],
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) trace: &'a mut Trace,
-    pub(crate) counters: &'a mut Counters,
     pub(crate) queue: &'a mut EventQueue<P>,
 }
 
@@ -224,19 +229,6 @@ impl<'a, P: Payload> Ctx<'a, P> {
     #[inline]
     pub fn trace(&mut self, msg: fmt::Arguments<'_>) {
         self.trace.push(self.now, self.node, self.names, msg);
-    }
-
-    /// Increment the counter behind an id from [`Ctx::counter_id`] /
-    /// [`crate::Sim::register_counter`] by `n` — a plain array add.
-    #[inline]
-    pub fn count_id(&mut self, id: CounterId, n: u64) {
-        self.counters.add(id, n);
-    }
-
-    /// Intern `name` and return its [`CounterId`] (idempotent; typically
-    /// called once from [`Node::on_start`]).
-    pub fn counter_id(&mut self, name: &str) -> CounterId {
-        self.counters.register(name)
     }
 
     /// The simulation RNG (seeded; deterministic).

@@ -17,7 +17,7 @@
 //! loop moves no byte buffers and performs no allocations.
 
 use crate::calq::CalendarQueue;
-use crate::counters::{CounterId, Counters};
+use crate::counters::Counters;
 use crate::link::{LinkCfg, LinkStats, Transmitter};
 use crate::node::{Ctx, EventPort, Node, NodeId, PortBinding, PortId};
 use crate::payload::Payload;
@@ -379,7 +379,6 @@ pub struct Sim<P: Payload = Vec<u8>> {
     rng: SmallRng,
     /// The trace log (enable before running to record).
     pub trace: Trace,
-    counters: Counters,
     started: bool,
     events_processed: u64,
     /// Portion of `events_processed` already flushed to [`PROCESS_EVENTS`].
@@ -401,7 +400,6 @@ impl<P: Payload> Sim<P> {
             now: Ns::ZERO,
             rng: SmallRng::seed_from_u64(seed),
             trace: Trace::new(),
-            counters: Counters::new(),
             started: false,
             events_processed: 0,
             events_flushed: 0,
@@ -521,20 +519,15 @@ impl<P: Payload> Sim<P> {
         self.queue.push(at, node, EventKind::Call(call));
     }
 
-    /// Global counter value (see [`Ctx::count_id`]).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name)
-    }
-
-    /// The global counter table (interned; see [`Counters`]).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Intern a counter name ahead of the run so hot call sites can use
-    /// [`Ctx::count_id`] without any string handling.
-    pub fn register_counter(&mut self, name: &str) -> CounterId {
-        self.counters.register(name)
+    /// The run-wide named counts: every node's [`Node::counters`],
+    /// summed by name, zero counts left out (DESIGN.md §3). Built on
+    /// each call from the nodes' own fields.
+    pub fn counters(&self) -> Counters {
+        let mut out = Counters::default();
+        for node in &self.nodes {
+            node.counters(&mut out);
+        }
+        out
     }
 
     /// Transmit statistics of the `dir` direction of the `n`-th link
@@ -705,7 +698,6 @@ impl<P: Payload> Sim<P> {
             transmitters: &mut self.transmitters,
             rng: &mut self.rng,
             trace: &mut self.trace,
-            counters: &mut self.counters,
             queue: &mut self.queue,
         };
         (node, ctx)
@@ -886,8 +878,6 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, _bytes: Vec<u8>) {
             self.rtt = Some(ctx.now() - self.sent_at);
             ctx.trace(format_args!("pong received"));
-            let pongs = ctx.counter_id("pongs");
-            ctx.count_id(pongs, 1);
         }
     }
 
@@ -914,7 +904,6 @@ mod tests {
         // 1250 B at 1 Gbps = 10 us serialisation each way.
         let expect = (Ns::from_ms(25) + Ns::from_us(10)) * 2;
         assert_eq!(sim.node_ref::<Pinger>(a).rtt, Some(expect));
-        assert_eq!(sim.counter("pongs"), 1);
     }
 
     #[test]
@@ -1117,33 +1106,28 @@ mod tests {
     }
 
     #[test]
-    fn counter_ids_and_names_agree() {
-        struct CountBoth {
-            id: Option<CounterId>,
-        }
-        impl Node for CountBoth {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.id = Some(ctx.counter_id("events.seen"));
-                ctx.set_timer(Ns::from_ms(1), 0);
-                ctx.set_timer(Ns::from_ms(2), 1);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-                if token == 0 {
-                    ctx.count_id(self.id.unwrap(), 2);
-                } else {
-                    // Re-interning mid-run resolves to the same counter.
-                    let id = ctx.counter_id("events.seen");
-                    ctx.count_id(id, 3);
+    fn counters_view_sums_nodes_by_name() {
+        struct Reports(&'static [(&'static str, u64)]);
+        impl Node for Reports {
+            fn counters(&self, out: &mut Counters) {
+                for &(name, n) in self.0 {
+                    out.add(name, n);
                 }
             }
         }
         let mut sim: Sim = Sim::new(1);
-        let pre = sim.register_counter("events.seen");
-        sim.add_node("c", Box::new(CountBoth { id: None }));
-        sim.run();
-        assert_eq!(sim.counter("events.seen"), 5);
-        assert_eq!(sim.counters().value(pre), 5);
-        assert_eq!(sim.counters().sorted(), vec![("events.seen", 5)]);
+        sim.add_node("a", Box::new(Reports(&[("zeta", 1), ("seen", 2)])));
+        sim.add_node("b", Box::new(Reports(&[("seen", 3), ("idle", 0)])));
+        sim.add_node("c", Box::new(Reports(&[("alpha", 4)])));
+        sim.add_node("quiet", Box::new(Reports(&[])));
+        let view = sim.counters();
+        assert_eq!(view.get("seen"), 5, "summed over nodes");
+        assert_eq!(view.get("idle"), 0);
+        assert_eq!(
+            view.sorted(),
+            vec![("alpha", 4), ("seen", 5), ("zeta", 1)],
+            "name order, zero counts not listed"
+        );
     }
 
     #[test]

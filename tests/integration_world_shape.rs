@@ -9,11 +9,16 @@
 //! (every world carries a mapping-node crash and restart, a remap and
 //! a locator failure).
 //!
+//! Each run-length world also checks that `Sim::counters()`, the
+//! named view the pins digest, reads what the experiments' own readers
+//! read from the nodes' typed fields.
+//!
 //! A second, build-only family pins `multi_site(cp, 300, 2)` with
 //! replicas, armed defenses, the same dynamics and every E12 attacker
 //! role: the attacker layer and the address plan's first-octet step at
 //! 256 sites, which no run-length world here reaches.
 
+use lispdp::Xtr;
 use netsim::Ns;
 use pcelisp::experiments::e12_adversarial::attack_roles;
 use pcelisp::scenario::CpKind;
@@ -63,8 +68,7 @@ fn world(cp: CpKind, replicas: bool, armed: bool) -> World {
 /// events processed, a digest of the node names in id order, and a
 /// digest of the traffic — packets per link direction in link-index
 /// order, then the sorted counters.
-fn shape(cp: CpKind, replicas: bool, armed: bool) -> String {
-    let w = world(cp, replicas, armed);
+fn shape(w: &World, cp: CpKind, replicas: bool, armed: bool) -> String {
     let names = fnv64((0..w.sim.node_count()).map(|i| w.sim.node_name(i)));
     let links =
         (0..w.sim.link_count() * 2).map(|t| w.sim.link_stats(t / 2, t % 2).tx_packets.to_string());
@@ -85,7 +89,27 @@ fn shape(cp: CpKind, replicas: bool, armed: bool) -> String {
     )
 }
 
-/// Recorded before the mapping planes moved out of `ScenarioSpec::build`.
+/// The named view agrees with the readers the experiments use.
+fn assert_view_agrees(w: &World, row: &str) {
+    let view = w.sim.counters();
+    assert_eq!(view.get("xtr.miss_drops"), w.total_miss_drops(), "{row}");
+    assert_eq!(
+        view.get("server.udp_received"),
+        w.server_udp_received(),
+        "{row}"
+    );
+    let queued: u64 = w
+        .all_xtrs()
+        .into_iter()
+        .map(|x| w.sim.node_ref::<Xtr>(x).stats.queued)
+        .sum();
+    assert_eq!(view.get("xtr.queued"), queued, "{row}");
+}
+
+/// Recorded before the mapping planes moved out of `ScenarioSpec::build`;
+/// the four `lisp-data-cp` traffic digests were re-recorded when the
+/// named `xtr.queued` began to count DataOverCp queueing, which put
+/// each on its `lisp-queue` twin's.
 const PINNED: &[&str] = &[
     "no-lisp false false 18 17 350 95116c8970b8cb8d 0646b073a883fa05",
     "no-lisp false true 18 17 350 95116c8970b8cb8d 0646b073a883fa05",
@@ -99,10 +123,10 @@ const PINNED: &[&str] = &[
     "lisp-queue false true 29 33 502 e310586c455fdd43 717e2f5c1db6bf65",
     "lisp-queue true false 30 34 504 4fa51b9257375c47 4a10dc58fe6f7415",
     "lisp-queue true true 30 34 504 4fa51b9257375c47 4a10dc58fe6f7415",
-    "lisp-data-cp false false 29 33 514 e310586c455fdd43 7233faa848c2f0a2",
-    "lisp-data-cp false true 29 33 514 e310586c455fdd43 7233faa848c2f0a2",
-    "lisp-data-cp true false 30 34 516 4fa51b9257375c47 8658fc80b0394972",
-    "lisp-data-cp true true 30 34 516 4fa51b9257375c47 8658fc80b0394972",
+    "lisp-data-cp false false 29 33 514 e310586c455fdd43 717e2f5c1db6bf65",
+    "lisp-data-cp false true 29 33 514 e310586c455fdd43 717e2f5c1db6bf65",
+    "lisp-data-cp true false 30 34 516 4fa51b9257375c47 4a10dc58fe6f7415",
+    "lisp-data-cp true true 30 34 516 4fa51b9257375c47 4a10dc58fe6f7415",
     "lisp-alt-4 false false 32 36 490 97efd4ab9bb354d0 bbfe2f6f62db30b5",
     "lisp-alt-4 false true 32 36 490 97efd4ab9bb354d0 bbfe2f6f62db30b5",
     "lisp-alt-4 true false 33 37 490 c286cd862515631f b69309b2d4df78c5",
@@ -160,7 +184,9 @@ fn every_plane_world_keeps_its_shape() {
         for replicas in [false, true] {
             for armed in [false, true] {
                 let want = rows.next().expect("one pinned row per world");
-                assert_eq!(shape(cp, replicas, armed), *want);
+                let w = world(cp, replicas, armed);
+                assert_view_agrees(&w, want);
+                assert_eq!(shape(&w, cp, replicas, armed), *want);
             }
         }
     }
