@@ -434,13 +434,25 @@ mod tests {
     /// them. It sprays spoofed Map-Replies carrying every nonce in
     /// `1..=K` every 10 ms, claiming each server site's prefix for its
     /// own RLOC, at every client-site xTR. Nonce verification holds
-    /// only if no xTR installs the attacker's locator, at every seed.
+    /// only if no xTR installs the attacker's locator, on every pull
+    /// plane at every seed. The client xTRs must reject every spoofed
+    /// reply, so the check cannot pass because none arrived.
     #[test]
     fn counting_nonce_attacker_cannot_poison_armed_xtrs() {
         const K: u64 = 64;
         const ROUNDS: u64 = 200;
-        for seed in 1..=3 {
-            let mut world = attack_spec(CpKind::LispQueue, None, true).build(seed);
+        let planes = [
+            CpKind::LispDrop,
+            CpKind::LispQueue,
+            CpKind::LispDataCp,
+            CpKind::Alt { hops: 4 },
+            CpKind::Cons { cdr_depth: 1 },
+        ];
+        for (cp, seed) in planes
+            .into_iter()
+            .flat_map(|cp| (1..=3).map(move |s| (cp, s)))
+        {
+            let mut world = attack_spec(cp, None, true).build(seed);
             let addr = Ipv4Address::new(66, 6, 0, 99);
             let stack = IpStack::new(addr);
             let victims: Vec<Ipv4Address> = world.client().xtr_rlocs.clone();
@@ -493,6 +505,7 @@ mod tests {
 
             let attacker = world.sim.node_ref::<AttackNode>(node);
             assert_eq!(attacker.sent, ROUNDS * per_round);
+            let mut rejected = 0;
             for &x in &world.client().xtrs {
                 let xtr = world.sim.node_ref::<Xtr>(x);
                 let poisoned: Vec<Prefix> = xtr
@@ -503,10 +516,18 @@ mod tests {
                     .collect();
                 assert!(
                     poisoned.is_empty(),
-                    "seed {seed}: xTR {} installed {poisoned:?}",
+                    "{} seed {seed}: xTR {} installed {poisoned:?}",
+                    cp.label(),
                     xtr.cfg.rloc
                 );
+                rejected += xtr.stats.replies_rejected;
             }
+            assert!(
+                rejected >= ROUNDS * per_round,
+                "{} seed {seed}: {rejected} of {} spoofed replies rejected",
+                cp.label(),
+                ROUNDS * per_round
+            );
             assert_eq!(attacker.hijacked_packets, 0);
         }
     }

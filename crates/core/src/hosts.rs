@@ -317,8 +317,8 @@ pub struct ServerHost {
     /// signal of the failure-recovery experiments (E10): the longest
     /// inter-arrival gap brackets the black-hole window.
     pub udp_arrivals: Vec<Ns>,
-    /// TCP data segments received, per source.
-    pub tcp_data_received: BTreeMap<Ipv4Address, u64>,
+    /// TCP data segments received.
+    pub tcp_data_received: u64,
     /// Establishment times observed at the server.
     pub established: Vec<(Ipv4Address, Ns)>,
     /// Arrival time of the first UDP packet per *destination* EID — the
@@ -338,7 +338,7 @@ impl ServerHost {
             echo_udp: false,
             tcp: BTreeMap::new(),
             udp_arrivals: Vec::new(),
-            tcp_data_received: BTreeMap::new(),
+            tcp_data_received: 0,
             established: Vec::new(),
             first_udp_at_dst: BTreeMap::new(),
             udp_received_by_dst: BTreeMap::new(),
@@ -353,11 +353,6 @@ impl ServerHost {
     /// Total UDP data packets received.
     pub fn total_udp(&self) -> u64 {
         self.udp_arrivals.len() as u64
-    }
-
-    /// Total TCP data segments received.
-    pub fn total_tcp_data(&self) -> u64 {
-        self.tcp_data_received.values().sum()
     }
 }
 
@@ -393,7 +388,7 @@ impl Node<Packet> for ServerHost {
                     .entry(key)
                     .or_insert_with(|| TcpMachine::new(seg.dst_port, seg.src_port, 9000));
                 if !payload.is_empty() {
-                    *self.tcp_data_received.entry(src).or_insert(0) += 1;
+                    self.tcp_data_received += 1;
                 }
                 match m.on_segment(ctx.now(), &seg, payload.len()) {
                     TcpEvent::Send(out) => {
@@ -418,7 +413,7 @@ impl Node<Packet> for ServerHost {
 
     fn counters(&self, out: &mut Counters) {
         out.add("server.udp_received", self.total_udp());
-        out.add("server.tcp_data_received", self.total_tcp_data());
+        out.add("server.tcp_data_received", self.tcp_data_received);
     }
 }
 
@@ -551,7 +546,7 @@ mod tests {
         assert!(setup < tdns + Ns::from_ms(45), "setup {setup}");
         assert_eq!(rec.data_sent, 3);
         let srv = sim.node_ref::<ServerHost>(server);
-        assert_eq!(srv.total_tcp_data(), 3);
+        assert_eq!(srv.tcp_data_received, 3);
         assert_eq!(srv.established.len(), 1);
     }
 

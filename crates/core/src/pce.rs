@@ -100,16 +100,10 @@ pub struct PceStats {
     pub p_decaps: u64,
     /// Flow-mapping pushes sent to ITRs (step 7b).
     pub pushes_sent: u64,
-    /// Withdraw messages sent (TE moves).
-    pub withdraws_sent: u64,
     /// Reverse syncs absorbed into the database.
     pub reverse_syncs_received: u64,
     /// Step-7 arrivals whose requester EID was unknown (no IPC notice).
     pub unknown_requester: u64,
-    /// Database inserts mirrored to the standby twin.
-    pub mirrors_sent: u64,
-    /// Flows re-pushed by a standby takeover.
-    pub takeover_pushes: u64,
     /// Provider reachability events processed (dynamics).
     pub provider_events: u64,
     /// Flows re-pathed onto a surviving provider after a failure.
@@ -141,8 +135,6 @@ pub struct Pce {
     pub db: BTreeMap<(Ipv4Address, Ipv4Address), FlowMapping>,
     /// Counters.
     pub stats: PceStats,
-    /// Times at which each step-7b push batch completed (for E3/E7).
-    pub push_times: Vec<Ns>,
 }
 
 impl Pce {
@@ -155,7 +147,6 @@ impl Pce {
             pending_requesters: BTreeMap::new(),
             db: BTreeMap::new(),
             stats: PceStats::default(),
-            push_times: Vec::new(),
             cfg,
         }
     }
@@ -287,8 +278,7 @@ impl Pce {
         };
         self.db.insert((source_eid, dest_eid), flow);
         self.mirror_flow(ctx, flow);
-        self.push_flow(ctx, flow, PceKind::MappingPush);
-        self.push_times.push(ctx.now());
+        self.push_flow(ctx, flow);
         ctx.trace(format_args!(
             "step7b: PCE_S {} pushed ({} -> {}) via (RLOC_S {}, RLOC_D {}) to {} ITRs",
             self.cfg.addr,
@@ -318,13 +308,12 @@ impl Pce {
         let pkt = self
             .stack
             .pce(ports::ETR_SYNC, twin, ports::ETR_SYNC, PceMsg::Flow(msg));
-        self.stats.mirrors_sent += 1;
         ctx.send(NET_PORT, pkt);
     }
 
-    fn push_flow(&mut self, ctx: &mut Ctx<'_, Packet>, flow: FlowMapping, kind: PceKind) {
+    fn push_flow(&mut self, ctx: &mut Ctx<'_, Packet>, flow: FlowMapping) {
         let msg = PceFlowMsg {
-            kind,
+            kind: PceKind::MappingPush,
             mapping: flow,
         };
         let targets: Vec<Ipv4Address> = if self.cfg.push_to_all_itrs {
@@ -336,10 +325,7 @@ impl Pce {
             let pkt = self
                 .stack
                 .pce(ports::PCE_MAP, itr, ports::PCE_MAP, PceMsg::Flow(msg));
-            match kind {
-                PceKind::MappingWithdraw => self.stats.withdraws_sent += 1,
-                _ => self.stats.pushes_sent += 1,
-            }
+            self.stats.pushes_sent += 1;
             ctx.send(NET_PORT, pkt);
         }
     }
@@ -356,8 +342,7 @@ impl Pce {
             flows.len()
         ));
         for flow in flows {
-            self.push_flow(ctx, flow, PceKind::MappingPush);
-            self.stats.takeover_pushes += 1;
+            self.push_flow(ctx, flow);
         }
     }
 
@@ -427,7 +412,7 @@ impl Pce {
             };
             self.db.insert(key, updated);
             self.mirror_flow(ctx, updated);
-            self.push_flow(ctx, updated, PceKind::MappingPush);
+            self.push_flow(ctx, updated);
             // Fix the opposite direction at the remote tunnel end: its
             // flow entry (dest→source) encapsulates toward our dead
             // RLOC until told otherwise.

@@ -1,8 +1,3 @@
-//! Directive-hygiene fixture: reason-less (line 3), stale (line 5),
-//! malformed (line 7) suppressions.
-use std::collections::HashMap; // detlint: allow(R1)
-
-// detlint: allow(R3) -- nothing on the next line uses partial_cmp
-fn clean() {}
-// detlint: ignore(R1) -- `ignore` is not a directive
-fn also_clean() {}
+//! Waiver fixture: an allow comment with a reason is only a comment,
+//! so the R1 on line 3 is still reported.
+use std::collections::HashMap; // detlint: allow(R1) -- a reason waives nothing

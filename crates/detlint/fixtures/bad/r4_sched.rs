@@ -1,5 +1,5 @@
 //! R4 fixture: unchecked arithmetic in schedule-call time arguments
-//! (lines 5, 7, 9, 11, 13).
+//! (lines 5, 7, 9, 11, 13, 15).
 
 fn schedule(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, ms: u64) {
     ctx.set_timer(base + jitter, 1);
@@ -11,6 +11,8 @@ fn schedule(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, ms: u64) {
     sim.schedule_call::<Fragile>(node, base + jitter, |n, _| n.tick());
     // send_after's time is argument 0; the port and packet follow it:
     ctx.send_after(base + jitter, 0, pkt);
+    // schedule_node_admin's time is argument 0:
+    sim.schedule_node_admin(base + jitter, node, false);
 }
 
 fn fine(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, token: u64) {
@@ -19,5 +21,6 @@ fn fine(ctx: &mut Ctx, sim: &mut Sim, base: Ns, jitter: Ns, token: u64) {
     ctx.set_timer(base.saturating_add(jitter), 4);
     sim.schedule_timer(node, base.saturating_sub(jitter), token + 2);
     sim.schedule_link_admin(base, 0, true);
+    sim.schedule_node_admin(base.saturating_add(jitter), node, true);
     ctx.send_after(base.saturating_add(jitter), port + 1, pkt);
 }

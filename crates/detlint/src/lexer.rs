@@ -5,8 +5,7 @@
 //! line/doc comments, nested block comments, string and byte-string
 //! literals, raw strings with any `#` count, char literals vs.
 //! lifetimes, and multi-char operators (so `+=` never reads as a bare
-//! `+`). Comments are not discarded: `// detlint: allow(...)`
-//! suppression directives are parsed out of them ([`Directive`]).
+//! `+`). Comments are dropped whatever they say.
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,51 +32,19 @@ pub struct Token {
     pub col: u32,
 }
 
-/// A parsed `// detlint:` suppression directive.
-#[derive(Debug, Clone)]
-pub struct Directive {
-    /// Line the comment sits on.
-    pub line: u32,
-    /// True when code tokens precede the comment on its line (the
-    /// directive then applies to that line, not the next).
-    pub trailing: bool,
-    /// True for `allow-file(...)`: applies to the whole file.
-    pub file_scope: bool,
-    /// The rule ids being allowed (e.g. `["R1"]`).
-    pub rules: Vec<String>,
-    /// The justification after `--`; `None` when missing (an error the
-    /// rule engine reports).
-    pub reason: Option<String>,
-    /// True when the comment contained `detlint:` but did not parse as
-    /// `allow(...)`/`allow-file(...)` — reported as malformed.
-    pub malformed: bool,
-}
-
-/// Lexer output: the token stream plus any suppression directives.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All non-comment tokens in source order.
-    pub tokens: Vec<Token>,
-    /// All `detlint:` directives found in line comments.
-    pub directives: Vec<Directive>,
-}
-
 /// Multi-char operators, longest first so maximal-munch works.
 const OPS: &[&str] = &[
     "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=",
     "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>", "..",
 ];
 
-/// Tokenize `src`, collecting suppression directives from comments.
-pub fn lex(src: &str) -> Lexed {
+/// Tokenize `src` into its non-comment tokens, in source order.
+pub fn lex(src: &str) -> Vec<Token> {
     let b: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
-    // Line number of the most recently emitted token, to classify
-    // trailing vs. standalone directives.
-    let mut last_token_line: u32 = 0;
 
     macro_rules! bump {
         ($n:expr) => {{
@@ -102,16 +69,10 @@ pub fn lex(src: &str) -> Lexed {
             bump!(1);
             continue;
         }
-        // Line comment (also doc comments): scan for a directive.
+        // Line comment (also doc comments).
         if c == '/' && c1 == '/' {
-            let start_line = line;
-            let mut text = String::new();
             while i < b.len() && b[i] != '\n' {
-                text.push(b[i]);
                 bump!(1);
-            }
-            if let Some(d) = parse_directive(&text, start_line, last_token_line == start_line) {
-                out.directives.push(d);
             }
             continue;
         }
@@ -169,13 +130,12 @@ pub fn lex(src: &str) -> Lexed {
                 } else {
                     lex_str_body(&b, &mut i, &mut line, &mut col);
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: Kind::Lit,
                     text: "\"".into(),
                     line: tl,
                     col: tc,
                 });
-                last_token_line = line;
                 continue;
             }
             // else: plain identifier starting with r/b — fall through.
@@ -185,13 +145,12 @@ pub fn lex(src: &str) -> Lexed {
             let (tl, tc) = (line, col);
             bump!(1);
             lex_str_body(&b, &mut i, &mut line, &mut col);
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: Kind::Lit,
                 text: "\"".into(),
                 line: tl,
                 col: tc,
             });
-            last_token_line = line;
             continue;
         }
         // Char literal vs. lifetime.
@@ -214,13 +173,12 @@ pub fn lex(src: &str) -> Lexed {
                 if i < b.len() && b[i] == '\'' {
                     bump!(1);
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: Kind::Lit,
                     text: "'".into(),
                     line: tl,
                     col: tc,
                 });
-                last_token_line = line;
             }
             continue;
         }
@@ -232,13 +190,12 @@ pub fn lex(src: &str) -> Lexed {
                 text.push(b[i]);
                 bump!(1);
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: Kind::Ident,
                 text,
                 line: tl,
                 col: tc,
             });
-            last_token_line = tl;
             continue;
         }
         // Number literal (handles 1_000, 0xff, 1e-3, 1.5; stops before
@@ -260,13 +217,12 @@ pub fn lex(src: &str) -> Lexed {
                 prev = d;
                 bump!(1);
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: Kind::Lit,
                 text: c.to_string(),
                 line: tl,
                 col: tc,
             });
-            last_token_line = tl;
             continue;
         }
         // Operator / punctuation (maximal munch).
@@ -280,7 +236,7 @@ pub fn lex(src: &str) -> Lexed {
         }
         match matched {
             Some(op) => {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: Kind::Punct,
                     text: op.to_string(),
                     line: tl,
@@ -289,7 +245,7 @@ pub fn lex(src: &str) -> Lexed {
                 bump!(op.chars().count());
             }
             None => {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: Kind::Punct,
                     text: c.to_string(),
                     line: tl,
@@ -298,7 +254,6 @@ pub fn lex(src: &str) -> Lexed {
                 bump!(1);
             }
         }
-        last_token_line = tl;
     }
     out
 }
@@ -338,81 +293,12 @@ fn src_matches(b: &[char], i: usize, op: &str) -> bool {
         .all(|(k, c)| b.get(i + k) == Some(&c))
 }
 
-/// Parse a `detlint:` directive out of a line comment's text, if any.
-///
-/// Only comments whose content *starts* with `detlint:` count (after
-/// the `//`/`///`/`//!` marker), so prose that merely mentions the
-/// directive syntax is never mistaken for one.
-fn parse_directive(comment: &str, line: u32, trailing: bool) -> Option<Directive> {
-    let content = comment
-        .trim_start_matches('/')
-        .trim_start_matches('!')
-        .trim_start();
-    let rest = content.strip_prefix("detlint:")?.trim();
-    let (file_scope, body) = if let Some(r) = rest.strip_prefix("allow-file") {
-        (true, r)
-    } else if let Some(r) = rest.strip_prefix("allow") {
-        (false, r)
-    } else {
-        return Some(Directive {
-            line,
-            trailing,
-            file_scope: false,
-            rules: Vec::new(),
-            reason: None,
-            malformed: true,
-        });
-    };
-    let body = body.trim_start();
-    let Some(close) = body.find(')') else {
-        return Some(Directive {
-            line,
-            trailing,
-            file_scope,
-            rules: Vec::new(),
-            reason: None,
-            malformed: true,
-        });
-    };
-    if !body.starts_with('(') {
-        return Some(Directive {
-            line,
-            trailing,
-            file_scope,
-            rules: Vec::new(),
-            reason: None,
-            malformed: true,
-        });
-    }
-    let rules: Vec<String> = body[1..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    let tail = body[close + 1..].trim();
-    let reason = tail
-        .strip_prefix("--")
-        .map(str::trim)
-        .filter(|r| !r.is_empty())
-        .map(str::to_string);
-    let malformed = rules.is_empty();
-    Some(Directive {
-        line,
-        trailing,
-        file_scope,
-        rules,
-        reason,
-        malformed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == Kind::Ident)
             .map(|t| t.text)
@@ -438,7 +324,7 @@ mod tests {
         let ids = idents("fn f<'a>(x: &'a str) -> &'a str { x }");
         assert!(ids.contains(&"str".to_string()));
         let toks = lex("let c = 'x'; let nl = '\\n';");
-        let lits = toks.tokens.iter().filter(|t| t.kind == Kind::Lit).count();
+        let lits = toks.iter().filter(|t| t.kind == Kind::Lit).count();
         assert_eq!(lits, 2);
     }
 
@@ -446,7 +332,6 @@ mod tests {
     fn multichar_ops_stay_whole() {
         let toks = lex("a += b; c -> d; e..f; g + h");
         let puncts: Vec<&str> = toks
-            .tokens
             .iter()
             .filter(|t| t.kind == Kind::Punct)
             .map(|t| t.text.as_str())
@@ -462,7 +347,6 @@ mod tests {
     fn numbers_do_not_eat_ranges_or_methods() {
         let toks = lex("for i in 0..10 { let x = 1.5e-3; let y = 2.max(3); }");
         let puncts: Vec<&str> = toks
-            .tokens
             .iter()
             .filter(|t| t.kind == Kind::Punct)
             .map(|t| t.text.as_str())
@@ -470,28 +354,7 @@ mod tests {
         assert!(puncts.contains(&".."));
         // `-` inside 1.5e-3 must not surface as an operator token.
         assert!(!puncts.contains(&"-"), "{puncts:?}");
-        assert!(lex("2.max(3)").tokens.iter().any(|t| t.text == "max"));
-    }
-
-    #[test]
-    fn directive_parsing() {
-        let l = lex("let x = 1; // detlint: allow(R1, R3) -- keyed lookup only\n");
-        assert_eq!(l.directives.len(), 1);
-        let d = &l.directives[0];
-        assert!(d.trailing);
-        assert!(!d.file_scope);
-        assert_eq!(d.rules, vec!["R1", "R3"]);
-        assert_eq!(d.reason.as_deref(), Some("keyed lookup only"));
-
-        let l = lex("// detlint: allow-file(R2) -- bench-only crate\n");
-        assert!(l.directives[0].file_scope);
-        assert!(!l.directives[0].trailing);
-
-        let l = lex("// detlint: allow(R1)\n");
-        assert_eq!(l.directives[0].reason, None);
-
-        let l = lex("// detlint: disallow(R1) -- typo\n");
-        assert!(l.directives[0].malformed);
+        assert!(lex("2.max(3)").iter().any(|t| t.text == "max"));
     }
 
     #[test]
@@ -504,7 +367,7 @@ mod tests {
     #[test]
     fn positions_are_one_based() {
         let toks = lex("ab\n  cd");
-        assert_eq!((toks.tokens[0].line, toks.tokens[0].col), (1, 1));
-        assert_eq!((toks.tokens[1].line, toks.tokens[1].col), (2, 3));
+        assert_eq!((toks[0].line, toks[0].col), (1, 1));
+        assert_eq!((toks[1].line, toks[1].col), (2, 3));
     }
 }

@@ -4,7 +4,7 @@
 //! a run's trace is byte-identical at any seed, thread count, and map
 //! layout. The runtime proptests check that dynamically; `detlint`
 //! enforces the *bug class* statically, at `cargo` time: it tokenizes
-//! every runtime source file (comments, strings and raw strings handled
+//! every source file (comments, strings and raw strings handled
 //! correctly — this is a lexer, not a grep) and applies the R1–R5 rule
 //! set described in [`rules`].
 //!
@@ -15,21 +15,17 @@
 //! cargo run -p detlint -- --json  # machine-readable, stable ordering
 //! ```
 //!
-//! Configuration lives in `detlint.toml` (scan roots, per-rule path
-//! exemptions, the R2 banned-name list and R4 schedule-call table);
-//! individual sites are waived inline with
-//! `// detlint: allow(Rn) -- reason`, and the reason is mandatory —
-//! the report echoes every suppression so waivers stay audited.
+//! The scope is a constant table in [`rules`]: the rules with their
+//! path exemptions, the R2 banned names, the R4 schedule calls, and
+//! the trees no rule reads. No finding can be waived.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod config;
 pub mod lexer;
 pub mod rules;
 
-use config::Config;
-use rules::{Finding, RuleSet, Suppression};
+use rules::{path_matches, Finding, SCAN_EXCLUDE};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -37,84 +33,58 @@ use std::path::{Path, PathBuf};
 /// The result of linting a tree.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Violations (including directive-hygiene problems), sorted by
-    /// `(file, line, col, rule)`.
+    /// Violations, sorted by `(file, line, col, rule)`.
     pub findings: Vec<Finding>,
-    /// Honoured suppressions with their reasons, same ordering.
-    pub suppressions: Vec<Suppression>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when the tree is lint-clean (suppressions are fine —
-    /// that is what they are for).
+    /// True when the tree is lint-clean.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 }
 
-/// Lint the tree under `root` using `cfg`. Paths in the report are
-/// relative to `root`, `/`-separated, so output is machine-independent.
-pub fn run(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let rules = RuleSet::from_config(cfg);
-    let include = cfg.list("scan", "include", &["src", "crates", "tests", "examples"]);
-    let exclude = cfg.list("scan", "exclude", &["vendor", "target"]);
-
-    let mut files: Vec<PathBuf> = Vec::new();
-    for inc in &include {
-        let dir = root.join(inc);
-        if dir.is_dir() {
-            collect_rs(&dir, &mut files)?;
-        } else if dir.is_file() && inc.ends_with(".rs") {
-            files.push(dir);
-        }
-    }
-    // Deterministic scan order, and relative `/` paths for reporting.
-    let mut rel: Vec<(String, PathBuf)> = files
-        .into_iter()
-        .map(|p| {
-            let r = p
-                .strip_prefix(root)
-                .unwrap_or(&p)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-                .join("/");
-            (r, p)
-        })
-        .filter(|(r, _)| !exclude.iter().any(|e| rules::path_matches(r, e)))
-        .collect();
-    rel.sort();
-    rel.dedup_by(|a, b| a.0 == b.0);
+/// Lint every `.rs` file under `root` outside [`SCAN_EXCLUDE`] and
+/// hidden directories. Paths in the report are relative to `root`,
+/// `/`-separated, so output is machine-independent.
+pub fn run(root: &Path) -> io::Result<Report> {
+    let mut files = Vec::new();
+    collect_rs(root, "", &mut files)?;
+    // Deterministic scan order.
+    files.sort();
 
     let mut report = Report::default();
-    for (relpath, path) in &rel {
+    for (relpath, path) in &files {
         let src = fs::read_to_string(path)?;
-        let lexed = lexer::lex(&src);
-        let raw = rules::scan_file(&rules, relpath, &lexed);
-        let (findings, suppressions) = rules::apply_directives(relpath, &lexed, raw);
-        report.findings.extend(findings);
-        report.suppressions.extend(suppressions);
-        report.files_scanned += 1;
+        report
+            .findings
+            .extend(rules::scan_file(relpath, &lexer::lex(&src)));
     }
+    report.files_scanned = files.len();
     report
         .findings
-        .sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
-    report
-        .suppressions
-        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(report)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs(dir: &Path, rel: &str, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let rel = if rel.is_empty() {
+            name.clone()
+        } else {
+            format!("{rel}/{name}")
+        };
         let path = entry.path();
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            if !name.starts_with('.') && !SCAN_EXCLUDE.iter().any(|e| path_matches(&rel, e)) {
+                collect_rs(&path, &rel, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+            out.push((rel, path));
         }
     }
     Ok(())
@@ -123,11 +93,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Render the report as stable, pretty-printed JSON (sorted arrays,
 /// fixed key order — byte-identical across runs and machines).
 pub fn to_json(report: &Report) -> String {
-    let mut s = String::from("{\n  \"version\": 1,\n  \"violations\": [\n");
+    let mut s = String::from("{\n  \"version\": 2,\n  \"violations\": [\n");
     for (i, f) in report.findings.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}}}{}\n",
-            json_str(&f.rule),
+            json_str(f.rule),
             json_str(&f.file),
             f.line,
             f.col,
@@ -139,26 +109,10 @@ pub fn to_json(report: &Report) -> String {
             }
         ));
     }
-    s.push_str("  ],\n  \"suppressions\": [\n");
-    for (i, sp) in report.suppressions.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}{}\n",
-            json_str(&sp.rule),
-            json_str(&sp.file),
-            sp.line,
-            json_str(&sp.reason),
-            if i + 1 < report.suppressions.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
     s.push_str(&format!(
-        "  ],\n  \"summary\": {{\"files_scanned\": {}, \"violations\": {}, \"suppressions\": {}}}\n}}\n",
+        "  ],\n  \"summary\": {{\"files_scanned\": {}, \"violations\": {}}}\n}}\n",
         report.files_scanned,
-        report.findings.len(),
-        report.suppressions.len()
+        report.findings.len()
     ));
     s
 }
@@ -172,20 +126,10 @@ pub fn to_human(report: &Report) -> String {
             f.file, f.line, f.col, f.rule, f.message
         ));
     }
-    if !report.suppressions.is_empty() {
-        s.push_str("suppressions in effect:\n");
-        for sp in &report.suppressions {
-            s.push_str(&format!(
-                "  {}:{} allow({}) -- {}\n",
-                sp.file, sp.line, sp.rule, sp.reason
-            ));
-        }
-    }
     s.push_str(&format!(
-        "detlint: {} file(s) scanned, {} violation(s), {} suppression(s)\n",
+        "detlint: {} file(s) scanned, {} violation(s)\n",
         report.files_scanned,
-        report.findings.len(),
-        report.suppressions.len()
+        report.findings.len()
     ));
     s
 }

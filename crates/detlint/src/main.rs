@@ -1,24 +1,21 @@
 //! The `detlint` CLI. See the crate docs ([`detlint`]) for what the
-//! rules enforce and `detlint.toml` for how the scan is configured.
+//! rules enforce and [`detlint::rules`] for the scope they run over.
 //!
-//! Exit status: 0 when the tree is clean, 1 on any violation (including
-//! reason-less or stale suppressions), 2 on usage/config errors.
+//! Exit status: 0 when the tree is clean, 1 on any violation, 2 on
+//! usage or I/O errors.
 
-use detlint::config::Config;
-use detlint::rules::{rule_summary, RULE_IDS};
+use detlint::rules::RULES;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: detlint [--json] [--root DIR] [--config FILE] [--list-rules]
+const USAGE: &str = "usage: detlint [--json] [--root DIR] [--list-rules]
   --json        machine-readable output (stable ordering)
   --root DIR    tree to lint (default: .)
-  --config FILE config path (default: <root>/detlint.toml)
   --list-rules  print the rule set and exit";
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -27,13 +24,9 @@ fn main() -> ExitCode {
                 Some(d) => root = PathBuf::from(d),
                 None => return usage_error("--root needs a directory"),
             },
-            "--config" => match args.next() {
-                Some(f) => config_path = Some(PathBuf::from(f)),
-                None => return usage_error("--config needs a file"),
-            },
             "--list-rules" => {
-                for id in RULE_IDS {
-                    println!("{id}: {}", rule_summary(id));
+                for rule in &RULES {
+                    println!("{}: {}", rule.id, rule.summary);
                 }
                 return ExitCode::SUCCESS;
             }
@@ -45,22 +38,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let config_path = config_path.unwrap_or_else(|| root.join("detlint.toml"));
-    let cfg = match std::fs::read_to_string(&config_path) {
-        Ok(text) => match Config::parse(&text) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("detlint: {}: {e}", config_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(e) => {
-            eprintln!("detlint: cannot read {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match detlint::run(&root, &cfg) {
+    let report = match detlint::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("detlint: scan failed: {e}");

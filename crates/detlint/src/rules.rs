@@ -9,18 +9,19 @@
 //! | R4 | unchecked `+`/`-`/`as` in a schedule-call time argument | `Ns::saturating_add`/`saturating_sub` |
 //! | R5 | `encode(` inside an `on_packet` body — serializing on the hot path | typed packets; encode at trace/golden time only |
 //!
-//! Every rule can be suppressed inline with
-//! `// detlint: allow(Rn) -- reason`; the reason is mandatory and the
-//! report echoes it, so each suppression is an audited artifact.
+//! The scope is a constant: [`RULES`] names each rule with the paths it
+//! never applies to, [`BANNED`] and [`SCHEDULE_FNS`] are R2's and R4's
+//! watch lists, and [`SCAN_EXCLUDE`] names the trees no rule reads. No
+//! finding can be waived, so a false positive is fixed in the rule,
+//! with a fixture.
 
-use crate::config::Config;
-use crate::lexer::{Directive, Kind, Lexed, Token};
+use crate::lexer::{Kind, Token};
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`R1`..`R5`, or a `directive-*` hygiene id).
-    pub rule: String,
+    /// Rule id (`R1`..`R5`).
+    pub rule: &'static str,
     /// Repo-relative path of the offending file.
     pub file: String,
     /// 1-based line.
@@ -31,117 +32,72 @@ pub struct Finding {
     pub message: String,
 }
 
-/// One honoured suppression (echoed in every report).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
-    /// The rule that was allowed.
-    pub rule: String,
-    /// File containing the directive.
-    pub file: String,
-    /// Line of the suppressed finding.
-    pub line: u32,
-    /// The mandatory justification.
-    pub reason: String,
+/// One rule of the set.
+pub struct Rule {
+    /// Rule id, in report order.
+    pub id: &'static str,
+    /// One-line description (for `--list-rules`).
+    pub summary: &'static str,
+    /// Path patterns this rule never applies to, matched by
+    /// [`path_matches`].
+    pub exempt: &'static [&'static str],
+    check: fn(&str, &[Token], &mut Vec<Finding>),
 }
 
-/// Ids of the real rules, in report order.
-pub const RULE_IDS: [&str; 5] = ["R1", "R2", "R3", "R4", "R5"];
+/// The rule set, R1..R5.
+pub const RULES: [Rule; 5] = [
+    Rule {
+        id: "R1",
+        summary: "no HashMap/HashSet in trace-affecting code (use BTreeMap/BTreeSet)",
+        exempt: &[],
+        check: rule_r1,
+    },
+    Rule {
+        id: "R2",
+        summary: "no wall clock or ambient randomness (Instant/SystemTime/thread_rng/rand::random)",
+        // The repo benchmark measures real time by design.
+        exempt: &["crates/bench"],
+        check: rule_r2,
+    },
+    Rule {
+        id: "R3",
+        summary: "no partial_cmp on float keys (use total_cmp)",
+        exempt: &[],
+        check: rule_r3,
+    },
+    Rule {
+        id: "R4",
+        summary: "no unchecked +/-/`as` in schedule-call time arguments (use Ns::saturating_*)",
+        exempt: &[],
+        check: rule_r4,
+    },
+    Rule {
+        id: "R5",
+        summary: "no encode() inside on_packet bodies (typed packets; encode only at trace time)",
+        exempt: &[],
+        check: rule_r5,
+    },
+];
 
-/// One-line description per rule (for `--list-rules` and reports).
-pub fn rule_summary(id: &str) -> &'static str {
-    match id {
-        "R1" => "no HashMap/HashSet in trace-affecting code (use BTreeMap/BTreeSet)",
-        "R2" => "no wall clock or ambient randomness (Instant/SystemTime/thread_rng/rand::random)",
-        "R3" => "no partial_cmp on float keys (use total_cmp)",
-        "R4" => "no unchecked +/-/`as` in schedule-call time arguments (use Ns::saturating_*)",
-        "R5" => "no encode() inside on_packet bodies (typed packets; encode only at trace time)",
-        _ => "directive hygiene",
-    }
-}
+/// R2's banned names: a bare identifier, or `head::tail` as a path.
+pub const BANNED: [&str; 4] = ["Instant", "SystemTime", "thread_rng", "rand::random"];
 
-/// A scheduling function R4 watches: its name and which argument index
-/// carries the time value.
-#[derive(Debug, Clone)]
-pub struct ScheduleFn {
-    /// Method or function name as written at the call site.
-    pub name: String,
-    /// Zero-based index of the time argument.
-    pub time_arg: usize,
-}
+/// R4's watched scheduling calls: the name as written at the call site
+/// and the zero-based index of its time argument.
+pub const SCHEDULE_FNS: [(&str, usize); 6] = [
+    ("set_timer", 0),
+    ("schedule_timer", 1),
+    ("schedule_call", 1),
+    ("schedule_link_admin", 0),
+    ("schedule_node_admin", 0),
+    ("send_after", 0),
+];
 
-/// Per-rule configuration resolved from `detlint.toml`.
-#[derive(Debug, Clone)]
-pub struct RuleCfg {
-    /// Whether the rule runs at all.
-    pub enabled: bool,
-    /// Path patterns (component subsequences) exempt from this rule.
-    pub exclude: Vec<String>,
-}
-
-/// The full resolved rule set.
-#[derive(Debug, Clone)]
-pub struct RuleSet {
-    /// R1..R5 keyed by index (0 = R1).
-    pub rules: [RuleCfg; 5],
-    /// R2 banned name patterns (`Ident` or `Ident::ident`).
-    pub banned_time_rand: Vec<String>,
-    /// R4 watched scheduling calls.
-    pub schedule_fns: Vec<ScheduleFn>,
-}
-
-impl RuleSet {
-    /// Resolve the rule set from a parsed config, applying defaults for
-    /// anything unspecified.
-    pub fn from_config(cfg: &Config) -> RuleSet {
-        let rule = |id: &str| RuleCfg {
-            enabled: cfg.bool(id, "enabled", true),
-            exclude: cfg.list(id, "exclude", &[]),
-        };
-        let banned = cfg.list(
-            "R2",
-            "banned",
-            &["Instant", "SystemTime", "thread_rng", "rand::random"],
-        );
-        let sched = cfg.list(
-            "R4",
-            "schedule_fns",
-            &[
-                "set_timer:0",
-                "schedule_timer:1",
-                "schedule_call:1",
-                "schedule_link_admin:0",
-                "schedule_node_admin:0",
-                "send_after:0",
-            ],
-        );
-        let schedule_fns = sched
-            .iter()
-            .filter_map(|s| {
-                let (name, idx) = s.split_once(':')?;
-                Some(ScheduleFn {
-                    name: name.to_string(),
-                    time_arg: idx.parse().ok()?,
-                })
-            })
-            .collect();
-        RuleSet {
-            rules: [rule("R1"), rule("R2"), rule("R3"), rule("R4"), rule("R5")],
-            banned_time_rand: banned,
-            schedule_fns,
-        }
-    }
-
-    fn cfg(&self, id: &str) -> &RuleCfg {
-        let i = RULE_IDS.iter().position(|r| *r == id).expect("known rule");
-        &self.rules[i]
-    }
-
-    /// Whether `id` applies to `path` (enabled and not excluded).
-    pub fn applies(&self, id: &str, path: &str) -> bool {
-        let c = self.cfg(id);
-        c.enabled && !c.exclude.iter().any(|p| path_matches(path, p))
-    }
-}
+/// Paths no rule reads, matched by [`path_matches`]: vendored shims,
+/// build output, and detlint's own bad-code fixtures (they exist to
+/// violate the rules). Hidden directories (`.git`, `.bench_build`) are
+/// skipped too.
+pub const SCAN_EXCLUDE: [&str; 3] = ["vendor", "target", "crates/detlint/fixtures"];
 
 /// Component-subsequence path matching: pattern `crates/bench` matches
 /// any path containing the components `crates` then `bench` adjacently;
@@ -155,32 +111,20 @@ pub fn path_matches(path: &str, pattern: &str) -> bool {
     (0..=hc.len() - pc.len()).any(|i| hc[i..i + pc.len()] == pc[..])
 }
 
-/// Run every applicable rule over one lexed file, returning raw
-/// findings (suppressions not yet applied — see [`apply_directives`]).
-pub fn scan_file(rules: &RuleSet, path: &str, lexed: &Lexed) -> Vec<Finding> {
-    let toks = &lexed.tokens;
+/// Run every rule that applies to `path` over its tokens.
+pub fn scan_file(path: &str, toks: &[Token]) -> Vec<Finding> {
     let mut out = Vec::new();
-    if rules.applies("R1", path) {
-        rule_r1(path, toks, &mut out);
-    }
-    if rules.applies("R2", path) {
-        rule_r2(path, toks, &rules.banned_time_rand, &mut out);
-    }
-    if rules.applies("R3", path) {
-        rule_r3(path, toks, &mut out);
-    }
-    if rules.applies("R4", path) {
-        rule_r4(path, toks, &rules.schedule_fns, &mut out);
-    }
-    if rules.applies("R5", path) {
-        rule_r5(path, toks, &mut out);
+    for rule in &RULES {
+        if !rule.exempt.iter().any(|p| path_matches(path, p)) {
+            (rule.check)(path, toks, &mut out);
+        }
     }
     out
 }
 
-fn finding(rule: &str, path: &str, t: &Token, message: String) -> Finding {
+fn finding(rule: &'static str, path: &str, t: &Token, message: String) -> Finding {
     Finding {
-        rule: rule.to_string(),
+        rule,
         file: path.to_string(),
         line: t.line,
         col: t.col,
@@ -201,8 +145,7 @@ fn rule_r1(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
                 path,
                 t,
                 format!(
-                    "`{}` iterates in per-process order; use `{ordered}` (or prove order \
-                     cannot reach traces and add `// detlint: allow(R1) -- why`)",
+                    "`{}` iterates in per-process order; use `{ordered}`",
                     t.text
                 ),
             ));
@@ -210,15 +153,15 @@ fn rule_r1(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_r2(path: &str, toks: &[Token], banned: &[String], out: &mut Vec<Finding>) {
+fn rule_r2(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     for (i, t) in toks.iter().enumerate() {
         if t.kind != Kind::Ident {
             continue;
         }
-        for pat in banned {
+        for pat in BANNED {
             match pat.split_once("::") {
                 None => {
-                    if t.text == *pat {
+                    if t.text == pat {
                         out.push(finding(
                             "R2",
                             path,
@@ -252,30 +195,30 @@ fn rule_r2(path: &str, toks: &[Token], banned: &[String], out: &mut Vec<Finding>
 }
 
 fn rule_r3(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    for t in toks {
-        if t.kind == Kind::Ident && t.text == "partial_cmp" {
+    for (i, t) in toks.iter().enumerate() {
+        // A `fn partial_cmp` definition (a hand-written `PartialOrd`)
+        // is not a comparison; the calls in its body still are.
+        if t.kind == Kind::Ident && t.text == "partial_cmp" && !is_definition(toks, i) {
             out.push(finding(
                 "R3",
                 path,
                 t,
-                "`partial_cmp` on floats panics or lies on NaN; use `total_cmp` \
-                 (PR 4 ZipfPicker convention)"
-                    .to_string(),
+                "`partial_cmp` on floats panics or lies on NaN; use `total_cmp`".to_string(),
             ));
         }
     }
 }
 
-fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding>) {
+fn rule_r4(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     for (i, t) in toks.iter().enumerate() {
         if t.kind != Kind::Ident {
             continue;
         }
-        let Some(f) = fns.iter().find(|f| f.name == t.text) else {
+        let Some(&(name, time_arg)) = SCHEDULE_FNS.iter().find(|(n, _)| *n == t.text) else {
             continue;
         };
         // Skip definitions (`fn set_timer(...)`) — only call sites count.
-        if i > 0 && toks[i - 1].text == "fn" {
+        if is_definition(toks, i) {
             continue;
         }
         let open = skip_turbofish(toks, i + 1);
@@ -283,7 +226,7 @@ fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding
             continue;
         }
         // Walk the balanced argument list, tracking the top-level
-        // argument index, and inspect the configured time argument.
+        // argument index, and inspect the time argument.
         let mut depth = 0usize;
         let mut arg = 0usize;
         let mut j = open;
@@ -301,7 +244,7 @@ fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding
                 "," if depth == 1 => arg += 1,
                 // `as` must be the keyword (Ident kind), not a fragment.
                 "+" | "-" | "as"
-                    if arg == f.time_arg
+                    if arg == time_arg
                         && !flagged
                         && (tj.text != "as" || tj.kind == Kind::Ident) =>
                 {
@@ -312,9 +255,8 @@ fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding
                         tj,
                         format!(
                             "unchecked `{}` in the time argument of `{}` can overflow \
-                             the schedule; use `Ns::saturating_add`/`saturating_sub` \
-                             (PR 1 convention)",
-                            tj.text, f.name
+                             the schedule; use `Ns::saturating_add`/`saturating_sub`",
+                            tj.text, name
                         ),
                     ));
                 }
@@ -323,6 +265,11 @@ fn rule_r4(path: &str, toks: &[Token], fns: &[ScheduleFn], out: &mut Vec<Finding
             j += 1;
         }
     }
+}
+
+/// True when the identifier at `i` is named by a `fn` item, not called.
+fn is_definition(toks: &[Token], i: usize) -> bool {
+    i > 0 && toks[i - 1].text == "fn"
 }
 
 /// The index just past a turbofish (`::<T>`) starting at `i`, or `i`
@@ -350,7 +297,7 @@ fn skip_turbofish(toks: &[Token], i: usize) -> usize {
 fn rule_r5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     let mut i = 0usize;
     while i < toks.len() {
-        let is_handler = toks[i].text == "on_packet" && i > 0 && toks[i - 1].text == "fn";
+        let is_handler = toks[i].text == "on_packet" && is_definition(toks, i);
         if !is_handler {
             i += 1;
             continue;
@@ -389,7 +336,7 @@ fn rule_r5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
                         &toks[j],
                         "`encode(` inside an `on_packet` body serializes on the \
                          per-packet hot path; carry typed packets and encode only \
-                         at trace/golden time (PR 5 invariant)"
+                         at trace/golden time"
                             .to_string(),
                     ));
                 }
@@ -401,122 +348,18 @@ fn rule_r5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     }
 }
 
-/// Apply suppression directives to raw findings: suppressed findings
-/// move to the suppression list (with their mandatory reason); bad
-/// directives (missing reason, malformed, or matching nothing) become
-/// findings themselves, so suppressions can never rot silently.
-pub fn apply_directives(
-    path: &str,
-    lexed: &Lexed,
-    raw: Vec<Finding>,
-) -> (Vec<Finding>, Vec<Suppression>) {
-    // Resolve each standalone directive to the line it covers (the next
-    // line bearing a token).
-    struct Active<'a> {
-        d: &'a Directive,
-        covered_line: Option<u32>, // None = file scope
-        used: bool,
-    }
-    let mut active: Vec<Active> = Vec::new();
-    let mut findings = Vec::new();
-    for d in &lexed.directives {
-        if d.malformed {
-            findings.push(Finding {
-                rule: "directive-malformed".into(),
-                file: path.into(),
-                line: d.line,
-                col: 1,
-                message: "unrecognized detlint directive; expected \
-                          `// detlint: allow(Rn[, Rm]) -- reason` or `allow-file`"
-                    .into(),
-            });
-            continue;
-        }
-        if d.reason.is_none() {
-            findings.push(Finding {
-                rule: "directive-missing-reason".into(),
-                file: path.into(),
-                line: d.line,
-                col: 1,
-                message: "suppression without a reason; append `-- why this is safe` \
-                          (reasons are echoed in every report)"
-                    .into(),
-            });
-            continue;
-        }
-        let covered_line = if d.file_scope {
-            None
-        } else if d.trailing {
-            Some(d.line)
-        } else {
-            lexed
-                .tokens
-                .iter()
-                .find(|t| t.line > d.line)
-                .map(|t| t.line)
-        };
-        active.push(Active {
-            d,
-            covered_line,
-            used: false,
-        });
-    }
-
-    let mut kept = Vec::new();
-    let mut suppressed = Vec::new();
-    for f in raw {
-        let slot = active
-            .iter_mut()
-            .find(|a| a.d.rules.contains(&f.rule) && a.covered_line.is_none_or(|l| l == f.line));
-        match slot {
-            Some(a) => {
-                a.used = true;
-                suppressed.push(Suppression {
-                    rule: f.rule,
-                    file: f.file,
-                    line: f.line,
-                    reason: a.d.reason.clone().unwrap_or_default(),
-                });
-            }
-            None => kept.push(f),
-        }
-    }
-    for a in &active {
-        if !a.used {
-            findings.push(Finding {
-                rule: "directive-unused".into(),
-                file: path.into(),
-                line: a.d.line,
-                col: 1,
-                message: format!(
-                    "allow({}) suppresses nothing; delete the stale directive",
-                    a.d.rules.join(", ")
-                ),
-            });
-        }
-    }
-    findings.extend(kept);
-    (findings, suppressed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn set() -> RuleSet {
-        RuleSet::from_config(&Config::parse("").unwrap())
-    }
-
-    fn scan(src: &str) -> (Vec<Finding>, Vec<Suppression>) {
-        let lexed = lex(src);
-        let raw = scan_file(&set(), "t.rs", &lexed);
-        apply_directives("t.rs", &lexed, raw)
+    fn scan(src: &str) -> Vec<Finding> {
+        scan_file("t.rs", &lex(src))
     }
 
     #[test]
     fn r1_fires_on_hash_collections() {
-        let (f, _) = scan("use std::collections::HashMap;\nlet s: HashSet<u32>;");
+        let f = scan("use std::collections::HashMap;\nlet s: HashSet<u32>;");
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].rule, "R1");
         assert_eq!((f[0].line, f[1].line), (1, 2));
@@ -524,47 +367,58 @@ mod tests {
 
     #[test]
     fn r2_fires_on_wall_clock_and_ambient_rng() {
-        let (f, _) = scan("let t = Instant::now();\nlet x: u8 = rand::random();");
+        let f = scan("let t = Instant::now();\nlet x: u8 = rand::random();");
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|f| f.rule == "R2"));
         // `random` without the `rand::` path prefix is fine.
-        let (f, _) = scan("fn random() {}\nlet r = self.random();");
+        let f = scan("fn random() {}\nlet r = self.random();");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn r3_fires_on_partial_cmp() {
-        let (f, _) = scan("v.sort_by(|a, b| a.partial_cmp(b).unwrap());");
+        let f = scan("v.sort_by(|a, b| a.partial_cmp(b).unwrap());");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "R3");
+        // A path call is still a call.
+        let f = scan("v.sort_by(|a, b| f64::partial_cmp(a, b).unwrap());");
+        assert_eq!(f.len(), 1, "{f:?}");
+        // A definition is not, but its body is still scanned.
+        let f = scan("fn partial_cmp(&self, o: &Self) -> Option<Ordering> { Some(self.cmp(o)) }");
+        assert!(f.is_empty(), "{f:?}");
+        let f = scan(
+            "fn partial_cmp(&self, o: &Self) -> Option<Ordering> { self.x.partial_cmp(&o.x) }",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].col, 62);
     }
 
     #[test]
     fn r4_checks_only_the_time_argument() {
         // `+` in the token argument (index 1) of set_timer is fine.
-        let (f, _) = scan("ctx.set_timer(interval, token + 1);");
+        let f = scan("ctx.set_timer(interval, token + 1);");
         assert!(f.is_empty(), "{f:?}");
         // `+` in the time argument is not.
-        let (f, _) = scan("ctx.set_timer(base + jitter, 7);");
+        let f = scan("ctx.set_timer(base + jitter, 7);");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "R4");
         // schedule_timer carries its time at index 1.
-        let (f, _) = scan("sim.schedule_timer(node, Ns::from_ms(1 + t), t);");
+        let f = scan("sim.schedule_timer(node, Ns::from_ms(1 + t), t);");
         assert_eq!(f.len(), 1);
         // Saturating forms emit no operator token.
-        let (f, _) = scan("ctx.set_timer(base.saturating_add(jitter), 7);");
+        let f = scan("ctx.set_timer(base.saturating_add(jitter), 7);");
         assert!(f.is_empty());
         // `as` casts in the time argument are flagged.
-        let (f, _) = scan("ctx.set_timer(Ns(ms as u64), 7);");
+        let f = scan("ctx.set_timer(Ns(ms as u64), 7);");
         assert_eq!(f.len(), 1);
         // Definitions are not call sites.
-        let (f, _) = scan("pub fn set_timer(&mut self, delay: Ns, token: u64) {}");
+        let f = scan("pub fn set_timer(&mut self, delay: Ns, token: u64) {}");
         assert!(f.is_empty(), "{f:?}");
         // A turbofish does not hide a call: schedule_call's time is
         // argument 1, and arithmetic inside its closure is fine.
-        let (f, _) = scan("sim.schedule_call::<Vec<Pce>>(n, at + d, |p, c| p.f(c, k + 1));");
+        let f = scan("sim.schedule_call::<Vec<Pce>>(n, at + d, |p, c| p.f(c, k + 1));");
         assert_eq!(f.len(), 1, "{f:?}");
-        let (f, _) = scan("sim.schedule_call::<Pce>(n, at, move |p, c| p.f(c, k + 1));");
+        let f = scan("sim.schedule_call::<Pce>(n, at, move |p, c| p.f(c, k + 1));");
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -576,46 +430,47 @@ mod tests {
             }
             fn elsewhere(&self) { let b = p.encode(); }
         ";
-        let (f, _) = scan(src);
+        let f = scan(src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "R5");
         assert_eq!(f[0].line, 3);
     }
 
+    /// A `detlint: allow` comment is a comment like any other: in the
+    /// trailing or the standalone (next-line) form it waives nothing.
     #[test]
     fn trailing_and_standalone_suppressions() {
-        let (f, s) = scan("use std::collections::HashMap; // detlint: allow(R1) -- lookup only\n");
-        assert!(f.is_empty(), "{f:?}");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].reason, "lookup only");
+        let f = scan("use std::collections::HashMap; // detlint: allow(R1) -- lookup only\n");
+        assert_eq!((f.len(), f[0].line), (1, 1), "{f:?}");
+        let f = scan("// detlint: allow(R1) -- next-line form\nuse std::collections::HashMap;\n");
+        assert_eq!((f.len(), f[0].line), (1, 2), "{f:?}");
+    }
 
-        let (f, s) =
-            scan("// detlint: allow(R1) -- next-line form\nuse std::collections::HashMap;\n");
-        assert!(f.is_empty(), "{f:?}");
-        assert_eq!(s.len(), 1);
+    /// The file-wide form waives nothing either: every line still reports.
+    #[test]
+    fn file_scope_suppression_covers_no_line() {
+        let f = scan(
+            "// detlint: allow-file(R1) -- whole file\nlet m: HashMap<u32, u32>;\nlet s: HashSet<u8>;\n",
+        );
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 3], "{f:?}");
+    }
+
+    /// With no waiver engine there is no directive syntax to police: a
+    /// malformed or reason-less allow comment is no finding of its own.
+    #[test]
+    fn malformed_directive_is_no_finding() {
+        assert!(scan("// detlint: please ignore\n").is_empty());
+        assert!(scan("// detlint: allow(R1)\nlet x = 1;\n").is_empty());
+        assert!(scan("// detlint: allow(R9) -- unknown rule\nlet x = 1;\n").is_empty());
     }
 
     #[test]
-    fn file_scope_suppression_covers_all_lines() {
-        let src = "// detlint: allow-file(R1) -- interned index, never iterated\n\
-                   use std::collections::HashMap;\nlet m: HashMap<u32, u32>;\n";
-        let (f, s) = scan(src);
-        assert!(f.is_empty(), "{f:?}");
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn directive_hygiene_is_enforced() {
-        let (f, _) = scan("use std::collections::HashMap; // detlint: allow(R1)\n");
-        assert!(f.iter().any(|f| f.rule == "directive-missing-reason"));
-        assert!(f.iter().any(|f| f.rule == "R1"), "{f:?}");
-
-        let (f, _) = scan("let x = 1; // detlint: allow(R1) -- nothing here fires\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "directive-unused");
-
-        let (f, _) = scan("// detlint: please ignore\n");
-        assert_eq!(f[0].rule, "directive-malformed");
+    fn exemptions_are_per_rule() {
+        let toks = lex("let t = Instant::now(); let m: HashMap<u8, u8>;");
+        let f = scan_file("crates/bench/src/lib.rs", &toks);
+        assert_eq!(f.iter().map(|f| f.rule).collect::<Vec<_>>(), ["R1"]);
+        assert_eq!(scan_file("crates/benchfoo/src/lib.rs", &toks).len(), 2);
     }
 
     #[test]

@@ -64,8 +64,6 @@ pub struct IrcEngine {
     flows: BTreeMap<(u32, u32), TrackedFlow>,
     /// Flows admitted.
     pub flows_admitted: u64,
-    /// Moves produced by repaths.
-    pub moves_made: u64,
 }
 
 impl IrcEngine {
@@ -80,7 +78,6 @@ impl IrcEngine {
             policy,
             flows: BTreeMap::new(),
             flows_admitted: 0,
-            moves_made: 0,
         }
     }
 
@@ -188,7 +185,6 @@ impl IrcEngine {
                 new_rloc: self.providers[new_p].rloc,
             });
         }
-        self.moves_made += moves.len() as u64;
         moves
     }
 }

@@ -73,8 +73,6 @@ pub struct Resolver {
     ns_cache: BTreeMap<Name, CachedNs>,
     in_flight: BTreeMap<u16, InFlight>,
     next_qid: u16,
-    /// Client queries received.
-    pub client_queries: u64,
     /// Answers served from the positive cache.
     pub cache_hits: u64,
     /// Resolutions completed successfully.
@@ -113,7 +111,6 @@ impl Resolver {
             ns_cache: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             next_qid: 1,
-            client_queries: 0,
             cache_hits: 0,
             resolved: 0,
             failed: 0,
@@ -216,7 +213,6 @@ impl Resolver {
         let Some(q) = msg.question().cloned() else {
             return;
         };
-        self.client_queries += 1;
         ctx.trace(format_args!("resolver got client query for {}", q.name));
         // Step 1 of the paper: the PCE obtains E_S by IPC with the DNS.
         if let Some(pce) = self.cfg.ipc_notify {
