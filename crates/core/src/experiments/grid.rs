@@ -43,7 +43,9 @@ pub struct Grid<C> {
     pub heading: &'static str,
     /// Column names.
     pub columns: &'static [&'static str],
-    /// The cells, in row order.
+    /// The cells, in row order. Declare cheapest first (size axes
+    /// ascending): the pool starts the last-declared cells first, so
+    /// the costliest cells never wait at the end of a sweep.
     pub cells: Vec<C>,
     /// Run one cell at a seed and return its row.
     pub row: fn(&C, u64) -> Vec<Cell>,
@@ -101,6 +103,8 @@ impl Experiment for Sections {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     fn squares() -> Grid<u64> {
         Grid {
@@ -119,6 +123,33 @@ mod tests {
         let serial = squares().run(1, 1).to_json();
         assert_eq!(serial, squares().run(1, 8).to_json());
         assert_eq!(squares().section(1, 8).num(13, "n^2"), Some(170.0));
+    }
+
+    /// Start order of each cell of `the_last_declared_cells_start_first`.
+    static STARTED: [AtomicUsize; 40] = [const { AtomicUsize::new(usize::MAX) }; 40];
+    static STARTS: AtomicUsize = AtomicUsize::new(0);
+    /// The first two cells started meet here, so neither thread can
+    /// start a third cell before the other has started its first.
+    static FIRST_TWO: Barrier = Barrier::new(2);
+
+    #[test]
+    fn the_last_declared_cells_start_first() {
+        let grid = Grid {
+            row: |&n, _| {
+                let start = STARTS.fetch_add(1, Ordering::SeqCst);
+                STARTED[n as usize].store(start, Ordering::SeqCst);
+                if start < 2 {
+                    FIRST_TWO.wait();
+                }
+                vec![Cell::u64(n)]
+            },
+            ..squares()
+        };
+        grid.section(1, 2);
+        let order = |n: usize| STARTED[n].load(Ordering::SeqCst);
+        let mut first_two = [order(38), order(39)];
+        first_two.sort_unstable();
+        assert_eq!(first_two, [0, 1], "cells 38 and 39 start first");
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //!
 //! The pool is a hand-rolled scoped-thread worker loop over
 //! [`std::thread::scope`] (this repo vendors no crates.io dependencies;
-//! see DESIGN.md "Vendored dependency shims"): workers claim the next
-//! unclaimed item through a shared atomic cursor, so a slow cell never
-//! blocks the queue behind it (dynamic load balancing, which matters when
-//! one N=512-site cell costs 100× an N=64 one).
+//! see DESIGN.md "Vendored dependency shims"). The calling thread is one
+//! of the workers: it spawns `jobs − 1` threads and runs the same claim
+//! loop itself. Workers claim the next unclaimed item through a shared
+//! atomic cursor, so a slow cell never blocks the queue behind it
+//! (dynamic load balancing: on a 2-vCPU host E11's 512-site cells cost
+//! 5–9× its 64-site ones, and E10's 32-site NERD cell about 40× its
+//! neighbours). The cursor hands out the **last** item first: grids
+//! declare their size axes ascending, so the costliest cells start at
+//! once instead of last.
 //!
 //! ```
 //! use netsim::par::par_map;
@@ -33,18 +38,22 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Map `f` over `items` on up to `jobs` worker threads, returning the
-/// results **in input order**.
+/// Map `f` over `items` on up to `jobs` threads, the caller's included,
+/// returning the results **in input order**.
 ///
 /// * `jobs` is clamped to `[1, items.len()]`; `jobs <= 1` (or a single
-///   item) runs inline on the caller's thread with no pool at all, so a
-///   serial run has zero threading overhead.
-/// * Items are claimed dynamically (atomic cursor), not pre-chunked:
-///   result `i` is always `f(items[i])`, but *when* each item runs is
-///   scheduling-dependent. Callers therefore get byte-identical output
-///   for any `jobs` as long as `f` is a pure function of its item.
-/// * A panic in any worker propagates to the caller once all workers
-///   have been joined (via [`std::thread::scope`]).
+///   item) runs inline on the caller's thread, in input order, with no
+///   pool at all, so a serial run has zero threading overhead.
+/// * Otherwise `jobs − 1` threads are spawned and the caller works
+///   beside them, so no thread (and no allocator arena) sits idle.
+/// * Items are claimed dynamically (atomic cursor), last item first,
+///   not pre-chunked: result `i` is always `f(items[i])`, but *when*
+///   each item runs is scheduling-dependent. Callers therefore get
+///   byte-identical output for any `jobs` as long as `f` is a pure
+///   function of its item.
+/// * A panic in any worker, the caller included, propagates to the
+///   caller once all workers have been joined (via
+///   [`std::thread::scope`]).
 pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -65,24 +74,27 @@ where
         .into_iter()
         .map(|item| Mutex::new((Some(item), None)))
         .collect();
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
+    // Claim `k` is item `n - 1 - k`: the last-declared item goes first.
+    let claimed = AtomicUsize::new(0);
+    let work = || loop {
+        let k = claimed.fetch_add(1, Ordering::Relaxed);
+        if k >= n {
+            break;
+        }
+        let i = n - 1 - k;
+        let item = {
+            let mut slot = slots[i].lock().expect("slot lock");
+            slot.0.take().expect("item claimed exactly once")
+        };
+        let result = f(item);
+        slots[i].lock().expect("slot lock").1 = Some(result);
+    };
 
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = {
-                    let mut slot = slots[i].lock().expect("slot lock");
-                    slot.0.take().expect("item claimed exactly once")
-                };
-                let result = f(item);
-                slots[i].lock().expect("slot lock").1 = Some(result);
-            });
+        for _ in 1..jobs {
+            scope.spawn(work);
         }
+        work();
     });
 
     slots
@@ -99,7 +111,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn preserves_input_order_at_any_job_count() {
@@ -161,6 +176,78 @@ mod tests {
             })
         });
         assert!(outcome.is_err());
+    }
+
+    /// The distinct threads in `ids`, in first-seen order.
+    fn distinct(ids: &Mutex<Vec<ThreadId>>) -> Vec<ThreadId> {
+        let mut seen = Vec::new();
+        for id in ids.lock().unwrap().iter() {
+            if !seen.contains(id) {
+                seen.push(*id);
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Both items wait for each other, so they run on two threads at
+        // once: the caller's and one spawned worker.
+        let meet = Barrier::new(2);
+        let ids = Mutex::new(Vec::new());
+        par_map(2, vec![0u8, 1], |_| {
+            meet.wait();
+            ids.lock().unwrap().push(thread::current().id());
+        });
+        let ids = distinct(&ids);
+        let caller = thread::current().id();
+        assert_eq!(ids.len(), 2);
+        assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1);
+    }
+
+    #[test]
+    fn a_panic_on_the_callers_item_joins_the_other_worker() {
+        let caller = thread::current().id();
+        let meet = Barrier::new(2);
+        let panicking = AtomicBool::new(false);
+        let other_done = AtomicBool::new(false);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            par_map(2, vec![0u8, 1], |_| {
+                meet.wait();
+                if thread::current().id() == caller {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("the caller's cell exploded");
+                }
+                // Finish only once the caller's panic has begun; bounded,
+                // so a pool whose caller runs no item fails, not hangs.
+                for _ in 0..1_000_000 {
+                    if panicking.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    thread::yield_now();
+                }
+                for _ in 0..100 {
+                    thread::yield_now();
+                }
+                other_done.store(true, Ordering::SeqCst);
+            })
+        }));
+        assert!(outcome.is_err(), "the caller's panic must reach the caller");
+        assert!(
+            other_done.load(Ordering::SeqCst),
+            "the other worker is joined before the panic resumes"
+        );
+    }
+
+    #[test]
+    fn at_most_jobs_threads_run_items() {
+        let ids = Mutex::new(Vec::new());
+        par_map(3, (0..300).collect::<Vec<u32>>(), |x| {
+            ids.lock().unwrap().push(thread::current().id());
+            x
+        });
+        let n = distinct(&ids).len();
+        assert!((1..=3).contains(&n), "{n} threads ran items at jobs = 3");
     }
 
     #[test]
